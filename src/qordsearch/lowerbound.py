@@ -29,6 +29,7 @@ Algorithm protocol expected by :func:`run_trajectory`:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -95,27 +96,86 @@ def ordered_search_bound(n: int, eps: float) -> float:
 # Weights and overlaps
 
 
+def _inverse_distance(a: int, b: np.ndarray) -> np.ndarray:
+    d = np.asarray(b, dtype=float) - a
+    return np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+
+
 @dataclass(frozen=True)
 class WeightSpec:
-    """Non-negative pairwise weight over answers ``0 .. n-1``."""
+    """Non-negative pairwise weight over answers ``0 .. n-1``.
+
+    ``weight(a, b)`` takes one answer ``a`` and an answer or integer array of
+    answers ``b`` and returns the weights shaped like ``b``.
+    """
 
     n: int
-    weight: Callable[[int, int], float]
+    weight: Callable[[int, np.ndarray], np.ndarray]
 
     @classmethod
     def inverse_distance(cls, n: int) -> "WeightSpec":
         """Ordered-search weights: 1/(b-a) for a < b, zero otherwise."""
-        return cls(n=n, weight=lambda a, b: 1.0 / (b - a) if a < b else 0.0)
+        return cls(n=n, weight=_inverse_distance)
 
-    def __call__(self, a: int, b: int) -> float:
-        value = self.weight(a, b)
-        if value < 0:
-            raise ValueError(f"weight({a},{b}) = {value} is negative")
-        return value
+    def __call__(self, a: int, b: int | np.ndarray) -> np.ndarray:
+        values = np.asarray(self.weight(a, b), dtype=float)
+        if (values < 0).any():
+            raise ValueError(
+                f"weight({a}, ...) has a negative entry {values.min():.12g}"
+            )
+        return values
+
+
+def _weighted_gram(blocks, w: WeightSpec) -> complex:
+    """Sum of w(a_p, a_q) * conj(x_p) * x_q over the pairs of each block.
+
+    Each block is ``(left_answers, left_amps, right_answers, right_amps)``:
+    the entries of one basis label, split into the sides a pair draws its
+    first and second member from. Weights are evaluated one row at a time,
+    so memory grows with the largest block rather than with the pair count.
+    """
+    total = 0j
+    for left_a, left_x, right_a, right_x in blocks:
+        rows = np.array([w(a, right_a) @ right_x for a in left_a.tolist()])
+        total += complex(np.vdot(left_x, rows))
+    return total
+
+
+def _label_columns(entries) -> dict:
+    """Group ``(answer, label, amplitude)`` triples by label into array pairs."""
+    columns: dict = {}
+    for a, label, amp in entries:
+        column = columns.get(label)
+        if column is None:
+            column = columns[label] = ([], [])
+        column[0].append(a)
+        column[1].append(amp)
+    return {
+        label: (np.array(answers), np.array(amps, dtype=complex))
+        for label, (answers, amps) in columns.items()
+    }
 
 
 def weighted_overlap(states: Sequence[SparseState], w: WeightSpec) -> complex:
-    """The weighted all-pairs inner product of one state per answer."""
+    """The weighted all-pairs inner product of one state per answer.
+
+    Only answers sharing a basis label overlap, so the sum runs over the
+    ordered pairs of each label's column of amplitudes.
+    """
+    if len(states) != w.n:
+        raise ValueError(f"expected {w.n} states, got {len(states)}")
+    columns = _label_columns(
+        (a, label, amp) for a, state in enumerate(states) for label, amp in state.items()
+    )
+    return _weighted_gram(
+        ((answers, amps, answers, amps) for answers, amps in columns.values()), w
+    )
+
+
+def _reference_weighted_overlap(
+    states: Sequence[SparseState], w: WeightSpec
+) -> complex:
+    """Per-pair loop form of :func:`weighted_overlap`, kept for the tests."""
     if len(states) != w.n:
         raise ValueError(f"expected {w.n} states, got {len(states)}")
     total = 0j
@@ -168,14 +228,16 @@ def spectral_norm(
         eigenvalues = np.linalg.eigvalsh(M)
         return float(max(abs(eigenvalues[0]), abs(eigenvalues[-1])))
     v = np.full(n, 1.0 / math.sqrt(n))
+    w = M @ v
     for _ in range(max_iterations):
-        w = M @ v
         lam = float(v @ w)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w
-        residual = float(np.linalg.norm(M @ v - lam * v))
+        # M @ v serves both this residual and the next iteration's step.
+        w = M @ v
+        residual = float(np.linalg.norm(w - lam * v))
         if residual <= tol:
             return abs(lam)
     raise ConvergenceError(
@@ -257,6 +319,23 @@ def pairwise_drop(profile: MassProfile, w: WeightSpec) -> complex:
     one query followed by shared unitaries: only indices where two instances
     disagree, i.e. ``a <= i < b``, contribute.
     """
+    index_of = {}
+    entries = []
+    for (a, i), sub in profile.betas.items():
+        for label, amp in sub.items():
+            index_of[label] = i
+            entries.append((a, label, amp))
+    blocks = []
+    for label, (answers, amps) in _label_columns(entries).items():
+        left = answers <= index_of[label]
+        if left.any() and not left.all():
+            right = ~left
+            blocks.append((answers[left], amps[left], answers[right], amps[right]))
+    return 2.0 * _weighted_gram(blocks, w)
+
+
+def _reference_pairwise_drop(profile: MassProfile, w: WeightSpec) -> complex:
+    """Per-pair loop form of :func:`pairwise_drop`, kept for the tests."""
     total = 0j
     for a in range(profile.n):
         for b in range(a + 1, profile.n):
@@ -290,6 +369,11 @@ class ChainReport:
         return not self.failures
 
 
+@functools.lru_cache(maxsize=None)
+def _hankel_norm(size: int) -> float:
+    return spectral_norm(hankel_matrix(size))
+
+
 def verify_drop_chain(
     states_before: Sequence[SparseState],
     states_after: Sequence[SparseState],
@@ -302,30 +386,47 @@ def verify_drop_chain(
     Computes D = |W_before - W_after|, the explicit double sum
     S = 2 * sum_d sum_i (1/d) gamma_i delta_(d-i-1), the matrix bound
     B = 2 ||gamma|| ||M|| ||delta||, and the cap pi*n, and verifies
-    D <= S + tol <= B + tol <= pi*n + tol. Valid for the inverse-distance
-    weights; ``states_before`` must be the states entering the query.
+    D <= S + tol <= B + tol <= pi*n + tol. Also checks that the drop
+    recomputed by :func:`pairwise_drop` matches W_before - W_after within
+    ``tol``. Valid for the inverse-distance weights; ``states_before`` must
+    be the states entering the query.
     """
+    return _chain_report(
+        states_before,
+        weighted_overlap(states_before, w),
+        weighted_overlap(states_after, w),
+        w,
+        queried_index_of,
+        tol,
+    )
+
+
+def _chain_report(
+    states_before: Sequence[SparseState],
+    before: complex,
+    after: complex,
+    w: WeightSpec,
+    queried_index_of: Callable[[BasisLabel], int],
+    tol: float,
+) -> ChainReport:
+    """:func:`verify_drop_chain` given the overlaps W_before and W_after."""
     n = w.n
-    before = complex(weighted_overlap(states_before, w))
-    after = complex(weighted_overlap(states_after, w))
     drop = abs(before - after)
 
     profile = mass_profile(states_before, queried_index_of)
     gammas, deltas = profile.gammas, profile.deltas
-    pair_bound = 0.0
-    for d in range(1, n):
-        pair_bound += 2.0 / d * math.fsum(
-            gammas[i] * deltas[d - 1 - i] for i in range(d)
-        )
     if n >= 2:
+        # Entry d-1 of the convolution is sum_i gamma_i delta_(d-1-i).
+        pair_sums = np.convolve(gammas, deltas)[: n - 1]
+        pair_bound = 2.0 * float(pair_sums @ (1.0 / np.arange(1, n)))
         norm_bound = (
             2.0
             * float(np.linalg.norm(gammas))
-            * spectral_norm(hankel_matrix(n - 1))
+            * _hankel_norm(n - 1)
             * float(np.linalg.norm(deltas))
         )
     else:
-        norm_bound = 0.0
+        pair_bound = norm_bound = 0.0
     cap = math.pi * n
 
     identity_err = abs((before - after) - pairwise_drop(profile, w))
@@ -341,6 +442,10 @@ def verify_drop_chain(
         )
     if norm_bound > cap + tol:
         failures.append(f"matrix bound {norm_bound:.12g} exceeds cap {cap:.12g}")
+    if identity_err > tol:
+        failures.append(
+            f"pair identity error {identity_err:.3e} exceeds tolerance {tol:.1e}"
+        )
     return ChainReport(
         n=n,
         drop=drop,
@@ -425,7 +530,11 @@ def run_trajectory(
         ]
         overlaps.append(weighted_overlap(next_states, w))
         if verify_chain:
-            reports.append(verify_drop_chain(states, next_states, w))
+            reports.append(
+                _chain_report(
+                    states, overlaps[j], overlaps[j + 1], w, gen_query_index, CHAIN_TOL
+                )
+            )
         states = next_states
 
     steps = []

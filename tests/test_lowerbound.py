@@ -32,6 +32,23 @@ class ZeroQueryAlgorithm:
         return SparseState.unit(GenLabel(0, self.n))
 
 
+def two_product_power_iteration(M, tol=1e-10, max_iterations=100_000):
+    """Power iteration that forms M @ v afresh for each residual."""
+    n = M.shape[0]
+    v = np.full(n, 1.0 / math.sqrt(n))
+    for _ in range(max_iterations):
+        w = M @ v
+        lam = float(v @ w)
+        norm_w = float(np.linalg.norm(w))
+        if norm_w == 0.0:
+            return 0.0
+        v = w / norm_w
+        residual = float(np.linalg.norm(M @ v - lam * v))
+        if residual <= tol:
+            return abs(lam)
+    raise lb.ConvergenceError("two-product loop did not converge")
+
+
 class TestScalarFormulas:
     def test_harmonic_small_values(self):
         assert lb.harmonic(1) == 1.0
@@ -150,6 +167,12 @@ class TestMatrices:
         expected = max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
         assert abs(lb.spectral_norm(sym) - expected) < 1e-8
 
+    @pytest.mark.parametrize("size", [65, 128, 512])
+    @pytest.mark.parametrize("build", [lb.hilbert_matrix, lb.hankel_matrix])
+    def test_power_iteration_matches_two_product_loop(self, build, size):
+        M = build(size)
+        assert lb.spectral_norm(M) == two_product_power_iteration(M)
+
     def test_power_iteration_reports_non_convergence(self):
         with pytest.raises(lb.ConvergenceError):
             lb.spectral_norm(lb.hilbert_matrix(128), max_iterations=2)
@@ -232,7 +255,10 @@ class TestDropChain:
         after = [apply_linear(s, shift, unitary=True) for s in states]
         report = lb.verify_drop_chain(states, after, w)
         assert report.drop < 1e-12
-        assert report.holds
+        # No query was made, so the drop recomputed from the queried masses
+        # cannot match: the pair identity is the only link that fails.
+        assert len(report.failures) == 1
+        assert report.failures[0].startswith("pair identity error")
 
     def test_binary_search_first_round_chain(self):
         n = 8
@@ -270,6 +296,83 @@ class TestDropChain:
         report = lb.verify_drop_chain(before, after, w)
         assert not report.holds
         assert any("drop" in failure for failure in report.failures)
+
+
+    def test_pair_identity_mismatch_is_a_failure(self):
+        # Both answers share a label querying index 0, which tells them apart,
+        # but the "after" states were never queried: the measured drop is 0
+        # while the drop recomputed from the queried masses is 2.
+        n = 2
+        w = lb.WeightSpec.inverse_distance(n)
+        states = [SparseState.unit(GenLabel(0, 0))] * n
+        report = lb.verify_drop_chain(states, states, w)
+        assert report.drop == 0.0
+        assert report.pair_identity_err == 2.0
+        assert len(report.failures) == 1
+        assert report.failures[0].startswith("pair identity error")
+
+
+def trajectory_snapshots(algorithm):
+    """Per-answer states entering each query, then the final states."""
+    instances = enumerate_instances(algorithm.n)
+    states = [algorithm.initial_state(inst) for inst in instances]
+    snapshots = [states]
+    for j in range(algorithm.num_queries):
+        states = [
+            algorithm.advance(j, state, inst) for state, inst in zip(states, instances)
+        ]
+        snapshots.append(states)
+    return snapshots
+
+
+def assert_matches_reference(got, expected):
+    assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def assert_kernel_matches_reference(states, w):
+    assert_matches_reference(
+        lb.weighted_overlap(states, w), lb._reference_weighted_overlap(states, w)
+    )
+    if all(isinstance(label, GenLabel) for s in states for label in s.labels()):
+        profile = lb.mass_profile(states)
+        assert_matches_reference(
+            lb.pairwise_drop(profile, w), lb._reference_pairwise_drop(profile, w)
+        )
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize(
+        "algorithm",
+        [BinarySearchAlgorithm(n) for n in (1, 2, 4, 8, 16, 32, 64)]
+        + [TeamCombineAlgorithm(n) for n in (8, 32)],
+        ids=lambda algorithm: f"{type(algorithm).__name__}-{algorithm.n}",
+    )
+    def test_every_snapshot(self, algorithm):
+        w = lb.WeightSpec.inverse_distance(algorithm.n)
+        for states in trajectory_snapshots(algorithm):
+            assert_kernel_matches_reference(states, w)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sparse_states_with_shared_labels(self, seed):
+        # A symmetric weight with w(a, a) > 0 counts every ordered pair,
+        # a >= b included, in the overlap.
+        rng = np.random.default_rng(seed)
+        n = 12
+        pool = [GenLabel(z, i) for z in range(2) for i in range(n + 2)]
+        states = []
+        for _ in range(n):
+            picks = rng.choice(len(pool), size=int(rng.integers(1, 5)), replace=False)
+            states.append(
+                SparseState(
+                    {pool[k]: complex(rng.normal(), rng.normal()) for k in picks}
+                )
+            )
+        symmetric = lb.WeightSpec(
+            n, lambda a, b: 1.0 / (1.0 + np.abs(np.asarray(b) - a))
+        )
+        assert symmetric(3, 3) > 0
+        for w in (symmetric, lb.WeightSpec.inverse_distance(n)):
+            assert_kernel_matches_reference(states, w)
 
 
 class TestTrajectory:
