@@ -25,7 +25,10 @@ def fmt_float(x: float) -> str:
 
 
 def render_json(value) -> str:
-    """Deterministic JSON: insertion-ordered keys, floats at 17 digits."""
+    """Deterministic JSON: insertion-ordered keys, floats at 17 digits.
+
+    Non-finite floats raise ``ValueError``: strict JSON has no nan or inf.
+    """
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -33,6 +36,8 @@ def render_json(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot render non-finite float {value!r} as JSON")
         return fmt_float(value)
     if isinstance(value, str):
         return json.dumps(value)

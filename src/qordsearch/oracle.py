@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .qcore import GenLabel, SparseState, apply_diagonal_phase
+from .qcore import GenLabel, SparseState
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,15 @@ def apply_query(state: SparseState, inst: OrderedInstance) -> SparseState:
     """One oracle query: phase ``(-1)**bit(i)`` on every ``GenLabel(z, i)``.
 
     Labels with ``i >= n`` are untouched (zero padding). Team-search labels
-    are rejected; those states are queried through their own operator.
+    are rejected; those states are queried through their own operator. A
+    sign flip moves no magnitude, so the result reuses the input's norm.
     """
-    for label in state.labels():
+    n, answer = inst.n, inst.answer
+    out: dict[GenLabel, complex] = {}
+    for label, amp in state._entries.items():
         if not isinstance(label, GenLabel):
             raise TypeError(
                 f"apply_query acts on GenLabel states only, found {label!r}"
             )
-    return apply_diagonal_phase(
-        state, lambda label: -1 if inst.bit(label.i) else 1
-    )
+        out[label] = -amp if answer <= label.i < n else amp
+    return SparseState._relabelled(out, state)

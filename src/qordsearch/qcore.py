@@ -9,15 +9,17 @@ families cover the two search models implemented in this package:
 * ``TeamLabel(b, lo, hi)``: a marker bit plus an inclusive, dyadically
   aligned interval of list positions, used by the team-search algorithm.
 
-States are immutable; every operation returns a new state. Amplitudes with
-magnitude below ``PRUNE_EPS`` are dropped at construction so that genuine
-zeros produced by interference do not linger as float dust. Labels carry a
-total order, which makes iteration and serialization deterministic.
+Labels are validated named tuples, so hashing and equality run in C; a
+``GenLabel`` never equals a ``TeamLabel`` (their arities differ). States are
+immutable; every operation returns a new state. Amplitudes with magnitude
+below ``PRUNE_EPS`` are dropped at construction so that genuine zeros
+produced by interference do not linger as float dust. Labels carry a total
+order, which makes iteration and serialization deterministic.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterable, Mapping
 
 # Magnitudes below this are treated as exact zeros.
@@ -36,16 +38,15 @@ def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
 
-@dataclass(frozen=True)
-class GenLabel:
+class GenLabel(namedtuple("GenLabel", "z i")):
     """Basis label ``(z, i)``: workspace tag ``z``, queried index ``i``."""
 
-    z: int
-    i: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.z < 0 or self.i < 0:
-            raise ValueError(f"GenLabel fields must be non-negative, got {self}")
+    def __new__(cls, z: int, i: int):
+        if z < 0 or i < 0:
+            raise ValueError(f"GenLabel fields must be non-negative, got {z};{i}")
+        return tuple.__new__(cls, (z, i))
 
     @property
     def sort_key(self) -> tuple:
@@ -55,30 +56,26 @@ class GenLabel:
         return f"{self.z};{self.i}"
 
 
-@dataclass(frozen=True)
-class TeamLabel:
+class TeamLabel(namedtuple("TeamLabel", "b lo hi")):
     """Basis label ``(b, lo, hi)``: marker bit plus a dyadic interval.
 
     The interval is inclusive, has power-of-two length, and its low end is a
     multiple of that length (dyadic alignment).
     """
 
-    b: int
-    lo: int
-    hi: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.b not in (0, 1):
-            raise ValueError(f"marker bit must be 0 or 1, got {self.b}")
-        if not 0 <= self.lo <= self.hi:
-            raise ValueError(f"need 0 <= lo <= hi, got lo={self.lo}, hi={self.hi}")
-        length = self.hi - self.lo + 1
+    def __new__(cls, b: int, lo: int, hi: int):
+        if b not in (0, 1):
+            raise ValueError(f"marker bit must be 0 or 1, got {b}")
+        if not 0 <= lo <= hi:
+            raise ValueError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
+        length = hi - lo + 1
         if not _is_pow2(length):
             raise ValueError(f"interval length {length} is not a power of two")
-        if self.lo % length != 0:
-            raise ValueError(
-                f"interval [{self.lo},{self.hi}] is not dyadically aligned"
-            )
+        if lo % length != 0:
+            raise ValueError(f"interval [{lo},{hi}] is not dyadically aligned")
+        return tuple.__new__(cls, (b, lo, hi))
 
     @property
     def length(self) -> int:
@@ -119,6 +116,23 @@ class SparseState:
     @classmethod
     def unit(cls, label: BasisLabel) -> "SparseState":
         return cls({label: 1.0})
+
+    @classmethod
+    def _relabelled(
+        cls, entries: dict[BasisLabel, complex], source: "SparseState"
+    ) -> "SparseState":
+        """State holding ``source``'s amplitudes up to relabelling and sign.
+
+        ``entries`` must map distinct labels to ``a`` or ``-a`` for each
+        amplitude ``a`` of ``source``, one to one. The magnitudes are then the
+        same multiset, so nothing is pruned and the (order-independent) fsum
+        of the squared norm is bit-equal: both are reused, not recomputed.
+        """
+        state = cls.__new__(cls)
+        state._entries = entries
+        state._norm_sq = source._norm_sq
+        state.normalized = source.normalized
+        return state
 
     def items(self) -> list[tuple[BasisLabel, complex]]:
         """Entries in canonical (sorted) label order."""
@@ -187,7 +201,7 @@ def apply_diagonal_phase(
         if sign not in (1, -1):
             raise ValueError(f"phase function must return +1 or -1, got {sign!r}")
         out[label] = amp if sign == 1 else -amp
-    return SparseState(out)
+    return SparseState._relabelled(out, s)
 
 
 def apply_linear(

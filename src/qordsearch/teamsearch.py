@@ -38,6 +38,7 @@ from .qcore import (
     GenLabel,
     SparseState,
     TeamLabel,
+    _is_pow2,
     apply_linear,
     measure_distribution,
 )
@@ -47,10 +48,6 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 class CollisionError(ValueError):
     """A label permutation mapped two distinct labels onto the same image."""
-
-
-def _is_pow2(x: int) -> bool:
-    return x > 0 and (x & (x - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -96,20 +93,16 @@ def _permute_labels(
     state: SparseState, image_of: Callable[[BasisLabel], BasisLabel]
 ) -> SparseState:
     """Relabel a state through an injective map; exact, no float arithmetic."""
-    mapping: dict[BasisLabel, BasisLabel] = {}
-    sources: dict[BasisLabel, BasisLabel] = {}
-    for label in state.labels():
+    out: dict[BasisLabel, complex] = {}
+    for label, amp in state._entries.items():
         image = image_of(label)
-        prior = sources.get(image)
-        if prior is not None:
+        if image in out:
+            prior = next(l for l in state._entries if image_of(l) == image)
             raise CollisionError(
                 f"labels {prior} and {label} both map to {image}"
             )
-        sources[image] = label
-        mapping[label] = image
-    return SparseState(
-        {mapping[label]: amp for label, amp in state.items()}
-    )
+        out[image] = amp
+    return SparseState._relabelled(out, state)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +143,10 @@ def apply_refine(state: SparseState, s: int) -> SparseState:
 
     def image_of(label):
         if isinstance(label, TeamLabel) and label.length == s:
-            interval = Interval(label.lo, label.hi)
-            half = interval.lower_half() if label.b == 1 else interval.upper_half()
-            return TeamLabel(0, half.lo, half.hi)
+            mid = label.lo + s // 2 - 1
+            if label.b == 1:
+                return TeamLabel(0, label.lo, mid)
+            return TeamLabel(0, mid + 1, label.hi)
         return label
 
     return _permute_labels(state, image_of)
@@ -168,9 +162,11 @@ def _routing_codec(n: int, bitwrite_length: int):
     span = 2 * n  # intervals live in [0, 2n)
 
     def routed_index(b: int, lo: int, hi: int) -> int:
-        if hi - lo + 1 == bitwrite_length and b == 0:
+        # Callers pass checked intervals of length >= 2.
+        length = hi - lo + 1
+        if length == bitwrite_length and b == 0:
             return n
-        return Interval(lo, hi).midpoint
+        return lo + length // 2 - 1
 
     def route(label):
         if not isinstance(label, TeamLabel):
@@ -182,13 +178,13 @@ def _routing_codec(n: int, bitwrite_length: int):
         if not isinstance(label, GenLabel):
             raise TypeError(f"expected a GenLabel, got {label!r}")
         b = label.z & 1
-        rest = label.z >> 1
-        hi, lo = divmod(rest, span)
-        if label.i != routed_index(b, lo, hi):
+        hi, lo = divmod(label.z >> 1, span)
+        team = TeamLabel(b, lo, hi)
+        if team.length < 2 or label.i != routed_index(b, lo, hi):
             raise ValueError(
                 f"label {label} does not sit on its routed query index"
             )
-        return [(TeamLabel(b, lo, hi), 1.0)]
+        return [(team, 1.0)]
 
     return route, unroute
 
@@ -206,7 +202,7 @@ def apply_team_query(
     Costs exactly one diagonal query: mixer, route, query, unroute, mixer.
     """
     lengths = set()
-    for label in state.labels():
+    for label in state._entries:
         if not isinstance(label, TeamLabel):
             raise TypeError(f"team query needs TeamLabel states, found {label!r}")
         if label.length < 2:
@@ -246,29 +242,40 @@ def run_combine_round(
     intermediate state when ``record_stages`` is set.
     """
     lengths = [
-        label.length for label in state.labels() if isinstance(label, TeamLabel)
+        label.length for label in state._entries if isinstance(label, TeamLabel)
     ]
     if not lengths:
         raise ValueError("state holds no team labels")
     widest = max(lengths)
     if widest < 2 or not _is_pow2(widest):
         raise ValueError(f"unusable largest interval length {widest}")
-    r = widest // 2
 
     stages = [state]
     state = apply_team_query(state, inst, bitwrite_length=widest)
     stages.append(state)
-    state = apply_refine(state, widest)
-    stages.append(state)
-    size = r
-    while size >= 2:
-        state = apply_combine(state, size)
-        stages.append(state)
-        state = apply_refine(state, size)
-        stages.append(state)
-        size //= 2
+    state = _refine_sweep(state, widest, stages)
     if record_stages:
         return state, stages
+    return state
+
+
+def _refine_sweep(
+    state: SparseState, widest: int, stages: list | None = None
+) -> SparseState:
+    """The round's post-query sweep, shared by both callers.
+
+    refine(widest), then mix(s) and refine(s) for s = widest/2, ..., 2.
+    Appends every intermediate state to ``stages`` when one is given.
+    """
+    steps = [(apply_refine, widest)]
+    size = widest // 2
+    while size >= 2:
+        steps += [(apply_combine, size), (apply_refine, size)]
+        size //= 2
+    for operator, size in steps:
+        state = operator(state, size)
+        if stages is not None:
+            stages.append(state)
     return state
 
 
@@ -411,26 +418,19 @@ class TeamCombineAlgorithm:
                 f"list size {n} is not a multiple of the sublist size {2 * self.r}"
             )
         self.num_queries = 1
+        self._route, self._unroute = _routing_codec(n, 2 * self.r)
 
     def initial_state(self, inst: OrderedInstance) -> SparseState:
-        route, _ = _routing_codec(self.n, 2 * self.r)
         s = apply_combine(opening_state(inst, self.r), 2 * self.r)
-        return apply_linear(s, route, unitary=True)
+        return apply_linear(s, self._route, unitary=True)
 
     def advance(self, j: int, state: SparseState, inst: OrderedInstance) -> SparseState:
         if j != 0:
             raise ValueError(f"the combine round has a single query, got step {j}")
-        _, unroute = _routing_codec(self.n, 2 * self.r)
         s = oracle_mod.apply_query(state, inst)
-        s = apply_linear(s, unroute, unitary=True)
+        s = apply_linear(s, self._unroute, unitary=True)
         s = apply_combine(s, 2 * self.r)
-        s = apply_refine(s, 2 * self.r)
-        size = self.r
-        while size >= 2:
-            s = apply_combine(s, size)
-            s = apply_refine(s, size)
-            size //= 2
-        return s
+        return _refine_sweep(s, 2 * self.r)
 
     def answer_of(self, label: BasisLabel) -> int:
         if not isinstance(label, TeamLabel) or label.length != 1:
@@ -479,7 +479,7 @@ class BinarySearchAlgorithm:
             if decoded is not None:
                 lo, length = decoded
                 if length >= 2:
-                    mid = Interval(lo, lo + length - 1).midpoint
+                    mid = lo + length // 2 - 1
                     probe = GenLabel(label.z, mid)
                     park = GenLabel(label.z, self._pad)
                     if label.i == mid:
@@ -498,7 +498,7 @@ class BinarySearchAlgorithm:
                 lo, length = decoded
                 if length >= 2:
                     half = length // 2
-                    mid = Interval(lo, lo + length - 1).midpoint
+                    mid = lo + half - 1
                     if label.i == mid:
                         return GenLabel(self._encode(lo, half), self._pad)
                     if label.i == self._pad:

@@ -1,11 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from qordsearch import lowerbound as lb
-from qordsearch.cli import main
+from qordsearch.cli import main, render_json
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -171,3 +174,37 @@ class TestOutputDiscipline:
             ],
         )
         assert not record.bound_satisfied(1e-9)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_are_refused(self, bad):
+        for value in (bad, {"x": bad}, [1.0, bad], {"steps": [{"W_re": bad}]}):
+            with pytest.raises(ValueError):
+                render_json(value)
+
+    def test_finite_floats_still_render(self):
+        text = render_json({"x": 0.1, "y": [-0.0, 1e308], "z": None})
+        assert text == '{"x":0.10000000000000001,"y":[-0,1e+308],"z":null}'
+        assert json.loads(text) == {"x": 0.1, "y": [0.0, 1e308], "z": None}
+
+
+# Stdout of the simulator commands, recorded before the per-operator fast
+# path landed. A change that moves float digits must regenerate these files
+# and say so.
+GOLDEN_RUNS = [
+    (("simulate", "--algo", "binary", "--n", "64"), "simulate_binary_64.txt"),
+    (("simulate", "--algo", "team", "--n", "128"), "simulate_team_128.txt"),
+    (("trajectory", "--algo", "binary", "--n", "32"), "trajectory_binary_32.txt"),
+    (
+        ("trajectory", "--algo", "team", "--n", "32", "--format", "json"),
+        "trajectory_team_32.json",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, golden", GOLDEN_RUNS, ids=[g for _, g in GOLDEN_RUNS])
+def test_golden_output_is_byte_identical(runner, args, golden):
+    result = run(runner, *args)
+    assert result.exit_code == 0
+    assert result.output == (GOLDEN / golden).read_text()

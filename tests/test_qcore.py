@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qordsearch import teamsearch as ts
+from qordsearch.oracle import OrderedInstance, apply_query, enumerate_instances
 from qordsearch.qcore import (
     GenLabel,
     NormDriftError,
@@ -61,6 +63,50 @@ class TestLabels:
         ]
         assert str(GenLabel(3, 1)) == "3;1"
         assert str(TeamLabel(1, 4, 7)) == "1|4,7"
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: GenLabel(-1, 0), "GenLabel fields must be non-negative, got -1;0"),
+            (lambda: GenLabel(0, -2), "GenLabel fields must be non-negative, got 0;-2"),
+            (lambda: TeamLabel(2, 0, 1), "marker bit must be 0 or 1, got 2"),
+            (lambda: TeamLabel(0, 5, 4), "need 0 <= lo <= hi, got lo=5, hi=4"),
+            (lambda: TeamLabel(0, -1, 0), "need 0 <= lo <= hi, got lo=-1, hi=0"),
+            (lambda: TeamLabel(0, 0, 2), "interval length 3 is not a power of two"),
+            (lambda: TeamLabel(0, 2, 5), "interval [2,5] is not dyadically aligned"),
+        ],
+    )
+    def test_rejection_messages(self, build, message):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+    def test_repr_names_the_fields(self):
+        assert repr(GenLabel(3, 1)) == "GenLabel(z=3, i=1)"
+        assert repr(TeamLabel(1, 4, 7)) == "TeamLabel(b=1, lo=4, hi=7)"
+        assert repr(GenLabel(z=0, i=9)) == "GenLabel(z=0, i=9)"
+
+    def test_equality_and_hashing_by_value_within_a_family(self):
+        assert GenLabel(3, 1) == GenLabel(3, 1)
+        assert hash(TeamLabel(0, 4, 5)) == hash(TeamLabel(0, 4, 5))
+        assert GenLabel(3, 1) != GenLabel(1, 3)
+
+    def test_genlabel_never_equals_a_teamlabel(self):
+        for gen, team in [
+            (GenLabel(0, 1), TeamLabel(0, 0, 1)),
+            (GenLabel(1, 1), TeamLabel(1, 1, 1)),
+            (GenLabel(0, 0), TeamLabel(0, 0, 0)),
+        ]:
+            assert gen != team and team != gen
+        state = SparseState({GenLabel(0, 0): SQRT_HALF, TeamLabel(0, 0, 0): SQRT_HALF})
+        assert len(state) == 2
+
+    def test_labels_are_immutable(self):
+        label = TeamLabel(1, 4, 7)
+        with pytest.raises(AttributeError):
+            label.b = 0
+        with pytest.raises(AttributeError):
+            GenLabel(0, 1).z = 5
 
 
 class TestSparseState:
@@ -239,3 +285,88 @@ class TestMeasurement:
         state = random_state(200, seed=23)
         probs = measure_distribution(state, lambda l: l.i % 7)
         assert abs(sum(probs.values()) - 1.0) < 1e-9
+
+
+def record_relabelled(monkeypatch):
+    """Collect every state the relabel/sign constructor builds."""
+    built = []
+    original = SparseState._relabelled.__func__
+
+    def recording(cls, entries, source):
+        state = original(cls, entries, source)
+        built.append(state)
+        return state
+
+    monkeypatch.setattr(SparseState, "_relabelled", classmethod(recording))
+    return built
+
+
+class TestRelabelledConstructor:
+    """The relabel/sign shortcut against a full construction of the same entries."""
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [ts.BinarySearchAlgorithm(1 << k) for k in range(1, 7)]
+        + [ts.TeamCombineAlgorithm(n) for n in (8, 32, 128)],
+        ids=lambda algo: f"{type(algo).__name__}-{algo.n}",
+    )
+    def test_every_state_of_a_pass_matches_full_construction(
+        self, monkeypatch, algorithm
+    ):
+        built = record_relabelled(monkeypatch)
+        for inst in enumerate_instances(algorithm.n):
+            result = ts.run_algorithm(algorithm, inst)
+            assert result.answer == inst.answer
+        # One query per step, plus one halving per step for binary search.
+        per_pass = algorithm.num_queries
+        if isinstance(algorithm, ts.BinarySearchAlgorithm):
+            per_pass *= 2
+        assert len(built) >= algorithm.n * per_pass
+        for state in built:
+            full = SparseState(state._entries)
+            assert list(full._entries.items()) == list(state._entries.items())
+            assert full._norm_sq == state._norm_sq
+            assert full.normalized == state.normalized
+
+    def test_unnormalized_source_keeps_its_flag_and_norm(self):
+        state = random_state(40, seed=31, normalize=False)
+        phased = apply_diagonal_phase(state, lambda l: -1 if l.z % 2 else 1)
+        full = SparseState(phased._entries)
+        assert not phased.normalized and not full.normalized
+        assert phased._norm_sq == full._norm_sq == state._norm_sq
+
+
+def reference_query(state, inst):
+    """The query as a generic diagonal phase from ``inst.bit``, rebuilt in full."""
+    phased = apply_diagonal_phase(state, lambda l: -1 if inst.bit(l.i) else 1)
+    return SparseState(phased._entries)
+
+
+class TestQueryFastPath:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_diagonal_phase_reference(self, seed):
+        # Indices run up to ten times the label count, far past n: the
+        # padding labels must come back untouched.
+        state = random_state(60, seed=seed)
+        for n in (1, 7, 64, 600):
+            for answer in {0, n // 3, n - 1}:
+                inst = OrderedInstance(n, answer)
+                fast = apply_query(state, inst)
+                slow = reference_query(state, inst)
+                assert list(fast._entries.items()) == list(slow._entries.items())
+                assert fast._norm_sq == slow._norm_sq
+                assert fast.normalized == slow.normalized
+                padded = [l for l in state.labels() if l.i >= n]
+                assert all(fast.amplitude(l) == state.amplitude(l) for l in padded)
+
+    def test_matches_along_a_binary_search_pass(self):
+        n = 32
+        algo = ts.BinarySearchAlgorithm(n)
+        for inst in enumerate_instances(n):
+            state = algo.initial_state(inst)
+            for j in range(algo.num_queries):
+                fast = apply_query(state, inst)
+                slow = reference_query(state, inst)
+                assert list(fast._entries.items()) == list(slow._entries.items())
+                assert fast._norm_sq == slow._norm_sq
+                state = algo.advance(j, state, inst)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qordsearch import teamsearch as ts
 from qordsearch.oracle import OrderedInstance, enumerate_instances
-from qordsearch.qcore import SparseState, TeamLabel, diff_norm
+from qordsearch.qcore import GenLabel, SparseState, TeamLabel, diff_norm
 
 HALF = 0.5
 S2H = math.sqrt(2.0) / 2.0
@@ -56,6 +56,70 @@ class TestInterval:
             ts.Interval(0, 2)  # length 3
         with pytest.raises(ValueError):
             ts.Interval(0, 0).midpoint
+
+
+def dyadic_intervals(bits, min_length=2):
+    """Every dyadic interval inside [0, 2**bits) of length >= ``min_length``."""
+    size = 1 << bits
+    length = min_length
+    while length <= size:
+        for lo in range(0, size, length):
+            yield ts.Interval(lo, lo + length - 1)
+        length *= 2
+
+
+class TestArithmeticMidpoints:
+    """The operators' integer midpoints against ``Interval`` on [0, 2**12)."""
+
+    BITS = 12
+
+    def test_refine_halves(self):
+        for block in dyadic_intervals(self.BITS):
+            for marker, half in ((1, block.lower_half()), (0, block.upper_half())):
+                state = SparseState.unit(TeamLabel(marker, block.lo, block.hi))
+                out = ts.apply_refine(state, block.length)
+                assert out.labels() == [TeamLabel(0, half.lo, half.hi)]
+
+    def test_routed_index_is_the_midpoint(self):
+        n = 1 << self.BITS
+        route, unroute = ts._routing_codec(n, bitwrite_length=2 * n)
+        for block in dyadic_intervals(self.BITS):
+            for marker in (0, 1):
+                label = TeamLabel(marker, block.lo, block.hi)
+                [(routed, coeff)] = route(label)
+                assert routed.i == block.midpoint and coeff == 1.0
+                assert unroute(routed) == [(label, 1.0)]
+
+    def test_unroute_rejects_off_midpoint_and_length_one(self):
+        n = 8
+        route, unroute = ts._routing_codec(n, bitwrite_length=8)
+        [(routed, _)] = route(TeamLabel(1, 4, 7))
+        with pytest.raises(ValueError):
+            unroute(GenLabel(routed.z, routed.i + 1))
+        # A length-1 interval [5,5] packed by hand: it has no midpoint.
+        z = ((5 * 2 * n + 5) << 1) | 1
+        for i in (3, 4, 5):
+            with pytest.raises(ValueError):
+                unroute(GenLabel(z, i))
+
+    def test_binary_mixer_and_halve(self):
+        n = 1 << self.BITS
+        algo = ts.BinarySearchAlgorithm(n)
+        for block in dyadic_intervals(self.BITS):
+            z = algo._encode(block.lo, block.length)
+            probe, park = GenLabel(z, block.midpoint), GenLabel(z, n)
+            images = algo._mixer(park)
+            assert [label for label, _ in images] == [probe, park]
+            lower, upper = block.lower_half(), block.upper_half()
+            assert algo._halve(probe) == GenLabel(
+                algo._encode(lower.lo, lower.length), n
+            )
+            assert algo._halve(park) == GenLabel(
+                algo._encode(upper.lo, upper.length), n
+            )
+            off = GenLabel(z, block.midpoint + 1)  # neither probe nor park
+            assert algo._mixer(off) == [(off, 1.0)]
+            assert algo._halve(off) == off
 
 
 class TestCombineOperator:
@@ -296,15 +360,20 @@ class TestSteppableAlgorithms:
         with pytest.raises(ValueError):
             ts.BinarySearchAlgorithm(6)
 
-    @pytest.mark.parametrize("n", [2, 8, 32])
+    @pytest.mark.parametrize("n", [2, 8, 32, 128])
     def test_team_combine_matches_direct_round(self, n):
         algo = ts.TeamCombineAlgorithm(n)
         for inst in enumerate_instances(n):
             stepped = algo.advance(0, algo.initial_state(inst), inst)
-            direct = ts.run_combine_round(
-                ts.opening_state(inst, algo.r), inst
+            direct, stages = ts.run_combine_round(
+                ts.opening_state(inst, algo.r), inst, record_stages=True
             )
             assert diff_norm(stepped, direct) < 1e-12
+            # Both run the same operators in the same order: bit-identical,
+            # and every intermediate state of the round is recorded.
+            assert stepped.dump() == direct.dump()
+            assert stages[-1] is direct
+            assert len(stages) == 2 * algo.r.bit_length() + 1
 
     def test_team_combine_uses_one_query(self):
         assert ts.TeamCombineAlgorithm(8).num_queries == 1
