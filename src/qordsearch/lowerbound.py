@@ -141,15 +141,16 @@ def _weighted_gram(blocks, w: WeightSpec) -> complex:
     return total
 
 
-def _label_columns(entries) -> dict:
-    """Group ``(answer, label, amplitude)`` triples by label into array pairs."""
+def _label_columns(states: Sequence[SparseState]) -> dict:
+    """Map each label to the answers whose state holds it and their amplitudes."""
     columns: dict = {}
-    for a, label, amp in entries:
-        column = columns.get(label)
-        if column is None:
-            column = columns[label] = ([], [])
-        column[0].append(a)
-        column[1].append(amp)
+    for a, state in enumerate(states):
+        for label, amp in state.items():
+            column = columns.get(label)
+            if column is None:
+                column = columns[label] = ([], [])
+            column[0].append(a)
+            column[1].append(amp)
     return {
         label: (np.array(answers), np.array(amps, dtype=complex))
         for label, (answers, amps) in columns.items()
@@ -164,12 +165,8 @@ def weighted_overlap(states: Sequence[SparseState], w: WeightSpec) -> complex:
     """
     if len(states) != w.n:
         raise ValueError(f"expected {w.n} states, got {len(states)}")
-    columns = _label_columns(
-        (a, label, amp) for a, state in enumerate(states) for label, amp in state.items()
-    )
-    return _weighted_gram(
-        ((answers, amps, answers, amps) for answers, amps in columns.values()), w
-    )
+    columns = _label_columns(states).values()
+    return _weighted_gram(((a, x, a, x) for a, x in columns), w)
 
 
 def _reference_weighted_overlap(
@@ -259,95 +256,83 @@ def gen_query_index(label: BasisLabel) -> int:
 
 @dataclass
 class MassProfile:
-    """Projections of per-answer states onto the index they query.
+    """The per-answer states split by the index each label queries.
 
-    ``betas[(a, i)]`` is the sub-state of answer ``a``'s state supported on
-    labels querying index ``i``. ``gammas[i]`` aggregates mass queried ``i``
-    positions at or above each answer, ``deltas[i]`` mass queried ``i + 1``
-    positions below. Only in-range indices (0 .. n-1) contribute; queries in
-    the zero-padding region never distinguish instances.
+    ``columns[label]`` holds the answers whose state has ``label`` and their
+    amplitudes (see :func:`_label_columns`); ``index_of[label]`` is the index
+    the label queries. ``gammas[d]`` is the root of the mass queried ``d``
+    positions at or above each answer, ``deltas[d]`` of the mass queried
+    ``d + 1`` positions below. Only in-range indices (0 .. n-1) contribute;
+    queries in the zero-padding region never distinguish instances.
     """
 
     n: int
-    betas: dict = field(repr=False)
+    columns: dict = field(repr=False)
+    index_of: dict = field(repr=False)
     gammas: np.ndarray = field(repr=False)
     deltas: np.ndarray = field(repr=False)
-
-    def mass(self, a: int, i: int) -> float:
-        sub = self.betas.get((a, i))
-        return 0.0 if sub is None else sub.squared_norm()
 
 
 def mass_profile(
     states: Sequence[SparseState],
     queried_index_of: Callable[[BasisLabel], int] = gen_query_index,
 ) -> MassProfile:
-    """Split each answer's state by queried index and aggregate the masses."""
+    """Group the states by label and aggregate the masses by offset i - a."""
     n = len(states)
-    betas: dict[tuple[int, int], SparseState] = {}
-    for a, state in enumerate(states):
-        by_index: dict[int, dict] = {}
-        for label, amp in state.items():
-            i = queried_index_of(label)
-            by_index.setdefault(i, {})[label] = amp
-        for i, entries in by_index.items():
-            betas[(a, i)] = SparseState(entries)
+    columns = _label_columns(states)
+    index_of = {label: queried_index_of(label) for label in columns}
 
     size = max(n - 1, 0)
-    gammas_sq = np.zeros(size)
-    deltas_sq = np.zeros(size)
-    for (a, i), sub in betas.items():
-        if not 0 <= i < n:
-            continue
-        offset = i - a
-        if offset >= 0:
-            if offset < size:
-                gammas_sq[offset] += sub.squared_norm()
-        else:
-            below = -offset - 1
-            if below < size:
-                deltas_sq[below] += sub.squared_norm()
-    return MassProfile(
-        n=n, betas=betas, gammas=np.sqrt(gammas_sq), deltas=np.sqrt(deltas_sq)
-    )
+    gammas_sq, deltas_sq = np.zeros(size), np.zeros(size)
+    if columns:
+        answer_cols, amp_cols = zip(*columns.values())
+        answers, amps = np.concatenate(answer_cols), np.concatenate(amp_cols)
+        index = np.repeat(list(index_of.values()), [len(c) for c in answer_cols])
+        mass = amps.real * amps.real + amps.imag * amps.imag
+        offset = index - answers
+        queried = (0 <= index) & (index < n)
+        # Offset n - 1 (a = 0, i = n - 1) pairs with no delta; below the
+        # answer, a - i - 1 is at most n - 2.
+        above = queried & (offset >= 0) & (offset < size)
+        below = queried & (offset < 0)
+        gammas_sq += np.bincount(offset[above], mass[above], minlength=size)
+        deltas_sq += np.bincount(-1 - offset[below], mass[below], minlength=size)
+    return MassProfile(n, columns, index_of, np.sqrt(gammas_sq), np.sqrt(deltas_sq))
 
 
 def pairwise_drop(profile: MassProfile, w: WeightSpec) -> complex:
-    """The per-query drop recomputed from projected sub-states.
+    """The per-query drop recomputed from the queried label columns.
 
     Equals ``W_j - W_(j+1)`` exactly (up to float error) when the round is
     one query followed by shared unitaries: only indices where two instances
     disagree, i.e. ``a <= i < b``, contribute.
     """
-    index_of = {}
-    entries = []
-    for (a, i), sub in profile.betas.items():
-        for label, amp in sub.items():
-            index_of[label] = i
-            entries.append((a, label, amp))
     blocks = []
-    for label, (answers, amps) in _label_columns(entries).items():
-        left = answers <= index_of[label]
+    for label, (answers, amps) in profile.columns.items():
+        left = answers <= profile.index_of[label]
         if left.any() and not left.all():
             right = ~left
             blocks.append((answers[left], amps[left], answers[right], amps[right]))
     return 2.0 * _weighted_gram(blocks, w)
 
 
-def _reference_pairwise_drop(profile: MassProfile, w: WeightSpec) -> complex:
+def _reference_pairwise_drop(
+    states: Sequence[SparseState],
+    w: WeightSpec,
+    queried_index_of: Callable[[BasisLabel], int] = gen_query_index,
+) -> complex:
     """Per-pair loop form of :func:`pairwise_drop`, kept for the tests."""
+    n = len(states)
     total = 0j
-    for a in range(profile.n):
-        for b in range(a + 1, profile.n):
+    for a in range(n):
+        for b in range(a + 1, n):
             wt = w(a, b)
             if wt == 0.0:
                 continue
             overlap = 0j
-            for i in range(a, b):
-                beta_a = profile.betas.get((a, i))
-                beta_b = profile.betas.get((b, i))
-                if beta_a is not None and beta_b is not None:
-                    overlap += inner_product(beta_a, beta_b)
+            for label, amp in states[a].items():
+                if a <= queried_index_of(label) < b:
+                    overlap += amp.conjugate() * states[b].amplitude(label)
             total += wt * overlap
     return 2.0 * total
 

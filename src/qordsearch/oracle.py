@@ -25,6 +25,10 @@ class OrderedInstance:
     answer: int
 
     def __post_init__(self):
+        for name in ("n", "answer"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"list length must be positive, got {self.n}")
         if not 0 <= self.answer < self.n:
@@ -44,7 +48,9 @@ class OrderedInstance:
     @classmethod
     def from_json(cls, text: str) -> "OrderedInstance":
         data = json.loads(text)
-        return cls(n=int(data["n"]), answer=int(data["answer"]))
+        if not isinstance(data, dict) or not {"n", "answer"} <= data.keys():
+            raise ValueError(f'expected an object with "n" and "answer", got {text!r}')
+        return cls(n=data["n"], answer=data["answer"])
 
 
 def enumerate_instances(n: int) -> list[OrderedInstance]:

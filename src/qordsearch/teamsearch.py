@@ -50,45 +50,6 @@ class CollisionError(ValueError):
     """A label permutation mapped two distinct labels onto the same image."""
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Inclusive dyadic interval of list positions."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if not 0 <= self.lo <= self.hi:
-            raise ValueError(f"need 0 <= lo <= hi, got [{self.lo},{self.hi}]")
-        if not _is_pow2(self.length):
-            raise ValueError(f"interval length {self.length} is not a power of two")
-        if self.lo % self.length != 0:
-            raise ValueError(f"[{self.lo},{self.hi}] is not dyadically aligned")
-
-    @property
-    def length(self) -> int:
-        return self.hi - self.lo + 1
-
-    @property
-    def midpoint(self) -> int:
-        """Last index of the lower half; the bit a searcher probes next."""
-        if self.length < 2:
-            raise ValueError(f"length-1 interval [{self.lo},{self.hi}] has no midpoint")
-        return self.lo + self.length // 2 - 1
-
-    def lower_half(self) -> "Interval":
-        return Interval(self.lo, self.midpoint)
-
-    def upper_half(self) -> "Interval":
-        return Interval(self.midpoint + 1, self.hi)
-
-    @classmethod
-    def aligned_block(cls, position: int, length: int) -> "Interval":
-        """The length-``length`` dyadic block containing ``position``."""
-        lo = (position // length) * length
-        return cls(lo, lo + length - 1)
-
-
 def _permute_labels(
     state: SparseState, image_of: Callable[[BasisLabel], BasisLabel]
 ) -> SparseState:
@@ -376,9 +337,10 @@ def opening_state(inst: OrderedInstance, r: int) -> SparseState:
     entries = {}
     for j in range(levels + 1):
         count = 1 if j == 0 else 1 << (j - 1)
-        block = Interval.aligned_block(inst.answer, sublist >> j)
+        length = sublist >> j
+        lo = inst.answer // length * length
         marker = 0 if j == 0 else 1
-        entries[TeamLabel(marker, block.lo, block.hi)] = math.sqrt(count / r)
+        entries[TeamLabel(marker, lo, lo + length - 1)] = math.sqrt(count / r)
     return SparseState(entries)
 
 
@@ -581,7 +543,7 @@ def classical_binary_search(inst: OrderedInstance) -> SearchTrace:
     queried = []
     known = [known_bits_after(n, 0)]
     while lo < hi:
-        mid = Interval(lo, hi).midpoint
+        mid = lo + (hi - lo + 1) // 2 - 1
         queried.append(mid)
         if inst.bit(mid):
             hi = mid

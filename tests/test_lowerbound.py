@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +10,16 @@ from hypothesis import strategies as st
 
 from qordsearch import lowerbound as lb
 from qordsearch.oracle import OrderedInstance, apply_query, enumerate_instances
-from qordsearch.qcore import GenLabel, SparseState, apply_linear, inner_product
+from qordsearch.qcore import (
+    GenLabel,
+    SparseState,
+    TeamLabel,
+    apply_linear,
+    inner_product,
+)
 from qordsearch.teamsearch import BinarySearchAlgorithm, TeamCombineAlgorithm
 
+GOLDEN = Path(__file__).parent / "golden"
 
 def brute_force_pair_weight(n):
     """Independent oracle: add every pair's weight one by one, exactly."""
@@ -237,13 +246,22 @@ class TestMassProfile:
     def test_projections_partition_each_state(self):
         _, _, states = binary_prequery_states(8, rounds=2)
         profile = lb.mass_profile(states)
+        rebuilt = [{} for _ in states]
+        for label, (answers, amps) in profile.columns.items():
+            assert profile.index_of[label] == label.i
+            for a, amp in zip(answers.tolist(), amps.tolist()):
+                assert label not in rebuilt[a]
+                rebuilt[a][label] = amp
         for a, state in enumerate(states):
-            total = sum(
-                sub.squared_norm()
-                for (answer, _), sub in profile.betas.items()
-                if answer == a
-            )
-            assert abs(total - state.squared_norm()) < 1e-12
+            assert rebuilt[a] == dict(state.items())
+
+    def test_team_labels_are_rejected(self):
+        states = [
+            SparseState.unit(GenLabel(0, 1)),
+            SparseState.unit(TeamLabel(0, 0, 1)),
+        ]
+        with pytest.raises(TypeError):
+            lb.mass_profile(states)
 
 
 class TestDropChain:
@@ -329,6 +347,23 @@ def assert_matches_reference(got, expected):
     assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
+def brute_force_masses(states):
+    """gammas and deltas summed entry by entry, by offset = index - answer."""
+    n = len(states)
+    gammas_sq = [0.0] * max(n - 1, 0)
+    deltas_sq = [0.0] * max(n - 1, 0)
+    for a, state in enumerate(states):
+        for label, amp in state.items():
+            if label.i >= n:
+                continue  # the zero padding distinguishes no instances
+            offset = label.i - a
+            if 0 <= offset < n - 1:
+                gammas_sq[offset] += abs(amp) ** 2
+            elif offset < 0:
+                deltas_sq[-offset - 1] += abs(amp) ** 2
+    return np.sqrt(gammas_sq), np.sqrt(deltas_sq)
+
+
 def assert_kernel_matches_reference(states, w):
     assert_matches_reference(
         lb.weighted_overlap(states, w), lb._reference_weighted_overlap(states, w)
@@ -336,8 +371,13 @@ def assert_kernel_matches_reference(states, w):
     if all(isinstance(label, GenLabel) for s in states for label in s.labels()):
         profile = lb.mass_profile(states)
         assert_matches_reference(
-            lb.pairwise_drop(profile, w), lb._reference_pairwise_drop(profile, w)
+            lb.pairwise_drop(profile, w), lb._reference_pairwise_drop(states, w)
         )
+        gammas, deltas = brute_force_masses(states)
+        assert profile.gammas.shape == gammas.shape
+        assert profile.deltas.shape == deltas.shape
+        assert np.abs(profile.gammas - gammas).max(initial=0.0) <= 1e-12
+        assert np.abs(profile.deltas - deltas).max(initial=0.0) <= 1e-12
 
 
 class TestKernelAgainstReference:
@@ -425,6 +465,31 @@ class TestTrajectory:
         measured = lb.weighted_overlap(states, w) - lb.weighted_overlap(after, w)
         recomputed = lb.pairwise_drop(lb.mass_profile(states), w)
         assert abs(measured - recomputed) < 1e-10
+
+    @pytest.mark.parametrize(
+        "algorithm, golden",
+        [
+            (BinarySearchAlgorithm(32), "chain_binary_32.json"),
+            (TeamCombineAlgorithm(32), "chain_team_32.json"),
+        ],
+        ids=["binary-32", "team-32"],
+    )
+    def test_chain_reports_match_golden(self, algorithm, golden):
+        # Every float was written by repr, so the comparison is exact.
+        w = lb.WeightSpec.inverse_distance(algorithm.n)
+        record = lb.run_trajectory(algorithm, algorithm.n, w, verify_chain=True)
+        got = [
+            {
+                "drop": r.drop,
+                "pair_bound": r.pair_bound,
+                "norm_bound": r.norm_bound,
+                "cap": r.cap,
+                "pair_identity_err": r.pair_identity_err,
+                "failures": list(r.failures),
+            }
+            for r in record.chain_reports
+        ]
+        assert got == json.loads((GOLDEN / golden).read_text())
 
     def test_csv_shape(self):
         n = 4

@@ -50,6 +50,31 @@ class TestInstance:
         assert inst.to_json() == '{"n": 32, "answer": 17}'
         assert OrderedInstance.from_json(inst.to_json()) == inst
 
+    @pytest.mark.parametrize(
+        "n, answer",
+        [(8.9, 2), (8, 2.7), (8, 2.5), (8, 2.0), ("8", 1), (True, 0), (8, True)],
+    )
+    def test_rejects_non_integer_fields(self, n, answer):
+        with pytest.raises(ValueError, match="must be an integer"):
+            OrderedInstance(n, answer)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 8.9, "answer": 2.7}',
+            '{"n": "8", "answer": true}',
+            '{"n": 8}',
+            '{"answer": 2}',
+            "[8, 2]",
+            "8",
+            "null",
+            "{",
+        ],
+    )
+    def test_from_json_rejects_malformed_payloads(self, text):
+        with pytest.raises(ValueError):
+            OrderedInstance.from_json(text)
+
 
 class TestEnumerate:
     def test_single_instance_for_n_1(self):

@@ -36,59 +36,53 @@ def assert_stage(state, expected, tol=1e-12):
     assert diff_norm(state, team_state(expected)) < tol
 
 
-class TestInterval:
-    def test_midpoint_and_halves(self):
-        block = ts.Interval(4, 7)
-        assert block.length == 4
-        assert block.midpoint == 5
-        assert block.lower_half() == ts.Interval(4, 5)
-        assert block.upper_half() == ts.Interval(6, 7)
-
-    def test_aligned_block(self):
-        assert ts.Interval.aligned_block(5, 2) == ts.Interval(4, 5)
-        assert ts.Interval.aligned_block(5, 8) == ts.Interval(0, 7)
-        assert ts.Interval.aligned_block(13, 4) == ts.Interval(12, 15)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ts.Interval(2, 5)  # misaligned
-        with pytest.raises(ValueError):
-            ts.Interval(0, 2)  # length 3
-        with pytest.raises(ValueError):
-            ts.Interval(0, 0).midpoint
-
-
-def dyadic_intervals(bits, min_length=2):
-    """Every dyadic interval inside [0, 2**bits) of length >= ``min_length``."""
+def dyadic_blocks(bits):
+    """``(lo, length)`` of every dyadic block of length >= 2 in [0, 2**bits)."""
     size = 1 << bits
-    length = min_length
+    length = 2
     while length <= size:
         for lo in range(0, size, length):
-            yield ts.Interval(lo, lo + length - 1)
+            yield lo, length
         length *= 2
 
 
 class TestArithmeticMidpoints:
-    """The operators' integer midpoints against ``Interval`` on [0, 2**12)."""
+    """The operators' integer midpoints split every dyadic block of [0, 2**12)."""
 
     BITS = 12
 
+    @staticmethod
+    def assert_halves(lo, length, lower, upper):
+        for half in (lower, upper):
+            assert TeamLabel(*half) == half  # a valid dyadic interval
+            assert half.length == length // 2
+        assert lower.lo == lo and upper.hi == lo + length - 1
+        assert lower.hi + 1 == upper.lo
+
+    @staticmethod
+    def refine_image(marker, lo, length):
+        state = SparseState.unit(TeamLabel(marker, lo, lo + length - 1))
+        [label] = ts.apply_refine(state, length).labels()
+        return label
+
     def test_refine_halves(self):
-        for block in dyadic_intervals(self.BITS):
-            for marker, half in ((1, block.lower_half()), (0, block.upper_half())):
-                state = SparseState.unit(TeamLabel(marker, block.lo, block.hi))
-                out = ts.apply_refine(state, block.length)
-                assert out.labels() == [TeamLabel(0, half.lo, half.hi)]
+        for lo, length in dyadic_blocks(self.BITS):
+            lower = self.refine_image(1, lo, length)
+            upper = self.refine_image(0, lo, length)
+            assert lower.b == upper.b == 0
+            self.assert_halves(lo, length, lower, upper)
 
     def test_routed_index_is_the_midpoint(self):
         n = 1 << self.BITS
         route, unroute = ts._routing_codec(n, bitwrite_length=2 * n)
-        for block in dyadic_intervals(self.BITS):
+        for lo, length in dyadic_blocks(self.BITS):
+            lower = self.refine_image(1, lo, length)
             for marker in (0, 1):
-                label = TeamLabel(marker, block.lo, block.hi)
+                label = TeamLabel(marker, lo, lo + length - 1)
                 [(routed, coeff)] = route(label)
-                assert routed.i == block.midpoint and coeff == 1.0
-                assert unroute(routed) == [(label, 1.0)]
+                assert routed.i == lower.hi and coeff == 1.0
+                [(back, coeff)] = unroute(routed)
+                assert back == label and TeamLabel(*back) == back and coeff == 1.0
 
     def test_unroute_rejects_off_midpoint_and_length_one(self):
         n = 8
@@ -105,19 +99,22 @@ class TestArithmeticMidpoints:
     def test_binary_mixer_and_halve(self):
         n = 1 << self.BITS
         algo = ts.BinarySearchAlgorithm(n)
-        for block in dyadic_intervals(self.BITS):
-            z = algo._encode(block.lo, block.length)
-            probe, park = GenLabel(z, block.midpoint), GenLabel(z, n)
-            images = algo._mixer(park)
-            assert [label for label, _ in images] == [probe, park]
-            lower, upper = block.lower_half(), block.upper_half()
-            assert algo._halve(probe) == GenLabel(
-                algo._encode(lower.lo, lower.length), n
-            )
-            assert algo._halve(park) == GenLabel(
-                algo._encode(upper.lo, upper.length), n
-            )
-            off = GenLabel(z, block.midpoint + 1)  # neither probe nor park
+        for lo, length in dyadic_blocks(self.BITS):
+            z = algo._encode(lo, length)
+            park = GenLabel(z, n)
+            [(probe, _), (parked, _)] = algo._mixer(park)
+            assert probe.z == z and parked == park
+            halves = []
+            for label in (probe, park):
+                halved = algo._halve(label)
+                decoded = algo._decode(halved.z)
+                assert halved.i == n and decoded is not None
+                half_lo, half_length = decoded
+                halves.append(TeamLabel(0, half_lo, half_lo + half_length - 1))
+            lower, upper = halves
+            self.assert_halves(lo, length, lower, upper)
+            assert probe.i == lower.hi
+            off = GenLabel(z, probe.i + 1)  # neither probe nor park
             assert algo._mixer(off) == [(off, 1.0)]
             assert algo._halve(off) == off
 
