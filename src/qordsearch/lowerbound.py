@@ -266,7 +266,6 @@ class MassProfile:
     queries in the zero-padding region never distinguish instances.
     """
 
-    n: int
     columns: dict = field(repr=False)
     index_of: dict = field(repr=False)
     gammas: np.ndarray = field(repr=False)
@@ -297,7 +296,7 @@ def mass_profile(
         below = queried & (offset < 0)
         gammas_sq += np.bincount(offset[above], mass[above], minlength=size)
         deltas_sq += np.bincount(-1 - offset[below], mass[below], minlength=size)
-    return MassProfile(n, columns, index_of, np.sqrt(gammas_sq), np.sqrt(deltas_sq))
+    return MassProfile(columns, index_of, np.sqrt(gammas_sq), np.sqrt(deltas_sq))
 
 
 def pairwise_drop(profile: MassProfile, w: WeightSpec) -> complex:
@@ -316,11 +315,7 @@ def pairwise_drop(profile: MassProfile, w: WeightSpec) -> complex:
     return 2.0 * _weighted_gram(blocks, w)
 
 
-def _reference_pairwise_drop(
-    states: Sequence[SparseState],
-    w: WeightSpec,
-    queried_index_of: Callable[[BasisLabel], int] = gen_query_index,
-) -> complex:
+def _reference_pairwise_drop(states: Sequence[SparseState], w: WeightSpec) -> complex:
     """Per-pair loop form of :func:`pairwise_drop`, kept for the tests."""
     n = len(states)
     total = 0j
@@ -331,7 +326,7 @@ def _reference_pairwise_drop(
                 continue
             overlap = 0j
             for label, amp in states[a].items():
-                if a <= queried_index_of(label) < b:
+                if a <= gen_query_index(label) < b:
                     overlap += amp.conjugate() * states[b].amplitude(label)
             total += wt * overlap
     return 2.0 * total
