@@ -95,8 +95,9 @@ BasisLabel = GenLabel | TeamLabel
 class SparseState:
     """Immutable sparse state: a finite label -> amplitude map.
 
-    Construction prunes entries with magnitude below ``PRUNE_EPS`` and sets
-    ``normalized`` when the squared 2-norm is within ``NORM_TOL`` of one.
+    Construction prunes entries with magnitude below ``PRUNE_EPS``, raises
+    ``ValueError`` when an amplitude or the squared 2-norm is not finite, and
+    sets ``normalized`` when the squared 2-norm is within ``NORM_TOL`` of one.
     """
 
     __slots__ = ("_entries", "_norm_sq", "normalized")
@@ -105,12 +106,17 @@ class SparseState:
         kept: dict[BasisLabel, complex] = {}
         for label, amp in entries.items():
             a = complex(amp)
-            if abs(a) >= PRUNE_EPS:
+            # Written so that NaN is kept, to fail the finiteness check below.
+            if not abs(a) < PRUNE_EPS:
                 kept[label] = a
         self._entries = kept
         self._norm_sq = math.fsum(
             a.real * a.real + a.imag * a.imag for a in kept.values()
         )
+        if not math.isfinite(self._norm_sq):
+            raise ValueError(
+                f"amplitudes must be finite, got squared norm {self._norm_sq}"
+            )
         self.normalized = abs(self._norm_sq - 1.0) <= NORM_TOL
 
     @classmethod

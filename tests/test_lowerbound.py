@@ -41,6 +41,11 @@ class ZeroQueryAlgorithm:
         return SparseState.unit(GenLabel(0, self.n))
 
 
+def symmetric_weight(a, b):
+    """A symmetric test weight with w(a, a) > 0, so every ordered pair counts."""
+    return 1.0 / (1.0 + np.abs(np.asarray(b) - a))
+
+
 def two_product_power_iteration(M, tol=1e-10, max_iterations=100_000):
     """Power iteration that forms M @ v afresh for each residual."""
     n = M.shape[0]
@@ -136,6 +141,48 @@ class TestWeightedOverlap:
         states = [SparseState.unit(GenLabel(0, 0))] * 2
         with pytest.raises(ValueError):
             lb.weighted_overlap(states, w)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_weight_rejected(self, bad):
+        w = lb.WeightSpec(8, lambda a, b: np.full(np.broadcast(a, b).shape, bad))
+        with pytest.raises(ValueError, match="non-finite entry"):
+            w(0, 1)
+        with pytest.raises(ValueError, match="non-finite entry"):
+            lb.run_trajectory(BinarySearchAlgorithm(8), 8, w, verify_chain=True)
+
+
+class TestWeightBlocks:
+    # The overlap kernel evaluates the weights of a label a block of rows at
+    # a time and dots each row; its sums are bit-identical to a row-at-a-time
+    # evaluation only if every block row equals that answer's weights exactly.
+    @pytest.mark.parametrize("n", [1, 2, 17, 256])
+    @pytest.mark.parametrize(
+        "weight", [lb._inverse_distance, symmetric_weight], ids=["inverse", "symmetric"]
+    )
+    def test_block_equals_stacked_rows(self, weight, n):
+        w = lb.WeightSpec(n, weight)
+        answers = np.arange(n)
+        block = w(answers[:, None], answers)
+        rows = np.stack([w(a, answers) for a in range(n)])
+        assert block.shape == (n, n)
+        assert np.array_equal(block, rows)
+
+    def test_sliced_blocks_give_the_same_sums(self, monkeypatch):
+        # Blocks above _BLOCK_ENTRIES are evaluated a slice of rows at a
+        # time; the sums must not move by a single bit.
+        algorithm = BinarySearchAlgorithm(32)
+        w = lb.WeightSpec.inverse_distance(32)
+        snapshots = trajectory_snapshots(algorithm)
+        whole = [
+            (lb.weighted_overlap(s, w), lb.pairwise_drop(lb.mass_profile(s), w))
+            for s in snapshots
+        ]
+        monkeypatch.setattr(lb, "_BLOCK_ENTRIES", 40)
+        sliced = [
+            (lb.weighted_overlap(s, w), lb.pairwise_drop(lb.mass_profile(s), w))
+            for s in snapshots
+        ]
+        assert sliced == whole
 
 
 class TestMatrices:
@@ -329,6 +376,18 @@ class TestDropChain:
         assert len(report.failures) == 1
         assert report.failures[0].startswith("pair identity error")
 
+    def test_nan_overlap_fails_the_chain(self):
+        # Every comparison against NaN is false, so links written as
+        # "lhs > rhs" would let a NaN drop pass.
+        n = 8
+        w = lb.WeightSpec.inverse_distance(n)
+        _, _, states = binary_prequery_states(n)
+        profile = lb.mass_profile(states)
+        report = lb._chain_report(profile, complex("nan"), 0j, w, lb.CHAIN_TOL)
+        assert not report.holds
+        assert report.failures[0].startswith("drop nan exceeds")
+        assert report.failures[-1].startswith("pair identity error nan")
+
 
 def trajectory_snapshots(algorithm):
     """Per-answer states entering each query, then the final states."""
@@ -407,9 +466,7 @@ class TestKernelAgainstReference:
                     {pool[k]: complex(rng.normal(), rng.normal()) for k in picks}
                 )
             )
-        symmetric = lb.WeightSpec(
-            n, lambda a, b: 1.0 / (1.0 + np.abs(np.asarray(b) - a))
-        )
+        symmetric = lb.WeightSpec(n, symmetric_weight)
         assert symmetric(3, 3) > 0
         for w in (symmetric, lb.WeightSpec.inverse_distance(n)):
             assert_kernel_matches_reference(states, w)
@@ -490,6 +547,26 @@ class TestTrajectory:
             for r in record.chain_reports
         ]
         assert got == json.loads((GOLDEN / golden).read_text())
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [BinarySearchAlgorithm(n) for n in (8, 32, 64)] + [TeamCombineAlgorithm(32)],
+        ids=lambda algorithm: f"{type(algorithm).__name__}-{algorithm.n}",
+    )
+    def test_chain_reports_match_the_public_route(self, algorithm):
+        # run_trajectory reuses each snapshot's label grouping for the next
+        # step's profile; verify_drop_chain groups the states afresh.
+        w = lb.WeightSpec.inverse_distance(algorithm.n)
+        record = lb.run_trajectory(algorithm, algorithm.n, w, verify_chain=True)
+        snapshots = trajectory_snapshots(algorithm)
+        assert len(record.chain_reports) == len(snapshots) - 1
+        for j, report in enumerate(record.chain_reports):
+            assert report == lb.verify_drop_chain(snapshots[j], snapshots[j + 1], w)
+
+    def test_weight_size_must_match_the_problem_size(self):
+        w = lb.WeightSpec.inverse_distance(4)
+        with pytest.raises(ValueError, match="expected 4 states, got 8"):
+            lb.run_trajectory(BinarySearchAlgorithm(8), 8, w)
 
     def test_csv_shape(self):
         n = 4

@@ -131,6 +131,15 @@ class TestSparseState:
             lines, key=lambda line: tuple(map(int, line.split("\t")[0].split(";")))
         )
 
+    @pytest.mark.parametrize(
+        "amp", [float("nan"), complex(0, math.inf), complex(math.nan, 1.0)]
+    )
+    def test_non_finite_amplitude_is_rejected_not_pruned(self, amp):
+        # abs(nan) >= PRUNE_EPS is false, so a plain prune test would drop
+        # a NaN and leave a normalized one-label state.
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            SparseState({GenLabel(0, 0): amp, GenLabel(0, 1): 1.0})
+
     def test_dump_uses_17_significant_digits(self):
         state = SparseState({GenLabel(0, 0): complex(1 / 3, -2 / 7)})
         assert state.dump() == "0;0\t0.33333333333333331\t-0.2857142857142857\n"
@@ -231,6 +240,11 @@ class TestApplyLinear:
         state = random_state(10, seed=19)
         with pytest.raises(NormDriftError):
             apply_linear(state, lambda l: [(l, 0.5)], unitary=True)
+
+    def test_nan_coefficient_raises_instead_of_emptying_the_state(self):
+        state = random_state(5, seed=23)
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            apply_linear(state, lambda l: [(l, math.nan)])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
