@@ -536,6 +536,10 @@ def run_trajectory(
     chain is evaluated at every step.
     """
     _check_state_count(n, w)
+    if algorithm.n != n:
+        raise ValueError(
+            f"algorithm is built for list size {algorithm.n}, not {n}"
+        )
     instances = enumerate_instances(n)
     states = [algorithm.initial_state(inst) for inst in instances]
     # Each snapshot is grouped once: its columns give W_j and, entering

@@ -222,12 +222,15 @@ def apply_linear(
     ``NORM_TOL`` raises :class:`NormDriftError`.
     """
     acc: dict[BasisLabel, complex] = {}
+    get = acc.get
+    # ``amp * coeff`` promotes a real ``coeff`` exactly as complex(coeff)
+    # would, so no explicit conversion is needed for the same bits.
     for label, amp in s._entries.items():
         for out_label, coeff in op(label):
-            acc[out_label] = acc.get(out_label, 0j) + amp * complex(coeff)
+            acc[out_label] = get(out_label, 0j) + amp * coeff
     result = SparseState(acc)
     if unitary:
-        drift = abs(result.norm() - s.norm())
+        drift = abs(math.sqrt(result._norm_sq) - math.sqrt(s._norm_sq))
         if drift > NORM_TOL:
             raise NormDriftError(
                 f"operator declared unitary drifted the norm by {drift:.3e}"

@@ -19,16 +19,18 @@ operators drive one round:
 
 After the query, alternating refine/mix sweeps walk the interval sizes down
 and collapse the team onto the exact answer position with probability one.
-The module also provides the classical binary-search reference (and its
-unitary embedding into the query model), the knowledge layouts that let one
-query multiply every computer's explicitly known bits by a factor approaching
-three, and the digit-decomposition accounting behind the query-count model.
+Binary search is the r = 1 case of the same operators: a team of one
+computer whose every round is the bit-writing query on its own interval
+followed by one refinement. The module also provides the classical
+binary-search reference, the knowledge layouts that let one query multiply
+every computer's explicitly known bits by a factor approaching three, and the
+digit-decomposition accounting behind the query-count model.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
+from functools import partial
 from typing import Callable, NamedTuple
 
 from . import oracle as oracle_mod
@@ -44,6 +46,9 @@ from .qcore import (
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+# Builds a TeamLabel without re-checking it: only for labels derived from a
+# checked one by flipping its marker or taking a half of its interval.
+_TEAM = partial(tuple.__new__, TeamLabel)
 
 
 class CollisionError(ValueError):
@@ -70,6 +75,18 @@ def _permute_labels(
 # The three round operators
 
 
+def _mix(label, s: int):
+    """Image of one label under the marker mixer on intervals of length ``s``."""
+    if isinstance(label, TeamLabel):
+        b, lo, hi = label
+        if hi - lo + 1 == s:
+            # The partner differs from a checked label only in its marker.
+            if b == 0:
+                return [(label, _SQRT_HALF), (_TEAM((1, lo, hi)), _SQRT_HALF)]
+            return [(_TEAM((0, lo, hi)), _SQRT_HALF), (label, -_SQRT_HALF)]
+    return [(label, 1.0)]
+
+
 def apply_combine(state: SparseState, s: int) -> SparseState:
     """Marker mixer on intervals of length ``s``.
 
@@ -80,17 +97,7 @@ def apply_combine(state: SparseState, s: int) -> SparseState:
     """
     if not _is_pow2(s) or s < 2:
         raise ValueError(f"interval size must be a power of two >= 2, got {s}")
-
-    def op(label):
-        if isinstance(label, TeamLabel) and label.length == s:
-            sign = 1.0 if label.b == 0 else -1.0
-            return [
-                (TeamLabel(0, label.lo, label.hi), _SQRT_HALF),
-                (TeamLabel(1, label.lo, label.hi), sign * _SQRT_HALF),
-            ]
-        return [(label, 1.0)]
-
-    return apply_linear(state, op, unitary=True)
+    return apply_linear(state, lambda label: _mix(label, s), unitary=True)
 
 
 def apply_refine(state: SparseState, s: int) -> SparseState:
@@ -103,22 +110,26 @@ def apply_refine(state: SparseState, s: int) -> SparseState:
         raise ValueError(f"interval size must be a power of two >= 2, got {s}")
 
     def image_of(label):
-        if isinstance(label, TeamLabel) and label.length == s:
-            mid = label.lo + s // 2 - 1
-            if label.b == 1:
-                return TeamLabel(0, label.lo, mid)
-            return TeamLabel(0, mid + 1, label.hi)
+        if isinstance(label, TeamLabel):
+            b, lo, hi = label
+            if hi - lo + 1 == s:
+                mid = lo + s // 2 - 1
+                return _TEAM((0, lo, mid)) if b == 1 else _TEAM((0, mid + 1, hi))
         return label
 
     return _permute_labels(state, image_of)
 
 
-def _routing_codec(n: int, bitwrite_length: int):
-    """Bijection between team labels and query-routed general labels.
+def _bitwrite_query(n: int, bitwrite_length: int):
+    """The label maps on either side of the one-call broadcast query.
 
-    The routed index is the interval midpoint, except that the least-knowing
-    computer's marker-0 branch parks at the padding index ``n`` where every
-    instance answers 0. The team label is packed into the workspace tag.
+    Returns ``(open_query, close_query)``, two :func:`apply_linear`
+    operators. ``open_query`` is the marker mixer on intervals of length
+    ``bitwrite_length`` with every image routed to a general label whose
+    index is the interval midpoint, except that the least-knowing computer's
+    marker-0 branch parks at the padding index ``n`` where every instance
+    answers 0; the team label is packed into the workspace tag.
+    ``close_query`` unroutes and mixes again, inverting ``open_query``.
     """
     span = 2 * n  # intervals live in [0, 2n)
 
@@ -129,25 +140,34 @@ def _routing_codec(n: int, bitwrite_length: int):
             return n
         return lo + length // 2 - 1
 
-    def route(label):
+    def route(label) -> GenLabel:
         if not isinstance(label, TeamLabel):
             raise TypeError(f"expected a TeamLabel, got {label!r}")
-        z = ((label.hi * span + label.lo) << 1) | label.b
-        return [(GenLabel(z, routed_index(label.b, label.lo, label.hi)), 1.0)]
+        b, lo, hi = label
+        return GenLabel(((hi * span + lo) << 1) | b, routed_index(b, lo, hi))
 
-    def unroute(label):
+    def unroute(label) -> TeamLabel:
         if not isinstance(label, GenLabel):
             raise TypeError(f"expected a GenLabel, got {label!r}")
-        b = label.z & 1
-        hi, lo = divmod(label.z >> 1, span)
+        z, i = label
+        b = z & 1
+        hi, lo = divmod(z >> 1, span)
         team = TeamLabel(b, lo, hi)
-        if team.length < 2 or label.i != routed_index(b, lo, hi):
+        if hi == lo or i != routed_index(b, lo, hi):
             raise ValueError(
                 f"label {label} does not sit on its routed query index"
             )
-        return [(team, 1.0)]
+        return team
 
-    return route, unroute
+    def open_query(label):
+        return [
+            (route(image), coeff) for image, coeff in _mix(label, bitwrite_length)
+        ]
+
+    def close_query(label):
+        return _mix(unroute(label), bitwrite_length)
+
+    return open_query, close_query
 
 
 def apply_team_query(
@@ -160,7 +180,8 @@ def apply_team_query(
     Computers whose interval length equals ``bitwrite_length`` (default: the
     largest length present, i.e. the least-knowing computer) get the probed
     bit XORed into their marker; all others pick up the sign (-1)**bit.
-    Costs exactly one diagonal query: mixer, route, query, unroute, mixer.
+    Costs exactly one diagonal query: open (mix, route), query, close
+    (unroute, mix).
     """
     lengths = set()
     for label in state._entries:
@@ -181,12 +202,10 @@ def apply_team_query(
             f"got {bitwrite_length}"
         )
 
-    route, unroute = _routing_codec(inst.n, bitwrite_length)
-    s = apply_combine(state, bitwrite_length)
-    s = apply_linear(s, route, unitary=True)
+    open_query, close_query = _bitwrite_query(inst.n, bitwrite_length)
+    s = apply_linear(state, open_query, unitary=True)
     s = oracle_mod.apply_query(s, inst)
-    s = apply_linear(s, unroute, unitary=True)
-    return apply_combine(s, bitwrite_length)
+    return apply_linear(s, close_query, unitary=True)
 
 
 def run_combine_round(
@@ -238,18 +257,6 @@ def _refine_sweep(
         if stages is not None:
             stages.append(state)
     return state
-
-
-def write_stage_files(stages, directory) -> list[Path]:
-    """Dump one canonical state file per stage into ``directory``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for index, stage in enumerate(stages):
-        path = directory / f"stage_{index:02d}.txt"
-        path.write_text(stage.dump())
-        paths.append(path)
-    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +368,18 @@ def default_team_size(n: int) -> int:
 # Steppable algorithms for trajectory analysis
 
 
+def _pinned_answer(label: BasisLabel) -> int:
+    """The answer a final label names: the position of a length-1 interval."""
+    if not isinstance(label, TeamLabel) or label.length != 1:
+        raise ValueError(f"final labels should pin one position, got {label!r}")
+    return label.lo
+
+
+# Both algorithms run one schedule per query: open (mix, route), the oracle
+# call, close (unroute, mix), then refinement. ``advance`` and
+# ``initial_state`` stay on each class so that each can be traced by name.
+
+
 class TeamCombineAlgorithm:
     """The one-query combine round as a steppable algorithm.
 
@@ -369,6 +388,8 @@ class TeamCombineAlgorithm:
     takes the instance. The single ``advance`` spends the round's one oracle
     call; every other operator in the round is shared across instances.
     """
+
+    answer_of = staticmethod(_pinned_answer)
 
     def __init__(self, n: int, r: int | None = None):
         self.n = n
@@ -380,113 +401,60 @@ class TeamCombineAlgorithm:
                 f"list size {n} is not a multiple of the sublist size {2 * self.r}"
             )
         self.num_queries = 1
-        self._route, self._unroute = _routing_codec(n, 2 * self.r)
+        self._open, self._close = _bitwrite_query(n, 2 * self.r)
 
     def initial_state(self, inst: OrderedInstance) -> SparseState:
-        s = apply_combine(opening_state(inst, self.r), 2 * self.r)
-        return apply_linear(s, self._route, unitary=True)
+        return apply_linear(opening_state(inst, self.r), self._open, unitary=True)
 
     def advance(self, j: int, state: SparseState, inst: OrderedInstance) -> SparseState:
         if j != 0:
             raise ValueError(f"the combine round has a single query, got step {j}")
         s = oracle_mod.apply_query(state, inst)
-        s = apply_linear(s, self._unroute, unitary=True)
-        s = apply_combine(s, 2 * self.r)
+        s = apply_linear(s, self._close, unitary=True)
         return _refine_sweep(s, 2 * self.r)
-
-    def answer_of(self, label: BasisLabel) -> int:
-        if not isinstance(label, TeamLabel) or label.length != 1:
-            raise ValueError(f"final labels should pin one position, got {label!r}")
-        return label.lo
 
 
 class BinarySearchAlgorithm:
-    """Classical binary search embedded unitarily in the query model.
+    """Classical binary search as a team of one computer (the r = 1 case).
 
-    The workspace tag encodes the interval still containing the answer. Each
-    round rotates the searcher into an equal superposition of "probe the
-    midpoint" and "sit on the padding index", applies the query, and rotates
-    back: the probed bit lands in which of the two labels survives (phase
-    kickback against the identity region). A relabeling then halves the
-    interval. Exact: the final measurement yields the answer with
+    The state is one ``TeamLabel``: the interval that still holds the answer,
+    with marker 0. Round ``j`` is the combine round's bit-writing query on
+    intervals of length ``n >> j``: opening splits the computer into a
+    marker-0 branch parked on the padding index and a marker-1 branch probing
+    the midpoint, closing turns the sign the probe picked up into the marker
+    (1 when the probed bit is 1), and ``apply_refine`` keeps the half the
+    marker names. Exact: the final measurement yields the answer with
     probability one after exactly log2(n) queries.
     """
+
+    answer_of = staticmethod(_pinned_answer)
 
     def __init__(self, n: int):
         if not _is_pow2(n):
             raise ValueError(f"list size must be a power of two, got {n}")
         self.n = n
         self.num_queries = n.bit_length() - 1
-        self._pad = n
-        self._span = 2 * n
-
-    def _encode(self, lo: int, length: int) -> int:
-        return lo * self._span + length
-
-    def _decode(self, z: int) -> tuple[int, int] | None:
-        lo, length = divmod(z, self._span)
-        if (
-            1 <= length <= self.n
-            and _is_pow2(length)
-            and lo % length == 0
-            and lo + length <= self.n
-        ):
-            return lo, length
-        return None
-
-    def _mixer(self, label):
-        # Rotates between the midpoint-probing label and the padding label.
-        if isinstance(label, GenLabel):
-            decoded = self._decode(label.z)
-            if decoded is not None:
-                lo, length = decoded
-                if length >= 2:
-                    mid = lo + length // 2 - 1
-                    probe = GenLabel(label.z, mid)
-                    park = GenLabel(label.z, self._pad)
-                    if label.i == mid:
-                        return [(probe, _SQRT_HALF), (park, _SQRT_HALF)]
-                    if label.i == self._pad:
-                        return [(probe, _SQRT_HALF), (park, -_SQRT_HALF)]
-        return [(label, 1.0)]
-
-    def _halve(self, label):
-        # Post-mixer, the label position encodes the probed bit: the midpoint
-        # label means bit 1 (answer in the lower half), the padding label
-        # means bit 0 (upper half).
-        if isinstance(label, GenLabel):
-            decoded = self._decode(label.z)
-            if decoded is not None:
-                lo, length = decoded
-                if length >= 2:
-                    half = length // 2
-                    mid = lo + half - 1
-                    if label.i == mid:
-                        return GenLabel(self._encode(lo, half), self._pad)
-                    if label.i == self._pad:
-                        return GenLabel(self._encode(lo + half, half), self._pad)
-        return label
+        self._queries = [
+            _bitwrite_query(n, n >> j) for j in range(self.num_queries)
+        ]
 
     def initial_state(self, inst: OrderedInstance | None = None) -> SparseState:
-        state = SparseState.unit(GenLabel(self._encode(0, self.n), self._pad))
+        state = SparseState.unit(TeamLabel(0, 0, self.n - 1))
         if self.num_queries > 0:
-            state = apply_linear(state, self._mixer, unitary=True)
+            state = apply_linear(state, self._queries[0][0], unitary=True)
         return state
 
     def advance(self, j: int, state: SparseState, inst: OrderedInstance) -> SparseState:
+        if not 0 <= j < self.num_queries:
+            raise ValueError(
+                f"binary search has {self.num_queries} steps, got step {j}"
+            )
         s = oracle_mod.apply_query(state, inst)
-        s = apply_linear(s, self._mixer, unitary=True)
-        s = _permute_labels(s, self._halve)
+        s = apply_linear(s, self._queries[j][1], unitary=True)
+        s = apply_refine(s, self.n >> j)
         if j + 1 < self.num_queries:
-            s = apply_linear(s, self._mixer, unitary=True)
+            s = apply_linear(s, self._queries[j + 1][0], unitary=True)
         return s
-
-    def answer_of(self, label: BasisLabel) -> int:
-        if isinstance(label, GenLabel):
-            decoded = self._decode(label.z)
-            if decoded is not None and decoded[1] == 1:
-                return decoded[0]
-        raise ValueError(f"final labels should pin one position, got {label!r}")
 
 
 class SimulationResult(NamedTuple):

@@ -1,0 +1,50 @@
+"""The benchmark's tracer still finds every function it wraps.
+
+``bench/tracer.py`` looks its targets up by name: module attributes, and
+methods in a class's own ``__dict__``. A refactor that renames one, or moves
+``advance``/``initial_state`` into a base class, breaks ``--trace 1``; this
+test makes tier-1 fail first.
+"""
+import importlib.util
+from pathlib import Path
+
+from qordsearch import lowerbound as lb
+from qordsearch import teamsearch as ts
+from qordsearch.oracle import enumerate_instances
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_on_every_target_and_restores_them():
+    tracer_mod = load_tracer()
+    originals = {
+        cls: dict(vars(cls))
+        for cls in (ts.BinarySearchAlgorithm, ts.TeamCombineAlgorithm)
+    }
+    tracer = tracer_mod.Tracer()
+    with tracer.installed():
+        pass
+    with tracer.installed():
+        for algorithm in (ts.BinarySearchAlgorithm(8), ts.TeamCombineAlgorithm(8)):
+            for inst in enumerate_instances(algorithm.n):
+                ts.run_algorithm(algorithm, inst)
+        w = lb.WeightSpec.inverse_distance(8)
+        lb.run_trajectory(ts.BinarySearchAlgorithm(8), 8, w, verify_chain=True)
+    for name in (
+        "teamsearch.advance",
+        "teamsearch.initial_state",
+        "teamsearch.apply_refine",
+        "qcore.apply_linear",
+        "oracle.apply_query",
+        "lowerbound.run_trajectory",
+    ):
+        assert tracer.stats[name][0] > 0, name
+    for cls, attributes in originals.items():
+        assert dict(vars(cls)) == attributes

@@ -169,20 +169,23 @@ class TestWeightBlocks:
 
     def test_sliced_blocks_give_the_same_sums(self, monkeypatch):
         # Blocks above _BLOCK_ENTRIES are evaluated a slice of rows at a
-        # time; the sums must not move by a single bit.
+        # time; the sums must not move by a single bit. Only the snapshots
+        # that meet a query have a mass profile: the final states hold
+        # length-1 team intervals, which query nothing.
         algorithm = BinarySearchAlgorithm(32)
         w = lb.WeightSpec.inverse_distance(32)
         snapshots = trajectory_snapshots(algorithm)
-        whole = [
-            (lb.weighted_overlap(s, w), lb.pairwise_drop(lb.mass_profile(s), w))
-            for s in snapshots
-        ]
+
+        def sums():
+            overlaps = [lb.weighted_overlap(s, w) for s in snapshots]
+            drops = [
+                lb.pairwise_drop(lb.mass_profile(s), w) for s in snapshots[:-1]
+            ]
+            return overlaps, drops
+
+        whole = sums()
         monkeypatch.setattr(lb, "_BLOCK_ENTRIES", 40)
-        sliced = [
-            (lb.weighted_overlap(s, w), lb.pairwise_drop(lb.mass_profile(s), w))
-            for s in snapshots
-        ]
-        assert sliced == whole
+        assert sums() == whole
 
 
 class TestMatrices:
@@ -567,6 +570,18 @@ class TestTrajectory:
         w = lb.WeightSpec.inverse_distance(4)
         with pytest.raises(ValueError, match="expected 4 states, got 8"):
             lb.run_trajectory(BinarySearchAlgorithm(8), 8, w)
+
+    @pytest.mark.parametrize(
+        "algorithm, n",
+        [(BinarySearchAlgorithm(8), 16), (TeamCombineAlgorithm(8), 32)],
+        ids=["binary", "team"],
+    )
+    def test_algorithm_size_must_match_the_problem_size(self, algorithm, n):
+        # Binary search built for 8 would otherwise return a wrong trajectory
+        # over 16 answers with every chain link holding.
+        w = lb.WeightSpec.inverse_distance(n)
+        with pytest.raises(ValueError, match=f"list size 8, not {n}"):
+            lb.run_trajectory(algorithm, n, w, verify_chain=True)
 
     def test_csv_shape(self):
         n = 4

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from qordsearch import teamsearch as ts
 from qordsearch.oracle import OrderedInstance, enumerate_instances
-from qordsearch.qcore import GenLabel, SparseState, TeamLabel, diff_norm
+from qordsearch.qcore import (
+    GenLabel,
+    SparseState,
+    TeamLabel,
+    apply_linear,
+    diff_norm,
+)
 
 HALF = 0.5
 S2H = math.sqrt(2.0) / 2.0
@@ -73,50 +79,62 @@ class TestArithmeticMidpoints:
             self.assert_halves(lo, length, lower, upper)
 
     def test_routed_index_is_the_midpoint(self):
+        # No interval reaches the bit-write length 2n, so open and close
+        # only route and unroute.
         n = 1 << self.BITS
-        route, unroute = ts._routing_codec(n, bitwrite_length=2 * n)
+        open_query, close_query = ts._bitwrite_query(n, bitwrite_length=2 * n)
         for lo, length in dyadic_blocks(self.BITS):
             lower = self.refine_image(1, lo, length)
             for marker in (0, 1):
                 label = TeamLabel(marker, lo, lo + length - 1)
-                [(routed, coeff)] = route(label)
+                [(routed, coeff)] = open_query(label)
                 assert routed.i == lower.hi and coeff == 1.0
-                [(back, coeff)] = unroute(routed)
+                [(back, coeff)] = close_query(routed)
                 assert back == label and TeamLabel(*back) == back and coeff == 1.0
 
     def test_unroute_rejects_off_midpoint_and_length_one(self):
         n = 8
-        route, unroute = ts._routing_codec(n, bitwrite_length=8)
-        [(routed, _)] = route(TeamLabel(1, 4, 7))
+        open_query, close_query = ts._bitwrite_query(n, bitwrite_length=8)
+        [(routed, _)] = open_query(TeamLabel(1, 4, 7))
         with pytest.raises(ValueError):
-            unroute(GenLabel(routed.z, routed.i + 1))
+            close_query(GenLabel(routed.z, routed.i + 1))
         # A length-1 interval [5,5] packed by hand: it has no midpoint.
         z = ((5 * 2 * n + 5) << 1) | 1
         for i in (3, 4, 5):
             with pytest.raises(ValueError):
-                unroute(GenLabel(z, i))
+                close_query(GenLabel(z, i))
+        with pytest.raises(TypeError):
+            open_query(GenLabel(0, 0))
+        with pytest.raises(TypeError):
+            close_query(TeamLabel(1, 4, 7))
 
     def test_binary_mixer_and_halve(self):
+        # Binary search mixes with the bit-write open/close of its interval
+        # length and halves with apply_refine (test_refine_halves). On every
+        # dyadic block, marker 0 parks at the padding index n, marker 1
+        # probes the midpoint, and close undoes open.
         n = 1 << self.BITS
-        algo = ts.BinarySearchAlgorithm(n)
         for lo, length in dyadic_blocks(self.BITS):
-            z = algo._encode(lo, length)
-            park = GenLabel(z, n)
-            [(probe, _), (parked, _)] = algo._mixer(park)
-            assert probe.z == z and parked == park
-            halves = []
-            for label in (probe, park):
-                halved = algo._halve(label)
-                decoded = algo._decode(halved.z)
-                assert halved.i == n and decoded is not None
-                half_lo, half_length = decoded
-                halves.append(TeamLabel(0, half_lo, half_lo + half_length - 1))
-            lower, upper = halves
-            self.assert_halves(lo, length, lower, upper)
-            assert probe.i == lower.hi
-            off = GenLabel(z, probe.i + 1)  # neither probe nor park
-            assert algo._mixer(off) == [(off, 1.0)]
-            assert algo._halve(off) == off
+            open_query, close_query = ts._bitwrite_query(n, bitwrite_length=length)
+            lower = self.refine_image(1, lo, length)
+            for marker, sign in ((0, 1.0), (1, -1.0)):
+                label = TeamLabel(marker, lo, lo + length - 1)
+                [(park, c0), (probe, c1)] = open_query(label)
+                assert park.i == n and probe.i == lower.hi
+                assert park.z == probe.z ^ 1
+                assert (c0, c1) == (ts._SQRT_HALF, sign * ts._SQRT_HALF)
+                for routed in (park, probe):
+                    for image, _ in close_query(routed):
+                        assert TeamLabel(*image) == image
+                opened = apply_linear(SparseState.unit(label), open_query)
+                closed = apply_linear(opened, close_query)
+                assert closed.labels() == [label]
+                assert abs(closed.amplitude(label) - 1.0) < 1e-15
+            # Off-length labels only route, with coefficient 1.
+            outer = lo - lo % (2 * length)
+            off = TeamLabel(0, outer, outer + 2 * length - 1)
+            [(routed, coeff)] = open_query(off)
+            assert coeff == 1.0 and close_query(routed) == [(off, 1.0)]
 
 
 class TestCombineOperator:
@@ -216,6 +234,7 @@ class TestCombineRound:
         for got, expected in zip(stages, WORKED_STAGES):
             assert_stage(got, expected)
         assert_stage(final, WORKED_STAGES[-1])
+        assert stages[-1].dump() == "0|5,5\t0.99999999999999989\t0\n"
 
     @pytest.mark.parametrize("n", [2, 4, 8, 32])
     def test_exhaustive_exactness(self, n):
@@ -235,16 +254,6 @@ class TestCombineRound:
             _, stages = ts.run_combine_round(opening, inst, record_stages=True)
             for stage in stages:
                 assert abs(stage.squared_norm() - 1.0) < 1e-12
-
-    def test_stage_files_round_trip(self, tmp_path):
-        inst = OrderedInstance(8, 5)
-        _, stages = ts.run_combine_round(
-            team_state(WORKED_STAGES[0]), inst, record_stages=True
-        )
-        paths = ts.write_stage_files(stages, tmp_path / "trace")
-        assert [p.name for p in paths] == [f"stage_{k:02d}.txt" for k in range(7)]
-        assert paths[0].read_text() == stages[0].dump()
-        assert paths[-1].read_text() == "0|5,5\t0.99999999999999989\t0\n"
 
 
 class TestOpeningState:
@@ -353,6 +362,28 @@ class TestSteppableAlgorithms:
             assert abs(result.probability - 1.0) < 1e-12
             assert result.queries == algo.num_queries
 
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+    def test_binary_search_is_the_one_computer_team_round(self, n):
+        # Each step is the bit-writing team query on the one interval left,
+        # then one refinement: the same operators, the same floats.
+        algo = ts.BinarySearchAlgorithm(n)
+        for inst in enumerate_instances(n):
+            stepped = algo.initial_state(inst)
+            for j in range(algo.num_queries):
+                stepped = algo.advance(j, stepped, inst)
+            state = SparseState.unit(TeamLabel(0, 0, n - 1))
+            length = n
+            while length >= 2:
+                state = ts.apply_team_query(state, inst, bitwrite_length=length)
+                state = ts.apply_refine(state, length)
+                length //= 2
+            assert stepped.labels() == [TeamLabel(0, inst.answer, inst.answer)]
+            assert stepped.dump() == state.dump()
+        start = algo.initial_state(inst)
+        for j in (-1, algo.num_queries):
+            with pytest.raises(ValueError, match="steps, got step"):
+                algo.advance(j, start, inst)
+
     def test_binary_search_rejects_non_powers(self):
         with pytest.raises(ValueError):
             ts.BinarySearchAlgorithm(6)
@@ -382,9 +413,11 @@ class TestSteppableAlgorithms:
             ts.TeamCombineAlgorithm(6)
 
     def test_answer_of_rejects_unfinished_labels(self):
-        algo = ts.TeamCombineAlgorithm(8)
-        with pytest.raises(ValueError):
-            algo.answer_of(TeamLabel(0, 4, 5))
+        for algo in (ts.TeamCombineAlgorithm(8), ts.BinarySearchAlgorithm(8)):
+            assert algo.answer_of(TeamLabel(0, 5, 5)) == 5
+            for label in (TeamLabel(0, 4, 5), GenLabel(0, 5)):
+                with pytest.raises(ValueError):
+                    algo.answer_of(label)
 
 
 def brute_force_known_bits(n, j):
