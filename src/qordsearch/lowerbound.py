@@ -220,17 +220,18 @@ def hilbert_matrix(n: int) -> np.ndarray:
     """n x n matrix with entries 1/(k+l+1); spectral norm below pi."""
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
-    k = np.arange(n)
-    return 1.0 / (k[:, None] + k[None, :] + 1.0)
+    k = np.arange(n, dtype=float)
+    m = np.add.outer(k, k + 1.0)
+    return np.reciprocal(m, out=m)
 
 
 def hankel_matrix(n: int) -> np.ndarray:
     """The banded variant: 1/(k+l+1) where k+l < n, zero past the anti-diagonal."""
-    if n < 1:
-        raise ValueError(f"matrix size must be positive, got {n}")
-    k = np.arange(n)
     m = hilbert_matrix(n)
-    m[k[:, None] + k[None, :] >= n] = 0.0
+    # Row k keeps columns 0 .. n-1-k; zeroing each tail in place allocates
+    # nothing beyond the matrix itself.
+    for k in range(1, n):
+        m[k, n - k :] = 0.0
     return m
 
 
@@ -276,7 +277,7 @@ def spectral_norm(
 
 
 def gen_query_index(label: BasisLabel) -> int:
-    """Queried index of a ``GenLabel``; the default classifier."""
+    """Queried index of a ``GenLabel``; ``TypeError`` on any other label."""
     if not isinstance(label, GenLabel):
         raise TypeError(f"expected a GenLabel, got {label!r}")
     return label.i
@@ -300,19 +301,14 @@ class MassProfile:
     deltas: np.ndarray = field(repr=False)
 
 
-def mass_profile(
-    states: Sequence[SparseState],
-    queried_index_of: Callable[[BasisLabel], int] = gen_query_index,
-) -> MassProfile:
+def mass_profile(states: Sequence[SparseState]) -> MassProfile:
     """Group the states by label and aggregate the masses by offset i - a."""
-    return _column_profile(_label_columns(states), len(states), queried_index_of)
+    return _column_profile(_label_columns(states), len(states))
 
 
-def _column_profile(
-    columns: dict, n: int, queried_index_of: Callable[[BasisLabel], int]
-) -> MassProfile:
+def _column_profile(columns: dict, n: int) -> MassProfile:
     """:func:`mass_profile` of ``n`` states already grouped by label."""
-    index_of = {label: queried_index_of(label) for label in columns}
+    index_of = {label: gen_query_index(label) for label in columns}
 
     size = max(n - 1, 0)
     gammas_sq, deltas_sq = np.zeros(size), np.zeros(size)
@@ -391,27 +387,24 @@ def verify_drop_chain(
     states_before: Sequence[SparseState],
     states_after: Sequence[SparseState],
     w: WeightSpec,
-    queried_index_of: Callable[[BasisLabel], int] = gen_query_index,
-    tol: float = CHAIN_TOL,
 ) -> ChainReport:
     """Check the drop chain for one (query, unitary) round.
 
     Computes D = |W_before - W_after|, the explicit double sum
     S = 2 * sum_d sum_i (1/d) gamma_i delta_(d-i-1), the matrix bound
     B = 2 ||gamma|| ||M|| ||delta||, and the cap pi*n, and verifies
-    D <= S + tol <= B + tol <= pi*n + tol. Also checks that the drop
-    recomputed by :func:`pairwise_drop` matches W_before - W_after within
-    ``tol``. Valid for the inverse-distance weights; ``states_before`` must
-    be the states entering the query.
+    D <= S + tol <= B + tol <= pi*n + tol with tol = ``CHAIN_TOL``. Also
+    checks that the drop recomputed by :func:`pairwise_drop` matches
+    W_before - W_after within tol. Valid for the inverse-distance weights;
+    ``states_before`` must be the states entering the query.
     """
     _check_state_count(len(states_before), w)
     columns = _label_columns(states_before)
     return _chain_report(
-        _column_profile(columns, w.n, queried_index_of),
+        _column_profile(columns, w.n),
         _column_overlap(columns, w),
         weighted_overlap(states_after, w),
         w,
-        tol,
     )
 
 
@@ -420,12 +413,11 @@ def _chain_report(
     before: complex,
     after: complex,
     w: WeightSpec,
-    tol: float,
 ) -> ChainReport:
     """:func:`verify_drop_chain` from the profile of the states entering the query.
 
     ``before`` and ``after`` are W_before and W_after. Every link is tested
-    as ``not lhs <= rhs + tol``, so a NaN fails it.
+    as ``not lhs <= rhs + CHAIN_TOL``, so a NaN fails it.
     """
     n = w.n
     drop = abs(before - after)
@@ -448,19 +440,19 @@ def _chain_report(
     identity_err = abs((before - after) - pairwise_drop(profile, w))
 
     failures = []
-    if not drop <= pair_bound + tol:
+    if not drop <= pair_bound + CHAIN_TOL:
         failures.append(
             f"drop {drop:.12g} exceeds explicit double sum {pair_bound:.12g}"
         )
-    if not pair_bound <= norm_bound + tol:
+    if not pair_bound <= norm_bound + CHAIN_TOL:
         failures.append(
             f"double sum {pair_bound:.12g} exceeds matrix bound {norm_bound:.12g}"
         )
-    if not norm_bound <= cap + tol:
+    if not norm_bound <= cap + CHAIN_TOL:
         failures.append(f"matrix bound {norm_bound:.12g} exceeds cap {cap:.12g}")
-    if not identity_err <= tol:
+    if not identity_err <= CHAIN_TOL:
         failures.append(
-            f"pair identity error {identity_err:.3e} exceeds tolerance {tol:.1e}"
+            f"pair identity error {identity_err:.3e} exceeds tolerance {CHAIN_TOL:.1e}"
         )
     return ChainReport(
         n=n,
@@ -555,10 +547,8 @@ def run_trajectory(
         next_columns = _label_columns(states)
         overlaps.append(_column_overlap(next_columns, w))
         if verify_chain:
-            profile = _column_profile(columns, n, gen_query_index)
-            reports.append(
-                _chain_report(profile, overlaps[j], overlaps[j + 1], w, CHAIN_TOL)
-            )
+            profile = _column_profile(columns, n)
+            reports.append(_chain_report(profile, overlaps[j], overlaps[j + 1], w))
         columns = next_columns
 
     steps = []

@@ -21,7 +21,9 @@ After the query, alternating refine/mix sweeps walk the interval sizes down
 and collapse the team onto the exact answer position with probability one.
 Binary search is the r = 1 case of the same operators: a team of one
 computer whose every round is the bit-writing query on its own interval
-followed by one refinement. The module also provides the classical
+followed by one refinement. Both steppable algorithms are data: per query,
+a list of instance-independent steps run after the oracle call, which one
+shared ``advance`` composes. The module also provides the classical
 binary-search reference, the knowledge layouts that let one query multiply
 every computer's explicitly known bits by a factor approaching three, and the
 digit-decomposition accounting behind the query-count model.
@@ -208,55 +210,21 @@ def apply_team_query(
     return apply_linear(s, close_query, unitary=True)
 
 
-def run_combine_round(
-    state: SparseState, inst: OrderedInstance, record_stages: bool = False
-):
-    """One full round: broadcast query, then alternating refine/mix sweeps.
-
-    The sweep sizes are read off the state: with largest interval length
-    ``2r`` the sequence is query, refine(2r), then mix(s) refine(s) for
-    s = r, r/2, ..., 2. Starting from a well-formed opening superposition the
-    final state holds a single length-1 interval at the answer position.
-
-    Returns the final state, or ``(final_state, stages)`` with every
-    intermediate state when ``record_stages`` is set.
-    """
-    lengths = [
-        label.length for label in state._entries if isinstance(label, TeamLabel)
-    ]
-    if not lengths:
-        raise ValueError("state holds no team labels")
-    widest = max(lengths)
-    if widest < 2 or not _is_pow2(widest):
-        raise ValueError(f"unusable largest interval length {widest}")
-
-    stages = [state]
-    state = apply_team_query(state, inst, bitwrite_length=widest)
-    stages.append(state)
-    state = _refine_sweep(state, widest, stages)
-    if record_stages:
-        return state, stages
-    return state
+# One step of a round maps a state to a state. Each step names its operator
+# only when it runs, so that rebinding the module's operators (as a tracer
+# does) also reaches algorithms built before the rebinding.
 
 
-def _refine_sweep(
-    state: SparseState, widest: int, stages: list | None = None
-) -> SparseState:
-    """The round's post-query sweep, shared by both callers.
+def _linear_step(label_map) -> Callable[[SparseState], SparseState]:
+    return lambda state: apply_linear(state, label_map, unitary=True)
 
-    refine(widest), then mix(s) and refine(s) for s = widest/2, ..., 2.
-    Appends every intermediate state to ``stages`` when one is given.
-    """
-    steps = [(apply_refine, widest)]
-    size = widest // 2
-    while size >= 2:
-        steps += [(apply_combine, size), (apply_refine, size)]
-        size //= 2
-    for operator, size in steps:
-        state = operator(state, size)
-        if stages is not None:
-            stages.append(state)
-    return state
+
+def _refine_step(s: int) -> Callable[[SparseState], SparseState]:
+    return lambda state: apply_refine(state, s)
+
+
+def _combine_step(s: int) -> Callable[[SparseState], SparseState]:
+    return lambda state: apply_combine(state, s)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +343,23 @@ def _pinned_answer(label: BasisLabel) -> int:
     return label.lo
 
 
-# Both algorithms run one schedule per query: open (mix, route), the oracle
-# call, close (unroute, mix), then refinement. ``advance`` and
-# ``initial_state`` stay on each class so that each can be traced by name.
+# Both algorithms run one schedule: the state entering query j is already
+# opened (mixed and routed); ``advance`` makes the oracle call and then runs
+# ``_rounds[j]``, the instance-independent steps that close the query, refine,
+# and open the next one. Each class binds the one ``advance`` in its own body
+# so that each can be traced by name.
+
+
+def _advance(self, j: int, state: SparseState, inst: OrderedInstance) -> SparseState:
+    """Spend query ``j``: the oracle call, then the round's shared steps."""
+    if not 0 <= j < self.num_queries:
+        raise ValueError(
+            f"{type(self).__name__} has {self.num_queries} steps, got step {j}"
+        )
+    state = oracle_mod.apply_query(state, inst)
+    for step in self._rounds[j]:
+        state = step(state)
+    return state
 
 
 class TeamCombineAlgorithm:
@@ -386,10 +368,13 @@ class TeamCombineAlgorithm:
     The per-answer opening states stand in for knowledge acquired in earlier
     rounds (their preparation is outside this trace), so ``initial_state``
     takes the instance. The single ``advance`` spends the round's one oracle
-    call; every other operator in the round is shared across instances.
+    call; its steps close the query, refine the widest intervals (length
+    ``2r``), then mix and refine at each length s = r, r/2, ..., 2, after
+    which one length-1 interval at the answer holds all the mass.
     """
 
     answer_of = staticmethod(_pinned_answer)
+    advance = _advance
 
     def __init__(self, n: int, r: int | None = None):
         self.n = n
@@ -401,17 +386,16 @@ class TeamCombineAlgorithm:
                 f"list size {n} is not a multiple of the sublist size {2 * self.r}"
             )
         self.num_queries = 1
-        self._open, self._close = _bitwrite_query(n, 2 * self.r)
+        self._open, close = _bitwrite_query(n, 2 * self.r)
+        steps = [_linear_step(close), _refine_step(2 * self.r)]
+        size = self.r
+        while size >= 2:
+            steps += [_combine_step(size), _refine_step(size)]
+            size //= 2
+        self._rounds = [steps]
 
     def initial_state(self, inst: OrderedInstance) -> SparseState:
         return apply_linear(opening_state(inst, self.r), self._open, unitary=True)
-
-    def advance(self, j: int, state: SparseState, inst: OrderedInstance) -> SparseState:
-        if j != 0:
-            raise ValueError(f"the combine round has a single query, got step {j}")
-        s = oracle_mod.apply_query(state, inst)
-        s = apply_linear(s, self._close, unitary=True)
-        return _refine_sweep(s, 2 * self.r)
 
 
 class BinarySearchAlgorithm:
@@ -428,33 +412,27 @@ class BinarySearchAlgorithm:
     """
 
     answer_of = staticmethod(_pinned_answer)
+    advance = _advance
 
     def __init__(self, n: int):
         if not _is_pow2(n):
             raise ValueError(f"list size must be a power of two, got {n}")
         self.n = n
         self.num_queries = n.bit_length() - 1
-        self._queries = [
-            _bitwrite_query(n, n >> j) for j in range(self.num_queries)
-        ]
+        queries = [_bitwrite_query(n, n >> j) for j in range(self.num_queries)]
+        self._open = queries[0][0] if queries else None
+        self._rounds = []
+        for j, (_, close) in enumerate(queries):
+            steps = [_linear_step(close), _refine_step(n >> j)]
+            if j + 1 < self.num_queries:
+                steps.append(_linear_step(queries[j + 1][0]))
+            self._rounds.append(steps)
 
     def initial_state(self, inst: OrderedInstance | None = None) -> SparseState:
         state = SparseState.unit(TeamLabel(0, 0, self.n - 1))
-        if self.num_queries > 0:
-            state = apply_linear(state, self._queries[0][0], unitary=True)
+        if self._open is not None:
+            state = apply_linear(state, self._open, unitary=True)
         return state
-
-    def advance(self, j: int, state: SparseState, inst: OrderedInstance) -> SparseState:
-        if not 0 <= j < self.num_queries:
-            raise ValueError(
-                f"binary search has {self.num_queries} steps, got step {j}"
-            )
-        s = oracle_mod.apply_query(state, inst)
-        s = apply_linear(s, self._queries[j][1], unitary=True)
-        s = apply_refine(s, self.n >> j)
-        if j + 1 < self.num_queries:
-            s = apply_linear(s, self._queries[j + 1][0], unitary=True)
-        return s
 
 
 class SimulationResult(NamedTuple):

@@ -118,9 +118,15 @@ def test_criterion_1_worked_example_fidelity():
     with criterion("criterion 1 (worked-example fidelity)"):
         started = time.perf_counter()
         inst = OrderedInstance(8, 5)
-        final, stages = ts.run_combine_round(
-            team_state(REFERENCE_STAGES[0]), inst, record_stages=True
-        )
+        algo = ts.TeamCombineAlgorithm(8)
+        # The opening state, then the state after each of the round's steps.
+        stages = [ts.opening_state(inst, algo.r)]
+        state = ts.oracle_mod.apply_query(algo.initial_state(inst), inst)
+        for step in algo._rounds[0]:
+            state = step(state)
+            stages.append(state)
+        final = algo.advance(0, algo.initial_state(inst), inst)
+        assert final.dump() == stages[-1].dump()
         assert len(stages) == len(REFERENCE_STAGES)
         for got, expected in zip(stages, REFERENCE_STAGES):
             assert diff_norm(got, team_state(expected)) < STAGE_TOL

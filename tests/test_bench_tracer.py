@@ -48,3 +48,22 @@ def test_tracer_installs_on_every_target_and_restores_them():
         assert tracer.stats[name][0] > 0, name
     for cls, attributes in originals.items():
         assert dict(vars(cls)) == attributes
+
+
+def test_tracer_reaches_algorithms_built_before_it_installs():
+    # bench/run.py builds each workload's algorithms before it installs the
+    # tracer, so a round's steps must look their operators up when they run.
+    tracer_mod = load_tracer()
+    algorithms = (ts.BinarySearchAlgorithm(8), ts.TeamCombineAlgorithm(8))
+    tracer = tracer_mod.Tracer()
+    with tracer.installed():
+        for algorithm in algorithms:
+            for inst in enumerate_instances(algorithm.n):
+                ts.run_algorithm(algorithm, inst)
+    for name in (
+        "teamsearch.apply_combine",
+        "teamsearch.apply_refine",
+        "qcore.apply_linear",
+        "oracle.apply_query",
+    ):
+        assert tracer.stats.get(name, [0])[0] > 0, name

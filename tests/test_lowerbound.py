@@ -196,11 +196,12 @@ class TestMatrices:
     def test_hankel_2x2_truncates_past_antidiagonal(self):
         assert lb.hankel_matrix(2).tolist() == [[1.0, 0.5], [0.5, 0.0]]
 
-    def test_hankel_agrees_with_hilbert_inside_the_band(self):
-        n = 9
+    @pytest.mark.parametrize("n", [1, 2, 9, 64, 257])
+    def test_hankel_agrees_with_hilbert_inside_the_band(self, n):
         hk, hb = lb.hankel_matrix(n), lb.hilbert_matrix(n)
         for k in range(n):
             for l in range(n):
+                assert hb[k, l] == 1.0 / (k + l + 1)
                 expected = hb[k, l] if k + l < n else 0.0
                 assert hk[k, l] == expected
 
@@ -386,7 +387,7 @@ class TestDropChain:
         w = lb.WeightSpec.inverse_distance(n)
         _, _, states = binary_prequery_states(n)
         profile = lb.mass_profile(states)
-        report = lb._chain_report(profile, complex("nan"), 0j, w, lb.CHAIN_TOL)
+        report = lb._chain_report(profile, complex("nan"), 0j, w)
         assert not report.holds
         assert report.failures[0].startswith("drop nan exceeds")
         assert report.failures[-1].startswith("pair identity error nan")

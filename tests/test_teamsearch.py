@@ -42,6 +42,22 @@ def assert_stage(state, expected, tol=1e-12):
     assert diff_norm(state, team_state(expected)) < tol
 
 
+def round_stages(inst, r):
+    """Every stage of the combine round, walked through the algorithm's steps.
+
+    The opening state, then the state after each of the round's shared steps;
+    the first step closes the query, so the second stage is the post-query
+    state.
+    """
+    algo = ts.TeamCombineAlgorithm(inst.n, r)
+    stages = [ts.opening_state(inst, r)]
+    state = ts.oracle_mod.apply_query(algo.initial_state(inst), inst)
+    for step in algo._rounds[0]:
+        state = step(state)
+        stages.append(state)
+    return stages
+
+
 def dyadic_blocks(bits):
     """``(lo, length)`` of every dyadic block of length >= 2 in [0, 2**bits)."""
     size = 1 << bits
@@ -227,20 +243,21 @@ class TestTeamQuery:
 class TestCombineRound:
     def test_worked_trace_stage_by_stage(self):
         inst = OrderedInstance(8, 5)
-        final, stages = ts.run_combine_round(
-            team_state(WORKED_STAGES[0]), inst, record_stages=True
-        )
+        stages = round_stages(inst, 4)
         assert len(stages) == len(WORKED_STAGES)
         for got, expected in zip(stages, WORKED_STAGES):
             assert_stage(got, expected)
+        algo = ts.TeamCombineAlgorithm(8)
+        final = algo.advance(0, algo.initial_state(inst), inst)
         assert_stage(final, WORKED_STAGES[-1])
+        assert final.dump() == stages[-1].dump()
         assert stages[-1].dump() == "0|5,5\t0.99999999999999989\t0\n"
 
     @pytest.mark.parametrize("n", [2, 4, 8, 32])
     def test_exhaustive_exactness(self, n):
         r = ts.default_team_size(n)
         for inst in enumerate_instances(n):
-            final = ts.run_combine_round(ts.opening_state(inst, r), inst)
+            final = round_stages(inst, r)[-1]
             labels = final.labels()
             assert len(labels) == 1
             label = labels[0]
@@ -250,8 +267,7 @@ class TestCombineRound:
     @pytest.mark.parametrize("n", [8, 32])
     def test_norm_preserved_at_every_stage(self, n):
         for inst in enumerate_instances(n):
-            opening = ts.opening_state(inst, ts.default_team_size(n))
-            _, stages = ts.run_combine_round(opening, inst, record_stages=True)
+            stages = round_stages(inst, ts.default_team_size(n))
             for stage in stages:
                 assert abs(stage.squared_norm() - 1.0) < 1e-12
 
@@ -391,20 +407,27 @@ class TestSteppableAlgorithms:
     @pytest.mark.parametrize("n", [2, 8, 32, 128])
     def test_team_combine_matches_direct_round(self, n):
         algo = ts.TeamCombineAlgorithm(n)
+        # close, refine(2r), then mix(s) and refine(s) for s = r, ..., 2.
+        assert len(algo._rounds[0]) == 2 * algo.r.bit_length()
         for inst in enumerate_instances(n):
             stepped = algo.advance(0, algo.initial_state(inst), inst)
-            direct, stages = ts.run_combine_round(
-                ts.opening_state(inst, algo.r), inst, record_stages=True
-            )
-            assert diff_norm(stepped, direct) < 1e-12
-            # Both run the same operators in the same order: bit-identical,
-            # and every intermediate state of the round is recorded.
-            assert stepped.dump() == direct.dump()
-            assert stages[-1] is direct
-            assert len(stages) == 2 * algo.r.bit_length() + 1
+            [label] = stepped.labels()
+            assert label == TeamLabel(0, inst.answer, inst.answer)
+            assert abs(abs(stepped.amplitude(label)) - 1.0) < 1e-12
 
     def test_team_combine_uses_one_query(self):
-        assert ts.TeamCombineAlgorithm(8).num_queries == 1
+        algo = ts.TeamCombineAlgorithm(8)
+        assert algo.num_queries == 1
+        inst = OrderedInstance(8, 5)
+        start = algo.initial_state(inst)
+        for j in (-1, 1):
+            with pytest.raises(ValueError, match="steps, got step"):
+                algo.advance(j, start, inst)
+        # One schedule: both algorithms run the same advance.
+        assert (
+            ts.TeamCombineAlgorithm.__dict__["advance"]
+            is ts.BinarySearchAlgorithm.__dict__["advance"]
+        )
 
     def test_unsupported_team_sizes_rejected(self):
         with pytest.raises(ValueError):
