@@ -31,8 +31,11 @@ digit-decomposition accounting behind the query-count model.
 from __future__ import annotations
 
 import math
+import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
+from operator import mul
 from typing import Callable, NamedTuple
 
 from . import oracle as oracle_mod
@@ -499,6 +502,31 @@ def classical_binary_search(inst: OrderedInstance) -> SearchTrace:
     return SearchTrace(answer=lo, queried=tuple(queried), known=tuple(known))
 
 
+# The digit values (2*4**k + 1)/3 and what each grows to in one query round,
+# 2*4**k: one table shared by every decomposition, grown on demand and never
+# shrunk. Each list only ever gains entries, the expanded values first, so a
+# reader never sees more digit values than expanded ones.
+_DIGIT_VALUES = [1]
+_EXPANDED_VALUES = [2]
+_TABLE_LOCK = threading.Lock()
+_DIGITS = frozenset(range(4))
+
+
+def _cover_digits(length: int) -> None:
+    """Grow the digit-value table to at least ``length`` entries."""
+    if len(_DIGIT_VALUES) < length:
+        with _TABLE_LOCK:
+            while len(_DIGIT_VALUES) < length:
+                _EXPANDED_VALUES.append(4 * _EXPANDED_VALUES[-1])
+                _DIGIT_VALUES.append(4 * _DIGIT_VALUES[-1] - 1)
+
+
+def _require_int(value, name: str) -> None:
+    """Reject anything but an integer (``bool`` included), as OrderedInstance does."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Digits of ``m`` in the base of values (2*4**k + 1)/3, each digit <= 3."""
@@ -506,56 +534,54 @@ class Decomposition:
     digits: tuple[int, ...]  # digits[k] multiplies (2*4**k + 1)/3
 
     def __post_init__(self):
-        if not self.digits or self.digits[-1] == 0:
+        digits = self.digits
+        if not digits or digits[-1] == 0:
             raise ValueError("digit vector must be non-empty with a nonzero top digit")
-        if any(not 0 <= d <= 3 for d in self.digits):
-            raise ValueError(f"digits must lie in 0..3, got {self.digits}")
+        if not _DIGITS.issuperset(digits):
+            raise ValueError(f"digits must lie in 0..3, got {digits}")
 
     @property
     def top(self) -> int:
         return len(self.digits) - 1
 
     def value(self) -> int:
-        total, power = 0, 1
-        for d in self.digits:
-            total += d * ((2 * power + 1) // 3)
-            power *= 4
-        return total
+        _cover_digits(len(self.digits))
+        return sum(map(mul, self.digits, _DIGIT_VALUES))
 
     def expanded(self) -> int:
-        total, power = 0, 2
-        for d in self.digits:
-            total += d * power
-            power *= 4
-        return total
+        _cover_digits(len(self.digits))
+        return sum(map(mul, self.digits, _EXPANDED_VALUES))
 
 
 def base_value(k: int) -> int:
     """The k-th digit value (2*4**k + 1)/3: 1, 3, 11, 43, 171, ..."""
+    _require_int(k, "k")
+    if k < 0:
+        raise ValueError(f"digit index must be non-negative, got {k}")
     return (2 * 4**k + 1) // 3
 
 
 def decompose(m: int) -> Decomposition:
     """Greedy digit expansion of ``m``, largest digit value first.
 
-    Always reconstructs ``m`` exactly: after taking up to three copies of the
-    top value the remainder drops below the next value down, and the unit
-    digit value closes any gap.
+    Always reconstructs ``m`` exactly with digits capped at 3: ``m`` lies
+    below the next value up, 4*v_top - 1, each remainder lies below the value
+    it was divided by, and the unit digit value leaves no remainder.
     """
+    _require_int(m, "m")
     if m < 1:
         raise ValueError(f"can only decompose positive integers, got {m}")
-    values = [1]
-    while 4 * values[-1] - 1 <= m:  # next digit value is 4*v - 1
-        values.append(4 * values[-1] - 1)
-    digits = [0] * len(values)
+    # v_k > 2**(2k+1)/3 >= 2**m.bit_length() > m for k > m.bit_length() // 2.
+    _cover_digits(m.bit_length() // 2 + 1)
+    values = _DIGIT_VALUES
+    top = bisect_right(values, m) - 1
+    digits = [0] * (top + 1)
     remainder = m
-    for k in range(len(values) - 1, -1, -1):
-        take = remainder // values[k]
-        if take > 3:
-            take = 3
-        digits[k] = take
-        remainder -= take * values[k]
-    if remainder != 0:
+    for k in range(top, -1, -1):
+        value = values[k]
+        digits[k] = remainder // value
+        remainder %= value
+    if max(digits) > 3:
         raise ValueError(f"{m} is not representable with digits capped at 3")
     return Decomposition(tuple(digits))
 
@@ -567,6 +593,9 @@ class ExpansionStep(NamedTuple):
 
 def expansion_floor(top: int) -> float:
     """Guaranteed expansion factor for decompositions with top digit ``top``."""
+    _require_int(top, "top")
+    if top < 0:
+        raise ValueError(f"top digit index must be non-negative, got {top}")
     return 3.0 / (1.0 + 3.0 * (top + 1) / (2.0 * 4**top))
 
 
@@ -579,6 +608,7 @@ def expansion(m: int) -> ExpansionStep:
 
 def ceil_log3(n: int) -> int:
     """Smallest q with 3**q >= n, computed in exact integer arithmetic."""
+    _require_int(n, "n")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     q, power = 0, 1
@@ -593,15 +623,29 @@ class QueryCount(NamedTuple):
     trace: tuple[int, ...]
 
 
+# The expansion chain from a start does not depend on the list size it is
+# walked to, so it is kept per start (as a tuple, replaced whole when it
+# grows) and each call reads its answer off the chain. Only the first
+# _CHAIN_STARTS distinct starts are kept; others are walked afresh per call.
+_CHAINS: dict[int, tuple[int, ...]] = {}
+_CHAIN_STARTS = 64
+
+
 def query_count_model(n: int, start: int = 1) -> QueryCount:
     """Iterate the expansion from ``start`` known bits until ``n`` is covered."""
+    _require_int(n, "n")
+    _require_int(start, "start")
     if n < 2:
         raise ValueError(f"query accounting needs n >= 2, got {n}")
     if start < 1:
         raise ValueError(f"starting knowledge must be positive, got {start}")
-    trace = [start]
-    m = start
-    while m < n:
-        m = expansion(m).m_next
-        trace.append(m)
-    return QueryCount(queries=len(trace) - 1, trace=tuple(trace))
+    chain = _CHAINS.get(start, (start,))
+    if chain[-1] < n:
+        grown = list(chain)
+        while grown[-1] < n:
+            grown.append(expansion(grown[-1]).m_next)
+        chain = tuple(grown)
+        if start in _CHAINS or len(_CHAINS) < _CHAIN_STARTS:
+            _CHAINS[start] = chain
+    queries = bisect_left(chain, n)  # the chain strictly increases
+    return QueryCount(queries=queries, trace=chain[: queries + 1])

@@ -495,6 +495,33 @@ class TestClassicalReference:
             assert len(ts.known_bits_after(n, j)) == 1 << j
 
 
+def reference_decompose(m):
+    """Greedy digits of ``m``: the per-call table and capped loop, kept as an oracle."""
+    values = [1]
+    while 4 * values[-1] - 1 <= m:  # next digit value is 4*v - 1
+        values.append(4 * values[-1] - 1)
+    digits = [0] * len(values)
+    remainder = m
+    for k in range(len(values) - 1, -1, -1):
+        take = min(remainder // values[k], 3)
+        digits[k] = take
+        remainder -= take * values[k]
+    assert remainder == 0
+    return tuple(digits)
+
+
+def reference_expanded(digits):
+    return sum(d * 2 * 4**k for k, d in enumerate(digits))
+
+
+def reference_query_count(n, start):
+    """The expansion walked from ``start`` afresh on every call, kept as an oracle."""
+    trace = [start]
+    while trace[-1] < n:
+        trace.append(reference_expanded(reference_decompose(trace[-1])))
+    return len(trace) - 1, tuple(trace)
+
+
 class TestDecomposition:
     def test_digit_values(self):
         assert [ts.base_value(k) for k in range(6)] == [1, 3, 11, 43, 171, 683]
@@ -523,6 +550,41 @@ class TestDecomposition:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             ts.decompose(0)
+
+    def test_matches_reference_for_every_m_up_to_1e5(self, monkeypatch):
+        # From an empty table, so that every growth of it is exercised.
+        monkeypatch.setattr(ts, "_DIGIT_VALUES", [1])
+        monkeypatch.setattr(ts, "_EXPANDED_VALUES", [2])
+        for m in range(1, 10**5 + 1):
+            decomposition = ts.decompose(m)
+            assert decomposition.digits == reference_decompose(m), m
+            assert decomposition.value() == m
+            assert decomposition.expanded() == reference_expanded(decomposition.digits)
+
+    @given(st.integers(1, 10**30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_up_to_1e30(self, m):
+        decomposition = ts.decompose(m)
+        assert decomposition.digits == reference_decompose(m)
+        assert decomposition.value() == m
+        assert decomposition.expanded() == reference_expanded(decomposition.digits)
+
+    def test_hand_built_digits_longer_than_the_table(self, monkeypatch):
+        monkeypatch.setattr(ts, "_DIGIT_VALUES", [1])
+        monkeypatch.setattr(ts, "_EXPANDED_VALUES", [2])
+        digits = tuple(k % 4 for k in range(39)) + (2,)
+        decomposition = ts.Decomposition(digits)
+        assert decomposition.top == 39
+        assert decomposition.value() == sum(
+            d * ts.base_value(k) for k, d in enumerate(digits)
+        )
+        assert decomposition.expanded() == reference_expanded(digits)
+        assert len(ts._DIGIT_VALUES) == len(ts._EXPANDED_VALUES) == 40
+
+    @pytest.mark.parametrize("digits", [(), (0,), (1, 0), (4,), (-1, 1)])
+    def test_rejects_malformed_digit_vectors(self, digits):
+        with pytest.raises(ValueError):
+            ts.Decomposition(digits)
 
 
 class TestExpansion:
@@ -570,3 +632,44 @@ class TestQueryCountModel:
         result = ts.query_count_model(n)
         assert result.queries <= ts.ceil_log3(n) + 3
         assert result.trace[-1] >= n
+
+    @pytest.fixture(scope="class")
+    def reference_counts(self):
+        return {
+            (n, start): reference_query_count(n, start)
+            for start in (1, 3, 11, 40)
+            for n in range(2, 5001)
+        }
+
+    @pytest.mark.parametrize("descending", [True, False])
+    def test_matches_reference_in_either_call_order(
+        self, reference_counts, descending, monkeypatch
+    ):
+        monkeypatch.setattr(ts, "_CHAINS", {})
+        for (n, start), expected in sorted(reference_counts.items(), reverse=descending):
+            assert ts.query_count_model(n, start) == expected, (n, start)
+
+
+# Each call is valid input first, then the same value in a form the
+# accounting functions must reject, so a memo of the valid call cannot
+# answer the invalid one.
+@pytest.mark.parametrize(
+    "function,valid,invalid",
+    [
+        (ts.decompose, (5,), (5.0,)),
+        (ts.decompose, (1,), (True,)),
+        (ts.expansion, (11,), (11.0,)),
+        (ts.query_count_model, (2,), (2.0,)),
+        (ts.query_count_model, (3,), (2.5,)),
+        (ts.query_count_model, (32, 11), (32, 11.0)),
+        (ts.query_count_model, (8, 1), (8, True)),
+        (ts.ceil_log3, (3,), (2.5,)),
+        (ts.ceil_log3, (3,), (3.0,)),
+        (ts.base_value, (1,), (-1,)),
+        (ts.expansion_floor, (1,), (-1,)),
+    ],
+)
+def test_accounting_rejects_non_integer_and_negative_input(function, valid, invalid):
+    function(*valid)
+    with pytest.raises(ValueError):
+        function(*invalid)
