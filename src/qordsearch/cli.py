@@ -51,11 +51,19 @@ def render_json(value) -> str:
 
 
 def emit(text: str, out: str | None):
+    """Write ``text`` to stdout, or to the file ``out``.
+
+    A file that cannot be written is a usage error (exit 2), not a failed
+    invariant (exit 1).
+    """
     if out is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out, "w") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}")
 
 
 def build_algorithm(algo: str, n: int):

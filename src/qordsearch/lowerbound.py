@@ -18,14 +18,23 @@ the full inequality chain
 where M is the banded inverse-distance (Hankel) matrix, whose spectral norm
 is capped by the norm of the same-size Hilbert matrix, itself below pi.
 
-Algorithm protocol expected by :func:`run_trajectory`:
+Algorithm protocol expected by :func:`run_trajectory`, which evolves the
+states of all answers together as one :class:`~qordsearch.qcore.Ensemble`:
 
 * ``n``: problem size, ``num_queries``: number of oracle rounds T;
-* ``initial_state(instance)``: the state entering the first query. Honest
-  from-scratch algorithms ignore ``instance``; the team-search combine uses
-  it to stand in for knowledge acquired in rounds outside the trace.
-* ``advance(j, state, instance)``: apply exactly one oracle query followed by
-  the round's shared (instance-independent) unitaries.
+* ``initial_state(instance)``: the state entering the first query, called
+  once per instance. Honest from-scratch algorithms ignore ``instance``; the
+  team-search combine uses it to stand in for knowledge acquired in rounds
+  outside the trace.
+* ``_rounds[j]`` for each query j: the round's shared (instance-independent)
+  steps, run after the oracle call. Each step has ``kind`` "linear", whose
+  ``image(label)`` lists the (label, coefficient) pairs of a unitary, or
+  "permute", whose ``image(label)`` is one label. Each image is evaluated
+  once per distinct label of the ensemble.
+
+An algorithm with ``num_queries == 0`` needs no ``_rounds``. The per-answer
+``advance(j, state, instance)`` of the algorithms runs the same steps on one
+state; it is the reference the ensemble path is tested against.
 """
 from __future__ import annotations
 
@@ -36,8 +45,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .oracle import enumerate_instances
-from .qcore import BasisLabel, GenLabel, SparseState, inner_product
+from .oracle import apply_query_ensemble, enumerate_instances
+from .qcore import (
+    BasisLabel,
+    Ensemble,
+    GenLabel,
+    SparseState,
+    apply_linear_ensemble,
+    inner_product,
+    permute_ensemble,
+)
 
 # Looser than state tolerances: the chain composes O(n^2) float sums.
 CHAIN_TOL = 1e-8
@@ -180,6 +197,33 @@ def _label_columns(states: Sequence[SparseState]) -> dict:
     return {
         label: (np.array(answers), np.array(amps, dtype=complex))
         for label, (answers, amps) in columns.items()
+    }
+
+
+def _ensemble_columns(ensemble: Ensemble) -> dict:
+    """:func:`_label_columns` of an ensemble's states, in the same order.
+
+    Labels come in order of the first answer holding them, ties broken by
+    ``sort_key``, and each column's answers ascend; every sum over the
+    columns then runs in the same order as over the per-answer states.
+    """
+    if not len(ensemble.amps):
+        return {}
+    keys = ensemble.label_ids * ensemble.size + ensemble.answers
+    order = np.argsort(keys, kind="stable")
+    label_ids = ensemble.label_ids[order]
+    answers, amps = ensemble.answers[order], ensemble.amps[order]
+    starts = np.flatnonzero(label_ids[1:] != label_ids[:-1]) + 1
+    starts = np.concatenate(([0], starts))
+    first_answers = answers[starts].tolist()
+    labels = [ensemble.labels[k] for k in label_ids[starts].tolist()]
+    bounds = starts.tolist() + [len(order)]
+    runs = sorted(
+        range(len(labels)), key=lambda r: (first_answers[r], labels[r].sort_key)
+    )
+    return {
+        labels[r]: (answers[bounds[r] : bounds[r + 1]], amps[bounds[r] : bounds[r + 1]])
+        for r in runs
     }
 
 
@@ -517,6 +561,27 @@ class TrajectoryRecord:
         return "".join(line + "\n" for line in lines)
 
 
+_ENSEMBLE_STEPS = {"linear": apply_linear_ensemble, "permute": permute_ensemble}
+
+
+def _ensemble_snapshots(algorithm, n: int):
+    """The ensemble entering each query, then the final one.
+
+    Each snapshot is one array set for all ``n`` answers: the oracle call
+    flips signs per answer, and each of the round's shared steps evaluates
+    its label map once per distinct label.
+    """
+    ensemble = Ensemble.from_states(
+        [algorithm.initial_state(inst) for inst in enumerate_instances(n)]
+    )
+    yield ensemble
+    for j in range(algorithm.num_queries):
+        ensemble = apply_query_ensemble(ensemble)
+        for step in algorithm._rounds[j]:
+            ensemble = _ENSEMBLE_STEPS[step.kind](ensemble, step.image)
+        yield ensemble
+
+
 def run_trajectory(
     algorithm, n: int, w: WeightSpec, verify_chain: bool = False
 ) -> TrajectoryRecord:
@@ -532,19 +597,14 @@ def run_trajectory(
         raise ValueError(
             f"algorithm is built for list size {algorithm.n}, not {n}"
         )
-    instances = enumerate_instances(n)
-    states = [algorithm.initial_state(inst) for inst in instances]
+    snapshots = _ensemble_snapshots(algorithm, n)
     # Each snapshot is grouped once: its columns give W_j and, entering
     # query j, the mass profile of that step's chain report.
-    columns = _label_columns(states)
+    columns = _ensemble_columns(next(snapshots))
     overlaps = [_column_overlap(columns, w)]
     reports: list[ChainReport] = []
-    for j in range(algorithm.num_queries):
-        states = [
-            algorithm.advance(j, state, inst)
-            for state, inst in zip(states, instances)
-        ]
-        next_columns = _label_columns(states)
+    for j, ensemble in enumerate(snapshots):
+        next_columns = _ensemble_columns(ensemble)
         overlaps.append(_column_overlap(next_columns, w))
         if verify_chain:
             profile = _column_profile(columns, n)

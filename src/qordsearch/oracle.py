@@ -8,13 +8,17 @@ per answer in ``0 .. n-1``.
 
 A query multiplies the amplitude of each ``GenLabel(z, i)`` by ``(-1)**bit(i)``.
 It is diagonal, self-inverse, and commutes with every other query.
+:func:`apply_query_ensemble` queries every answer's state of an ensemble at
+once, each with its own instance.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 
-from .qcore import GenLabel, SparseState
+import numpy as np
+
+from .qcore import Ensemble, GenLabel, SparseState
 
 
 @dataclass(frozen=True)
@@ -76,3 +80,22 @@ def apply_query(state: SparseState, inst: OrderedInstance) -> SparseState:
             )
         out[label] = -amp if answer <= label.i < n else amp
     return SparseState._relabelled(out, state)
+
+
+def apply_query_ensemble(ensemble: Ensemble) -> Ensemble:
+    """:func:`apply_query` on each answer's state, with that answer's instance.
+
+    Answer ``a`` flips the sign of its entries whose label queries an index
+    ``i`` with ``a <= i < size``; every label must be a ``GenLabel``.
+    """
+    size = ensemble.size
+    index = []
+    for label in ensemble.labels:
+        if not isinstance(label, GenLabel):
+            raise TypeError(
+                f"apply_query acts on GenLabel states only, found {label!r}"
+            )
+        index.append(min(label.i, size))  # every padding index answers 0
+    queried = np.array(index, dtype=np.intp)[ensemble.label_ids]
+    flip = (ensemble.answers <= queried) & (queried < size)
+    return ensemble._replace(amps=np.where(flip, -ensemble.amps, ensemble.amps))

@@ -15,12 +15,19 @@ immutable; every operation returns a new state. Amplitudes with magnitude
 below ``PRUNE_EPS`` are dropped at construction so that genuine zeros
 produced by interference do not linger as float dust. Labels carry a total
 order, which makes iteration and serialization deterministic.
+
+An :class:`Ensemble` holds one state per answer as flat entry arrays, so an
+instance-independent operator is evaluated once per distinct label rather
+than once per (answer, label); its operations give, entry for entry, the
+bits of the per-state operations.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 # Magnitudes below this are treated as exact zeros.
 PRUNE_EPS = 1e-15
@@ -32,6 +39,10 @@ Amplitude = complex
 
 class NormDriftError(ValueError):
     """An operator declared unitary failed to preserve the 2-norm."""
+
+
+class CollisionError(ValueError):
+    """A label permutation mapped two distinct labels onto the same image."""
 
 
 def _is_pow2(x: int) -> bool:
@@ -256,3 +267,151 @@ def measure_distribution(
         tag = classify(label)
         probs[tag] = probs.get(tag, 0.0) + abs(amp) ** 2
     return probs
+
+
+# ---------------------------------------------------------------------------
+# Ensembles: one state per answer, evolved together
+
+
+class Ensemble(NamedTuple):
+    """One sparse state per answer ``0 .. size-1``, held as entry arrays.
+
+    Entry ``e`` is the amplitude ``amps[e]`` of answer ``answers[e]`` on the
+    label ``labels[label_ids[e]]``. No (label, answer) pair repeats, every
+    label in ``labels`` is held by some entry, and entries have no set order.
+    """
+
+    size: int
+    labels: list
+    label_ids: np.ndarray
+    answers: np.ndarray
+    amps: np.ndarray
+
+    @classmethod
+    def from_states(cls, states: Sequence[SparseState]) -> "Ensemble":
+        """The ensemble whose answer ``a`` holds ``states[a]``."""
+        ids: dict = {}
+        label_ids, answers, amps = [], [], []
+        for answer, state in enumerate(states):
+            for label, amp in state._entries.items():
+                label_ids.append(ids.setdefault(label, len(ids)))
+                answers.append(answer)
+                amps.append(amp)
+        return cls(
+            len(states),
+            list(ids),
+            np.array(label_ids, dtype=np.intp),
+            np.array(answers, dtype=np.intp),
+            np.array(amps, dtype=complex),
+        )
+
+
+def _squared_norms(size: int, answers: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    return np.bincount(
+        answers, amps.real * amps.real + amps.imag * amps.imag, minlength=size
+    )
+
+
+def _first_of_runs(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the entries that start a run of equal values."""
+    first = np.ones(len(sorted_values), dtype=bool)
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:])
+    return first
+
+
+def apply_linear_ensemble(
+    ens: Ensemble, op: Callable[[BasisLabel], Iterable[tuple[BasisLabel, complex]]]
+) -> Ensemble:
+    """:func:`apply_linear` with ``unitary=True`` on every state of ``ens``.
+
+    ``op`` is called once per distinct label. Each entry expands into the
+    terms ``amp * coeff`` of its label's image, and the terms of one
+    (label, answer) pair are summed from zero, as the per-state accumulation
+    does; with at most two terms per pair and real coefficients the sums are
+    bit-equal to it. Pruning, the finiteness check and the norm-drift check
+    hold per answer.
+    """
+    ids: dict = {}
+    counts, image_ids, coeffs = [], [], []
+    for label in ens.labels:
+        image = op(label)
+        counts.append(len(image))
+        for out_label, coeff in image:
+            image_ids.append(ids.setdefault(out_label, len(ids)))
+            coeffs.append(coeff)
+    counts = np.array(counts, dtype=np.intp)
+    image_starts = np.cumsum(counts) - counts
+    per_entry = counts[ens.label_ids]
+    entry_starts = np.cumsum(per_entry) - per_entry
+    # Expanded term t belongs to entry source[t] and is image term term[t].
+    source = np.repeat(np.arange(len(per_entry)), per_entry)
+    term = np.arange(len(source)) - np.repeat(
+        entry_starts - image_starts[ens.label_ids], per_entry
+    )
+    keys = np.array(image_ids, dtype=np.intp)[term] * ens.size + ens.answers[source]
+    terms = ens.amps[source] * np.array(coeffs)[term]
+
+    order = np.argsort(keys, kind="stable")
+    keys, terms = keys[order], terms[order]
+    first = _first_of_runs(keys)
+    group = np.cumsum(first) - 1
+    keys = keys[first]
+    amps = np.empty(len(keys), dtype=complex)
+    amps.real = np.bincount(group, terms.real, minlength=len(keys))
+    amps.imag = np.bincount(group, terms.imag, minlength=len(keys))
+
+    # Written so that NaN is kept, to fail the finiteness check below.
+    keep = ~(np.abs(amps) < PRUNE_EPS)
+    label_ids, answers = np.divmod(keys[keep], ens.size)
+    amps = amps[keep]
+    norms_sq = _squared_norms(ens.size, answers, amps)
+    finite = np.isfinite(norms_sq)
+    if not finite.all():
+        raise ValueError(
+            f"amplitudes must be finite, got squared norm {norms_sq[~finite][0]}"
+        )
+    before = _squared_norms(ens.size, ens.answers, ens.amps)
+    drift = float(np.abs(np.sqrt(norms_sq) - np.sqrt(before)).max(initial=0.0))
+    if drift > NORM_TOL:
+        raise NormDriftError(
+            f"operator declared unitary drifted the norm by {drift:.3e}"
+        )
+
+    # Keep only the image labels some entry still holds; keys are sorted, so
+    # their label ids are too.
+    held = _first_of_runs(label_ids)
+    images = list(ids)
+    return Ensemble(
+        ens.size,
+        [images[k] for k in label_ids[held].tolist()],
+        np.cumsum(held) - 1,
+        answers,
+        amps,
+    )
+
+
+def permute_ensemble(
+    ens: Ensemble, image_of: Callable[[BasisLabel], BasisLabel]
+) -> Ensemble:
+    """Relabel every state of ``ens`` through ``image_of``; exact.
+
+    ``image_of`` is called once per distinct label. Two labels of one answer
+    with the same image raise :class:`CollisionError`.
+    """
+    ids: dict = {}
+    image_ids = [ids.setdefault(image_of(label), len(ids)) for label in ens.labels]
+    label_ids = np.array(image_ids, dtype=np.intp)[ens.label_ids]
+    if len(ids) < len(ens.labels):
+        # Labels sharing an image collide only where one answer holds both.
+        keys = label_ids * ens.size + ens.answers
+        keys = keys[np.argsort(keys, kind="stable")]
+        repeated = keys[1:][keys[1:] == keys[:-1]]
+        if len(repeated):
+            image, answer = divmod(int(repeated[0]), ens.size)
+            both = (label_ids == image) & (ens.answers == answer)
+            prior, label = (ens.labels[k] for k in ens.label_ids[both][:2])
+            raise CollisionError(
+                f"labels {prior} and {label} of answer {answer} both map to "
+                f"{list(ids)[image]}"
+            )
+    return ens._replace(labels=list(ids), label_ids=label_ids)

@@ -42,6 +42,7 @@ from . import oracle as oracle_mod
 from .oracle import OrderedInstance
 from .qcore import (
     BasisLabel,
+    CollisionError,
     GenLabel,
     SparseState,
     TeamLabel,
@@ -54,10 +55,6 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # Builds a TeamLabel without re-checking it: only for labels derived from a
 # checked one by flipping its marker or taking a half of its interval.
 _TEAM = partial(tuple.__new__, TeamLabel)
-
-
-class CollisionError(ValueError):
-    """A label permutation mapped two distinct labels onto the same image."""
 
 
 def _permute_labels(
@@ -105,14 +102,8 @@ def apply_combine(state: SparseState, s: int) -> SparseState:
     return apply_linear(state, lambda label: _mix(label, s), unitary=True)
 
 
-def apply_refine(state: SparseState, s: int) -> SparseState:
-    """Marker-directed halving of intervals of length ``s``.
-
-    Marker 1 selects the lower half, marker 0 the upper half; the marker is
-    cleared. A label permutation: colliding images are a hard error.
-    """
-    if not _is_pow2(s) or s < 2:
-        raise ValueError(f"interval size must be a power of two >= 2, got {s}")
+def _halving(s: int) -> Callable[[BasisLabel], BasisLabel]:
+    """Image of one label under the halving of intervals of length ``s``."""
 
     def image_of(label):
         if isinstance(label, TeamLabel):
@@ -122,7 +113,18 @@ def apply_refine(state: SparseState, s: int) -> SparseState:
                 return _TEAM((0, lo, mid)) if b == 1 else _TEAM((0, mid + 1, hi))
         return label
 
-    return _permute_labels(state, image_of)
+    return image_of
+
+
+def apply_refine(state: SparseState, s: int) -> SparseState:
+    """Marker-directed halving of intervals of length ``s``.
+
+    Marker 1 selects the lower half, marker 0 the upper half; the marker is
+    cleared. A label permutation: colliding images are a hard error.
+    """
+    if not _is_pow2(s) or s < 2:
+        raise ValueError(f"interval size must be a power of two >= 2, got {s}")
+    return _permute_labels(state, _halving(s))
 
 
 def _bitwrite_query(n: int, bitwrite_length: int):
@@ -215,19 +217,29 @@ def apply_team_query(
 
 # One step of a round maps a state to a state. Each step names its operator
 # only when it runs, so that rebinding the module's operators (as a tracer
-# does) also reaches algorithms built before the rebinding.
+# does) also reaches algorithms built before the rebinding. For the ensemble
+# path, a step also carries its per-label map: ``kind`` "linear" with
+# ``image(label)`` a list of (label, coefficient) pairs of a unitary, or
+# "permute" with ``image(label)`` one label.
+
+
+def _step(run, kind: str, image) -> Callable[[SparseState], SparseState]:
+    run.kind, run.image = kind, image
+    return run
 
 
 def _linear_step(label_map) -> Callable[[SparseState], SparseState]:
-    return lambda state: apply_linear(state, label_map, unitary=True)
+    run = lambda state: apply_linear(state, label_map, unitary=True)
+    return _step(run, "linear", label_map)
 
 
 def _refine_step(s: int) -> Callable[[SparseState], SparseState]:
-    return lambda state: apply_refine(state, s)
+    return _step(lambda state: apply_refine(state, s), "permute", _halving(s))
 
 
 def _combine_step(s: int) -> Callable[[SparseState], SparseState]:
-    return lambda state: apply_combine(state, s)
+    run = lambda state: apply_combine(state, s)
+    return _step(run, "linear", lambda label: _mix(label, s))
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +522,7 @@ _DIGIT_VALUES = [1]
 _EXPANDED_VALUES = [2]
 _TABLE_LOCK = threading.Lock()
 _DIGITS = frozenset(range(4))
+_INT_ONLY = frozenset({int})
 
 
 def _cover_digits(length: int) -> None:
@@ -537,8 +550,9 @@ class Decomposition:
         digits = self.digits
         if not digits or digits[-1] == 0:
             raise ValueError("digit vector must be non-empty with a nonzero top digit")
-        if not _DIGITS.issuperset(digits):
-            raise ValueError(f"digits must lie in 0..3, got {digits}")
+        # Set membership alone would pass 1.0 and True, which equal 1.
+        if not _DIGITS.issuperset(digits) or set(map(type, digits)) != _INT_ONLY:
+            raise ValueError(f"digits must be integers in 0..3, got {digits}")
 
     @property
     def top(self) -> int:
@@ -566,7 +580,8 @@ def decompose(m: int) -> Decomposition:
 
     Always reconstructs ``m`` exactly with digits capped at 3: ``m`` lies
     below the next value up, 4*v_top - 1, each remainder lies below the value
-    it was divided by, and the unit digit value leaves no remainder.
+    it was divided by, and the unit digit value leaves no remainder. The cap
+    is still checked, by the validation of :class:`Decomposition`.
     """
     _require_int(m, "m")
     if m < 1:
@@ -581,8 +596,6 @@ def decompose(m: int) -> Decomposition:
         value = values[k]
         digits[k] = remainder // value
         remainder %= value
-    if max(digits) > 3:
-        raise ValueError(f"{m} is not representable with digits capped at 3")
     return Decomposition(tuple(digits))
 
 

@@ -157,6 +157,25 @@ class TestOutputDiscipline:
         assert filed.exit_code == 0
         assert target.read_text() == piped.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("bound", "--n", "8"),
+            ("trajectory", "--algo", "binary", "--n", "8"),
+            ("simulate", "--algo", "team", "--n", "8"),
+            ("decompose", "--m", "14"),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_unwritable_out_is_a_usage_error(self, runner, tmp_path, args):
+        # catch_exceptions=False lets an OSError escape as a traceback.
+        target = tmp_path / "missing" / "x.json"
+        result = run(runner, *args, "--out", str(target))
+        assert result.exit_code == 2
+        assert str(target) in result.output
+        assert "Traceback" not in result.output
+        assert not target.parent.exists()
+
     def test_floats_carry_17_significant_digits(self, runner):
         result = run(runner, "bound", "--n", "8")
         payload = result.output

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qordsearch import lowerbound as lb
+from qordsearch import teamsearch as ts
 from qordsearch.oracle import OrderedInstance, apply_query, enumerate_instances
 from qordsearch.qcore import (
+    CollisionError,
     GenLabel,
+    NormDriftError,
     SparseState,
     TeamLabel,
     apply_linear,
@@ -474,6 +477,88 @@ class TestKernelAgainstReference:
         assert symmetric(3, 3) > 0
         for w in (symmetric, lb.WeightSpec.inverse_distance(n)):
             assert_kernel_matches_reference(states, w)
+
+
+class OneRoundAlgorithm:
+    """One query from a fixed start state, then the given steps."""
+
+    advance = ts._advance
+
+    def __init__(self, n, start, steps):
+        self.n = n
+        self.num_queries = 1
+        self._start = start
+        self._rounds = [steps]
+
+    def initial_state(self, inst):
+        return self._start
+
+
+def ensemble_entries(ensemble):
+    """Each answer's ``{label: repr(amplitude)}``, read off the entry arrays."""
+    entries = [{} for _ in range(ensemble.size)]
+    for k, answer, amp in zip(
+        ensemble.label_ids.tolist(), ensemble.answers.tolist(), ensemble.amps.tolist()
+    ):
+        entries[answer][ensemble.labels[k]] = repr(amp)
+    return entries
+
+
+class TestEnsemblePath:
+    """run_trajectory's ensemble against the per-instance ``advance`` states."""
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [BinarySearchAlgorithm(1 << k) for k in range(7)]
+        + [TeamCombineAlgorithm(n) for n in (2, 8, 32, 128)],
+        ids=lambda algorithm: f"{type(algorithm).__name__}-{algorithm.n}",
+    )
+    def test_every_snapshot_matches_the_per_instance_states(self, algorithm):
+        snapshots = trajectory_snapshots(algorithm)
+        ensembles = list(lb._ensemble_snapshots(algorithm, algorithm.n))
+        assert len(ensembles) == len(snapshots) == algorithm.num_queries + 1
+        for ensemble, states in zip(ensembles, snapshots):
+            # repr tells -0.0 from 0.0, so signed zeros must match too.
+            assert ensemble_entries(ensemble) == [
+                {label: repr(amp) for label, amp in state._entries.items()}
+                for state in states
+            ]
+            got = lb._ensemble_columns(ensemble)
+            expected = lb._label_columns(states)
+            assert list(got) == list(expected)
+            for label, (answers, amps) in expected.items():
+                assert got[label][0].tolist() == answers.tolist()
+                assert got[label][1].tolist() == amps.tolist()
+
+    def _both_paths_raise(self, algorithm, error, match=None):
+        inst = OrderedInstance(algorithm.n, 0)
+        with pytest.raises(error, match=match):
+            algorithm.advance(0, algorithm.initial_state(inst), inst)
+        w = lb.WeightSpec.inverse_distance(algorithm.n)
+        with pytest.raises(error, match=match):
+            lb.run_trajectory(algorithm, algorithm.n, w)
+
+    def test_non_unitary_step_drifts_the_norm(self):
+        start = SparseState.unit(GenLabel(0, 4))
+        grow = ts._linear_step(lambda label: [(label, 2.0)])
+        self._both_paths_raise(OneRoundAlgorithm(4, start, [grow]), NormDriftError)
+
+    def test_nan_amplitude_is_not_finite(self):
+        start = SparseState.unit(GenLabel(0, 4))
+        poison = ts._linear_step(lambda label: [(label, math.nan)])
+        self._both_paths_raise(
+            OneRoundAlgorithm(4, start, [poison]), ValueError, "must be finite"
+        )
+
+    def test_colliding_permutation(self):
+        start = SparseState({GenLabel(0, 1): 0.6, GenLabel(1, 1): 0.8})
+        merge = lambda label: GenLabel(0, label.i)
+        step = ts._step(lambda state: ts._permute_labels(state, merge), "permute", merge)
+        self._both_paths_raise(OneRoundAlgorithm(4, start, [step]), CollisionError)
+
+    def test_team_label_at_the_query(self):
+        start = SparseState.unit(TeamLabel(0, 0, 3))
+        self._both_paths_raise(OneRoundAlgorithm(4, start, []), TypeError)
 
 
 class TestTrajectory:

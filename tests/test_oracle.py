@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qordsearch.oracle import OrderedInstance, apply_query, enumerate_instances
+from qordsearch.oracle import (
+    OrderedInstance,
+    apply_query,
+    apply_query_ensemble,
+    enumerate_instances,
+)
 from qordsearch.qcore import (
+    Ensemble,
     GenLabel,
     SparseState,
     TeamLabel,
@@ -157,3 +163,27 @@ class TestApplyQuery:
             if out_a.amplitude(label) != out_b.amplitude(label)
         }
         assert differing == set(range(a, b))
+
+
+class TestApplyQueryEnsemble:
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_each_answer_gets_its_own_instance(self, n):
+        # Indices run past n into the padding, up to a huge one.
+        labels = [GenLabel(z, i) for z in range(2) for i in range(n + 2)]
+        labels.append(GenLabel(0, 1 << 80))
+        states = [
+            SparseState({l: complex(k + 1, -0.0) / 16 for k, l in enumerate(labels)})
+            for _ in range(n)
+        ]
+        got = apply_query_ensemble(Ensemble.from_states(states))
+        per_answer = [{} for _ in range(n)]
+        for k, a, amp in zip(got.label_ids.tolist(), got.answers.tolist(), got.amps.tolist()):
+            per_answer[a][got.labels[k]] = repr(amp)
+        for inst, entries in zip(enumerate_instances(n), per_answer):
+            expected = apply_query(states[inst.answer], inst)
+            assert entries == {l: repr(a) for l, a in expected._entries.items()}
+
+    def test_rejects_team_labels(self):
+        ensemble = Ensemble.from_states([SparseState.unit(TeamLabel(0, 0, 1))] * 2)
+        with pytest.raises(TypeError, match="GenLabel states only"):
+            apply_query_ensemble(ensemble)

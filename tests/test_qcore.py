@@ -8,15 +8,19 @@ from hypothesis import strategies as st
 from qordsearch import teamsearch as ts
 from qordsearch.oracle import OrderedInstance, apply_query, enumerate_instances
 from qordsearch.qcore import (
+    CollisionError,
+    Ensemble,
     GenLabel,
     NormDriftError,
     SparseState,
     TeamLabel,
     apply_diagonal_phase,
     apply_linear,
+    apply_linear_ensemble,
     diff_norm,
     inner_product,
     measure_distribution,
+    permute_ensemble,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -384,3 +388,104 @@ class TestQueryFastPath:
                 assert list(fast._entries.items()) == list(slow._entries.items())
                 assert fast._norm_sq == slow._norm_sq
                 state = algo.advance(j, state, inst)
+
+
+def ensemble_entries(ensemble):
+    """Each answer's ``{label: repr(amplitude)}``, read off the entry arrays."""
+    entries = [{} for _ in range(ensemble.size)]
+    for k, answer, amp in zip(
+        ensemble.label_ids.tolist(), ensemble.answers.tolist(), ensemble.amps.tolist()
+    ):
+        assert ensemble.labels[k] not in entries[answer]
+        entries[answer][ensemble.labels[k]] = repr(amp)
+    return entries
+
+
+def state_entries(states):
+    # repr tells -0.0 from 0.0, so signed zeros must match too.
+    return [{label: repr(amp) for label, amp in s._entries.items()} for s in states]
+
+
+def pair_mixer(label):
+    """A real 2x2 rotation on bit 0 of ``z``: every image sums at most two terms."""
+    z, i = label
+    c, s = 0.6, 0.8
+    if z & 1:
+        return [(GenLabel(z - 1, i), -s), (label, c)]
+    return [(label, c), (GenLabel(z + 1, i), s)]
+
+
+def signed_zero_states(seed, count=6):
+    """States whose amplitudes include signed zeros and exactly cancelling pairs."""
+    rng = random.Random(seed)
+    parts = [0.0, -0.0, 0.5, -0.5, 0.3, 0.4, -0.4]
+    states = []
+    for _ in range(count):
+        entries = {}
+        for _ in range(rng.randrange(1, 8)):
+            label = GenLabel(rng.randrange(8), rng.randrange(4))
+            entries[label] = complex(rng.choice(parts), rng.choice(parts))
+        # (0.6, -0.8) -> (0.36 + 0.64, 0.48 - 0.48): an exact zero to prune.
+        entries[GenLabel(10, 0)] = complex(0.6, -0.0)
+        entries[GenLabel(11, 0)] = complex(-0.8, 0.0)
+        states.append(SparseState(entries))
+    return states
+
+
+class TestEnsemble:
+    """Ensemble operations against the per-state operations they replace."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_linear_step_is_bit_equal_per_answer(self, seed):
+        states = signed_zero_states(seed)
+        got = apply_linear_ensemble(Ensemble.from_states(states), pair_mixer)
+        expected = [apply_linear(s, pair_mixer, unitary=True) for s in states]
+        assert ensemble_entries(got) == state_entries(expected)
+        assert all(GenLabel(11, 0) not in s for s in expected)
+        assert len(set(got.labels)) == len(got.labels)
+        assert set(got.label_ids.tolist()) == set(range(len(got.labels)))
+
+    def test_each_label_map_is_evaluated_once_per_distinct_label(self):
+        states = [SparseState({GenLabel(0, 0): 1.0}) for _ in range(5)]
+        calls = []
+
+        def counted(label):
+            calls.append(label)
+            return pair_mixer(label)
+
+        apply_linear_ensemble(Ensemble.from_states(states), counted)
+        assert calls == [GenLabel(0, 0)]
+
+    def test_norm_drift_is_checked_per_answer(self):
+        # The total squared norm stays 2; each answer's moves off 1.
+        states = [SparseState({GenLabel(0, 0): 1.0}), SparseState({GenLabel(1, 0): 1.0})]
+        shift = lambda l: [(l, math.sqrt(0.5) if l.z else math.sqrt(1.5))]
+        with pytest.raises(NormDriftError):
+            apply_linear(states[1], shift, unitary=True)
+        with pytest.raises(NormDriftError):
+            apply_linear_ensemble(Ensemble.from_states(states), shift)
+
+    def test_nan_coefficient_fails_the_finiteness_check(self):
+        states = [SparseState({GenLabel(0, 0): 1.0})]
+        nan_map = lambda l: [(l, math.nan)]
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            apply_linear(states[0], nan_map, unitary=True)
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            apply_linear_ensemble(Ensemble.from_states(states), nan_map)
+
+    def test_permutation_collides_only_within_one_answer(self):
+        merge = lambda l: GenLabel(0, l.i)
+        apart = [SparseState({GenLabel(0, 3): 1.0}), SparseState({GenLabel(1, 3): 1.0})]
+        merged = permute_ensemble(Ensemble.from_states(apart), merge)
+        assert merged.labels == [GenLabel(0, 3)]
+        assert ensemble_entries(merged) == [{GenLabel(0, 3): "(1+0j)"}] * 2
+        together = SparseState({GenLabel(0, 3): 0.6, GenLabel(1, 3): 0.8})
+        with pytest.raises(CollisionError):
+            ts._permute_labels(together, merge)
+        with pytest.raises(CollisionError, match="of answer 1 both map to 0;3"):
+            permute_ensemble(Ensemble.from_states([apart[0], together]), merge)
+
+    def test_empty_ensemble(self):
+        empty = Ensemble.from_states([])
+        assert apply_linear_ensemble(empty, pair_mixer).labels == []
+        assert permute_ensemble(empty, lambda l: l).labels == []

@@ -581,7 +581,11 @@ class TestDecomposition:
         assert decomposition.expanded() == reference_expanded(digits)
         assert len(ts._DIGIT_VALUES) == len(ts._EXPANDED_VALUES) == 40
 
-    @pytest.mark.parametrize("digits", [(), (0,), (1, 0), (4,), (-1, 1)])
+    # 1.0 and True equal 1, so set membership alone would accept the last three.
+    @pytest.mark.parametrize(
+        "digits",
+        [(), (0,), (1, 0), (4,), (-1, 1), (2.5,), (1.0, 2.0), (True,), (1, True)],
+    )
     def test_rejects_malformed_digit_vectors(self, digits):
         with pytest.raises(ValueError):
             ts.Decomposition(digits)
