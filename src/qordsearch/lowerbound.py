@@ -169,7 +169,7 @@ def _weighted_gram(blocks, w: WeightSpec) -> complex:
     order as a row-at-a-time evaluation. Memory grows with the block's
     left x right size up to that cap, a few MiB, so the Hankel matrix of the
     norm bound stays the peak: a chain-verified binary run peaks at about
-    40 MiB at n=1024, 68 MiB at n=2048 and 178 MiB at n=4096 (Python 3.11,
+    40 MiB at n=1024, 68 MiB at n=2048 and 177 MiB at n=4096 (Python 3.11,
     numpy 2.4; ``ru_maxrss`` of a fresh process per size).
     """
     total = 0j
