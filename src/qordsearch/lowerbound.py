@@ -18,6 +18,12 @@ the full inequality chain
 where M is the banded inverse-distance (Hankel) matrix, whose spectral norm
 is capped by the norm of the same-size Hilbert matrix, itself below pi.
 
+The weights depend on the answer distance b - a only (:class:`WeightSpec`),
+so W and each drop are sums of correlations of label columns with one
+distance kernel, computed by batched FFTs, and M is applied without being
+built: power iteration on its product with a vector, a convolution. A
+chain-verified run needs memory linear in n.
+
 Algorithm protocol expected by :func:`run_trajectory`, which evolves the
 states of all answers together as one :class:`~qordsearch.qcore.Ensemble`:
 
@@ -38,6 +44,7 @@ state; it is the reference the ensemble path is tested against.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -113,38 +120,63 @@ def ordered_search_bound(n: int, eps: float) -> float:
 # Weights and overlaps
 
 
-def _inverse_distance(a: int | np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = np.asarray(b, dtype=float) - a
+def _inverse_distance(d: np.ndarray) -> np.ndarray:
+    d = np.asarray(d, dtype=float)
     return np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
 
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Non-negative, finite pairwise weight over answers ``0 .. n-1``.
+    """Non-negative, finite pairwise weight over answers ``0 .. n-1`` that
+    depends only on the distance ``d = b - a``.
 
-    ``weight(a, b)`` must broadcast: the overlap kernel passes an integer
-    column of answers ``a`` (shape L x 1) and a row of answers ``b`` (shape
-    R) and expects the L x R block of weights, while the reference loops
-    pass two plain ints. Elementwise numpy arithmetic does both; the block
-    must equal its rows ``weight(a_k, b)`` bit for bit.
+    ``weight(d)`` is called once, at construction, on the float array of
+    distances ``-(n-1) .. n-1``; a scalar result stands for every distance.
+    The values are checked there and kept in ``kernel``, whose entry
+    ``d + n - 1`` is the weight of every pair ``(a, a + d)``. Calling the spec
+    looks one pair up, for the per-pair reference loops.
     """
 
     n: int
-    weight: Callable[[int | np.ndarray, int | np.ndarray], np.ndarray]
+    weight: Callable[[np.ndarray], np.ndarray]
+    kernel: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d = np.arange(1 - self.n, self.n, dtype=float)
+        values = np.array(
+            np.broadcast_to(np.asarray(self.weight(d), dtype=float), d.shape)
+        )
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"weight has a non-finite entry {values[~finite][0]}")
+        if (values < 0).any():
+            raise ValueError(f"weight has a negative entry {values.min():.12g}")
+        values.flags.writeable = False
+        object.__setattr__(self, "kernel", values)
 
     @classmethod
     def inverse_distance(cls, n: int) -> "WeightSpec":
         """Ordered-search weights: 1/(b-a) for a < b, zero otherwise."""
         return cls(n=n, weight=_inverse_distance)
 
-    def __call__(self, a: int | np.ndarray, b: int | np.ndarray) -> np.ndarray:
-        values = np.asarray(self.weight(a, b), dtype=float)
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise ValueError(f"weight has a non-finite entry {values[~finite][0]}")
-        if (values < 0).any():
-            raise ValueError(f"weight has a negative entry {values.min():.12g}")
-        return values
+    def __call__(self, a: int, b: int) -> float:
+        if not (0 <= a < self.n and 0 <= b < self.n):
+            raise IndexError(f"answers ({a}, {b}) outside 0 .. {self.n - 1}")
+        return self.kernel[b - a + self.n - 1]
+
+    def _spectrum(self, size: int) -> np.ndarray:
+        """Real FFT of the kernel wrapped onto ``size`` points, d at d mod size.
+
+        Only the distances below ``(size + 1) // 2`` are placed, so a column
+        spanning at most that many answers correlates without wrap-around.
+        """
+        reach = min((size + 1) // 2, self.n)
+        centre = self.n - 1
+        wrapped = np.zeros(size)
+        # Distances 0, -1, .., -(reach-1) first, then reach-1, .., 1 last.
+        wrapped[:reach] = self.kernel[centre - reach + 1 : centre + 1][::-1]
+        wrapped[size - reach + 1 :] = self.kernel[centre + 1 : centre + reach][::-1]
+        return np.fft.rfft(wrapped)
 
 
 def _check_state_count(count: int, w: WeightSpec) -> None:
@@ -152,36 +184,79 @@ def _check_state_count(count: int, w: WeightSpec) -> None:
         raise ValueError(f"expected {w.n} states, got {count}")
 
 
-# Weights evaluated per call of the weight function: bounds the temporary
-# arrays of a long label column to a few MiB instead of n x n floats.
-_BLOCK_ENTRIES = 1 << 18
+# Entries of one batched FFT (blocks x FFT length): bounds the temporaries of
+# many or long label columns to a few MiB instead of growing with n.
+_BATCH_ENTRIES = 1 << 16
 
 
-def _weighted_gram(blocks, w: WeightSpec) -> complex:
+def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> complex:
     """Sum of w(a_p, a_q) * conj(x_p) * x_q over the pairs of each block.
 
-    Each block is ``(left_answers, left_amps, right_answers, right_amps)``:
-    the entries of one basis label, split into the sides a pair draws its
-    first and second member from. The weights of a block come from one call
-    ``w(left_answers[:, None], right_answers)``, or one per slice of rows
-    when the block has more than ``_BLOCK_ENTRIES`` entries; each row of
-    weights takes one dot with ``right_amps``, so every sum runs in the same
-    order as a row-at-a-time evaluation. Memory grows with the block's
-    left x right size up to that cap, a few MiB, so the Hankel matrix of the
-    norm bound stays the peak: a chain-verified binary run peaks at about
-    40 MiB at n=1024, 68 MiB at n=2048 and 177 MiB at n=4096 (Python 3.11,
-    numpy 2.4; ``ru_maxrss`` of a fresh process per size).
+    The entries (``answers``, ``amps``) are grouped into blocks by the block
+    number in ``blocks``: each block's entries are contiguous and its answers
+    ascend. A pair draws its first member from the entries marked in
+    ``left`` and its second from those marked in ``right``, within one block.
+
+    Because the weight depends only on b - a, each block's sums over q are a
+    correlation of its right amplitudes, scattered over the block's answer
+    span, with the kernel. Blocks are grouped by the power-of-two FFT length
+    that holds twice their span, and each group's right sides go through one
+    batched ``np.fft`` of at most ``_BATCH_ENTRIES`` entries; every left
+    entry then takes its product, and the products are summed in entry
+    order, so the result does not depend on the batching. Peak RSS of a
+    chain-verified run grows linearly in n: about 32, 38 and 59 MiB at
+    binary n = 1024, 4096 and 16384, and 37, 59 and 155 MiB at team
+    n = 2048, 8192 and 32768 (Python 3.11, numpy 2.4; ``ru_maxrss`` of a
+    fresh process per size).
     """
-    total = 0j
-    for left_a, left_x, right_a, right_x in blocks:
-        step = max(1, _BLOCK_ENTRIES // len(right_a))
-        rows = [
-            row @ right_x
-            for start in range(0, len(left_a), step)
-            for row in w(left_a[start : start + step, None], right_a)
-        ]
-        total += complex(np.vdot(left_x, np.array(rows)))
-    return total
+    if not len(answers):
+        return 0j
+    first = np.diff(blocks, prepend=blocks[0] - 1) != 0
+    block = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    lows = answers[starts]
+    spans = answers[np.append(starts[1:], len(answers)) - 1] - lows + 1
+    # The smallest power of two >= 2 * span - 1: a circle that long keeps the
+    # distances -(span-1) .. span-1 of a block apart.
+    sizes = np.left_shift(1, np.frexp(2 * spans - 2)[1], dtype=np.int64)
+
+    # Blocks are taken in order of FFT length; a batch is a run of at most
+    # max(1, _BATCH_ENTRIES // length) blocks of one length.
+    order = np.argsort(sizes, kind="stable")
+    sorted_sizes = sizes[order].tolist()
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    entry_position = position[block]
+    entry_order = np.argsort(entry_position, kind="stable")
+    entry_starts = np.searchsorted(
+        entry_position[entry_order], np.arange(len(order) + 1)
+    )
+    entry_cols = answers - lows[block]
+
+    products = np.zeros(len(answers), dtype=complex)
+    group_start = 0
+    while group_start < len(order):
+        size = sorted_sizes[group_start]
+        group_end = bisect.bisect_right(sorted_sizes, size)
+        kernel_spectrum = w._spectrum(size)
+        step = max(1, _BATCH_ENTRIES // size)
+        for p0 in range(group_start, group_end, step):
+            p1 = min(p0 + step, group_end)
+            batch = entry_order[entry_starts[p0] : entry_starts[p1]]
+            rs, ls = batch[right[batch]], batch[left[batch]]
+            # The kernel is real, so the real and imaginary parts correlate
+            # apart and real amplitudes give an exactly real sum.
+            scattered = np.zeros((2, p1 - p0, size))
+            rows, cols = entry_position[rs] - p0, entry_cols[rs]
+            scattered[0, rows, cols] = amps[rs].real
+            scattered[1, rows, cols] = amps[rs].imag
+            spectra = np.fft.rfft(scattered) * kernel_spectrum
+            correlated = np.fft.irfft(spectra, size)
+            rows, cols = entry_position[ls] - p0, entry_cols[ls]
+            sums = correlated[0, rows, cols] + 1j * correlated[1, rows, cols]
+            products[ls] = amps[ls].conj() * sums
+        group_start = group_end
+    return complex(products.sum())
 
 
 def _label_columns(states: Sequence[SparseState]) -> dict:
@@ -227,9 +302,24 @@ def _ensemble_columns(ensemble: Ensemble) -> dict:
     }
 
 
+def _flat_columns(columns: dict):
+    """Column number, answer and amplitude of every entry, column after column."""
+    answer_cols, amp_cols = zip(*columns.values())
+    lengths = [len(c) for c in answer_cols]
+    return (
+        np.repeat(np.arange(len(lengths)), lengths),
+        np.concatenate(answer_cols),
+        np.concatenate(amp_cols),
+    )
+
+
 def _column_overlap(columns: dict, w: WeightSpec) -> complex:
     """:func:`weighted_overlap` of states already grouped by label."""
-    return _weighted_gram(((a, x, a, x) for a, x in columns.values()), w)
+    if not columns:
+        return 0j
+    column, answers, amps = _flat_columns(columns)
+    every = np.ones(len(answers), dtype=bool)
+    return _kernel_sum(column, answers, amps, every, every, w)
 
 
 def weighted_overlap(states: Sequence[SparseState], w: WeightSpec) -> complex:
@@ -297,8 +387,22 @@ def spectral_norm(
     if n <= EIGENSOLVE_LIMIT:
         eigenvalues = np.linalg.eigvalsh(M)
         return float(max(abs(eigenvalues[0]), abs(eigenvalues[-1])))
+    return _power_iteration(M.__matmul__, n, tol, max_iterations)
+
+
+def _power_iteration(
+    matvec: Callable[[np.ndarray], np.ndarray],
+    n: int,
+    tol: float = 1e-10,
+    max_iterations: int = 100_000,
+) -> float:
+    """Largest eigenvalue magnitude of a symmetric operator on length-n vectors.
+
+    Starts from the all-equal unit vector and stops on residual
+    ``||Mv - lam*v|| <= tol``.
+    """
     v = np.full(n, 1.0 / math.sqrt(n))
-    w = M @ v
+    w = matvec(v)
     for _ in range(max_iterations):
         lam = float(v @ w)
         norm_w = float(np.linalg.norm(w))
@@ -306,7 +410,7 @@ def spectral_norm(
             return 0.0
         v = w / norm_w
         # M @ v serves both this residual and the next iteration's step.
-        w = M @ v
+        w = matvec(v)
         residual = float(np.linalg.norm(w - lam * v))
         if residual <= tol:
             return abs(lam)
@@ -357,9 +461,8 @@ def _column_profile(columns: dict, n: int) -> MassProfile:
     size = max(n - 1, 0)
     gammas_sq, deltas_sq = np.zeros(size), np.zeros(size)
     if columns:
-        answer_cols, amp_cols = zip(*columns.values())
-        answers, amps = np.concatenate(answer_cols), np.concatenate(amp_cols)
-        index = np.repeat(list(index_of.values()), [len(c) for c in answer_cols])
+        column, answers, amps = _flat_columns(columns)
+        index = np.array(list(index_of.values()))[column]
         mass = amps.real * amps.real + amps.imag * amps.imag
         offset = index - answers
         queried = (0 <= index) & (index < n)
@@ -379,13 +482,17 @@ def pairwise_drop(profile: MassProfile, w: WeightSpec) -> complex:
     one query followed by shared unitaries: only indices where two instances
     disagree, i.e. ``a <= i < b``, contribute.
     """
-    blocks = []
-    for label, (answers, amps) in profile.columns.items():
-        left = answers <= profile.index_of[label]
-        if left.any() and not left.all():
-            right = ~left
-            blocks.append((answers[left], amps[left], answers[right], amps[right]))
-    return 2.0 * _weighted_gram(blocks, w)
+    if not profile.columns:
+        return 0j
+    column, answers, amps = _flat_columns(profile.columns)
+    left = answers <= np.array(list(profile.index_of.values()))[column]
+    # Only a column with answers on both sides of its index holds a pair.
+    left_count = np.bincount(column, left)
+    mixed = ((0 < left_count) & (left_count < np.bincount(column)))[column]
+    left, right = left[mixed], ~left[mixed]
+    return 2.0 * _kernel_sum(
+        column[mixed], answers[mixed], amps[mixed], left, right, w
+    )
 
 
 def _reference_pairwise_drop(states: Sequence[SparseState], w: WeightSpec) -> complex:
@@ -424,7 +531,22 @@ class ChainReport:
 
 @functools.lru_cache(maxsize=None)
 def _hankel_norm(size: int) -> float:
-    return spectral_norm(hankel_matrix(size))
+    """``spectral_norm(hankel_matrix(size))``, without the matrix above size 64.
+
+    Row k of the matrix is h_(k+l) = 1/(k+l+1) cut at k + l < size, so its
+    product with v is the slice [size-1, 2*size-1) of the convolution of h
+    with v reversed: one rfft pair per power-iteration step, O(size) memory.
+    """
+    if size <= EIGENSOLVE_LIMIT:
+        return spectral_norm(hankel_matrix(size))
+    length = 1 << (2 * size - 2).bit_length()
+    h_spectrum = np.fft.rfft(1.0 / np.arange(1, size + 1), length)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        product = np.fft.irfft(np.fft.rfft(v[::-1], length) * h_spectrum, length)
+        return product[size - 1 : 2 * size - 1]
+
+    return _power_iteration(matvec, size)
 
 
 def verify_drop_chain(

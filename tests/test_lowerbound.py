@@ -44,9 +44,9 @@ class ZeroQueryAlgorithm:
         return SparseState.unit(GenLabel(0, self.n))
 
 
-def symmetric_weight(a, b):
+def symmetric_weight(d):
     """A symmetric test weight with w(a, a) > 0, so every ordered pair counts."""
-    return 1.0 / (1.0 + np.abs(np.asarray(b) - a))
+    return 1.0 / (1.0 + np.abs(d))
 
 
 def two_product_power_iteration(M, tol=1e-10, max_iterations=100_000):
@@ -139,42 +139,37 @@ class TestWeightedOverlap:
         ]
         assert abs(lb.weighted_overlap(states, w) - 0.5) < 1e-12
 
+    # The kernel is evaluated and checked once, when the spec is built.
     def test_negative_weight_rejected(self):
-        w = lb.WeightSpec(n=2, weight=lambda a, b: -1.0)
-        states = [SparseState.unit(GenLabel(0, 0))] * 2
-        with pytest.raises(ValueError):
-            lb.weighted_overlap(states, w)
+        with pytest.raises(ValueError, match="negative entry"):
+            lb.WeightSpec(n=2, weight=lambda d: -1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_weight_rejected(self, bad):
-        w = lb.WeightSpec(8, lambda a, b: np.full(np.broadcast(a, b).shape, bad))
         with pytest.raises(ValueError, match="non-finite entry"):
-            w(0, 1)
-        with pytest.raises(ValueError, match="non-finite entry"):
-            lb.run_trajectory(BinarySearchAlgorithm(8), 8, w, verify_chain=True)
+            lb.WeightSpec(8, lambda d: np.where(d == 3, bad, 1.0))
 
 
-class TestWeightBlocks:
-    # The overlap kernel evaluates the weights of a label a block of rows at
-    # a time and dots each row; its sums are bit-identical to a row-at-a-time
-    # evaluation only if every block row equals that answer's weights exactly.
+class TestWeightKernel:
     @pytest.mark.parametrize("n", [1, 2, 17, 256])
     @pytest.mark.parametrize(
         "weight", [lb._inverse_distance, symmetric_weight], ids=["inverse", "symmetric"]
     )
-    def test_block_equals_stacked_rows(self, weight, n):
+    def test_pair_weight_is_the_weight_at_the_distance(self, weight, n):
         w = lb.WeightSpec(n, weight)
-        answers = np.arange(n)
-        block = w(answers[:, None], answers)
-        rows = np.stack([w(a, answers) for a in range(n)])
-        assert block.shape == (n, n)
-        assert np.array_equal(block, rows)
+        for a in range(n):
+            for b in range(n):
+                assert w(a, b) == weight(b - a)
+        with pytest.raises(IndexError):
+            w(0, n)
+        with pytest.raises(IndexError):
+            w(-1, 0)
 
-    def test_sliced_blocks_give_the_same_sums(self, monkeypatch):
-        # Blocks above _BLOCK_ENTRIES are evaluated a slice of rows at a
-        # time; the sums must not move by a single bit. Only the snapshots
-        # that meet a query have a mass profile: the final states hold
-        # length-1 team intervals, which query nothing.
+    def test_batching_does_not_move_a_bit(self, monkeypatch):
+        # A small batch cap splits each FFT length's blocks into many
+        # batches; the sums must not move by a single bit. Only the
+        # snapshots that meet a query have a mass profile: the final states
+        # hold length-1 team intervals, which query nothing.
         algorithm = BinarySearchAlgorithm(32)
         w = lb.WeightSpec.inverse_distance(32)
         snapshots = trajectory_snapshots(algorithm)
@@ -187,7 +182,7 @@ class TestWeightBlocks:
             return overlaps, drops
 
         whole = sums()
-        monkeypatch.setattr(lb, "_BLOCK_ENTRIES", 40)
+        monkeypatch.setattr(lb, "_BATCH_ENTRIES", 8)
         assert sums() == whole
 
 
@@ -258,6 +253,15 @@ class TestMatrices:
         hankel = lb.spectral_norm(lb.hankel_matrix(n))
         hilbert = lb.spectral_norm(lb.hilbert_matrix(n))
         assert hankel <= hilbert + 1e-12
+
+    def test_chain_hankel_norm_is_the_eigensolve_up_to_64(self):
+        for size in range(1, lb.EIGENSOLVE_LIMIT + 1):
+            assert lb._hankel_norm(size) == lb.spectral_norm(lb.hankel_matrix(size))
+
+    @pytest.mark.parametrize("size", [65, 255, 1023, 4095])
+    def test_matrix_free_hankel_norm_matches_the_dense_one(self, size):
+        dense = lb.spectral_norm(lb.hankel_matrix(size))
+        assert abs(lb._hankel_norm(size) - dense) <= 1e-14
 
 
 def binary_prequery_states(n, rounds=0):
@@ -450,7 +454,7 @@ class TestKernelAgainstReference:
     @pytest.mark.parametrize(
         "algorithm",
         [BinarySearchAlgorithm(n) for n in (1, 2, 4, 8, 16, 32, 64)]
-        + [TeamCombineAlgorithm(n) for n in (8, 32)],
+        + [TeamCombineAlgorithm(n) for n in (8, 32, 128)],
         ids=lambda algorithm: f"{type(algorithm).__name__}-{algorithm.n}",
     )
     def test_every_snapshot(self, algorithm):
@@ -477,6 +481,90 @@ class TestKernelAgainstReference:
         assert symmetric(3, 3) > 0
         for w in (symmetric, lb.WeightSpec.inverse_distance(n)):
             assert_kernel_matches_reference(states, w)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_random_columns_around_fft_lengths(self, n, seed):
+        # Spans 2^k - 1, 2^k and 2^k + 1 sit on both sides of a change of
+        # FFT length, and every answer also holds a single-entry column.
+        rng = np.random.default_rng(seed)
+        spans = [
+            span
+            for k in range(1, 6)
+            for span in (2**k - 1, 2**k, 2**k + 1)
+            if span <= n
+        ]
+        states = random_column_states(rng, n, spans)
+        symmetric = lb.WeightSpec(n, symmetric_weight)
+        for w in (symmetric, lb.WeightSpec.inverse_distance(n)):
+            assert_kernel_matches_reference(states, w)
+
+
+def random_column_states(rng, n, spans):
+    """Random states whose label columns span the given numbers of answers.
+
+    Column k holds ``GenLabel(k, i)`` with a random index i in 0 .. n+1, at
+    both ends of a random window of ``spans[k]`` answers and at a random
+    half of the answers inside it. Every answer also holds a label of its
+    own, so no state is empty and some columns have one entry.
+    """
+    entries = [
+        {GenLabel(len(spans) + a, int(rng.integers(n + 2))): complex(rng.normal())}
+        for a in range(n)
+    ]
+    for k, span in enumerate(spans):
+        lo = int(rng.integers(n - span + 1))
+        inside = rng.random(max(span - 2, 0)) < 0.5
+        answers = {lo, lo + span - 1, *(lo + 1 + np.flatnonzero(inside)).tolist()}
+        label = GenLabel(k, int(rng.integers(n + 2)))
+        for a in answers:
+            entries[a][label] = complex(rng.normal(), rng.normal())
+    return [SparseState(e) for e in entries]
+
+
+def row_dot_gram(blocks, w):
+    """The per-row weighted Gram the distance kernel replaced, as an oracle.
+
+    Each block is ``(left_answers, left_amps, right_answers, right_amps)``;
+    each left answer's row of weights takes one dot with the right amplitudes.
+    """
+    total = 0j
+    for left_a, left_x, right_a, right_x in blocks:
+        rows = [w.kernel[right_a - a + w.n - 1] @ right_x for a in left_a.tolist()]
+        total += complex(np.vdot(left_x, np.array(rows)))
+    return total
+
+
+def row_dot_drop(profile, w):
+    """:func:`lb.pairwise_drop` through the row-dot Gram."""
+    blocks = []
+    for label, (answers, amps) in profile.columns.items():
+        left = answers <= profile.index_of[label]
+        if left.any() and not left.all():
+            blocks.append((answers[left], amps[left], answers[~left], amps[~left]))
+    return 2.0 * row_dot_gram(blocks, w)
+
+
+class TestKernelAgainstRowDots:
+    @pytest.mark.parametrize(
+        "algorithm",
+        [BinarySearchAlgorithm(256), TeamCombineAlgorithm(512)],
+        ids=lambda algorithm: f"{type(algorithm).__name__}-{algorithm.n}",
+    )
+    def test_every_snapshot(self, algorithm):
+        n = algorithm.n
+        w = lb.WeightSpec.inverse_distance(n)
+        snapshots = [
+            lb._ensemble_columns(e) for e in lb._ensemble_snapshots(algorithm, n)
+        ]
+        for j, columns in enumerate(snapshots):
+            expected = row_dot_gram(((a, x, a, x) for a, x in columns.values()), w)
+            assert_matches_reference(lb._column_overlap(columns, w), expected)
+            if j + 1 < len(snapshots):
+                profile = lb._column_profile(columns, n)
+                assert_matches_reference(
+                    lb.pairwise_drop(profile, w), row_dot_drop(profile, w)
+                )
 
 
 class OneRoundAlgorithm:
@@ -651,6 +739,26 @@ class TestTrajectory:
         assert len(record.chain_reports) == len(snapshots) - 1
         for j, report in enumerate(record.chain_reports):
             assert report == lb.verify_drop_chain(snapshots[j], snapshots[j + 1], w)
+
+    def test_chain_path_builds_no_dense_matrix(self, monkeypatch):
+        # The Hankel norm of the chain is matrix-free above the eigensolve
+        # size; no n x n matrix may come back to the chain path.
+        def small_only(build):
+            def guarded(size):
+                if size > lb.EIGENSOLVE_LIMIT:
+                    raise AssertionError(f"dense {build.__name__}({size})")
+                return build(size)
+
+            return guarded
+
+        monkeypatch.setattr(lb, "hankel_matrix", small_only(lb.hankel_matrix))
+        monkeypatch.setattr(lb, "hilbert_matrix", small_only(lb.hilbert_matrix))
+        lb._hankel_norm.cache_clear()
+        n = 1024
+        w = lb.WeightSpec.inverse_distance(n)
+        record = lb.run_trajectory(BinarySearchAlgorithm(n), n, w, verify_chain=True)
+        assert len(record.chain_reports) == 10
+        assert all(report.holds for report in record.chain_reports)
 
     def test_weight_size_must_match_the_problem_size(self):
         w = lb.WeightSpec.inverse_distance(4)
