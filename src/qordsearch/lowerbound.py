@@ -199,9 +199,9 @@ def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> complex:
 
     Because the weight depends only on b - a, each block's sums over q are a
     correlation of its right amplitudes, scattered over the block's answer
-    span, with the kernel. Blocks are grouped by the power-of-two FFT length
-    that holds twice their span, and each group's right sides go through one
-    batched ``np.fft`` of at most ``_BATCH_ENTRIES`` entries; every left
+    span, with the kernel. Blocks are grouped by FFT length, the smallest
+    power of two >= 2 * span - 1, and each group's right sides go through
+    batched real FFTs of at most ``_BATCH_ENTRIES`` entries; every left
     entry then takes its product, and the products are summed in entry
     order, so the result does not depend on the batching. Peak RSS of a
     chain-verified run grows linearly in n: about 32, 38 and 59 MiB at
@@ -216,8 +216,8 @@ def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> complex:
     starts = np.flatnonzero(first)
     lows = answers[starts]
     spans = answers[np.append(starts[1:], len(answers)) - 1] - lows + 1
-    # The smallest power of two >= 2 * span - 1: a circle that long keeps the
-    # distances -(span-1) .. span-1 of a block apart.
+    # A circle of at least 2 * span - 1 points keeps the distances
+    # -(span-1) .. span-1 of a block apart.
     sizes = np.left_shift(1, np.frexp(2 * spans - 2)[1], dtype=np.int64)
 
     # Blocks are taken in order of FFT length; a batch is a run of at most
