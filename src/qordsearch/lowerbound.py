@@ -21,17 +21,20 @@ is capped by the norm of the same-size Hilbert matrix, itself below pi.
 The weights depend on the answer distance b - a only (:class:`WeightSpec`),
 so W and each drop are sums of correlations of label columns with one
 distance kernel, computed by batched FFTs, and M is applied without being
-built: power iteration on its product with a vector, a convolution. A
-chain-verified run needs memory linear in n.
+built: its product with a vector is a convolution, which serves both the
+double sum, as 2 * gamma^T M delta, and the power iteration for ||M||. A
+chain-verified run needs memory linear in n. The chain is checked for the
+inverse-distance weights only; other kernels are refused there.
 
 Algorithm protocol expected by :func:`run_trajectory`, which evolves the
 states of all answers together as one :class:`~qordsearch.qcore.Ensemble`:
 
 * ``n``: problem size, ``num_queries``: number of oracle rounds T;
-* ``initial_state(instance)``: the state entering the first query, called
-  once per instance. Honest from-scratch algorithms ignore ``instance``; the
-  team-search combine uses it to stand in for knowledge acquired in rounds
-  outside the trace.
+* ``initial_ensemble()``: the ensemble entering the first query, answer
+  ``a`` holding the start of instance ``a``. Honest from-scratch algorithms
+  broadcast one state to every answer (``Ensemble.broadcast``); the
+  team-search combine starts each answer from its own block positions, to
+  stand in for knowledge acquired in rounds outside the trace.
 * ``_rounds[j]`` for each query j: the round's shared (instance-independent)
   steps, run after the oracle call. Each step has ``kind`` "linear", whose
   ``image(label)`` lists the (label, coefficient) pairs of a unitary, or
@@ -39,8 +42,9 @@ states of all answers together as one :class:`~qordsearch.qcore.Ensemble`:
   once per distinct label of the ensemble.
 
 An algorithm with ``num_queries == 0`` needs no ``_rounds``. The per-answer
-``advance(j, state, instance)`` of the algorithms runs the same steps on one
-state; it is the reference the ensemble path is tested against.
+``initial_state(instance)`` and ``advance(j, state, instance)`` of the
+algorithms build and run the same states one instance at a time; they are
+the reference the ensemble path is tested against.
 """
 from __future__ import annotations
 
@@ -48,11 +52,11 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .oracle import apply_query_ensemble, enumerate_instances
+from .oracle import apply_query_ensemble
 from .qcore import (
     BasisLabel,
     Ensemble,
@@ -204,8 +208,8 @@ def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> complex:
     batched real FFTs of at most ``_BATCH_ENTRIES`` entries; every left
     entry then takes its product, and the products are summed in entry
     order, so the result does not depend on the batching. Peak RSS of a
-    chain-verified run grows linearly in n: about 32, 38 and 59 MiB at
-    binary n = 1024, 4096 and 16384, and 37, 59 and 155 MiB at team
+    chain-verified run grows linearly in n: about 32, 36 and 53 MiB at
+    binary n = 1024, 4096 and 16384, and 35, 48 and 109 MiB at team
     n = 2048, 8192 and 32768 (Python 3.11, numpy 2.4; ``ru_maxrss`` of a
     fresh process per size).
     """
@@ -259,65 +263,61 @@ def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> complex:
     return complex(products.sum())
 
 
-def _label_columns(states: Sequence[SparseState]) -> dict:
-    """Map each label to the answers whose state holds it and their amplitudes."""
+class Columns(NamedTuple):
+    """Entries of one state per answer, grouped by label into columns.
+
+    Column ``k`` is ``labels[k]``; entry ``e`` is the amplitude ``amps[e]``
+    of answer ``answers[e]`` on label ``labels[column[e]]``. Columns are
+    contiguous and come in order of the first answer holding them, ties
+    broken by ``sort_key``; each column's answers ascend. Every sum over the
+    columns then runs in the same order as over the per-answer states.
+    """
+
+    labels: list
+    column: np.ndarray
+    answers: np.ndarray
+    amps: np.ndarray
+
+
+def _label_columns(states: Sequence[SparseState]) -> Columns:
+    """Group the entries of one state per answer by label."""
     columns: dict = {}
     for a, state in enumerate(states):
         for label, amp in state.items():
-            column = columns.get(label)
-            if column is None:
-                column = columns[label] = ([], [])
-            column[0].append(a)
-            column[1].append(amp)
-    return {
-        label: (np.array(answers), np.array(amps, dtype=complex))
-        for label, (answers, amps) in columns.items()
-    }
-
-
-def _ensemble_columns(ensemble: Ensemble) -> dict:
-    """:func:`_label_columns` of an ensemble's states, in the same order.
-
-    Labels come in order of the first answer holding them, ties broken by
-    ``sort_key``, and each column's answers ascend; every sum over the
-    columns then runs in the same order as over the per-answer states.
-    """
-    if not len(ensemble.amps):
-        return {}
-    keys = ensemble.label_ids * ensemble.size + ensemble.answers
-    order = np.argsort(keys, kind="stable")
-    label_ids = ensemble.label_ids[order]
-    answers, amps = ensemble.answers[order], ensemble.amps[order]
-    starts = np.flatnonzero(label_ids[1:] != label_ids[:-1]) + 1
-    starts = np.concatenate(([0], starts))
-    first_answers = answers[starts].tolist()
-    labels = [ensemble.labels[k] for k in label_ids[starts].tolist()]
-    bounds = starts.tolist() + [len(order)]
-    runs = sorted(
-        range(len(labels)), key=lambda r: (first_answers[r], labels[r].sort_key)
-    )
-    return {
-        labels[r]: (answers[bounds[r] : bounds[r + 1]], amps[bounds[r] : bounds[r + 1]])
-        for r in runs
-    }
-
-
-def _flat_columns(columns: dict):
-    """Column number, answer and amplitude of every entry, column after column."""
-    answer_cols, amp_cols = zip(*columns.values())
-    lengths = [len(c) for c in answer_cols]
-    return (
+            columns.setdefault(label, []).append((a, amp))
+    entries = [entry for column in columns.values() for entry in column]
+    lengths = [len(column) for column in columns.values()]
+    return Columns(
+        list(columns),
         np.repeat(np.arange(len(lengths)), lengths),
-        np.concatenate(answer_cols),
-        np.concatenate(amp_cols),
+        np.array([a for a, _ in entries], dtype=np.intp),
+        np.array([amp for _, amp in entries], dtype=complex),
     )
 
 
-def _column_overlap(columns: dict, w: WeightSpec) -> complex:
+def _ensemble_columns(ensemble: Ensemble) -> Columns:
+    """:func:`_label_columns` of an ensemble's states, entry for entry."""
+    labels = ensemble.labels
+    first = np.full(len(labels), ensemble.size)
+    np.minimum.at(first, ensemble.label_ids, ensemble.answers)
+    first = first.tolist()
+    runs = sorted(range(len(labels)), key=lambda k: (first[k], labels[k].sort_key))
+    rank = np.empty(len(runs), dtype=np.intp)
+    rank[runs] = np.arange(len(runs))
+    column = rank[ensemble.label_ids]
+    # No (label, answer) pair repeats, so the keys are distinct.
+    order = np.argsort(column * ensemble.size + ensemble.answers)
+    return Columns(
+        [labels[k] for k in runs],
+        column[order],
+        ensemble.answers[order],
+        ensemble.amps[order],
+    )
+
+
+def _column_overlap(columns: Columns, w: WeightSpec) -> complex:
     """:func:`weighted_overlap` of states already grouped by label."""
-    if not columns:
-        return 0j
-    column, answers, amps = _flat_columns(columns)
+    column, answers, amps = columns.column, columns.answers, columns.amps
     every = np.ones(len(answers), dtype=bool)
     return _kernel_sum(column, answers, amps, every, every, w)
 
@@ -435,16 +435,16 @@ def gen_query_index(label: BasisLabel) -> int:
 class MassProfile:
     """The per-answer states split by the index each label queries.
 
-    ``columns[label]`` holds the answers whose state has ``label`` and their
-    amplitudes (see :func:`_label_columns`); ``index_of[label]`` is the index
-    the label queries. ``gammas[d]`` is the root of the mass queried ``d``
-    positions at or above each answer, ``deltas[d]`` of the mass queried
-    ``d + 1`` positions below. Only in-range indices (0 .. n-1) contribute;
-    queries in the zero-padding region never distinguish instances.
+    ``columns`` holds the states grouped by label (see :class:`Columns`) and
+    ``index[e]`` the index that entry ``e``'s label queries. ``gammas[d]``
+    is the root of the mass queried ``d`` positions at or above each answer,
+    ``deltas[d]`` of the mass queried ``d + 1`` positions below. Only
+    in-range indices (0 .. n-1) contribute; queries in the zero-padding
+    region never distinguish instances.
     """
 
-    columns: dict = field(repr=False)
-    index_of: dict = field(repr=False)
+    columns: Columns = field(repr=False)
+    index: np.ndarray = field(repr=False)
     gammas: np.ndarray = field(repr=False)
     deltas: np.ndarray = field(repr=False)
 
@@ -454,25 +454,23 @@ def mass_profile(states: Sequence[SparseState]) -> MassProfile:
     return _column_profile(_label_columns(states), len(states))
 
 
-def _column_profile(columns: dict, n: int) -> MassProfile:
+def _column_profile(columns: Columns, n: int) -> MassProfile:
     """:func:`mass_profile` of ``n`` states already grouped by label."""
-    index_of = {label: gen_query_index(label) for label in columns}
-
+    index = np.array(
+        [gen_query_index(label) for label in columns.labels], dtype=np.intp
+    )[columns.column]
+    amps = columns.amps
+    mass = amps.real * amps.real + amps.imag * amps.imag
+    offset = index - columns.answers
+    queried = (0 <= index) & (index < n)
+    # Offset n - 1 (a = 0, i = n - 1) pairs with no delta; below the answer,
+    # a - i - 1 is at most n - 2.
     size = max(n - 1, 0)
-    gammas_sq, deltas_sq = np.zeros(size), np.zeros(size)
-    if columns:
-        column, answers, amps = _flat_columns(columns)
-        index = np.array(list(index_of.values()))[column]
-        mass = amps.real * amps.real + amps.imag * amps.imag
-        offset = index - answers
-        queried = (0 <= index) & (index < n)
-        # Offset n - 1 (a = 0, i = n - 1) pairs with no delta; below the
-        # answer, a - i - 1 is at most n - 2.
-        above = queried & (offset >= 0) & (offset < size)
-        below = queried & (offset < 0)
-        gammas_sq += np.bincount(offset[above], mass[above], minlength=size)
-        deltas_sq += np.bincount(-1 - offset[below], mass[below], minlength=size)
-    return MassProfile(columns, index_of, np.sqrt(gammas_sq), np.sqrt(deltas_sq))
+    above = queried & (offset >= 0) & (offset < size)
+    below = queried & (offset < 0)
+    gammas_sq = np.bincount(offset[above], mass[above], minlength=size)
+    deltas_sq = np.bincount(-1 - offset[below], mass[below], minlength=size)
+    return MassProfile(columns, index, np.sqrt(gammas_sq), np.sqrt(deltas_sq))
 
 
 def pairwise_drop(profile: MassProfile, w: WeightSpec) -> complex:
@@ -482,10 +480,11 @@ def pairwise_drop(profile: MassProfile, w: WeightSpec) -> complex:
     one query followed by shared unitaries: only indices where two instances
     disagree, i.e. ``a <= i < b``, contribute.
     """
-    if not profile.columns:
+    columns = profile.columns
+    column, answers, amps = columns.column, columns.answers, columns.amps
+    if not len(answers):
         return 0j
-    column, answers, amps = _flat_columns(profile.columns)
-    left = answers <= np.array(list(profile.index_of.values()))[column]
+    left = answers <= profile.index
     # Only a column with answers on both sides of its index holds a pair.
     left_count = np.bincount(column, left)
     mixed = ((0 < left_count) & (left_count < np.bincount(column)))[column]
@@ -529,16 +528,16 @@ class ChainReport:
         return not self.failures
 
 
-@functools.lru_cache(maxsize=None)
-def _hankel_norm(size: int) -> float:
-    """``spectral_norm(hankel_matrix(size))``, without the matrix above size 64.
+# A few sizes suffice: a trajectory applies one size at every step.
+@functools.lru_cache(maxsize=4)
+def _hankel_operator(size: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The product of ``hankel_matrix(size)`` with a vector, matrix-free.
 
     Row k of the matrix is h_(k+l) = 1/(k+l+1) cut at k + l < size, so its
     product with v is the slice [size-1, 2*size-1) of the convolution of h
-    with v reversed: one rfft pair per power-iteration step, O(size) memory.
+    with v reversed: one rfft pair per product, O(size) memory. The
+    spectrum of h is computed once per size.
     """
-    if size <= EIGENSOLVE_LIMIT:
-        return spectral_norm(hankel_matrix(size))
     length = 1 << (2 * size - 2).bit_length()
     h_spectrum = np.fft.rfft(1.0 / np.arange(1, size + 1), length)
 
@@ -546,7 +545,33 @@ def _hankel_norm(size: int) -> float:
         product = np.fft.irfft(np.fft.rfft(v[::-1], length) * h_spectrum, length)
         return product[size - 1 : 2 * size - 1]
 
-    return _power_iteration(matvec, size)
+    return matvec
+
+
+@functools.lru_cache(maxsize=None)
+def _hankel_norm(size: int) -> float:
+    """``spectral_norm(hankel_matrix(size))``, without the matrix above size 64.
+
+    Power iteration runs on :func:`_hankel_operator`.
+    """
+    if size <= EIGENSOLVE_LIMIT:
+        return spectral_norm(hankel_matrix(size))
+    return _power_iteration(_hankel_operator(size), size)
+
+
+def _require_inverse_distance(w: WeightSpec) -> None:
+    """Refuse weights the drop chain is not derived for.
+
+    The chain's double sum weights distance d by 1/d, and its cap pi*n rests
+    on the norm of the inverse-distance Hankel matrix; for any other kernel
+    its links compare unrelated numbers.
+    """
+    inverse = _inverse_distance(np.arange(1 - w.n, w.n, dtype=float))
+    if not np.array_equal(w.kernel, inverse):
+        raise ValueError(
+            "the drop chain is derived for the inverse-distance weights "
+            "1/(b-a) only; this WeightSpec has another kernel"
+        )
 
 
 def verify_drop_chain(
@@ -561,10 +586,12 @@ def verify_drop_chain(
     B = 2 ||gamma|| ||M|| ||delta||, and the cap pi*n, and verifies
     D <= S + tol <= B + tol <= pi*n + tol with tol = ``CHAIN_TOL``. Also
     checks that the drop recomputed by :func:`pairwise_drop` matches
-    W_before - W_after within tol. Valid for the inverse-distance weights;
-    ``states_before`` must be the states entering the query.
+    W_before - W_after within tol. ``states_before`` must be the states
+    entering the query. Raises ``ValueError`` unless ``w`` is the
+    inverse-distance weight.
     """
     _check_state_count(len(states_before), w)
+    _require_inverse_distance(w)
     columns = _label_columns(states_before)
     return _chain_report(
         _column_profile(columns, w.n),
@@ -590,9 +617,8 @@ def _chain_report(
 
     gammas, deltas = profile.gammas, profile.deltas
     if n >= 2:
-        # Entry d-1 of the convolution is sum_i gamma_i delta_(d-1-i).
-        pair_sums = np.convolve(gammas, deltas)[: n - 1]
-        pair_bound = 2.0 * float(pair_sums @ (1.0 / np.arange(1, n)))
+        # sum_d sum_i (1/d) gamma_i delta_(d-1-i) is gamma^T M delta.
+        pair_bound = 2.0 * float(gammas @ _hankel_operator(n - 1)(deltas))
         norm_bound = (
             2.0
             * float(np.linalg.norm(gammas))
@@ -686,16 +712,14 @@ class TrajectoryRecord:
 _ENSEMBLE_STEPS = {"linear": apply_linear_ensemble, "permute": permute_ensemble}
 
 
-def _ensemble_snapshots(algorithm, n: int):
+def _ensemble_snapshots(algorithm):
     """The ensemble entering each query, then the final one.
 
     Each snapshot is one array set for all ``n`` answers: the oracle call
     flips signs per answer, and each of the round's shared steps evaluates
     its label map once per distinct label.
     """
-    ensemble = Ensemble.from_states(
-        [algorithm.initial_state(inst) for inst in enumerate_instances(n)]
-    )
+    ensemble = algorithm.initial_ensemble()
     yield ensemble
     for j in range(algorithm.num_queries):
         ensemble = apply_query_ensemble(ensemble)
@@ -712,14 +736,17 @@ def run_trajectory(
     Snapshots are taken at the points where states meet each query, so the
     recorded drops are exactly the per-query decreases; shared unitaries
     between queries cannot move W. With ``verify_chain`` the full inequality
-    chain is evaluated at every step.
+    chain is evaluated at every step; that needs the inverse-distance
+    weights, and any other ``w`` raises ``ValueError``.
     """
     _check_state_count(n, w)
     if algorithm.n != n:
         raise ValueError(
             f"algorithm is built for list size {algorithm.n}, not {n}"
         )
-    snapshots = _ensemble_snapshots(algorithm, n)
+    if verify_chain:
+        _require_inverse_distance(w)
+    snapshots = _ensemble_snapshots(algorithm)
     # Each snapshot is grouped once: its columns give W_j and, entering
     # query j, the mass profile of that step's chain report.
     columns = _ensemble_columns(next(snapshots))

@@ -305,6 +305,18 @@ class Ensemble(NamedTuple):
             np.array(amps, dtype=complex),
         )
 
+    @classmethod
+    def broadcast(cls, state: SparseState, size: int) -> "Ensemble":
+        """The ensemble whose every answer ``0 .. size-1`` holds ``state``."""
+        labels = list(state._entries)
+        return cls(
+            size,
+            labels,
+            np.repeat(np.arange(len(labels)), size),
+            np.tile(np.arange(size), len(labels)),
+            np.repeat(np.array(list(state._entries.values()), dtype=complex), size),
+        )
+
 
 def _squared_norms(size: int, answers: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return np.bincount(

@@ -38,22 +38,27 @@ from functools import partial
 from operator import mul
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import oracle as oracle_mod
 from .oracle import OrderedInstance
 from .qcore import (
     BasisLabel,
     CollisionError,
+    Ensemble,
     GenLabel,
     SparseState,
     TeamLabel,
     _is_pow2,
     apply_linear,
+    apply_linear_ensemble,
     measure_distribution,
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # Builds a TeamLabel without re-checking it: only for labels derived from a
-# checked one by flipping its marker or taking a half of its interval.
+# checked one by flipping its marker or taking a half of its interval, and
+# for blocks of a power-of-two length built at its multiples.
 _TEAM = partial(tuple.__new__, TeamLabel)
 
 
@@ -412,6 +417,34 @@ class TeamCombineAlgorithm:
     def initial_state(self, inst: OrderedInstance) -> SparseState:
         return apply_linear(opening_state(inst, self.r), self._open, unitary=True)
 
+    def initial_ensemble(self) -> Ensemble:
+        """Every answer's :meth:`initial_state`, built as one ensemble.
+
+        The :func:`opening_state` of answer ``a`` holds, per level, the block
+        of the level's length containing ``a``; the blocks of one level are
+        its labels, so the opening ensemble is a few arrays, and one
+        ensemble step of the open map finishes it.
+        """
+        answers = np.arange(self.n)
+        labels, label_ids, amps = [], [], []
+        for j in range(self.r.bit_length()):
+            count = 1 if j == 0 else 1 << (j - 1)
+            length = (2 * self.r) >> j
+            marker = 0 if j == 0 else 1
+            label_ids.append(len(labels) + answers // length)
+            labels += [
+                _TEAM((marker, lo, lo + length - 1)) for lo in range(0, self.n, length)
+            ]
+            amps.append(np.full(self.n, math.sqrt(count / self.r), dtype=complex))
+        opening = Ensemble(
+            self.n,
+            labels,
+            np.concatenate(label_ids),
+            np.tile(answers, len(amps)),
+            np.concatenate(amps),
+        )
+        return apply_linear_ensemble(opening, self._open)
+
 
 class BinarySearchAlgorithm:
     """Classical binary search as a team of one computer (the r = 1 case).
@@ -448,6 +481,14 @@ class BinarySearchAlgorithm:
         if self._open is not None:
             state = apply_linear(state, self._open, unitary=True)
         return state
+
+    def initial_ensemble(self) -> Ensemble:
+        """Every answer's :meth:`initial_state`: the one start, broadcast."""
+        start = SparseState.unit(TeamLabel(0, 0, self.n - 1))
+        ensemble = Ensemble.broadcast(start, self.n)
+        if self._open is not None:
+            ensemble = apply_linear_ensemble(ensemble, self._open)
+        return ensemble
 
 
 class SimulationResult(NamedTuple):

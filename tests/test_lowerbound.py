@@ -13,6 +13,7 @@ from qordsearch import teamsearch as ts
 from qordsearch.oracle import OrderedInstance, apply_query, enumerate_instances
 from qordsearch.qcore import (
     CollisionError,
+    Ensemble,
     GenLabel,
     NormDriftError,
     SparseState,
@@ -42,6 +43,9 @@ class ZeroQueryAlgorithm:
 
     def initial_state(self, inst):
         return SparseState.unit(GenLabel(0, self.n))
+
+    def initial_ensemble(self):
+        return Ensemble.broadcast(self.initial_state(None), self.n)
 
 
 def symmetric_weight(d):
@@ -304,12 +308,18 @@ class TestMassProfile:
     def test_projections_partition_each_state(self):
         _, _, states = binary_prequery_states(8, rounds=2)
         profile = lb.mass_profile(states)
+        columns = profile.columns
         rebuilt = [{} for _ in states]
-        for label, (answers, amps) in profile.columns.items():
-            assert profile.index_of[label] == label.i
-            for a, amp in zip(answers.tolist(), amps.tolist()):
-                assert label not in rebuilt[a]
-                rebuilt[a][label] = amp
+        for k, a, amp, index in zip(
+            columns.column.tolist(),
+            columns.answers.tolist(),
+            columns.amps.tolist(),
+            profile.index.tolist(),
+        ):
+            label = columns.labels[k]
+            assert index == label.i
+            assert label not in rebuilt[a]
+            rebuilt[a][label] = amp
         for a, state in enumerate(states):
             assert rebuilt[a] == dict(state.items())
 
@@ -535,11 +545,19 @@ def row_dot_gram(blocks, w):
     return total
 
 
+def split_columns(columns):
+    """Each column's label mapped to its answers and amplitudes."""
+    return {
+        label: (columns.answers[columns.column == k], columns.amps[columns.column == k])
+        for k, label in enumerate(columns.labels)
+    }
+
+
 def row_dot_drop(profile, w):
     """:func:`lb.pairwise_drop` through the row-dot Gram."""
     blocks = []
-    for label, (answers, amps) in profile.columns.items():
-        left = answers <= profile.index_of[label]
+    for label, (answers, amps) in split_columns(profile.columns).items():
+        left = answers <= label.i
         if left.any() and not left.all():
             blocks.append((answers[left], amps[left], answers[~left], amps[~left]))
     return 2.0 * row_dot_gram(blocks, w)
@@ -555,16 +573,48 @@ class TestKernelAgainstRowDots:
         n = algorithm.n
         w = lb.WeightSpec.inverse_distance(n)
         snapshots = [
-            lb._ensemble_columns(e) for e in lb._ensemble_snapshots(algorithm, n)
+            lb._ensemble_columns(e) for e in lb._ensemble_snapshots(algorithm)
         ]
         for j, columns in enumerate(snapshots):
-            expected = row_dot_gram(((a, x, a, x) for a, x in columns.values()), w)
+            expected = row_dot_gram(
+                ((a, x, a, x) for a, x in split_columns(columns).values()), w
+            )
             assert_matches_reference(lb._column_overlap(columns, w), expected)
             if j + 1 < len(snapshots):
                 profile = lb._column_profile(columns, n)
                 assert_matches_reference(
                     lb.pairwise_drop(profile, w), row_dot_drop(profile, w)
                 )
+
+
+def convolve_pair_bound(profile, n):
+    """The explicit double sum 2 * sum_d (1/d) sum_i gamma_i delta_(d-1-i).
+
+    Entry d-1 of the direct convolution is sum_i gamma_i delta_(d-1-i).
+    """
+    pair_sums = np.convolve(profile.gammas, profile.deltas)[: n - 1]
+    return 2.0 * float(pair_sums @ (1.0 / np.arange(1, n)))
+
+
+class TestPairBoundAgainstConvolution:
+    @pytest.mark.parametrize(
+        "algorithm",
+        [BinarySearchAlgorithm(1 << k) for k in range(1, 11)]
+        + [TeamCombineAlgorithm(n) for n in (2, 8, 32, 128, 512, 2048)],
+        ids=lambda algorithm: f"{type(algorithm).__name__}-{algorithm.n}",
+    )
+    def test_every_snapshot(self, algorithm):
+        # N = 2 applies the operator at size 1.
+        n = algorithm.n
+        w = lb.WeightSpec.inverse_distance(n)
+        record = lb.run_trajectory(algorithm, n, w, verify_chain=True)
+        entering = list(lb._ensemble_snapshots(algorithm))[:-1]
+        assert len(entering) == len(record.chain_reports) == algorithm.num_queries
+        for ensemble, report in zip(entering, record.chain_reports):
+            profile = lb._column_profile(lb._ensemble_columns(ensemble), n)
+            expected = convolve_pair_bound(profile, n)
+            assert expected > 0
+            assert abs(report.pair_bound - expected) <= 1e-12 * expected
 
 
 class OneRoundAlgorithm:
@@ -581,6 +631,9 @@ class OneRoundAlgorithm:
     def initial_state(self, inst):
         return self._start
 
+    def initial_ensemble(self):
+        return Ensemble.broadcast(self._start, self.n)
+
 
 def ensemble_entries(ensemble):
     """Each answer's ``{label: repr(amplitude)}``, read off the entry arrays."""
@@ -592,8 +645,37 @@ def ensemble_entries(ensemble):
     return entries
 
 
+def assert_ensemble_invariants(ensemble):
+    """No (label, answer) pair repeats and every listed label is held."""
+    pairs = list(zip(ensemble.label_ids.tolist(), ensemble.answers.tolist()))
+    assert len(set(pairs)) == len(pairs)
+    assert len(set(ensemble.labels)) == len(ensemble.labels)
+    assert {k for k, _ in pairs} == set(range(len(ensemble.labels)))
+    assert all(0 <= a < ensemble.size for _, a in pairs)
+    assert len(ensemble.amps) == len(pairs)
+
+
 class TestEnsemblePath:
     """run_trajectory's ensemble against the per-instance ``advance`` states."""
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [BinarySearchAlgorithm(1 << k) for k in range(7)]
+        + [TeamCombineAlgorithm(n) for n in (2, 8, 32, 128)]
+        + [TeamCombineAlgorithm(64, r=4)],
+        ids=lambda algorithm: (
+            f"{type(algorithm).__name__}-{algorithm.n}-r{getattr(algorithm, 'r', 1)}"
+        ),
+    )
+    def test_initial_ensemble_matches_the_per_instance_starts(self, algorithm):
+        got = algorithm.initial_ensemble()
+        expected = Ensemble.from_states(
+            [algorithm.initial_state(inst) for inst in enumerate_instances(algorithm.n)]
+        )
+        assert got.size == expected.size == algorithm.n
+        assert_ensemble_invariants(got)
+        # repr tells -0.0 from 0.0, so signed zeros must match too.
+        assert ensemble_entries(got) == ensemble_entries(expected)
 
     @pytest.mark.parametrize(
         "algorithm",
@@ -603,7 +685,7 @@ class TestEnsemblePath:
     )
     def test_every_snapshot_matches_the_per_instance_states(self, algorithm):
         snapshots = trajectory_snapshots(algorithm)
-        ensembles = list(lb._ensemble_snapshots(algorithm, algorithm.n))
+        ensembles = list(lb._ensemble_snapshots(algorithm))
         assert len(ensembles) == len(snapshots) == algorithm.num_queries + 1
         for ensemble, states in zip(ensembles, snapshots):
             # repr tells -0.0 from 0.0, so signed zeros must match too.
@@ -613,10 +695,12 @@ class TestEnsemblePath:
             ]
             got = lb._ensemble_columns(ensemble)
             expected = lb._label_columns(states)
-            assert list(got) == list(expected)
-            for label, (answers, amps) in expected.items():
-                assert got[label][0].tolist() == answers.tolist()
-                assert got[label][1].tolist() == amps.tolist()
+            assert got.labels == expected.labels
+            assert got.column.tolist() == expected.column.tolist()
+            assert got.answers.tolist() == expected.answers.tolist()
+            assert list(map(repr, got.amps.tolist())) == list(
+                map(repr, expected.amps.tolist())
+            )
 
     def _both_paths_raise(self, algorithm, error, match=None):
         inst = OrderedInstance(algorithm.n, 0)
@@ -740,6 +824,25 @@ class TestTrajectory:
         for j, report in enumerate(record.chain_reports):
             assert report == lb.verify_drop_chain(snapshots[j], snapshots[j + 1], w)
 
+    def test_chain_path_needs_no_per_answer_start_or_direct_convolution(
+        self, monkeypatch
+    ):
+        # The start is built as one ensemble and the pair bound goes through
+        # the Hankel operator; neither per-answer starts nor the O(n^2)
+        # convolution may come back to the chain path.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on the chain path")
+
+        for cls in (BinarySearchAlgorithm, TeamCombineAlgorithm):
+            monkeypatch.setattr(cls, "initial_state", forbidden)
+        monkeypatch.setattr(Ensemble, "from_states", forbidden)
+        monkeypatch.setattr(np, "convolve", forbidden)
+        for algorithm in (BinarySearchAlgorithm(1024), TeamCombineAlgorithm(2048)):
+            w = lb.WeightSpec.inverse_distance(algorithm.n)
+            record = lb.run_trajectory(algorithm, algorithm.n, w, verify_chain=True)
+            assert len(record.chain_reports) == algorithm.num_queries
+            assert all(report.holds for report in record.chain_reports)
+
     def test_chain_path_builds_no_dense_matrix(self, monkeypatch):
         # The Hankel norm of the chain is matrix-free above the eigensolve
         # size; no n x n matrix may come back to the chain path.
@@ -758,6 +861,35 @@ class TestTrajectory:
         w = lb.WeightSpec.inverse_distance(n)
         record = lb.run_trajectory(BinarySearchAlgorithm(n), n, w, verify_chain=True)
         assert len(record.chain_reports) == 10
+        assert all(report.holds for report in record.chain_reports)
+
+    @pytest.mark.parametrize("scale", [2.0, 0.5])
+    def test_chain_refuses_other_kernels(self, scale):
+        # The chain hard-codes 1/d and the cap pi*n: with 2/d every link
+        # would fail, and with 0.5/d hold against twice the true double sum.
+        n = 64
+        w = lb.WeightSpec(n, lambda d: scale * lb._inverse_distance(d))
+        algorithm = BinarySearchAlgorithm(n)
+        snapshots = trajectory_snapshots(algorithm)
+        restriction = r"inverse-distance weights 1/\(b-a\) only"
+        with pytest.raises(ValueError, match=restriction):
+            lb.run_trajectory(algorithm, n, w, verify_chain=True)
+        with pytest.raises(ValueError, match=restriction):
+            lb.verify_drop_chain(snapshots[0], snapshots[1], w)
+        # Without the chain the kernel serves: W scales with it.
+        plain = lb.run_trajectory(algorithm, n, lb.WeightSpec.inverse_distance(n))
+        scaled = lb.run_trajectory(algorithm, n, w)
+        for got, expected in zip(scaled.steps, plain.steps):
+            assert_matches_reference(got.overlap, scale * expected.overlap)
+        assert_matches_reference(
+            lb.pairwise_drop(lb.mass_profile(snapshots[0]), w),
+            scale * plain.steps[0].drop,
+        )
+
+    def test_chain_accepts_the_inverse_distance_kernel_of_any_callable(self):
+        n = 64
+        w = lb.WeightSpec(n, lambda d: np.where(d > 0, 1.0 / np.maximum(d, 1.0), 0.0))
+        record = lb.run_trajectory(BinarySearchAlgorithm(n), n, w, verify_chain=True)
         assert all(report.holds for report in record.chain_reports)
 
     def test_weight_size_must_match_the_problem_size(self):

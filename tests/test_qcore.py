@@ -485,6 +485,16 @@ class TestEnsemble:
         with pytest.raises(CollisionError, match="of answer 1 both map to 0;3"):
             permute_ensemble(Ensemble.from_states([apart[0], together]), merge)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_broadcast_holds_the_state_at_every_answer(self, seed):
+        state = signed_zero_states(seed, count=1)[0]
+        got = Ensemble.broadcast(state, 5)
+        assert got.size == 5
+        assert ensemble_entries(got) == state_entries([state] * 5)
+        pairs = list(zip(got.label_ids.tolist(), got.answers.tolist()))
+        assert len(set(pairs)) == len(pairs) == 5 * len(state)
+        assert set(got.label_ids.tolist()) == set(range(len(got.labels)))
+
     def test_empty_ensemble(self):
         empty = Ensemble.from_states([])
         assert apply_linear_ensemble(empty, pair_mixer).labels == []
