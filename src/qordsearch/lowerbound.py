@@ -18,6 +18,12 @@ the full inequality chain
 where M is the banded inverse-distance (Hankel) matrix, whose spectral norm
 is capped by the norm of the same-size Hilbert matrix, itself below pi.
 
+The layer reads the states grouped by label: :func:`label_columns` turns an
+:class:`~qordsearch.qcore.Ensemble` (``Ensemble.from_states`` for a list of
+per-answer states) into the :class:`Columns` that :func:`weighted_overlap`
+and :func:`mass_profile` take, and :func:`verify_drop_chain` takes that
+profile and the drop W_before - W_after.
+
 The weights depend on the answer distance b - a only (:class:`WeightSpec`),
 so W and each drop are sums of correlations of label columns with one
 distance kernel, computed by batched FFTs, and M is applied without being
@@ -70,8 +76,8 @@ from .qcore import (
 # Looser than state tolerances: the chain composes O(n^2) float sums.
 CHAIN_TOL = 1e-8
 
-# Above this size the spectral norm switches from a full symmetric
-# eigensolve to deterministic power iteration.
+# Above this size the spectral norm of a non-negative matrix switches from a
+# full symmetric eigensolve to deterministic power iteration.
 EIGENSOLVE_LIMIT = 64
 
 
@@ -264,7 +270,7 @@ def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> complex:
 
 
 class Columns(NamedTuple):
-    """Entries of one state per answer, grouped by label into columns.
+    """Entries of one state per answer ``0 .. size-1``, grouped by label.
 
     Column ``k`` is ``labels[k]``; entry ``e`` is the amplitude ``amps[e]``
     of answer ``answers[e]`` on label ``labels[column[e]]``. Columns are
@@ -273,30 +279,15 @@ class Columns(NamedTuple):
     columns then runs in the same order as over the per-answer states.
     """
 
+    size: int
     labels: list
     column: np.ndarray
     answers: np.ndarray
     amps: np.ndarray
 
 
-def _label_columns(states: Sequence[SparseState]) -> Columns:
-    """Group the entries of one state per answer by label."""
-    columns: dict = {}
-    for a, state in enumerate(states):
-        for label, amp in state.items():
-            columns.setdefault(label, []).append((a, amp))
-    entries = [entry for column in columns.values() for entry in column]
-    lengths = [len(column) for column in columns.values()]
-    return Columns(
-        list(columns),
-        np.repeat(np.arange(len(lengths)), lengths),
-        np.array([a for a, _ in entries], dtype=np.intp),
-        np.array([amp for _, amp in entries], dtype=complex),
-    )
-
-
-def _ensemble_columns(ensemble: Ensemble) -> Columns:
-    """:func:`_label_columns` of an ensemble's states, entry for entry."""
+def label_columns(ensemble: Ensemble) -> Columns:
+    """Group the entries of an ensemble's states by label."""
     labels = ensemble.labels
     first = np.full(len(labels), ensemble.size)
     np.minimum.at(first, ensemble.label_ids, ensemble.answers)
@@ -308,6 +299,7 @@ def _ensemble_columns(ensemble: Ensemble) -> Columns:
     # No (label, answer) pair repeats, so the keys are distinct.
     order = np.argsort(column * ensemble.size + ensemble.answers)
     return Columns(
+        ensemble.size,
         [labels[k] for k in runs],
         column[order],
         ensemble.answers[order],
@@ -315,21 +307,15 @@ def _ensemble_columns(ensemble: Ensemble) -> Columns:
     )
 
 
-def _column_overlap(columns: Columns, w: WeightSpec) -> complex:
-    """:func:`weighted_overlap` of states already grouped by label."""
-    column, answers, amps = columns.column, columns.answers, columns.amps
-    every = np.ones(len(answers), dtype=bool)
-    return _kernel_sum(column, answers, amps, every, every, w)
-
-
-def weighted_overlap(states: Sequence[SparseState], w: WeightSpec) -> complex:
+def weighted_overlap(columns: Columns, w: WeightSpec) -> complex:
     """The weighted all-pairs inner product of one state per answer.
 
     Only answers sharing a basis label overlap, so the sum runs over the
     ordered pairs of each label's column of amplitudes.
     """
-    _check_state_count(len(states), w)
-    return _column_overlap(_label_columns(states), w)
+    _check_state_count(columns.size, w)
+    every = np.ones(len(columns.answers), dtype=bool)
+    return _kernel_sum(columns.column, columns.answers, columns.amps, every, every, w)
 
 
 def _reference_weighted_overlap(
@@ -374,9 +360,11 @@ def spectral_norm(
 ) -> float:
     """Induced 2-norm of a square symmetric matrix.
 
-    Small matrices (size <= 64) go through a full symmetric eigensolve;
-    larger ones use power iteration from the deterministic all-equal start
-    vector, stopping on residual ``||Mv - lam*v|| <= tol``.
+    Small matrices (size <= 64) and any with a negative entry go through a
+    full symmetric eigensolve. Larger non-negative ones use power iteration
+    from the deterministic all-equal start vector, stopping on residual
+    ``||Mv - lam*v|| <= tol``; by Perron-Frobenius their norm is an
+    eigenvalue with a non-negative eigenvector, never orthogonal to that start.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -384,7 +372,7 @@ def spectral_norm(
     if not np.array_equal(M, M.T):
         raise ValueError("matrix is not symmetric")
     n = M.shape[0]
-    if n <= EIGENSOLVE_LIMIT:
+    if n <= EIGENSOLVE_LIMIT or M.min() < 0:
         eigenvalues = np.linalg.eigvalsh(M)
         return float(max(abs(eigenvalues[0]), abs(eigenvalues[-1])))
     return _power_iteration(M.__matmul__, n, tol, max_iterations)
@@ -449,13 +437,9 @@ class MassProfile:
     deltas: np.ndarray = field(repr=False)
 
 
-def mass_profile(states: Sequence[SparseState]) -> MassProfile:
-    """Group the states by label and aggregate the masses by offset i - a."""
-    return _column_profile(_label_columns(states), len(states))
-
-
-def _column_profile(columns: Columns, n: int) -> MassProfile:
-    """:func:`mass_profile` of ``n`` states already grouped by label."""
+def mass_profile(columns: Columns) -> MassProfile:
+    """Aggregate the masses of the states in ``columns`` by offset i - a."""
+    n = columns.size
     index = np.array(
         [gen_query_index(label) for label in columns.labels], dtype=np.intp
     )[columns.column]
@@ -575,45 +559,25 @@ def _require_inverse_distance(w: WeightSpec) -> None:
 
 
 def verify_drop_chain(
-    states_before: Sequence[SparseState],
-    states_after: Sequence[SparseState],
-    w: WeightSpec,
+    profile: MassProfile, drop: complex, w: WeightSpec
 ) -> ChainReport:
     """Check the drop chain for one (query, unitary) round.
 
-    Computes D = |W_before - W_after|, the explicit double sum
-    S = 2 * sum_d sum_i (1/d) gamma_i delta_(d-i-1), the matrix bound
-    B = 2 ||gamma|| ||M|| ||delta||, and the cap pi*n, and verifies
+    ``profile`` is the :func:`mass_profile` of the states entering the query
+    and ``drop`` is W_before - W_after. Computes D = |drop|, the explicit
+    double sum S = 2 * sum_d sum_i (1/d) gamma_i delta_(d-i-1), the matrix
+    bound B = 2 ||gamma|| ||M|| ||delta||, and the cap pi*n, and verifies
     D <= S + tol <= B + tol <= pi*n + tol with tol = ``CHAIN_TOL``. Also
     checks that the drop recomputed by :func:`pairwise_drop` matches
-    W_before - W_after within tol. ``states_before`` must be the states
-    entering the query. Raises ``ValueError`` unless ``w`` is the
+    ``drop`` within tol. Every link is tested as ``not lhs <= rhs + tol``,
+    so a NaN fails it. Raises ``ValueError`` unless ``w`` is the
     inverse-distance weight.
     """
-    _check_state_count(len(states_before), w)
+    _check_state_count(profile.columns.size, w)
     _require_inverse_distance(w)
-    columns = _label_columns(states_before)
-    return _chain_report(
-        _column_profile(columns, w.n),
-        _column_overlap(columns, w),
-        weighted_overlap(states_after, w),
-        w,
-    )
-
-
-def _chain_report(
-    profile: MassProfile,
-    before: complex,
-    after: complex,
-    w: WeightSpec,
-) -> ChainReport:
-    """:func:`verify_drop_chain` from the profile of the states entering the query.
-
-    ``before`` and ``after`` are W_before and W_after. Every link is tested
-    as ``not lhs <= rhs + CHAIN_TOL``, so a NaN fails it.
-    """
     n = w.n
-    drop = abs(before - after)
+    drop_abs = abs(drop)
+    identity_err = abs(drop - pairwise_drop(profile, w))
 
     gammas, deltas = profile.gammas, profile.deltas
     if n >= 2:
@@ -629,12 +593,10 @@ def _chain_report(
         pair_bound = norm_bound = 0.0
     cap = math.pi * n
 
-    identity_err = abs((before - after) - pairwise_drop(profile, w))
-
     failures = []
-    if not drop <= pair_bound + CHAIN_TOL:
+    if not drop_abs <= pair_bound + CHAIN_TOL:
         failures.append(
-            f"drop {drop:.12g} exceeds explicit double sum {pair_bound:.12g}"
+            f"drop {drop_abs:.12g} exceeds explicit double sum {pair_bound:.12g}"
         )
     if not pair_bound <= norm_bound + CHAIN_TOL:
         failures.append(
@@ -648,7 +610,7 @@ def _chain_report(
         )
     return ChainReport(
         n=n,
-        drop=drop,
+        drop=drop_abs,
         pair_bound=pair_bound,
         norm_bound=norm_bound,
         cap=cap,
@@ -749,15 +711,15 @@ def run_trajectory(
     snapshots = _ensemble_snapshots(algorithm)
     # Each snapshot is grouped once: its columns give W_j and, entering
     # query j, the mass profile of that step's chain report.
-    columns = _ensemble_columns(next(snapshots))
-    overlaps = [_column_overlap(columns, w)]
+    columns = label_columns(next(snapshots))
+    overlaps = [weighted_overlap(columns, w)]
     reports: list[ChainReport] = []
     for j, ensemble in enumerate(snapshots):
-        next_columns = _ensemble_columns(ensemble)
-        overlaps.append(_column_overlap(next_columns, w))
+        next_columns = label_columns(ensemble)
+        overlaps.append(weighted_overlap(next_columns, w))
         if verify_chain:
-            profile = _column_profile(columns, n)
-            reports.append(_chain_report(profile, overlaps[j], overlaps[j + 1], w))
+            drop = overlaps[j] - overlaps[j + 1]
+            reports.append(verify_drop_chain(mass_profile(columns), drop, w))
         columns = next_columns
 
     steps = []

@@ -224,13 +224,11 @@ def apply_diagonal_phase(
 def apply_linear(
     s: SparseState,
     op: Callable[[BasisLabel], Iterable[tuple[BasisLabel, complex]]],
-    unitary: bool = False,
 ) -> SparseState:
-    """Apply a linear operator given by the image of each basis label.
+    """Apply a unitary operator given by the image of each basis label.
 
-    ``op`` maps a label to a finite list of (label, coefficient) pairs.
-    When the caller declares the operator ``unitary``, a 2-norm drift beyond
-    ``NORM_TOL`` raises :class:`NormDriftError`.
+    ``op`` maps a label to a finite list of (label, coefficient) pairs. A
+    2-norm drift beyond ``NORM_TOL`` raises :class:`NormDriftError`.
     """
     acc: dict[BasisLabel, complex] = {}
     get = acc.get
@@ -240,12 +238,11 @@ def apply_linear(
         for out_label, coeff in op(label):
             acc[out_label] = get(out_label, 0j) + amp * coeff
     result = SparseState(acc)
-    if unitary:
-        drift = abs(math.sqrt(result._norm_sq) - math.sqrt(s._norm_sq))
-        if drift > NORM_TOL:
-            raise NormDriftError(
-                f"operator declared unitary drifted the norm by {drift:.3e}"
-            )
+    drift = abs(math.sqrt(result._norm_sq) - math.sqrt(s._norm_sq))
+    if drift > NORM_TOL:
+        raise NormDriftError(
+            f"operator declared unitary drifted the norm by {drift:.3e}"
+        )
     return result
 
 
@@ -334,7 +331,7 @@ def _first_of_runs(sorted_values: np.ndarray) -> np.ndarray:
 def apply_linear_ensemble(
     ens: Ensemble, op: Callable[[BasisLabel], Iterable[tuple[BasisLabel, complex]]]
 ) -> Ensemble:
-    """:func:`apply_linear` with ``unitary=True`` on every state of ``ens``.
+    """:func:`apply_linear` on every state of ``ens``.
 
     ``op`` is called once per distinct label. Each entry expands into the
     terms ``amp * coeff`` of its label's image, and the terms of one

@@ -104,7 +104,7 @@ def apply_combine(state: SparseState, s: int) -> SparseState:
     """
     if not _is_pow2(s) or s < 2:
         raise ValueError(f"interval size must be a power of two >= 2, got {s}")
-    return apply_linear(state, lambda label: _mix(label, s), unitary=True)
+    return apply_linear(state, lambda label: _mix(label, s))
 
 
 def _halving(s: int) -> Callable[[BasisLabel], BasisLabel]:
@@ -215,9 +215,9 @@ def apply_team_query(
         )
 
     open_query, close_query = _bitwrite_query(inst.n, bitwrite_length)
-    s = apply_linear(state, open_query, unitary=True)
+    s = apply_linear(state, open_query)
     s = oracle_mod.apply_query(s, inst)
-    return apply_linear(s, close_query, unitary=True)
+    return apply_linear(s, close_query)
 
 
 # One step of a round maps a state to a state. Each step names its operator
@@ -234,7 +234,7 @@ def _step(run, kind: str, image) -> Callable[[SparseState], SparseState]:
 
 
 def _linear_step(label_map) -> Callable[[SparseState], SparseState]:
-    run = lambda state: apply_linear(state, label_map, unitary=True)
+    run = lambda state: apply_linear(state, label_map)
     return _step(run, "linear", label_map)
 
 
@@ -415,7 +415,7 @@ class TeamCombineAlgorithm:
         self._rounds = [steps]
 
     def initial_state(self, inst: OrderedInstance) -> SparseState:
-        return apply_linear(opening_state(inst, self.r), self._open, unitary=True)
+        return apply_linear(opening_state(inst, self.r), self._open)
 
     def initial_ensemble(self) -> Ensemble:
         """Every answer's :meth:`initial_state`, built as one ensemble.
@@ -479,7 +479,7 @@ class BinarySearchAlgorithm:
     def initial_state(self, inst: OrderedInstance | None = None) -> SparseState:
         state = SparseState.unit(TeamLabel(0, 0, self.n - 1))
         if self._open is not None:
-            state = apply_linear(state, self._open, unitary=True)
+            state = apply_linear(state, self._open)
         return state
 
     def initial_ensemble(self) -> Ensemble:

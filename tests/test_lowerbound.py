@@ -70,6 +70,19 @@ def two_product_power_iteration(M, tol=1e-10, max_iterations=100_000):
     raise lb.ConvergenceError("two-product loop did not converge")
 
 
+def columns_of(states):
+    """The label columns of one state per answer."""
+    return lb.label_columns(Ensemble.from_states(states))
+
+
+def chain_report(before, after, w):
+    """The drop chain of one round, from the states entering and leaving it."""
+    drop = lb.weighted_overlap(columns_of(before), w) - lb.weighted_overlap(
+        columns_of(after), w
+    )
+    return lb.verify_drop_chain(lb.mass_profile(columns_of(before)), drop, w)
+
+
 class TestScalarFormulas:
     def test_harmonic_small_values(self):
         assert lb.harmonic(1) == 1.0
@@ -124,14 +137,14 @@ class TestWeightedOverlap:
         n = 8
         w = lb.WeightSpec.inverse_distance(n)
         state = SparseState.unit(GenLabel(0, 0))
-        overlap = lb.weighted_overlap([state] * n, w)
+        overlap = lb.weighted_overlap(columns_of([state] * n), w)
         assert abs(overlap - lb.total_weight(n)) < 1e-9
 
     def test_orthogonal_states_give_zero(self):
         n = 6
         w = lb.WeightSpec.inverse_distance(n)
         states = [SparseState.unit(GenLabel(a, 0)) for a in range(n)]
-        assert lb.weighted_overlap(states, w) == 0j
+        assert lb.weighted_overlap(columns_of(states), w) == 0j
 
     def test_two_answer_half_overlap(self):
         w = lb.WeightSpec.inverse_distance(2)
@@ -141,7 +154,7 @@ class TestWeightedOverlap:
             SparseState({shared: half, only0: half}),
             SparseState({shared: half, only1: half}),
         ]
-        assert abs(lb.weighted_overlap(states, w) - 0.5) < 1e-12
+        assert abs(lb.weighted_overlap(columns_of(states), w) - 0.5) < 1e-12
 
     # The kernel is evaluated and checked once, when the spec is built.
     def test_negative_weight_rejected(self):
@@ -176,12 +189,12 @@ class TestWeightKernel:
         # hold length-1 team intervals, which query nothing.
         algorithm = BinarySearchAlgorithm(32)
         w = lb.WeightSpec.inverse_distance(32)
-        snapshots = trajectory_snapshots(algorithm)
+        snapshots = [columns_of(s) for s in trajectory_snapshots(algorithm)]
 
         def sums():
-            overlaps = [lb.weighted_overlap(s, w) for s in snapshots]
+            overlaps = [lb.weighted_overlap(c, w) for c in snapshots]
             drops = [
-                lb.pairwise_drop(lb.mass_profile(s), w) for s in snapshots[:-1]
+                lb.pairwise_drop(lb.mass_profile(c), w) for c in snapshots[:-1]
             ]
             return overlaps, drops
 
@@ -222,12 +235,23 @@ class TestMatrices:
         assert norm > lb.spectral_norm(lb.hilbert_matrix(64))
 
     def test_power_iteration_agrees_with_eigensolve(self):
+        # A signed matrix takes the eigensolve; its entrywise magnitudes, a
+        # non-negative matrix, take power iteration.
         rng = np.random.default_rng(42)
         a = rng.normal(size=(100, 100))
-        sym = a + a.T
-        eigenvalues = np.linalg.eigvalsh(sym)
-        expected = max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
-        assert abs(lb.spectral_norm(sym) - expected) < 1e-8
+        for sym in (a + a.T, np.abs(a + a.T)):
+            eigenvalues = np.linalg.eigvalsh(sym)
+            expected = max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
+            assert abs(lb.spectral_norm(sym) - expected) < 1e-8
+
+    @pytest.mark.parametrize(
+        "shift, expected", [(0.0, 2.0), (0.5, 2.5)], ids=["blocks", "shifted"]
+    )
+    def test_signed_matrix_orthogonal_to_the_all_equal_start(self, shift, expected):
+        # Every block [[1, -1], [-1, 1]] sends the all-equal vector to zero,
+        # so power iteration from it would never see the eigenvalue 2.
+        M = np.kron(np.eye(33), [[1.0, -1.0], [-1.0, 1.0]]) + shift * np.eye(66)
+        assert abs(lb.spectral_norm(M) - expected) < 1e-12
 
     @pytest.mark.parametrize("size", [65, 128, 512])
     @pytest.mark.parametrize("build", [lb.hilbert_matrix, lb.hankel_matrix])
@@ -284,7 +308,7 @@ class TestMassProfile:
     def test_all_mass_in_padding_region_gives_zero_vectors(self):
         n = 4
         states = [SparseState.unit(GenLabel(a, n)) for a in range(n)]
-        profile = lb.mass_profile(states)
+        profile = lb.mass_profile(columns_of(states))
         assert not profile.gammas.any()
         assert not profile.deltas.any()
 
@@ -292,14 +316,14 @@ class TestMassProfile:
         # Answer a queries exactly index a: everything lands in gamma_0.
         n = 4
         states = [SparseState.unit(GenLabel(0, a)) for a in range(n)]
-        profile = lb.mass_profile(states)
+        profile = lb.mass_profile(columns_of(states))
         assert abs(profile.gammas[0] - math.sqrt(n)) < 1e-12
         assert not profile.gammas[1:].any()
         assert not profile.deltas.any()
 
     def test_binary_search_masses_stay_within_budget(self):
         _, _, states = binary_prequery_states(8, rounds=1)
-        profile = lb.mass_profile(states)
+        profile = lb.mass_profile(columns_of(states))
         budget = float(
             np.sum(profile.gammas**2) + np.sum(profile.deltas**2)
         )
@@ -307,7 +331,7 @@ class TestMassProfile:
 
     def test_projections_partition_each_state(self):
         _, _, states = binary_prequery_states(8, rounds=2)
-        profile = lb.mass_profile(states)
+        profile = lb.mass_profile(columns_of(states))
         columns = profile.columns
         rebuilt = [{} for _ in states]
         for k, a, amp, index in zip(
@@ -329,7 +353,7 @@ class TestMassProfile:
             SparseState.unit(TeamLabel(0, 0, 1)),
         ]
         with pytest.raises(TypeError):
-            lb.mass_profile(states)
+            lb.mass_profile(columns_of(states))
 
 
 class TestDropChain:
@@ -338,8 +362,8 @@ class TestDropChain:
         w = lb.WeightSpec.inverse_distance(n)
         _, _, states = binary_prequery_states(n, rounds=1)
         shift = lambda label: [(GenLabel(label.z + 100, label.i), 1.0)]
-        after = [apply_linear(s, shift, unitary=True) for s in states]
-        report = lb.verify_drop_chain(states, after, w)
+        after = [apply_linear(s, shift) for s in states]
+        report = chain_report(states, after, w)
         assert report.drop < 1e-12
         # No query was made, so the drop recomputed from the queried masses
         # cannot match: the pair identity is the only link that fails.
@@ -353,7 +377,7 @@ class TestDropChain:
         after = [
             algo.advance(0, state, inst) for state, inst in zip(states, instances)
         ]
-        report = lb.verify_drop_chain(states, after, w)
+        report = chain_report(states, after, w)
         assert report.drop > 1.0
         assert report.holds
         assert report.drop <= report.pair_bound + 1e-8
@@ -369,7 +393,7 @@ class TestDropChain:
             apply_query(state, inst)
             for state, inst in zip(states, enumerate_instances(n))
         ]
-        report = lb.verify_drop_chain(states, after, w)
+        report = chain_report(states, after, w)
         assert report.holds
         assert report.norm_bound <= 4 * math.pi
 
@@ -379,7 +403,7 @@ class TestDropChain:
         w = lb.WeightSpec.inverse_distance(n)
         before = [SparseState.unit(GenLabel(0, n)) for _ in range(n)]
         after = [SparseState.unit(GenLabel(a, n)) for a in range(n)]
-        report = lb.verify_drop_chain(before, after, w)
+        report = chain_report(before, after, w)
         assert not report.holds
         assert any("drop" in failure for failure in report.failures)
 
@@ -391,7 +415,7 @@ class TestDropChain:
         n = 2
         w = lb.WeightSpec.inverse_distance(n)
         states = [SparseState.unit(GenLabel(0, 0))] * n
-        report = lb.verify_drop_chain(states, states, w)
+        report = chain_report(states, states, w)
         assert report.drop == 0.0
         assert report.pair_identity_err == 2.0
         assert len(report.failures) == 1
@@ -403,8 +427,8 @@ class TestDropChain:
         n = 8
         w = lb.WeightSpec.inverse_distance(n)
         _, _, states = binary_prequery_states(n)
-        profile = lb.mass_profile(states)
-        report = lb._chain_report(profile, complex("nan"), 0j, w)
+        profile = lb.mass_profile(columns_of(states))
+        report = lb.verify_drop_chain(profile, complex("nan"), w)
         assert not report.holds
         assert report.failures[0].startswith("drop nan exceeds")
         assert report.failures[-1].startswith("pair identity error nan")
@@ -445,11 +469,12 @@ def brute_force_masses(states):
 
 
 def assert_kernel_matches_reference(states, w):
+    columns = columns_of(states)
     assert_matches_reference(
-        lb.weighted_overlap(states, w), lb._reference_weighted_overlap(states, w)
+        lb.weighted_overlap(columns, w), lb._reference_weighted_overlap(states, w)
     )
     if all(isinstance(label, GenLabel) for s in states for label in s.labels()):
-        profile = lb.mass_profile(states)
+        profile = lb.mass_profile(columns)
         assert_matches_reference(
             lb.pairwise_drop(profile, w), lb._reference_pairwise_drop(states, w)
         )
@@ -572,16 +597,14 @@ class TestKernelAgainstRowDots:
     def test_every_snapshot(self, algorithm):
         n = algorithm.n
         w = lb.WeightSpec.inverse_distance(n)
-        snapshots = [
-            lb._ensemble_columns(e) for e in lb._ensemble_snapshots(algorithm)
-        ]
+        snapshots = [lb.label_columns(e) for e in lb._ensemble_snapshots(algorithm)]
         for j, columns in enumerate(snapshots):
             expected = row_dot_gram(
                 ((a, x, a, x) for a, x in split_columns(columns).values()), w
             )
-            assert_matches_reference(lb._column_overlap(columns, w), expected)
+            assert_matches_reference(lb.weighted_overlap(columns, w), expected)
             if j + 1 < len(snapshots):
-                profile = lb._column_profile(columns, n)
+                profile = lb.mass_profile(columns)
                 assert_matches_reference(
                     lb.pairwise_drop(profile, w), row_dot_drop(profile, w)
                 )
@@ -611,7 +634,7 @@ class TestPairBoundAgainstConvolution:
         entering = list(lb._ensemble_snapshots(algorithm))[:-1]
         assert len(entering) == len(record.chain_reports) == algorithm.num_queries
         for ensemble, report in zip(entering, record.chain_reports):
-            profile = lb._column_profile(lb._ensemble_columns(ensemble), n)
+            profile = lb.mass_profile(lb.label_columns(ensemble))
             expected = convolve_pair_bound(profile, n)
             assert expected > 0
             assert abs(report.pair_bound - expected) <= 1e-12 * expected
@@ -693,8 +716,9 @@ class TestEnsemblePath:
                 {label: repr(amp) for label, amp in state._entries.items()}
                 for state in states
             ]
-            got = lb._ensemble_columns(ensemble)
-            expected = lb._label_columns(states)
+            got = lb.label_columns(ensemble)
+            expected = columns_of(states)
+            assert got.size == expected.size == algorithm.n
             assert got.labels == expected.labels
             assert got.column.tolist() == expected.column.tolist()
             assert got.answers.tolist() == expected.answers.tolist()
@@ -765,10 +789,10 @@ class TestTrajectory:
         n = 8
         w = lb.WeightSpec.inverse_distance(n)
         _, _, states = binary_prequery_states(n, rounds=2)
-        before = lb.weighted_overlap(states, w)
+        before = lb.weighted_overlap(columns_of(states), w)
         relabel = lambda l: [(GenLabel(2 * l.z + 1, l.i), 1.0)]
-        shifted = [apply_linear(s, relabel, unitary=True) for s in states]
-        after = lb.weighted_overlap(shifted, w)
+        shifted = [apply_linear(s, relabel) for s in states]
+        after = lb.weighted_overlap(columns_of(shifted), w)
         assert abs(before - after) < 1e-12
 
     def test_pairwise_drop_identity_from_projections(self):
@@ -780,8 +804,11 @@ class TestTrajectory:
         after = [
             algo.advance(1, state, inst) for state, inst in zip(states, instances)
         ]
-        measured = lb.weighted_overlap(states, w) - lb.weighted_overlap(after, w)
-        recomputed = lb.pairwise_drop(lb.mass_profile(states), w)
+        columns = columns_of(states)
+        measured = lb.weighted_overlap(columns, w) - lb.weighted_overlap(
+            columns_of(after), w
+        )
+        recomputed = lb.pairwise_drop(lb.mass_profile(columns), w)
         assert abs(measured - recomputed) < 1e-10
 
     @pytest.mark.parametrize(
@@ -815,14 +842,17 @@ class TestTrajectory:
         ids=lambda algorithm: f"{type(algorithm).__name__}-{algorithm.n}",
     )
     def test_chain_reports_match_the_public_route(self, algorithm):
-        # run_trajectory reuses each snapshot's label grouping for the next
-        # step's profile; verify_drop_chain groups the states afresh.
+        # run_trajectory groups the evolved ensembles; here the per-instance
+        # advance states are grouped instead, and every field must agree.
         w = lb.WeightSpec.inverse_distance(algorithm.n)
         record = lb.run_trajectory(algorithm, algorithm.n, w, verify_chain=True)
-        snapshots = trajectory_snapshots(algorithm)
+        snapshots = [columns_of(s) for s in trajectory_snapshots(algorithm)]
         assert len(record.chain_reports) == len(snapshots) - 1
+        overlaps = [lb.weighted_overlap(columns, w) for columns in snapshots]
         for j, report in enumerate(record.chain_reports):
-            assert report == lb.verify_drop_chain(snapshots[j], snapshots[j + 1], w)
+            profile = lb.mass_profile(snapshots[j])
+            drop = overlaps[j] - overlaps[j + 1]
+            assert report == lb.verify_drop_chain(profile, drop, w)
 
     def test_chain_path_needs_no_per_answer_start_or_direct_convolution(
         self, monkeypatch
@@ -870,20 +900,19 @@ class TestTrajectory:
         n = 64
         w = lb.WeightSpec(n, lambda d: scale * lb._inverse_distance(d))
         algorithm = BinarySearchAlgorithm(n)
-        snapshots = trajectory_snapshots(algorithm)
+        profile = lb.mass_profile(columns_of(trajectory_snapshots(algorithm)[0]))
         restriction = r"inverse-distance weights 1/\(b-a\) only"
         with pytest.raises(ValueError, match=restriction):
             lb.run_trajectory(algorithm, n, w, verify_chain=True)
         with pytest.raises(ValueError, match=restriction):
-            lb.verify_drop_chain(snapshots[0], snapshots[1], w)
+            lb.verify_drop_chain(profile, 0j, w)
         # Without the chain the kernel serves: W scales with it.
         plain = lb.run_trajectory(algorithm, n, lb.WeightSpec.inverse_distance(n))
         scaled = lb.run_trajectory(algorithm, n, w)
         for got, expected in zip(scaled.steps, plain.steps):
             assert_matches_reference(got.overlap, scale * expected.overlap)
         assert_matches_reference(
-            lb.pairwise_drop(lb.mass_profile(snapshots[0]), w),
-            scale * plain.steps[0].drop,
+            lb.pairwise_drop(profile, w), scale * plain.steps[0].drop
         )
 
     def test_chain_accepts_the_inverse_distance_kernel_of_any_callable(self):
@@ -892,10 +921,23 @@ class TestTrajectory:
         record = lb.run_trajectory(BinarySearchAlgorithm(n), n, w, verify_chain=True)
         assert all(report.holds for report in record.chain_reports)
 
-    def test_weight_size_must_match_the_problem_size(self):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w: lb.run_trajectory(BinarySearchAlgorithm(8), 8, w),
+            lambda w: lb.weighted_overlap(
+                columns_of(binary_prequery_states(8)[2]), w
+            ),
+            lambda w: lb.verify_drop_chain(
+                lb.mass_profile(columns_of(binary_prequery_states(8)[2])), 0j, w
+            ),
+        ],
+        ids=["run_trajectory", "weighted_overlap", "verify_drop_chain"],
+    )
+    def test_weight_size_must_match_the_problem_size(self, call):
         w = lb.WeightSpec.inverse_distance(4)
         with pytest.raises(ValueError, match="expected 4 states, got 8"):
-            lb.run_trajectory(BinarySearchAlgorithm(8), 8, w)
+            call(w)
 
     @pytest.mark.parametrize(
         "algorithm, n",

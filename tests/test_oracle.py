@@ -131,7 +131,7 @@ class TestApplyQuery:
                 return [(GenLabel(0, i), SQRT_HALF), (GenLabel(0, n), -SQRT_HALF)]
             return [(label, 1.0)]
 
-        out = apply_linear(apply_query(state, inst), rotate, unitary=True)
+        out = apply_linear(apply_query(state, inst), rotate)
         assert len(out) == 1
         read_label = out.labels()[0]
         assert (read_label.i == n) == bool(inst.bit(i))

@@ -221,7 +221,6 @@ class TestApplyLinear:
         split = apply_linear(
             state,
             lambda l: [(GenLabel(l.z, 0), SQRT_HALF), (GenLabel(l.z, 1), SQRT_HALF)],
-            unitary=True,
         )
         assert len(split) == 2
         assert abs(split.amplitude(GenLabel(5, 0)) - SQRT_HALF) < 1e-15
@@ -236,14 +235,13 @@ class TestApplyLinear:
                 (GenLabel(0, 0), SQRT_HALF),
                 (GenLabel(0, 1), SQRT_HALF if l.i == 0 else -SQRT_HALF),
             ],
-            unitary=True,
         )
         assert GenLabel(0, 1) not in out
 
     def test_norm_drift_reported_for_declared_unitary(self):
         state = random_state(10, seed=19)
         with pytest.raises(NormDriftError):
-            apply_linear(state, lambda l: [(l, 0.5)], unitary=True)
+            apply_linear(state, lambda l: [(l, 0.5)])
 
     def test_nan_coefficient_raises_instead_of_emptying_the_state(self):
         state = random_state(5, seed=23)
@@ -259,7 +257,7 @@ class TestApplyLinear:
         images = labels[:]
         rng.shuffle(images)
         table = dict(zip(labels, images))
-        out = apply_linear(state, lambda l: [(table[l], 1.0)], unitary=True)
+        out = apply_linear(state, lambda l: [(table[l], 1.0)])
         assert abs(out.norm() - state.norm()) < 1e-12
 
     def test_norm_preserved_on_ten_thousand_labels(self):
@@ -272,7 +270,6 @@ class TestApplyLinear:
                 (GenLabel(2 * l.z, l.i), SQRT_HALF),
                 (GenLabel(2 * l.z + 1, l.i), -SQRT_HALF),
             ],
-            unitary=True,
         )
         assert abs(paired.norm() - state.norm()) < 1e-12
 
@@ -439,7 +436,7 @@ class TestEnsemble:
     def test_linear_step_is_bit_equal_per_answer(self, seed):
         states = signed_zero_states(seed)
         got = apply_linear_ensemble(Ensemble.from_states(states), pair_mixer)
-        expected = [apply_linear(s, pair_mixer, unitary=True) for s in states]
+        expected = [apply_linear(s, pair_mixer) for s in states]
         assert ensemble_entries(got) == state_entries(expected)
         assert all(GenLabel(11, 0) not in s for s in expected)
         assert len(set(got.labels)) == len(got.labels)
@@ -461,7 +458,7 @@ class TestEnsemble:
         states = [SparseState({GenLabel(0, 0): 1.0}), SparseState({GenLabel(1, 0): 1.0})]
         shift = lambda l: [(l, math.sqrt(0.5) if l.z else math.sqrt(1.5))]
         with pytest.raises(NormDriftError):
-            apply_linear(states[1], shift, unitary=True)
+            apply_linear(states[1], shift)
         with pytest.raises(NormDriftError):
             apply_linear_ensemble(Ensemble.from_states(states), shift)
 
@@ -469,7 +466,7 @@ class TestEnsemble:
         states = [SparseState({GenLabel(0, 0): 1.0})]
         nan_map = lambda l: [(l, math.nan)]
         with pytest.raises(ValueError, match="amplitudes must be finite"):
-            apply_linear(states[0], nan_map, unitary=True)
+            apply_linear(states[0], nan_map)
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             apply_linear_ensemble(Ensemble.from_states(states), nan_map)
 
