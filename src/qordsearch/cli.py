@@ -17,7 +17,6 @@ from . import lowerbound, teamsearch
 from .oracle import OrderedInstance, enumerate_instances
 
 PROB_TOL = 1e-9
-DROP_TOL = 1e-9
 
 
 def fmt_float(x: float) -> str:
@@ -145,7 +144,7 @@ def trajectory(ctx, algo, n, fmt, out):
         }
         text = render_json(payload) + "\n"
     emit(text, out)
-    if not record.bound_satisfied(DROP_TOL):
+    if not record.bound_satisfied():
         click.echo(
             f"per-query drop {record.max_drop_abs():.12g} exceeds the cap "
             f"{record.bound:.12g}",
@@ -210,7 +209,7 @@ def simulate(ctx, algo, n, answer, out):
 def layout(r, out):
     """Explicitly-known-bit layout of r computers over a list of size 2*r*r."""
     try:
-        built = teamsearch.build_layout(r, 2 * r * r)
+        built = teamsearch.build_layout(r)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     emit(render_json(built.to_jsonable()) + "\n", out)

@@ -76,9 +76,15 @@ from .qcore import (
 # Looser than state tolerances: the chain composes O(n^2) float sums.
 CHAIN_TOL = 1e-8
 
+# Slack of the per-query drop against its cap pi*n in a trajectory.
+DROP_TOL = 1e-9
+
 # Above this size the spectral norm of a non-negative matrix switches from a
-# full symmetric eigensolve to deterministic power iteration.
+# full symmetric eigensolve to deterministic power iteration, which stops
+# on residual ||Mv - lam*v|| <= POWER_TOL or fails after POWER_ITERATIONS.
 EIGENSOLVE_LIMIT = 64
+POWER_TOL = 1e-10
+POWER_ITERATIONS = 100_000
 
 
 class ConvergenceError(RuntimeError):
@@ -355,43 +361,40 @@ def hankel_matrix(n: int) -> np.ndarray:
     return m
 
 
-def spectral_norm(
-    M: np.ndarray, tol: float = 1e-10, max_iterations: int = 100_000
-) -> float:
-    """Induced 2-norm of a square symmetric matrix.
+def spectral_norm(M: np.ndarray) -> float:
+    """Induced 2-norm of a non-empty, finite, square symmetric matrix.
 
     Small matrices (size <= 64) and any with a negative entry go through a
     full symmetric eigensolve. Larger non-negative ones use power iteration
-    from the deterministic all-equal start vector, stopping on residual
-    ``||Mv - lam*v|| <= tol``; by Perron-Frobenius their norm is an
-    eigenvalue with a non-negative eigenvector, never orthogonal to that start.
+    from the deterministic all-equal start vector; by Perron-Frobenius their
+    norm is an eigenvalue with a non-negative eigenvector, never orthogonal
+    to that start.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {M.shape}")
+    # The extremes are nan or infinite exactly when some entry is.
+    low, high = M.min(), M.max()
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ValueError("matrix has a non-finite entry")
     if not np.array_equal(M, M.T):
         raise ValueError("matrix is not symmetric")
     n = M.shape[0]
-    if n <= EIGENSOLVE_LIMIT or M.min() < 0:
+    if n <= EIGENSOLVE_LIMIT or low < 0:
         eigenvalues = np.linalg.eigvalsh(M)
         return float(max(abs(eigenvalues[0]), abs(eigenvalues[-1])))
-    return _power_iteration(M.__matmul__, n, tol, max_iterations)
+    return _power_iteration(M.__matmul__, n)
 
 
-def _power_iteration(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    tol: float = 1e-10,
-    max_iterations: int = 100_000,
-) -> float:
+def _power_iteration(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> float:
     """Largest eigenvalue magnitude of a symmetric operator on length-n vectors.
 
     Starts from the all-equal unit vector and stops on residual
-    ``||Mv - lam*v|| <= tol``.
+    ``||Mv - lam*v|| <= POWER_TOL``.
     """
     v = np.full(n, 1.0 / math.sqrt(n))
     w = matvec(v)
-    for _ in range(max_iterations):
+    for _ in range(POWER_ITERATIONS):
         lam = float(v @ w)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
@@ -400,11 +403,11 @@ def _power_iteration(
         # M @ v serves both this residual and the next iteration's step.
         w = matvec(v)
         residual = float(np.linalg.norm(w - lam * v))
-        if residual <= tol:
+        if residual <= POWER_TOL:
             return abs(lam)
     raise ConvergenceError(
-        f"power iteration did not reach residual {tol:.1e} "
-        f"within {max_iterations} iterations"
+        f"power iteration did not reach residual {POWER_TOL:.1e} "
+        f"within {POWER_ITERATIONS} iterations"
     )
 
 
@@ -514,13 +517,14 @@ class ChainReport:
 
 # A few sizes suffice: a trajectory applies one size at every step.
 @functools.lru_cache(maxsize=4)
-def _hankel_operator(size: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The product of ``hankel_matrix(size)`` with a vector, matrix-free.
+def _hankel(size: int) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """The product of ``hankel_matrix(size)`` with a vector, and its norm.
 
     Row k of the matrix is h_(k+l) = 1/(k+l+1) cut at k + l < size, so its
     product with v is the slice [size-1, 2*size-1) of the convolution of h
-    with v reversed: one rfft pair per product, O(size) memory. The
-    spectrum of h is computed once per size.
+    with v reversed: one rfft pair per product, O(size) memory. The norm is
+    ``spectral_norm(hankel_matrix(size))``, without the matrix above size
+    64, where power iteration runs on the product.
     """
     length = 1 << (2 * size - 2).bit_length()
     h_spectrum = np.fft.rfft(1.0 / np.arange(1, size + 1), length)
@@ -529,18 +533,9 @@ def _hankel_operator(size: int) -> Callable[[np.ndarray], np.ndarray]:
         product = np.fft.irfft(np.fft.rfft(v[::-1], length) * h_spectrum, length)
         return product[size - 1 : 2 * size - 1]
 
-    return matvec
-
-
-@functools.lru_cache(maxsize=None)
-def _hankel_norm(size: int) -> float:
-    """``spectral_norm(hankel_matrix(size))``, without the matrix above size 64.
-
-    Power iteration runs on :func:`_hankel_operator`.
-    """
     if size <= EIGENSOLVE_LIMIT:
-        return spectral_norm(hankel_matrix(size))
-    return _power_iteration(_hankel_operator(size), size)
+        return matvec, spectral_norm(hankel_matrix(size))
+    return matvec, _power_iteration(matvec, size)
 
 
 def _require_inverse_distance(w: WeightSpec) -> None:
@@ -581,29 +576,26 @@ def verify_drop_chain(
 
     gammas, deltas = profile.gammas, profile.deltas
     if n >= 2:
+        matvec, m_norm = _hankel(n - 1)
         # sum_d sum_i (1/d) gamma_i delta_(d-1-i) is gamma^T M delta.
-        pair_bound = 2.0 * float(gammas @ _hankel_operator(n - 1)(deltas))
+        pair_bound = 2.0 * float(gammas @ matvec(deltas))
         norm_bound = (
-            2.0
-            * float(np.linalg.norm(gammas))
-            * _hankel_norm(n - 1)
-            * float(np.linalg.norm(deltas))
+            2.0 * float(np.linalg.norm(gammas)) * m_norm * float(np.linalg.norm(deltas))
         )
     else:
         pair_bound = norm_bound = 0.0
     cap = math.pi * n
 
-    failures = []
-    if not drop_abs <= pair_bound + CHAIN_TOL:
-        failures.append(
-            f"drop {drop_abs:.12g} exceeds explicit double sum {pair_bound:.12g}"
-        )
-    if not pair_bound <= norm_bound + CHAIN_TOL:
-        failures.append(
-            f"double sum {pair_bound:.12g} exceeds matrix bound {norm_bound:.12g}"
-        )
-    if not norm_bound <= cap + CHAIN_TOL:
-        failures.append(f"matrix bound {norm_bound:.12g} exceeds cap {cap:.12g}")
+    links = [
+        ("drop", drop_abs, "explicit double sum", pair_bound),
+        ("double sum", pair_bound, "matrix bound", norm_bound),
+        ("matrix bound", norm_bound, "cap", cap),
+    ]
+    failures = [
+        f"{lhs} {lhs_value:.12g} exceeds {rhs} {rhs_value:.12g}"
+        for lhs, lhs_value, rhs, rhs_value in links
+        if not lhs_value <= rhs_value + CHAIN_TOL
+    ]
     if not identity_err <= CHAIN_TOL:
         failures.append(
             f"pair identity error {identity_err:.3e} exceeds tolerance {CHAIN_TOL:.1e}"
@@ -657,8 +649,8 @@ class TrajectoryRecord:
         """|W_0 - W_T - sum of drops|; zero up to float error by construction."""
         return abs(self.initial_overlap - self.final_overlap - sum(self.drops(), 0j))
 
-    def bound_satisfied(self, tol: float = 1e-9) -> bool:
-        return self.max_drop_abs() <= self.bound + tol
+    def bound_satisfied(self) -> bool:
+        return self.max_drop_abs() <= self.bound + DROP_TOL
 
     def to_csv(self) -> str:
         lines = ["j,W_re,W_im,drop_abs,bound"]

@@ -62,6 +62,20 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _TEAM = partial(tuple.__new__, TeamLabel)
 
 
+def _require_pow2(value: int, what: str, minimum: int = 1) -> None:
+    """Reject a ``value`` that is not a power of two of at least ``minimum``."""
+    if not _is_pow2(value) or value < minimum:
+        at_least = f" >= {minimum}" if minimum > 1 else ""
+        raise ValueError(f"{what} must be a power of two{at_least}, got {value}")
+
+
+def _require_sublists(n: int, r: int) -> None:
+    """Reject ``r`` not a power of two, or size-``2r`` sublists not tiling ``n``."""
+    _require_pow2(r, "computer count")
+    if n % (2 * r) != 0:
+        raise ValueError(f"list size {n} is not a multiple of the sublist size {2 * r}")
+
+
 def _permute_labels(
     state: SparseState, image_of: Callable[[BasisLabel], BasisLabel]
 ) -> SparseState:
@@ -102,8 +116,7 @@ def apply_combine(state: SparseState, s: int) -> SparseState:
     computers holding the same interval with marker values 0 and ``bit``-sign
     interfere into the single computer ``(bit, I)``.
     """
-    if not _is_pow2(s) or s < 2:
-        raise ValueError(f"interval size must be a power of two >= 2, got {s}")
+    _require_pow2(s, "interval size", minimum=2)
     return apply_linear(state, lambda label: _mix(label, s))
 
 
@@ -127,8 +140,7 @@ def apply_refine(state: SparseState, s: int) -> SparseState:
     Marker 1 selects the lower half, marker 0 the upper half; the marker is
     cleared. A label permutation: colliding images are a hard error.
     """
-    if not _is_pow2(s) or s < 2:
-        raise ValueError(f"interval size must be a power of two >= 2, got {s}")
+    _require_pow2(s, "interval size", minimum=2)
     return _permute_labels(state, _halving(s))
 
 
@@ -208,11 +220,7 @@ def apply_team_query(
         return state
     if bitwrite_length is None:
         bitwrite_length = max(lengths)
-    if not _is_pow2(bitwrite_length) or bitwrite_length < 2:
-        raise ValueError(
-            f"bit-write interval size must be a power of two >= 2, "
-            f"got {bitwrite_length}"
-        )
+    _require_pow2(bitwrite_length, "bit-write interval size", minimum=2)
 
     open_query, close_query = _bitwrite_query(inst.n, bitwrite_length)
     s = apply_linear(state, open_query)
@@ -278,25 +286,19 @@ class KnowledgeLayout:
 
 def team_knowledge_size(r: int) -> int:
     """Explicitly known bits per computer in the canonical layout: (2*r*r + 1)/3."""
-    if not _is_pow2(r):
-        raise ValueError(f"computer count must be a power of two, got {r}")
+    _require_pow2(r, "computer count")
     return (2 * r * r + 1) // 3
 
 
-def build_layout(r: int, n: int) -> KnowledgeLayout:
-    """Canonical layout of ``r`` computers over a list of size ``n = 2*r*r``.
+def build_layout(r: int) -> KnowledgeLayout:
+    """Canonical layout of ``r`` computers over a list of size ``2*r*r``.
 
     The list splits into ``r`` sublists of size ``2r``. Computer ``c`` plays
     knowledge level ``ceil(log2(e+1))`` in the sublist ``e`` steps after its
     home sublist (cyclically): level 0 knows only the sublist's last bit,
     level ``k`` knows every ``(2r / 2**k)``-th bit of it.
     """
-    if not _is_pow2(r):
-        raise ValueError(f"computer count must be a power of two, got {r}")
-    if n != 2 * r * r:
-        raise ValueError(
-            f"layout needs list size 2*r*r = {2 * r * r} for r={r}, got {n}"
-        )
+    _require_pow2(r, "computer count")
     sublist = 2 * r
     computers = []
     for c in range(r):
@@ -308,34 +310,31 @@ def build_layout(r: int, n: int) -> KnowledgeLayout:
             base = sublist * s
             known.update(base + t * stride for t in range(1, (1 << level) + 1))
         computers.append(frozenset(known))
-    return KnowledgeLayout(r=r, n_list=n, computers=tuple(computers))
+    return KnowledgeLayout(r=r, n_list=sublist * r, computers=tuple(computers))
+
+
+def _opening_levels(r: int):
+    """Per knowledge level of the opening: ``(length, marker, amplitude)``.
+
+    Level 0 is the least-knowing computer, alone on the whole size-``2r``
+    sublist with marker 0, which will receive the queried bit. Level
+    ``j >= 1`` holds the size-``2r / 2**j`` block with marker 1 (it answers
+    in sign) and ``2**(j-1)`` computers merged into it. Each computer
+    carries probability mass 1/r.
+    """
+    for j in range(r.bit_length()):
+        count = 1 if j == 0 else 1 << (j - 1)
+        yield (2 * r) >> j, 0 if j == 0 else 1, math.sqrt(count / r)
 
 
 def opening_state(inst: OrderedInstance, r: int) -> SparseState:
-    """The team's joint state entering a combine round.
-
-    One knowledge level per interval size: the level-0 computer only knows
-    the answer's sublist (the whole size-``2r`` block); level ``j >= 1`` has
-    it narrowed to the size-``2r / 2**j`` block, with ``2**(j-1)`` computers
-    merged into that label. Marker 0 on the least-knowing computer (it will
-    receive the queried bit), marker 1 elsewhere (they answer in sign).
-    Each computer carries equal probability mass 1/r.
-    """
-    if not _is_pow2(r):
-        raise ValueError(f"computer count must be a power of two, got {r}")
-    sublist = 2 * r
-    if inst.n % sublist != 0:
-        raise ValueError(
-            f"list size {inst.n} is not a multiple of the sublist size {sublist}"
-        )
-    levels = r.bit_length() - 1  # r = 2**levels
+    """The team's joint state entering a combine round: per level of
+    :func:`_opening_levels`, the block of its length that holds the answer."""
+    _require_sublists(inst.n, r)
     entries = {}
-    for j in range(levels + 1):
-        count = 1 if j == 0 else 1 << (j - 1)
-        length = sublist >> j
+    for length, marker, amp in _opening_levels(r):
         lo = inst.answer // length * length
-        marker = 0 if j == 0 else 1
-        entries[TeamLabel(marker, lo, lo + length - 1)] = math.sqrt(count / r)
+        entries[TeamLabel(marker, lo, lo + length - 1)] = amp
     return SparseState(entries)
 
 
@@ -399,12 +398,7 @@ class TeamCombineAlgorithm:
     def __init__(self, n: int, r: int | None = None):
         self.n = n
         self.r = default_team_size(n) if r is None else r
-        if not _is_pow2(self.r):
-            raise ValueError(f"computer count must be a power of two, got {self.r}")
-        if n % (2 * self.r) != 0:
-            raise ValueError(
-                f"list size {n} is not a multiple of the sublist size {2 * self.r}"
-            )
+        _require_sublists(n, self.r)
         self.num_queries = 1
         self._open, close = _bitwrite_query(n, 2 * self.r)
         steps = [_linear_step(close), _refine_step(2 * self.r)]
@@ -427,15 +421,12 @@ class TeamCombineAlgorithm:
         """
         answers = np.arange(self.n)
         labels, label_ids, amps = [], [], []
-        for j in range(self.r.bit_length()):
-            count = 1 if j == 0 else 1 << (j - 1)
-            length = (2 * self.r) >> j
-            marker = 0 if j == 0 else 1
+        for length, marker, amp in _opening_levels(self.r):
             label_ids.append(len(labels) + answers // length)
             labels += [
                 _TEAM((marker, lo, lo + length - 1)) for lo in range(0, self.n, length)
             ]
-            amps.append(np.full(self.n, math.sqrt(count / self.r), dtype=complex))
+            amps.append(np.full(self.n, amp, dtype=complex))
         opening = Ensemble(
             self.n,
             labels,
@@ -463,8 +454,7 @@ class BinarySearchAlgorithm:
     advance = _advance
 
     def __init__(self, n: int):
-        if not _is_pow2(n):
-            raise ValueError(f"list size must be a power of two, got {n}")
+        _require_pow2(n, "list size")
         self.n = n
         self.num_queries = n.bit_length() - 1
         queries = [_bitwrite_query(n, n >> j) for j in range(self.num_queries)]
@@ -528,8 +518,7 @@ class SearchTrace:
 
 def known_bits_after(n: int, j: int) -> frozenset:
     """Explicitly known 1-based positions after ``j`` classical queries."""
-    if not _is_pow2(n):
-        raise ValueError(f"list size must be a power of two, got {n}")
+    _require_pow2(n, "list size")
     if not 0 <= j <= n.bit_length() - 1:
         raise ValueError(f"query count {j} out of range for n={n}")
     step = n >> j
@@ -539,8 +528,7 @@ def known_bits_after(n: int, j: int) -> frozenset:
 def classical_binary_search(inst: OrderedInstance) -> SearchTrace:
     """Halve the candidate interval on each probed bit; exactly log2(n) queries."""
     n = inst.n
-    if not _is_pow2(n):
-        raise ValueError(f"list size must be a power of two, got {n}")
+    _require_pow2(n, "list size")
     lo, hi = 0, n - 1
     queried = []
     known = [known_bits_after(n, 0)]

@@ -192,7 +192,7 @@ class TestOutputDiscipline:
                 lb.StepRecord(1, complex(1.0), None),
             ],
         )
-        assert not record.bound_satisfied(1e-9)
+        assert not record.bound_satisfied()
 
 
 class TestStrictJson:

@@ -259,15 +259,40 @@ class TestMatrices:
         M = build(size)
         assert lb.spectral_norm(M) == two_product_power_iteration(M)
 
-    def test_power_iteration_reports_non_convergence(self):
+    def test_power_iteration_reports_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(lb, "POWER_ITERATIONS", 2)
         with pytest.raises(lb.ConvergenceError):
-            lb.spectral_norm(lb.hilbert_matrix(128), max_iterations=2)
+            lb.spectral_norm(lb.hilbert_matrix(128))
 
     def test_rejects_non_square_and_asymmetric(self):
         with pytest.raises(ValueError):
             lb.spectral_norm(np.ones((2, 3)))
         with pytest.raises(ValueError):
             lb.spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            lb.spectral_norm(np.empty((0, 0)))
+
+    @staticmethod
+    def hilbert_with_infinite_diagonal_entry():
+        M = lb.hilbert_matrix(100)
+        M[50, 50] = math.inf
+        return M
+
+    # None of these has a norm: each is refused before any solve.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: np.array([[math.nan]]),
+            hilbert_with_infinite_diagonal_entry,
+            lambda: np.full((3, 3), math.inf),
+        ],
+        ids=["nan", "hilbert-100-inf-diagonal", "all-inf-3"],
+    )
+    def test_rejects_non_finite_entries(self, build):
+        with pytest.raises(ValueError, match="non-finite"):
+            lb.spectral_norm(build())
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64, 128])
     def test_hilbert_norms_monotone_and_capped(self, n):
@@ -284,12 +309,12 @@ class TestMatrices:
 
     def test_chain_hankel_norm_is_the_eigensolve_up_to_64(self):
         for size in range(1, lb.EIGENSOLVE_LIMIT + 1):
-            assert lb._hankel_norm(size) == lb.spectral_norm(lb.hankel_matrix(size))
+            assert lb._hankel(size)[1] == lb.spectral_norm(lb.hankel_matrix(size))
 
     @pytest.mark.parametrize("size", [65, 255, 1023, 4095])
     def test_matrix_free_hankel_norm_matches_the_dense_one(self, size):
         dense = lb.spectral_norm(lb.hankel_matrix(size))
-        assert abs(lb._hankel_norm(size) - dense) <= 1e-14
+        assert abs(lb._hankel(size)[1] - dense) <= 1e-14
 
 
 def binary_prequery_states(n, rounds=0):
@@ -886,7 +911,7 @@ class TestTrajectory:
 
         monkeypatch.setattr(lb, "hankel_matrix", small_only(lb.hankel_matrix))
         monkeypatch.setattr(lb, "hilbert_matrix", small_only(lb.hilbert_matrix))
-        lb._hankel_norm.cache_clear()
+        lb._hankel.cache_clear()
         n = 1024
         w = lb.WeightSpec.inverse_distance(n)
         record = lb.run_trajectory(BinarySearchAlgorithm(n), n, w, verify_chain=True)

@@ -2,10 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qordsearch import teamsearch as ts
+from qordsearch.cli import main
 from qordsearch.oracle import OrderedInstance, enumerate_instances
 from qordsearch.qcore import (
     GenLabel,
@@ -314,36 +316,34 @@ def deduced_interval(known_positions, inst):
 
 class TestLayout:
     def test_figure_counts_for_four_computers(self):
-        layout = ts.build_layout(4, 32)
+        layout = ts.build_layout(4)
         assert layout.bit_counts() == [11, 11, 11, 11]
         assert layout.computers[0] == frozenset(
             {8, 12, 16, 18, 20, 22, 24, 26, 28, 30, 32}
         )
 
     def test_single_computer_knows_only_the_last_bit(self):
-        layout = ts.build_layout(1, 2)
+        layout = ts.build_layout(1)
         assert layout.computers == (frozenset({2}),)
 
     def test_two_computers_know_three_bits_each(self):
-        layout = ts.build_layout(2, 8)
+        layout = ts.build_layout(2)
         assert layout.bit_counts() == [3, 3]
         assert layout.computers[0] == frozenset({4, 6, 8})
         assert layout.computers[1] == frozenset({2, 4, 8})
 
     @pytest.mark.parametrize("r", [1, 2, 4, 8])
     def test_knowledge_size_formula(self, r):
-        layout = ts.build_layout(r, 2 * r * r)
+        layout = ts.build_layout(r)
         expected = ts.team_knowledge_size(r)
         assert all(count == expected for count in layout.bit_counts())
 
     def test_rejects_bad_combinations(self):
         with pytest.raises(ValueError):
-            ts.build_layout(3, 18)
-        with pytest.raises(ValueError):
-            ts.build_layout(4, 16)
+            ts.build_layout(3)
 
     def test_jsonable_shape(self):
-        data = ts.build_layout(2, 8).to_jsonable()
+        data = ts.build_layout(2).to_jsonable()
         assert data == {
             "r": 2,
             "n_list": 8,
@@ -354,7 +354,7 @@ class TestLayout:
         # Reading each computer's known bits off any instance pins exactly
         # the interval its level holds in the opening superposition.
         r, n = 4, 32
-        layout = ts.build_layout(r, n)
+        layout = ts.build_layout(r)
         for inst in enumerate_instances(n):
             opening = ts.opening_state(inst, r)
             opening_intervals = []
@@ -677,3 +677,89 @@ def test_accounting_rejects_non_integer_and_negative_input(function, valid, inva
     function(*valid)
     with pytest.raises(ValueError):
         function(*invalid)
+
+
+def error_text(function, *args, **kwargs):
+    with pytest.raises(ValueError) as raised:
+        function(*args, **kwargs)
+    return str(raised.value)
+
+
+def cli_error_line(*args):
+    result = CliRunner().invoke(main, list(args))
+    assert result.exit_code == 2
+    return result.stderr.splitlines()[-1]
+
+
+WIDE = SparseState.unit(TeamLabel(0, 0, 7))
+POW2_AT_LEAST_2 = "interval size must be a power of two >= 2, got {}"
+COMPUTER_COUNT = "computer count must be a power of two, got {}"
+LIST_SIZE = "list size must be a power of two, got {}"
+NOT_TILED = "list size {} is not a multiple of the sublist size {}"
+
+
+# Pins the text of every size check, so that stating a check once cannot
+# change what any caller sees.
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        (lambda: error_text(ts.apply_combine, WIDE, 3), POW2_AT_LEAST_2.format(3)),
+        (lambda: error_text(ts.apply_combine, WIDE, 1), POW2_AT_LEAST_2.format(1)),
+        (lambda: error_text(ts.apply_refine, WIDE, 6), POW2_AT_LEAST_2.format(6)),
+        (lambda: error_text(ts.apply_refine, WIDE, 0), POW2_AT_LEAST_2.format(0)),
+        (
+            lambda: error_text(
+                ts.apply_team_query, WIDE, OrderedInstance(8, 3), bitwrite_length=1
+            ),
+            "bit-write interval size must be a power of two >= 2, got 1",
+        ),
+        (
+            lambda: error_text(
+                ts.apply_team_query, WIDE, OrderedInstance(8, 3), bitwrite_length=6
+            ),
+            "bit-write interval size must be a power of two >= 2, got 6",
+        ),
+        (lambda: error_text(ts.team_knowledge_size, 3), COMPUTER_COUNT.format(3)),
+        (lambda: error_text(ts.build_layout, 3), COMPUTER_COUNT.format(3)),
+        (
+            lambda: error_text(ts.opening_state, OrderedInstance(8, 0), 3),
+            COMPUTER_COUNT.format(3),
+        ),
+        (
+            lambda: error_text(ts.opening_state, OrderedInstance(6, 0), 2),
+            NOT_TILED.format(6, 4),
+        ),
+        (lambda: error_text(ts.TeamCombineAlgorithm, 6, r=2), NOT_TILED.format(6, 4)),
+        (lambda: error_text(ts.TeamCombineAlgorithm, 8, r=3), COMPUTER_COUNT.format(3)),
+        (lambda: error_text(ts.BinarySearchAlgorithm, 6), LIST_SIZE.format(6)),
+        (lambda: error_text(ts.known_bits_after, 6, 1), LIST_SIZE.format(6)),
+        (
+            lambda: error_text(ts.classical_binary_search, OrderedInstance(6, 1)),
+            LIST_SIZE.format(6),
+        ),
+        (
+            lambda: cli_error_line("trajectory", "--algo", "binary", "--n", "6"),
+            "Error: " + LIST_SIZE.format(6),
+        ),
+    ],
+    ids=[
+        "apply_combine-3",
+        "apply_combine-1",
+        "apply_refine-6",
+        "apply_refine-0",
+        "apply_team_query-1",
+        "apply_team_query-6",
+        "team_knowledge_size-3",
+        "build_layout-3",
+        "opening_state-r3",
+        "opening_state-n6",
+        "TeamCombineAlgorithm-n6",
+        "TeamCombineAlgorithm-r3",
+        "BinarySearchAlgorithm-6",
+        "known_bits_after-6",
+        "classical_binary_search-6",
+        "cli-trajectory-binary-6",
+    ],
+)
+def test_size_check_messages(call, expected):
+    assert call() == expected
