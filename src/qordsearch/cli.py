@@ -14,7 +14,6 @@ import sys
 import click
 
 from . import lowerbound, teamsearch
-from .oracle import OrderedInstance, enumerate_instances
 
 PROB_TOL = 1e-9
 
@@ -164,7 +163,9 @@ def trajectory(ctx, algo, n, fmt, out):
 def simulate(ctx, algo, n, answer, out):
     """Run an algorithm and report the measured answer and its probability.
 
-    Exits with status 1 if any run is not exact (probability off 1).
+    Every instance (or only ``--answer``) is evolved in one ensemble, and
+    each answer's outcome is read off the final one. Exits with status 1 if
+    any run is not exact (probability off 1).
     """
     if n < 1:
         raise click.UsageError(f"--n must be positive, got {n}")
@@ -173,21 +174,18 @@ def simulate(ctx, algo, n, answer, out):
             f"--answer must lie in [0, {n - 1}], got {answer}"
         )
     algorithm = build_algorithm(algo, n)
-    instances = (
-        [OrderedInstance(n, answer)] if answer is not None else enumerate_instances(n)
-    )
+    targets = range(n) if answer is None else [answer]
+    outcomes = teamsearch.run_ensemble(algorithm, answer)
     results = []
     exact = True
-    for inst in instances:
-        outcome = teamsearch.run_algorithm(algorithm, inst)
+    for target, outcome in zip(targets, outcomes, strict=True):
         correct = (
-            outcome.answer == inst.answer
-            and abs(outcome.probability - 1.0) <= PROB_TOL
+            outcome.answer == target and abs(outcome.probability - 1.0) <= PROB_TOL
         )
         exact = exact and correct
         results.append(
             {
-                "answer": inst.answer,
+                "answer": target,
                 "answer_found": outcome.answer,
                 "probability": outcome.probability,
                 "queries": outcome.queries,

@@ -33,7 +33,9 @@ chain-verified run needs memory linear in n. The chain is checked for the
 inverse-distance weights only; other kernels are refused there.
 
 Algorithm protocol expected by :func:`run_trajectory`, which evolves the
-states of all answers together as one :class:`~qordsearch.qcore.Ensemble`:
+states of all answers together as one :class:`~qordsearch.qcore.Ensemble`
+through :func:`~qordsearch.teamsearch.ensemble_snapshots`, the loop that
+the ``simulate`` command also runs:
 
 * ``n``: problem size, ``num_queries``: number of oracle rounds T;
 * ``initial_ensemble()``: the ensemble entering the first query, answer
@@ -62,16 +64,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .oracle import apply_query_ensemble
-from .qcore import (
-    BasisLabel,
-    Ensemble,
-    GenLabel,
-    SparseState,
-    apply_linear_ensemble,
-    inner_product,
-    permute_ensemble,
-)
+from .qcore import BasisLabel, Ensemble, GenLabel, SparseState, inner_product
+from .teamsearch import ensemble_snapshots
 
 # Looser than state tolerances: the chain composes O(n^2) float sums.
 CHAIN_TOL = 1e-8
@@ -663,25 +657,6 @@ class TrajectoryRecord:
         return "".join(line + "\n" for line in lines)
 
 
-_ENSEMBLE_STEPS = {"linear": apply_linear_ensemble, "permute": permute_ensemble}
-
-
-def _ensemble_snapshots(algorithm):
-    """The ensemble entering each query, then the final one.
-
-    Each snapshot is one array set for all ``n`` answers: the oracle call
-    flips signs per answer, and each of the round's shared steps evaluates
-    its label map once per distinct label.
-    """
-    ensemble = algorithm.initial_ensemble()
-    yield ensemble
-    for j in range(algorithm.num_queries):
-        ensemble = apply_query_ensemble(ensemble)
-        for step in algorithm._rounds[j]:
-            ensemble = _ENSEMBLE_STEPS[step.kind](ensemble, step.image)
-        yield ensemble
-
-
 def run_trajectory(
     algorithm, n: int, w: WeightSpec, verify_chain: bool = False
 ) -> TrajectoryRecord:
@@ -700,7 +675,7 @@ def run_trajectory(
         )
     if verify_chain:
         _require_inverse_distance(w)
-    snapshots = _ensemble_snapshots(algorithm)
+    snapshots = ensemble_snapshots(algorithm, algorithm.initial_ensemble())
     # Each snapshot is grouped once: its columns give W_j and, entering
     # query j, the mass profile of that step's chain report.
     columns = label_columns(next(snapshots))

@@ -246,6 +246,14 @@ def apply_linear(
     return result
 
 
+def _unnormalized_error(norm_sq: float) -> ValueError:
+    """The error of measuring a state whose squared norm is ``norm_sq``."""
+    return ValueError(
+        f"measure_distribution requires a normalized state "
+        f"(squared norm {norm_sq:.12g})"
+    )
+
+
 def measure_distribution(
     s: SparseState, classify: Callable[[BasisLabel], object]
 ) -> dict:
@@ -255,10 +263,7 @@ def measure_distribution(
     summed squared magnitude of its labels. The input must be normalized.
     """
     if not s.normalized:
-        raise ValueError(
-            f"measure_distribution requires a normalized state "
-            f"(squared norm {s.squared_norm():.12g})"
-        )
+        raise _unnormalized_error(s.squared_norm())
     probs: dict = {}
     for label, amp in s.items():
         tag = classify(label)
@@ -301,6 +306,17 @@ class Ensemble(NamedTuple):
             np.array(answers, dtype=np.intp),
             np.array(amps, dtype=complex),
         )
+
+    @classmethod
+    def single(cls, state: SparseState, size: int, answer: int) -> "Ensemble":
+        """The ensemble whose answer ``answer`` holds ``state``.
+
+        Every other answer ``0 .. size-1`` holds the empty state, so an
+        operator that reads ``size`` (the oracle's list size) sees the
+        full list while only one state is evolved.
+        """
+        ensemble = cls.from_states([state])
+        return ensemble._replace(size=size, answers=ensemble.answers + answer)
 
     @classmethod
     def broadcast(cls, state: SparseState, size: int) -> "Ensemble":

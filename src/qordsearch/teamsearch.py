@@ -23,10 +23,13 @@ Binary search is the r = 1 case of the same operators: a team of one
 computer whose every round is the bit-writing query on its own interval
 followed by one refinement. Both steppable algorithms are data: per query,
 a list of instance-independent steps run after the oracle call, which one
-shared ``advance`` composes. The module also provides the classical
-binary-search reference, the knowledge layouts that let one query multiply
-every computer's explicitly known bits by a factor approaching three, and the
-digit-decomposition accounting behind the query-count model.
+shared ``advance`` composes for one instance and :func:`ensemble_snapshots`
+runs on every answer at once; :func:`run_ensemble` reads each answer's
+outcome off the final ensemble, with :func:`run_algorithm`'s bits. The
+module also provides the classical binary-search reference, the knowledge
+layouts that let one query multiply every computer's explicitly known bits
+by a factor approaching three, and the digit-decomposition accounting behind
+the query-count model.
 """
 from __future__ import annotations
 
@@ -43,16 +46,21 @@ import numpy as np
 from . import oracle as oracle_mod
 from .oracle import OrderedInstance
 from .qcore import (
+    NORM_TOL,
     BasisLabel,
     CollisionError,
     Ensemble,
     GenLabel,
     SparseState,
     TeamLabel,
+    _first_of_runs,
     _is_pow2,
+    _squared_norms,
+    _unnormalized_error,
     apply_linear,
     apply_linear_ensemble,
     measure_distribution,
+    permute_ensemble,
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -207,6 +215,8 @@ def apply_team_query(
     Costs exactly one diagonal query: open (mix, route), query, close
     (unroute, mix).
     """
+    if bitwrite_length is not None:
+        _require_pow2(bitwrite_length, "bit-write interval size", minimum=2)
     lengths = set()
     for label in state._entries:
         if not isinstance(label, TeamLabel):
@@ -220,7 +230,6 @@ def apply_team_query(
         return state
     if bitwrite_length is None:
         bitwrite_length = max(lengths)
-    _require_pow2(bitwrite_length, "bit-write interval size", minimum=2)
 
     open_query, close_query = _bitwrite_query(inst.n, bitwrite_length)
     s = apply_linear(state, open_query)
@@ -381,6 +390,25 @@ def _advance(self, j: int, state: SparseState, inst: OrderedInstance) -> SparseS
     return state
 
 
+_ENSEMBLE_STEPS = {"linear": apply_linear_ensemble, "permute": permute_ensemble}
+
+
+def ensemble_snapshots(algorithm, ensemble: Ensemble):
+    """``ensemble``, then the ensemble after each query and its round.
+
+    From ``algorithm.initial_ensemble()`` these are the snapshots entering
+    each query, then the final one. Each snapshot is one array set for all
+    answers: the oracle call flips signs per answer, and each of the round's
+    shared steps evaluates its label map once per distinct label.
+    """
+    yield ensemble
+    for j in range(algorithm.num_queries):
+        ensemble = oracle_mod.apply_query_ensemble(ensemble)
+        for step in algorithm._rounds[j]:
+            ensemble = _ENSEMBLE_STEPS[step.kind](ensemble, step.image)
+        yield ensemble
+
+
 class TeamCombineAlgorithm:
     """The one-query combine round as a steppable algorithm.
 
@@ -497,6 +525,63 @@ def run_algorithm(algorithm, inst: OrderedInstance) -> SimulationResult:
     return SimulationResult(
         answer=answer, probability=probability, queries=algorithm.num_queries
     )
+
+
+def measure_ensemble(algorithm, ensemble: Ensemble, answers) -> list[SimulationResult]:
+    """:func:`run_algorithm`'s measurement of each of ``answers`` in ``ensemble``.
+
+    The rules are :func:`measure_distribution`'s and :func:`run_algorithm`'s,
+    with the same bits: each measured answer must be normalized, every label
+    goes through ``algorithm.answer_of``, an outcome's probability is the sum
+    of ``abs(amp) ** 2`` over its labels in label sort order, and the most
+    likely outcome wins, the first in that order on a tie.
+    """
+    answers = np.asarray(answers, dtype=np.intp)
+    norms_sq = _squared_norms(ensemble.size, ensemble.answers, ensemble.amps)[answers]
+    normalized = np.abs(norms_sq - 1.0) <= NORM_TOL
+    if not normalized.all():
+        raise _unnormalized_error(float(norms_sq[~normalized][0]))
+    labels = ensemble.labels
+    outcomes = np.array([algorithm.answer_of(label) for label in labels], dtype=np.intp)
+    rank = np.empty(len(labels), dtype=np.intp)
+    rank[sorted(range(len(labels)), key=lambda k: labels[k].sort_key)] = np.arange(
+        len(labels)
+    )
+    # Entries by answer, then label sort order: the order of the per-state sums.
+    order = np.lexsort((rank[ensemble.label_ids], ensemble.answers))
+    span = int(outcomes.max()) + 1
+    keys = ensemble.answers[order] * span + outcomes[ensemble.label_ids[order]]
+    # numpy's abs and square round differently from Python's in the last bit.
+    masses = [abs(amp) ** 2 for amp in ensemble.amps[order].tolist()]
+    keys, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    probabilities = np.bincount(group, masses, minlength=len(keys))
+    # Per answer, the most likely outcome, and the first to appear on a tie.
+    owners = keys // span
+    best = np.lexsort((first, -probabilities, owners))
+    best = best[_first_of_runs(owners[best])]
+    chosen = best[np.searchsorted(owners[best], answers)]
+    found = (keys[chosen] % span).tolist()
+    return [
+        SimulationResult(answer=a, probability=p, queries=algorithm.num_queries)
+        for a, p in zip(found, probabilities[chosen].tolist())
+    ]
+
+
+def run_ensemble(algorithm, answer: int | None = None) -> list[SimulationResult]:
+    """:func:`run_algorithm` on every instance, evolved as one ensemble.
+
+    With ``answer``, only that instance: its :meth:`initial_state` alone is
+    evolved, in an ensemble of the algorithm's list size.
+    """
+    if answer is None:
+        start, answers = algorithm.initial_ensemble(), range(algorithm.n)
+    else:
+        inst = OrderedInstance(algorithm.n, answer)
+        start = Ensemble.single(algorithm.initial_state(inst), algorithm.n, answer)
+        answers = [answer]
+    for final in ensemble_snapshots(algorithm, start):
+        pass
+    return measure_ensemble(algorithm, final, answers)
 
 
 # ---------------------------------------------------------------------------

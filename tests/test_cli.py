@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -101,6 +102,18 @@ class TestSimulate:
 
     def test_unsupported_team_size_is_a_usage_error(self, runner):
         assert run(runner, "simulate", "--algo", "team", "--n", "24").exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--algo", "binary", "--n", "0"),
+            ("--algo", "binary", "--n", "6"),
+            ("--algo", "binary", "--n", "8", "--answer", "-1"),
+        ],
+        ids=["n-0", "binary-n-6", "answer--1"],
+    )
+    def test_bad_size_or_answer_is_a_usage_error(self, runner, args):
+        assert run(runner, "simulate", *args).exit_code == 2
 
 
 class TestSmallCommands:
@@ -227,3 +240,20 @@ def test_golden_output_is_byte_identical(runner, args, golden):
     result = run(runner, *args)
     assert result.exit_code == 0
     assert result.output == (GOLDEN / golden).read_text()
+
+
+# Stdout sha1 of sweeps too large for a golden file, recorded with the
+# per-instance simulate before it moved to the ensemble path.
+SIMULATE_SHA1 = [
+    (("--algo", "binary", "--n", "1024"), "098fafd7429d71c6368cfbf1ef9d3d3b4446934a"),
+    (("--algo", "team", "--n", "2048"), "8e2399ab30909e92fe151b778bf76ab8c8653f7b"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, sha1", SIMULATE_SHA1, ids=["binary-1024", "team-2048"]
+)
+def test_large_simulate_output_is_byte_identical(runner, args, sha1):
+    result = run(runner, "simulate", *args)
+    assert result.exit_code == 0
+    assert hashlib.sha1(result.stdout_bytes).hexdigest() == sha1

@@ -622,7 +622,10 @@ class TestKernelAgainstRowDots:
     def test_every_snapshot(self, algorithm):
         n = algorithm.n
         w = lb.WeightSpec.inverse_distance(n)
-        snapshots = [lb.label_columns(e) for e in lb._ensemble_snapshots(algorithm)]
+        snapshots = [
+            lb.label_columns(e)
+            for e in ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble())
+        ]
         for j, columns in enumerate(snapshots):
             expected = row_dot_gram(
                 ((a, x, a, x) for a, x in split_columns(columns).values()), w
@@ -656,7 +659,8 @@ class TestPairBoundAgainstConvolution:
         n = algorithm.n
         w = lb.WeightSpec.inverse_distance(n)
         record = lb.run_trajectory(algorithm, n, w, verify_chain=True)
-        entering = list(lb._ensemble_snapshots(algorithm))[:-1]
+        snapshots = ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble())
+        entering = list(snapshots)[:-1]
         assert len(entering) == len(record.chain_reports) == algorithm.num_queries
         for ensemble, report in zip(entering, record.chain_reports):
             profile = lb.mass_profile(lb.label_columns(ensemble))
@@ -733,7 +737,7 @@ class TestEnsemblePath:
     )
     def test_every_snapshot_matches_the_per_instance_states(self, algorithm):
         snapshots = trajectory_snapshots(algorithm)
-        ensembles = list(lb._ensemble_snapshots(algorithm))
+        ensembles = list(ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble()))
         assert len(ensembles) == len(snapshots) == algorithm.num_queries + 1
         for ensemble, states in zip(ensembles, snapshots):
             # repr tells -0.0 from 0.0, so signed zeros must match too.

@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +12,7 @@ from qordsearch import teamsearch as ts
 from qordsearch.cli import main
 from qordsearch.oracle import OrderedInstance, enumerate_instances
 from qordsearch.qcore import (
+    Ensemble,
     GenLabel,
     SparseState,
     TeamLabel,
@@ -17,6 +20,7 @@ from qordsearch.qcore import (
     diff_norm,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
 HALF = 0.5
 S2H = math.sqrt(2.0) / 2.0
 
@@ -443,6 +447,122 @@ class TestSteppableAlgorithms:
                     algo.answer_of(label)
 
 
+class HandBuilt:
+    """A zero-query algorithm whose answer ``a`` starts (and ends) in ``states[a]``."""
+
+    answer_of = staticmethod(ts._pinned_answer)
+    num_queries = 0
+
+    def __init__(self, states):
+        self.n = len(states)
+        self.states = states
+
+    def initial_state(self, inst):
+        return self.states[inst.answer]
+
+    def initial_ensemble(self):
+        return Ensemble.from_states(self.states)
+
+
+def per_instance(algorithm):
+    instances = enumerate_instances(algorithm.n)
+    return [ts.run_algorithm(algorithm, inst) for inst in instances]
+
+
+class TestEnsembleOutcomes:
+    """run_ensemble against the per-instance run_algorithm: the same bits."""
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [ts.BinarySearchAlgorithm(1 << k) for k in range(9)]
+        + [ts.TeamCombineAlgorithm(n) for n in (2, 4, 8, 32, 128)]
+        + [ts.TeamCombineAlgorithm(32, r=2)],
+        ids=lambda algo: f"{type(algo).__name__}-{algo.n}-r{getattr(algo, 'r', 1)}",
+    )
+    def test_every_instance_matches_run_algorithm(self, algorithm):
+        assert ts.run_ensemble(algorithm) == per_instance(algorithm)
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [ts.BinarySearchAlgorithm(16), ts.TeamCombineAlgorithm(32)],
+        ids=lambda algo: f"{type(algo).__name__}-{algo.n}",
+    )
+    def test_one_answer_matches_run_algorithm(self, algorithm):
+        for inst in enumerate_instances(algorithm.n):
+            got = ts.run_ensemble(algorithm, inst.answer)
+            assert got == [ts.run_algorithm(algorithm, inst)]
+
+    def test_sums_per_position_and_ties_match_run_algorithm(self):
+        # Labels pinning one position add up; equal outcomes go to the
+        # position whose first label sorts first, whatever the entry order.
+        states = [
+            SparseState({TeamLabel(0, 1, 1): S2H, TeamLabel(0, 0, 0): S2H}),
+            SparseState(
+                {
+                    TeamLabel(1, 3, 3): HALF,
+                    TeamLabel(0, 3, 3): HALF,
+                    TeamLabel(1, 2, 2): HALF,
+                    TeamLabel(0, 2, 2): -HALF,
+                }
+            ),
+            SparseState({TeamLabel(1, 1, 1): S2H, TeamLabel(0, 3, 3): S2H}),
+            SparseState({TeamLabel(1, 0, 0): 0.6, TeamLabel(0, 3, 3): 0.8j}),
+            # numpy's abs(0.03+0.9j)**2 is one bit off Python's.
+            SparseState(
+                {
+                    TeamLabel(0, 0, 0): math.sqrt(1 - 0.8109),
+                    TeamLabel(0, 4, 4): 0.03 + 0.9j,
+                }
+            ),
+        ]
+        algorithm = HandBuilt(states)
+        expected = per_instance(algorithm)
+        assert [r.answer for r in expected] == [0, 2, 3, 3, 4]
+        assert ts.run_ensemble(algorithm) == expected
+
+    def test_an_unnormalized_answer_raises_measure_distributions_error(self):
+        states = [
+            SparseState.unit(TeamLabel(0, 0, 0)),
+            SparseState({TeamLabel(0, 1, 1): 0.7}),
+        ]
+        algorithm = HandBuilt(states)
+        inst = OrderedInstance(2, 1)
+        expected = error_text(ts.run_algorithm, algorithm, inst)
+        assert "requires a normalized state" in expected
+        assert error_text(ts.run_ensemble, algorithm) == expected
+        assert error_text(ts.run_ensemble, algorithm, 1) == expected
+        final = Ensemble.from_states(states)
+        assert error_text(ts.measure_ensemble, algorithm, final, [1]) == expected
+        assert ts.measure_ensemble(algorithm, final, [0]) == [
+            ts.run_algorithm(algorithm, OrderedInstance(2, 0))
+        ]
+
+    def test_an_unpinned_final_label_raises_pinned_answers_error(self):
+        states = [
+            SparseState.unit(TeamLabel(0, 0, 1)),
+            SparseState.unit(TeamLabel(0, 1, 1)),
+        ]
+        algorithm = HandBuilt(states)
+        expected = error_text(ts.run_algorithm, algorithm, OrderedInstance(2, 0))
+        assert "final labels should pin one position" in expected
+        assert error_text(ts.run_ensemble, algorithm) == expected
+
+    def test_simulate_makes_no_per_instance_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("simulate called run_algorithm")
+
+        monkeypatch.setattr(ts, "run_algorithm", refuse)
+        runner = CliRunner()
+        sweep = runner.invoke(main, ["simulate", "--algo", "binary", "--n", "64"])
+        assert sweep.exit_code == 0, sweep.output
+        assert sweep.stdout == (GOLDEN / "simulate_binary_64.txt").read_text()
+        for algo, n, answer in (("binary", 16, 11), ("team", 32, 17)):
+            args = ["--algo", algo, "--n", str(n), "--answer", str(answer)]
+            one = runner.invoke(main, ["simulate", *args])
+            assert one.exit_code == 0, one.output
+            assert json.loads(one.stdout)["answer_found"] == answer
+
+
 def brute_force_known_bits(n, j):
     """Independent oracle for explicit knowledge after j classical queries.
 
@@ -719,6 +839,15 @@ NOT_TILED = "list size {} is not a multiple of the sublist size {}"
             ),
             "bit-write interval size must be a power of two >= 2, got 6",
         ),
+        (
+            lambda: error_text(
+                ts.apply_team_query,
+                SparseState({}),
+                OrderedInstance(8, 3),
+                bitwrite_length=3,
+            ),
+            "bit-write interval size must be a power of two >= 2, got 3",
+        ),
         (lambda: error_text(ts.team_knowledge_size, 3), COMPUTER_COUNT.format(3)),
         (lambda: error_text(ts.build_layout, 3), COMPUTER_COUNT.format(3)),
         (
@@ -749,6 +878,7 @@ NOT_TILED = "list size {} is not a multiple of the sublist size {}"
         "apply_refine-0",
         "apply_team_query-1",
         "apply_team_query-6",
+        "apply_team_query-empty-3",
         "team_knowledge_size-3",
         "build_layout-3",
         "opening_state-r3",
