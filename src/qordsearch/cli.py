@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -22,29 +23,61 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _render_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"cannot render non-finite float {value!r} as JSON")
+    return fmt_float(value)
+
+
+def _render_sequence(value) -> str:
+    get = _RENDER.get
+    return "[" + ",".join([get(type(v), render_json)(v) for v in value]) + "]"
+
+
+def _render_dict(value: dict) -> str:
+    get = _RENDER.get
+    return "{" + ",".join(
+        [
+            f"{encode_basestring_ascii(str(k))}:{get(type(v), render_json)(v)}"
+            for k, v in value.items()
+        ]
+    ) + "}"
+
+
+# Renderers by exact type; subclasses (numpy scalars among them) take the
+# isinstance chain in render_json, with bool before int.
+_RENDER = {
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    int: str,
+    float: _render_float,
+    str: encode_basestring_ascii,
+    list: _render_sequence,
+    tuple: _render_sequence,
+    dict: _render_dict,
+}
+
+
 def render_json(value) -> str:
     """Deterministic JSON: insertion-ordered keys, floats at 17 digits.
 
     Non-finite floats raise ``ValueError``: strict JSON has no nan or inf.
     """
-    if value is None:
-        return "null"
+    render = _RENDER.get(type(value))
+    if render is not None:
+        return render(value)
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return _RENDER[bool](value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"cannot render non-finite float {value!r} as JSON")
-        return fmt_float(value)
+        return _render_float(value)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(render_json(v) for v in value) + "]"
+        return _render_sequence(value)
     if isinstance(value, dict):
-        return "{" + ",".join(
-            f"{json.dumps(str(k))}:{render_json(v)}" for k, v in value.items()
-        ) + "}"
+        return _render_dict(value)
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 

@@ -45,9 +45,10 @@ the ``simulate`` command also runs:
   stand in for knowledge acquired in rounds outside the trace.
 * ``_rounds[j]`` for each query j: the round's shared (instance-independent)
   steps, run after the oracle call. Each step has ``kind`` "linear", whose
-  ``image(label)`` lists the (label, coefficient) pairs of a unitary, or
-  "permute", whose ``image(label)`` is one label. Each image is evaluated
-  once per distinct label of the ensemble.
+  ``image(fields)`` gives the (label, coefficient) terms of a unitary, or
+  "permute", whose ``image(fields)`` gives one label each, as arrays over
+  the fields of the ensemble's distinct labels (``qcore.FieldsMap``). Each
+  image is evaluated once per step.
 
 An algorithm with ``num_queries == 0`` needs no ``_rounds``. The per-answer
 ``initial_state(instance)`` and ``advance(j, state, instance)`` of the
@@ -64,7 +65,15 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .qcore import BasisLabel, Ensemble, GenLabel, SparseState, inner_product
+from .qcore import (
+    GEN,
+    BasisLabel,
+    Ensemble,
+    GenLabel,
+    SparseState,
+    inner_product,
+    require_fields,
+)
 from .teamsearch import ensemble_snapshots
 
 # Looser than state tolerances: the chain composes O(n^2) float sums.
@@ -272,15 +281,16 @@ def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> complex:
 class Columns(NamedTuple):
     """Entries of one state per answer ``0 .. size-1``, grouped by label.
 
-    Column ``k`` is ``labels[k]``; entry ``e`` is the amplitude ``amps[e]``
-    of answer ``answers[e]`` on label ``labels[column[e]]``. Columns are
-    contiguous and come in order of the first answer holding them, ties
-    broken by ``sort_key``; each column's answers ascend. Every sum over the
-    columns then runs in the same order as over the per-answer states.
+    Column ``k`` is the label ``fields[:, k]`` (see ``qcore.label_fields``);
+    entry ``e`` is the amplitude ``amps[e]`` of answer ``answers[e]`` on
+    label column ``column[e]``. Columns are contiguous and come in order of
+    the first answer holding them, ties broken by ``sort_key``; each
+    column's answers ascend. Every sum over the columns then runs in the
+    same order as over the per-answer states.
     """
 
     size: int
-    labels: list
+    fields: np.ndarray
     column: np.ndarray
     answers: np.ndarray
     amps: np.ndarray
@@ -288,11 +298,11 @@ class Columns(NamedTuple):
 
 def label_columns(ensemble: Ensemble) -> Columns:
     """Group the entries of an ensemble's states by label."""
-    labels = ensemble.labels
-    first = np.full(len(labels), ensemble.size)
+    fields = ensemble.fields
+    first = np.full(fields.shape[1], ensemble.size)
     np.minimum.at(first, ensemble.label_ids, ensemble.answers)
-    first = first.tolist()
-    runs = sorted(range(len(labels)), key=lambda k: (first[k], labels[k].sort_key))
+    # By first answer, then kind and fields: the sort_key order.
+    runs = np.lexsort((*fields[::-1], first))
     rank = np.empty(len(runs), dtype=np.intp)
     rank[runs] = np.arange(len(runs))
     column = rank[ensemble.label_ids]
@@ -300,7 +310,7 @@ def label_columns(ensemble: Ensemble) -> Columns:
     order = np.argsort(column * ensemble.size + ensemble.answers)
     return Columns(
         ensemble.size,
-        [labels[k] for k in runs],
+        fields[:, runs],
         column[order],
         ensemble.answers[order],
         ensemble.amps[order],
@@ -437,9 +447,9 @@ class MassProfile:
 def mass_profile(columns: Columns) -> MassProfile:
     """Aggregate the masses of the states in ``columns`` by offset i - a."""
     n = columns.size
-    index = np.array(
-        [gen_query_index(label) for label in columns.labels], dtype=np.intp
-    )[columns.column]
+    kind, _, index, _ = columns.fields
+    require_fields(kind == GEN, columns.fields, gen_query_index)
+    index = index[columns.column]
     amps = columns.amps
     mass = amps.real * amps.real + amps.imag * amps.imag
     offset = index - columns.answers

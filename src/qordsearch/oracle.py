@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import Ensemble, GenLabel, SparseState
+from .qcore import GEN, Ensemble, GenLabel, SparseState, labels_of
 
 
 @dataclass(frozen=True)
@@ -86,16 +86,14 @@ def apply_query_ensemble(ensemble: Ensemble) -> Ensemble:
     """:func:`apply_query` on each answer's state, with that answer's instance.
 
     Answer ``a`` flips the sign of its entries whose label queries an index
-    ``i`` with ``a <= i < size``; every label must be a ``GenLabel``.
+    ``i`` with ``a <= i < size``, read off the label fields; every label must
+    be a ``GenLabel``.
     """
-    size = ensemble.size
-    index = []
-    for label in ensemble.labels:
-        if not isinstance(label, GenLabel):
-            raise TypeError(
-                f"apply_query acts on GenLabel states only, found {label!r}"
-            )
-        index.append(min(label.i, size))  # every padding index answers 0
-    queried = np.array(index, dtype=np.intp)[ensemble.label_ids]
-    flip = (ensemble.answers <= queried) & (queried < size)
+    kind, _, index, _ = ensemble.fields
+    not_gen = kind != GEN
+    if not_gen.any():
+        [label] = labels_of(ensemble.fields[:, [int(np.argmax(not_gen))]])
+        raise TypeError(f"apply_query acts on GenLabel states only, found {label!r}")
+    queried = index[ensemble.label_ids]
+    flip = (ensemble.answers <= queried) & (queried < ensemble.size)
     return ensemble._replace(amps=np.where(flip, -ensemble.amps, ensemble.amps))

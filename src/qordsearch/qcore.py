@@ -16,10 +16,19 @@ below ``PRUNE_EPS`` are dropped at construction so that genuine zeros
 produced by interference do not linger as float dust. Labels carry a total
 order, which makes iteration and serialization deterministic.
 
-An :class:`Ensemble` holds one state per answer as flat entry arrays, so an
-instance-independent operator is evaluated once per distinct label rather
-than once per (answer, label); its operations give, entry for entry, the
-bits of the per-state operations.
+An :class:`Ensemble` holds one state per answer as flat entry arrays, and
+its labels as int64 field arrays: one column per distinct label, the rows
+``(kind, b, lo, hi)`` for a ``TeamLabel`` and ``(kind, z, i, 0)`` for a
+``GenLabel``, with kind ``TEAM`` = 1 or ``GEN`` = 0 as in ``sort_key``, so
+the lexicographic order of the columns is the label order. An
+instance-independent operator is one numpy function of those fields,
+called once per step rather than once per label or per (answer, label);
+the ensemble operations give, entry for entry, the bits of the per-state
+operations. A field beyond int64 does not fit: the team-search routing
+packs a label into ``z = ((hi * 2n + lo) << 1) | b``, below 8n^2 = 2^43 at
+n = 2^20, and distinct labels are grouped through dense ids (times the
+list size, at most about 2^41 there), never through ``z * size``, which
+would pass 2^63.
 """
 from __future__ import annotations
 
@@ -274,17 +283,92 @@ def measure_distribution(
 # ---------------------------------------------------------------------------
 # Ensembles: one state per answer, evolved together
 
+# The kinds of a label's fields, in ``sort_key`` order.
+GEN, TEAM = 0, 1
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def label_fields(labels: Sequence[BasisLabel]) -> np.ndarray:
+    """The ``(4, len(labels))`` int64 fields of tuple labels, one column each.
+
+    A ``GenLabel(z, i)`` is the column ``(GEN, z, i, 0)`` and a
+    ``TeamLabel(b, lo, hi)`` is ``(TEAM, b, lo, hi)``, so the lexicographic
+    order of columns is the ``sort_key`` order. A field beyond int64 raises
+    ``OverflowError``.
+    """
+    rows = [
+        (GEN, *label, 0) if isinstance(label, GenLabel) else (TEAM, *label)
+        for label in labels
+    ]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 4).T.copy()
+
+
+def labels_of(fields: np.ndarray) -> list[BasisLabel]:
+    """The tuple labels of the columns of ``fields``, to print or inspect."""
+    return [
+        tuple.__new__(GenLabel, (f0, f1))
+        if kind == GEN
+        else tuple.__new__(TeamLabel, (f0, f1, f2))
+        for kind, f0, f1, f2 in fields.T.tolist()
+    ]
+
+
+def require_fields(ok: np.ndarray, fields: np.ndarray, label_map: Callable) -> None:
+    """Raise what ``label_map`` raises on the first column of ``fields`` not ``ok``.
+
+    An array map checks its labels with ``ok`` and leaves the error, type and
+    message, to the tuple map it stands for, on the one label rebuilt.
+    """
+    if not ok.all():
+        [label] = labels_of(fields[:, [int(np.argmin(ok))]])
+        label_map(label)
+        raise AssertionError(f"{label_map!r} takes {label!r}; its array form does not")
+
+
+def _distinct_columns(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The id of each column of ``fields`` among the distinct columns, and those.
+
+    The distinct columns come in lexicographic order. Each column is packed
+    into one int64 key by mixed radix over the rows' ranges when that fits,
+    and sorted row by row otherwise.
+    """
+    count = fields.shape[1]
+    if count < 2:
+        return np.zeros(count, dtype=np.intp), fields
+    low = fields.min(axis=1, keepdims=True)
+    # Python ints: a row spanning all of int64 overflows its span in numpy.
+    spans = [
+        high - row_low + 1
+        for high, row_low in zip(fields.max(axis=1).tolist(), low[:, 0].tolist())
+    ]
+    if math.prod(spans) <= _INT64_MAX:
+        radix = [math.prod(spans[k + 1 :]) for k in range(len(spans))]
+        key = np.array(radix, dtype=np.int64) @ (fields - low)
+        order = np.argsort(key)
+        first = _first_of_runs(key[order])
+    else:
+        order = np.lexsort(fields[::-1])
+        ordered = fields[:, order]
+        first = np.ones(count, dtype=bool)
+        first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    ids = np.empty(count, dtype=np.intp)
+    ids[order] = np.cumsum(first) - 1
+    return ids, fields[:, order[first]]
+
 
 class Ensemble(NamedTuple):
-    """One sparse state per answer ``0 .. size-1``, held as entry arrays.
+    """One sparse state per answer ``0 .. size-1``, held as arrays.
 
-    Entry ``e`` is the amplitude ``amps[e]`` of answer ``answers[e]`` on the
-    label ``labels[label_ids[e]]``. No (label, answer) pair repeats, every
-    label in ``labels`` is held by some entry, and entries have no set order.
+    Column ``k`` of the int64 ``fields`` (see :func:`label_fields`) is the
+    ``k``-th distinct label. Entry ``e`` is the amplitude ``amps[e]`` of
+    answer ``answers[e]`` on label column ``label_ids[e]``. No (label,
+    answer) pair repeats, the columns are distinct and each is held by some
+    entry. Entries have no set order, but the constructors and operations here
+    keep them answer by answer, the order their sorts are fastest on.
     """
 
     size: int
-    labels: list
+    fields: np.ndarray
     label_ids: np.ndarray
     answers: np.ndarray
     amps: np.ndarray
@@ -301,7 +385,7 @@ class Ensemble(NamedTuple):
                 amps.append(amp)
         return cls(
             len(states),
-            list(ids),
+            label_fields(list(ids)),
             np.array(label_ids, dtype=np.intp),
             np.array(answers, dtype=np.intp),
             np.array(amps, dtype=complex),
@@ -324,16 +408,27 @@ class Ensemble(NamedTuple):
         labels = list(state._entries)
         return cls(
             size,
-            labels,
-            np.repeat(np.arange(len(labels)), size),
-            np.tile(np.arange(size), len(labels)),
-            np.repeat(np.array(list(state._entries.values()), dtype=complex), size),
+            label_fields(labels),
+            np.tile(np.arange(len(labels)), size),
+            np.repeat(np.arange(size), len(labels)),
+            np.tile(np.array(list(state._entries.values()), dtype=complex), size),
         )
 
 
-def _squared_norms(size: int, answers: np.ndarray, amps: np.ndarray) -> np.ndarray:
+def _answer_span(answers: np.ndarray) -> tuple[int, int]:
+    """The lowest answer holding an entry and the count up to the highest."""
+    if not len(answers):
+        return 0, 0
+    low = int(answers.min())
+    return low, int(answers.max()) - low + 1
+
+
+def _squared_norms(
+    answers: np.ndarray, amps: np.ndarray, low: int, count: int
+) -> np.ndarray:
+    """Squared norms of answers ``low .. low+count-1``, summed in entry order."""
     return np.bincount(
-        answers, amps.real * amps.real + amps.imag * amps.imag, minlength=size
+        answers - low, amps.real * amps.real + amps.imag * amps.imag, minlength=count
     )
 
 
@@ -344,27 +439,27 @@ def _first_of_runs(sorted_values: np.ndarray) -> np.ndarray:
     return first
 
 
-def apply_linear_ensemble(
-    ens: Ensemble, op: Callable[[BasisLabel], Iterable[tuple[BasisLabel, complex]]]
-) -> Ensemble:
+# A linear label map on the ensemble path takes the ``fields`` of the distinct
+# labels and returns ``(counts, images, coeffs)``: label ``k`` has the
+# ``counts[k]`` image terms that follow those of the labels before it, term
+# ``t`` being the label column ``images[:, t]`` with coefficient ``coeffs[t]``.
+# A permutation takes ``fields`` and returns the image columns.
+FieldsMap = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
     """:func:`apply_linear` on every state of ``ens``.
 
-    ``op`` is called once per distinct label. Each entry expands into the
-    terms ``amp * coeff`` of its label's image, and the terms of one
-    (label, answer) pair are summed from zero, as the per-state accumulation
-    does; with at most two terms per pair and real coefficients the sums are
-    bit-equal to it. Pruning, the finiteness check and the norm-drift check
-    hold per answer.
+    ``op`` is called once, on the fields of every distinct label. Each entry
+    expands into the terms ``amp * coeff`` of its label's image, and the
+    terms of one (label, answer) pair are summed from zero, as the
+    per-state accumulation does; with at most two terms per pair and real
+    coefficients the sums are bit-equal to it, in either order. Pruning,
+    the finiteness check and the norm-drift check hold per answer, over the
+    answers that hold entries.
     """
-    ids: dict = {}
-    counts, image_ids, coeffs = [], [], []
-    for label in ens.labels:
-        image = op(label)
-        counts.append(len(image))
-        for out_label, coeff in image:
-            image_ids.append(ids.setdefault(out_label, len(ids)))
-            coeffs.append(coeff)
-    counts = np.array(counts, dtype=np.intp)
+    counts, images, coeffs = op(ens.fields)
+    image_ids, image_fields = _distinct_columns(images)
     image_starts = np.cumsum(counts) - counts
     per_entry = counts[ens.label_ids]
     entry_starts = np.cumsum(per_entry) - per_entry
@@ -373,70 +468,67 @@ def apply_linear_ensemble(
     term = np.arange(len(source)) - np.repeat(
         entry_starts - image_starts[ens.label_ids], per_entry
     )
-    keys = np.array(image_ids, dtype=np.intp)[term] * ens.size + ens.answers[source]
-    terms = ens.amps[source] * np.array(coeffs)[term]
-
+    label_ids, answers = image_ids[term], ens.answers[source]
+    terms = ens.amps[source] * coeffs[term]
+    # Answers times the count of dense image ids stay far inside int64.
+    # Entries that come answer by answer leave only short runs to sort.
+    keys = answers * len(image_fields[0]) + label_ids
     order = np.argsort(keys, kind="stable")
-    keys, terms = keys[order], terms[order]
+    keys = keys[order]
     first = _first_of_runs(keys)
     group = np.cumsum(first) - 1
-    keys = keys[first]
-    amps = np.empty(len(keys), dtype=complex)
-    amps.real = np.bincount(group, terms.real, minlength=len(keys))
-    amps.imag = np.bincount(group, terms.imag, minlength=len(keys))
+    pair = order[first]
+    label_ids, answers = label_ids[pair], answers[pair]
+    terms = terms[order]
+    amps = np.empty(len(pair), dtype=complex)
+    amps.real = np.bincount(group, terms.real, minlength=len(pair))
+    amps.imag = np.bincount(group, terms.imag, minlength=len(pair))
 
     # Written so that NaN is kept, to fail the finiteness check below.
     keep = ~(np.abs(amps) < PRUNE_EPS)
-    label_ids, answers = np.divmod(keys[keep], ens.size)
-    amps = amps[keep]
-    norms_sq = _squared_norms(ens.size, answers, amps)
+    label_ids, answers, amps = label_ids[keep], answers[keep], amps[keep]
+    low, count = _answer_span(ens.answers)
+    norms_sq = _squared_norms(answers, amps, low, count)
     finite = np.isfinite(norms_sq)
     if not finite.all():
         raise ValueError(
             f"amplitudes must be finite, got squared norm {norms_sq[~finite][0]}"
         )
-    before = _squared_norms(ens.size, ens.answers, ens.amps)
+    before = _squared_norms(ens.answers, ens.amps, low, count)
     drift = float(np.abs(np.sqrt(norms_sq) - np.sqrt(before)).max(initial=0.0))
     if drift > NORM_TOL:
         raise NormDriftError(
             f"operator declared unitary drifted the norm by {drift:.3e}"
         )
 
-    # Keep only the image labels some entry still holds; keys are sorted, so
-    # their label ids are too.
-    held = _first_of_runs(label_ids)
-    images = list(ids)
+    # Keep only the image labels some entry still holds.
+    held = np.bincount(label_ids, minlength=len(image_fields[0])) > 0
     return Ensemble(
-        ens.size,
-        [images[k] for k in label_ids[held].tolist()],
-        np.cumsum(held) - 1,
-        answers,
-        amps,
+        ens.size, image_fields[:, held], (np.cumsum(held) - 1)[label_ids], answers, amps
     )
 
 
 def permute_ensemble(
-    ens: Ensemble, image_of: Callable[[BasisLabel], BasisLabel]
+    ens: Ensemble, image_of: Callable[[np.ndarray], np.ndarray]
 ) -> Ensemble:
     """Relabel every state of ``ens`` through ``image_of``; exact.
 
-    ``image_of`` is called once per distinct label. Two labels of one answer
-    with the same image raise :class:`CollisionError`.
+    ``image_of`` is called once, on the fields of every distinct label. Two
+    labels of one answer with the same image raise :class:`CollisionError`.
     """
-    ids: dict = {}
-    image_ids = [ids.setdefault(image_of(label), len(ids)) for label in ens.labels]
-    label_ids = np.array(image_ids, dtype=np.intp)[ens.label_ids]
-    if len(ids) < len(ens.labels):
+    image_ids, image_fields = _distinct_columns(image_of(ens.fields))
+    label_ids = image_ids[ens.label_ids]
+    if len(image_fields[0]) < len(ens.fields[0]):
         # Labels sharing an image collide only where one answer holds both.
         keys = label_ids * ens.size + ens.answers
-        keys = keys[np.argsort(keys, kind="stable")]
+        keys = np.sort(keys)
         repeated = keys[1:][keys[1:] == keys[:-1]]
         if len(repeated):
             image, answer = divmod(int(repeated[0]), ens.size)
             both = (label_ids == image) & (ens.answers == answer)
-            prior, label = (ens.labels[k] for k in ens.label_ids[both][:2])
+            prior, label = labels_of(ens.fields[:, ens.label_ids[both][:2]])
+            [target] = labels_of(image_fields[:, [image]])
             raise CollisionError(
-                f"labels {prior} and {label} of answer {answer} both map to "
-                f"{list(ids)[image]}"
+                f"labels {prior} and {label} of answer {answer} both map to {target}"
             )
-    return ens._replace(labels=list(ids), label_ids=label_ids)
+    return ens._replace(fields=image_fields, label_ids=label_ids)

@@ -46,13 +46,16 @@ import numpy as np
 from . import oracle as oracle_mod
 from .oracle import OrderedInstance
 from .qcore import (
+    GEN,
     NORM_TOL,
+    TEAM,
     BasisLabel,
     CollisionError,
     Ensemble,
     GenLabel,
     SparseState,
     TeamLabel,
+    _answer_span,
     _first_of_runs,
     _is_pow2,
     _squared_norms,
@@ -61,12 +64,12 @@ from .qcore import (
     apply_linear_ensemble,
     measure_distribution,
     permute_ensemble,
+    require_fields,
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # Builds a TeamLabel without re-checking it: only for labels derived from a
-# checked one by flipping its marker or taking a half of its interval, and
-# for blocks of a power-of-two length built at its multiples.
+# checked one by flipping its marker or taking a half of its interval.
 _TEAM = partial(tuple.__new__, TeamLabel)
 
 
@@ -116,6 +119,26 @@ def _mix(label, s: int):
     return [(label, 1.0)]
 
 
+def _mix_fields(fields: np.ndarray, s: int):
+    """:func:`_mix` of every label column of ``fields``: ``(counts, images, coeffs)``.
+
+    A matched label has two terms, on marker 0 then marker 1, each with
+    coefficient sqrt(1/2) except the marker-1 label's own, -sqrt(1/2); every
+    other label is its own image with coefficient 1.
+    """
+    kind, b, lo, hi = fields
+    match = (kind == TEAM) & (hi - lo + 1 == s)
+    counts = match + 1
+    images = np.repeat(fields, counts, axis=1)
+    coeffs = np.ones(images.shape[1])
+    marker0 = (np.cumsum(counts) - counts)[match]
+    images[1, marker0] = 0
+    images[1, marker0 + 1] = 1
+    coeffs[marker0] = _SQRT_HALF
+    coeffs[marker0 + 1] = np.where(b[match] == 1, -_SQRT_HALF, _SQRT_HALF)
+    return counts, images, coeffs
+
+
 def apply_combine(state: SparseState, s: int) -> SparseState:
     """Marker mixer on intervals of length ``s``.
 
@@ -140,6 +163,16 @@ def _halving(s: int) -> Callable[[BasisLabel], BasisLabel]:
         return label
 
     return image_of
+
+
+def _halving_fields(fields: np.ndarray, s: int) -> np.ndarray:
+    """:func:`_halving` of every label column of ``fields``."""
+    kind, b, lo, hi = fields
+    match = (kind == TEAM) & (hi - lo + 1 == s)
+    mid = lo + s // 2 - 1
+    lower, upper = match & (b == 1), match & (b == 0)
+    lows, highs = np.where(upper, mid + 1, lo), np.where(lower, mid, hi)
+    return np.stack((kind, np.where(match, 0, b), lows, highs))
 
 
 def apply_refine(state: SparseState, s: int) -> SparseState:
@@ -202,6 +235,49 @@ def _bitwrite_query(n: int, bitwrite_length: int):
     return open_query, close_query
 
 
+def _bitwrite_fields(n: int, bitwrite_length: int):
+    """:func:`_bitwrite_query`'s two maps on label fields, for the ensemble.
+
+    Labels that the tuple maps refuse are found by array checks; the tuple
+    map then raises its own error on the first of them.
+    """
+    open_query, close_query = _bitwrite_query(n, bitwrite_length)
+    span = 2 * n
+
+    def routed_index(b, lo, hi):
+        length = hi - lo + 1
+        parked = (length == bitwrite_length) & (b == 0)
+        return np.where(parked, n, lo + length // 2 - 1)
+
+    def open_fields(fields):
+        require_fields(fields[0] == TEAM, fields, open_query)
+        counts, images, coeffs = _mix_fields(fields, bitwrite_length)
+        _, b, lo, hi = images
+        routed = np.stack(
+            (
+                np.full_like(b, GEN),
+                ((hi * span + lo) << 1) | b,
+                routed_index(b, lo, hi),
+                np.zeros_like(b),
+            )
+        )
+        return counts, routed, coeffs
+
+    def close_fields(fields):
+        kind, z, i, _ = fields
+        b = z & 1
+        hi, lo = np.divmod(z >> 1, span)
+        length = hi - lo + 1
+        # A valid TeamLabel of length >= 2 on its routed index.
+        sits = (kind == GEN) & (lo < hi) & (length & (length - 1) == 0)
+        sits &= (lo % np.maximum(length, 1) == 0) & (i == routed_index(b, lo, hi))
+        require_fields(sits, fields, close_query)
+        team = np.stack((np.full_like(b, TEAM), b, lo, hi))
+        return _mix_fields(team, bitwrite_length)
+
+    return open_fields, close_fields
+
+
 def apply_team_query(
     state: SparseState,
     inst: OrderedInstance,
@@ -240,9 +316,9 @@ def apply_team_query(
 # One step of a round maps a state to a state. Each step names its operator
 # only when it runs, so that rebinding the module's operators (as a tracer
 # does) also reaches algorithms built before the rebinding. For the ensemble
-# path, a step also carries its per-label map: ``kind`` "linear" with
-# ``image(label)`` a list of (label, coefficient) pairs of a unitary, or
-# "permute" with ``image(label)`` one label.
+# path, a step also carries its map on label fields (see ``qcore.FieldsMap``):
+# ``kind`` "linear" with ``image(fields)`` the (counts, images, coefficients)
+# of a unitary, or "permute" with ``image(fields)`` the image columns.
 
 
 def _step(run, kind: str, image) -> Callable[[SparseState], SparseState]:
@@ -250,18 +326,19 @@ def _step(run, kind: str, image) -> Callable[[SparseState], SparseState]:
     return run
 
 
-def _linear_step(label_map) -> Callable[[SparseState], SparseState]:
+def _linear_step(label_map, fields_map) -> Callable[[SparseState], SparseState]:
     run = lambda state: apply_linear(state, label_map)
-    return _step(run, "linear", label_map)
+    return _step(run, "linear", fields_map)
 
 
 def _refine_step(s: int) -> Callable[[SparseState], SparseState]:
-    return _step(lambda state: apply_refine(state, s), "permute", _halving(s))
+    run = lambda state: apply_refine(state, s)
+    return _step(run, "permute", partial(_halving_fields, s=s))
 
 
 def _combine_step(s: int) -> Callable[[SparseState], SparseState]:
     run = lambda state: apply_combine(state, s)
-    return _step(run, "linear", lambda label: _mix(label, s))
+    return _step(run, "linear", partial(_mix_fields, s=s))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +476,7 @@ def ensemble_snapshots(algorithm, ensemble: Ensemble):
     From ``algorithm.initial_ensemble()`` these are the snapshots entering
     each query, then the final one. Each snapshot is one array set for all
     answers: the oracle call flips signs per answer, and each of the round's
-    shared steps evaluates its label map once per distinct label.
+    shared steps evaluates its map once, on the fields of the distinct labels.
     """
     yield ensemble
     for j in range(algorithm.num_queries):
@@ -429,7 +506,8 @@ class TeamCombineAlgorithm:
         _require_sublists(n, self.r)
         self.num_queries = 1
         self._open, close = _bitwrite_query(n, 2 * self.r)
-        steps = [_linear_step(close), _refine_step(2 * self.r)]
+        self._open_fields, close_fields = _bitwrite_fields(n, 2 * self.r)
+        steps = [_linear_step(close, close_fields), _refine_step(2 * self.r)]
         size = self.r
         while size >= 2:
             steps += [_combine_step(size), _refine_step(size)]
@@ -448,21 +526,24 @@ class TeamCombineAlgorithm:
         ensemble step of the open map finishes it.
         """
         answers = np.arange(self.n)
-        labels, label_ids, amps = [], [], []
+        fields, label_ids, amps = [], [], []
+        blocks = 0
         for length, marker, amp in _opening_levels(self.r):
-            label_ids.append(len(labels) + answers // length)
-            labels += [
-                _TEAM((marker, lo, lo + length - 1)) for lo in range(0, self.n, length)
-            ]
+            lo = np.arange(0, self.n, length)
+            kind, markers = np.full_like(lo, TEAM), np.full_like(lo, marker)
+            fields.append(np.stack((kind, markers, lo, lo + length - 1)))
+            label_ids.append(blocks + answers // length)
+            blocks += len(lo)
             amps.append(np.full(self.n, amp, dtype=complex))
+        # Entries answer by answer: one row per answer, one column per level.
         opening = Ensemble(
             self.n,
-            labels,
-            np.concatenate(label_ids),
-            np.tile(answers, len(amps)),
-            np.concatenate(amps),
+            np.concatenate(fields, axis=1),
+            np.stack(label_ids, axis=1).ravel(),
+            np.repeat(answers, len(amps)),
+            np.stack(amps, axis=1).ravel(),
         )
-        return apply_linear_ensemble(opening, self._open)
+        return apply_linear_ensemble(opening, self._open_fields)
 
 
 class BinarySearchAlgorithm:
@@ -485,13 +566,16 @@ class BinarySearchAlgorithm:
         _require_pow2(n, "list size")
         self.n = n
         self.num_queries = n.bit_length() - 1
-        queries = [_bitwrite_query(n, n >> j) for j in range(self.num_queries)]
+        lengths = [n >> j for j in range(self.num_queries)]
+        queries = [_bitwrite_query(n, length) for length in lengths]
+        maps = [_bitwrite_fields(n, length) for length in lengths]
         self._open = queries[0][0] if queries else None
+        self._open_fields = maps[0][0] if maps else None
         self._rounds = []
-        for j, (_, close) in enumerate(queries):
-            steps = [_linear_step(close), _refine_step(n >> j)]
+        for j, length in enumerate(lengths):
+            steps = [_linear_step(queries[j][1], maps[j][1]), _refine_step(length)]
             if j + 1 < self.num_queries:
-                steps.append(_linear_step(queries[j + 1][0]))
+                steps.append(_linear_step(queries[j + 1][0], maps[j + 1][0]))
             self._rounds.append(steps)
 
     def initial_state(self, inst: OrderedInstance | None = None) -> SparseState:
@@ -504,8 +588,8 @@ class BinarySearchAlgorithm:
         """Every answer's :meth:`initial_state`: the one start, broadcast."""
         start = SparseState.unit(TeamLabel(0, 0, self.n - 1))
         ensemble = Ensemble.broadcast(start, self.n)
-        if self._open is not None:
-            ensemble = apply_linear_ensemble(ensemble, self._open)
+        if self._open_fields is not None:
+            ensemble = apply_linear_ensemble(ensemble, self._open_fields)
         return ensemble
 
 
@@ -532,21 +616,25 @@ def measure_ensemble(algorithm, ensemble: Ensemble, answers) -> list[SimulationR
 
     The rules are :func:`measure_distribution`'s and :func:`run_algorithm`'s,
     with the same bits: each measured answer must be normalized, every label
-    goes through ``algorithm.answer_of``, an outcome's probability is the sum
+    must pin one position, which is its outcome (``algorithm.answer_of``
+    raises for the first that does not), an outcome's probability is the sum
     of ``abs(amp) ** 2`` over its labels in label sort order, and the most
     likely outcome wins, the first in that order on a tie.
     """
     answers = np.asarray(answers, dtype=np.intp)
-    norms_sq = _squared_norms(ensemble.size, ensemble.answers, ensemble.amps)[answers]
+    low, count = _answer_span(answers)
+    measured = (low <= ensemble.answers) & (ensemble.answers < low + count)
+    norms_sq = _squared_norms(
+        ensemble.answers[measured], ensemble.amps[measured], low, count
+    )[answers - low]
     normalized = np.abs(norms_sq - 1.0) <= NORM_TOL
     if not normalized.all():
         raise _unnormalized_error(float(norms_sq[~normalized][0]))
-    labels = ensemble.labels
-    outcomes = np.array([algorithm.answer_of(label) for label in labels], dtype=np.intp)
-    rank = np.empty(len(labels), dtype=np.intp)
-    rank[sorted(range(len(labels)), key=lambda k: labels[k].sort_key)] = np.arange(
-        len(labels)
-    )
+    fields = ensemble.fields
+    kind, _, outcomes, hi = fields
+    require_fields((kind == TEAM) & (outcomes == hi), fields, algorithm.answer_of)
+    rank = np.empty(fields.shape[1], dtype=np.intp)
+    rank[np.lexsort(fields[::-1])] = np.arange(fields.shape[1])
     # Entries by answer, then label sort order: the order of the per-state sums.
     order = np.lexsort((rank[ensemble.label_ids], ensemble.answers))
     span = int(outcomes.max()) + 1

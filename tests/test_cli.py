@@ -1,8 +1,11 @@
+import enum
 import hashlib
 import json
 import math
+from collections import OrderedDict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -219,6 +222,27 @@ class TestStrictJson:
         text = render_json({"x": 0.1, "y": [-0.0, 1e308], "z": None})
         assert text == '{"x":0.10000000000000001,"y":[-0,1e+308],"z":null}'
         assert json.loads(text) == {"x": 0.1, "y": [0.0, 1e308], "z": None}
+
+    def test_subclasses_render_as_their_base_type(self):
+        class Text(str):
+            pass
+
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        value = {
+            "a": np.float64(0.1),
+            Text("b"): Text('q"\u00e9'),
+            "c": OrderedDict(x=(True, None, Level.HIGH, -7)),
+        }
+        assert render_json(value) == (
+            '{"a":0.10000000000000001,"b":"q\\"\\u00e9","c":{"x":[true,null,3,-7]}}'
+        )
+        with pytest.raises(ValueError):
+            render_json([np.float64(math.nan)])
+        for unsupported in (np.int64(1), np.bool_(True), {1, 2}):
+            with pytest.raises(TypeError):
+                render_json({"x": unsupported})
 
 
 # Stdout of the simulator commands, recorded before the per-operator fast

@@ -20,6 +20,7 @@ from qordsearch.qcore import (
     TeamLabel,
     apply_linear,
     inner_product,
+    labels_of,
 )
 from qordsearch.teamsearch import BinarySearchAlgorithm, TeamCombineAlgorithm
 
@@ -365,7 +366,7 @@ class TestMassProfile:
             columns.amps.tolist(),
             profile.index.tolist(),
         ):
-            label = columns.labels[k]
+            label = labels_of(columns.fields)[k]
             assert index == label.i
             assert label not in rebuilt[a]
             rebuilt[a][label] = amp
@@ -599,7 +600,7 @@ def split_columns(columns):
     """Each column's label mapped to its answers and amplitudes."""
     return {
         label: (columns.answers[columns.column == k], columns.amps[columns.column == k])
-        for k, label in enumerate(columns.labels)
+        for k, label in enumerate(labels_of(columns.fields))
     }
 
 
@@ -690,10 +691,11 @@ class OneRoundAlgorithm:
 def ensemble_entries(ensemble):
     """Each answer's ``{label: repr(amplitude)}``, read off the entry arrays."""
     entries = [{} for _ in range(ensemble.size)]
+    labels = labels_of(ensemble.fields)
     for k, answer, amp in zip(
         ensemble.label_ids.tolist(), ensemble.answers.tolist(), ensemble.amps.tolist()
     ):
-        entries[answer][ensemble.labels[k]] = repr(amp)
+        entries[answer][labels[k]] = repr(amp)
     return entries
 
 
@@ -701,10 +703,33 @@ def assert_ensemble_invariants(ensemble):
     """No (label, answer) pair repeats and every listed label is held."""
     pairs = list(zip(ensemble.label_ids.tolist(), ensemble.answers.tolist()))
     assert len(set(pairs)) == len(pairs)
-    assert len(set(ensemble.labels)) == len(ensemble.labels)
-    assert {k for k, _ in pairs} == set(range(len(ensemble.labels)))
+    labels = labels_of(ensemble.fields)
+    assert len(set(labels)) == len(labels)
+    assert {k for k, _ in pairs} == set(range(len(labels)))
     assert all(0 <= a < ensemble.size for _, a in pairs)
     assert len(ensemble.amps) == len(pairs)
+
+
+# Binary N = 1 .. 64, and team N in {8, 32, 128} with every computer count r
+# whose sublists of size 2r tile N, plus the smallest team.
+DIFFERENTIAL_ALGORITHMS = (
+    [BinarySearchAlgorithm(1 << k) for k in range(7)]
+    + [TeamCombineAlgorithm(2)]
+    + [
+        TeamCombineAlgorithm(n, r=1 << k)
+        for n in (8, 32, 128)
+        for k in range(n.bit_length() - 1)
+    ]
+)
+
+
+def algorithm_id(algorithm):
+    """Name and size, and the computer count where it is not the default."""
+    name = f"{type(algorithm).__name__}-{algorithm.n}"
+    if isinstance(algorithm, TeamCombineAlgorithm):
+        if algorithm.r != ts.default_team_size(algorithm.n):
+            return f"{name}-r{algorithm.r}"
+    return name
 
 
 class TestEnsemblePath:
@@ -712,9 +737,7 @@ class TestEnsemblePath:
 
     @pytest.mark.parametrize(
         "algorithm",
-        [BinarySearchAlgorithm(1 << k) for k in range(7)]
-        + [TeamCombineAlgorithm(n) for n in (2, 8, 32, 128)]
-        + [TeamCombineAlgorithm(64, r=4)],
+        DIFFERENTIAL_ALGORITHMS + [TeamCombineAlgorithm(64, r=4)],
         ids=lambda algorithm: (
             f"{type(algorithm).__name__}-{algorithm.n}-r{getattr(algorithm, 'r', 1)}"
         ),
@@ -729,12 +752,7 @@ class TestEnsemblePath:
         # repr tells -0.0 from 0.0, so signed zeros must match too.
         assert ensemble_entries(got) == ensemble_entries(expected)
 
-    @pytest.mark.parametrize(
-        "algorithm",
-        [BinarySearchAlgorithm(1 << k) for k in range(7)]
-        + [TeamCombineAlgorithm(n) for n in (2, 8, 32, 128)],
-        ids=lambda algorithm: f"{type(algorithm).__name__}-{algorithm.n}",
-    )
+    @pytest.mark.parametrize("algorithm", DIFFERENTIAL_ALGORITHMS, ids=algorithm_id)
     def test_every_snapshot_matches_the_per_instance_states(self, algorithm):
         snapshots = trajectory_snapshots(algorithm)
         ensembles = list(ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble()))
@@ -748,42 +766,78 @@ class TestEnsemblePath:
             got = lb.label_columns(ensemble)
             expected = columns_of(states)
             assert got.size == expected.size == algorithm.n
-            assert got.labels == expected.labels
+            assert labels_of(got.fields) == labels_of(expected.fields)
             assert got.column.tolist() == expected.column.tolist()
             assert got.answers.tolist() == expected.answers.tolist()
             assert list(map(repr, got.amps.tolist())) == list(
                 map(repr, expected.amps.tolist())
             )
 
-    def _both_paths_raise(self, algorithm, error, match=None):
+    def _both_paths_raise(self, algorithm, error):
+        """Both paths raise ``error``; the two messages, per instance first."""
         inst = OrderedInstance(algorithm.n, 0)
-        with pytest.raises(error, match=match):
+        with pytest.raises(error) as per_instance:
             algorithm.advance(0, algorithm.initial_state(inst), inst)
         w = lb.WeightSpec.inverse_distance(algorithm.n)
-        with pytest.raises(error, match=match):
+        with pytest.raises(error) as ensemble:
             lb.run_trajectory(algorithm, algorithm.n, w)
+        assert type(ensemble.value) is type(per_instance.value)
+        return str(per_instance.value), str(ensemble.value)
+
+    @staticmethod
+    def scaling_step(factor):
+        """Every label to itself times ``factor``, in both forms."""
+        return ts._linear_step(
+            lambda label: [(label, factor)],
+            lambda fields: (
+                np.ones(fields.shape[1], dtype=np.intp),
+                fields,
+                np.full(fields.shape[1], factor),
+            ),
+        )
 
     def test_non_unitary_step_drifts_the_norm(self):
         start = SparseState.unit(GenLabel(0, 4))
-        grow = ts._linear_step(lambda label: [(label, 2.0)])
-        self._both_paths_raise(OneRoundAlgorithm(4, start, [grow]), NormDriftError)
+        algorithm = OneRoundAlgorithm(4, start, [self.scaling_step(2.0)])
+        expected, got = self._both_paths_raise(algorithm, NormDriftError)
+        assert got == expected == "operator declared unitary drifted the norm by 1.000e+00"
 
     def test_nan_amplitude_is_not_finite(self):
         start = SparseState.unit(GenLabel(0, 4))
-        poison = ts._linear_step(lambda label: [(label, math.nan)])
-        self._both_paths_raise(
-            OneRoundAlgorithm(4, start, [poison]), ValueError, "must be finite"
-        )
+        algorithm = OneRoundAlgorithm(4, start, [self.scaling_step(math.nan)])
+        expected, got = self._both_paths_raise(algorithm, ValueError)
+        assert got == expected == "amplitudes must be finite, got squared norm nan"
 
     def test_colliding_permutation(self):
         start = SparseState({GenLabel(0, 1): 0.6, GenLabel(1, 1): 0.8})
         merge = lambda label: GenLabel(0, label.i)
-        step = ts._step(lambda state: ts._permute_labels(state, merge), "permute", merge)
-        self._both_paths_raise(OneRoundAlgorithm(4, start, [step]), CollisionError)
+        merge_fields = lambda fields: np.stack(
+            (fields[0], np.zeros_like(fields[1]), fields[2], fields[3])
+        )
+        step = ts._step(
+            lambda state: ts._permute_labels(state, merge), "permute", merge_fields
+        )
+        algorithm = OneRoundAlgorithm(4, start, [step])
+        expected, got = self._both_paths_raise(algorithm, CollisionError)
+        # The ensemble also names the answer holding both labels.
+        assert expected == "labels 0;1 and 1;1 both map to 0;1"
+        assert got == "labels 0;1 and 1;1 of answer 0 both map to 0;1"
 
     def test_team_label_at_the_query(self):
         start = SparseState.unit(TeamLabel(0, 0, 3))
-        self._both_paths_raise(OneRoundAlgorithm(4, start, []), TypeError)
+        algorithm = OneRoundAlgorithm(4, start, [])
+        expected, got = self._both_paths_raise(algorithm, TypeError)
+        assert got == expected == (
+            "apply_query acts on GenLabel states only, found TeamLabel(b=0, lo=0, hi=3)"
+        )
+
+    def test_team_label_in_the_mass_profile(self):
+        states = [SparseState.unit(GenLabel(0, 1)), SparseState.unit(TeamLabel(0, 0, 1))]
+        with pytest.raises(TypeError) as expected:
+            lb.gen_query_index(TeamLabel(0, 0, 1))
+        with pytest.raises(TypeError) as got:
+            lb.mass_profile(columns_of(states))
+        assert str(got.value) == str(expected.value)
 
 
 class TestTrajectory:

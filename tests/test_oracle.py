@@ -17,6 +17,7 @@ from qordsearch.qcore import (
     TeamLabel,
     apply_linear,
     diff_norm,
+    labels_of,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -168,9 +169,9 @@ class TestApplyQuery:
 class TestApplyQueryEnsemble:
     @pytest.mark.parametrize("n", [1, 2, 7, 16])
     def test_each_answer_gets_its_own_instance(self, n):
-        # Indices run past n into the padding, up to a huge one.
+        # Indices run past n into the padding, up to the largest int64 field.
         labels = [GenLabel(z, i) for z in range(2) for i in range(n + 2)]
-        labels.append(GenLabel(0, 1 << 80))
+        labels.append(GenLabel(0, (1 << 63) - 1))
         states = [
             SparseState({l: complex(k + 1, -0.0) / 16 for k, l in enumerate(labels)})
             for _ in range(n)
@@ -178,7 +179,7 @@ class TestApplyQueryEnsemble:
         got = apply_query_ensemble(Ensemble.from_states(states))
         per_answer = [{} for _ in range(n)]
         for k, a, amp in zip(got.label_ids.tolist(), got.answers.tolist(), got.amps.tolist()):
-            per_answer[a][got.labels[k]] = repr(amp)
+            per_answer[a][labels_of(got.fields)[k]] = repr(amp)
         for inst, entries in zip(enumerate_instances(n), per_answer):
             expected = apply_query(states[inst.answer], inst)
             assert entries == {l: repr(a) for l, a in expected._entries.items()}
@@ -187,3 +188,10 @@ class TestApplyQueryEnsemble:
         ensemble = Ensemble.from_states([SparseState.unit(TeamLabel(0, 0, 1))] * 2)
         with pytest.raises(TypeError, match="GenLabel states only"):
             apply_query_ensemble(ensemble)
+
+    def test_an_index_beyond_int64_does_not_fit_the_fields(self):
+        # The per-instance query takes it; the ensemble's int64 fields do not.
+        state = SparseState.unit(GenLabel(0, 1 << 80))
+        assert apply_query(state, OrderedInstance(2, 1)).amplitude(GenLabel(0, 1 << 80)) == 1
+        with pytest.raises(OverflowError):
+            Ensemble.from_states([state])

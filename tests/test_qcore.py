@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ from qordsearch.qcore import (
     apply_linear_ensemble,
     diff_norm,
     inner_product,
+    label_fields,
+    labels_of,
     measure_distribution,
     permute_ensemble,
 )
@@ -390,17 +393,38 @@ class TestQueryFastPath:
 def ensemble_entries(ensemble):
     """Each answer's ``{label: repr(amplitude)}``, read off the entry arrays."""
     entries = [{} for _ in range(ensemble.size)]
+    labels = labels_of(ensemble.fields)
     for k, answer, amp in zip(
         ensemble.label_ids.tolist(), ensemble.answers.tolist(), ensemble.amps.tolist()
     ):
-        assert ensemble.labels[k] not in entries[answer]
-        entries[answer][ensemble.labels[k]] = repr(amp)
+        assert labels[k] not in entries[answer]
+        entries[answer][labels[k]] = repr(amp)
     return entries
 
 
 def state_entries(states):
     # repr tells -0.0 from 0.0, so signed zeros must match too.
     return [{label: repr(amp) for label, amp in s._entries.items()} for s in states]
+
+
+def lifted(label_map):
+    """A tuple label map as a map on label fields, one Python call per label."""
+
+    def fields_map(fields):
+        images = [label_map(label) for label in labels_of(fields)]
+        terms = [term for image in images for term in image]
+        return (
+            np.array([len(image) for image in images], dtype=np.intp),
+            label_fields([label for label, _ in terms]),
+            np.array([coeff for _, coeff in terms], dtype=float),
+        )
+
+    return fields_map
+
+
+def lifted_permutation(image_of):
+    """A tuple relabelling as a map on label fields."""
+    return lambda fields: label_fields([image_of(label) for label in labels_of(fields)])
 
 
 def pair_mixer(label):
@@ -435,23 +459,24 @@ class TestEnsemble:
     @pytest.mark.parametrize("seed", range(8))
     def test_linear_step_is_bit_equal_per_answer(self, seed):
         states = signed_zero_states(seed)
-        got = apply_linear_ensemble(Ensemble.from_states(states), pair_mixer)
+        got = apply_linear_ensemble(Ensemble.from_states(states), lifted(pair_mixer))
         expected = [apply_linear(s, pair_mixer) for s in states]
         assert ensemble_entries(got) == state_entries(expected)
         assert all(GenLabel(11, 0) not in s for s in expected)
-        assert len(set(got.labels)) == len(got.labels)
-        assert set(got.label_ids.tolist()) == set(range(len(got.labels)))
+        labels = labels_of(got.fields)
+        assert len(set(labels)) == len(labels)
+        assert set(got.label_ids.tolist()) == set(range(len(labels)))
 
     def test_each_label_map_is_evaluated_once_per_distinct_label(self):
         states = [SparseState({GenLabel(0, 0): 1.0}) for _ in range(5)]
         calls = []
 
-        def counted(label):
-            calls.append(label)
-            return pair_mixer(label)
+        def counted(fields):
+            calls.append(labels_of(fields))
+            return lifted(pair_mixer)(fields)
 
         apply_linear_ensemble(Ensemble.from_states(states), counted)
-        assert calls == [GenLabel(0, 0)]
+        assert calls == [[GenLabel(0, 0)]]
 
     def test_norm_drift_is_checked_per_answer(self):
         # The total squared norm stays 2; each answer's moves off 1.
@@ -460,7 +485,7 @@ class TestEnsemble:
         with pytest.raises(NormDriftError):
             apply_linear(states[1], shift)
         with pytest.raises(NormDriftError):
-            apply_linear_ensemble(Ensemble.from_states(states), shift)
+            apply_linear_ensemble(Ensemble.from_states(states), lifted(shift))
 
     def test_nan_coefficient_fails_the_finiteness_check(self):
         states = [SparseState({GenLabel(0, 0): 1.0})]
@@ -468,19 +493,21 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             apply_linear(states[0], nan_map)
         with pytest.raises(ValueError, match="amplitudes must be finite"):
-            apply_linear_ensemble(Ensemble.from_states(states), nan_map)
+            apply_linear_ensemble(Ensemble.from_states(states), lifted(nan_map))
 
     def test_permutation_collides_only_within_one_answer(self):
         merge = lambda l: GenLabel(0, l.i)
         apart = [SparseState({GenLabel(0, 3): 1.0}), SparseState({GenLabel(1, 3): 1.0})]
-        merged = permute_ensemble(Ensemble.from_states(apart), merge)
-        assert merged.labels == [GenLabel(0, 3)]
+        merged = permute_ensemble(Ensemble.from_states(apart), lifted_permutation(merge))
+        assert labels_of(merged.fields) == [GenLabel(0, 3)]
         assert ensemble_entries(merged) == [{GenLabel(0, 3): "(1+0j)"}] * 2
         together = SparseState({GenLabel(0, 3): 0.6, GenLabel(1, 3): 0.8})
         with pytest.raises(CollisionError):
             ts._permute_labels(together, merge)
         with pytest.raises(CollisionError, match="of answer 1 both map to 0;3"):
-            permute_ensemble(Ensemble.from_states([apart[0], together]), merge)
+            permute_ensemble(
+                Ensemble.from_states([apart[0], together]), lifted_permutation(merge)
+            )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_broadcast_holds_the_state_at_every_answer(self, seed):
@@ -490,9 +517,25 @@ class TestEnsemble:
         assert ensemble_entries(got) == state_entries([state] * 5)
         pairs = list(zip(got.label_ids.tolist(), got.answers.tolist()))
         assert len(set(pairs)) == len(pairs) == 5 * len(state)
-        assert set(got.label_ids.tolist()) == set(range(len(got.labels)))
+        assert set(got.label_ids.tolist()) == set(range(got.fields.shape[1]))
+
+    def test_labels_too_wide_to_pack_are_grouped_row_by_row(self):
+        # The z row spans all of int64, so no packed key fits.
+        big = (1 << 63) - 1
+        labels = [GenLabel(big, 1), GenLabel(0, 0), GenLabel(0, 1), GenLabel(7, 0)]
+        states = [SparseState({l: 0.5 for l in labels}), SparseState({labels[1]: 1.0})]
+        ensemble = Ensemble.from_states(states)
+        same = permute_ensemble(ensemble, lambda fields: fields)
+        assert labels_of(same.fields) == sorted(labels, key=lambda l: l.sort_key)
+        assert ensemble_entries(same) == state_entries(states)
+        identity = lambda l: [(l, 1.0)]
+        got = apply_linear_ensemble(ensemble, lifted(identity))
+        assert ensemble_entries(got) == state_entries(
+            [apply_linear(s, identity) for s in states]
+        )
 
     def test_empty_ensemble(self):
         empty = Ensemble.from_states([])
-        assert apply_linear_ensemble(empty, pair_mixer).labels == []
-        assert permute_ensemble(empty, lambda l: l).labels == []
+        assert empty.fields.shape == (4, 0)
+        assert apply_linear_ensemble(empty, lifted(pair_mixer)).fields.shape == (4, 0)
+        assert permute_ensemble(empty, lambda fields: fields).fields.shape == (4, 0)

@@ -8,9 +8,16 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qordsearch import lowerbound as lb
+from qordsearch import qcore
 from qordsearch import teamsearch as ts
 from qordsearch.cli import main
-from qordsearch.oracle import OrderedInstance, enumerate_instances
+from qordsearch.oracle import (
+    OrderedInstance,
+    apply_query,
+    apply_query_ensemble,
+    enumerate_instances,
+)
 from qordsearch.qcore import (
     Ensemble,
     GenLabel,
@@ -561,6 +568,163 @@ class TestEnsembleOutcomes:
             one = runner.invoke(main, ["simulate", *args])
             assert one.exit_code == 0, one.output
             assert json.loads(one.stdout)["answer_found"] == answer
+
+
+def linear_images(label_map, labels):
+    """A tuple map's images of ``labels``: (counts, image labels, coefficients)."""
+    images = [label_map(label) for label in labels]
+    terms = [term for image in images for term in image]
+    return [len(image) for image in images], [l for l, _ in terms], [c for _, c in terms]
+
+
+def field_images(fields_map, labels):
+    """The same three lists from the map on label fields."""
+    counts, images, coeffs = fields_map(qcore.label_fields(labels))
+    return counts.tolist(), qcore.labels_of(images), coeffs.tolist()
+
+
+def same_error(tuple_call, ensemble_call):
+    """Both calls raise one error type; its messages, tuple path first."""
+    with pytest.raises(Exception) as expected:
+        tuple_call()
+    with pytest.raises(type(expected.value)) as got:
+        ensemble_call()
+    assert type(got.value) is type(expected.value)
+    return str(expected.value), str(got.value)
+
+
+class TestFieldMaps:
+    """Each map on label fields against the tuple map it stands for."""
+
+    N = 16
+
+    def labels(self):
+        """Every TeamLabel, either marker, on a dyadic block of [0, 2N)."""
+        blocks = [(lo, lo) for lo in range(2 * self.N)]
+        blocks += [(lo, lo + length - 1) for lo, length in dyadic_blocks(5)]
+        return [TeamLabel(b, lo, hi) for b in (0, 1) for lo, hi in blocks]
+
+    @pytest.mark.parametrize("s", [2, 4, 8, 16, 32])
+    def test_mix_and_halving(self, s):
+        labels = self.labels() + [GenLabel(3, 4)]
+        mix = lambda label: ts._mix(label, s)
+        assert field_images(lambda f: ts._mix_fields(f, s), labels) == linear_images(
+            mix, labels
+        )
+        halved = ts._halving_fields(qcore.label_fields(labels), s)
+        assert qcore.labels_of(halved) == [ts._halving(s)(label) for label in labels]
+
+    @pytest.mark.parametrize("length", [2, 4, 8, 16, 32])
+    def test_open_and_close(self, length):
+        open_query, close_query = ts._bitwrite_query(self.N, length)
+        open_fields, close_fields = ts._bitwrite_fields(self.N, length)
+        labels = [label for label in self.labels() if label.length >= 2]
+        opened = field_images(open_fields, labels)
+        assert opened == linear_images(open_query, labels)
+        routed = opened[1]
+        assert field_images(close_fields, routed) == linear_images(close_query, routed)
+
+    def test_route_refuses_a_gen_label(self):
+        open_query, _ = ts._bitwrite_query(8, 8)
+        open_fields, _ = ts._bitwrite_fields(8, 8)
+        state = SparseState({TeamLabel(0, 0, 7): 0.6, GenLabel(3, 2): 0.8})
+        expected, got = same_error(
+            lambda: apply_linear(state, open_query),
+            lambda: qcore.apply_linear_ensemble(Ensemble.broadcast(state, 8), open_fields),
+        )
+        assert got == expected == "expected a TeamLabel, got GenLabel(z=3, i=2)"
+
+    def test_unroute_refuses_a_team_label(self):
+        open_query, close_query = ts._bitwrite_query(8, 8)
+        _, close_fields = ts._bitwrite_fields(8, 8)
+        [(routed, _)] = open_query(TeamLabel(1, 4, 7))
+        state = SparseState({routed: 0.6, TeamLabel(1, 4, 7): 0.8})
+        expected, got = same_error(
+            lambda: apply_linear(state, close_query),
+            lambda: qcore.apply_linear_ensemble(Ensemble.broadcast(state, 8), close_fields),
+        )
+        assert got == expected == "expected a GenLabel, got TeamLabel(b=1, lo=4, hi=7)"
+
+    @pytest.mark.parametrize(
+        "lo, hi, b, shift, message",
+        [
+            (4, 7, 1, 1, "label 233;6 does not sit on its routed query index"),
+            (5, 5, 1, 0, "label 171;4 does not sit on its routed query index"),
+            (1, 2, 0, 0, "interval [1,2] is not dyadically aligned"),
+            (0, 2, 0, 0, "interval length 3 is not a power of two"),
+            (3, 1, 0, 0, "need 0 <= lo <= hi, got lo=3, hi=1"),
+        ],
+    )
+    def test_unroute_refuses_an_unrouted_label(self, lo, hi, b, shift, message):
+        # Packed by hand, on the midpoint index the routing would give.
+        n = 8
+        _, close_query = ts._bitwrite_query(n, 8)
+        _, close_fields = ts._bitwrite_fields(n, 8)
+        z = ((hi * 2 * n + lo) << 1) | b
+        bad = GenLabel(z, lo + (hi - lo + 1) // 2 - 1 + shift)
+        state = SparseState({GenLabel(((7 * 2 * n) << 1) | 1, 3): 0.6, bad: 0.8})
+        expected, got = same_error(
+            lambda: apply_linear(state, close_query),
+            lambda: qcore.apply_linear_ensemble(Ensemble.broadcast(state, n), close_fields),
+        )
+        assert got == expected
+        assert expected.endswith(message)
+
+    def test_query_refuses_a_team_label(self):
+        state = SparseState({GenLabel(0, 1): 0.6, TeamLabel(0, 0, 1): 0.8})
+        expected, got = same_error(
+            lambda: apply_query(state, OrderedInstance(2, 0)),
+            lambda: apply_query_ensemble(Ensemble.broadcast(state, 2)),
+        )
+        assert got == expected == (
+            "apply_query acts on GenLabel states only, found TeamLabel(b=0, lo=0, hi=1)"
+        )
+
+    def test_refine_collision_names_both_labels_and_the_answer(self):
+        # Halving [0,3] with marker 1 lands on the [0,1] that answer 1 holds.
+        states = [
+            SparseState.unit(TeamLabel(0, 0, 1)),
+            SparseState({TeamLabel(1, 0, 3): 0.6, TeamLabel(0, 0, 1): 0.8}),
+        ]
+        expected, got = same_error(
+            lambda: ts.apply_refine(states[1], 4),
+            lambda: qcore.permute_ensemble(
+                Ensemble.from_states(states), lambda f: ts._halving_fields(f, 4)
+            ),
+        )
+        assert expected == "labels 1|0,3 and 0|0,1 both map to 0|0,1"
+        assert got == "labels 1|0,3 and 0|0,1 of answer 1 both map to 0|0,1"
+
+
+class TestNoPerLabelPython:
+    """The ensemble path builds no tuple label and calls no tuple label map."""
+
+    def test_no_mix_call_and_no_gen_label(self, monkeypatch):
+        counts = {"mix": 0, "gen": 0}
+        mix, gen_new = ts._mix, GenLabel.__new__
+
+        def counted_mix(*args):
+            counts["mix"] += 1
+            return mix(*args)
+
+        def counted_gen(cls, *args):
+            counts["gen"] += 1
+            return gen_new(cls, *args)
+
+        monkeypatch.setattr(ts, "_mix", counted_mix)
+        monkeypatch.setattr(GenLabel, "__new__", counted_gen)
+        # The counters see the tuple path.
+        ts.BinarySearchAlgorithm(4).initial_state()
+        assert counts["mix"] > 0 and counts["gen"] > 0
+        counts.update(mix=0, gen=0)
+
+        algorithm = ts.TeamCombineAlgorithm(512)
+        w = lb.WeightSpec.inverse_distance(512)
+        record = lb.run_trajectory(algorithm, 512, w, verify_chain=True)
+        assert all(report.holds for report in record.chain_reports)
+        results = ts.run_ensemble(ts.BinarySearchAlgorithm(256))
+        assert [r.answer for r in results] == list(range(256))
+        assert counts == {"mix": 0, "gen": 0}
 
 
 def brute_force_known_bits(n, j):
