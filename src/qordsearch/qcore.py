@@ -285,7 +285,6 @@ def measure_distribution(
 
 # The kinds of a label's fields, in ``sort_key`` order.
 GEN, TEAM = 0, 1
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 def label_fields(labels: Sequence[BasisLabel]) -> np.ndarray:
@@ -328,29 +327,14 @@ def require_fields(ok: np.ndarray, fields: np.ndarray, label_map: Callable) -> N
 def _distinct_columns(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The id of each column of ``fields`` among the distinct columns, and those.
 
-    The distinct columns come in lexicographic order. Each column is packed
-    into one int64 key by mixed radix over the rows' ranges when that fits,
-    and sorted row by row otherwise.
+    The distinct columns come in lexicographic order, from one ``np.lexsort``
+    over the rows.
     """
     count = fields.shape[1]
-    if count < 2:
-        return np.zeros(count, dtype=np.intp), fields
-    low = fields.min(axis=1, keepdims=True)
-    # Python ints: a row spanning all of int64 overflows its span in numpy.
-    spans = [
-        high - row_low + 1
-        for high, row_low in zip(fields.max(axis=1).tolist(), low[:, 0].tolist())
-    ]
-    if math.prod(spans) <= _INT64_MAX:
-        radix = [math.prod(spans[k + 1 :]) for k in range(len(spans))]
-        key = np.array(radix, dtype=np.int64) @ (fields - low)
-        order = np.argsort(key)
-        first = _first_of_runs(key[order])
-    else:
-        order = np.lexsort(fields[::-1])
-        ordered = fields[:, order]
-        first = np.ones(count, dtype=bool)
-        first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    order = np.lexsort(fields[::-1])
+    ordered = fields[:, order]
+    first = np.ones(count, dtype=bool)
+    first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
     ids = np.empty(count, dtype=np.intp)
     ids[order] = np.cumsum(first) - 1
     return ids, fields[:, order[first]]

@@ -250,7 +250,9 @@ def _bitwrite_fields(n: int, bitwrite_length: int):
         return np.where(parked, n, lo + length // 2 - 1)
 
     def open_fields(fields):
-        require_fields(fields[0] == TEAM, fields, open_query)
+        kind, _, lo, hi = fields
+        # Only a length-1 interval at 0 would route below index 0.
+        require_fields((kind == TEAM) & ((lo > 0) | (hi > lo)), fields, open_query)
         counts, images, coeffs = _mix_fields(fields, bitwrite_length)
         _, b, lo, hi = images
         routed = np.stack(
@@ -616,11 +618,18 @@ def measure_ensemble(algorithm, ensemble: Ensemble, answers) -> list[SimulationR
 
     The rules are :func:`measure_distribution`'s and :func:`run_algorithm`'s,
     with the same bits: each measured answer must be normalized, every label
-    must pin one position, which is its outcome (``algorithm.answer_of``
+    must pin one position, which is its outcome (:func:`_pinned_answer`
     raises for the first that does not), an outcome's probability is the sum
     of ``abs(amp) ** 2`` over its labels in label sort order, and the most
-    likely outcome wins, the first in that order on a tie.
+    likely outcome wins, the first in that order on a tie. The outcomes are
+    read from the fields by :func:`_pinned_answer`'s rule, so an algorithm
+    that measures by another ``answer_of`` is refused with ``TypeError``.
     """
+    if algorithm.answer_of is not _pinned_answer:
+        raise TypeError(
+            f"measure_ensemble reads outcomes as _pinned_answer does, "
+            f"not by {algorithm.answer_of!r}"
+        )
     answers = np.asarray(answers, dtype=np.intp)
     low, count = _answer_span(answers)
     measured = (low <= ensemble.answers) & (ensemble.answers < low + count)
@@ -632,7 +641,7 @@ def measure_ensemble(algorithm, ensemble: Ensemble, answers) -> list[SimulationR
         raise _unnormalized_error(float(norms_sq[~normalized][0]))
     fields = ensemble.fields
     kind, _, outcomes, hi = fields
-    require_fields((kind == TEAM) & (outcomes == hi), fields, algorithm.answer_of)
+    require_fields((kind == TEAM) & (outcomes == hi), fields, _pinned_answer)
     rank = np.empty(fields.shape[1], dtype=np.intp)
     rank[np.lexsort(fields[::-1])] = np.arange(fields.shape[1])
     # Entries by answer, then label sort order: the order of the per-state sums.

@@ -520,7 +520,7 @@ class TestEnsemble:
         assert set(got.label_ids.tolist()) == set(range(got.fields.shape[1]))
 
     def test_labels_too_wide_to_pack_are_grouped_row_by_row(self):
-        # The z row spans all of int64, so no packed key fits.
+        # The z row spans all of int64: no key built from the fields would fit.
         big = (1 << 63) - 1
         labels = [GenLabel(big, 1), GenLabel(0, 0), GenLabel(0, 1), GenLabel(7, 0)]
         states = [SparseState({l: 0.5 for l in labels}), SparseState({labels[1]: 1.0})]

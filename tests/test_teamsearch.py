@@ -554,6 +554,15 @@ class TestEnsembleOutcomes:
         assert "final labels should pin one position" in expected
         assert error_text(ts.run_ensemble, algorithm) == expected
 
+    def test_another_answer_rule_is_refused(self):
+        class Shifted(HandBuilt):
+            answer_of = staticmethod(lambda label: ts._pinned_answer(label) + 1)
+
+        algorithm = Shifted([SparseState.unit(TeamLabel(0, 0, 0))])
+        assert ts.run_algorithm(algorithm, OrderedInstance(1, 0)).answer == 1
+        with pytest.raises(TypeError, match="reads outcomes as _pinned_answer does"):
+            ts.run_ensemble(algorithm)
+
     def test_simulate_makes_no_per_instance_call(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("simulate called run_algorithm")
@@ -618,11 +627,23 @@ class TestFieldMaps:
     def test_open_and_close(self, length):
         open_query, close_query = ts._bitwrite_query(self.N, length)
         open_fields, close_fields = ts._bitwrite_fields(self.N, length)
-        labels = [label for label in self.labels() if label.length >= 2]
-        opened = field_images(open_fields, labels)
-        assert opened == linear_images(open_query, labels)
-        routed = opened[1]
+        # A length-1 interval at lo > 0 routes to lo - 1, and does not close.
+        labels = [label for label in self.labels() if label.length >= 2 or label.lo > 0]
+        assert field_images(open_fields, labels) == linear_images(open_query, labels)
+        labels = [label for label in labels if label.length >= 2]
+        routed = field_images(open_fields, labels)[1]
         assert field_images(close_fields, routed) == linear_images(close_query, routed)
+
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_route_refuses_a_length_one_interval_at_zero(self, b):
+        open_query, _ = ts._bitwrite_query(8, 8)
+        open_fields, _ = ts._bitwrite_fields(8, 8)
+        state = SparseState({TeamLabel(0, 0, 7): 0.6, TeamLabel(b, 0, 0): 0.8})
+        expected, got = same_error(
+            lambda: apply_linear(state, open_query),
+            lambda: qcore.apply_linear_ensemble(Ensemble.broadcast(state, 8), open_fields),
+        )
+        assert got == expected == f"GenLabel fields must be non-negative, got {b};-1"
 
     def test_route_refuses_a_gen_label(self):
         open_query, _ = ts._bitwrite_query(8, 8)
