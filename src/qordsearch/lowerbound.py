@@ -28,7 +28,7 @@ The weights depend on the answer distance b - a only (:class:`WeightSpec`),
 so W and each drop are sums of correlations of label columns with one
 distance kernel, computed by batched FFTs, and M is applied without being
 built: its product with a vector is a convolution, which serves both the
-double sum, as 2 * gamma^T M delta, and the power iteration for ||M||. A
+double sum, as 2 * gamma^T M delta, and the Lanczos iteration for ||M||. A
 chain-verified run needs memory linear in n. The chain is checked for the
 inverse-distance weights only; other kernels are refused there.
 
@@ -83,15 +83,21 @@ CHAIN_TOL = 1e-8
 DROP_TOL = 1e-9
 
 # Above this size the spectral norm of a non-negative matrix switches from a
-# full symmetric eigensolve to deterministic power iteration, which stops
-# on residual ||Mv - lam*v|| <= POWER_TOL or fails after POWER_ITERATIONS.
+# full symmetric eigensolve to a deterministic Lanczos iteration, which stops
+# when its top Ritz pair (lam, v) has residual ||Mv - lam*v|| <= POWER_TOL
+# or fails after LANCZOS_STEPS products; the matrices here need 6-12.
 EIGENSOLVE_LIMIT = 64
 POWER_TOL = 1e-10
-POWER_ITERATIONS = 100_000
+LANCZOS_STEPS = 32
+
+# Width of the square tiles in which the symmetry test compares M with M.T:
+# a tile and its mirror stay in cache, where M.T read whole strides through
+# every row of M.
+_SYMMETRY_TILE = 128
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration failed to reach tolerance within the iteration cap."""
+    """The Lanczos norm did not reach tolerance within ``LANCZOS_STEPS``."""
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +372,16 @@ def hankel_matrix(n: int) -> np.ndarray:
 
 
 def spectral_norm(M: np.ndarray) -> float:
-    """Induced 2-norm of a non-empty, finite, square symmetric matrix.
+    """Induced 2-norm of a non-empty, finite, square symmetric real matrix.
 
     Small matrices (size <= 64) and any with a negative entry go through a
-    full symmetric eigensolve. Larger non-negative ones use power iteration
-    from the deterministic all-equal start vector; by Perron-Frobenius their
-    norm is an eigenvalue with a non-negative eigenvector, never orthogonal
-    to that start.
+    full symmetric eigensolve. Larger non-negative ones go through
+    :func:`_lanczos_norm` on ``M @ v``; by Perron-Frobenius their norm is
+    their largest eigenvalue, which has a non-negative eigenvector, never
+    orthogonal to the all-equal start. Complex input is refused, not cast.
     """
+    if np.iscomplexobj(M):
+        raise ValueError("matrix has complex entries; only real matrices are taken")
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {M.shape}")
@@ -381,37 +389,58 @@ def spectral_norm(M: np.ndarray) -> float:
     low, high = M.min(), M.max()
     if not (math.isfinite(low) and math.isfinite(high)):
         raise ValueError("matrix has a non-finite entry")
-    if not np.array_equal(M, M.T):
+    if not _is_symmetric(M):
         raise ValueError("matrix is not symmetric")
     n = M.shape[0]
     if n <= EIGENSOLVE_LIMIT or low < 0:
         eigenvalues = np.linalg.eigvalsh(M)
         return float(max(abs(eigenvalues[0]), abs(eigenvalues[-1])))
-    return _power_iteration(M.__matmul__, n)
+    return _lanczos_norm(M.__matmul__, n)
 
 
-def _power_iteration(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> float:
-    """Largest eigenvalue magnitude of a symmetric operator on length-n vectors.
+def _is_symmetric(M: np.ndarray) -> bool:
+    """``np.array_equal(M, M.T)`` for a square M, compared tile by tile."""
+    n = M.shape[0]
+    for i in range(0, n, _SYMMETRY_TILE):
+        rows = slice(i, i + _SYMMETRY_TILE)
+        for j in range(i, n, _SYMMETRY_TILE):
+            cols = slice(j, j + _SYMMETRY_TILE)
+            if not np.array_equal(M[rows, cols], M[cols, rows].T):
+                return False
+    return True
 
-    Starts from the all-equal unit vector and stops on residual
-    ``||Mv - lam*v|| <= POWER_TOL``.
+
+def _lanczos_norm(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> float:
+    """Largest eigenvalue of a symmetric operator on length-n vectors.
+
+    Lanczos from the all-equal unit vector, with each new direction
+    orthogonalised against the whole basis twice (classical Gram-Schmidt),
+    so the tridiagonal T_k stays the projection of the operator. After step
+    k the top Ritz pair (lam, y) of T_k has residual ``beta_k * |y_k|``; the
+    iteration stops once that is at most ``POWER_TOL`` and returns lam, and
+    raises :class:`ConvergenceError` after ``LANCZOS_STEPS`` products. The
+    basis is one preallocated array used through row views, so only the
+    rows of the steps taken are ever written.
     """
-    v = np.full(n, 1.0 / math.sqrt(n))
-    w = matvec(v)
-    for _ in range(POWER_ITERATIONS):
-        lam = float(v @ w)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        # M @ v serves both this residual and the next iteration's step.
-        w = matvec(v)
-        residual = float(np.linalg.norm(w - lam * v))
-        if residual <= POWER_TOL:
-            return abs(lam)
+    steps = LANCZOS_STEPS
+    basis = np.empty((steps + 1, n))
+    basis[0] = 1.0 / math.sqrt(n)
+    tridiagonal = np.zeros((steps + 1, steps + 1))
+    for k in range(steps):
+        w = matvec(basis[k])
+        tridiagonal[k, k] = basis[k] @ w
+        spanned = basis[: k + 1]
+        for _ in range(2):
+            w -= spanned.T @ (spanned @ w)
+        beta = float(np.linalg.norm(w))
+        ritz_values, ritz_vectors = np.linalg.eigh(tridiagonal[: k + 1, : k + 1])
+        if beta * abs(ritz_vectors[-1, -1]) <= POWER_TOL:
+            return float(ritz_values[-1])
+        basis[k + 1] = w / beta
+        tridiagonal[k, k + 1] = tridiagonal[k + 1, k] = beta
     raise ConvergenceError(
-        f"power iteration did not reach residual {POWER_TOL:.1e} "
-        f"within {POWER_ITERATIONS} iterations"
+        f"Lanczos norm did not reach residual {POWER_TOL:.1e} "
+        f"within {steps} steps"
     )
 
 
@@ -527,8 +556,9 @@ def _hankel(size: int) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
     Row k of the matrix is h_(k+l) = 1/(k+l+1) cut at k + l < size, so its
     product with v is the slice [size-1, 2*size-1) of the convolution of h
     with v reversed: one rfft pair per product, O(size) memory. The norm is
-    ``spectral_norm(hankel_matrix(size))``, without the matrix above size
-    64, where power iteration runs on the product.
+    ``spectral_norm(hankel_matrix(size))`` up to size 64; above it the same
+    :func:`_lanczos_norm` runs on this product instead of the matrix's, so
+    the two agree to rounding (1e-14), not bit for bit.
     """
     length = 1 << (2 * size - 2).bit_length()
     h_spectrum = np.fft.rfft(1.0 / np.arange(1, size + 1), length)
@@ -539,7 +569,7 @@ def _hankel(size: int) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
 
     if size <= EIGENSOLVE_LIMIT:
         return matvec, spectral_norm(hankel_matrix(size))
-    return matvec, _power_iteration(matvec, size)
+    return matvec, _lanczos_norm(matvec, size)
 
 
 def _require_inverse_distance(w: WeightSpec) -> None:

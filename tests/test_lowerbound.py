@@ -54,21 +54,26 @@ def symmetric_weight(d):
     return 1.0 / (1.0 + np.abs(d))
 
 
-def two_product_power_iteration(M, tol=1e-10, max_iterations=100_000):
-    """Power iteration that forms M @ v afresh for each residual."""
-    n = M.shape[0]
+def reference_power_iteration(matvec, n, tol=1e-10, max_iterations=100_000):
+    """Largest eigenvalue magnitude of a symmetric operator by power iteration.
+
+    Starts from the all-equal unit vector and stops on residual
+    ``||Mv - lam*v|| <= tol``: the matrix-free reference for the Lanczos norm.
+    """
     v = np.full(n, 1.0 / math.sqrt(n))
+    w = matvec(v)
     for _ in range(max_iterations):
-        w = M @ v
         lam = float(v @ w)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w
-        residual = float(np.linalg.norm(M @ v - lam * v))
+        # M @ v serves both this residual and the next iteration's step.
+        w = matvec(v)
+        residual = float(np.linalg.norm(w - lam * v))
         if residual <= tol:
             return abs(lam)
-    raise lb.ConvergenceError("two-product loop did not converge")
+    raise lb.ConvergenceError("power iteration did not converge")
 
 
 def columns_of(states):
@@ -235,9 +240,9 @@ class TestMatrices:
         assert norm < math.pi
         assert norm > lb.spectral_norm(lb.hilbert_matrix(64))
 
-    def test_power_iteration_agrees_with_eigensolve(self):
+    def test_lanczos_norm_agrees_with_eigensolve(self):
         # A signed matrix takes the eigensolve; its entrywise magnitudes, a
-        # non-negative matrix, take power iteration.
+        # non-negative matrix, take the Lanczos norm.
         rng = np.random.default_rng(42)
         a = rng.normal(size=(100, 100))
         for sym in (a + a.T, np.abs(a + a.T)):
@@ -250,20 +255,77 @@ class TestMatrices:
     )
     def test_signed_matrix_orthogonal_to_the_all_equal_start(self, shift, expected):
         # Every block [[1, -1], [-1, 1]] sends the all-equal vector to zero,
-        # so power iteration from it would never see the eigenvalue 2.
+        # so a Krylov space from it would never see the eigenvalue 2.
         M = np.kron(np.eye(33), [[1.0, -1.0], [-1.0, 1.0]]) + shift * np.eye(66)
         assert abs(lb.spectral_norm(M) - expected) < 1e-12
 
-    @pytest.mark.parametrize("size", [65, 128, 512])
+    @pytest.mark.parametrize("size", [65, 128, 512, 2048])
     @pytest.mark.parametrize("build", [lb.hilbert_matrix, lb.hankel_matrix])
-    def test_power_iteration_matches_two_product_loop(self, build, size):
+    def test_lanczos_norm_matches_eigvalsh(self, build, size):
         M = build(size)
-        assert lb.spectral_norm(M) == two_product_power_iteration(M)
+        expected = np.linalg.eigvalsh(M)[-1]
+        norm = lb.spectral_norm(M)
+        # A Ritz value lies below the top eigenvalue up to rounding.
+        assert norm <= expected + 1e-14
+        assert expected - norm <= 1e-14
 
-    def test_power_iteration_reports_non_convergence(self, monkeypatch):
-        monkeypatch.setattr(lb, "POWER_ITERATIONS", 2)
+    def test_matrix_free_lanczos_norm_matches_power_iteration(self):
+        size = 2**16 - 1
+        matvec, norm = lb._hankel(size)
+        assert abs(norm - reference_power_iteration(matvec, size)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "norm",
+        [
+            lambda: lb.spectral_norm(lb.hilbert_matrix(128)),
+            lambda: lb._hankel.__wrapped__(128),
+        ],
+        ids=["dense", "matrix-free"],
+    )
+    def test_lanczos_norm_reports_non_convergence(self, monkeypatch, norm):
+        monkeypatch.setattr(lb, "LANCZOS_STEPS", 2)
         with pytest.raises(lb.ConvergenceError):
-            lb.spectral_norm(lb.hilbert_matrix(128))
+            norm()
+
+    def test_zero_matrix_has_norm_zero(self):
+        assert lb.spectral_norm(np.zeros((100, 100))) == 0.0
+
+    def test_all_ones_start_vector_is_an_eigenvector(self):
+        # The all-equal start spans an invariant subspace: one step, beta ~ 0.
+        assert abs(lb.spectral_norm(np.ones((100, 100))) - 100.0) <= 1e-12
+
+    def test_bipartite_matrix_gives_its_top_eigenvalue(self):
+        # [[0, B], [B^T, 0]] has eigenvalues +-sigma(B): the top of the
+        # spectrum and its bottom have equal magnitude, and power iteration
+        # from the all-equal start alternates between their eigenvectors.
+        B = np.random.default_rng(7).random((50, 50))
+        M = np.block([[np.zeros((50, 50)), B], [B.T, np.zeros((50, 50))]])
+        eigenvalues = np.linalg.eigvalsh(M)
+        assert abs(lb.spectral_norm(M) - eigenvalues[-1]) <= 1e-12
+
+    def test_rejects_complex_entries(self):
+        # Casting to float would drop the imaginary part and give norm 0.
+        with pytest.raises(ValueError, match="complex"):
+            lb.spectral_norm(np.array([[0, 1j], [-1j, 0]]))
+
+    @pytest.mark.parametrize("n", [65, 257, 1000])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda n: (0, 1),
+            lambda n: (n - 1, n - 2),
+            lambda n: (0, n - 1),
+            lambda n: (n - 1, 0),
+        ],
+        ids=["first-tile", "last-tile", "far-above", "far-below"],
+    )
+    def test_tiled_symmetry_check_is_array_equal(self, n, entry):
+        M = lb.hilbert_matrix(n)
+        assert lb._is_symmetric(M) and np.array_equal(M, M.T)
+        M[entry(n)] += 1e-3
+        assert not lb._is_symmetric(M) and not np.array_equal(M, M.T)
+        with pytest.raises(ValueError, match="not symmetric"):
+            lb.spectral_norm(M)
 
     def test_rejects_non_square_and_asymmetric(self):
         with pytest.raises(ValueError):
