@@ -7,7 +7,6 @@ errors.
 """
 from __future__ import annotations
 
-import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii
@@ -44,8 +43,9 @@ def _render_dict(value: dict) -> str:
     ) + "}"
 
 
-# Renderers by exact type; subclasses (numpy scalars among them) take the
-# isinstance chain in render_json, with bool before int.
+# Renderers by type. render_json takes the first of a value's classes, in
+# method resolution order, that has one, so a subclass (a numpy float among
+# them) renders as its base type.
 _RENDER = {
     type(None): lambda value: "null",
     bool: lambda value: "true" if value else "false",
@@ -63,21 +63,10 @@ def render_json(value) -> str:
 
     Non-finite floats raise ``ValueError``: strict JSON has no nan or inf.
     """
-    render = _RENDER.get(type(value))
-    if render is not None:
-        return render(value)
-    if isinstance(value, bool):
-        return _RENDER[bool](value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _render_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return _render_sequence(value)
-    if isinstance(value, dict):
-        return _render_dict(value)
+    for cls in type(value).__mro__:
+        render = _RENDER.get(cls)
+        if render is not None:
+            return render(value)
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 

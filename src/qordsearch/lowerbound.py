@@ -22,15 +22,18 @@ The layer reads the states grouped by label: :func:`label_columns` turns an
 :class:`~qordsearch.qcore.Ensemble` (``Ensemble.from_states`` for a list of
 per-answer states) into the :class:`Columns` that :func:`weighted_overlap`
 and :func:`mass_profile` take, and :func:`verify_drop_chain` takes that
-profile and the drop W_before - W_after.
+profile and the drop W_before - W_after. An ensemble keeps its label
+columns in ``sort_key`` order, so the grouping is one argsort and every sum
+over the columns runs in that order.
 
 The weights depend on the answer distance b - a only (:class:`WeightSpec`),
 so W and each drop are sums of correlations of label columns with one
 distance kernel, computed by batched FFTs, and M is applied without being
 built: its product with a vector is a convolution, which serves both the
-double sum, as 2 * gamma^T M delta, and the Lanczos iteration for ||M||. A
-chain-verified run needs memory linear in n. The chain is checked for the
-inverse-distance weights only; other kernels are refused there.
+double sum, as 2 * gamma^T M delta, and, at every size, the Lanczos
+iteration for ||M||. A chain-verified run needs memory linear in n. The
+chain is checked for the inverse-distance weights only; other kernels are
+refused there.
 
 Algorithm protocol expected by :func:`run_trajectory`, which evolves the
 states of all answers together as one :class:`~qordsearch.qcore.Ensemble`
@@ -289,10 +292,11 @@ class Columns(NamedTuple):
 
     Column ``k`` is the label ``fields[:, k]`` (see ``qcore.label_fields``);
     entry ``e`` is the amplitude ``amps[e]`` of answer ``answers[e]`` on
-    label column ``column[e]``. Columns are contiguous and come in order of
-    the first answer holding them, ties broken by ``sort_key``; each
-    column's answers ascend. Every sum over the columns then runs in the
-    same order as over the per-answer states.
+    label column ``column[e]``. The entries of a column are contiguous, the
+    columns come in the ensemble's order (``sort_key``), and each column's
+    answers ascend: the grouping that :func:`_kernel_sum` needs of its
+    blocks, which an :class:`~qordsearch.qcore.Ensemble`'s unordered entries
+    do not give.
     """
 
     size: int
@@ -303,21 +307,17 @@ class Columns(NamedTuple):
 
 
 def label_columns(ensemble: Ensemble) -> Columns:
-    """Group the entries of an ensemble's states by label."""
-    fields = ensemble.fields
-    first = np.full(fields.shape[1], ensemble.size)
-    np.minimum.at(first, ensemble.label_ids, ensemble.answers)
-    # By first answer, then kind and fields: the sort_key order.
-    runs = np.lexsort((*fields[::-1], first))
-    rank = np.empty(len(runs), dtype=np.intp)
-    rank[runs] = np.arange(len(runs))
-    column = rank[ensemble.label_ids]
+    """Group the entries of an ensemble's states by label.
+
+    The ensemble's label ids already follow ``sort_key``, so one argsort of
+    (label id, answer) groups the entries; the columns stay as they are.
+    """
     # No (label, answer) pair repeats, so the keys are distinct.
-    order = np.argsort(column * ensemble.size + ensemble.answers)
+    order = np.argsort(ensemble.label_ids * ensemble.size + ensemble.answers)
     return Columns(
         ensemble.size,
-        fields[:, runs],
-        column[order],
+        ensemble.fields,
+        ensemble.label_ids[order],
         ensemble.answers[order],
         ensemble.amps[order],
     )
@@ -556,9 +556,9 @@ def _hankel(size: int) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
     Row k of the matrix is h_(k+l) = 1/(k+l+1) cut at k + l < size, so its
     product with v is the slice [size-1, 2*size-1) of the convolution of h
     with v reversed: one rfft pair per product, O(size) memory. The norm is
-    ``spectral_norm(hankel_matrix(size))`` up to size 64; above it the same
-    :func:`_lanczos_norm` runs on this product instead of the matrix's, so
-    the two agree to rounding (1e-14), not bit for bit.
+    :func:`_lanczos_norm` on this product at every size, so it agrees with
+    ``spectral_norm(hankel_matrix(size))`` to rounding (1e-14), not bit for
+    bit.
     """
     length = 1 << (2 * size - 2).bit_length()
     h_spectrum = np.fft.rfft(1.0 / np.arange(1, size + 1), length)
@@ -567,8 +567,6 @@ def _hankel(size: int) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
         product = np.fft.irfft(np.fft.rfft(v[::-1], length) * h_spectrum, length)
         return product[size - 1 : 2 * size - 1]
 
-    if size <= EIGENSOLVE_LIMIT:
-        return matvec, spectral_norm(hankel_matrix(size))
     return matvec, _lanczos_norm(matvec, size)
 
 

@@ -20,15 +20,15 @@ An :class:`Ensemble` holds one state per answer as flat entry arrays, and
 its labels as int64 field arrays: one column per distinct label, the rows
 ``(kind, b, lo, hi)`` for a ``TeamLabel`` and ``(kind, z, i, 0)`` for a
 ``GenLabel``, with kind ``TEAM`` = 1 or ``GEN`` = 0 as in ``sort_key``, so
-the lexicographic order of the columns is the label order. An
-instance-independent operator is one numpy function of those fields,
-called once per step rather than once per label or per (answer, label);
-the ensemble operations give, entry for entry, the bits of the per-state
-operations. A field beyond int64 does not fit: the team-search routing
-packs a label into ``z = ((hi * 2n + lo) << 1) | b``, below 8n^2 = 2^43 at
-n = 2^20, and distinct labels are grouped through dense ids (times the
-list size, at most about 2^41 there), never through ``z * size``, which
-would pass 2^63.
+the lexicographic order of the columns is the label order, the order they
+are kept in. An instance-independent operator is one numpy function of
+those fields, called once per step rather than once per label or per
+(answer, label); the ensemble operations give, entry for entry, the bits of
+the per-state operations. A field beyond int64 does not fit: the
+team-search routing packs a label into ``z = ((hi * 2n + lo) << 1) | b``,
+below 8n^2 = 2^43 at n = 2^20, and distinct labels are grouped through
+dense ids (times the list size, at most about 2^41 there), never through
+``z * size``, which would pass 2^63.
 """
 from __future__ import annotations
 
@@ -346,9 +346,12 @@ class Ensemble(NamedTuple):
     Column ``k`` of the int64 ``fields`` (see :func:`label_fields`) is the
     ``k``-th distinct label. Entry ``e`` is the amplitude ``amps[e]`` of
     answer ``answers[e]`` on label column ``label_ids[e]``. No (label,
-    answer) pair repeats, the columns are distinct and each is held by some
-    entry. Entries have no set order, but the constructors and operations here
-    keep them answer by answer, the order their sorts are fastest on.
+    answer) pair repeats, and each column is held by some entry. The columns
+    are distinct and in lexicographic order, which is the ``sort_key`` order
+    of their labels: the constructors here establish it and every operation
+    keeps it, so a label id orders labels as ``sort_key`` does. Entries have
+    no set order, but the constructors and operations here keep them answer
+    by answer, the order their sorts are fastest on.
     """
 
     size: int
@@ -367,10 +370,11 @@ class Ensemble(NamedTuple):
                 label_ids.append(ids.setdefault(label, len(ids)))
                 answers.append(answer)
                 amps.append(amp)
+        rank, fields = _distinct_columns(label_fields(list(ids)))
         return cls(
             len(states),
-            label_fields(list(ids)),
-            np.array(label_ids, dtype=np.intp),
+            fields,
+            rank[np.array(label_ids, dtype=np.intp)],
             np.array(answers, dtype=np.intp),
             np.array(amps, dtype=complex),
         )
@@ -389,13 +393,13 @@ class Ensemble(NamedTuple):
     @classmethod
     def broadcast(cls, state: SparseState, size: int) -> "Ensemble":
         """The ensemble whose every answer ``0 .. size-1`` holds ``state``."""
-        labels = list(state._entries)
+        items = state.items()
         return cls(
             size,
-            label_fields(labels),
-            np.tile(np.arange(len(labels)), size),
-            np.repeat(np.arange(size), len(labels)),
-            np.tile(np.array(list(state._entries.values()), dtype=complex), size),
+            label_fields([label for label, _ in items]),
+            np.tile(np.arange(len(items)), size),
+            np.repeat(np.arange(size), len(items)),
+            np.tile(np.array([amp for _, amp in items], dtype=complex), size),
         )
 
 

@@ -56,6 +56,7 @@ from .qcore import (
     SparseState,
     TeamLabel,
     _answer_span,
+    _distinct_columns,
     _first_of_runs,
     _is_pow2,
     _squared_norms,
@@ -537,11 +538,12 @@ class TeamCombineAlgorithm:
             label_ids.append(blocks + answers // length)
             blocks += len(lo)
             amps.append(np.full(self.n, amp, dtype=complex))
+        rank, fields = _distinct_columns(np.concatenate(fields, axis=1))
         # Entries answer by answer: one row per answer, one column per level.
         opening = Ensemble(
             self.n,
-            np.concatenate(fields, axis=1),
-            np.stack(label_ids, axis=1).ravel(),
+            fields,
+            rank[np.stack(label_ids, axis=1).ravel()],
             np.repeat(answers, len(amps)),
             np.stack(amps, axis=1).ravel(),
         )
@@ -642,10 +644,9 @@ def measure_ensemble(algorithm, ensemble: Ensemble, answers) -> list[SimulationR
     fields = ensemble.fields
     kind, _, outcomes, hi = fields
     require_fields((kind == TEAM) & (outcomes == hi), fields, _pinned_answer)
-    rank = np.empty(fields.shape[1], dtype=np.intp)
-    rank[np.lexsort(fields[::-1])] = np.arange(fields.shape[1])
-    # Entries by answer, then label sort order: the order of the per-state sums.
-    order = np.lexsort((rank[ensemble.label_ids], ensemble.answers))
+    # Entries by answer, then label id, which is the label sort order: the
+    # order of the per-state sums.
+    order = np.lexsort((ensemble.label_ids, ensemble.answers))
     span = int(outcomes.max()) + 1
     keys = ensemble.answers[order] * span + outcomes[ensemble.label_ids[order]]
     # numpy's abs and square round differently from Python's in the last bit.

@@ -281,3 +281,21 @@ def test_large_simulate_output_is_byte_identical(runner, args, sha1):
     result = run(runner, "simulate", *args)
     assert result.exit_code == 0
     assert hashlib.sha1(result.stdout_bytes).hexdigest() == sha1
+
+
+# Stdout sha1 of trajectories, recorded before the label columns of an
+# ensemble were kept in sort_key order; that reorders the sums of W, and these
+# runs must not move.
+TRAJECTORY_SHA1 = [
+    (("--algo", "binary", "--n", "4096"), "f97d85b5fbab13f3f32b747c55db8a10dd14a1a6"),
+    (("--algo", "team", "--n", "512"), "e79b965a4bd84e24246163f81703483044ff0f58"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, sha1", TRAJECTORY_SHA1, ids=["binary-4096", "team-512"]
+)
+def test_large_trajectory_output_is_byte_identical(runner, args, sha1):
+    result = run(runner, "trajectory", *args, "--format", "json")
+    assert result.exit_code == 0
+    assert hashlib.sha1(result.stdout_bytes).hexdigest() == sha1

@@ -370,11 +370,8 @@ class TestMatrices:
         hilbert = lb.spectral_norm(lb.hilbert_matrix(n))
         assert hankel <= hilbert + 1e-12
 
-    def test_chain_hankel_norm_is_the_eigensolve_up_to_64(self):
-        for size in range(1, lb.EIGENSOLVE_LIMIT + 1):
-            assert lb._hankel(size)[1] == lb.spectral_norm(lb.hankel_matrix(size))
-
-    @pytest.mark.parametrize("size", [65, 255, 1023, 4095])
+    # Sizes up to 64 take the dense eigensolve, above it the dense Lanczos.
+    @pytest.mark.parametrize("size", [*range(1, 66), 255, 1023, 4095])
     def test_matrix_free_hankel_norm_matches_the_dense_one(self, size):
         dense = lb.spectral_norm(lb.hankel_matrix(size))
         assert abs(lb._hankel(size)[1] - dense) <= 1e-14
@@ -762,12 +759,13 @@ def ensemble_entries(ensemble):
 
 
 def assert_ensemble_invariants(ensemble):
-    """No (label, answer) pair repeats and every listed label is held."""
+    """No (label, answer) pair repeats, and the listed labels are held and
+    strictly increasing in ``sort_key`` order."""
     pairs = list(zip(ensemble.label_ids.tolist(), ensemble.answers.tolist()))
     assert len(set(pairs)) == len(pairs)
-    labels = labels_of(ensemble.fields)
-    assert len(set(labels)) == len(labels)
-    assert {k for k, _ in pairs} == set(range(len(labels)))
+    keys = [label.sort_key for label in labels_of(ensemble.fields)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert {k for k, _ in pairs} == set(range(len(keys)))
     assert all(0 <= a < ensemble.size for _, a in pairs)
     assert len(ensemble.amps) == len(pairs)
 
@@ -820,6 +818,7 @@ class TestEnsemblePath:
         ensembles = list(ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble()))
         assert len(ensembles) == len(snapshots) == algorithm.num_queries + 1
         for ensemble, states in zip(ensembles, snapshots):
+            assert_ensemble_invariants(ensemble)
             # repr tells -0.0 from 0.0, so signed zeros must match too.
             assert ensemble_entries(ensemble) == [
                 {label: repr(amp) for label, amp in state._entries.items()}
@@ -929,6 +928,32 @@ class TestTrajectory:
         assert abs(record.final_overlap) < 1e-9
         assert record.max_drop_abs() <= 8 * math.pi
         assert all(report.holds for report in record.chain_reports)
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            TeamCombineAlgorithm(n, r=1 << k)
+            for n in (2, 8, 32, 128)
+            for k in range(n.bit_length() - 1)
+        ]
+        + [TeamCombineAlgorithm(2048), TeamCombineAlgorithm(8192)],
+        ids=algorithm_id,
+    )
+    def test_team_initial_overlap_is_the_exact_level_sum(self, algorithm):
+        # Each answer's opening holds, per level, its block of length L with
+        # probability p; two answers overlap by the p of the levels whose
+        # block they share, so W_0 = n * sum of p * (H_L - 1), exactly.
+        n, r = algorithm.n, algorithm.r
+        exact = Fraction(0)
+        for j, (length, _, _) in enumerate(ts._opening_levels(r)):
+            p = Fraction(1 if j == 0 else 1 << (j - 1), r)
+            harmonic = sum(Fraction(1, k) for k in range(1, length + 1))
+            exact += n * p * (harmonic - 1)
+        w = lb.WeightSpec.inverse_distance(n)
+        columns = lb.label_columns(algorithm.initial_ensemble())
+        got = lb.weighted_overlap(columns, w)
+        assert got.imag == 0.0
+        assert abs(Fraction(got.real) - exact) <= Fraction(1, 10**14) * exact
 
     def test_shared_unitaries_between_queries_leave_overlap_unchanged(self):
         n = 8

@@ -19,6 +19,7 @@ from qordsearch.qcore import (
     diff_norm,
     labels_of,
 )
+from test_lowerbound import assert_ensemble_invariants
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -177,6 +178,7 @@ class TestApplyQueryEnsemble:
             for _ in range(n)
         ]
         got = apply_query_ensemble(Ensemble.from_states(states))
+        assert_ensemble_invariants(got)
         per_answer = [{} for _ in range(n)]
         for k, a, amp in zip(got.label_ids.tolist(), got.answers.tolist(), got.amps.tolist()):
             per_answer[a][labels_of(got.fields)[k]] = repr(amp)

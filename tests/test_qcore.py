@@ -25,6 +25,7 @@ from qordsearch.qcore import (
     measure_distribution,
     permute_ensemble,
 )
+from test_lowerbound import assert_ensemble_invariants
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -463,9 +464,7 @@ class TestEnsemble:
         expected = [apply_linear(s, pair_mixer) for s in states]
         assert ensemble_entries(got) == state_entries(expected)
         assert all(GenLabel(11, 0) not in s for s in expected)
-        labels = labels_of(got.fields)
-        assert len(set(labels)) == len(labels)
-        assert set(got.label_ids.tolist()) == set(range(len(labels)))
+        assert_ensemble_invariants(got)
 
     def test_each_label_map_is_evaluated_once_per_distinct_label(self):
         states = [SparseState({GenLabel(0, 0): 1.0}) for _ in range(5)]
@@ -499,6 +498,7 @@ class TestEnsemble:
         merge = lambda l: GenLabel(0, l.i)
         apart = [SparseState({GenLabel(0, 3): 1.0}), SparseState({GenLabel(1, 3): 1.0})]
         merged = permute_ensemble(Ensemble.from_states(apart), lifted_permutation(merge))
+        assert_ensemble_invariants(merged)
         assert labels_of(merged.fields) == [GenLabel(0, 3)]
         assert ensemble_entries(merged) == [{GenLabel(0, 3): "(1+0j)"}] * 2
         together = SparseState({GenLabel(0, 3): 0.6, GenLabel(1, 3): 0.8})
@@ -515,9 +515,30 @@ class TestEnsemble:
         got = Ensemble.broadcast(state, 5)
         assert got.size == 5
         assert ensemble_entries(got) == state_entries([state] * 5)
-        pairs = list(zip(got.label_ids.tolist(), got.answers.tolist()))
-        assert len(set(pairs)) == len(pairs) == 5 * len(state)
-        assert set(got.label_ids.tolist()) == set(range(got.fields.shape[1]))
+        assert len(got.amps) == 5 * len(state) > 5
+        assert_ensemble_invariants(got)
+
+    def test_constructors_put_the_labels_in_sort_key_order(self):
+        # Each state and the two together list their labels against sort_key.
+        first = SparseState({TeamLabel(0, 0, 1): 0.6, GenLabel(3, 2): 0.8})
+        second = SparseState({GenLabel(3, 1): 0.6, TeamLabel(1, 2, 3): -0.8})
+        states = [first, second]
+        ensemble = Ensemble.from_states(states)
+        assert_ensemble_invariants(ensemble)
+        assert labels_of(ensemble.fields) == [
+            GenLabel(3, 1),
+            GenLabel(3, 2),
+            TeamLabel(0, 0, 1),
+            TeamLabel(1, 2, 3),
+        ]
+        assert ensemble_entries(ensemble) == state_entries(states)
+        single = Ensemble.single(second, 4, 2)
+        assert_ensemble_invariants(single)
+        empty = SparseState({})
+        assert ensemble_entries(single) == state_entries([empty, empty, second, empty])
+        broadcast = Ensemble.broadcast(first, 3)
+        assert_ensemble_invariants(broadcast)
+        assert ensemble_entries(broadcast) == state_entries([first] * 3)
 
     def test_labels_too_wide_to_pack_are_grouped_row_by_row(self):
         # The z row spans all of int64: no key built from the fields would fit.
@@ -526,10 +547,12 @@ class TestEnsemble:
         states = [SparseState({l: 0.5 for l in labels}), SparseState({labels[1]: 1.0})]
         ensemble = Ensemble.from_states(states)
         same = permute_ensemble(ensemble, lambda fields: fields)
+        assert_ensemble_invariants(same)
         assert labels_of(same.fields) == sorted(labels, key=lambda l: l.sort_key)
         assert ensemble_entries(same) == state_entries(states)
         identity = lambda l: [(l, 1.0)]
         got = apply_linear_ensemble(ensemble, lifted(identity))
+        assert_ensemble_invariants(got)
         assert ensemble_entries(got) == state_entries(
             [apply_linear(s, identity) for s in states]
         )
