@@ -18,13 +18,13 @@ the full inequality chain
 where M is the banded inverse-distance (Hankel) matrix, whose spectral norm
 is capped by the norm of the same-size Hilbert matrix, itself below pi.
 
-The layer reads the states grouped by label: :func:`label_columns` turns an
-:class:`~qordsearch.qcore.Ensemble` (``Ensemble.from_states`` for a list of
-per-answer states) into the :class:`Columns` that :func:`weighted_overlap`
-and :func:`mass_profile` take, and :func:`verify_drop_chain` takes that
-profile and the drop W_before - W_after. An ensemble keeps its label
-columns in ``sort_key`` order, so the grouping is one argsort and every sum
-over the columns runs in that order.
+The layer reads the states as one :class:`~qordsearch.qcore.Ensemble`
+(``Ensemble.from_states`` for a list of per-answer states), which
+:func:`weighted_overlap` and :func:`mass_profile` take, and
+:func:`verify_drop_chain` takes that profile and the drop
+W_before - W_after. An ensemble's entries go label by label, its labels in
+``sort_key`` order, so each label's column of amplitudes is one contiguous
+run and every sum over the columns runs in that order.
 
 The weights depend on the answer distance b - a only (:class:`WeightSpec`),
 so W and each drop are sums of correlations of label columns with one
@@ -64,9 +64,10 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .qcore import (
     GEN,
@@ -287,51 +288,17 @@ def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> complex:
     return complex(products.sum())
 
 
-class Columns(NamedTuple):
-    """Entries of one state per answer ``0 .. size-1``, grouped by label.
-
-    Column ``k`` is the label ``fields[:, k]`` (see ``qcore.label_fields``);
-    entry ``e`` is the amplitude ``amps[e]`` of answer ``answers[e]`` on
-    label column ``column[e]``. The entries of a column are contiguous, the
-    columns come in the ensemble's order (``sort_key``), and each column's
-    answers ascend: the grouping that :func:`_kernel_sum` needs of its
-    blocks, which an :class:`~qordsearch.qcore.Ensemble`'s unordered entries
-    do not give.
-    """
-
-    size: int
-    fields: np.ndarray
-    column: np.ndarray
-    answers: np.ndarray
-    amps: np.ndarray
-
-
-def label_columns(ensemble: Ensemble) -> Columns:
-    """Group the entries of an ensemble's states by label.
-
-    The ensemble's label ids already follow ``sort_key``, so one argsort of
-    (label id, answer) groups the entries; the columns stay as they are.
-    """
-    # No (label, answer) pair repeats, so the keys are distinct.
-    order = np.argsort(ensemble.label_ids * ensemble.size + ensemble.answers)
-    return Columns(
-        ensemble.size,
-        ensemble.fields,
-        ensemble.label_ids[order],
-        ensemble.answers[order],
-        ensemble.amps[order],
-    )
-
-
-def weighted_overlap(columns: Columns, w: WeightSpec) -> complex:
+def weighted_overlap(ensemble: Ensemble, w: WeightSpec) -> complex:
     """The weighted all-pairs inner product of one state per answer.
 
     Only answers sharing a basis label overlap, so the sum runs over the
     ordered pairs of each label's column of amplitudes.
     """
-    _check_state_count(columns.size, w)
-    every = np.ones(len(columns.answers), dtype=bool)
-    return _kernel_sum(columns.column, columns.answers, columns.amps, every, every, w)
+    _check_state_count(ensemble.size, w)
+    every = np.ones(len(ensemble.answers), dtype=bool)
+    return _kernel_sum(
+        ensemble.label_ids, ensemble.answers, ensemble.amps, every, every, w
+    )
 
 
 def _reference_weighted_overlap(
@@ -352,23 +319,25 @@ def _reference_weighted_overlap(
 # Inverse-distance matrices and their norms
 
 
-def hilbert_matrix(n: int) -> np.ndarray:
-    """n x n matrix with entries 1/(k+l+1); spectral norm below pi."""
+def _anti_diagonals(n: int) -> np.ndarray:
+    """1/(s+1) for s = 0 .. 2n-2: entry (k, l) of the n x n Hilbert matrix is
+    the one at s = k + l."""
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
-    k = np.arange(n, dtype=float)
-    m = np.add.outer(k, k + 1.0)
-    return np.reciprocal(m, out=m)
+    return 1.0 / np.arange(1, 2 * n, dtype=float)
+
+
+def hilbert_matrix(n: int) -> np.ndarray:
+    """n x n matrix with entries 1/(k+l+1); spectral norm below pi."""
+    # Row k is the window h[k : k + n] of the anti-diagonal values h.
+    return sliding_window_view(_anti_diagonals(n), n).copy()
 
 
 def hankel_matrix(n: int) -> np.ndarray:
     """The banded variant: 1/(k+l+1) where k+l < n, zero past the anti-diagonal."""
-    m = hilbert_matrix(n)
-    # Row k keeps columns 0 .. n-1-k; zeroing each tail in place allocates
-    # nothing beyond the matrix itself.
-    for k in range(1, n):
-        m[k, n - k :] = 0.0
-    return m
+    h = _anti_diagonals(n)
+    h[n:] = 0.0
+    return sliding_window_view(h, n).copy()
 
 
 def spectral_norm(M: np.ndarray) -> float:
@@ -459,29 +428,29 @@ def gen_query_index(label: BasisLabel) -> int:
 class MassProfile:
     """The per-answer states split by the index each label queries.
 
-    ``columns`` holds the states grouped by label (see :class:`Columns`) and
-    ``index[e]`` the index that entry ``e``'s label queries. ``gammas[d]``
-    is the root of the mass queried ``d`` positions at or above each answer,
-    ``deltas[d]`` of the mass queried ``d + 1`` positions below. Only
+    ``ensemble`` holds the states and ``index[e]`` the index that entry
+    ``e``'s label queries. ``gammas[d]`` is the root of the mass queried
+    ``d`` positions at or above each answer, ``deltas[d]`` of the mass
+    queried ``d + 1`` positions below. Only
     in-range indices (0 .. n-1) contribute; queries in the zero-padding
     region never distinguish instances.
     """
 
-    columns: Columns = field(repr=False)
+    ensemble: Ensemble = field(repr=False)
     index: np.ndarray = field(repr=False)
     gammas: np.ndarray = field(repr=False)
     deltas: np.ndarray = field(repr=False)
 
 
-def mass_profile(columns: Columns) -> MassProfile:
-    """Aggregate the masses of the states in ``columns`` by offset i - a."""
-    n = columns.size
-    kind, _, index, _ = columns.fields
-    require_fields(kind == GEN, columns.fields, gen_query_index)
-    index = index[columns.column]
-    amps = columns.amps
+def mass_profile(ensemble: Ensemble) -> MassProfile:
+    """Aggregate the masses of the states in ``ensemble`` by offset i - a."""
+    n = ensemble.size
+    kind, _, index, _ = ensemble.fields
+    require_fields(kind == GEN, ensemble.fields, gen_query_index)
+    index = index[ensemble.label_ids]
+    amps = ensemble.amps
     mass = amps.real * amps.real + amps.imag * amps.imag
-    offset = index - columns.answers
+    offset = index - ensemble.answers
     queried = (0 <= index) & (index < n)
     # Offset n - 1 (a = 0, i = n - 1) pairs with no delta; below the answer,
     # a - i - 1 is at most n - 2.
@@ -490,7 +459,7 @@ def mass_profile(columns: Columns) -> MassProfile:
     below = queried & (offset < 0)
     gammas_sq = np.bincount(offset[above], mass[above], minlength=size)
     deltas_sq = np.bincount(-1 - offset[below], mass[below], minlength=size)
-    return MassProfile(columns, index, np.sqrt(gammas_sq), np.sqrt(deltas_sq))
+    return MassProfile(ensemble, index, np.sqrt(gammas_sq), np.sqrt(deltas_sq))
 
 
 def pairwise_drop(profile: MassProfile, w: WeightSpec) -> complex:
@@ -500,17 +469,17 @@ def pairwise_drop(profile: MassProfile, w: WeightSpec) -> complex:
     one query followed by shared unitaries: only indices where two instances
     disagree, i.e. ``a <= i < b``, contribute.
     """
-    columns = profile.columns
-    column, answers, amps = columns.column, columns.answers, columns.amps
+    ensemble = profile.ensemble
+    label_ids, answers, amps = ensemble.label_ids, ensemble.answers, ensemble.amps
     if not len(answers):
         return 0j
     left = answers <= profile.index
     # Only a column with answers on both sides of its index holds a pair.
-    left_count = np.bincount(column, left)
-    mixed = ((0 < left_count) & (left_count < np.bincount(column)))[column]
+    left_count = np.bincount(label_ids, left)
+    mixed = ((0 < left_count) & (left_count < np.bincount(label_ids)))[label_ids]
     left, right = left[mixed], ~left[mixed]
     return 2.0 * _kernel_sum(
-        column[mixed], answers[mixed], amps[mixed], left, right, w
+        label_ids[mixed], answers[mixed], amps[mixed], left, right, w
     )
 
 
@@ -600,7 +569,7 @@ def verify_drop_chain(
     so a NaN fails it. Raises ``ValueError`` unless ``w`` is the
     inverse-distance weight.
     """
-    _check_state_count(profile.columns.size, w)
+    _check_state_count(profile.ensemble.size, w)
     _require_inverse_distance(w)
     n = w.n
     drop_abs = abs(drop)
@@ -714,18 +683,17 @@ def run_trajectory(
     if verify_chain:
         _require_inverse_distance(w)
     snapshots = ensemble_snapshots(algorithm, algorithm.initial_ensemble())
-    # Each snapshot is grouped once: its columns give W_j and, entering
-    # query j, the mass profile of that step's chain report.
-    columns = label_columns(next(snapshots))
-    overlaps = [weighted_overlap(columns, w)]
+    # Each snapshot gives W_j and, entering query j, the mass profile of that
+    # step's chain report.
+    before = next(snapshots)
+    overlaps = [weighted_overlap(before, w)]
     reports: list[ChainReport] = []
-    for j, ensemble in enumerate(snapshots):
-        next_columns = label_columns(ensemble)
-        overlaps.append(weighted_overlap(next_columns, w))
+    for j, after in enumerate(snapshots):
+        overlaps.append(weighted_overlap(after, w))
         if verify_chain:
             drop = overlaps[j] - overlaps[j + 1]
-            reports.append(verify_drop_chain(mass_profile(columns), drop, w))
-        columns = next_columns
+            reports.append(verify_drop_chain(mass_profile(before), drop, w))
+        before = after
 
     steps = []
     for j, overlap in enumerate(overlaps):

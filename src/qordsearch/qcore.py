@@ -21,14 +21,14 @@ its labels as int64 field arrays: one column per distinct label, the rows
 ``(kind, b, lo, hi)`` for a ``TeamLabel`` and ``(kind, z, i, 0)`` for a
 ``GenLabel``, with kind ``TEAM`` = 1 or ``GEN`` = 0 as in ``sort_key``, so
 the lexicographic order of the columns is the label order, the order they
-are kept in. An instance-independent operator is one numpy function of
-those fields, called once per step rather than once per label or per
-(answer, label); the ensemble operations give, entry for entry, the bits of
-the per-state operations. A field beyond int64 does not fit: the
-team-search routing packs a label into ``z = ((hi * 2n + lo) << 1) | b``,
-below 8n^2 = 2^43 at n = 2^20, and distinct labels are grouped through
-dense ids (times the list size, at most about 2^41 there), never through
-``z * size``, which would pass 2^63.
+are kept in; the entries are kept label by label. An instance-independent
+operator is one numpy function of those fields, called once per step rather
+than once per label or per (answer, label); the ensemble operations give,
+entry for entry, the bits of the per-state operations. A field beyond int64
+does not fit: the team-search routing packs a label into
+``z = ((hi * 2n + lo) << 1) | b``, below 8n^2 = 2^43 at n = 2^20, and
+distinct labels are grouped through dense ids (times the list size, at most
+about 2^41 there), never through ``z * size``, which would pass 2^63.
 """
 from __future__ import annotations
 
@@ -345,13 +345,14 @@ class Ensemble(NamedTuple):
 
     Column ``k`` of the int64 ``fields`` (see :func:`label_fields`) is the
     ``k``-th distinct label. Entry ``e`` is the amplitude ``amps[e]`` of
-    answer ``answers[e]`` on label column ``label_ids[e]``. No (label,
-    answer) pair repeats, and each column is held by some entry. The columns
-    are distinct and in lexicographic order, which is the ``sort_key`` order
-    of their labels: the constructors here establish it and every operation
-    keeps it, so a label id orders labels as ``sort_key`` does. Entries have
-    no set order, but the constructors and operations here keep them answer
-    by answer, the order their sorts are fastest on.
+    answer ``answers[e]`` on label column ``label_ids[e]``, and each column
+    is held by some entry. The columns are distinct and in lexicographic
+    order, which is the ``sort_key`` order of their labels, so a label id
+    orders labels as ``sort_key`` does. The entries go label by label: their
+    keys ``label_ids * size + answers`` strictly increase, so no (label,
+    answer) pair repeats, each label's entries are contiguous with their
+    answers ascending, and each answer's entries come in label order. The
+    constructors here establish both orders and every operation keeps them.
     """
 
     size: int
@@ -371,12 +372,15 @@ class Ensemble(NamedTuple):
                 answers.append(answer)
                 amps.append(amp)
         rank, fields = _distinct_columns(label_fields(list(ids)))
+        label_ids = rank[np.array(label_ids, dtype=np.intp)]
+        answers = np.array(answers, dtype=np.intp)
+        order = np.argsort(label_ids * len(states) + answers)
         return cls(
             len(states),
             fields,
-            rank[np.array(label_ids, dtype=np.intp)],
-            np.array(answers, dtype=np.intp),
-            np.array(amps, dtype=complex),
+            label_ids[order],
+            answers[order],
+            np.array(amps, dtype=complex)[order],
         )
 
     @classmethod
@@ -397,9 +401,9 @@ class Ensemble(NamedTuple):
         return cls(
             size,
             label_fields([label for label, _ in items]),
-            np.tile(np.arange(len(items)), size),
-            np.repeat(np.arange(size), len(items)),
-            np.tile(np.array([amp for _, amp in items], dtype=complex), size),
+            np.repeat(np.arange(len(items)), size),
+            np.tile(np.arange(size), len(items)),
+            np.repeat(np.array([amp for _, amp in items], dtype=complex), size),
         )
 
 
@@ -448,19 +452,20 @@ def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
     """
     counts, images, coeffs = op(ens.fields)
     image_ids, image_fields = _distinct_columns(images)
-    image_starts = np.cumsum(counts) - counts
-    per_entry = counts[ens.label_ids]
-    entry_starts = np.cumsum(per_entry) - per_entry
-    # Expanded term t belongs to entry source[t] and is image term term[t].
-    source = np.repeat(np.arange(len(per_entry)), per_entry)
-    term = np.arange(len(source)) - np.repeat(
-        entry_starts - image_starts[ens.label_ids], per_entry
-    )
+    # Each label's run of entries expands image term by image term, so each
+    # (label, term) is one ascending run of answers: expanded term t is image
+    # term term[t] of entry source[t].
+    run = np.bincount(ens.label_ids, minlength=len(counts))
+    term_label = np.repeat(np.arange(len(counts)), counts)
+    per_term = run[term_label]
+    term = np.repeat(np.arange(len(per_term)), per_term)
+    shift = np.cumsum(per_term) - per_term - (np.cumsum(run) - run)[term_label]
+    source = np.arange(len(term)) - np.repeat(shift, per_term)
     label_ids, answers = image_ids[term], ens.answers[source]
     terms = ens.amps[source] * coeffs[term]
-    # Answers times the count of dense image ids stay far inside int64.
-    # Entries that come answer by answer leave only short runs to sort.
-    keys = answers * len(image_fields[0]) + label_ids
+    # Sorted keys put the entries label by label, and the stable sort merges
+    # the runs; dense image ids times the list size stay far inside int64.
+    keys = label_ids * ens.size + answers
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = _first_of_runs(keys)
@@ -502,21 +507,25 @@ def permute_ensemble(
     """Relabel every state of ``ens`` through ``image_of``; exact.
 
     ``image_of`` is called once, on the fields of every distinct label. Two
-    labels of one answer with the same image raise :class:`CollisionError`.
+    labels of one answer with the same image raise :class:`CollisionError`,
+    which names them in label order.
     """
     image_ids, image_fields = _distinct_columns(image_of(ens.fields))
     label_ids = image_ids[ens.label_ids]
-    if len(image_fields[0]) < len(ens.fields[0]):
-        # Labels sharing an image collide only where one answer holds both.
-        keys = label_ids * ens.size + ens.answers
-        keys = np.sort(keys)
-        repeated = keys[1:][keys[1:] == keys[:-1]]
-        if len(repeated):
-            image, answer = divmod(int(repeated[0]), ens.size)
-            both = (label_ids == image) & (ens.answers == answer)
-            prior, label = labels_of(ens.fields[:, ens.label_ids[both][:2]])
-            [target] = labels_of(image_fields[:, [image]])
-            raise CollisionError(
-                f"labels {prior} and {label} of answer {answer} both map to {target}"
-            )
-    return ens._replace(fields=image_fields, label_ids=label_ids)
+    keys = label_ids * ens.size + ens.answers
+    # Each label's entries stay one ascending run, which a stable sort merges.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # Labels sharing an image collide only where one answer holds both.
+    repeated = keys[~_first_of_runs(keys)]
+    if len(repeated):
+        image, answer = divmod(int(repeated[0]), ens.size)
+        both = (label_ids == image) & (ens.answers == answer)
+        prior, label = labels_of(ens.fields[:, ens.label_ids[both][:2]])
+        [target] = labels_of(image_fields[:, [image]])
+        raise CollisionError(
+            f"labels {prior} and {label} of answer {answer} both map to {target}"
+        )
+    return Ensemble(
+        ens.size, image_fields, label_ids[order], ens.answers[order], ens.amps[order]
+    )

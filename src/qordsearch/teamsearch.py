@@ -56,7 +56,6 @@ from .qcore import (
     SparseState,
     TeamLabel,
     _answer_span,
-    _distinct_columns,
     _first_of_runs,
     _is_pow2,
     _squared_norms,
@@ -524,29 +523,28 @@ class TeamCombineAlgorithm:
         """Every answer's :meth:`initial_state`, built as one ensemble.
 
         The :func:`opening_state` of answer ``a`` holds, per level, the block
-        of the level's length containing ``a``; the blocks of one level are
-        its labels, so the opening ensemble is a few arrays, and one
-        ensemble step of the open map finishes it.
+        of the level's length containing ``a``; the blocks of every level are
+        the labels, each held by the answers it covers, so the opening
+        ensemble is a few arrays, and one ensemble step of the open map
+        finishes it.
         """
-        answers = np.arange(self.n)
-        fields, label_ids, amps = [], [], []
-        blocks = 0
+        fields, amps = [], []
         for length, marker, amp in _opening_levels(self.r):
             lo = np.arange(0, self.n, length)
             kind, markers = np.full_like(lo, TEAM), np.full_like(lo, marker)
             fields.append(np.stack((kind, markers, lo, lo + length - 1)))
-            label_ids.append(blocks + answers // length)
-            blocks += len(lo)
-            amps.append(np.full(self.n, amp, dtype=complex))
-        rank, fields = _distinct_columns(np.concatenate(fields, axis=1))
-        # Entries answer by answer: one row per answer, one column per level.
-        opening = Ensemble(
-            self.n,
-            fields,
-            rank[np.stack(label_ids, axis=1).ravel()],
-            np.repeat(answers, len(amps)),
-            np.stack(amps, axis=1).ravel(),
-        )
+            amps.append(np.full(len(lo), amp, dtype=complex))
+        # The blocks are distinct labels, so in sort_key order, with block
+        # lo .. hi held by answers lo .. hi, the entries go label by label.
+        fields = np.concatenate(fields, axis=1)
+        order = np.lexsort(fields[::-1])
+        fields = fields[:, order]
+        lengths = fields[3] - fields[2] + 1
+        label_ids = np.repeat(np.arange(len(order)), lengths)
+        shift = np.cumsum(lengths) - lengths - fields[2]
+        answers = np.arange(len(label_ids)) - shift[label_ids]
+        amps = np.concatenate(amps)[order][label_ids]
+        opening = Ensemble(self.n, fields, label_ids, answers, amps)
         return apply_linear_ensemble(opening, self._open_fields)
 
 
@@ -644,13 +642,12 @@ def measure_ensemble(algorithm, ensemble: Ensemble, answers) -> list[SimulationR
     fields = ensemble.fields
     kind, _, outcomes, hi = fields
     require_fields((kind == TEAM) & (outcomes == hi), fields, _pinned_answer)
-    # Entries by answer, then label id, which is the label sort order: the
-    # order of the per-state sums.
-    order = np.lexsort((ensemble.label_ids, ensemble.answers))
+    # Each answer's entries come in label id order, which is the label sort
+    # order: the order of the per-state sums.
     span = int(outcomes.max()) + 1
-    keys = ensemble.answers[order] * span + outcomes[ensemble.label_ids[order]]
+    keys = ensemble.answers * span + outcomes[ensemble.label_ids]
     # numpy's abs and square round differently from Python's in the last bit.
-    masses = [abs(amp) ** 2 for amp in ensemble.amps[order].tolist()]
+    masses = [abs(amp) ** 2 for amp in ensemble.amps.tolist()]
     keys, first, group = np.unique(keys, return_index=True, return_inverse=True)
     probabilities = np.bincount(group, masses, minlength=len(keys))
     # Per answer, the most likely outcome, and the first to appear on a tie.

@@ -76,17 +76,12 @@ def reference_power_iteration(matvec, n, tol=1e-10, max_iterations=100_000):
     raise lb.ConvergenceError("power iteration did not converge")
 
 
-def columns_of(states):
-    """The label columns of one state per answer."""
-    return lb.label_columns(Ensemble.from_states(states))
-
-
 def chain_report(before, after, w):
     """The drop chain of one round, from the states entering and leaving it."""
-    drop = lb.weighted_overlap(columns_of(before), w) - lb.weighted_overlap(
-        columns_of(after), w
+    drop = lb.weighted_overlap(Ensemble.from_states(before), w) - lb.weighted_overlap(
+        Ensemble.from_states(after), w
     )
-    return lb.verify_drop_chain(lb.mass_profile(columns_of(before)), drop, w)
+    return lb.verify_drop_chain(lb.mass_profile(Ensemble.from_states(before)), drop, w)
 
 
 class TestScalarFormulas:
@@ -143,14 +138,14 @@ class TestWeightedOverlap:
         n = 8
         w = lb.WeightSpec.inverse_distance(n)
         state = SparseState.unit(GenLabel(0, 0))
-        overlap = lb.weighted_overlap(columns_of([state] * n), w)
+        overlap = lb.weighted_overlap(Ensemble.from_states([state] * n), w)
         assert abs(overlap - lb.total_weight(n)) < 1e-9
 
     def test_orthogonal_states_give_zero(self):
         n = 6
         w = lb.WeightSpec.inverse_distance(n)
         states = [SparseState.unit(GenLabel(a, 0)) for a in range(n)]
-        assert lb.weighted_overlap(columns_of(states), w) == 0j
+        assert lb.weighted_overlap(Ensemble.from_states(states), w) == 0j
 
     def test_two_answer_half_overlap(self):
         w = lb.WeightSpec.inverse_distance(2)
@@ -160,7 +155,7 @@ class TestWeightedOverlap:
             SparseState({shared: half, only0: half}),
             SparseState({shared: half, only1: half}),
         ]
-        assert abs(lb.weighted_overlap(columns_of(states), w) - 0.5) < 1e-12
+        assert abs(lb.weighted_overlap(Ensemble.from_states(states), w) - 0.5) < 1e-12
 
     # The kernel is evaluated and checked once, when the spec is built.
     def test_negative_weight_rejected(self):
@@ -195,7 +190,7 @@ class TestWeightKernel:
         # hold length-1 team intervals, which query nothing.
         algorithm = BinarySearchAlgorithm(32)
         w = lb.WeightSpec.inverse_distance(32)
-        snapshots = [columns_of(s) for s in trajectory_snapshots(algorithm)]
+        snapshots = [Ensemble.from_states(s) for s in trajectory_snapshots(algorithm)]
 
         def sums():
             overlaps = [lb.weighted_overlap(c, w) for c in snapshots]
@@ -393,7 +388,7 @@ class TestMassProfile:
     def test_all_mass_in_padding_region_gives_zero_vectors(self):
         n = 4
         states = [SparseState.unit(GenLabel(a, n)) for a in range(n)]
-        profile = lb.mass_profile(columns_of(states))
+        profile = lb.mass_profile(Ensemble.from_states(states))
         assert not profile.gammas.any()
         assert not profile.deltas.any()
 
@@ -401,14 +396,14 @@ class TestMassProfile:
         # Answer a queries exactly index a: everything lands in gamma_0.
         n = 4
         states = [SparseState.unit(GenLabel(0, a)) for a in range(n)]
-        profile = lb.mass_profile(columns_of(states))
+        profile = lb.mass_profile(Ensemble.from_states(states))
         assert abs(profile.gammas[0] - math.sqrt(n)) < 1e-12
         assert not profile.gammas[1:].any()
         assert not profile.deltas.any()
 
     def test_binary_search_masses_stay_within_budget(self):
         _, _, states = binary_prequery_states(8, rounds=1)
-        profile = lb.mass_profile(columns_of(states))
+        profile = lb.mass_profile(Ensemble.from_states(states))
         budget = float(
             np.sum(profile.gammas**2) + np.sum(profile.deltas**2)
         )
@@ -416,16 +411,16 @@ class TestMassProfile:
 
     def test_projections_partition_each_state(self):
         _, _, states = binary_prequery_states(8, rounds=2)
-        profile = lb.mass_profile(columns_of(states))
-        columns = profile.columns
+        profile = lb.mass_profile(Ensemble.from_states(states))
+        ensemble = profile.ensemble
         rebuilt = [{} for _ in states]
         for k, a, amp, index in zip(
-            columns.column.tolist(),
-            columns.answers.tolist(),
-            columns.amps.tolist(),
+            ensemble.label_ids.tolist(),
+            ensemble.answers.tolist(),
+            ensemble.amps.tolist(),
             profile.index.tolist(),
         ):
-            label = labels_of(columns.fields)[k]
+            label = labels_of(ensemble.fields)[k]
             assert index == label.i
             assert label not in rebuilt[a]
             rebuilt[a][label] = amp
@@ -438,7 +433,7 @@ class TestMassProfile:
             SparseState.unit(TeamLabel(0, 0, 1)),
         ]
         with pytest.raises(TypeError):
-            lb.mass_profile(columns_of(states))
+            lb.mass_profile(Ensemble.from_states(states))
 
 
 class TestDropChain:
@@ -512,7 +507,7 @@ class TestDropChain:
         n = 8
         w = lb.WeightSpec.inverse_distance(n)
         _, _, states = binary_prequery_states(n)
-        profile = lb.mass_profile(columns_of(states))
+        profile = lb.mass_profile(Ensemble.from_states(states))
         report = lb.verify_drop_chain(profile, complex("nan"), w)
         assert not report.holds
         assert report.failures[0].startswith("drop nan exceeds")
@@ -554,12 +549,12 @@ def brute_force_masses(states):
 
 
 def assert_kernel_matches_reference(states, w):
-    columns = columns_of(states)
+    ensemble = Ensemble.from_states(states)
     assert_matches_reference(
-        lb.weighted_overlap(columns, w), lb._reference_weighted_overlap(states, w)
+        lb.weighted_overlap(ensemble, w), lb._reference_weighted_overlap(states, w)
     )
     if all(isinstance(label, GenLabel) for s in states for label in s.labels()):
-        profile = lb.mass_profile(columns)
+        profile = lb.mass_profile(ensemble)
         assert_matches_reference(
             lb.pairwise_drop(profile, w), lb._reference_pairwise_drop(states, w)
         )
@@ -655,18 +650,21 @@ def row_dot_gram(blocks, w):
     return total
 
 
-def split_columns(columns):
-    """Each column's label mapped to its answers and amplitudes."""
+def split_columns(ensemble):
+    """Each label mapped to its column's answers and amplitudes."""
     return {
-        label: (columns.answers[columns.column == k], columns.amps[columns.column == k])
-        for k, label in enumerate(labels_of(columns.fields))
+        label: (
+            ensemble.answers[ensemble.label_ids == k],
+            ensemble.amps[ensemble.label_ids == k],
+        )
+        for k, label in enumerate(labels_of(ensemble.fields))
     }
 
 
 def row_dot_drop(profile, w):
     """:func:`lb.pairwise_drop` through the row-dot Gram."""
     blocks = []
-    for label, (answers, amps) in split_columns(profile.columns).items():
+    for label, (answers, amps) in split_columns(profile.ensemble).items():
         left = answers <= label.i
         if left.any() and not left.all():
             blocks.append((answers[left], amps[left], answers[~left], amps[~left]))
@@ -682,17 +680,16 @@ class TestKernelAgainstRowDots:
     def test_every_snapshot(self, algorithm):
         n = algorithm.n
         w = lb.WeightSpec.inverse_distance(n)
-        snapshots = [
-            lb.label_columns(e)
-            for e in ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble())
-        ]
-        for j, columns in enumerate(snapshots):
+        snapshots = list(
+            ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble())
+        )
+        for j, ensemble in enumerate(snapshots):
             expected = row_dot_gram(
-                ((a, x, a, x) for a, x in split_columns(columns).values()), w
+                ((a, x, a, x) for a, x in split_columns(ensemble).values()), w
             )
-            assert_matches_reference(lb.weighted_overlap(columns, w), expected)
+            assert_matches_reference(lb.weighted_overlap(ensemble, w), expected)
             if j + 1 < len(snapshots):
-                profile = lb.mass_profile(columns)
+                profile = lb.mass_profile(ensemble)
                 assert_matches_reference(
                     lb.pairwise_drop(profile, w), row_dot_drop(profile, w)
                 )
@@ -723,7 +720,7 @@ class TestPairBoundAgainstConvolution:
         entering = list(snapshots)[:-1]
         assert len(entering) == len(record.chain_reports) == algorithm.num_queries
         for ensemble, report in zip(entering, record.chain_reports):
-            profile = lb.mass_profile(lb.label_columns(ensemble))
+            profile = lb.mass_profile(ensemble)
             expected = convolve_pair_bound(profile, n)
             assert expected > 0
             assert abs(report.pair_bound - expected) <= 1e-12 * expected
@@ -759,10 +756,11 @@ def ensemble_entries(ensemble):
 
 
 def assert_ensemble_invariants(ensemble):
-    """No (label, answer) pair repeats, and the listed labels are held and
-    strictly increasing in ``sort_key`` order."""
+    """The entries go label by label, so no (label, answer) pair repeats, and
+    the listed labels are held and strictly increasing in ``sort_key`` order."""
     pairs = list(zip(ensemble.label_ids.tolist(), ensemble.answers.tolist()))
-    assert len(set(pairs)) == len(pairs)
+    entry_keys = ensemble.label_ids * ensemble.size + ensemble.answers
+    assert (entry_keys[1:] > entry_keys[:-1]).all()
     keys = [label.sort_key for label in labels_of(ensemble.fields)]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert {k for k, _ in pairs} == set(range(len(keys)))
@@ -824,13 +822,13 @@ class TestEnsemblePath:
                 {label: repr(amp) for label, amp in state._entries.items()}
                 for state in states
             ]
-            got = lb.label_columns(ensemble)
-            expected = columns_of(states)
-            assert got.size == expected.size == algorithm.n
-            assert labels_of(got.fields) == labels_of(expected.fields)
-            assert got.column.tolist() == expected.column.tolist()
-            assert got.answers.tolist() == expected.answers.tolist()
-            assert list(map(repr, got.amps.tolist())) == list(
+            # Array for array, in the same entry order.
+            expected = Ensemble.from_states(states)
+            assert ensemble.size == expected.size == algorithm.n
+            assert labels_of(ensemble.fields) == labels_of(expected.fields)
+            assert ensemble.label_ids.tolist() == expected.label_ids.tolist()
+            assert ensemble.answers.tolist() == expected.answers.tolist()
+            assert list(map(repr, ensemble.amps.tolist())) == list(
                 map(repr, expected.amps.tolist())
             )
 
@@ -897,7 +895,7 @@ class TestEnsemblePath:
         with pytest.raises(TypeError) as expected:
             lb.gen_query_index(TeamLabel(0, 0, 1))
         with pytest.raises(TypeError) as got:
-            lb.mass_profile(columns_of(states))
+            lb.mass_profile(Ensemble.from_states(states))
         assert str(got.value) == str(expected.value)
 
 
@@ -950,8 +948,7 @@ class TestTrajectory:
             harmonic = sum(Fraction(1, k) for k in range(1, length + 1))
             exact += n * p * (harmonic - 1)
         w = lb.WeightSpec.inverse_distance(n)
-        columns = lb.label_columns(algorithm.initial_ensemble())
-        got = lb.weighted_overlap(columns, w)
+        got = lb.weighted_overlap(algorithm.initial_ensemble(), w)
         assert got.imag == 0.0
         assert abs(Fraction(got.real) - exact) <= Fraction(1, 10**14) * exact
 
@@ -959,10 +956,10 @@ class TestTrajectory:
         n = 8
         w = lb.WeightSpec.inverse_distance(n)
         _, _, states = binary_prequery_states(n, rounds=2)
-        before = lb.weighted_overlap(columns_of(states), w)
+        before = lb.weighted_overlap(Ensemble.from_states(states), w)
         relabel = lambda l: [(GenLabel(2 * l.z + 1, l.i), 1.0)]
         shifted = [apply_linear(s, relabel) for s in states]
-        after = lb.weighted_overlap(columns_of(shifted), w)
+        after = lb.weighted_overlap(Ensemble.from_states(shifted), w)
         assert abs(before - after) < 1e-12
 
     def test_pairwise_drop_identity_from_projections(self):
@@ -974,11 +971,11 @@ class TestTrajectory:
         after = [
             algo.advance(1, state, inst) for state, inst in zip(states, instances)
         ]
-        columns = columns_of(states)
-        measured = lb.weighted_overlap(columns, w) - lb.weighted_overlap(
-            columns_of(after), w
+        ensemble = Ensemble.from_states(states)
+        measured = lb.weighted_overlap(ensemble, w) - lb.weighted_overlap(
+            Ensemble.from_states(after), w
         )
-        recomputed = lb.pairwise_drop(lb.mass_profile(columns), w)
+        recomputed = lb.pairwise_drop(lb.mass_profile(ensemble), w)
         assert abs(measured - recomputed) < 1e-10
 
     @pytest.mark.parametrize(
@@ -1012,13 +1009,14 @@ class TestTrajectory:
         ids=lambda algorithm: f"{type(algorithm).__name__}-{algorithm.n}",
     )
     def test_chain_reports_match_the_public_route(self, algorithm):
-        # run_trajectory groups the evolved ensembles; here the per-instance
-        # advance states are grouped instead, and every field must agree.
+        # run_trajectory reads the evolved ensembles; here the per-instance
+        # advance states are gathered into ensembles instead, and every field
+        # must agree.
         w = lb.WeightSpec.inverse_distance(algorithm.n)
         record = lb.run_trajectory(algorithm, algorithm.n, w, verify_chain=True)
-        snapshots = [columns_of(s) for s in trajectory_snapshots(algorithm)]
+        snapshots = [Ensemble.from_states(s) for s in trajectory_snapshots(algorithm)]
         assert len(record.chain_reports) == len(snapshots) - 1
-        overlaps = [lb.weighted_overlap(columns, w) for columns in snapshots]
+        overlaps = [lb.weighted_overlap(ensemble, w) for ensemble in snapshots]
         for j, report in enumerate(record.chain_reports):
             profile = lb.mass_profile(snapshots[j])
             drop = overlaps[j] - overlaps[j + 1]
@@ -1070,7 +1068,8 @@ class TestTrajectory:
         n = 64
         w = lb.WeightSpec(n, lambda d: scale * lb._inverse_distance(d))
         algorithm = BinarySearchAlgorithm(n)
-        profile = lb.mass_profile(columns_of(trajectory_snapshots(algorithm)[0]))
+        start = trajectory_snapshots(algorithm)[0]
+        profile = lb.mass_profile(Ensemble.from_states(start))
         restriction = r"inverse-distance weights 1/\(b-a\) only"
         with pytest.raises(ValueError, match=restriction):
             lb.run_trajectory(algorithm, n, w, verify_chain=True)
@@ -1096,10 +1095,12 @@ class TestTrajectory:
         [
             lambda w: lb.run_trajectory(BinarySearchAlgorithm(8), 8, w),
             lambda w: lb.weighted_overlap(
-                columns_of(binary_prequery_states(8)[2]), w
+                Ensemble.from_states(binary_prequery_states(8)[2]), w
             ),
             lambda w: lb.verify_drop_chain(
-                lb.mass_profile(columns_of(binary_prequery_states(8)[2])), 0j, w
+                lb.mass_profile(Ensemble.from_states(binary_prequery_states(8)[2])),
+                0j,
+                w,
             ),
         ],
         ids=["run_trajectory", "weighted_overlap", "verify_drop_chain"],

@@ -714,7 +714,8 @@ class TestFieldMaps:
             ),
         )
         assert expected == "labels 1|0,3 and 0|0,1 both map to 0|0,1"
-        assert got == "labels 1|0,3 and 0|0,1 of answer 1 both map to 0|0,1"
+        # The ensemble names the two labels in sort_key order.
+        assert got == "labels 0|0,1 and 1|0,3 of answer 1 both map to 0|0,1"
 
 
 class TestNoPerLabelPython:
