@@ -13,7 +13,6 @@ once, each with its own instance.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,16 +44,6 @@ class OrderedInstance:
         if i < 0:
             raise ValueError(f"bit index must be non-negative, got {i}")
         return 1 if self.answer <= i < self.n else 0
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "answer": self.answer})
-
-    @classmethod
-    def from_json(cls, text: str) -> "OrderedInstance":
-        data = json.loads(text)
-        if not isinstance(data, dict) or not {"n", "answer"} <= data.keys():
-            raise ValueError(f'expected an object with "n" and "answer", got {text!r}')
-        return cls(n=data["n"], answer=data["answer"])
 
 
 def enumerate_instances(n: int) -> list[OrderedInstance]:

@@ -12,19 +12,20 @@ operators drive one round:
 * a broadcast query in which every computer probes the midpoint of its own
   interval. The least-knowing computer receives the probed bit directly in
   its marker; all other computers receive it as a sign on their amplitude.
-  The whole thing costs exactly one oracle call: the marker write is the
-  standard inversion of phase kickback, realized here literally by routing
-  the state through query-index labels, applying the diagonal query once,
-  and routing back.
+  It is a pair of steps around exactly one oracle call: the open step
+  mixes the markers and routes each computer to a query-index label, the
+  diagonal query runs once, and the close step routes back and mixes
+  again, the standard inversion of phase kickback.
 
 After the query, alternating refine/mix sweeps walk the interval sizes down
 and collapse the team onto the exact answer position with probability one.
 Binary search is the r = 1 case of the same operators: a team of one
 computer whose every round is the bit-writing query on its own interval
-followed by one refinement. Both steppable algorithms are data: per query,
-a list of instance-independent steps run after the oracle call, which one
-shared ``advance`` composes for one instance and :func:`ensemble_snapshots`
-runs on every answer at once; :func:`run_ensemble` reads each answer's
+followed by one refinement. Both steppable algorithms are data, built by
+one ``_schedule``: the steps opening the first query, and per query a list
+of instance-independent steps run after the oracle call, which one shared
+``advance`` composes for one instance and :func:`ensemble_snapshots` runs
+on every answer at once; :func:`run_ensemble` reads each answer's
 outcome off the final ensemble, with :func:`run_algorithm`'s bits. The
 module also provides the classical binary-search reference, the knowledge
 layouts that let one query multiply every computer's explicitly known bits
@@ -280,41 +281,6 @@ def _bitwrite_fields(n: int, bitwrite_length: int):
     return open_fields, close_fields
 
 
-def apply_team_query(
-    state: SparseState,
-    inst: OrderedInstance,
-    bitwrite_length: int | None = None,
-) -> SparseState:
-    """Broadcast query: every computer probes the midpoint of its interval.
-
-    Computers whose interval length equals ``bitwrite_length`` (default: the
-    largest length present, i.e. the least-knowing computer) get the probed
-    bit XORed into their marker; all others pick up the sign (-1)**bit.
-    Costs exactly one diagonal query: open (mix, route), query, close
-    (unroute, mix).
-    """
-    if bitwrite_length is not None:
-        _require_pow2(bitwrite_length, "bit-write interval size", minimum=2)
-    lengths = set()
-    for label in state._entries:
-        if not isinstance(label, TeamLabel):
-            raise TypeError(f"team query needs TeamLabel states, found {label!r}")
-        if label.length < 2:
-            raise ValueError(
-                f"label {label} has no midpoint to query (length-1 interval)"
-            )
-        lengths.add(label.length)
-    if not lengths:
-        return state
-    if bitwrite_length is None:
-        bitwrite_length = max(lengths)
-
-    open_query, close_query = _bitwrite_query(inst.n, bitwrite_length)
-    s = apply_linear(state, open_query)
-    s = oracle_mod.apply_query(s, inst)
-    return apply_linear(s, close_query)
-
-
 # One step of a round maps a state to a state. Each step names its operator
 # only when it runs, so that rebinding the module's operators (as a tracer
 # does) also reaches algorithms built before the rebinding. For the ensemble
@@ -341,6 +307,52 @@ def _refine_step(s: int) -> Callable[[SparseState], SparseState]:
 def _combine_step(s: int) -> Callable[[SparseState], SparseState]:
     run = lambda state: apply_combine(state, s)
     return _step(run, "linear", partial(_mix_fields, s=s))
+
+
+def _halvings(size: int) -> list[int]:
+    """``size, size/2, ..., 2`` for a power of two ``size``; empty below 2."""
+    return [size >> k for k in range(size.bit_length() - 1)]
+
+
+def _schedule(n: int, lengths, combine_sizes):
+    """The steps opening query 0, and per query j the round after its call.
+
+    Round ``j`` closes the bit-write query on intervals of length
+    ``lengths[j]``, refines that length, mixes and refines at each size of
+    ``combine_sizes[j]``, then opens query ``j + 1``. The only place a
+    round is built: the team is one round with the combine sizes, binary
+    search a round per interval length with none.
+    """
+    opens, closes = [], []
+    for length in lengths:
+        open_query, close_query = _bitwrite_query(n, length)
+        open_fields, close_fields = _bitwrite_fields(n, length)
+        opens.append(_linear_step(open_query, open_fields))
+        closes.append(_linear_step(close_query, close_fields))
+    rounds = []
+    for j, (length, sizes) in enumerate(zip(lengths, combine_sizes)):
+        steps = [closes[j], _refine_step(length)]
+        for size in sizes:
+            steps += [_combine_step(size), _refine_step(size)]
+        rounds.append(steps + opens[j + 1 : j + 2])
+    return opens[:1], rounds
+
+
+def _run_steps(steps, state: SparseState) -> SparseState:
+    """``state`` through each of ``steps`` in turn."""
+    for step in steps:
+        state = step(state)
+    return state
+
+
+_ENSEMBLE_STEPS = {"linear": apply_linear_ensemble, "permute": permute_ensemble}
+
+
+def _run_ensemble_steps(steps, ensemble: Ensemble) -> Ensemble:
+    """:func:`_run_steps` on every answer at once, by each step's fields map."""
+    for step in steps:
+        ensemble = _ENSEMBLE_STEPS[step.kind](ensemble, step.image)
+    return ensemble
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +462,9 @@ def _pinned_answer(label: BasisLabel) -> int:
     return label.lo
 
 
-# Both algorithms run one schedule: the state entering query j is already
-# opened (mixed and routed); ``advance`` makes the oracle call and then runs
-# ``_rounds[j]``, the instance-independent steps that close the query, refine,
-# and open the next one. Each class binds the one ``advance`` in its own body
-# so that each can be traced by name.
+# Both algorithms run the rounds of :func:`_schedule`, from a state that its
+# opening steps have opened. Each class binds the one ``advance`` in its own
+# body so that each can be traced by name.
 
 
 def _advance(self, j: int, state: SparseState, inst: OrderedInstance) -> SparseState:
@@ -463,13 +473,7 @@ def _advance(self, j: int, state: SparseState, inst: OrderedInstance) -> SparseS
         raise ValueError(
             f"{type(self).__name__} has {self.num_queries} steps, got step {j}"
         )
-    state = oracle_mod.apply_query(state, inst)
-    for step in self._rounds[j]:
-        state = step(state)
-    return state
-
-
-_ENSEMBLE_STEPS = {"linear": apply_linear_ensemble, "permute": permute_ensemble}
+    return _run_steps(self._rounds[j], oracle_mod.apply_query(state, inst))
 
 
 def ensemble_snapshots(algorithm, ensemble: Ensemble):
@@ -482,9 +486,11 @@ def ensemble_snapshots(algorithm, ensemble: Ensemble):
     """
     yield ensemble
     for j in range(algorithm.num_queries):
-        ensemble = oracle_mod.apply_query_ensemble(ensemble)
-        for step in algorithm._rounds[j]:
-            ensemble = _ENSEMBLE_STEPS[step.kind](ensemble, step.image)
+        # The queried ensemble goes straight in, so that no name here keeps
+        # it alive once the round's first step has replaced it.
+        ensemble = _run_ensemble_steps(
+            algorithm._rounds[j], oracle_mod.apply_query_ensemble(ensemble)
+        )
         yield ensemble
 
 
@@ -499,7 +505,6 @@ class TeamCombineAlgorithm:
     which one length-1 interval at the answer holds all the mass.
     """
 
-    answer_of = staticmethod(_pinned_answer)
     advance = _advance
 
     def __init__(self, n: int, r: int | None = None):
@@ -507,17 +512,10 @@ class TeamCombineAlgorithm:
         self.r = default_team_size(n) if r is None else r
         _require_sublists(n, self.r)
         self.num_queries = 1
-        self._open, close = _bitwrite_query(n, 2 * self.r)
-        self._open_fields, close_fields = _bitwrite_fields(n, 2 * self.r)
-        steps = [_linear_step(close, close_fields), _refine_step(2 * self.r)]
-        size = self.r
-        while size >= 2:
-            steps += [_combine_step(size), _refine_step(size)]
-            size //= 2
-        self._rounds = [steps]
+        self._opening, self._rounds = _schedule(n, [2 * self.r], [_halvings(self.r)])
 
     def initial_state(self, inst: OrderedInstance) -> SparseState:
-        return apply_linear(opening_state(inst, self.r), self._open)
+        return _run_steps(self._opening, opening_state(inst, self.r))
 
     def initial_ensemble(self) -> Ensemble:
         """Every answer's :meth:`initial_state`, built as one ensemble.
@@ -525,8 +523,8 @@ class TeamCombineAlgorithm:
         The :func:`opening_state` of answer ``a`` holds, per level, the block
         of the level's length containing ``a``; the blocks of every level are
         the labels, each held by the answers it covers, so the opening
-        ensemble is a few arrays, and one ensemble step of the open map
-        finishes it.
+        ensemble is a few arrays, and the ensemble steps of the opening
+        finish it.
         """
         fields, amps = [], []
         for length, marker, amp in _opening_levels(self.r):
@@ -545,7 +543,7 @@ class TeamCombineAlgorithm:
         answers = np.arange(len(label_ids)) - shift[label_ids]
         amps = np.concatenate(amps)[order][label_ids]
         opening = Ensemble(self.n, fields, label_ids, answers, amps)
-        return apply_linear_ensemble(opening, self._open_fields)
+        return _run_ensemble_steps(self._opening, opening)
 
 
 class BinarySearchAlgorithm:
@@ -561,38 +559,22 @@ class BinarySearchAlgorithm:
     probability one after exactly log2(n) queries.
     """
 
-    answer_of = staticmethod(_pinned_answer)
     advance = _advance
 
     def __init__(self, n: int):
         _require_pow2(n, "list size")
         self.n = n
-        self.num_queries = n.bit_length() - 1
-        lengths = [n >> j for j in range(self.num_queries)]
-        queries = [_bitwrite_query(n, length) for length in lengths]
-        maps = [_bitwrite_fields(n, length) for length in lengths]
-        self._open = queries[0][0] if queries else None
-        self._open_fields = maps[0][0] if maps else None
-        self._rounds = []
-        for j, length in enumerate(lengths):
-            steps = [_linear_step(queries[j][1], maps[j][1]), _refine_step(length)]
-            if j + 1 < self.num_queries:
-                steps.append(_linear_step(queries[j + 1][0], maps[j + 1][0]))
-            self._rounds.append(steps)
+        lengths = _halvings(n)
+        self.num_queries = len(lengths)
+        self._opening, self._rounds = _schedule(n, lengths, [()] * len(lengths))
 
     def initial_state(self, inst: OrderedInstance | None = None) -> SparseState:
-        state = SparseState.unit(TeamLabel(0, 0, self.n - 1))
-        if self._open is not None:
-            state = apply_linear(state, self._open)
-        return state
+        return _run_steps(self._opening, SparseState.unit(TeamLabel(0, 0, self.n - 1)))
 
     def initial_ensemble(self) -> Ensemble:
         """Every answer's :meth:`initial_state`: the one start, broadcast."""
         start = SparseState.unit(TeamLabel(0, 0, self.n - 1))
-        ensemble = Ensemble.broadcast(start, self.n)
-        if self._open_fields is not None:
-            ensemble = apply_linear_ensemble(ensemble, self._open_fields)
-        return ensemble
+        return _run_ensemble_steps(self._opening, Ensemble.broadcast(start, self.n))
 
 
 class SimulationResult(NamedTuple):
@@ -606,7 +588,7 @@ def run_algorithm(algorithm, inst: OrderedInstance) -> SimulationResult:
     state = algorithm.initial_state(inst)
     for j in range(algorithm.num_queries):
         state = algorithm.advance(j, state, inst)
-    distribution = measure_distribution(state, algorithm.answer_of)
+    distribution = measure_distribution(state, _pinned_answer)
     answer, probability = max(distribution.items(), key=lambda kv: kv[1])
     return SimulationResult(
         answer=answer, probability=probability, queries=algorithm.num_queries
@@ -621,15 +603,8 @@ def measure_ensemble(algorithm, ensemble: Ensemble, answers) -> list[SimulationR
     must pin one position, which is its outcome (:func:`_pinned_answer`
     raises for the first that does not), an outcome's probability is the sum
     of ``abs(amp) ** 2`` over its labels in label sort order, and the most
-    likely outcome wins, the first in that order on a tie. The outcomes are
-    read from the fields by :func:`_pinned_answer`'s rule, so an algorithm
-    that measures by another ``answer_of`` is refused with ``TypeError``.
+    likely outcome wins, the first in that order on a tie.
     """
-    if algorithm.answer_of is not _pinned_answer:
-        raise TypeError(
-            f"measure_ensemble reads outcomes as _pinned_answer does, "
-            f"not by {algorithm.answer_of!r}"
-        )
     answers = np.asarray(answers, dtype=np.intp)
     low, count = _answer_span(answers)
     measured = (low <= ensemble.answers) & (ensemble.answers < low + count)

@@ -1041,24 +1041,19 @@ class TestTrajectory:
             assert len(record.chain_reports) == algorithm.num_queries
             assert all(report.holds for report in record.chain_reports)
 
-    def test_chain_path_builds_no_dense_matrix(self, monkeypatch):
-        # The Hankel norm of the chain is matrix-free above the eigensolve
-        # size; no n x n matrix may come back to the chain path.
-        def small_only(build):
-            def guarded(size):
-                if size > lb.EIGENSOLVE_LIMIT:
-                    raise AssertionError(f"dense {build.__name__}({size})")
-                return build(size)
+    @pytest.mark.parametrize("n", [2, 32, 1024])
+    def test_chain_path_builds_no_dense_matrix(self, monkeypatch, n):
+        # The Hankel norm of the chain is matrix-free at every size; no
+        # n x n matrix may come back to the chain path.
+        def refuse(size):
+            raise AssertionError(f"dense matrix of size {size} on the chain path")
 
-            return guarded
-
-        monkeypatch.setattr(lb, "hankel_matrix", small_only(lb.hankel_matrix))
-        monkeypatch.setattr(lb, "hilbert_matrix", small_only(lb.hilbert_matrix))
+        monkeypatch.setattr(lb, "hankel_matrix", refuse)
+        monkeypatch.setattr(lb, "hilbert_matrix", refuse)
         lb._hankel.cache_clear()
-        n = 1024
         w = lb.WeightSpec.inverse_distance(n)
         record = lb.run_trajectory(BinarySearchAlgorithm(n), n, w, verify_chain=True)
-        assert len(record.chain_reports) == 10
+        assert len(record.chain_reports) == n.bit_length() - 1
         assert all(report.holds for report in record.chain_reports)
 
     @pytest.mark.parametrize("scale", [2.0, 0.5])

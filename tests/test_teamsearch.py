@@ -207,50 +207,116 @@ class TestRefineOperator:
             ts.apply_refine(state, 4)  # image of (1,[0,3]) hits (0,[0,1])
 
 
+def team_query_steps():
+    """The n = 8 team's broadcast query around its one oracle call: the
+    opening step and the step that closes it."""
+    algo = ts.TeamCombineAlgorithm(8)
+    [open_step] = algo._opening
+    return open_step, algo._rounds[0][0]
+
+
+def team_query(state, inst):
+    open_step, close_step = team_query_steps()
+    return close_step(ts.oracle_mod.apply_query(open_step(state), inst))
+
+
 class TestTeamQuery:
     def test_worked_opening_to_post_query(self):
         inst = OrderedInstance(8, 5)
-        out = ts.apply_team_query(team_state(WORKED_STAGES[0]), inst)
+        out = team_query(team_state(WORKED_STAGES[0]), inst)
         assert_stage(out, WORKED_STAGES[1])
 
     def test_all_probed_bits_zero_leaves_state_unchanged(self):
         # Answer 7 sits above every probed midpoint (3, 5, 4).
         inst = OrderedInstance(8, 7)
         state = team_state(WORKED_STAGES[0])
-        out = ts.apply_team_query(state, inst)
+        out = team_query(state, inst)
         assert diff_norm(out, state) < 1e-12
 
     def test_double_application_restores_the_state(self):
         inst = OrderedInstance(8, 5)
         state = team_state(WORKED_STAGES[0])
-        twice = ts.apply_team_query(ts.apply_team_query(state, inst), inst)
+        twice = team_query(team_query(state, inst), inst)
         assert diff_norm(twice, state) < 1e-12
 
     def test_costs_exactly_one_oracle_call(self, monkeypatch):
-        from qordsearch import oracle as oracle_mod
-
         calls = []
-        real = oracle_mod.apply_query
+        real = ts.oracle_mod.apply_query
 
         def counting(state, inst):
             calls.append(1)
             return real(state, inst)
 
         monkeypatch.setattr(ts.oracle_mod, "apply_query", counting)
-        ts.apply_team_query(team_state(WORKED_STAGES[0]), OrderedInstance(8, 5))
+        # The open and close steps make no call of their own.
+        team_query(team_state(WORKED_STAGES[0]), OrderedInstance(8, 5))
         assert len(calls) == 1
 
     def test_rejects_undefined_query_index(self):
         inst = OrderedInstance(8, 5)
+        open_step, close_step = team_query_steps()
+        opened = open_step(team_state({(0, 5, 5): 1.0}))
+        routed = ts.oracle_mod.apply_query(opened, inst)
         with pytest.raises(ValueError):
-            ts.apply_team_query(team_state({(0, 5, 5): 1.0}), inst)
+            close_step(routed)
 
     def test_rejects_general_labels(self):
-        from qordsearch.qcore import GenLabel
-
-        inst = OrderedInstance(8, 5)
+        open_step, _ = team_query_steps()
         with pytest.raises(TypeError):
-            ts.apply_team_query(SparseState.unit(GenLabel(0, 0)), inst)
+            open_step(SparseState.unit(GenLabel(0, 0)))
+
+
+# Each algorithm with the state it holds before its opening step.
+SCHEDULED = {
+    "binary-1": (lambda: ts.BinarySearchAlgorithm(1), None),
+    "binary-2": (lambda: ts.BinarySearchAlgorithm(2), None),
+    "binary-8": (lambda: ts.BinarySearchAlgorithm(8), None),
+    "binary-64": (lambda: ts.BinarySearchAlgorithm(64), None),
+    "team-2": (lambda: ts.TeamCombineAlgorithm(2), ts.opening_state),
+    "team-8": (lambda: ts.TeamCombineAlgorithm(8), ts.opening_state),
+    "team-32-r2": (lambda: ts.TeamCombineAlgorithm(32, r=2), ts.opening_state),
+    "team-128": (lambda: ts.TeamCombineAlgorithm(128), ts.opening_state),
+}
+
+
+def open_steps(algo):
+    """The step opening each query: the opening, then each round's last step."""
+    return [*algo._opening] + [steps[-1] for steps in algo._rounds[:-1]]
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("name", list(SCHEDULED))
+    def test_rounds_close_refine_combine_then_open(self, name):
+        algo = SCHEDULED[name][0]()
+        rounds = algo._rounds
+        assert len(rounds) == algo.num_queries
+        assert len(algo._opening) == min(algo.num_queries, 1)
+        # The team mixes and refines at r, r/2, ..., 2; binary search never.
+        team = isinstance(algo, ts.TeamCombineAlgorithm)
+        combines = algo.r.bit_length() - 1 if team else 0
+        for j, steps in enumerate(rounds):
+            opens_next = ["linear"] if j + 1 < len(rounds) else []
+            expected = ["linear", "permute"] + ["linear", "permute"] * combines
+            assert [step.kind for step in steps] == expected + opens_next
+        assert all(step.kind == "linear" for step in open_steps(algo))
+
+    @pytest.mark.parametrize("name", [name for name in SCHEDULED if name != "binary-1"])
+    def test_each_close_step_inverts_its_open_step(self, name):
+        make, opening = SCHEDULED[name]
+        algo = make()
+        for inst in enumerate_instances(algo.n):
+            if opening is None:
+                state = SparseState.unit(TeamLabel(0, 0, algo.n - 1))
+            else:
+                state = opening(inst, algo.r)
+            for j, open_step in enumerate(open_steps(algo)):
+                opened = open_step(state)
+                # The oracle sees only general labels, and the close step
+                # takes them back to the team labels they came from.
+                assert all(isinstance(label, GenLabel) for label in opened.labels())
+                assert diff_norm(algo._rounds[j][0](opened), state) < 1e-12
+                queried = ts.oracle_mod.apply_query(opened, inst)
+                state = ts._run_steps(algo._rounds[j][:-1], queried)
 
 
 class TestCombineRound:
@@ -401,7 +467,10 @@ class TestSteppableAlgorithms:
             state = SparseState.unit(TeamLabel(0, 0, n - 1))
             length = n
             while length >= 2:
-                state = ts.apply_team_query(state, inst, bitwrite_length=length)
+                open_query, close_query = ts._bitwrite_query(n, length)
+                state = apply_linear(state, open_query)
+                state = apply_query(state, inst)
+                state = apply_linear(state, close_query)
                 state = ts.apply_refine(state, length)
                 length //= 2
             assert stepped.labels() == [TeamLabel(0, inst.answer, inst.answer)]
@@ -446,18 +515,34 @@ class TestSteppableAlgorithms:
         with pytest.raises(ValueError):
             ts.TeamCombineAlgorithm(6)
 
-    def test_answer_of_rejects_unfinished_labels(self):
-        for algo in (ts.TeamCombineAlgorithm(8), ts.BinarySearchAlgorithm(8)):
-            assert algo.answer_of(TeamLabel(0, 5, 5)) == 5
-            for label in (TeamLabel(0, 4, 5), GenLabel(0, 5)):
-                with pytest.raises(ValueError):
-                    algo.answer_of(label)
+    def test_pinned_answer_rejects_unfinished_labels(self):
+        assert ts._pinned_answer(TeamLabel(0, 5, 5)) == 5
+        for label in (TeamLabel(0, 4, 5), GenLabel(0, 5)):
+            with pytest.raises(ValueError):
+                ts._pinned_answer(label)
+
+    def test_binary_search_and_the_one_computer_team_share_their_round(self):
+        team, binary = ts.TeamCombineAlgorithm(2), ts.BinarySearchAlgorithm(2)
+        assert team.r == 1 and team.num_queries == binary.num_queries == 1
+        for inst in enumerate_instances(2):
+            ours, theirs = team.initial_state(inst), binary.initial_state(inst)
+            assert ours.dump() == theirs.dump()
+            ours, theirs = team.advance(0, ours, inst), binary.advance(0, theirs, inst)
+            assert ours.dump() == theirs.dump()
+        snapshots = zip(
+            ts.ensemble_snapshots(team, team.initial_ensemble()),
+            ts.ensemble_snapshots(binary, binary.initial_ensemble()),
+        )
+        for ours, theirs in snapshots:
+            assert ours.fields.tolist() == theirs.fields.tolist()
+            assert ours.label_ids.tolist() == theirs.label_ids.tolist()
+            assert ours.answers.tolist() == theirs.answers.tolist()
+            assert repr(ours.amps.tolist()) == repr(theirs.amps.tolist())
 
 
 class HandBuilt:
     """A zero-query algorithm whose answer ``a`` starts (and ends) in ``states[a]``."""
 
-    answer_of = staticmethod(ts._pinned_answer)
     num_queries = 0
 
     def __init__(self, states):
@@ -553,15 +638,6 @@ class TestEnsembleOutcomes:
         expected = error_text(ts.run_algorithm, algorithm, OrderedInstance(2, 0))
         assert "final labels should pin one position" in expected
         assert error_text(ts.run_ensemble, algorithm) == expected
-
-    def test_another_answer_rule_is_refused(self):
-        class Shifted(HandBuilt):
-            answer_of = staticmethod(lambda label: ts._pinned_answer(label) + 1)
-
-        algorithm = Shifted([SparseState.unit(TeamLabel(0, 0, 0))])
-        assert ts.run_algorithm(algorithm, OrderedInstance(1, 0)).answer == 1
-        with pytest.raises(TypeError, match="reads outcomes as _pinned_answer does"):
-            ts.run_ensemble(algorithm)
 
     def test_simulate_makes_no_per_instance_call(self, monkeypatch):
         def refuse(*args):
@@ -1013,27 +1089,6 @@ NOT_TILED = "list size {} is not a multiple of the sublist size {}"
         (lambda: error_text(ts.apply_combine, WIDE, 1), POW2_AT_LEAST_2.format(1)),
         (lambda: error_text(ts.apply_refine, WIDE, 6), POW2_AT_LEAST_2.format(6)),
         (lambda: error_text(ts.apply_refine, WIDE, 0), POW2_AT_LEAST_2.format(0)),
-        (
-            lambda: error_text(
-                ts.apply_team_query, WIDE, OrderedInstance(8, 3), bitwrite_length=1
-            ),
-            "bit-write interval size must be a power of two >= 2, got 1",
-        ),
-        (
-            lambda: error_text(
-                ts.apply_team_query, WIDE, OrderedInstance(8, 3), bitwrite_length=6
-            ),
-            "bit-write interval size must be a power of two >= 2, got 6",
-        ),
-        (
-            lambda: error_text(
-                ts.apply_team_query,
-                SparseState({}),
-                OrderedInstance(8, 3),
-                bitwrite_length=3,
-            ),
-            "bit-write interval size must be a power of two >= 2, got 3",
-        ),
         (lambda: error_text(ts.team_knowledge_size, 3), COMPUTER_COUNT.format(3)),
         (lambda: error_text(ts.build_layout, 3), COMPUTER_COUNT.format(3)),
         (
@@ -1062,9 +1117,6 @@ NOT_TILED = "list size {} is not a multiple of the sublist size {}"
         "apply_combine-1",
         "apply_refine-6",
         "apply_refine-0",
-        "apply_team_query-1",
-        "apply_team_query-6",
-        "apply_team_query-empty-3",
         "team_knowledge_size-3",
         "build_layout-3",
         "opening_state-r3",
