@@ -41,11 +41,11 @@ through :func:`~qordsearch.teamsearch.ensemble_snapshots`, the loop that
 the ``simulate`` command also runs:
 
 * ``n``: problem size, ``num_queries``: number of oracle rounds T;
-* ``initial_ensemble()``: the ensemble entering the first query, answer
-  ``a`` holding the start of instance ``a``. Honest from-scratch algorithms
-  broadcast one state to every answer (``Ensemble.broadcast``); the
-  team-search combine starts each answer from its own block positions, to
-  stand in for knowledge acquired in rounds outside the trace.
+* ``initial_ensemble(answers=None)``: the ensemble entering the first
+  query, each answer ``a`` of the contiguous range ``answers`` (all, here)
+  holding the start of instance ``a``, other answers empty. Binary search
+  starts each on the whole list, the team-search combine each on its own
+  block positions, to stand in for knowledge acquired outside the trace.
 * ``_rounds[j]`` for each query j: the round's shared (instance-independent)
   steps, run after the oracle call. Each step has ``kind`` "linear", whose
   ``image(fields)`` gives the (label, coefficient) terms of a unitary, or

@@ -53,6 +53,11 @@ def enumerate_instances(n: int) -> list[OrderedInstance]:
     return [OrderedInstance(n, a) for a in range(n)]
 
 
+def _not_a_gen_label(label) -> TypeError:
+    """The error of querying a state that holds ``label``."""
+    return TypeError(f"apply_query acts on GenLabel states only, found {label!r}")
+
+
 def apply_query(state: SparseState, inst: OrderedInstance) -> SparseState:
     """One oracle query: phase ``(-1)**bit(i)`` on every ``GenLabel(z, i)``.
 
@@ -64,9 +69,7 @@ def apply_query(state: SparseState, inst: OrderedInstance) -> SparseState:
     out: dict[GenLabel, complex] = {}
     for label, amp in state._entries.items():
         if not isinstance(label, GenLabel):
-            raise TypeError(
-                f"apply_query acts on GenLabel states only, found {label!r}"
-            )
+            raise _not_a_gen_label(label)
         out[label] = -amp if answer <= label.i < n else amp
     return SparseState._relabelled(out, state)
 
@@ -82,7 +85,7 @@ def apply_query_ensemble(ensemble: Ensemble) -> Ensemble:
     not_gen = kind != GEN
     if not_gen.any():
         [label] = labels_of(ensemble.fields[:, [int(np.argmax(not_gen))]])
-        raise TypeError(f"apply_query acts on GenLabel states only, found {label!r}")
+        raise _not_a_gen_label(label)
     queried = index[ensemble.label_ids]
     flip = (ensemble.answers <= queried) & (queried < ensemble.size)
     return ensemble._replace(amps=np.where(flip, -ensemble.amps, ensemble.amps))

@@ -43,8 +43,6 @@ PRUNE_EPS = 1e-15
 # Tolerance for calling a state normalized and for unitarity drift checks.
 NORM_TOL = 1e-9
 
-Amplitude = complex
-
 
 class NormDriftError(ValueError):
     """An operator declared unitary failed to preserve the 2-norm."""
@@ -381,29 +379,6 @@ class Ensemble(NamedTuple):
             label_ids[order],
             answers[order],
             np.array(amps, dtype=complex)[order],
-        )
-
-    @classmethod
-    def single(cls, state: SparseState, size: int, answer: int) -> "Ensemble":
-        """The ensemble whose answer ``answer`` holds ``state``.
-
-        Every other answer ``0 .. size-1`` holds the empty state, so an
-        operator that reads ``size`` (the oracle's list size) sees the
-        full list while only one state is evolved.
-        """
-        ensemble = cls.from_states([state])
-        return ensemble._replace(size=size, answers=ensemble.answers + answer)
-
-    @classmethod
-    def broadcast(cls, state: SparseState, size: int) -> "Ensemble":
-        """The ensemble whose every answer ``0 .. size-1`` holds ``state``."""
-        items = state.items()
-        return cls(
-            size,
-            label_fields([label for label, _ in items]),
-            np.repeat(np.arange(len(items)), size),
-            np.tile(np.arange(size), len(items)),
-            np.repeat(np.array([amp for _, amp in items], dtype=complex), size),
         )
 
 

@@ -21,16 +21,17 @@ After the query, alternating refine/mix sweeps walk the interval sizes down
 and collapse the team onto the exact answer position with probability one.
 Binary search is the r = 1 case of the same operators: a team of one
 computer whose every round is the bit-writing query on its own interval
-followed by one refinement. Both steppable algorithms are data, built by
-one ``_schedule``: the steps opening the first query, and per query a list
-of instance-independent steps run after the oracle call, which one shared
-``advance`` composes for one instance and :func:`ensemble_snapshots` runs
-on every answer at once; :func:`run_ensemble` reads each answer's
-outcome off the final ensemble, with :func:`run_algorithm`'s bits. The
-module also provides the classical binary-search reference, the knowledge
-layouts that let one query multiply every computer's explicitly known bits
-by a factor approaching three, and the digit-decomposition accounting behind
-the query-count model.
+followed by one refinement. Both steppable algorithms are data: opening
+levels (interval length, marker, amplitude; binary search has the one level
+of the whole list) and one ``_schedule``'s steps. One shared ``advance``
+composes them for one instance; one shared ``initial_ensemble`` builds the
+starts of a contiguous answer range from the levels, which
+:func:`ensemble_snapshots` evolves at once, and :func:`run_ensemble` reads
+each answer's outcome off the final ensemble, with :func:`run_algorithm`'s
+bits. The module also provides the classical binary-search reference, the
+knowledge layouts that let one query multiply every computer's explicitly
+known bits by a factor approaching three, and the digit-decomposition
+accounting behind the query-count model.
 """
 from __future__ import annotations
 
@@ -463,8 +464,8 @@ def _pinned_answer(label: BasisLabel) -> int:
 
 
 # Both algorithms run the rounds of :func:`_schedule`, from a state that its
-# opening steps have opened. Each class binds the one ``advance`` in its own
-# body so that each can be traced by name.
+# opening steps have opened. Each class binds the one ``advance`` and the one
+# ``initial_ensemble`` in its own body so that each can be traced by name.
 
 
 def _advance(self, j: int, state: SparseState, inst: OrderedInstance) -> SparseState:
@@ -474,6 +475,35 @@ def _advance(self, j: int, state: SparseState, inst: OrderedInstance) -> SparseS
             f"{type(self).__name__} has {self.num_queries} steps, got step {j}"
         )
     return _run_steps(self._rounds[j], oracle_mod.apply_query(state, inst))
+
+
+def _initial_ensemble(self, answers: range | None = None) -> Ensemble:
+    """The ensemble of each of ``answers`` in its :meth:`initial_state`, others empty.
+
+    Per level of ``self._levels``, each block of its length that meets the
+    contiguous range ``answers`` (all by default) is a label, held by the
+    answers it covers there; the opening's ensemble steps finish the start.
+    """
+    low, stop = (0, self.n) if answers is None else (answers.start, answers.stop)
+    fields, amps = [], []
+    for length, marker, amp in self._levels:
+        lo = np.arange(low - low % length, stop, length)
+        kind, markers = np.full_like(lo, TEAM), np.full_like(lo, marker)
+        fields.append(np.stack((kind, markers, lo, lo + length - 1)))
+        amps.append(np.full(len(lo), amp, dtype=complex))
+    # Distinct blocks in sort_key order, block lo .. hi held by answers
+    # max(lo, low) .. min(hi, stop - 1): the entries go label by label.
+    fields = np.concatenate(fields, axis=1)
+    order = np.lexsort(fields[::-1])
+    fields = fields[:, order]
+    first = np.maximum(fields[2], low)
+    counts = np.minimum(fields[3] + 1, stop) - first
+    label_ids = np.repeat(np.arange(len(order)), counts)
+    shift = np.cumsum(counts) - counts - first
+    answers = np.arange(len(label_ids)) - shift[label_ids]
+    amps = np.concatenate(amps)[order][label_ids]
+    start = Ensemble(self.n, fields, label_ids, answers, amps)
+    return _run_ensemble_steps(self._opening, start)
 
 
 def ensemble_snapshots(algorithm, ensemble: Ensemble):
@@ -499,82 +529,55 @@ class TeamCombineAlgorithm:
 
     The per-answer opening states stand in for knowledge acquired in earlier
     rounds (their preparation is outside this trace), so ``initial_state``
-    takes the instance. The single ``advance`` spends the round's one oracle
-    call; its steps close the query, refine the widest intervals (length
-    ``2r``), then mix and refine at each length s = r, r/2, ..., 2, after
-    which one length-1 interval at the answer holds all the mass.
+    takes the instance, and each answer starts on its blocks of
+    :func:`_opening_levels`. The single ``advance`` spends the round's one
+    oracle call; its steps close the query, refine the widest intervals
+    (length ``2r``), then mix and refine at each length s = r, r/2, ..., 2,
+    after which one length-1 interval at the answer holds all the mass.
     """
 
     advance = _advance
+    initial_ensemble = _initial_ensemble
 
     def __init__(self, n: int, r: int | None = None):
         self.n = n
         self.r = default_team_size(n) if r is None else r
         _require_sublists(n, self.r)
         self.num_queries = 1
+        self._levels = list(_opening_levels(self.r))
         self._opening, self._rounds = _schedule(n, [2 * self.r], [_halvings(self.r)])
 
     def initial_state(self, inst: OrderedInstance) -> SparseState:
         return _run_steps(self._opening, opening_state(inst, self.r))
-
-    def initial_ensemble(self) -> Ensemble:
-        """Every answer's :meth:`initial_state`, built as one ensemble.
-
-        The :func:`opening_state` of answer ``a`` holds, per level, the block
-        of the level's length containing ``a``; the blocks of every level are
-        the labels, each held by the answers it covers, so the opening
-        ensemble is a few arrays, and the ensemble steps of the opening
-        finish it.
-        """
-        fields, amps = [], []
-        for length, marker, amp in _opening_levels(self.r):
-            lo = np.arange(0, self.n, length)
-            kind, markers = np.full_like(lo, TEAM), np.full_like(lo, marker)
-            fields.append(np.stack((kind, markers, lo, lo + length - 1)))
-            amps.append(np.full(len(lo), amp, dtype=complex))
-        # The blocks are distinct labels, so in sort_key order, with block
-        # lo .. hi held by answers lo .. hi, the entries go label by label.
-        fields = np.concatenate(fields, axis=1)
-        order = np.lexsort(fields[::-1])
-        fields = fields[:, order]
-        lengths = fields[3] - fields[2] + 1
-        label_ids = np.repeat(np.arange(len(order)), lengths)
-        shift = np.cumsum(lengths) - lengths - fields[2]
-        answers = np.arange(len(label_ids)) - shift[label_ids]
-        amps = np.concatenate(amps)[order][label_ids]
-        opening = Ensemble(self.n, fields, label_ids, answers, amps)
-        return _run_ensemble_steps(self._opening, opening)
 
 
 class BinarySearchAlgorithm:
     """Classical binary search as a team of one computer (the r = 1 case).
 
     The state is one ``TeamLabel``: the interval that still holds the answer,
-    with marker 0. Round ``j`` is the combine round's bit-writing query on
-    intervals of length ``n >> j``: opening splits the computer into a
-    marker-0 branch parked on the padding index and a marker-1 branch probing
-    the midpoint, closing turns the sign the probe picked up into the marker
-    (1 when the probed bit is 1), and ``apply_refine`` keeps the half the
-    marker names. Exact: the final measurement yields the answer with
-    probability one after exactly log2(n) queries.
+    with marker 0, at first the whole list. Round ``j`` is the combine
+    round's bit-writing query on intervals of length ``n >> j``: opening
+    splits the computer into a marker-0 branch parked on the padding index
+    and a marker-1 branch probing the midpoint, closing turns the sign the
+    probe picked up into the marker (1 when the probed bit is 1), and
+    ``apply_refine`` keeps the half the marker names. Exact: the final
+    measurement yields the answer with probability one after exactly
+    log2(n) queries.
     """
 
     advance = _advance
+    initial_ensemble = _initial_ensemble
 
     def __init__(self, n: int):
         _require_pow2(n, "list size")
         self.n = n
+        self._levels = [(n, 0, 1.0)]
         lengths = _halvings(n)
         self.num_queries = len(lengths)
         self._opening, self._rounds = _schedule(n, lengths, [()] * len(lengths))
 
     def initial_state(self, inst: OrderedInstance | None = None) -> SparseState:
         return _run_steps(self._opening, SparseState.unit(TeamLabel(0, 0, self.n - 1)))
-
-    def initial_ensemble(self) -> Ensemble:
-        """Every answer's :meth:`initial_state`: the one start, broadcast."""
-        start = SparseState.unit(TeamLabel(0, 0, self.n - 1))
-        return _run_ensemble_steps(self._opening, Ensemble.broadcast(start, self.n))
 
 
 class SimulationResult(NamedTuple):
@@ -640,16 +643,15 @@ def measure_ensemble(algorithm, ensemble: Ensemble, answers) -> list[SimulationR
 def run_ensemble(algorithm, answer: int | None = None) -> list[SimulationResult]:
     """:func:`run_algorithm` on every instance, evolved as one ensemble.
 
-    With ``answer``, only that instance: its :meth:`initial_state` alone is
-    evolved, in an ensemble of the algorithm's list size.
+    With ``answer``, only that instance (:class:`OrderedInstance` checks
+    it), evolved in an ensemble of the algorithm's list size.
     """
     if answer is None:
-        start, answers = algorithm.initial_ensemble(), range(algorithm.n)
+        answers = range(algorithm.n)
     else:
-        inst = OrderedInstance(algorithm.n, answer)
-        start = Ensemble.single(algorithm.initial_state(inst), algorithm.n, answer)
-        answers = [answer]
-    for final in ensemble_snapshots(algorithm, start):
+        OrderedInstance(algorithm.n, answer)
+        answers = range(answer, answer + 1)
+    for final in ensemble_snapshots(algorithm, algorithm.initial_ensemble(answers)):
         pass
     return measure_ensemble(algorithm, final, answers)
 

@@ -46,7 +46,7 @@ class ZeroQueryAlgorithm:
         return SparseState.unit(GenLabel(0, self.n))
 
     def initial_ensemble(self):
-        return Ensemble.broadcast(self.initial_state(None), self.n)
+        return Ensemble.from_states([self.initial_state(None)] * self.n)
 
 
 def symmetric_weight(d):
@@ -741,7 +741,7 @@ class OneRoundAlgorithm:
         return self._start
 
     def initial_ensemble(self):
-        return Ensemble.broadcast(self._start, self.n)
+        return Ensemble.from_states([self._start] * self.n)
 
 
 def ensemble_entries(ensemble):
@@ -809,6 +809,31 @@ class TestEnsemblePath:
         assert_ensemble_invariants(got)
         # repr tells -0.0 from 0.0, so signed zeros must match too.
         assert ensemble_entries(got) == ensemble_entries(expected)
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [BinarySearchAlgorithm(1 << k) for k in range(6)]
+        + [TeamCombineAlgorithm(n) for n in (2, 8, 32)]
+        + [TeamCombineAlgorithm(32, r=2)],
+        ids=algorithm_id,
+    )
+    def test_initial_ensemble_of_every_answer_range(self, algorithm):
+        n = algorithm.n
+        starts = [algorithm.initial_state(inst) for inst in enumerate_instances(n)]
+        empty = SparseState({})
+        for low in range(n):
+            for stop in range(low + 1, n + 1):
+                got = algorithm.initial_ensemble(range(low, stop))
+                expected = Ensemble.from_states(
+                    [s if low <= a < stop else empty for a, s in enumerate(starts)]
+                )
+                assert_ensemble_invariants(got)
+                assert got.size == expected.size == n
+                assert labels_of(got.fields) == labels_of(expected.fields)
+                assert got.label_ids.tolist() == expected.label_ids.tolist()
+                assert got.answers.tolist() == expected.answers.tolist()
+                # repr tells -0.0 from 0.0, so signed zeros must match too.
+                assert repr(got.amps.tolist()) == repr(expected.amps.tolist())
 
     @pytest.mark.parametrize("algorithm", DIFFERENTIAL_ALGORITHMS, ids=algorithm_id)
     def test_every_snapshot_matches_the_per_instance_states(self, algorithm):

@@ -510,9 +510,9 @@ class TestEnsemble:
             )
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_broadcast_holds_the_state_at_every_answer(self, seed):
+    def test_one_state_at_every_answer(self, seed):
         state = signed_zero_states(seed, count=1)[0]
-        got = Ensemble.broadcast(state, 5)
+        got = Ensemble.from_states([state] * 5)
         assert got.size == 5
         assert ensemble_entries(got) == state_entries([state] * 5)
         assert len(got.amps) == 5 * len(state) > 5
@@ -532,13 +532,11 @@ class TestEnsemble:
             TeamLabel(1, 2, 3),
         ]
         assert ensemble_entries(ensemble) == state_entries(states)
-        single = Ensemble.single(second, 4, 2)
-        assert_ensemble_invariants(single)
         empty = SparseState({})
-        assert ensemble_entries(single) == state_entries([empty, empty, second, empty])
-        broadcast = Ensemble.broadcast(first, 3)
-        assert_ensemble_invariants(broadcast)
-        assert ensemble_entries(broadcast) == state_entries([first] * 3)
+        one = Ensemble.from_states([empty, empty, second, empty])
+        assert_ensemble_invariants(one)
+        assert one.size == 4
+        assert ensemble_entries(one) == state_entries([empty, empty, second, empty])
 
     def test_labels_too_wide_to_pack_are_grouped_row_by_row(self):
         # The z row spans all of int64: no key built from the fields would fit.

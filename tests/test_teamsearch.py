@@ -552,8 +552,12 @@ class HandBuilt:
     def initial_state(self, inst):
         return self.states[inst.answer]
 
-    def initial_ensemble(self):
-        return Ensemble.from_states(self.states)
+    def initial_ensemble(self, answers=None):
+        answers = range(self.n) if answers is None else answers
+        empty = SparseState({})
+        return Ensemble.from_states(
+            [state if a in answers else empty for a, state in enumerate(self.states)]
+        )
 
 
 def per_instance(algorithm):
@@ -583,6 +587,17 @@ class TestEnsembleOutcomes:
         for inst in enumerate_instances(algorithm.n):
             got = ts.run_ensemble(algorithm, inst.answer)
             assert got == [ts.run_algorithm(algorithm, inst)]
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [ts.BinarySearchAlgorithm(8), ts.TeamCombineAlgorithm(8)],
+        ids=lambda algo: type(algo).__name__,
+    )
+    @pytest.mark.parametrize("answer", [-1, 8, 9])
+    def test_an_answer_off_the_list_is_refused(self, algorithm, answer):
+        expected = error_text(OrderedInstance, 8, answer)
+        assert expected == f"answer must lie in [0, 7], got {answer}"
+        assert error_text(ts.run_ensemble, algorithm, answer) == expected
 
     def test_sums_per_position_and_ties_match_run_algorithm(self):
         # Labels pinning one position add up; equal outcomes go to the
@@ -717,7 +732,9 @@ class TestFieldMaps:
         state = SparseState({TeamLabel(0, 0, 7): 0.6, TeamLabel(b, 0, 0): 0.8})
         expected, got = same_error(
             lambda: apply_linear(state, open_query),
-            lambda: qcore.apply_linear_ensemble(Ensemble.broadcast(state, 8), open_fields),
+            lambda: qcore.apply_linear_ensemble(
+                Ensemble.from_states([state] * 8), open_fields
+            ),
         )
         assert got == expected == f"GenLabel fields must be non-negative, got {b};-1"
 
@@ -727,7 +744,9 @@ class TestFieldMaps:
         state = SparseState({TeamLabel(0, 0, 7): 0.6, GenLabel(3, 2): 0.8})
         expected, got = same_error(
             lambda: apply_linear(state, open_query),
-            lambda: qcore.apply_linear_ensemble(Ensemble.broadcast(state, 8), open_fields),
+            lambda: qcore.apply_linear_ensemble(
+                Ensemble.from_states([state] * 8), open_fields
+            ),
         )
         assert got == expected == "expected a TeamLabel, got GenLabel(z=3, i=2)"
 
@@ -738,7 +757,9 @@ class TestFieldMaps:
         state = SparseState({routed: 0.6, TeamLabel(1, 4, 7): 0.8})
         expected, got = same_error(
             lambda: apply_linear(state, close_query),
-            lambda: qcore.apply_linear_ensemble(Ensemble.broadcast(state, 8), close_fields),
+            lambda: qcore.apply_linear_ensemble(
+                Ensemble.from_states([state] * 8), close_fields
+            ),
         )
         assert got == expected == "expected a GenLabel, got TeamLabel(b=1, lo=4, hi=7)"
 
@@ -762,7 +783,9 @@ class TestFieldMaps:
         state = SparseState({GenLabel(((7 * 2 * n) << 1) | 1, 3): 0.6, bad: 0.8})
         expected, got = same_error(
             lambda: apply_linear(state, close_query),
-            lambda: qcore.apply_linear_ensemble(Ensemble.broadcast(state, n), close_fields),
+            lambda: qcore.apply_linear_ensemble(
+                Ensemble.from_states([state] * n), close_fields
+            ),
         )
         assert got == expected
         assert expected.endswith(message)
@@ -771,7 +794,7 @@ class TestFieldMaps:
         state = SparseState({GenLabel(0, 1): 0.6, TeamLabel(0, 0, 1): 0.8})
         expected, got = same_error(
             lambda: apply_query(state, OrderedInstance(2, 0)),
-            lambda: apply_query_ensemble(Ensemble.broadcast(state, 2)),
+            lambda: apply_query_ensemble(Ensemble.from_states([state] * 2)),
         )
         assert got == expected == (
             "apply_query acts on GenLabel states only, found TeamLabel(b=0, lo=0, hi=1)"
@@ -795,11 +818,12 @@ class TestFieldMaps:
 
 
 class TestNoPerLabelPython:
-    """The ensemble path builds no tuple label and calls no tuple label map."""
+    """The ensemble path builds no state or tuple label, and calls no tuple map."""
 
-    def test_no_mix_call_and_no_gen_label(self, monkeypatch):
-        counts = {"mix": 0, "gen": 0}
+    def test_no_mix_call_no_gen_label_and_no_state(self, monkeypatch):
+        counts = {"mix": 0, "gen": 0, "state": 0}
         mix, gen_new = ts._mix, GenLabel.__new__
+        state_init, relabelled = SparseState.__init__, SparseState._relabelled
 
         def counted_mix(*args):
             counts["mix"] += 1
@@ -809,12 +833,23 @@ class TestNoPerLabelPython:
             counts["gen"] += 1
             return gen_new(cls, *args)
 
+        def counted_init(self, *args):
+            counts["state"] += 1
+            state_init(self, *args)
+
+        def counted_relabelled(cls, *args):
+            counts["state"] += 1
+            return relabelled(*args)
+
         monkeypatch.setattr(ts, "_mix", counted_mix)
         monkeypatch.setattr(GenLabel, "__new__", counted_gen)
+        monkeypatch.setattr(SparseState, "__init__", counted_init)
+        monkeypatch.setattr(SparseState, "_relabelled", classmethod(counted_relabelled))
         # The counters see the tuple path.
-        ts.BinarySearchAlgorithm(4).initial_state()
-        assert counts["mix"] > 0 and counts["gen"] > 0
-        counts.update(mix=0, gen=0)
+        binary = ts.BinarySearchAlgorithm(4)
+        binary.advance(0, binary.initial_state(), OrderedInstance(4, 1))
+        assert counts["mix"] > 0 and counts["gen"] > 0 and counts["state"] > 1
+        counts.update(mix=0, gen=0, state=0)
 
         algorithm = ts.TeamCombineAlgorithm(512)
         w = lb.WeightSpec.inverse_distance(512)
@@ -822,7 +857,17 @@ class TestNoPerLabelPython:
         assert all(report.holds for report in record.chain_reports)
         results = ts.run_ensemble(ts.BinarySearchAlgorithm(256))
         assert [r.answer for r in results] == list(range(256))
-        assert counts == {"mix": 0, "gen": 0}
+        [one] = ts.run_ensemble(algorithm, 7)
+        assert one.answer == 7 and abs(one.probability - 1.0) < 1e-12
+        [one] = ts.run_ensemble(ts.BinarySearchAlgorithm(256), 3)
+        assert one.answer == 3 and abs(one.probability - 1.0) < 1e-12
+        runner = CliRunner()
+        for args in (
+            ["simulate", "--algo", "team", "--n", "32", "--answer", "7"],
+            ["trajectory", "--algo", "binary", "--n", "16"],
+        ):
+            assert runner.invoke(main, args).exit_code == 0
+        assert counts == {"mix": 0, "gen": 0, "state": 0}
 
 
 def brute_force_known_bits(n, j):
