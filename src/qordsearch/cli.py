@@ -88,6 +88,7 @@ def emit(text: str, out: str | None):
 
 def build_algorithm(algo: str, n: int):
     try:
+        teamsearch.require_ensemble_size(n)
         if algo == "binary":
             return teamsearch.BinarySearchAlgorithm(n)
         if algo == "team":

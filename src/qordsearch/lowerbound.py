@@ -219,9 +219,9 @@ _BATCH_ENTRIES = 1 << 16
 
 
 def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> complex:
-    """Sum of w(a_p, a_q) * conj(x_p) * x_q over the pairs of each block.
+    """Sum of w(a_p, a_q) * x_p * x_q over the pairs of each block.
 
-    The entries (``answers``, ``amps``) are grouped into blocks by the block
+    The entries (``answers``, real ``amps``) are grouped into blocks by the block
     number in ``blocks``: each block's entries are contiguous and its answers
     ascend. A pair draws its first member from the entries marked in
     ``left`` and its second from those marked in ``right``, within one block.
@@ -230,13 +230,12 @@ def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> complex:
     correlation of its right amplitudes, scattered over the block's answer
     span, with the kernel. Blocks are grouped by FFT length, the smallest
     power of two >= 2 * span - 1, and each group's right sides go through
-    batched real FFTs of at most ``_BATCH_ENTRIES`` entries; every left
-    entry then takes its product, and the products are summed in entry
-    order, so the result does not depend on the batching. Peak RSS of a
-    chain-verified run grows linearly in n: about 32, 36 and 53 MiB at
-    binary n = 1024, 4096 and 16384, and 35, 48 and 109 MiB at team
-    n = 2048, 8192 and 32768 (Python 3.11, numpy 2.4; ``ru_maxrss`` of a
-    fresh process per size).
+    batched real FFTs of at most ``_BATCH_ENTRIES`` entries, one row per
+    block; every left entry then takes its product, and the products are
+    summed in entry order, so the result does not depend on the batching.
+    The sum is returned as a ``complex`` with imaginary part 0. The peak
+    memory of a chain-verified run grows linearly in n (README.md gives
+    measured figures).
     """
     if not len(answers):
         return 0j
@@ -262,6 +261,9 @@ def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> complex:
     )
     entry_cols = answers - lows[block]
 
+    # The real products are summed as complex numbers: numpy's pairwise
+    # summation blocks a complex array differently from a float one, and
+    # this order gives the bits the trajectories and chain reports pin.
     products = np.zeros(len(answers), dtype=complex)
     group_start = 0
     while group_start < len(order):
@@ -273,17 +275,11 @@ def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> complex:
             p1 = min(p0 + step, group_end)
             batch = entry_order[entry_starts[p0] : entry_starts[p1]]
             rs, ls = batch[right[batch]], batch[left[batch]]
-            # The kernel is real, so the real and imaginary parts correlate
-            # apart and real amplitudes give an exactly real sum.
-            scattered = np.zeros((2, p1 - p0, size))
-            rows, cols = entry_position[rs] - p0, entry_cols[rs]
-            scattered[0, rows, cols] = amps[rs].real
-            scattered[1, rows, cols] = amps[rs].imag
-            spectra = np.fft.rfft(scattered) * kernel_spectrum
-            correlated = np.fft.irfft(spectra, size)
-            rows, cols = entry_position[ls] - p0, entry_cols[ls]
-            sums = correlated[0, rows, cols] + 1j * correlated[1, rows, cols]
-            products[ls] = amps[ls].conj() * sums
+            scattered = np.zeros((p1 - p0, size))
+            scattered[entry_position[rs] - p0, entry_cols[rs]] = amps[rs]
+            correlated = np.fft.irfft(np.fft.rfft(scattered) * kernel_spectrum, size)
+            sums = correlated[entry_position[ls] - p0, entry_cols[ls]]
+            products[ls] = amps[ls] * sums
         group_start = group_end
     return complex(products.sum())
 
@@ -448,8 +444,7 @@ def mass_profile(ensemble: Ensemble) -> MassProfile:
     kind, _, index, _ = ensemble.fields
     require_fields(kind == GEN, ensemble.fields, gen_query_index)
     index = index[ensemble.label_ids]
-    amps = ensemble.amps
-    mass = amps.real * amps.real + amps.imag * amps.imag
+    mass = ensemble.amps * ensemble.amps
     offset = index - ensemble.answers
     queried = (0 <= index) & (index < n)
     # Offset n - 1 (a = 0, i = n - 1) pairs with no delta; below the answer,

@@ -1,4 +1,4 @@
-"""Sparse complex state vectors over structured basis labels.
+"""Sparse state vectors over structured basis labels.
 
 A state is a finite map from basis labels to complex amplitudes. Two label
 families cover the two search models implemented in this package:
@@ -24,11 +24,14 @@ the lexicographic order of the columns is the label order, the order they
 are kept in; the entries are kept label by label. An instance-independent
 operator is one numpy function of those fields, called once per step rather
 than once per label or per (answer, label); the ensemble operations give,
-entry for entry, the bits of the per-state operations. A field beyond int64
-does not fit: the team-search routing packs a label into
-``z = ((hi * 2n + lo) << 1) | b``, below 8n^2 = 2^43 at n = 2^20, and
-distinct labels are grouped through dense ids (times the list size, at most
-about 2^41 there), never through ``z * size``, which would pass 2^63.
+entry for entry, the bits of the real parts of the per-state operations.
+Every operator in use has real coefficients (+/-sqrt(1/2), sign flips,
+relabellings), so its amplitudes are float64 and complex ones are refused;
+a ``SparseState`` stays complex, the general form it is tested against. A
+field beyond int64 does not fit: the team-search routing packs a label into
+``z = ((hi * 2n + lo) << 1) | b``, below 8n^2 <= 2^63 for n <= 2^30, and
+distinct labels are grouped through dense ids (times the list size), never
+through ``z * size``, which would pass 2^63.
 """
 from __future__ import annotations
 
@@ -342,9 +345,9 @@ class Ensemble(NamedTuple):
     """One sparse state per answer ``0 .. size-1``, held as arrays.
 
     Column ``k`` of the int64 ``fields`` (see :func:`label_fields`) is the
-    ``k``-th distinct label. Entry ``e`` is the amplitude ``amps[e]`` of
-    answer ``answers[e]`` on label column ``label_ids[e]``, and each column
-    is held by some entry. The columns are distinct and in lexicographic
+    ``k``-th distinct label. Entry ``e`` is the float64 amplitude ``amps[e]``
+    of answer ``answers[e]`` on label column ``label_ids[e]``, and each
+    column is held by some entry. The columns are distinct and in lexicographic
     order, which is the ``sort_key`` order of their labels, so a label id
     orders labels as ``sort_key`` does. The entries go label by label: their
     keys ``label_ids * size + answers`` strictly increase, so no (label,
@@ -361,14 +364,19 @@ class Ensemble(NamedTuple):
 
     @classmethod
     def from_states(cls, states: Sequence[SparseState]) -> "Ensemble":
-        """The ensemble whose answer ``a`` holds ``states[a]``."""
+        """The ensemble whose answer ``a`` holds ``states[a]``, each amplitude real."""
         ids: dict = {}
         label_ids, answers, amps = [], [], []
         for answer, state in enumerate(states):
             for label, amp in state._entries.items():
+                if amp.imag:
+                    raise ValueError(
+                        f"ensemble amplitudes must be real, got {amp!r} "
+                        f"on {label} of answer {answer}"
+                    )
                 label_ids.append(ids.setdefault(label, len(ids)))
                 answers.append(answer)
-                amps.append(amp)
+                amps.append(amp.real)
         rank, fields = _distinct_columns(label_fields(list(ids)))
         label_ids = rank[np.array(label_ids, dtype=np.intp)]
         answers = np.array(answers, dtype=np.intp)
@@ -378,7 +386,7 @@ class Ensemble(NamedTuple):
             fields,
             label_ids[order],
             answers[order],
-            np.array(amps, dtype=complex)[order],
+            np.array(amps, dtype=float)[order],
         )
 
 
@@ -394,9 +402,7 @@ def _squared_norms(
     answers: np.ndarray, amps: np.ndarray, low: int, count: int
 ) -> np.ndarray:
     """Squared norms of answers ``low .. low+count-1``, summed in entry order."""
-    return np.bincount(
-        answers - low, amps.real * amps.real + amps.imag * amps.imag, minlength=count
-    )
+    return np.bincount(answers - low, amps * amps, minlength=count)
 
 
 def _first_of_runs(sorted_values: np.ndarray) -> np.ndarray:
@@ -420,12 +426,14 @@ def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
     ``op`` is called once, on the fields of every distinct label. Each entry
     expands into the terms ``amp * coeff`` of its label's image, and the
     terms of one (label, answer) pair are summed from zero, as the
-    per-state accumulation does; with at most two terms per pair and real
-    coefficients the sums are bit-equal to it, in either order. Pruning,
-    the finiteness check and the norm-drift check hold per answer, over the
-    answers that hold entries.
+    per-state accumulation does; with at most two terms per pair the sums
+    are bit-equal to it, in either order. Complex ``coeffs`` raise
+    ``ValueError``. Pruning, the finiteness check and the norm-drift check
+    hold per answer, over the answers that hold entries.
     """
     counts, images, coeffs = op(ens.fields)
+    if np.iscomplexobj(coeffs):
+        raise ValueError("ensemble coefficients must be real, got complex ones")
     image_ids, image_fields = _distinct_columns(images)
     # Each label's run of entries expands image term by image term, so each
     # (label, term) is one ascending run of answers: expanded term t is image
@@ -447,10 +455,8 @@ def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
     group = np.cumsum(first) - 1
     pair = order[first]
     label_ids, answers = label_ids[pair], answers[pair]
-    terms = terms[order]
-    amps = np.empty(len(pair), dtype=complex)
-    amps.real = np.bincount(group, terms.real, minlength=len(pair))
-    amps.imag = np.bincount(group, terms.imag, minlength=len(pair))
+    # bincount gives int64 on empty input, whatever the weights.
+    amps = np.bincount(group, terms[order], len(pair)).astype(float, copy=False)
 
     # Written so that NaN is kept, to fail the finiteness check below.
     keep = ~(np.abs(amps) < PRUNE_EPS)

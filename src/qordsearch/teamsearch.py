@@ -70,6 +70,8 @@ from .qcore import (
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+# Largest list size of the ensemble path: routed tags stay below 8n^2 <= 2^63.
+ENSEMBLE_SIZE_LIMIT = 1 << 30
 # Builds a TeamLabel without re-checking it: only for labels derived from a
 # checked one by flipping its marker or taking a half of its interval.
 _TEAM = partial(tuple.__new__, TeamLabel)
@@ -80,6 +82,12 @@ def _require_pow2(value: int, what: str, minimum: int = 1) -> None:
     if not _is_pow2(value) or value < minimum:
         at_least = f" >= {minimum}" if minimum > 1 else ""
         raise ValueError(f"{what} must be a power of two{at_least}, got {value}")
+
+
+def require_ensemble_size(n: int) -> None:
+    """Reject a list size past ``ENSEMBLE_SIZE_LIMIT``, too large for int64 tags."""
+    if n > ENSEMBLE_SIZE_LIMIT:
+        raise ValueError(f"list size {n} is past the ensemble limit 2**30 (int64 tags)")
 
 
 def _require_sublists(n: int, r: int) -> None:
@@ -483,14 +491,20 @@ def _initial_ensemble(self, answers: range | None = None) -> Ensemble:
     Per level of ``self._levels``, each block of its length that meets the
     contiguous range ``answers`` (all by default) is a label, held by the
     answers it covers there; the opening's ensemble steps finish the start.
+    A size past ``ENSEMBLE_SIZE_LIMIT``, a step other than 1 or an answer off
+    the list raises ``ValueError``.
     """
-    low, stop = (0, self.n) if answers is None else (answers.start, answers.stop)
+    require_ensemble_size(self.n)
+    answers = range(self.n) if answers is None else answers
+    low, stop = answers.start, answers.stop
+    if answers.step != 1 or not 0 <= low <= stop <= self.n:
+        raise ValueError(f"need a step-1 range in 0 .. {self.n}, got {answers!r}")
     fields, amps = [], []
     for length, marker, amp in self._levels:
         lo = np.arange(low - low % length, stop, length)
         kind, markers = np.full_like(lo, TEAM), np.full_like(lo, marker)
         fields.append(np.stack((kind, markers, lo, lo + length - 1)))
-        amps.append(np.full(len(lo), amp, dtype=complex))
+        amps.append(np.full(len(lo), amp))
     # Distinct blocks in sort_key order, block lo .. hi held by answers
     # max(lo, low) .. min(hi, stop - 1): the entries go label by label.
     fields = np.concatenate(fields, axis=1)
@@ -624,7 +638,7 @@ def measure_ensemble(algorithm, ensemble: Ensemble, answers) -> list[SimulationR
     # order: the order of the per-state sums.
     span = int(outcomes.max()) + 1
     keys = ensemble.answers * span + outcomes[ensemble.label_ids]
-    # numpy's abs and square round differently from Python's in the last bit.
+    # Python's abs(amp) ** 2 (a pow call) and numpy's square differ in the last bit.
     masses = [abs(amp) ** 2 for amp in ensemble.amps.tolist()]
     keys, first, group = np.unique(keys, return_index=True, return_inverse=True)
     probabilities = np.bincount(group, masses, minlength=len(keys))

@@ -118,6 +118,27 @@ class TestSimulate:
     def test_bad_size_or_answer_is_a_usage_error(self, runner, args):
         assert run(runner, "simulate", *args).exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("simulate", "--algo", "binary", "--answer", "5"),
+            ("simulate", "--algo", "team", "--answer", "5"),
+            ("trajectory", "--algo", "binary"),
+        ],
+        ids=["simulate-binary", "simulate-team", "trajectory"],
+    )
+    def test_a_size_past_the_ensemble_limit_is_a_usage_error(self, runner, args):
+        # 2^31 = 2 * (2^15)^2 is a valid size for both algorithms.
+        result = run(runner, *args, "--n", str(1 << 31))
+        assert result.exit_code == 2
+        assert "past the ensemble limit 2**30" in result.output
+
+    def test_the_ensemble_limit_itself_is_exact(self, runner):
+        result = run(runner, "simulate", "--algo", "binary", "--n", str(1 << 30),
+                     "--answer", "5")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["correct"] is True
+
 
 class TestSmallCommands:
     def test_layout(self, runner):

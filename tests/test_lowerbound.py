@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -550,6 +551,7 @@ def brute_force_masses(states):
 
 def assert_kernel_matches_reference(states, w):
     ensemble = Ensemble.from_states(states)
+    assert_ensemble_invariants(ensemble)
     assert_matches_reference(
         lb.weighted_overlap(ensemble, w), lb._reference_weighted_overlap(states, w)
     )
@@ -589,7 +591,7 @@ class TestKernelAgainstReference:
             picks = rng.choice(len(pool), size=int(rng.integers(1, 5)), replace=False)
             states.append(
                 SparseState(
-                    {pool[k]: complex(rng.normal(), rng.normal()) for k in picks}
+                    {pool[k]: rng.normal() for k in picks}
                 )
             )
         symmetric = lb.WeightSpec(n, symmetric_weight)
@@ -624,7 +626,7 @@ def random_column_states(rng, n, spans):
     own, so no state is empty and some columns have one entry.
     """
     entries = [
-        {GenLabel(len(spans) + a, int(rng.integers(n + 2))): complex(rng.normal())}
+        {GenLabel(len(spans) + a, int(rng.integers(n + 2))): rng.normal()}
         for a in range(n)
     ]
     for k, span in enumerate(spans):
@@ -633,7 +635,7 @@ def random_column_states(rng, n, spans):
         answers = {lo, lo + span - 1, *(lo + 1 + np.flatnonzero(inside)).tolist()}
         label = GenLabel(k, int(rng.integers(n + 2)))
         for a in answers:
-            entries[a][label] = complex(rng.normal(), rng.normal())
+            entries[a][label] = rng.normal()
     return [SparseState(e) for e in entries]
 
 
@@ -652,6 +654,7 @@ def row_dot_gram(blocks, w):
 
 def split_columns(ensemble):
     """Each label mapped to its column's answers and amplitudes."""
+    assert_ensemble_invariants(ensemble)
     return {
         label: (
             ensemble.answers[ensemble.label_ids == k],
@@ -720,6 +723,7 @@ class TestPairBoundAgainstConvolution:
         entering = list(snapshots)[:-1]
         assert len(entering) == len(record.chain_reports) == algorithm.num_queries
         for ensemble, report in zip(entering, record.chain_reports):
+            assert_ensemble_invariants(ensemble)
             profile = lb.mass_profile(ensemble)
             expected = convolve_pair_bound(profile, n)
             assert expected > 0
@@ -746,6 +750,7 @@ class OneRoundAlgorithm:
 
 def ensemble_entries(ensemble):
     """Each answer's ``{label: repr(amplitude)}``, read off the entry arrays."""
+    assert_ensemble_invariants(ensemble)
     entries = [{} for _ in range(ensemble.size)]
     labels = labels_of(ensemble.fields)
     for k, answer, amp in zip(
@@ -755,9 +760,22 @@ def ensemble_entries(ensemble):
     return entries
 
 
+def state_entries(states):
+    """Each state's ``{label: repr(real part)}``; no amplitude has an imaginary part.
+
+    The per-state operators carry a signed zero imaginary part along, which
+    the ensemble's real amplitudes drop; repr tells -0.0 from 0.0, so the
+    real parts' signed zeros must match.
+    """
+    assert all(amp.imag == 0 for s in states for amp in s._entries.values())
+    return [{label: repr(a.real) for label, a in s._entries.items()} for s in states]
+
+
 def assert_ensemble_invariants(ensemble):
-    """The entries go label by label, so no (label, answer) pair repeats, and
-    the listed labels are held and strictly increasing in ``sort_key`` order."""
+    """The amplitudes are float64; the entries go label by label, so no
+    (label, answer) pair repeats, and the listed labels are held and strictly
+    increasing in ``sort_key`` order."""
+    assert ensemble.amps.dtype == np.float64
     pairs = list(zip(ensemble.label_ids.tolist(), ensemble.answers.tolist()))
     entry_keys = ensemble.label_ids * ensemble.size + ensemble.answers
     assert (entry_keys[1:] > entry_keys[:-1]).all()
@@ -806,7 +824,6 @@ class TestEnsemblePath:
             [algorithm.initial_state(inst) for inst in enumerate_instances(algorithm.n)]
         )
         assert got.size == expected.size == algorithm.n
-        assert_ensemble_invariants(got)
         # repr tells -0.0 from 0.0, so signed zeros must match too.
         assert ensemble_entries(got) == ensemble_entries(expected)
 
@@ -841,12 +858,7 @@ class TestEnsemblePath:
         ensembles = list(ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble()))
         assert len(ensembles) == len(snapshots) == algorithm.num_queries + 1
         for ensemble, states in zip(ensembles, snapshots):
-            assert_ensemble_invariants(ensemble)
-            # repr tells -0.0 from 0.0, so signed zeros must match too.
-            assert ensemble_entries(ensemble) == [
-                {label: repr(amp) for label, amp in state._entries.items()}
-                for state in states
-            ]
+            assert ensemble_entries(ensemble) == state_entries(states)
             # Array for array, in the same entry order.
             expected = Ensemble.from_states(states)
             assert ensemble.size == expected.size == algorithm.n
@@ -977,6 +989,36 @@ class TestTrajectory:
         assert got.imag == 0.0
         assert abs(Fraction(got.real) - exact) <= Fraction(1, 10**14) * exact
 
+    def test_binary_overlaps_are_the_exact_harmonic_sums(self):
+        # Entering query j each answer shares its state with the answers of
+        # its block of length L = N >> j and with no other, so
+        # W_j = (N / L) * (L * H_L - L) = N * (H_L - 1); the final W is 0.
+        # H_L over the common denominator lcm(1 .. L) is exact.
+        limit = 1 << 14
+        common = math.lcm(*range(1, limit + 1))
+        numerator, harmonics = 0, {}
+        for k in range(1, limit + 1):
+            numerator += common // k
+            harmonics[k] = numerator
+        for n in (1 << e for e in range(1, 15)):
+            w = lb.WeightSpec.inverse_distance(n)
+            record = lb.run_trajectory(BinarySearchAlgorithm(n), n, w)
+            for j, step in enumerate(record.steps):
+                exact = n * (Fraction(harmonics[n >> j], common) - 1)
+                assert step.overlap.imag == 0.0
+                error = abs(Fraction(step.overlap.real) - exact)
+                assert error <= Fraction(1, 10**14) * exact, (n, j)
+
+    @pytest.mark.parametrize("n", [1 << e for e in range(10, 17)])
+    def test_binary_pair_identity_error_stays_a_few_ulps_of_w0(self, n):
+        # The drop and its pairwise recomputation are float sums of size
+        # O(W_0), so their gap grows with W_0 (at most 4.2e-16 W_0 at these
+        # sizes), and the absolute CHAIN_TOL is reached between 2^20 and 2^21.
+        w = lb.WeightSpec.inverse_distance(n)
+        record = lb.run_trajectory(BinarySearchAlgorithm(n), n, w, verify_chain=True)
+        worst = max(report.pair_identity_err for report in record.chain_reports)
+        assert worst <= 1e-15 * record.initial_overlap.real
+
     def test_shared_unitaries_between_queries_leave_overlap_unchanged(self):
         n = 8
         w = lb.WeightSpec.inverse_distance(n)
@@ -1027,6 +1069,23 @@ class TestTrajectory:
             for r in record.chain_reports
         ]
         assert got == json.loads((GOLDEN / golden).read_text())
+
+    # sha1 of repr(chain_reports), recorded while ensemble amplitudes were
+    # complex: sizes with FFT lengths up to 2 * 16384, and at binary 16384
+    # full FFT batches, which the N=32 goldens do not reach.
+    @pytest.mark.parametrize(
+        "algorithm, sha1",
+        [
+            (BinarySearchAlgorithm(4096), "3e12972ca618f67f74e5250ceb12f557be02f351"),
+            (BinarySearchAlgorithm(16384), "93183415a383afc238f01d1c2bb560b498f9b1c9"),
+            (TeamCombineAlgorithm(8192), "c07776d3a39403f7e0ed3d4580b57781f969a6ae"),
+        ],
+        ids=["binary-4096", "binary-16384", "team-8192"],
+    )
+    def test_large_chain_reports_are_bit_identical(self, algorithm, sha1):
+        w = lb.WeightSpec.inverse_distance(algorithm.n)
+        record = lb.run_trajectory(algorithm, algorithm.n, w, verify_chain=True)
+        assert hashlib.sha1(repr(record.chain_reports).encode()).hexdigest() == sha1
 
     @pytest.mark.parametrize(
         "algorithm",

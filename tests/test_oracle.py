@@ -17,9 +17,8 @@ from qordsearch.qcore import (
     TeamLabel,
     apply_linear,
     diff_norm,
-    labels_of,
 )
-from test_lowerbound import assert_ensemble_invariants
+from test_lowerbound import ensemble_entries, state_entries
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -156,13 +155,8 @@ class TestApplyQueryEnsemble:
             for _ in range(n)
         ]
         got = apply_query_ensemble(Ensemble.from_states(states))
-        assert_ensemble_invariants(got)
-        per_answer = [{} for _ in range(n)]
-        for k, a, amp in zip(got.label_ids.tolist(), got.answers.tolist(), got.amps.tolist()):
-            per_answer[a][labels_of(got.fields)[k]] = repr(amp)
-        for inst, entries in zip(enumerate_instances(n), per_answer):
-            expected = apply_query(states[inst.answer], inst)
-            assert entries == {l: repr(a) for l, a in expected._entries.items()}
+        expected = [apply_query(states[i.answer], i) for i in enumerate_instances(n)]
+        assert ensemble_entries(got) == state_entries(expected)
 
     def test_rejects_team_labels(self):
         ensemble = Ensemble.from_states([SparseState.unit(TeamLabel(0, 0, 1))] * 2)

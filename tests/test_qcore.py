@@ -25,7 +25,7 @@ from qordsearch.qcore import (
     measure_distribution,
     permute_ensemble,
 )
-from test_lowerbound import assert_ensemble_invariants
+from test_lowerbound import assert_ensemble_invariants, ensemble_entries, state_entries
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -391,23 +391,6 @@ class TestQueryFastPath:
                 state = algo.advance(j, state, inst)
 
 
-def ensemble_entries(ensemble):
-    """Each answer's ``{label: repr(amplitude)}``, read off the entry arrays."""
-    entries = [{} for _ in range(ensemble.size)]
-    labels = labels_of(ensemble.fields)
-    for k, answer, amp in zip(
-        ensemble.label_ids.tolist(), ensemble.answers.tolist(), ensemble.amps.tolist()
-    ):
-        assert labels[k] not in entries[answer]
-        entries[answer][labels[k]] = repr(amp)
-    return entries
-
-
-def state_entries(states):
-    # repr tells -0.0 from 0.0, so signed zeros must match too.
-    return [{label: repr(amp) for label, amp in s._entries.items()} for s in states]
-
-
 def lifted(label_map):
     """A tuple label map as a map on label fields, one Python call per label."""
 
@@ -437,19 +420,19 @@ def pair_mixer(label):
     return [(label, c), (GenLabel(z + 1, i), s)]
 
 
-def signed_zero_states(seed, count=6):
-    """States whose amplitudes include signed zeros and exactly cancelling pairs."""
+def cancelling_states(seed, count=6):
+    """States with real amplitudes of both signs and an exactly cancelling pair."""
     rng = random.Random(seed)
-    parts = [0.0, -0.0, 0.5, -0.5, 0.3, 0.4, -0.4]
+    parts = [0.5, -0.5, 0.3, 0.4, -0.4]
     states = []
     for _ in range(count):
         entries = {}
         for _ in range(rng.randrange(1, 8)):
             label = GenLabel(rng.randrange(8), rng.randrange(4))
-            entries[label] = complex(rng.choice(parts), rng.choice(parts))
+            entries[label] = rng.choice(parts)
         # (0.6, -0.8) -> (0.36 + 0.64, 0.48 - 0.48): an exact zero to prune.
-        entries[GenLabel(10, 0)] = complex(0.6, -0.0)
-        entries[GenLabel(11, 0)] = complex(-0.8, 0.0)
+        entries[GenLabel(10, 0)] = 0.6
+        entries[GenLabel(11, 0)] = -0.8
         states.append(SparseState(entries))
     return states
 
@@ -459,7 +442,7 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_linear_step_is_bit_equal_per_answer(self, seed):
-        states = signed_zero_states(seed)
+        states = cancelling_states(seed)
         got = apply_linear_ensemble(Ensemble.from_states(states), lifted(pair_mixer))
         expected = [apply_linear(s, pair_mixer) for s in states]
         assert ensemble_entries(got) == state_entries(expected)
@@ -500,7 +483,7 @@ class TestEnsemble:
         merged = permute_ensemble(Ensemble.from_states(apart), lifted_permutation(merge))
         assert_ensemble_invariants(merged)
         assert labels_of(merged.fields) == [GenLabel(0, 3)]
-        assert ensemble_entries(merged) == [{GenLabel(0, 3): "(1+0j)"}] * 2
+        assert ensemble_entries(merged) == [{GenLabel(0, 3): "1.0"}] * 2
         together = SparseState({GenLabel(0, 3): 0.6, GenLabel(1, 3): 0.8})
         with pytest.raises(CollisionError):
             ts._permute_labels(together, merge)
@@ -511,7 +494,7 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_one_state_at_every_answer(self, seed):
-        state = signed_zero_states(seed, count=1)[0]
+        state = cancelling_states(seed, count=1)[0]
         got = Ensemble.from_states([state] * 5)
         assert got.size == 5
         assert ensemble_entries(got) == state_entries([state] * 5)
@@ -555,8 +538,37 @@ class TestEnsemble:
             [apply_linear(s, identity) for s in states]
         )
 
+    def test_only_real_amplitudes_enter(self):
+        # A signed zero imaginary part is real; any other one is refused.
+        signed = SparseState({GenLabel(0, 0): complex(0.6, -0.0), GenLabel(1, 0): -0.8})
+        ensemble = Ensemble.from_states([signed])
+        assert_ensemble_invariants(ensemble)
+        assert ensemble.amps.tolist() == [0.6, -0.8]
+        tilted = SparseState({GenLabel(1, 0): complex(0.6, 1e-20)})
+        with pytest.raises(
+            ValueError, match=r"must be real, got \(0.6\+1e-20j\) on 1;0 of answer 1"
+        ):
+            Ensemble.from_states([signed, tilted])
+
+    def test_complex_coefficients_are_refused(self):
+        # The per-state operator takes a phase; the ensemble refuses it.
+        state = SparseState({GenLabel(0, 0): 1.0})
+        assert apply_linear(state, lambda l: [(l, 1j)]).amplitude(GenLabel(0, 0)) == 1j
+        phase = lambda fields: (
+            np.ones(fields.shape[1], dtype=np.intp),
+            fields,
+            np.full(fields.shape[1], 1j),
+        )
+        with pytest.raises(ValueError, match="coefficients must be real"):
+            apply_linear_ensemble(Ensemble.from_states([state]), phase)
+
     def test_empty_ensemble(self):
         empty = Ensemble.from_states([])
         assert empty.fields.shape == (4, 0)
-        assert apply_linear_ensemble(empty, lifted(pair_mixer)).fields.shape == (4, 0)
-        assert permute_ensemble(empty, lambda fields: fields).fields.shape == (4, 0)
+        for got in (
+            empty,
+            apply_linear_ensemble(empty, lifted(pair_mixer)),
+            permute_ensemble(empty, lambda fields: fields),
+        ):
+            assert_ensemble_invariants(got)
+            assert got.fields.shape == (4, 0)

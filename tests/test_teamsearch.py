@@ -599,6 +599,37 @@ class TestEnsembleOutcomes:
         assert expected == f"answer must lie in [0, 7], got {answer}"
         assert error_text(ts.run_ensemble, algorithm, answer) == expected
 
+    @pytest.mark.parametrize(
+        "algorithm",
+        [ts.BinarySearchAlgorithm(8), ts.TeamCombineAlgorithm(8)],
+        ids=lambda algo: type(algo).__name__,
+    )
+    @pytest.mark.parametrize(
+        "answers", [range(6, 12), range(-3, 2), range(0, 8, 2), range(7, 5, -1)]
+    )
+    def test_a_start_range_off_the_list_or_strided_is_refused(
+        self, algorithm, answers
+    ):
+        # Only start and stop are read, so these used to give the starts of
+        # answers off the list, or of every answer between the ends.
+        expected = f"need a step-1 range in 0 .. 8, got {answers!r}"
+        assert error_text(algorithm.initial_ensemble, answers) == expected
+
+    def test_the_ensemble_path_stops_at_the_int64_tag_limit(self):
+        # Routed tags stay below 8n^2, which fits int64 up to n = 2^30.
+        assert ts.ENSEMBLE_SIZE_LIMIT == 1 << 30
+        exact = ts.run_ensemble(ts.BinarySearchAlgorithm(1 << 30), 5)
+        assert [(r.answer, r.queries) for r in exact] == [(5, 30)]
+        assert abs(exact[0].probability - 1.0) <= 1e-9
+        past = ts.BinarySearchAlgorithm(1 << 31)
+        assert error_text(ts.run_ensemble, past, 5) == (
+            "list size 2147483648 is past the ensemble limit 2**30 (int64 tags)"
+        )
+        # The per-instance path holds Python ints and has no limit.
+        result = ts.run_algorithm(past, OrderedInstance(1 << 31, 5))
+        assert (result.answer, result.queries) == (5, 31)
+        assert abs(result.probability - 1.0) <= 1e-9
+
     def test_sums_per_position_and_ties_match_run_algorithm(self):
         # Labels pinning one position add up; equal outcomes go to the
         # position whose first label sorts first, whatever the entry order.
@@ -613,12 +644,12 @@ class TestEnsembleOutcomes:
                 }
             ),
             SparseState({TeamLabel(1, 1, 1): S2H, TeamLabel(0, 3, 3): S2H}),
-            SparseState({TeamLabel(1, 0, 0): 0.6, TeamLabel(0, 3, 3): 0.8j}),
-            # numpy's abs(0.03+0.9j)**2 is one bit off Python's.
+            SparseState({TeamLabel(1, 0, 0): 0.6, TeamLabel(0, 3, 3): -0.8}),
+            # numpy's square of this amplitude is one bit off Python's abs(a)**2.
             SparseState(
                 {
-                    TeamLabel(0, 0, 0): math.sqrt(1 - 0.8109),
-                    TeamLabel(0, 4, 4): 0.03 + 0.9j,
+                    TeamLabel(0, 0, 0): math.sqrt(1 - 0.9503546630566793**2),
+                    TeamLabel(0, 4, 4): 0.9503546630566793,
                 }
             ),
         ]
