@@ -11,13 +11,13 @@ Subpackages:
 * :mod:`qordsearch.cli`: the ``qordsearch`` command-line front end.
 """
 from .oracle import OrderedInstance, enumerate_instances
-from .qcore import GenLabel, SparseState, TeamLabel
+from .qcore import QueryLabel, SparseState, TeamLabel
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GenLabel",
     "OrderedInstance",
+    "QueryLabel",
     "SparseState",
     "TeamLabel",
     "enumerate_instances",

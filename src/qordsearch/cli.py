@@ -16,6 +16,9 @@ import click
 from . import lowerbound, teamsearch
 
 PROB_TOL = 1e-9
+# A run of every answer (a sweep), and a trajectory, allocate arrays of
+# length N: at 2**31 the trajectory's weight kernel alone is 32 GiB.
+SWEEP_SIZE_LIMIT = 1 << 30
 
 
 def fmt_float(x: float) -> str:
@@ -86,9 +89,13 @@ def emit(text: str, out: str | None):
         raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}")
 
 
-def build_algorithm(algo: str, n: int):
+def build_algorithm(algo: str, n: int, sweep: bool):
+    if sweep and n > SWEEP_SIZE_LIMIT:
+        raise click.UsageError(
+            f"list size {n} is past 2**30, the largest run of every answer"
+        )
     try:
-        teamsearch.require_ensemble_size(n)
+        teamsearch.require_int64_positions(n)
         if algo == "binary":
             return teamsearch.BinarySearchAlgorithm(n)
         if algo == "team":
@@ -144,7 +151,7 @@ def trajectory(ctx, algo, n, fmt, out):
     """
     if n < 1:
         raise click.UsageError(f"--n must be positive, got {n}")
-    algorithm = build_algorithm(algo, n)
+    algorithm = build_algorithm(algo, n, sweep=True)
     weights = lowerbound.WeightSpec.inverse_distance(n)
     record = lowerbound.run_trajectory(algorithm, n, weights)
     if fmt == "csv":
@@ -196,7 +203,7 @@ def simulate(ctx, algo, n, answer, out):
         raise click.UsageError(
             f"--answer must lie in [0, {n - 1}], got {answer}"
         )
-    algorithm = build_algorithm(algo, n)
+    algorithm = build_algorithm(algo, n, sweep=answer is None)
     targets = range(n) if answer is None else [answer]
     outcomes = teamsearch.run_ensemble(algorithm, answer)
     results = []

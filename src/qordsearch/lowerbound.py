@@ -70,10 +70,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .qcore import (
-    GEN,
+    QUERY,
     BasisLabel,
     Ensemble,
-    GenLabel,
+    QueryLabel,
     SparseState,
     inner_product,
     require_fields,
@@ -413,10 +413,10 @@ def _lanczos_norm(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> float:
 # Per-query mass accounting
 
 
-def gen_query_index(label: BasisLabel) -> int:
-    """Queried index of a ``GenLabel``; ``TypeError`` on any other label."""
-    if not isinstance(label, GenLabel):
-        raise TypeError(f"expected a GenLabel, got {label!r}")
+def query_index(label: BasisLabel) -> int:
+    """Queried index of a ``QueryLabel``; ``TypeError`` on any other label."""
+    if not isinstance(label, QueryLabel):
+        raise TypeError(f"expected a QueryLabel, got {label!r}")
     return label.i
 
 
@@ -441,8 +441,8 @@ class MassProfile:
 def mass_profile(ensemble: Ensemble) -> MassProfile:
     """Aggregate the masses of the states in ``ensemble`` by offset i - a."""
     n = ensemble.size
-    kind, _, index, _ = ensemble.fields
-    require_fields(kind == GEN, ensemble.fields, gen_query_index)
+    kind, _, _, _, index = ensemble.fields
+    require_fields(kind == QUERY, ensemble.fields, query_index)
     index = index[ensemble.label_ids]
     mass = ensemble.amps * ensemble.amps
     offset = index - ensemble.answers
@@ -489,7 +489,7 @@ def _reference_pairwise_drop(states: Sequence[SparseState], w: WeightSpec) -> co
                 continue
             overlap = 0j
             for label, amp in states[a].items():
-                if a <= gen_query_index(label) < b:
+                if a <= query_index(label) < b:
                     overlap += amp.conjugate() * states[b].amplitude(label)
             total += wt * overlap
     return 2.0 * total

@@ -6,7 +6,7 @@ An instance of size ``n`` is the monotone bit string with a single threshold:
 far indices is an identity). There are exactly ``n`` instances per size, one
 per answer in ``0 .. n-1``.
 
-A query multiplies the amplitude of each ``GenLabel(z, i)`` by ``(-1)**bit(i)``.
+A query multiplies the amplitude of each ``QueryLabel`` by ``(-1)**bit(i)``.
 It is diagonal, self-inverse, and commutes with every other query.
 :func:`apply_query_ensemble` queries every answer's state of an ensemble at
 once, each with its own instance.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import GEN, Ensemble, GenLabel, SparseState, labels_of
+from .qcore import QUERY, Ensemble, QueryLabel, SparseState, labels_of
 
 
 @dataclass(frozen=True)
@@ -53,23 +53,23 @@ def enumerate_instances(n: int) -> list[OrderedInstance]:
     return [OrderedInstance(n, a) for a in range(n)]
 
 
-def _not_a_gen_label(label) -> TypeError:
+def _not_a_query_label(label) -> TypeError:
     """The error of querying a state that holds ``label``."""
-    return TypeError(f"apply_query acts on GenLabel states only, found {label!r}")
+    return TypeError(f"apply_query acts on QueryLabel states only, found {label!r}")
 
 
 def apply_query(state: SparseState, inst: OrderedInstance) -> SparseState:
-    """One oracle query: phase ``(-1)**bit(i)`` on every ``GenLabel(z, i)``.
+    """One oracle query: phase ``(-1)**bit(i)`` on every ``QueryLabel``.
 
-    Labels with ``i >= n`` are untouched (zero padding). Team-search labels
-    are rejected; those states are queried through their own operator. A
+    Labels with ``i >= n`` are untouched (zero padding). A ``TeamLabel`` is
+    rejected: a team state is queried once its open step has routed it. A
     sign flip moves no magnitude, so the result reuses the input's norm.
     """
     n, answer = inst.n, inst.answer
-    out: dict[GenLabel, complex] = {}
+    out: dict[QueryLabel, complex] = {}
     for label, amp in state._entries.items():
-        if not isinstance(label, GenLabel):
-            raise _not_a_gen_label(label)
+        if not isinstance(label, QueryLabel):
+            raise _not_a_query_label(label)
         out[label] = -amp if answer <= label.i < n else amp
     return SparseState._relabelled(out, state)
 
@@ -79,13 +79,13 @@ def apply_query_ensemble(ensemble: Ensemble) -> Ensemble:
 
     Answer ``a`` flips the sign of its entries whose label queries an index
     ``i`` with ``a <= i < size``, read off the label fields; every label must
-    be a ``GenLabel``.
+    be a ``QueryLabel``.
     """
-    kind, _, index, _ = ensemble.fields
-    not_gen = kind != GEN
-    if not_gen.any():
-        [label] = labels_of(ensemble.fields[:, [int(np.argmax(not_gen))]])
-        raise _not_a_gen_label(label)
+    kind, _, _, _, index = ensemble.fields
+    unrouted = kind != QUERY
+    if unrouted.any():
+        [label] = labels_of(ensemble.fields[:, [int(np.argmax(unrouted))]])
+        raise _not_a_query_label(label)
     queried = index[ensemble.label_ids]
     flip = (ensemble.answers <= queried) & (queried < ensemble.size)
     return ensemble._replace(amps=np.where(flip, -ensemble.amps, ensemble.amps))

@@ -3,35 +3,34 @@
 A state is a finite map from basis labels to complex amplitudes. Two label
 families cover the two search models implemented in this package:
 
-* ``GenLabel(z, i)``: a non-negative workspace tag ``z`` together with the
-  oracle index ``i`` the label currently queries. Both fields are unbounded,
-  so states live in a countably infinite basis and a dense array would not do.
 * ``TeamLabel(b, lo, hi)``: a marker bit plus an inclusive, dyadically
   aligned interval of list positions, used by the team-search algorithm.
+* ``QueryLabel(b, lo, hi, i)``: such a checked interval routed to the
+  oracle index ``i`` it queries. The index may lie anywhere past the list,
+  in its zero padding, so states live in a countably infinite basis and a
+  dense array would not do.
 
 Labels are validated named tuples, so hashing and equality run in C; a
-``GenLabel`` never equals a ``TeamLabel`` (their arities differ). States are
-immutable; every operation returns a new state. Amplitudes with magnitude
-below ``PRUNE_EPS`` are dropped at construction so that genuine zeros
-produced by interference do not linger as float dust. Labels carry a total
-order, which makes iteration and serialization deterministic.
+``QueryLabel`` never equals a ``TeamLabel`` (their arities differ). States
+are immutable; every operation returns a new state. Amplitudes with
+magnitude below ``PRUNE_EPS`` are dropped at construction so that genuine
+zeros produced by interference do not linger as float dust. Labels carry a
+total order, which makes iteration and serialization deterministic.
 
 An :class:`Ensemble` holds one state per answer as flat entry arrays, and
-its labels as int64 field arrays: one column per distinct label, the rows
-``(kind, b, lo, hi)`` for a ``TeamLabel`` and ``(kind, z, i, 0)`` for a
-``GenLabel``, with kind ``TEAM`` = 1 or ``GEN`` = 0 as in ``sort_key``, so
-the lexicographic order of the columns is the label order, the order they
-are kept in; the entries are kept label by label. An instance-independent
-operator is one numpy function of those fields, called once per step rather
-than once per label or per (answer, label); the ensemble operations give,
-entry for entry, the bits of the real parts of the per-state operations.
-Every operator in use has real coefficients (+/-sqrt(1/2), sign flips,
+its labels as int64 field arrays: one column per distinct label, which is
+the label's ``sort_key``, ``(QUERY, hi, lo, b, i)`` for a ``QueryLabel``
+and ``(TEAM, b, lo, hi, 0)`` for a ``TeamLabel``, so the lexicographic
+order of the columns is the label order, the order they are kept in; the
+entries are kept label by label. An instance-independent operator is one
+numpy function of those fields, called once per step rather than once per
+label or per (answer, label); the ensemble operations give, entry for
+entry, the bits of the real parts of the per-state operations. Every
+operator in use has real coefficients (+/-sqrt(1/2), sign flips,
 relabellings), so its amplitudes are float64 and complex ones are refused;
 a ``SparseState`` stays complex, the general form it is tested against. A
-field beyond int64 does not fit: the team-search routing packs a label into
-``z = ((hi * 2n + lo) << 1) | b``, below 8n^2 <= 2^63 for n <= 2^30, and
-distinct labels are grouped through dense ids (times the list size), never
-through ``z * size``, which would pass 2^63.
+field beyond int64 does not fit, and no key multiplies two fields: entries
+are grouped through dense label ids times the span of their answers.
 """
 from __future__ import annotations
 
@@ -57,24 +56,6 @@ class CollisionError(ValueError):
 
 def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
-
-
-class GenLabel(namedtuple("GenLabel", "z i")):
-    """Basis label ``(z, i)``: workspace tag ``z``, queried index ``i``."""
-
-    __slots__ = ()
-
-    def __new__(cls, z: int, i: int):
-        if z < 0 or i < 0:
-            raise ValueError(f"GenLabel fields must be non-negative, got {z};{i}")
-        return tuple.__new__(cls, (z, i))
-
-    @property
-    def sort_key(self) -> tuple:
-        return (0, self.z, self.i)
-
-    def __str__(self) -> str:
-        return f"{self.z};{self.i}"
 
 
 class TeamLabel(namedtuple("TeamLabel", "b lo hi")):
@@ -104,13 +85,38 @@ class TeamLabel(namedtuple("TeamLabel", "b lo hi")):
 
     @property
     def sort_key(self) -> tuple:
-        return (1, self.b, self.lo, self.hi)
+        # Padded to the five fields of a QueryLabel's key.
+        return (1, self.b, self.lo, self.hi, 0)
 
     def __str__(self) -> str:
         return f"{self.b}|{self.lo},{self.hi}"
 
 
-BasisLabel = GenLabel | TeamLabel
+class QueryLabel(namedtuple("QueryLabel", "b lo hi i")):
+    """Basis label ``(b, lo, hi, i)``: a ``TeamLabel``'s fields routed to index ``i``.
+
+    The interval obeys the ``TeamLabel`` checks and the queried index ``i``
+    is non-negative. Routed labels sort by ``hi``, then ``lo``, ``b`` and
+    ``i``, ahead of every ``TeamLabel``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, b: int, lo: int, hi: int, i: int):
+        TeamLabel(b, lo, hi)  # the interval checks
+        if i < 0:
+            raise ValueError(f"query index must be non-negative, got {i}")
+        return tuple.__new__(cls, (b, lo, hi, i))
+
+    @property
+    def sort_key(self) -> tuple:
+        return (0, self.hi, self.lo, self.b, self.i)
+
+    def __str__(self) -> str:
+        return f"{self.b}|{self.lo},{self.hi};{self.i}"
+
+
+BasisLabel = QueryLabel | TeamLabel
 
 
 class SparseState:
@@ -285,31 +291,28 @@ def measure_distribution(
 # Ensembles: one state per answer, evolved together
 
 # The kinds of a label's fields, in ``sort_key`` order.
-GEN, TEAM = 0, 1
+QUERY, TEAM = 0, 1
 
 
 def label_fields(labels: Sequence[BasisLabel]) -> np.ndarray:
-    """The ``(4, len(labels))`` int64 fields of tuple labels, one column each.
+    """The ``(5, len(labels))`` int64 fields of tuple labels, one column each.
 
-    A ``GenLabel(z, i)`` is the column ``(GEN, z, i, 0)`` and a
-    ``TeamLabel(b, lo, hi)`` is ``(TEAM, b, lo, hi)``, so the lexicographic
-    order of columns is the ``sort_key`` order. A field beyond int64 raises
-    ``OverflowError``.
+    A label's column is its ``sort_key``: ``(QUERY, hi, lo, b, i)`` for a
+    ``QueryLabel`` and ``(TEAM, b, lo, hi, 0)`` for a ``TeamLabel``, so the
+    lexicographic order of columns is the ``sort_key`` order. A field
+    beyond int64 raises ``OverflowError``.
     """
-    rows = [
-        (GEN, *label, 0) if isinstance(label, GenLabel) else (TEAM, *label)
-        for label in labels
-    ]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), 4).T.copy()
+    rows = [label.sort_key for label in labels]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 5).T.copy()
 
 
 def labels_of(fields: np.ndarray) -> list[BasisLabel]:
     """The tuple labels of the columns of ``fields``, to print or inspect."""
     return [
-        tuple.__new__(GenLabel, (f0, f1))
-        if kind == GEN
+        tuple.__new__(QueryLabel, (f2, f1, f0, f3))
+        if kind == QUERY
         else tuple.__new__(TeamLabel, (f0, f1, f2))
-        for kind, f0, f1, f2 in fields.T.tolist()
+        for kind, f0, f1, f2, f3 in fields.T.tolist()
     ]
 
 
@@ -349,8 +352,9 @@ class Ensemble(NamedTuple):
     of answer ``answers[e]`` on label column ``label_ids[e]``, and each
     column is held by some entry. The columns are distinct and in lexicographic
     order, which is the ``sort_key`` order of their labels, so a label id
-    orders labels as ``sort_key`` does. The entries go label by label: their
-    keys ``label_ids * size + answers`` strictly increase, so no (label,
+    orders labels as ``sort_key`` does. The entries go label by label: with
+    the answers holding entries spanning ``low .. low+count-1``, their keys
+    ``label_ids * count + answers - low`` strictly increase, so no (label,
     answer) pair repeats, each label's entries are contiguous with their
     answers ascending, and each answer's entries come in label order. The
     constructors here establish both orders and every operation keeps them.
@@ -447,8 +451,9 @@ def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
     label_ids, answers = image_ids[term], ens.answers[source]
     terms = ens.amps[source] * coeffs[term]
     # Sorted keys put the entries label by label, and the stable sort merges
-    # the runs; dense image ids times the list size stay far inside int64.
-    keys = label_ids * ens.size + answers
+    # the runs; dense image ids times the answer span stay far inside int64.
+    low, count = _answer_span(ens.answers)
+    keys = label_ids * count + (answers - low)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = _first_of_runs(keys)
@@ -461,7 +466,6 @@ def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
     # Written so that NaN is kept, to fail the finiteness check below.
     keep = ~(np.abs(amps) < PRUNE_EPS)
     label_ids, answers, amps = label_ids[keep], answers[keep], amps[keep]
-    low, count = _answer_span(ens.answers)
     norms_sq = _squared_norms(answers, amps, low, count)
     finite = np.isfinite(norms_sq)
     if not finite.all():
@@ -493,14 +497,16 @@ def permute_ensemble(
     """
     image_ids, image_fields = _distinct_columns(image_of(ens.fields))
     label_ids = image_ids[ens.label_ids]
-    keys = label_ids * ens.size + ens.answers
+    low, count = _answer_span(ens.answers)
+    keys = label_ids * count + (ens.answers - low)
     # Each label's entries stay one ascending run, which a stable sort merges.
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     # Labels sharing an image collide only where one answer holds both.
     repeated = keys[~_first_of_runs(keys)]
     if len(repeated):
-        image, answer = divmod(int(repeated[0]), ens.size)
+        image, offset = divmod(int(repeated[0]), count)
+        answer = low + offset
         both = (label_ids == image) & (ens.answers == answer)
         prior, label = labels_of(ens.fields[:, ens.label_ids[both][:2]])
         [target] = labels_of(image_fields[:, [image]])

@@ -48,13 +48,13 @@ import numpy as np
 from . import oracle as oracle_mod
 from .oracle import OrderedInstance
 from .qcore import (
-    GEN,
     NORM_TOL,
+    QUERY,
     TEAM,
     BasisLabel,
     CollisionError,
     Ensemble,
-    GenLabel,
+    QueryLabel,
     SparseState,
     TeamLabel,
     _answer_span,
@@ -70,11 +70,11 @@ from .qcore import (
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-# Largest list size of the ensemble path: routed tags stay below 8n^2 <= 2^63.
-ENSEMBLE_SIZE_LIMIT = 1 << 30
-# Builds a TeamLabel without re-checking it: only for labels derived from a
-# checked one by flipping its marker or taking a half of its interval.
+# Build labels without re-checking them: only for labels derived from a
+# checked one by flipping its marker, taking a half of its interval, or
+# routing it to or back from an index >= 0.
 _TEAM = partial(tuple.__new__, TeamLabel)
+_QUERY = partial(tuple.__new__, QueryLabel)
 
 
 def _require_pow2(value: int, what: str, minimum: int = 1) -> None:
@@ -84,10 +84,10 @@ def _require_pow2(value: int, what: str, minimum: int = 1) -> None:
         raise ValueError(f"{what} must be a power of two{at_least}, got {value}")
 
 
-def require_ensemble_size(n: int) -> None:
-    """Reject a list size past ``ENSEMBLE_SIZE_LIMIT``, too large for int64 tags."""
-    if n > ENSEMBLE_SIZE_LIMIT:
-        raise ValueError(f"list size {n} is past the ensemble limit 2**30 (int64 tags)")
+def require_int64_positions(n: int) -> None:
+    """Reject a list size whose padding index ``n`` does not fit int64."""
+    if n >= 1 << 63:
+        raise ValueError(f"list size {n} is past int64: need n < 2**63")
 
 
 def _require_sublists(n: int, r: int) -> None:
@@ -136,7 +136,7 @@ def _mix_fields(fields: np.ndarray, s: int):
     coefficient sqrt(1/2) except the marker-1 label's own, -sqrt(1/2); every
     other label is its own image with coefficient 1.
     """
-    kind, b, lo, hi = fields
+    kind, b, lo, hi, _ = fields
     match = (kind == TEAM) & (hi - lo + 1 == s)
     counts = match + 1
     images = np.repeat(fields, counts, axis=1)
@@ -177,12 +177,12 @@ def _halving(s: int) -> Callable[[BasisLabel], BasisLabel]:
 
 def _halving_fields(fields: np.ndarray, s: int) -> np.ndarray:
     """:func:`_halving` of every label column of ``fields``."""
-    kind, b, lo, hi = fields
+    kind, b, lo, hi, last = fields
     match = (kind == TEAM) & (hi - lo + 1 == s)
     mid = lo + s // 2 - 1
     lower, upper = match & (b == 1), match & (b == 0)
     lows, highs = np.where(upper, mid + 1, lo), np.where(lower, mid, hi)
-    return np.stack((kind, np.where(match, 0, b), lows, highs))
+    return np.stack((kind, np.where(match, 0, b), lows, highs, last))
 
 
 def apply_refine(state: SparseState, s: int) -> SparseState:
@@ -200,13 +200,12 @@ def _bitwrite_query(n: int, bitwrite_length: int):
 
     Returns ``(open_query, close_query)``, two :func:`apply_linear`
     operators. ``open_query`` is the marker mixer on intervals of length
-    ``bitwrite_length`` with every image routed to a general label whose
+    ``bitwrite_length`` with every image routed to a ``QueryLabel`` whose
     index is the interval midpoint, except that the least-knowing computer's
     marker-0 branch parks at the padding index ``n`` where every instance
-    answers 0; the team label is packed into the workspace tag.
-    ``close_query`` unroutes and mixes again, inverting ``open_query``.
+    answers 0. ``close_query`` unroutes and mixes again, inverting
+    ``open_query``.
     """
-    span = 2 * n  # intervals live in [0, 2n)
 
     def routed_index(b: int, lo: int, hi: int) -> int:
         # Callers pass checked intervals of length >= 2.
@@ -215,24 +214,23 @@ def _bitwrite_query(n: int, bitwrite_length: int):
             return n
         return lo + length // 2 - 1
 
-    def route(label) -> GenLabel:
+    def route(label) -> QueryLabel:
         if not isinstance(label, TeamLabel):
             raise TypeError(f"expected a TeamLabel, got {label!r}")
         b, lo, hi = label
-        return GenLabel(((hi * span + lo) << 1) | b, routed_index(b, lo, hi))
+        i = routed_index(b, lo, hi)
+        # Only a length-1 interval at 0 routes below 0, which the check refuses.
+        return _QUERY((b, lo, hi, i)) if i >= 0 else QueryLabel(b, lo, hi, i)
 
     def unroute(label) -> TeamLabel:
-        if not isinstance(label, GenLabel):
-            raise TypeError(f"expected a GenLabel, got {label!r}")
-        z, i = label
-        b = z & 1
-        hi, lo = divmod(z >> 1, span)
-        team = TeamLabel(b, lo, hi)
+        if not isinstance(label, QueryLabel):
+            raise TypeError(f"expected a QueryLabel, got {label!r}")
+        b, lo, hi, i = label
         if hi == lo or i != routed_index(b, lo, hi):
             raise ValueError(
                 f"label {label} does not sit on its routed query index"
             )
-        return team
+        return _TEAM((b, lo, hi))
 
     def open_query(label):
         return [
@@ -252,7 +250,6 @@ def _bitwrite_fields(n: int, bitwrite_length: int):
     map then raises its own error on the first of them.
     """
     open_query, close_query = _bitwrite_query(n, bitwrite_length)
-    span = 2 * n
 
     def routed_index(b, lo, hi):
         length = hi - lo + 1
@@ -260,31 +257,20 @@ def _bitwrite_fields(n: int, bitwrite_length: int):
         return np.where(parked, n, lo + length // 2 - 1)
 
     def open_fields(fields):
-        kind, _, lo, hi = fields
+        kind, _, lo, hi, _ = fields
         # Only a length-1 interval at 0 would route below index 0.
         require_fields((kind == TEAM) & ((lo > 0) | (hi > lo)), fields, open_query)
         counts, images, coeffs = _mix_fields(fields, bitwrite_length)
-        _, b, lo, hi = images
-        routed = np.stack(
-            (
-                np.full_like(b, GEN),
-                ((hi * span + lo) << 1) | b,
-                routed_index(b, lo, hi),
-                np.zeros_like(b),
-            )
-        )
+        _, b, lo, hi, _ = images
+        routed = np.stack((np.full_like(b, QUERY), hi, lo, b, routed_index(b, lo, hi)))
         return counts, routed, coeffs
 
     def close_fields(fields):
-        kind, z, i, _ = fields
-        b = z & 1
-        hi, lo = np.divmod(z >> 1, span)
-        length = hi - lo + 1
-        # A valid TeamLabel of length >= 2 on its routed index.
-        sits = (kind == GEN) & (lo < hi) & (length & (length - 1) == 0)
-        sits &= (lo % np.maximum(length, 1) == 0) & (i == routed_index(b, lo, hi))
+        kind, hi, lo, b, i = fields
+        # A routed interval of length >= 2 on its routed index.
+        sits = (kind == QUERY) & (lo < hi) & (i == routed_index(b, lo, hi))
         require_fields(sits, fields, close_query)
-        team = np.stack((np.full_like(b, TEAM), b, lo, hi))
+        team = np.stack((np.full_like(b, TEAM), b, lo, hi, np.zeros_like(b)))
         return _mix_fields(team, bitwrite_length)
 
     return open_fields, close_fields
@@ -491,10 +477,10 @@ def _initial_ensemble(self, answers: range | None = None) -> Ensemble:
     Per level of ``self._levels``, each block of its length that meets the
     contiguous range ``answers`` (all by default) is a label, held by the
     answers it covers there; the opening's ensemble steps finish the start.
-    A size past ``ENSEMBLE_SIZE_LIMIT``, a step other than 1 or an answer off
-    the list raises ``ValueError``.
+    A size past int64, a step other than 1 or an answer off the list raises
+    ``ValueError``.
     """
-    require_ensemble_size(self.n)
+    require_int64_positions(self.n)
     answers = range(self.n) if answers is None else answers
     low, stop = answers.start, answers.stop
     if answers.step != 1 or not 0 <= low <= stop <= self.n:
@@ -503,7 +489,7 @@ def _initial_ensemble(self, answers: range | None = None) -> Ensemble:
     for length, marker, amp in self._levels:
         lo = np.arange(low - low % length, stop, length)
         kind, markers = np.full_like(lo, TEAM), np.full_like(lo, marker)
-        fields.append(np.stack((kind, markers, lo, lo + length - 1)))
+        fields.append(np.stack((kind, markers, lo, lo + length - 1, np.zeros_like(lo))))
         amps.append(np.full(len(lo), amp))
     # Distinct blocks in sort_key order, block lo .. hi held by answers
     # max(lo, low) .. min(hi, stop - 1): the entries go label by label.
@@ -625,29 +611,29 @@ def measure_ensemble(algorithm, ensemble: Ensemble, answers) -> list[SimulationR
     answers = np.asarray(answers, dtype=np.intp)
     low, count = _answer_span(answers)
     measured = (low <= ensemble.answers) & (ensemble.answers < low + count)
-    norms_sq = _squared_norms(
-        ensemble.answers[measured], ensemble.amps[measured], low, count
-    )[answers - low]
+    held, amps = ensemble.answers[measured], ensemble.amps[measured]
+    norms_sq = _squared_norms(held, amps, low, count)[answers - low]
     normalized = np.abs(norms_sq - 1.0) <= NORM_TOL
     if not normalized.all():
         raise _unnormalized_error(float(norms_sq[~normalized][0]))
     fields = ensemble.fields
-    kind, _, outcomes, hi = fields
-    require_fields((kind == TEAM) & (outcomes == hi), fields, _pinned_answer)
-    # Each answer's entries come in label id order, which is the label sort
-    # order: the order of the per-state sums.
-    span = int(outcomes.max()) + 1
-    keys = ensemble.answers * span + outcomes[ensemble.label_ids]
+    kind, _, pinned, hi, _ = fields
+    require_fields((kind == TEAM) & (pinned == hi), fields, _pinned_answer)
+    # Labels pinning one position share a dense outcome id. Each answer's
+    # entries come in label id order, which is the label sort order: the
+    # order of the per-state sums.
+    outcomes, outcome_ids = np.unique(pinned, return_inverse=True)
+    keys = outcome_ids[ensemble.label_ids[measured]] * count + (held - low)
     # Python's abs(amp) ** 2 (a pow call) and numpy's square differ in the last bit.
-    masses = [abs(amp) ** 2 for amp in ensemble.amps.tolist()]
+    masses = [abs(amp) ** 2 for amp in amps.tolist()]
     keys, first, group = np.unique(keys, return_index=True, return_inverse=True)
     probabilities = np.bincount(group, masses, minlength=len(keys))
     # Per answer, the most likely outcome, and the first to appear on a tie.
-    owners = keys // span
+    owners = keys % count
     best = np.lexsort((first, -probabilities, owners))
     best = best[_first_of_runs(owners[best])]
-    chosen = best[np.searchsorted(owners[best], answers)]
-    found = (keys[chosen] % span).tolist()
+    chosen = best[np.searchsorted(owners[best], answers - low)]
+    found = outcomes[keys[chosen] // count].tolist()
     return [
         SimulationResult(answer=a, probability=p, queries=algorithm.num_queries)
         for a, p in zip(found, probabilities[chosen].tolist())

@@ -121,23 +121,43 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "args",
         [
-            ("simulate", "--algo", "binary", "--answer", "5"),
-            ("simulate", "--algo", "team", "--answer", "5"),
+            ("simulate", "--algo", "binary"),
+            ("simulate", "--algo", "team"),
             ("trajectory", "--algo", "binary"),
+            ("trajectory", "--algo", "team"),
         ],
-        ids=["simulate-binary", "simulate-team", "trajectory"],
+        ids=["simulate-binary", "simulate-team", "trajectory-binary", "trajectory-team"],
     )
-    def test_a_size_past_the_ensemble_limit_is_a_usage_error(self, runner, args):
-        # 2^31 = 2 * (2^15)^2 is a valid size for both algorithms.
+    def test_a_run_of_every_answer_past_2_to_the_30_is_a_usage_error(
+        self, runner, args
+    ):
+        # 2^31 = 2 * (2^15)^2 is a valid size for both algorithms. The refusal
+        # comes before any array of length N is allocated.
         result = run(runner, *args, "--n", str(1 << 31))
         assert result.exit_code == 2
-        assert "past the ensemble limit 2**30" in result.output
+        expected = "list size 2147483648 is past 2**30, the largest run of every answer"
+        assert expected in result.output
 
-    def test_the_ensemble_limit_itself_is_exact(self, runner):
-        result = run(runner, "simulate", "--algo", "binary", "--n", str(1 << 30),
-                     "--answer", "5")
+    @pytest.mark.parametrize(
+        "algo, n",
+        [("binary", 1 << 31), ("team", 1 << 31),
+         ("binary", 1 << 40), ("team", 1 << 41)],
+    )
+    def test_one_answer_runs_past_2_to_the_30(self, runner, algo, n):
+        result = run(runner, "simulate", "--algo", algo, "--n", str(n), "--answer", "5")
         assert result.exit_code == 0
-        assert json.loads(result.output)["correct"] is True
+        payload = json.loads(result.output)
+        assert payload["correct"] is True and payload["answer_found"] == 5
+
+    @pytest.mark.parametrize("algo", ["binary", "team"])
+    def test_a_size_past_int64_is_a_usage_error(self, runner, algo):
+        # 2^63 = 2 * (2^31)^2: its padding index does not fit int64.
+        result = run(runner, "simulate", "--algo", algo, "--n", str(1 << 63),
+                     "--answer", "5")
+        assert result.exit_code == 2
+        assert "list size 9223372036854775808 is past int64: need n < 2**63" in (
+            result.output
+        )
 
 
 class TestSmallCommands:

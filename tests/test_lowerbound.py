@@ -15,8 +15,8 @@ from qordsearch.oracle import OrderedInstance, apply_query, enumerate_instances
 from qordsearch.qcore import (
     CollisionError,
     Ensemble,
-    GenLabel,
     NormDriftError,
+    QueryLabel,
     SparseState,
     TeamLabel,
     apply_linear,
@@ -26,6 +26,15 @@ from qordsearch.qcore import (
 from qordsearch.teamsearch import BinarySearchAlgorithm, TeamCombineAlgorithm
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def query_label(z, i):
+    """A routed label told apart by ``z``: the interval [z, z] routed to ``i``.
+
+    Such labels sort by ``z``, then by ``i``.
+    """
+    return QueryLabel(0, z, z, i)
+
 
 def brute_force_pair_weight(n):
     """Independent oracle: add every pair's weight one by one, exactly."""
@@ -44,7 +53,7 @@ class ZeroQueryAlgorithm:
         self.num_queries = 0
 
     def initial_state(self, inst):
-        return SparseState.unit(GenLabel(0, self.n))
+        return SparseState.unit(query_label(0, self.n))
 
     def initial_ensemble(self):
         return Ensemble.from_states([self.initial_state(None)] * self.n)
@@ -138,19 +147,19 @@ class TestWeightedOverlap:
     def test_identical_states_give_total_weight(self):
         n = 8
         w = lb.WeightSpec.inverse_distance(n)
-        state = SparseState.unit(GenLabel(0, 0))
+        state = SparseState.unit(query_label(0, 0))
         overlap = lb.weighted_overlap(Ensemble.from_states([state] * n), w)
         assert abs(overlap - lb.total_weight(n)) < 1e-9
 
     def test_orthogonal_states_give_zero(self):
         n = 6
         w = lb.WeightSpec.inverse_distance(n)
-        states = [SparseState.unit(GenLabel(a, 0)) for a in range(n)]
+        states = [SparseState.unit(query_label(a, 0)) for a in range(n)]
         assert lb.weighted_overlap(Ensemble.from_states(states), w) == 0j
 
     def test_two_answer_half_overlap(self):
         w = lb.WeightSpec.inverse_distance(2)
-        shared, only0, only1 = GenLabel(0, 0), GenLabel(1, 0), GenLabel(2, 0)
+        shared, only0, only1 = query_label(0, 0), query_label(1, 0), query_label(2, 0)
         half = 1.0 / math.sqrt(2.0)
         states = [
             SparseState({shared: half, only0: half}),
@@ -388,7 +397,7 @@ def binary_prequery_states(n, rounds=0):
 class TestMassProfile:
     def test_all_mass_in_padding_region_gives_zero_vectors(self):
         n = 4
-        states = [SparseState.unit(GenLabel(a, n)) for a in range(n)]
+        states = [SparseState.unit(query_label(a, n)) for a in range(n)]
         profile = lb.mass_profile(Ensemble.from_states(states))
         assert not profile.gammas.any()
         assert not profile.deltas.any()
@@ -396,7 +405,7 @@ class TestMassProfile:
     def test_concentrated_single_answer(self):
         # Answer a queries exactly index a: everything lands in gamma_0.
         n = 4
-        states = [SparseState.unit(GenLabel(0, a)) for a in range(n)]
+        states = [SparseState.unit(query_label(0, a)) for a in range(n)]
         profile = lb.mass_profile(Ensemble.from_states(states))
         assert abs(profile.gammas[0] - math.sqrt(n)) < 1e-12
         assert not profile.gammas[1:].any()
@@ -430,7 +439,7 @@ class TestMassProfile:
 
     def test_team_labels_are_rejected(self):
         states = [
-            SparseState.unit(GenLabel(0, 1)),
+            SparseState.unit(query_label(0, 1)),
             SparseState.unit(TeamLabel(0, 0, 1)),
         ]
         with pytest.raises(TypeError):
@@ -442,7 +451,7 @@ class TestDropChain:
         n = 8
         w = lb.WeightSpec.inverse_distance(n)
         _, _, states = binary_prequery_states(n, rounds=1)
-        shift = lambda label: [(GenLabel(label.z + 100, label.i), 1.0)]
+        shift = lambda label: [(query_label(label.lo + 100, label.i), 1.0)]
         after = [apply_linear(s, shift) for s in states]
         report = chain_report(states, after, w)
         assert report.drop < 1e-12
@@ -469,7 +478,7 @@ class TestDropChain:
     def test_adversarially_concentrated_states(self):
         n = 4
         w = lb.WeightSpec.inverse_distance(n)
-        states = [SparseState.unit(GenLabel(0, a)) for a in range(n)]
+        states = [SparseState.unit(query_label(0, a)) for a in range(n)]
         after = [
             apply_query(state, inst)
             for state, inst in zip(states, enumerate_instances(n))
@@ -482,8 +491,8 @@ class TestDropChain:
         # Feed inconsistent before/after states: a drop with no queried mass.
         n = 2
         w = lb.WeightSpec.inverse_distance(n)
-        before = [SparseState.unit(GenLabel(0, n)) for _ in range(n)]
-        after = [SparseState.unit(GenLabel(a, n)) for a in range(n)]
+        before = [SparseState.unit(query_label(0, n)) for _ in range(n)]
+        after = [SparseState.unit(query_label(a, n)) for a in range(n)]
         report = chain_report(before, after, w)
         assert not report.holds
         assert any("drop" in failure for failure in report.failures)
@@ -495,7 +504,7 @@ class TestDropChain:
         # while the drop recomputed from the queried masses is 2.
         n = 2
         w = lb.WeightSpec.inverse_distance(n)
-        states = [SparseState.unit(GenLabel(0, 0))] * n
+        states = [SparseState.unit(query_label(0, 0))] * n
         report = chain_report(states, states, w)
         assert report.drop == 0.0
         assert report.pair_identity_err == 2.0
@@ -555,7 +564,7 @@ def assert_kernel_matches_reference(states, w):
     assert_matches_reference(
         lb.weighted_overlap(ensemble, w), lb._reference_weighted_overlap(states, w)
     )
-    if all(isinstance(label, GenLabel) for s in states for label in s.labels()):
+    if all(isinstance(label, QueryLabel) for s in states for label in s.labels()):
         profile = lb.mass_profile(ensemble)
         assert_matches_reference(
             lb.pairwise_drop(profile, w), lb._reference_pairwise_drop(states, w)
@@ -585,7 +594,7 @@ class TestKernelAgainstReference:
         # a >= b included, in the overlap.
         rng = np.random.default_rng(seed)
         n = 12
-        pool = [GenLabel(z, i) for z in range(2) for i in range(n + 2)]
+        pool = [query_label(z, i) for z in range(2) for i in range(n + 2)]
         states = []
         for _ in range(n):
             picks = rng.choice(len(pool), size=int(rng.integers(1, 5)), replace=False)
@@ -620,20 +629,20 @@ class TestKernelAgainstReference:
 def random_column_states(rng, n, spans):
     """Random states whose label columns span the given numbers of answers.
 
-    Column k holds ``GenLabel(k, i)`` with a random index i in 0 .. n+1, at
+    Column k holds ``query_label(k, i)`` with a random index i in 0 .. n+1, at
     both ends of a random window of ``spans[k]`` answers and at a random
     half of the answers inside it. Every answer also holds a label of its
     own, so no state is empty and some columns have one entry.
     """
     entries = [
-        {GenLabel(len(spans) + a, int(rng.integers(n + 2))): rng.normal()}
+        {query_label(len(spans) + a, int(rng.integers(n + 2))): rng.normal()}
         for a in range(n)
     ]
     for k, span in enumerate(spans):
         lo = int(rng.integers(n - span + 1))
         inside = rng.random(max(span - 2, 0)) < 0.5
         answers = {lo, lo + span - 1, *(lo + 1 + np.flatnonzero(inside)).tolist()}
-        label = GenLabel(k, int(rng.integers(n + 2)))
+        label = query_label(k, int(rng.integers(n + 2)))
         for a in answers:
             entries[a][label] = rng.normal()
     return [SparseState(e) for e in entries]
@@ -777,8 +786,7 @@ def assert_ensemble_invariants(ensemble):
     increasing in ``sort_key`` order."""
     assert ensemble.amps.dtype == np.float64
     pairs = list(zip(ensemble.label_ids.tolist(), ensemble.answers.tolist()))
-    entry_keys = ensemble.label_ids * ensemble.size + ensemble.answers
-    assert (entry_keys[1:] > entry_keys[:-1]).all()
+    assert all(p < q for p, q in zip(pairs, pairs[1:]))
     keys = [label.sort_key for label in labels_of(ensemble.fields)]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert {k for k, _ in pairs} == set(range(len(keys)))
@@ -893,22 +901,23 @@ class TestEnsemblePath:
         )
 
     def test_non_unitary_step_drifts_the_norm(self):
-        start = SparseState.unit(GenLabel(0, 4))
+        start = SparseState.unit(query_label(0, 4))
         algorithm = OneRoundAlgorithm(4, start, [self.scaling_step(2.0)])
         expected, got = self._both_paths_raise(algorithm, NormDriftError)
         assert got == expected == "operator declared unitary drifted the norm by 1.000e+00"
 
     def test_nan_amplitude_is_not_finite(self):
-        start = SparseState.unit(GenLabel(0, 4))
+        start = SparseState.unit(query_label(0, 4))
         algorithm = OneRoundAlgorithm(4, start, [self.scaling_step(math.nan)])
         expected, got = self._both_paths_raise(algorithm, ValueError)
         assert got == expected == "amplitudes must be finite, got squared norm nan"
 
     def test_colliding_permutation(self):
-        start = SparseState({GenLabel(0, 1): 0.6, GenLabel(1, 1): 0.8})
-        merge = lambda label: GenLabel(0, label.i)
+        start = SparseState({query_label(0, 1): 0.6, query_label(1, 1): 0.8})
+        merge = lambda label: query_label(0, label.i)
+        # query_label(z, i) has the fields (QUERY, z, z, 0, i).
         merge_fields = lambda fields: np.stack(
-            (fields[0], np.zeros_like(fields[1]), fields[2], fields[3])
+            (fields[0], 0 * fields[1], 0 * fields[2], fields[3], fields[4])
         )
         step = ts._step(
             lambda state: ts._permute_labels(state, merge), "permute", merge_fields
@@ -916,21 +925,24 @@ class TestEnsemblePath:
         algorithm = OneRoundAlgorithm(4, start, [step])
         expected, got = self._both_paths_raise(algorithm, CollisionError)
         # The ensemble also names the answer holding both labels.
-        assert expected == "labels 0;1 and 1;1 both map to 0;1"
-        assert got == "labels 0;1 and 1;1 of answer 0 both map to 0;1"
+        assert expected == "labels 0|0,0;1 and 0|1,1;1 both map to 0|0,0;1"
+        assert got == "labels 0|0,0;1 and 0|1,1;1 of answer 0 both map to 0|0,0;1"
 
     def test_team_label_at_the_query(self):
         start = SparseState.unit(TeamLabel(0, 0, 3))
         algorithm = OneRoundAlgorithm(4, start, [])
         expected, got = self._both_paths_raise(algorithm, TypeError)
         assert got == expected == (
-            "apply_query acts on GenLabel states only, found TeamLabel(b=0, lo=0, hi=3)"
+            "apply_query acts on QueryLabel states only, found TeamLabel(b=0, lo=0, hi=3)"
         )
 
     def test_team_label_in_the_mass_profile(self):
-        states = [SparseState.unit(GenLabel(0, 1)), SparseState.unit(TeamLabel(0, 0, 1))]
+        states = [
+            SparseState.unit(query_label(0, 1)),
+            SparseState.unit(TeamLabel(0, 0, 1)),
+        ]
         with pytest.raises(TypeError) as expected:
-            lb.gen_query_index(TeamLabel(0, 0, 1))
+            lb.query_index(TeamLabel(0, 0, 1))
         with pytest.raises(TypeError) as got:
             lb.mass_profile(Ensemble.from_states(states))
         assert str(got.value) == str(expected.value)
@@ -1024,7 +1036,7 @@ class TestTrajectory:
         w = lb.WeightSpec.inverse_distance(n)
         _, _, states = binary_prequery_states(n, rounds=2)
         before = lb.weighted_overlap(Ensemble.from_states(states), w)
-        relabel = lambda l: [(GenLabel(2 * l.z + 1, l.i), 1.0)]
+        relabel = lambda l: [(query_label(2 * l.lo + 1, l.i), 1.0)]
         shifted = [apply_linear(s, relabel) for s in states]
         after = lb.weighted_overlap(Ensemble.from_states(shifted), w)
         assert abs(before - after) < 1e-12

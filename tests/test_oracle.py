@@ -12,13 +12,12 @@ from qordsearch.oracle import (
 )
 from qordsearch.qcore import (
     Ensemble,
-    GenLabel,
     SparseState,
     TeamLabel,
     apply_linear,
     diff_norm,
 )
-from test_lowerbound import ensemble_entries, state_entries
+from test_lowerbound import ensemble_entries, query_label, state_entries
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -81,13 +80,13 @@ class TestEnumerate:
 class TestApplyQuery:
     def test_padding_region_is_identity(self):
         inst = OrderedInstance(8, 3)
-        state = SparseState({GenLabel(z, 8 + z): 1 / 2 for z in range(4)})
+        state = SparseState({query_label(z, 8 + z): 1 / 2 for z in range(4)})
         assert diff_norm(apply_query(state, inst), state) == 0.0
 
     def test_answer_index_amplitude_is_negated(self):
         inst = OrderedInstance(8, 5)
-        state = SparseState.unit(GenLabel(0, 5))
-        assert apply_query(state, inst).amplitude(GenLabel(0, 5)) == -1.0
+        state = SparseState.unit(query_label(0, 5))
+        assert apply_query(state, inst).amplitude(query_label(0, 5)) == -1.0
 
     def test_rejects_team_labels(self):
         inst = OrderedInstance(8, 5)
@@ -101,13 +100,15 @@ class TestApplyQuery:
         # bit 0 keeps (m+pad)/sqrt2 -> |m>; bit 1 gives (-m+pad)/sqrt2 -> -|pad>.
         n, i = 8, 4
         inst = OrderedInstance(n, answer)
-        state = SparseState({GenLabel(0, i): SQRT_HALF, GenLabel(0, n): SQRT_HALF})
+        state = SparseState(
+            {query_label(0, i): SQRT_HALF, query_label(0, n): SQRT_HALF}
+        )
 
         def rotate(label):
             if label.i == i:
-                return [(GenLabel(0, i), SQRT_HALF), (GenLabel(0, n), SQRT_HALF)]
+                return [(query_label(0, i), SQRT_HALF), (query_label(0, n), SQRT_HALF)]
             if label.i == n:
-                return [(GenLabel(0, i), SQRT_HALF), (GenLabel(0, n), -SQRT_HALF)]
+                return [(query_label(0, i), SQRT_HALF), (query_label(0, n), -SQRT_HALF)]
             return [(label, 1.0)]
 
         out = apply_linear(apply_query(state, inst), rotate)
@@ -117,13 +118,13 @@ class TestApplyQuery:
 
     def test_involution(self):
         inst = OrderedInstance(8, 2)
-        state = SparseState({GenLabel(0, i): 1 / math.sqrt(10) for i in range(10)})
+        state = SparseState({query_label(0, i): 1 / math.sqrt(10) for i in range(10)})
         twice = apply_query(apply_query(state, inst), inst)
         assert diff_norm(twice, state) < 1e-12
 
     def test_queries_commute(self):
         a, b = OrderedInstance(8, 2), OrderedInstance(8, 6)
-        state = SparseState({GenLabel(0, i): 1 / math.sqrt(10) for i in range(10)})
+        state = SparseState({query_label(0, i): 1 / math.sqrt(10) for i in range(10)})
         ab = apply_query(apply_query(state, a), b)
         ba = apply_query(apply_query(state, b), a)
         assert diff_norm(ab, ba) == 0.0
@@ -133,7 +134,9 @@ class TestApplyQuery:
     def test_phases_differ_exactly_between_the_answers(self, n, data):
         a = data.draw(st.integers(0, n - 2))
         b = data.draw(st.integers(a + 1, n - 1))
-        state = SparseState({GenLabel(0, i): 1 / math.sqrt(n + 2) for i in range(n + 2)})
+        state = SparseState(
+            {query_label(0, i): 1 / math.sqrt(n + 2) for i in range(n + 2)}
+        )
         out_a = apply_query(state, OrderedInstance(n, a))
         out_b = apply_query(state, OrderedInstance(n, b))
         differing = {
@@ -148,8 +151,8 @@ class TestApplyQueryEnsemble:
     @pytest.mark.parametrize("n", [1, 2, 7, 16])
     def test_each_answer_gets_its_own_instance(self, n):
         # Indices run past n into the padding, up to the largest int64 field.
-        labels = [GenLabel(z, i) for z in range(2) for i in range(n + 2)]
-        labels.append(GenLabel(0, (1 << 63) - 1))
+        labels = [query_label(z, i) for z in range(2) for i in range(n + 2)]
+        labels.append(query_label(0, (1 << 63) - 1))
         states = [
             SparseState({l: complex(k + 1, -0.0) / 16 for k, l in enumerate(labels)})
             for _ in range(n)
@@ -160,12 +163,13 @@ class TestApplyQueryEnsemble:
 
     def test_rejects_team_labels(self):
         ensemble = Ensemble.from_states([SparseState.unit(TeamLabel(0, 0, 1))] * 2)
-        with pytest.raises(TypeError, match="GenLabel states only"):
+        with pytest.raises(TypeError, match="QueryLabel states only"):
             apply_query_ensemble(ensemble)
 
     def test_an_index_beyond_int64_does_not_fit_the_fields(self):
         # The per-instance query takes it; the ensemble's int64 fields do not.
-        state = SparseState.unit(GenLabel(0, 1 << 80))
-        assert apply_query(state, OrderedInstance(2, 1)).amplitude(GenLabel(0, 1 << 80)) == 1
+        state = SparseState.unit(query_label(0, 1 << 80))
+        queried = apply_query(state, OrderedInstance(2, 1))
+        assert queried.amplitude(query_label(0, 1 << 80)) == 1
         with pytest.raises(OverflowError):
             Ensemble.from_states([state])

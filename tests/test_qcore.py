@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from qordsearch.oracle import OrderedInstance, apply_query, enumerate_instances
 from qordsearch.qcore import (
     CollisionError,
     Ensemble,
-    GenLabel,
     NormDriftError,
+    QueryLabel,
     SparseState,
     TeamLabel,
     apply_diagonal_phase,
@@ -25,7 +26,12 @@ from qordsearch.qcore import (
     measure_distribution,
     permute_ensemble,
 )
-from test_lowerbound import assert_ensemble_invariants, ensemble_entries, state_entries
+from test_lowerbound import (
+    assert_ensemble_invariants,
+    ensemble_entries,
+    query_label,
+    state_entries,
+)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -34,7 +40,7 @@ def random_state(n_labels, seed, normalize=True):
     rng = random.Random(seed)
     entries = {}
     while len(entries) < n_labels:
-        label = GenLabel(rng.randrange(10 * n_labels), rng.randrange(10 * n_labels))
+        label = query_label(rng.randrange(10 * n_labels), rng.randrange(10 * n_labels))
         entries[label] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
     if normalize:
         norm = math.sqrt(sum(abs(a) ** 2 for a in entries.values()))
@@ -43,11 +49,19 @@ def random_state(n_labels, seed, normalize=True):
 
 
 class TestLabels:
-    def test_genlabel_rejects_negative_fields(self):
+    def test_querylabel_checks_its_interval_and_index(self):
+        QueryLabel(1, 4, 7, 5)  # aligned length-4 block routed to its midpoint
+        QueryLabel(0, 4, 7, 1 << 80)  # any index past the list, in the padding
         with pytest.raises(ValueError):
-            GenLabel(-1, 0)
+            QueryLabel(0, 4, 7, -1)  # negative index
         with pytest.raises(ValueError):
-            GenLabel(0, -2)
+            QueryLabel(0, 2, 5, 3)  # length 4 but lo not a multiple of 4
+        with pytest.raises(ValueError):
+            QueryLabel(0, 0, 2, 1)  # length 3 not a power of two
+        with pytest.raises(ValueError):
+            QueryLabel(2, 0, 1, 0)  # marker out of range
+        with pytest.raises(ValueError):
+            QueryLabel(0, 5, 4, 4)  # reversed endpoints
 
     def test_teamlabel_validates_dyadic_alignment(self):
         TeamLabel(0, 4, 7)  # aligned length-4 block
@@ -61,22 +75,47 @@ class TestLabels:
             TeamLabel(0, 5, 4)  # reversed endpoints
 
     def test_labels_are_totally_ordered_and_printable(self):
-        labels = [TeamLabel(1, 4, 7), GenLabel(3, 1), GenLabel(0, 9), TeamLabel(0, 4, 5)]
+        labels = [
+            TeamLabel(1, 4, 7),
+            QueryLabel(1, 0, 7, 3),
+            QueryLabel(0, 4, 5, 8),
+            QueryLabel(0, 0, 7, 8),
+            TeamLabel(0, 4, 5),
+        ]
         ordered = sorted(labels, key=lambda l: l.sort_key)
+        # Routed labels go by hi, then lo, b and i, ahead of team labels.
         assert ordered == [
-            GenLabel(0, 9),
-            GenLabel(3, 1),
+            QueryLabel(0, 4, 5, 8),
+            QueryLabel(0, 0, 7, 8),
+            QueryLabel(1, 0, 7, 3),
             TeamLabel(0, 4, 5),
             TeamLabel(1, 4, 7),
         ]
-        assert str(GenLabel(3, 1)) == "3;1"
+        assert str(QueryLabel(1, 4, 7, 5)) == "1|4,7;5"
         assert str(TeamLabel(1, 4, 7)) == "1|4,7"
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_routed_labels_sort_as_packed_interval_tags(self, n):
+        # The order of the tag ((hi * 2n + lo) << 1) | b, then the index:
+        # the order the per-answer sums have always run in.
+        routed = [
+            QueryLabel(b, lo, lo + length - 1, i)
+            for length in (1 << k for k in range(n.bit_length()))
+            for lo in range(0, n, length)
+            for b in (0, 1)
+            for i in (lo, lo + length // 2, n)
+        ]
+        tag = lambda l: ((((l.hi * 2 * n + l.lo) << 1) | l.b), l.i)
+        assert sorted(routed, key=lambda l: l.sort_key) == sorted(routed, key=tag)
 
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: GenLabel(-1, 0), "GenLabel fields must be non-negative, got -1;0"),
-            (lambda: GenLabel(0, -2), "GenLabel fields must be non-negative, got 0;-2"),
+            (lambda: QueryLabel(0, 0, 1, -1), "query index must be non-negative, got -1"),
+            (lambda: QueryLabel(2, 0, 1, 0), "marker bit must be 0 or 1, got 2"),
+            (lambda: QueryLabel(0, 5, 4, 4), "need 0 <= lo <= hi, got lo=5, hi=4"),
+            (lambda: QueryLabel(0, 0, 2, 1), "interval length 3 is not a power of two"),
+            (lambda: QueryLabel(0, 2, 5, 3), "interval [2,5] is not dyadically aligned"),
             (lambda: TeamLabel(2, 0, 1), "marker bit must be 0 or 1, got 2"),
             (lambda: TeamLabel(0, 5, 4), "need 0 <= lo <= hi, got lo=5, hi=4"),
             (lambda: TeamLabel(0, -1, 0), "need 0 <= lo <= hi, got lo=-1, hi=0"),
@@ -90,23 +129,25 @@ class TestLabels:
         assert str(excinfo.value) == message
 
     def test_repr_names_the_fields(self):
-        assert repr(GenLabel(3, 1)) == "GenLabel(z=3, i=1)"
+        assert repr(QueryLabel(1, 4, 7, 5)) == "QueryLabel(b=1, lo=4, hi=7, i=5)"
         assert repr(TeamLabel(1, 4, 7)) == "TeamLabel(b=1, lo=4, hi=7)"
-        assert repr(GenLabel(z=0, i=9)) == "GenLabel(z=0, i=9)"
+        assert repr(QueryLabel(b=0, lo=0, hi=0, i=9)) == "QueryLabel(b=0, lo=0, hi=0, i=9)"
 
     def test_equality_and_hashing_by_value_within_a_family(self):
-        assert GenLabel(3, 1) == GenLabel(3, 1)
+        assert query_label(3, 1) == query_label(3, 1)
         assert hash(TeamLabel(0, 4, 5)) == hash(TeamLabel(0, 4, 5))
-        assert GenLabel(3, 1) != GenLabel(1, 3)
+        assert query_label(3, 1) != query_label(1, 3)
 
-    def test_genlabel_never_equals_a_teamlabel(self):
-        for gen, team in [
-            (GenLabel(0, 1), TeamLabel(0, 0, 1)),
-            (GenLabel(1, 1), TeamLabel(1, 1, 1)),
-            (GenLabel(0, 0), TeamLabel(0, 0, 0)),
+    def test_querylabel_never_equals_a_teamlabel(self):
+        for routed, team in [
+            (QueryLabel(0, 0, 1, 0), TeamLabel(0, 0, 1)),
+            (QueryLabel(1, 1, 1, 1), TeamLabel(1, 1, 1)),
+            (QueryLabel(0, 0, 0, 0), TeamLabel(0, 0, 0)),
         ]:
-            assert gen != team and team != gen
-        state = SparseState({GenLabel(0, 0): SQRT_HALF, TeamLabel(0, 0, 0): SQRT_HALF})
+            assert routed != team and team != routed
+        state = SparseState(
+            {QueryLabel(0, 0, 0, 0): SQRT_HALF, TeamLabel(0, 0, 0): SQRT_HALF}
+        )
         assert len(state) == 2
 
     def test_labels_are_immutable(self):
@@ -114,18 +155,18 @@ class TestLabels:
         with pytest.raises(AttributeError):
             label.b = 0
         with pytest.raises(AttributeError):
-            GenLabel(0, 1).z = 5
+            QueryLabel(0, 0, 1, 0).i = 5
 
 
 class TestSparseState:
     def test_construction_prunes_float_dust(self):
-        state = SparseState({GenLabel(0, 0): 1.0, GenLabel(0, 1): 1e-16})
+        state = SparseState({query_label(0, 0): 1.0, query_label(0, 1): 1e-16})
         assert len(state) == 1
         assert all(abs(a) >= 1e-15 for _, a in state.items())
 
     def test_normalized_flag(self):
-        assert SparseState.unit(GenLabel(0, 0)).normalized
-        assert not SparseState({GenLabel(0, 0): 0.5}).normalized
+        assert SparseState.unit(query_label(0, 0)).normalized
+        assert not SparseState({query_label(0, 0): 0.5}).normalized
 
     def test_dump_is_deterministic_and_sorted(self):
         state = random_state(50, seed=7)
@@ -136,7 +177,8 @@ class TestSparseState:
         lines = once.splitlines()
         assert len(lines) == 50
         assert lines == sorted(
-            lines, key=lambda line: tuple(map(int, line.split("\t")[0].split(";")))
+            lines,
+            key=lambda line: tuple(map(int, re.split("[|,;]", line.split("\t")[0]))),
         )
 
     @pytest.mark.parametrize(
@@ -146,11 +188,11 @@ class TestSparseState:
         # abs(nan) >= PRUNE_EPS is false, so a plain prune test would drop
         # a NaN and leave a normalized one-label state.
         with pytest.raises(ValueError, match="amplitudes must be finite"):
-            SparseState({GenLabel(0, 0): amp, GenLabel(0, 1): 1.0})
+            SparseState({query_label(0, 0): amp, query_label(0, 1): 1.0})
 
     def test_dump_uses_17_significant_digits(self):
-        state = SparseState({GenLabel(0, 0): complex(1 / 3, -2 / 7)})
-        assert state.dump() == "0;0\t0.33333333333333331\t-0.2857142857142857\n"
+        state = SparseState({query_label(0, 0): complex(1 / 3, -2 / 7)})
+        assert state.dump() == "0|0,0;0\t0.33333333333333331\t-0.2857142857142857\n"
 
 
 class TestInnerProduct:
@@ -159,13 +201,13 @@ class TestInnerProduct:
         assert abs(inner_product(state, state) - 1.0) < 1e-12
 
     def test_distinct_single_labels_are_orthogonal(self):
-        a = SparseState.unit(GenLabel(0, 0))
-        b = SparseState.unit(GenLabel(0, 1))
+        a = SparseState.unit(query_label(0, 0))
+        b = SparseState.unit(query_label(0, 1))
         assert inner_product(a, b) == 0j
 
     def test_plus_minus_pair_is_orthogonal(self):
         # <(A+B)/sqrt2, (A-B)/sqrt2> = (1*1 + 1*(-1)) / 2 = 0 by hand.
-        A, B = GenLabel(0, 0), GenLabel(1, 1)
+        A, B = query_label(0, 0), query_label(1, 1)
         plus = SparseState({A: SQRT_HALF, B: SQRT_HALF})
         minus = SparseState({A: SQRT_HALF, B: -SQRT_HALF})
         assert abs(inner_product(plus, minus)) < 1e-12
@@ -187,12 +229,12 @@ class TestDiagonalPhase:
         assert diff_norm(apply_diagonal_phase(state, lambda l: 1), state) == 0.0
 
     def test_single_label_flip(self):
-        state = SparseState({GenLabel(0, 0): 0.6, GenLabel(0, 1): 0.8})
+        state = SparseState({query_label(0, 0): 0.6, query_label(0, 1): 0.8})
         flipped = apply_diagonal_phase(
-            state, lambda l: -1 if l == GenLabel(0, 1) else 1
+            state, lambda l: -1 if l == query_label(0, 1) else 1
         )
-        assert flipped.amplitude(GenLabel(0, 0)) == 0.6
-        assert flipped.amplitude(GenLabel(0, 1)) == -0.8
+        assert flipped.amplitude(query_label(0, 0)) == 0.6
+        assert flipped.amplitude(query_label(0, 1)) == -0.8
 
     def test_norm_preserved_on_random_state(self):
         state = random_state(50, seed=11)
@@ -202,7 +244,7 @@ class TestDiagonalPhase:
         assert abs(out.norm() - state.norm()) < 1e-12
 
     def test_rejects_non_sign_values(self):
-        state = SparseState.unit(GenLabel(0, 0))
+        state = SparseState.unit(query_label(0, 0))
         with pytest.raises(ValueError):
             apply_diagonal_phase(state, lambda l: 2)
 
@@ -215,32 +257,35 @@ class TestApplyLinear:
 
     def test_permutation_followed_by_inverse_restores_state(self):
         state = random_state(40, seed=17)
-        forward = lambda l: [(GenLabel(l.z + 1, l.i + 2), 1.0)]
-        backward = lambda l: [(GenLabel(l.z - 1, l.i - 2), 1.0)]
+        forward = lambda l: [(query_label(l.lo + 1, l.i + 2), 1.0)]
+        backward = lambda l: [(query_label(l.lo - 1, l.i - 2), 1.0)]
         roundtrip = apply_linear(apply_linear(state, forward), backward)
         assert diff_norm(roundtrip, state) < 1e-12
 
     def test_hadamard_split_of_single_label(self):
-        state = SparseState.unit(GenLabel(5, 0))
+        state = SparseState.unit(query_label(5, 0))
         split = apply_linear(
             state,
-            lambda l: [(GenLabel(l.z, 0), SQRT_HALF), (GenLabel(l.z, 1), SQRT_HALF)],
+            lambda l: [
+                (query_label(l.lo, 0), SQRT_HALF),
+                (query_label(l.lo, 1), SQRT_HALF),
+            ],
         )
         assert len(split) == 2
-        assert abs(split.amplitude(GenLabel(5, 0)) - SQRT_HALF) < 1e-15
-        assert abs(split.amplitude(GenLabel(5, 1)) - SQRT_HALF) < 1e-15
+        assert abs(split.amplitude(query_label(5, 0)) - SQRT_HALF) < 1e-15
+        assert abs(split.amplitude(query_label(5, 1)) - SQRT_HALF) < 1e-15
 
     def test_interference_cancels_to_exact_zero(self):
-        plus = SparseState({GenLabel(0, 0): SQRT_HALF, GenLabel(0, 1): SQRT_HALF})
+        plus = SparseState({query_label(0, 0): SQRT_HALF, query_label(0, 1): SQRT_HALF})
         # Hadamard block sends (a+b)/sqrt2 back to a; the b component cancels.
         out = apply_linear(
             plus,
             lambda l: [
-                (GenLabel(0, 0), SQRT_HALF),
-                (GenLabel(0, 1), SQRT_HALF if l.i == 0 else -SQRT_HALF),
+                (query_label(0, 0), SQRT_HALF),
+                (query_label(0, 1), SQRT_HALF if l.i == 0 else -SQRT_HALF),
             ],
         )
-        assert GenLabel(0, 1) not in out
+        assert query_label(0, 1) not in out
 
     def test_norm_drift_reported_for_declared_unitary(self):
         state = random_state(10, seed=19)
@@ -271,8 +316,8 @@ class TestApplyLinear:
         paired = apply_linear(
             state,
             lambda l: [
-                (GenLabel(2 * l.z, l.i), SQRT_HALF),
-                (GenLabel(2 * l.z + 1, l.i), -SQRT_HALF),
+                (query_label(2 * l.lo, l.i), SQRT_HALF),
+                (query_label(2 * l.lo + 1, l.i), -SQRT_HALF),
             ],
         )
         assert abs(paired.norm() - state.norm()) < 1e-12
@@ -280,11 +325,11 @@ class TestApplyLinear:
 
 class TestMeasurement:
     def test_single_label_state(self):
-        state = SparseState.unit(GenLabel(0, 3))
+        state = SparseState.unit(query_label(0, 3))
         assert measure_distribution(state, lambda l: l.i) == {3: 1.0}
 
     def test_equal_four_way_superposition(self):
-        state = SparseState({GenLabel(0, i): 0.5 for i in range(4)})
+        state = SparseState({query_label(0, i): 0.5 for i in range(4)})
         probs = measure_distribution(state, lambda l: l.i)
         assert set(probs) == {0, 1, 2, 3}
         for p in probs.values():
@@ -298,7 +343,7 @@ class TestMeasurement:
 
     def test_rejects_unnormalized_input(self):
         with pytest.raises(ValueError):
-            measure_distribution(SparseState({GenLabel(0, 0): 0.7}), lambda l: 0)
+            measure_distribution(SparseState({query_label(0, 0): 0.7}), lambda l: 0)
 
     def test_probabilities_sum_to_one(self):
         state = random_state(200, seed=23)
@@ -349,7 +394,7 @@ class TestRelabelledConstructor:
 
     def test_unnormalized_source_keeps_its_flag_and_norm(self):
         state = random_state(40, seed=31, normalize=False)
-        phased = apply_diagonal_phase(state, lambda l: -1 if l.z % 2 else 1)
+        phased = apply_diagonal_phase(state, lambda l: -1 if l.lo % 2 else 1)
         full = SparseState(phased._entries)
         assert not phased.normalized and not full.normalized
         assert phased._norm_sq == full._norm_sq == state._norm_sq
@@ -412,12 +457,15 @@ def lifted_permutation(image_of):
 
 
 def pair_mixer(label):
-    """A real 2x2 rotation on bit 0 of ``z``: every image sums at most two terms."""
-    z, i = label
+    """A real 2x2 rotation on bit 0 of ``z`` of ``query_label(z, i)``.
+
+    Every image sums at most two terms.
+    """
+    _, z, _, i = label
     c, s = 0.6, 0.8
     if z & 1:
-        return [(GenLabel(z - 1, i), -s), (label, c)]
-    return [(label, c), (GenLabel(z + 1, i), s)]
+        return [(query_label(z - 1, i), -s), (label, c)]
+    return [(label, c), (query_label(z + 1, i), s)]
 
 
 def cancelling_states(seed, count=6):
@@ -428,11 +476,11 @@ def cancelling_states(seed, count=6):
     for _ in range(count):
         entries = {}
         for _ in range(rng.randrange(1, 8)):
-            label = GenLabel(rng.randrange(8), rng.randrange(4))
+            label = query_label(rng.randrange(8), rng.randrange(4))
             entries[label] = rng.choice(parts)
         # (0.6, -0.8) -> (0.36 + 0.64, 0.48 - 0.48): an exact zero to prune.
-        entries[GenLabel(10, 0)] = 0.6
-        entries[GenLabel(11, 0)] = -0.8
+        entries[query_label(10, 0)] = 0.6
+        entries[query_label(11, 0)] = -0.8
         states.append(SparseState(entries))
     return states
 
@@ -446,11 +494,11 @@ class TestEnsemble:
         got = apply_linear_ensemble(Ensemble.from_states(states), lifted(pair_mixer))
         expected = [apply_linear(s, pair_mixer) for s in states]
         assert ensemble_entries(got) == state_entries(expected)
-        assert all(GenLabel(11, 0) not in s for s in expected)
+        assert all(query_label(11, 0) not in s for s in expected)
         assert_ensemble_invariants(got)
 
     def test_each_label_map_is_evaluated_once_per_distinct_label(self):
-        states = [SparseState({GenLabel(0, 0): 1.0}) for _ in range(5)]
+        states = [SparseState({query_label(0, 0): 1.0}) for _ in range(5)]
         calls = []
 
         def counted(fields):
@@ -458,19 +506,19 @@ class TestEnsemble:
             return lifted(pair_mixer)(fields)
 
         apply_linear_ensemble(Ensemble.from_states(states), counted)
-        assert calls == [[GenLabel(0, 0)]]
+        assert calls == [[query_label(0, 0)]]
 
     def test_norm_drift_is_checked_per_answer(self):
         # The total squared norm stays 2; each answer's moves off 1.
-        states = [SparseState({GenLabel(0, 0): 1.0}), SparseState({GenLabel(1, 0): 1.0})]
-        shift = lambda l: [(l, math.sqrt(0.5) if l.z else math.sqrt(1.5))]
+        states = [SparseState.unit(query_label(0, 0)), SparseState.unit(query_label(1, 0))]
+        shift = lambda l: [(l, math.sqrt(0.5) if l.lo else math.sqrt(1.5))]
         with pytest.raises(NormDriftError):
             apply_linear(states[1], shift)
         with pytest.raises(NormDriftError):
             apply_linear_ensemble(Ensemble.from_states(states), lifted(shift))
 
     def test_nan_coefficient_fails_the_finiteness_check(self):
-        states = [SparseState({GenLabel(0, 0): 1.0})]
+        states = [SparseState({query_label(0, 0): 1.0})]
         nan_map = lambda l: [(l, math.nan)]
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             apply_linear(states[0], nan_map)
@@ -478,16 +526,16 @@ class TestEnsemble:
             apply_linear_ensemble(Ensemble.from_states(states), lifted(nan_map))
 
     def test_permutation_collides_only_within_one_answer(self):
-        merge = lambda l: GenLabel(0, l.i)
-        apart = [SparseState({GenLabel(0, 3): 1.0}), SparseState({GenLabel(1, 3): 1.0})]
+        merge = lambda l: query_label(0, l.i)
+        apart = [SparseState.unit(query_label(0, 3)), SparseState.unit(query_label(1, 3))]
         merged = permute_ensemble(Ensemble.from_states(apart), lifted_permutation(merge))
         assert_ensemble_invariants(merged)
-        assert labels_of(merged.fields) == [GenLabel(0, 3)]
-        assert ensemble_entries(merged) == [{GenLabel(0, 3): "1.0"}] * 2
-        together = SparseState({GenLabel(0, 3): 0.6, GenLabel(1, 3): 0.8})
+        assert labels_of(merged.fields) == [query_label(0, 3)]
+        assert ensemble_entries(merged) == [{query_label(0, 3): "1.0"}] * 2
+        together = SparseState({query_label(0, 3): 0.6, query_label(1, 3): 0.8})
         with pytest.raises(CollisionError):
             ts._permute_labels(together, merge)
-        with pytest.raises(CollisionError, match="of answer 1 both map to 0;3"):
+        with pytest.raises(CollisionError, match=r"of answer 1 both map to 0\|0,0;3"):
             permute_ensemble(
                 Ensemble.from_states([apart[0], together]), lifted_permutation(merge)
             )
@@ -503,14 +551,14 @@ class TestEnsemble:
 
     def test_constructors_put_the_labels_in_sort_key_order(self):
         # Each state and the two together list their labels against sort_key.
-        first = SparseState({TeamLabel(0, 0, 1): 0.6, GenLabel(3, 2): 0.8})
-        second = SparseState({GenLabel(3, 1): 0.6, TeamLabel(1, 2, 3): -0.8})
+        first = SparseState({TeamLabel(0, 0, 1): 0.6, query_label(3, 2): 0.8})
+        second = SparseState({query_label(3, 1): 0.6, TeamLabel(1, 2, 3): -0.8})
         states = [first, second]
         ensemble = Ensemble.from_states(states)
         assert_ensemble_invariants(ensemble)
         assert labels_of(ensemble.fields) == [
-            GenLabel(3, 1),
-            GenLabel(3, 2),
+            query_label(3, 1),
+            query_label(3, 2),
             TeamLabel(0, 0, 1),
             TeamLabel(1, 2, 3),
         ]
@@ -521,10 +569,17 @@ class TestEnsemble:
         assert one.size == 4
         assert ensemble_entries(one) == state_entries([empty, empty, second, empty])
 
-    def test_labels_too_wide_to_pack_are_grouped_row_by_row(self):
-        # The z row spans all of int64: no key built from the fields would fit.
-        big = (1 << 63) - 1
-        labels = [GenLabel(big, 1), GenLabel(0, 0), GenLabel(0, 1), GenLabel(7, 0)]
+    def test_routed_labels_near_2_to_the_62_are_grouped_row_by_row(self):
+        # Intervals of a list of 2^62 and an index at the top of int64: no key
+        # built from two fields would fit.
+        n = 1 << 62
+        labels = [
+            QueryLabel(0, 0, n - 1, n),
+            QueryLabel(1, 0, n - 1, n // 2 - 1),
+            QueryLabel(1, n - 2, n - 1, n - 2),
+            QueryLabel(0, n // 2, n - 1, (1 << 63) - 1),
+            QueryLabel(0, 0, 0, 0),
+        ]
         states = [SparseState({l: 0.5 for l in labels}), SparseState({labels[1]: 1.0})]
         ensemble = Ensemble.from_states(states)
         same = permute_ensemble(ensemble, lambda fields: fields)
@@ -540,20 +595,23 @@ class TestEnsemble:
 
     def test_only_real_amplitudes_enter(self):
         # A signed zero imaginary part is real; any other one is refused.
-        signed = SparseState({GenLabel(0, 0): complex(0.6, -0.0), GenLabel(1, 0): -0.8})
+        signed = SparseState(
+            {query_label(0, 0): complex(0.6, -0.0), query_label(1, 0): -0.8}
+        )
         ensemble = Ensemble.from_states([signed])
         assert_ensemble_invariants(ensemble)
         assert ensemble.amps.tolist() == [0.6, -0.8]
-        tilted = SparseState({GenLabel(1, 0): complex(0.6, 1e-20)})
+        tilted = SparseState({query_label(1, 0): complex(0.6, 1e-20)})
         with pytest.raises(
-            ValueError, match=r"must be real, got \(0.6\+1e-20j\) on 1;0 of answer 1"
+            ValueError, match=r"must be real, got \(0.6\+1e-20j\) on 0\|1,1;0 of answer 1"
         ):
             Ensemble.from_states([signed, tilted])
 
     def test_complex_coefficients_are_refused(self):
         # The per-state operator takes a phase; the ensemble refuses it.
-        state = SparseState({GenLabel(0, 0): 1.0})
-        assert apply_linear(state, lambda l: [(l, 1j)]).amplitude(GenLabel(0, 0)) == 1j
+        state = SparseState({query_label(0, 0): 1.0})
+        phased = apply_linear(state, lambda l: [(l, 1j)])
+        assert phased.amplitude(query_label(0, 0)) == 1j
         phase = lambda fields: (
             np.ones(fields.shape[1], dtype=np.intp),
             fields,
@@ -564,11 +622,11 @@ class TestEnsemble:
 
     def test_empty_ensemble(self):
         empty = Ensemble.from_states([])
-        assert empty.fields.shape == (4, 0)
+        assert empty.fields.shape == (5, 0)
         for got in (
             empty,
             apply_linear_ensemble(empty, lifted(pair_mixer)),
             permute_ensemble(empty, lambda fields: fields),
         ):
             assert_ensemble_invariants(got)
-            assert got.fields.shape == (4, 0)
+            assert got.fields.shape == (5, 0)

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from qordsearch.oracle import (
 )
 from qordsearch.qcore import (
     Ensemble,
-    GenLabel,
+    QueryLabel,
     SparseState,
     TeamLabel,
     apply_linear,
@@ -117,7 +118,7 @@ class TestArithmeticMidpoints:
             for marker in (0, 1):
                 label = TeamLabel(marker, lo, lo + length - 1)
                 [(routed, coeff)] = open_query(label)
-                assert routed.i == lower.hi and coeff == 1.0
+                assert routed == (*label, lower.hi) and coeff == 1.0
                 [(back, coeff)] = close_query(routed)
                 assert back == label and TeamLabel(*back) == back and coeff == 1.0
 
@@ -126,14 +127,13 @@ class TestArithmeticMidpoints:
         open_query, close_query = ts._bitwrite_query(n, bitwrite_length=8)
         [(routed, _)] = open_query(TeamLabel(1, 4, 7))
         with pytest.raises(ValueError):
-            close_query(GenLabel(routed.z, routed.i + 1))
-        # A length-1 interval [5,5] packed by hand: it has no midpoint.
-        z = ((5 * 2 * n + 5) << 1) | 1
+            close_query(QueryLabel(1, 4, 7, routed.i + 1))
+        # A length-1 interval [5,5] has no midpoint.
         for i in (3, 4, 5):
             with pytest.raises(ValueError):
-                close_query(GenLabel(z, i))
+                close_query(QueryLabel(1, 5, 5, i))
         with pytest.raises(TypeError):
-            open_query(GenLabel(0, 0))
+            open_query(QueryLabel(0, 0, 0, 0))
         with pytest.raises(TypeError):
             close_query(TeamLabel(1, 4, 7))
 
@@ -150,7 +150,8 @@ class TestArithmeticMidpoints:
                 label = TeamLabel(marker, lo, lo + length - 1)
                 [(park, c0), (probe, c1)] = open_query(label)
                 assert park.i == n and probe.i == lower.hi
-                assert park.z == probe.z ^ 1
+                assert (park.b, probe.b) == (0, 1)
+                assert park[1:3] == probe[1:3] == label[1:]
                 assert (c0, c1) == (ts._SQRT_HALF, sign * ts._SQRT_HALF)
                 for routed in (park, probe):
                     for image, _ in close_query(routed):
@@ -260,10 +261,10 @@ class TestTeamQuery:
         with pytest.raises(ValueError):
             close_step(routed)
 
-    def test_rejects_general_labels(self):
+    def test_rejects_routed_labels(self):
         open_step, _ = team_query_steps()
         with pytest.raises(TypeError):
-            open_step(SparseState.unit(GenLabel(0, 0)))
+            open_step(SparseState.unit(QueryLabel(0, 0, 0, 0)))
 
 
 # Each algorithm with the state it holds before its opening step.
@@ -311,9 +312,9 @@ class TestSchedule:
                 state = opening(inst, algo.r)
             for j, open_step in enumerate(open_steps(algo)):
                 opened = open_step(state)
-                # The oracle sees only general labels, and the close step
+                # The oracle sees only routed labels, and the close step
                 # takes them back to the team labels they came from.
-                assert all(isinstance(label, GenLabel) for label in opened.labels())
+                assert all(isinstance(label, QueryLabel) for label in opened.labels())
                 assert diff_norm(algo._rounds[j][0](opened), state) < 1e-12
                 queried = ts.oracle_mod.apply_query(opened, inst)
                 state = ts._run_steps(algo._rounds[j][:-1], queried)
@@ -517,7 +518,7 @@ class TestSteppableAlgorithms:
 
     def test_pinned_answer_rejects_unfinished_labels(self):
         assert ts._pinned_answer(TeamLabel(0, 5, 5)) == 5
-        for label in (TeamLabel(0, 4, 5), GenLabel(0, 5)):
+        for label in (TeamLabel(0, 4, 5), QueryLabel(0, 5, 5, 5)):
             with pytest.raises(ValueError):
                 ts._pinned_answer(label)
 
@@ -615,20 +616,72 @@ class TestEnsembleOutcomes:
         expected = f"need a step-1 range in 0 .. 8, got {answers!r}"
         assert error_text(algorithm.initial_ensemble, answers) == expected
 
-    def test_the_ensemble_path_stops_at_the_int64_tag_limit(self):
-        # Routed tags stay below 8n^2, which fits int64 up to n = 2^30.
-        assert ts.ENSEMBLE_SIZE_LIMIT == 1 << 30
-        exact = ts.run_ensemble(ts.BinarySearchAlgorithm(1 << 30), 5)
-        assert [(r.answer, r.queries) for r in exact] == [(5, 30)]
-        assert abs(exact[0].probability - 1.0) <= 1e-9
-        past = ts.BinarySearchAlgorithm(1 << 31)
-        assert error_text(ts.run_ensemble, past, 5) == (
-            "list size 2147483648 is past the ensemble limit 2**30 (int64 tags)"
+    @pytest.mark.parametrize(
+        "algorithm",
+        [ts.BinarySearchAlgorithm(1 << k) for k in (31, 40, 61, 62)]
+        + [ts.TeamCombineAlgorithm(1 << (2 * j + 1)) for j in range(31)],
+        ids=lambda algo: f"{type(algo).__name__}-2^{algo.n.bit_length() - 1}",
+    )
+    def test_one_answer_is_exact_at_every_int64_size(self, algorithm):
+        # The answer's start has a label per level, and no field or key
+        # multiplies two positions, so the sizes reach n = 2^62.
+        n = algorithm.n
+        for k in (0, n // 2, n - 1):
+            [result] = ts.run_ensemble(algorithm, k)
+            assert (result.answer, result.queries) == (k, algorithm.num_queries)
+            assert abs(result.probability - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [ts.BinarySearchAlgorithm(1 << 63), ts.TeamCombineAlgorithm(1 << 63)],
+        ids=lambda algo: type(algo).__name__,
+    )
+    def test_the_ensemble_path_refuses_positions_past_int64(self, algorithm):
+        assert error_text(ts.run_ensemble, algorithm, 5) == (
+            "list size 9223372036854775808 is past int64: need n < 2**63"
         )
-        # The per-instance path holds Python ints and has no limit.
-        result = ts.run_algorithm(past, OrderedInstance(1 << 31, 5))
-        assert (result.answer, result.queries) == (5, 31)
+        assert error_text(algorithm.initial_ensemble, range(5, 6)) == (
+            "list size 9223372036854775808 is past int64: need n < 2**63"
+        )
+
+    @pytest.mark.parametrize("n", [1 << 31, 1 << 63])
+    def test_the_per_instance_path_has_no_size_limit(self, n):
+        # It holds Python ints.
+        result = ts.run_algorithm(ts.BinarySearchAlgorithm(n), OrderedInstance(n, 5))
+        assert (result.answer, result.queries) == (5, n.bit_length() - 1)
         assert abs(result.probability - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("k", [(1 << 62) // 3, (1 << 62) - 1])
+    def test_one_answer_keys_are_relative_to_the_answer(self, k):
+        # Each key counts answers from the one answer held: a key from the
+        # answer itself would name answer 0 here, or read another outcome.
+        n = 1 << 62
+        lo = k - k % 4
+        labels = [TeamLabel(0, lo, lo + 1), TeamLabel(1, lo, lo + 3)]
+        ensemble = Ensemble(
+            n,
+            qcore.label_fields(labels),
+            np.array([0, 1]),
+            np.array([k, k]),
+            np.array([0.8, 0.6]),
+        )
+        with pytest.raises(ts.CollisionError) as collided:
+            qcore.permute_ensemble(ensemble, lambda f: ts._halving_fields(f, 4))
+        assert str(collided.value) == (
+            f"labels 0|{lo},{lo + 1} and 1|{lo},{lo + 3} of answer {k} "
+            f"both map to 0|{lo},{lo + 1}"
+        )
+        pinned = [TeamLabel(0, k - 1, k - 1), TeamLabel(0, k, k)]
+        final = Ensemble(
+            n,
+            qcore.label_fields(pinned),
+            np.array([0, 1]),
+            np.array([k, k]),
+            np.array([0.6, 0.8]),
+        )
+        algorithm = ts.BinarySearchAlgorithm(n)
+        [result] = ts.measure_ensemble(algorithm, final, [k])
+        assert result == (k, 0.8**2, 62)
 
     def test_sums_per_position_and_ties_match_run_algorithm(self):
         # Labels pinning one position add up; equal outcomes go to the
@@ -737,7 +790,9 @@ class TestFieldMaps:
 
     @pytest.mark.parametrize("s", [2, 4, 8, 16, 32])
     def test_mix_and_halving(self, s):
-        labels = self.labels() + [GenLabel(3, 4)]
+        # Routed labels pass through, the last one whose row fields would
+        # read as a length-2 interval [0, 1].
+        labels = self.labels() + [QueryLabel(1, 4, 7, 5), QueryLabel(1, 0, 1, 0)]
         mix = lambda label: ts._mix(label, s)
         assert field_images(lambda f: ts._mix_fields(f, s), labels) == linear_images(
             mix, labels
@@ -767,19 +822,21 @@ class TestFieldMaps:
                 Ensemble.from_states([state] * 8), open_fields
             ),
         )
-        assert got == expected == f"GenLabel fields must be non-negative, got {b};-1"
+        assert got == expected == "query index must be non-negative, got -1"
 
-    def test_route_refuses_a_gen_label(self):
+    def test_route_refuses_a_routed_label(self):
         open_query, _ = ts._bitwrite_query(8, 8)
         open_fields, _ = ts._bitwrite_fields(8, 8)
-        state = SparseState({TeamLabel(0, 0, 7): 0.6, GenLabel(3, 2): 0.8})
+        state = SparseState({TeamLabel(0, 0, 7): 0.6, QueryLabel(1, 0, 3, 1): 0.8})
         expected, got = same_error(
             lambda: apply_linear(state, open_query),
             lambda: qcore.apply_linear_ensemble(
                 Ensemble.from_states([state] * 8), open_fields
             ),
         )
-        assert got == expected == "expected a TeamLabel, got GenLabel(z=3, i=2)"
+        assert got == expected == (
+            "expected a TeamLabel, got QueryLabel(b=1, lo=0, hi=3, i=1)"
+        )
 
     def test_unroute_refuses_a_team_label(self):
         open_query, close_query = ts._bitwrite_query(8, 8)
@@ -792,43 +849,40 @@ class TestFieldMaps:
                 Ensemble.from_states([state] * 8), close_fields
             ),
         )
-        assert got == expected == "expected a GenLabel, got TeamLabel(b=1, lo=4, hi=7)"
+        assert got == expected == "expected a QueryLabel, got TeamLabel(b=1, lo=4, hi=7)"
 
     @pytest.mark.parametrize(
-        "lo, hi, b, shift, message",
+        "label, message",
         [
-            (4, 7, 1, 1, "label 233;6 does not sit on its routed query index"),
-            (5, 5, 1, 0, "label 171;4 does not sit on its routed query index"),
-            (1, 2, 0, 0, "interval [1,2] is not dyadically aligned"),
-            (0, 2, 0, 0, "interval length 3 is not a power of two"),
-            (3, 1, 0, 0, "need 0 <= lo <= hi, got lo=3, hi=1"),
+            # Off the midpoint index of [4, 7], which is 5.
+            (QueryLabel(1, 4, 7, 6), "label 1|4,7;6"),
+            # A length-1 interval has no midpoint.
+            (QueryLabel(1, 5, 5, 4), "label 1|5,5;4"),
+            # Marker 0 on the bit-write length parks at the padding index 8.
+            (QueryLabel(0, 0, 7, 3), "label 0|0,7;3"),
         ],
     )
-    def test_unroute_refuses_an_unrouted_label(self, lo, hi, b, shift, message):
-        # Packed by hand, on the midpoint index the routing would give.
+    def test_unroute_refuses_a_label_off_its_routed_index(self, label, message):
         n = 8
         _, close_query = ts._bitwrite_query(n, 8)
         _, close_fields = ts._bitwrite_fields(n, 8)
-        z = ((hi * 2 * n + lo) << 1) | b
-        bad = GenLabel(z, lo + (hi - lo + 1) // 2 - 1 + shift)
-        state = SparseState({GenLabel(((7 * 2 * n) << 1) | 1, 3): 0.6, bad: 0.8})
+        state = SparseState({QueryLabel(1, 0, 7, 3): 0.6, label: 0.8})
         expected, got = same_error(
             lambda: apply_linear(state, close_query),
             lambda: qcore.apply_linear_ensemble(
                 Ensemble.from_states([state] * n), close_fields
             ),
         )
-        assert got == expected
-        assert expected.endswith(message)
+        assert got == expected == f"{message} does not sit on its routed query index"
 
     def test_query_refuses_a_team_label(self):
-        state = SparseState({GenLabel(0, 1): 0.6, TeamLabel(0, 0, 1): 0.8})
+        state = SparseState({QueryLabel(0, 0, 0, 1): 0.6, TeamLabel(0, 0, 1): 0.8})
         expected, got = same_error(
             lambda: apply_query(state, OrderedInstance(2, 0)),
             lambda: apply_query_ensemble(Ensemble.from_states([state] * 2)),
         )
         assert got == expected == (
-            "apply_query acts on GenLabel states only, found TeamLabel(b=0, lo=0, hi=1)"
+            "apply_query acts on QueryLabel states only, found TeamLabel(b=0, lo=0, hi=1)"
         )
 
     def test_refine_collision_names_both_labels_and_the_answer(self):
@@ -851,18 +905,22 @@ class TestFieldMaps:
 class TestNoPerLabelPython:
     """The ensemble path builds no state or tuple label, and calls no tuple map."""
 
-    def test_no_mix_call_no_gen_label_and_no_state(self, monkeypatch):
-        counts = {"mix": 0, "gen": 0, "state": 0}
-        mix, gen_new = ts._mix, GenLabel.__new__
+    def test_no_mix_call_no_query_label_and_no_state(self, monkeypatch):
+        counts = {"mix": 0, "query": 0, "state": 0}
+        mix, query_new, unchecked_query = ts._mix, QueryLabel.__new__, ts._QUERY
         state_init, relabelled = SparseState.__init__, SparseState._relabelled
 
         def counted_mix(*args):
             counts["mix"] += 1
             return mix(*args)
 
-        def counted_gen(cls, *args):
-            counts["gen"] += 1
-            return gen_new(cls, *args)
+        def counted_query(cls, *args):
+            counts["query"] += 1
+            return query_new(cls, *args)
+
+        def counted_unchecked_query(fields):
+            counts["query"] += 1
+            return unchecked_query(fields)
 
         def counted_init(self, *args):
             counts["state"] += 1
@@ -873,14 +931,15 @@ class TestNoPerLabelPython:
             return relabelled(*args)
 
         monkeypatch.setattr(ts, "_mix", counted_mix)
-        monkeypatch.setattr(GenLabel, "__new__", counted_gen)
+        monkeypatch.setattr(QueryLabel, "__new__", counted_query)
+        monkeypatch.setattr(ts, "_QUERY", counted_unchecked_query)
         monkeypatch.setattr(SparseState, "__init__", counted_init)
         monkeypatch.setattr(SparseState, "_relabelled", classmethod(counted_relabelled))
         # The counters see the tuple path.
         binary = ts.BinarySearchAlgorithm(4)
         binary.advance(0, binary.initial_state(), OrderedInstance(4, 1))
-        assert counts["mix"] > 0 and counts["gen"] > 0 and counts["state"] > 1
-        counts.update(mix=0, gen=0, state=0)
+        assert counts["mix"] > 0 and counts["query"] > 0 and counts["state"] > 1
+        counts.update(mix=0, query=0, state=0)
 
         algorithm = ts.TeamCombineAlgorithm(512)
         w = lb.WeightSpec.inverse_distance(512)
@@ -898,7 +957,7 @@ class TestNoPerLabelPython:
             ["trajectory", "--algo", "binary", "--n", "16"],
         ):
             assert runner.invoke(main, args).exit_code == 0
-        assert counts == {"mix": 0, "gen": 0, "state": 0}
+        assert counts == {"mix": 0, "query": 0, "state": 0}
 
 
 def brute_force_known_bits(n, j):
