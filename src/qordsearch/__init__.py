@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* :mod:`qordsearch.qcore`: sparse complex states over structured labels.
+* :mod:`qordsearch.qcore`: sparse real states over structured labels.
 * :mod:`qordsearch.oracle`: ordered-search instances and the query operator.
 * :mod:`qordsearch.lowerbound`: weighted all-pairs overlap machinery, drop
   chains, inverse-distance matrix norms, and query lower bounds.

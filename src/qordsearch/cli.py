@@ -164,8 +164,8 @@ def trajectory(ctx, algo, n, fmt, out):
             "steps": [
                 {
                     "j": step.j,
-                    "W_re": step.overlap.real,
-                    "W_im": step.overlap.imag,
+                    "W_re": step.overlap,
+                    "W_im": 0.0,
                     "drop_abs": None if step.drop is None else abs(step.drop),
                 }
                 for step in record.steps

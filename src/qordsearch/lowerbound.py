@@ -56,7 +56,9 @@ the ``simulate`` command also runs:
 An algorithm with ``num_queries == 0`` needs no ``_rounds``. The per-answer
 ``initial_state(instance)`` and ``advance(j, state, instance)`` of the
 algorithms build and run the same states one instance at a time; they are
-the reference the ensemble path is tested against.
+the reference the ensemble path is tested against, and they refuse an
+instance whose list size is not the algorithm's ``n``. Amplitudes are real
+on both paths, so W and every drop are ``float``s.
 """
 from __future__ import annotations
 
@@ -218,7 +220,7 @@ def _check_state_count(count: int, w: WeightSpec) -> None:
 _BATCH_ENTRIES = 1 << 16
 
 
-def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> complex:
+def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> float:
     """Sum of w(a_p, a_q) * x_p * x_q over the pairs of each block.
 
     The entries (``answers``, real ``amps``) are grouped into blocks by the block
@@ -233,12 +235,11 @@ def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> complex:
     batched real FFTs of at most ``_BATCH_ENTRIES`` entries, one row per
     block; every left entry then takes its product, and the products are
     summed in entry order, so the result does not depend on the batching.
-    The sum is returned as a ``complex`` with imaginary part 0. The peak
-    memory of a chain-verified run grows linearly in n (README.md gives
-    measured figures).
+    The sum is a ``float``. The peak memory of a chain-verified run grows
+    linearly in n (README.md gives measured figures).
     """
     if not len(answers):
-        return 0j
+        return 0.0
     first = np.diff(blocks, prepend=blocks[0] - 1) != 0
     block = np.cumsum(first) - 1
     starts = np.flatnonzero(first)
@@ -281,10 +282,10 @@ def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> complex:
             sums = correlated[entry_position[ls] - p0, entry_cols[ls]]
             products[ls] = amps[ls] * sums
         group_start = group_end
-    return complex(products.sum())
+    return float(products.sum().real)
 
 
-def weighted_overlap(ensemble: Ensemble, w: WeightSpec) -> complex:
+def weighted_overlap(ensemble: Ensemble, w: WeightSpec) -> float:
     """The weighted all-pairs inner product of one state per answer.
 
     Only answers sharing a basis label overlap, so the sum runs over the
@@ -299,10 +300,10 @@ def weighted_overlap(ensemble: Ensemble, w: WeightSpec) -> complex:
 
 def _reference_weighted_overlap(
     states: Sequence[SparseState], w: WeightSpec
-) -> complex:
+) -> float:
     """Per-pair loop form of :func:`weighted_overlap`, kept for the tests."""
     _check_state_count(len(states), w)
-    total = 0j
+    total = 0.0
     for a in range(w.n):
         for b in range(w.n):
             wt = w(a, b)
@@ -457,7 +458,7 @@ def mass_profile(ensemble: Ensemble) -> MassProfile:
     return MassProfile(ensemble, index, np.sqrt(gammas_sq), np.sqrt(deltas_sq))
 
 
-def pairwise_drop(profile: MassProfile, w: WeightSpec) -> complex:
+def pairwise_drop(profile: MassProfile, w: WeightSpec) -> float:
     """The per-query drop recomputed from the queried label columns.
 
     Equals ``W_j - W_(j+1)`` exactly (up to float error) when the round is
@@ -467,7 +468,7 @@ def pairwise_drop(profile: MassProfile, w: WeightSpec) -> complex:
     ensemble = profile.ensemble
     label_ids, answers, amps = ensemble.label_ids, ensemble.answers, ensemble.amps
     if not len(answers):
-        return 0j
+        return 0.0
     left = answers <= profile.index
     # Only a column with answers on both sides of its index holds a pair.
     left_count = np.bincount(label_ids, left)
@@ -478,19 +479,19 @@ def pairwise_drop(profile: MassProfile, w: WeightSpec) -> complex:
     )
 
 
-def _reference_pairwise_drop(states: Sequence[SparseState], w: WeightSpec) -> complex:
+def _reference_pairwise_drop(states: Sequence[SparseState], w: WeightSpec) -> float:
     """Per-pair loop form of :func:`pairwise_drop`, kept for the tests."""
     n = len(states)
-    total = 0j
+    total = 0.0
     for a in range(n):
         for b in range(a + 1, n):
             wt = w(a, b)
             if wt == 0.0:
                 continue
-            overlap = 0j
+            overlap = 0.0
             for label, amp in states[a].items():
                 if a <= query_index(label) < b:
-                    overlap += amp.conjugate() * states[b].amplitude(label)
+                    overlap += amp * states[b].amplitude(label)
             total += wt * overlap
     return 2.0 * total
 
@@ -550,7 +551,7 @@ def _require_inverse_distance(w: WeightSpec) -> None:
 
 
 def verify_drop_chain(
-    profile: MassProfile, drop: complex, w: WeightSpec
+    profile: MassProfile, drop: float, w: WeightSpec
 ) -> ChainReport:
     """Check the drop chain for one (query, unitary) round.
 
@@ -614,8 +615,8 @@ def verify_drop_chain(
 @dataclass
 class StepRecord:
     j: int
-    overlap: complex
-    drop: complex | None  # W_j - W_(j+1); None on the final step
+    overlap: float
+    drop: float | None  # W_j - W_(j+1); None on the final step
 
 
 @dataclass
@@ -628,14 +629,14 @@ class TrajectoryRecord:
     chain_reports: list[ChainReport] | None = None
 
     @property
-    def initial_overlap(self) -> complex:
+    def initial_overlap(self) -> float:
         return self.steps[0].overlap
 
     @property
-    def final_overlap(self) -> complex:
+    def final_overlap(self) -> float:
         return self.steps[-1].overlap
 
-    def drops(self) -> list[complex]:
+    def drops(self) -> list[float]:
         return [s.drop for s in self.steps if s.drop is not None]
 
     def max_drop_abs(self) -> float:
@@ -643,18 +644,18 @@ class TrajectoryRecord:
 
     def telescoping_error(self) -> float:
         """|W_0 - W_T - sum of drops|; zero up to float error by construction."""
-        return abs(self.initial_overlap - self.final_overlap - sum(self.drops(), 0j))
+        return abs(self.initial_overlap - self.final_overlap - sum(self.drops()))
 
     def bound_satisfied(self) -> bool:
         return self.max_drop_abs() <= self.bound + DROP_TOL
 
     def to_csv(self) -> str:
+        # W is real: its W_im column is kept, always 0.
         lines = ["j,W_re,W_im,drop_abs,bound"]
         for step in self.steps:
             drop_abs = "" if step.drop is None else f"{abs(step.drop):.17g}"
             lines.append(
-                f"{step.j},{step.overlap.real:.17g},{step.overlap.imag:.17g},"
-                f"{drop_abs},{self.bound:.17g}"
+                f"{step.j},{step.overlap:.17g},0,{drop_abs},{self.bound:.17g}"
             )
         return "".join(line + "\n" for line in lines)
 

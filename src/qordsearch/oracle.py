@@ -66,7 +66,7 @@ def apply_query(state: SparseState, inst: OrderedInstance) -> SparseState:
     sign flip moves no magnitude, so the result reuses the input's norm.
     """
     n, answer = inst.n, inst.answer
-    out: dict[QueryLabel, complex] = {}
+    out: dict[QueryLabel, float] = {}
     for label, amp in state._entries.items():
         if not isinstance(label, QueryLabel):
             raise _not_a_query_label(label)

@@ -1,6 +1,6 @@
 """Sparse state vectors over structured basis labels.
 
-A state is a finite map from basis labels to complex amplitudes. Two label
+A state is a finite map from basis labels to real amplitudes. Two label
 families cover the two search models implemented in this package:
 
 * ``TeamLabel(b, lo, hi)``: a marker bit plus an inclusive, dyadically
@@ -25,12 +25,12 @@ order of the columns is the label order, the order they are kept in; the
 entries are kept label by label. An instance-independent operator is one
 numpy function of those fields, called once per step rather than once per
 label or per (answer, label); the ensemble operations give, entry for
-entry, the bits of the real parts of the per-state operations. Every
-operator in use has real coefficients (+/-sqrt(1/2), sign flips,
-relabellings), so its amplitudes are float64 and complex ones are refused;
-a ``SparseState`` stays complex, the general form it is tested against. A
-field beyond int64 does not fit, and no key multiplies two fields: entries
-are grouped through dense label ids times the span of their answers.
+entry, the bits of the per-state operations. Every operator in use has
+real coefficients (+/-sqrt(1/2), sign flips, relabellings), so amplitudes
+are real on both paths: floats in a ``SparseState``, one float64 array in
+an ``Ensemble``. A field beyond int64 does not fit, and no key multiplies
+two fields: entries are grouped through dense label ids times the span of
+their answers.
 """
 from __future__ import annotations
 
@@ -122,6 +122,7 @@ BasisLabel = QueryLabel | TeamLabel
 class SparseState:
     """Immutable sparse state: a finite label -> amplitude map.
 
+    Amplitudes are stored as floats, and a complex one raises ``ValueError``.
     Construction prunes entries with magnitude below ``PRUNE_EPS``, raises
     ``ValueError`` when an amplitude or the squared 2-norm is not finite, and
     sets ``normalized`` when the squared 2-norm is within ``NORM_TOL`` of one.
@@ -129,17 +130,18 @@ class SparseState:
 
     __slots__ = ("_entries", "_norm_sq", "normalized")
 
-    def __init__(self, entries: Mapping[BasisLabel, complex]):
-        kept: dict[BasisLabel, complex] = {}
+    def __init__(self, entries: Mapping[BasisLabel, float]):
+        kept: dict[BasisLabel, float] = {}
         for label, amp in entries.items():
-            a = complex(amp)
+            if type(amp) is not float:
+                if isinstance(amp, (complex, np.complexfloating)):
+                    raise ValueError(f"amplitudes must be real, got {amp!r} on {label}")
+                amp = float(amp)
             # Written so that NaN is kept, to fail the finiteness check below.
-            if not abs(a) < PRUNE_EPS:
-                kept[label] = a
+            if not abs(amp) < PRUNE_EPS:
+                kept[label] = amp
         self._entries = kept
-        self._norm_sq = math.fsum(
-            a.real * a.real + a.imag * a.imag for a in kept.values()
-        )
+        self._norm_sq = math.fsum(a * a for a in kept.values())
         if not math.isfinite(self._norm_sq):
             raise ValueError(
                 f"amplitudes must be finite, got squared norm {self._norm_sq}"
@@ -152,7 +154,7 @@ class SparseState:
 
     @classmethod
     def _relabelled(
-        cls, entries: dict[BasisLabel, complex], source: "SparseState"
+        cls, entries: dict[BasisLabel, float], source: "SparseState"
     ) -> "SparseState":
         """State holding ``source``'s amplitudes up to relabelling and sign.
 
@@ -167,15 +169,15 @@ class SparseState:
         state.normalized = source.normalized
         return state
 
-    def items(self) -> list[tuple[BasisLabel, complex]]:
+    def items(self) -> list[tuple[BasisLabel, float]]:
         """Entries in canonical (sorted) label order."""
         return sorted(self._entries.items(), key=lambda kv: kv[0].sort_key)
 
     def labels(self) -> list[BasisLabel]:
         return [label for label, _ in self.items()]
 
-    def amplitude(self, label: BasisLabel) -> complex:
-        return self._entries.get(label, 0j)
+    def amplitude(self, label: BasisLabel) -> float:
+        return self._entries.get(label, 0.0)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -190,34 +192,32 @@ class SparseState:
         return math.sqrt(self._norm_sq)
 
     def dump(self) -> str:
-        """Canonical text form: one ``label TAB re TAB im`` line per entry."""
-        lines = [
-            f"{label}\t{amp.real:.17g}\t{amp.imag:.17g}" for label, amp in self.items()
-        ]
-        return "".join(line + "\n" for line in lines)
+        """Canonical text form: one ``label TAB amplitude`` line per entry."""
+        return "".join(f"{label}\t{amp:.17g}\n" for label, amp in self.items())
 
     def __repr__(self) -> str:
         return f"SparseState({len(self)} labels, norm={self.norm():.6g})"
 
 
-def inner_product(s1: SparseState, s2: SparseState) -> complex:
-    """<s1|s2> = sum over shared labels of conj(amp1) * amp2."""
-    small, big, flip = s1, s2, False
+def inner_product(s1: SparseState, s2: SparseState) -> float:
+    """<s1|s2> = sum over shared labels of amp1 * amp2.
+
+    The sum is ``math.fsum``'s, rounded once, so it does not depend on the
+    order of the terms and <s1|s2> equals <s2|s1> bit for bit.
+    """
     if len(s2) < len(s1):
-        small, big, flip = s2, s1, True
-    total = 0j
-    for label, amp in small._entries.items():
-        other = big._entries.get(label)
-        if other is not None:
-            total += amp.conjugate() * other if not flip else other.conjugate() * amp
-    return total
+        s1, s2 = s2, s1
+    other = s2._entries
+    return math.fsum(
+        amp * other[label] for label, amp in s1._entries.items() if label in other
+    )
 
 
 def diff_norm(s1: SparseState, s2: SparseState) -> float:
     """2-norm of the difference of two states."""
     labels = set(s1._entries) | set(s2._entries)
     return math.sqrt(
-        math.fsum(abs(s1.amplitude(l) - s2.amplitude(l)) ** 2 for l in labels)
+        math.fsum((s1.amplitude(l) - s2.amplitude(l)) ** 2 for l in labels)
     )
 
 
@@ -228,7 +228,7 @@ def apply_diagonal_phase(
 
     Exactly norm-preserving: the only arithmetic is sign flips.
     """
-    out: dict[BasisLabel, complex] = {}
+    out: dict[BasisLabel, float] = {}
     for label, amp in s._entries.items():
         sign = phase_of(label)
         if sign not in (1, -1):
@@ -239,20 +239,19 @@ def apply_diagonal_phase(
 
 def apply_linear(
     s: SparseState,
-    op: Callable[[BasisLabel], Iterable[tuple[BasisLabel, complex]]],
+    op: Callable[[BasisLabel], Iterable[tuple[BasisLabel, float]]],
 ) -> SparseState:
     """Apply a unitary operator given by the image of each basis label.
 
-    ``op`` maps a label to a finite list of (label, coefficient) pairs. A
-    2-norm drift beyond ``NORM_TOL`` raises :class:`NormDriftError`.
+    ``op`` maps a label to a finite list of (label, real coefficient) pairs;
+    a complex one makes a sum complex, which the result refuses. A 2-norm
+    drift beyond ``NORM_TOL`` raises :class:`NormDriftError`.
     """
-    acc: dict[BasisLabel, complex] = {}
+    acc: dict[BasisLabel, float] = {}
     get = acc.get
-    # ``amp * coeff`` promotes a real ``coeff`` exactly as complex(coeff)
-    # would, so no explicit conversion is needed for the same bits.
     for label, amp in s._entries.items():
         for out_label, coeff in op(label):
-            acc[out_label] = get(out_label, 0j) + amp * coeff
+            acc[out_label] = get(out_label, 0.0) + amp * coeff
     result = SparseState(acc)
     drift = abs(math.sqrt(result._norm_sq) - math.sqrt(s._norm_sq))
     if drift > NORM_TOL:
@@ -276,14 +275,14 @@ def measure_distribution(
     """Outcome distribution of a computational-basis measurement.
 
     Labels are grouped by ``classify``; the probability of an outcome is the
-    summed squared magnitude of its labels. The input must be normalized.
+    summed ``amp * amp`` of its labels. The input must be normalized.
     """
     if not s.normalized:
         raise _unnormalized_error(s.squared_norm())
     probs: dict = {}
     for label, amp in s.items():
         tag = classify(label)
-        probs[tag] = probs.get(tag, 0.0) + abs(amp) ** 2
+        probs[tag] = probs.get(tag, 0.0) + amp * amp
     return probs
 
 
@@ -368,19 +367,14 @@ class Ensemble(NamedTuple):
 
     @classmethod
     def from_states(cls, states: Sequence[SparseState]) -> "Ensemble":
-        """The ensemble whose answer ``a`` holds ``states[a]``, each amplitude real."""
+        """The ensemble whose answer ``a`` holds ``states[a]``."""
         ids: dict = {}
         label_ids, answers, amps = [], [], []
         for answer, state in enumerate(states):
             for label, amp in state._entries.items():
-                if amp.imag:
-                    raise ValueError(
-                        f"ensemble amplitudes must be real, got {amp!r} "
-                        f"on {label} of answer {answer}"
-                    )
                 label_ids.append(ids.setdefault(label, len(ids)))
                 answers.append(answer)
-                amps.append(amp.real)
+                amps.append(amp)
         rank, fields = _distinct_columns(label_fields(list(ids)))
         label_ids = rank[np.array(label_ids, dtype=np.intp)]
         answers = np.array(answers, dtype=np.intp)

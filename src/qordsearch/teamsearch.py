@@ -23,9 +23,9 @@ Binary search is the r = 1 case of the same operators: a team of one
 computer whose every round is the bit-writing query on its own interval
 followed by one refinement. Both steppable algorithms are data: opening
 levels (interval length, marker, amplitude; binary search has the one level
-of the whole list) and one ``_schedule``'s steps. One shared ``advance``
-composes them for one instance; one shared ``initial_ensemble`` builds the
-starts of a contiguous answer range from the levels, which
+of the whole list) and one ``_schedule``'s steps. Shared ``initial_state``
+and ``advance`` run them for one instance of the algorithm's size; a shared
+``initial_ensemble`` builds the starts of a contiguous answer range, which
 :func:`ensemble_snapshots` evolves at once, and :func:`run_ensemble` reads
 each answer's outcome off the final ensemble, with :func:`run_algorithm`'s
 bits. The module also provides the classical binary-search reference, the
@@ -101,7 +101,7 @@ def _permute_labels(
     state: SparseState, image_of: Callable[[BasisLabel], BasisLabel]
 ) -> SparseState:
     """Relabel a state through an injective map; exact, no float arithmetic."""
-    out: dict[BasisLabel, complex] = {}
+    out: dict[BasisLabel, float] = {}
     for label, amp in state._entries.items():
         image = image_of(label)
         if image in out:
@@ -422,17 +422,6 @@ def _opening_levels(r: int):
         yield (2 * r) >> j, 0 if j == 0 else 1, math.sqrt(count / r)
 
 
-def opening_state(inst: OrderedInstance, r: int) -> SparseState:
-    """The team's joint state entering a combine round: per level of
-    :func:`_opening_levels`, the block of its length that holds the answer."""
-    _require_sublists(inst.n, r)
-    entries = {}
-    for length, marker, amp in _opening_levels(r):
-        lo = inst.answer // length * length
-        entries[TeamLabel(marker, lo, lo + length - 1)] = amp
-    return SparseState(entries)
-
-
 def default_team_size(n: int) -> int:
     """Computer count for a full team run: n/2 up to n=8, else n = 2*r*r."""
     if n in (2, 4, 8):
@@ -458,8 +447,27 @@ def _pinned_answer(label: BasisLabel) -> int:
 
 
 # Both algorithms run the rounds of :func:`_schedule`, from a state that its
-# opening steps have opened. Each class binds the one ``advance`` and the one
-# ``initial_ensemble`` in its own body so that each can be traced by name.
+# opening steps have opened. Each class binds ``initial_state``, ``advance``
+# and ``initial_ensemble`` in its own body so that each can be traced by name.
+
+
+def _require_list_size(self, inst: OrderedInstance) -> None:
+    """Refuse an instance of another list size than the algorithm's."""
+    if inst.n != self.n:
+        raise ValueError(
+            f"{type(self).__name__} is built for list size {self.n}, not {inst.n}"
+        )
+
+
+def _initial_state(self, inst: OrderedInstance) -> SparseState:
+    """The state of ``inst`` entering query 0: per level of ``self._levels``,
+    the block of its length that holds the answer, through the opening steps."""
+    _require_list_size(self, inst)
+    entries = {}
+    for length, marker, amp in self._levels:
+        lo = inst.answer // length * length
+        entries[TeamLabel(marker, lo, lo + length - 1)] = amp
+    return _run_steps(self._opening, SparseState(entries))
 
 
 def _advance(self, j: int, state: SparseState, inst: OrderedInstance) -> SparseState:
@@ -468,6 +476,7 @@ def _advance(self, j: int, state: SparseState, inst: OrderedInstance) -> SparseS
         raise ValueError(
             f"{type(self).__name__} has {self.num_queries} steps, got step {j}"
         )
+    _require_list_size(self, inst)
     return _run_steps(self._rounds[j], oracle_mod.apply_query(state, inst))
 
 
@@ -536,6 +545,7 @@ class TeamCombineAlgorithm:
     after which one length-1 interval at the answer holds all the mass.
     """
 
+    initial_state = _initial_state
     advance = _advance
     initial_ensemble = _initial_ensemble
 
@@ -546,9 +556,6 @@ class TeamCombineAlgorithm:
         self.num_queries = 1
         self._levels = list(_opening_levels(self.r))
         self._opening, self._rounds = _schedule(n, [2 * self.r], [_halvings(self.r)])
-
-    def initial_state(self, inst: OrderedInstance) -> SparseState:
-        return _run_steps(self._opening, opening_state(inst, self.r))
 
 
 class BinarySearchAlgorithm:
@@ -565,6 +572,7 @@ class BinarySearchAlgorithm:
     log2(n) queries.
     """
 
+    initial_state = _initial_state
     advance = _advance
     initial_ensemble = _initial_ensemble
 
@@ -575,9 +583,6 @@ class BinarySearchAlgorithm:
         lengths = _halvings(n)
         self.num_queries = len(lengths)
         self._opening, self._rounds = _schedule(n, lengths, [()] * len(lengths))
-
-    def initial_state(self, inst: OrderedInstance | None = None) -> SparseState:
-        return _run_steps(self._opening, SparseState.unit(TeamLabel(0, 0, self.n - 1)))
 
 
 class SimulationResult(NamedTuple):
@@ -605,7 +610,7 @@ def measure_ensemble(algorithm, ensemble: Ensemble, answers) -> list[SimulationR
     with the same bits: each measured answer must be normalized, every label
     must pin one position, which is its outcome (:func:`_pinned_answer`
     raises for the first that does not), an outcome's probability is the sum
-    of ``abs(amp) ** 2`` over its labels in label sort order, and the most
+    of ``amp * amp`` over its labels in label sort order, and the most
     likely outcome wins, the first in that order on a tie.
     """
     answers = np.asarray(answers, dtype=np.intp)
@@ -624,10 +629,8 @@ def measure_ensemble(algorithm, ensemble: Ensemble, answers) -> list[SimulationR
     # order of the per-state sums.
     outcomes, outcome_ids = np.unique(pinned, return_inverse=True)
     keys = outcome_ids[ensemble.label_ids[measured]] * count + (held - low)
-    # Python's abs(amp) ** 2 (a pow call) and numpy's square differ in the last bit.
-    masses = [abs(amp) ** 2 for amp in amps.tolist()]
     keys, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    probabilities = np.bincount(group, masses, minlength=len(keys))
+    probabilities = np.bincount(group, amps * amps, minlength=len(keys))
     # Per answer, the most likely outcome, and the first to appear on a tie.
     owners = keys % count
     best = np.lexsort((first, -probabilities, owners))

@@ -20,6 +20,7 @@ from qordsearch import lowerbound as lb
 from qordsearch import teamsearch as ts
 from qordsearch.oracle import OrderedInstance, enumerate_instances
 from qordsearch.qcore import SparseState, TeamLabel, diff_norm
+from test_teamsearch import opening_state
 
 PROB_TOL = 1e-9
 STAGE_TOL = 1e-12
@@ -120,7 +121,7 @@ def test_criterion_1_worked_example_fidelity():
         inst = OrderedInstance(8, 5)
         algo = ts.TeamCombineAlgorithm(8)
         # The opening state, then the state after each of the round's steps.
-        stages = [ts.opening_state(inst, algo.r)]
+        stages = [opening_state(algo, inst)]
         state = ts.oracle_mod.apply_query(algo.initial_state(inst), inst)
         for step in algo._rounds[0]:
             state = step(state)

@@ -245,8 +245,8 @@ class TestOutputDiscipline:
             n=2,
             bound=2 * math.pi,
             steps=[
-                lb.StepRecord(0, complex(100.0), complex(99.0)),
-                lb.StepRecord(1, complex(1.0), None),
+                lb.StepRecord(0, 100.0, 99.0),
+                lb.StepRecord(1, 1.0, None),
             ],
         )
         assert not record.bound_satisfied()

@@ -155,7 +155,7 @@ class TestWeightedOverlap:
         n = 6
         w = lb.WeightSpec.inverse_distance(n)
         states = [SparseState.unit(query_label(a, 0)) for a in range(n)]
-        assert lb.weighted_overlap(Ensemble.from_states(states), w) == 0j
+        assert lb.weighted_overlap(Ensemble.from_states(states), w) == 0.0
 
     def test_two_answer_half_overlap(self):
         w = lb.WeightSpec.inverse_distance(2)
@@ -518,7 +518,7 @@ class TestDropChain:
         w = lb.WeightSpec.inverse_distance(n)
         _, _, states = binary_prequery_states(n)
         profile = lb.mass_profile(Ensemble.from_states(states))
-        report = lb.verify_drop_chain(profile, complex("nan"), w)
+        report = lb.verify_drop_chain(profile, math.nan, w)
         assert not report.holds
         assert report.failures[0].startswith("drop nan exceeds")
         assert report.failures[-1].startswith("pair identity error nan")
@@ -654,10 +654,10 @@ def row_dot_gram(blocks, w):
     Each block is ``(left_answers, left_amps, right_answers, right_amps)``;
     each left answer's row of weights takes one dot with the right amplitudes.
     """
-    total = 0j
+    total = 0.0
     for left_a, left_x, right_a, right_x in blocks:
         rows = [w.kernel[right_a - a + w.n - 1] @ right_x for a in left_a.tolist()]
-        total += complex(np.vdot(left_x, np.array(rows)))
+        total += float(left_x @ np.array(rows))
     return total
 
 
@@ -770,14 +770,8 @@ def ensemble_entries(ensemble):
 
 
 def state_entries(states):
-    """Each state's ``{label: repr(real part)}``; no amplitude has an imaginary part.
-
-    The per-state operators carry a signed zero imaginary part along, which
-    the ensemble's real amplitudes drop; repr tells -0.0 from 0.0, so the
-    real parts' signed zeros must match.
-    """
-    assert all(amp.imag == 0 for s in states for amp in s._entries.values())
-    return [{label: repr(a.real) for label, a in s._entries.items()} for s in states]
+    """Each state's ``{label: repr(amplitude)}``; repr tells -0.0 from 0.0."""
+    return [{label: repr(a) for label, a in s._entries.items()} for s in states]
 
 
 def assert_ensemble_invariants(ensemble):
@@ -998,8 +992,8 @@ class TestTrajectory:
             exact += n * p * (harmonic - 1)
         w = lb.WeightSpec.inverse_distance(n)
         got = lb.weighted_overlap(algorithm.initial_ensemble(), w)
-        assert got.imag == 0.0
-        assert abs(Fraction(got.real) - exact) <= Fraction(1, 10**14) * exact
+        assert type(got) is float
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10**14) * exact
 
     def test_binary_overlaps_are_the_exact_harmonic_sums(self):
         # Entering query j each answer shares its state with the answers of
@@ -1017,8 +1011,7 @@ class TestTrajectory:
             record = lb.run_trajectory(BinarySearchAlgorithm(n), n, w)
             for j, step in enumerate(record.steps):
                 exact = n * (Fraction(harmonics[n >> j], common) - 1)
-                assert step.overlap.imag == 0.0
-                error = abs(Fraction(step.overlap.real) - exact)
+                error = abs(Fraction(step.overlap) - exact)
                 assert error <= Fraction(1, 10**14) * exact, (n, j)
 
     @pytest.mark.parametrize("n", [1 << e for e in range(10, 17)])
@@ -1029,7 +1022,7 @@ class TestTrajectory:
         w = lb.WeightSpec.inverse_distance(n)
         record = lb.run_trajectory(BinarySearchAlgorithm(n), n, w, verify_chain=True)
         worst = max(report.pair_identity_err for report in record.chain_reports)
-        assert worst <= 1e-15 * record.initial_overlap.real
+        assert worst <= 1e-15 * record.initial_overlap
 
     def test_shared_unitaries_between_queries_leave_overlap_unchanged(self):
         n = 8
@@ -1165,7 +1158,7 @@ class TestTrajectory:
         with pytest.raises(ValueError, match=restriction):
             lb.run_trajectory(algorithm, n, w, verify_chain=True)
         with pytest.raises(ValueError, match=restriction):
-            lb.verify_drop_chain(profile, 0j, w)
+            lb.verify_drop_chain(profile, 0.0, w)
         # Without the chain the kernel serves: W scales with it.
         plain = lb.run_trajectory(algorithm, n, lb.WeightSpec.inverse_distance(n))
         scaled = lb.run_trajectory(algorithm, n, w)
@@ -1190,7 +1183,7 @@ class TestTrajectory:
             ),
             lambda w: lb.verify_drop_chain(
                 lb.mass_profile(Ensemble.from_states(binary_prequery_states(8)[2])),
-                0j,
+                0.0,
                 w,
             ),
         ],
@@ -1230,4 +1223,21 @@ class TestTrajectory:
         w = lb.WeightSpec.inverse_distance(1)
         record = lb.run_trajectory(BinarySearchAlgorithm(1), 1, w)
         assert len(record.steps) == 1
-        assert record.initial_overlap == 0j
+        assert record.initial_overlap == 0.0
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [BinarySearchAlgorithm(64), TeamCombineAlgorithm(32)],
+        ids=["binary", "team"],
+    )
+    def test_overlaps_and_drops_are_floats(self, algorithm):
+        n = algorithm.n
+        w = lb.WeightSpec.inverse_distance(n)
+        record = lb.run_trajectory(algorithm, n, w, verify_chain=True)
+        for step in record.steps:
+            assert type(step.j) is int and type(step.overlap) is float
+            assert step.drop is None or type(step.drop) is float
+        assert all(type(drop) is float for drop in record.drops())
+        assert ",0," in record.to_csv().splitlines()[1]  # the W_im column
+        profile = lb.mass_profile(algorithm.initial_ensemble())
+        assert type(lb.pairwise_drop(profile, w)) is float

@@ -154,7 +154,7 @@ class TestApplyQueryEnsemble:
         labels = [query_label(z, i) for z in range(2) for i in range(n + 2)]
         labels.append(query_label(0, (1 << 63) - 1))
         states = [
-            SparseState({l: complex(k + 1, -0.0) / 16 for k, l in enumerate(labels)})
+            SparseState({l: (-1) ** k * (k + 1) / 16 for k, l in enumerate(labels)})
             for _ in range(n)
         ]
         got = apply_query_ensemble(Ensemble.from_states(states))

@@ -41,9 +41,9 @@ def random_state(n_labels, seed, normalize=True):
     entries = {}
     while len(entries) < n_labels:
         label = query_label(rng.randrange(10 * n_labels), rng.randrange(10 * n_labels))
-        entries[label] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        entries[label] = rng.gauss(0, 1)
     if normalize:
-        norm = math.sqrt(sum(abs(a) ** 2 for a in entries.values()))
+        norm = math.sqrt(sum(a * a for a in entries.values()))
         entries = {l: a / norm for l, a in entries.items()}
     return SparseState(entries)
 
@@ -181,9 +181,7 @@ class TestSparseState:
             key=lambda line: tuple(map(int, re.split("[|,;]", line.split("\t")[0]))),
         )
 
-    @pytest.mark.parametrize(
-        "amp", [float("nan"), complex(0, math.inf), complex(math.nan, 1.0)]
-    )
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf])
     def test_non_finite_amplitude_is_rejected_not_pruned(self, amp):
         # abs(nan) >= PRUNE_EPS is false, so a plain prune test would drop
         # a NaN and leave a normalized one-label state.
@@ -191,8 +189,26 @@ class TestSparseState:
             SparseState({query_label(0, 0): amp, query_label(0, 1): 1.0})
 
     def test_dump_uses_17_significant_digits(self):
-        state = SparseState({query_label(0, 0): complex(1 / 3, -2 / 7)})
-        assert state.dump() == "0|0,0;0\t0.33333333333333331\t-0.2857142857142857\n"
+        state = SparseState({query_label(0, 0): 1 / 3, query_label(0, 1): -2 / 7})
+        assert state.dump() == (
+            "0|0,0;0\t0.33333333333333331\n0|0,0;1\t-0.2857142857142857\n"
+        )
+
+    @pytest.mark.parametrize(
+        "amp",
+        [1j, complex(0.6, 0.0), complex(0.6, -0.0), np.complex128(0.6), np.complex64(0.6)],
+        ids=["imaginary", "zero-imag", "signed-zero-imag", "numpy-128", "numpy-64"],
+    )
+    def test_complex_amplitudes_are_refused_naming_the_label(self, amp):
+        # Even a zero imaginary part: the amplitude type is float.
+        with pytest.raises(ValueError, match=r"must be real, got .* on 0\|0,0;3$"):
+            SparseState({query_label(0, 1): 0.6, query_label(0, 3): amp})
+
+    def test_amplitudes_are_stored_as_floats(self):
+        state = SparseState({query_label(0, 0): np.float64(0.6), query_label(0, 1): 1})
+        assert [type(a) for _, a in state.items()] == [float, float]
+        assert state.amplitude(query_label(0, 2)) == 0.0
+        assert type(state.amplitude(query_label(0, 2))) is float
 
 
 class TestInnerProduct:
@@ -203,7 +219,7 @@ class TestInnerProduct:
     def test_distinct_single_labels_are_orthogonal(self):
         a = SparseState.unit(query_label(0, 0))
         b = SparseState.unit(query_label(0, 1))
-        assert inner_product(a, b) == 0j
+        assert inner_product(a, b) == 0.0
 
     def test_plus_minus_pair_is_orthogonal(self):
         # <(A+B)/sqrt2, (A-B)/sqrt2> = (1*1 + 1*(-1)) / 2 = 0 by hand.
@@ -214,13 +230,25 @@ class TestInnerProduct:
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_conjugate_symmetry_and_cauchy_schwarz(self, seed1, seed2):
+    def test_symmetry_and_cauchy_schwarz(self, seed1, seed2):
         s1 = random_state(30, seed=seed1, normalize=False)
         s2 = random_state(30, seed=seed2, normalize=False)
         forward = inner_product(s1, s2)
-        backward = inner_product(s2, s1)
-        assert abs(forward - backward.conjugate()) < 1e-12
+        assert type(forward) is float
+        assert forward == inner_product(s2, s1)
         assert abs(forward) <= s1.norm() * s2.norm() + 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_symmetric_bit_for_bit_over_shared_labels(self, seed):
+        # Both states hold the same labels, inserted in opposite orders, with
+        # terms of both signs and many magnitudes: a running sum would depend
+        # on which state's order it walked.
+        rng = random.Random(seed)
+        labels = [query_label(k, k % 5) for k in range(40)]
+        amps = [rng.choice((-1, 1)) * 10.0 ** rng.uniform(-8, 0) for _ in labels]
+        a = SparseState(dict(zip(labels, amps)))
+        b = SparseState(dict(zip(labels[::-1], [rng.gauss(0, 1) for _ in labels])))
+        assert inner_product(a, b) == inner_product(b, a)
 
 
 class TestDiagonalPhase:
@@ -296,6 +324,12 @@ class TestApplyLinear:
         state = random_state(5, seed=23)
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             apply_linear(state, lambda l: [(l, math.nan)])
+
+    @pytest.mark.parametrize("coeff", [1j, complex(1.0, 0.0), np.complex128(1.0)])
+    def test_complex_coefficient_raises_the_states_value_error(self, coeff):
+        state = SparseState({query_label(0, 0): 0.6, query_label(0, 1): 0.8})
+        with pytest.raises(ValueError, match=r"must be real, got .* on 0\|0,0;0$"):
+            apply_linear(state, lambda l: [(l, coeff)])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -593,25 +627,9 @@ class TestEnsemble:
             [apply_linear(s, identity) for s in states]
         )
 
-    def test_only_real_amplitudes_enter(self):
-        # A signed zero imaginary part is real; any other one is refused.
-        signed = SparseState(
-            {query_label(0, 0): complex(0.6, -0.0), query_label(1, 0): -0.8}
-        )
-        ensemble = Ensemble.from_states([signed])
-        assert_ensemble_invariants(ensemble)
-        assert ensemble.amps.tolist() == [0.6, -0.8]
-        tilted = SparseState({query_label(1, 0): complex(0.6, 1e-20)})
-        with pytest.raises(
-            ValueError, match=r"must be real, got \(0.6\+1e-20j\) on 0\|1,1;0 of answer 1"
-        ):
-            Ensemble.from_states([signed, tilted])
-
     def test_complex_coefficients_are_refused(self):
-        # The per-state operator takes a phase; the ensemble refuses it.
+        # As the per-state path does, the ensemble refuses a phase.
         state = SparseState({query_label(0, 0): 1.0})
-        phased = apply_linear(state, lambda l: [(l, 1j)])
-        assert phased.amplitude(query_label(0, 0)) == 1j
         phase = lambda fields: (
             np.ones(fields.shape[1], dtype=np.intp),
             fields,

@@ -56,6 +56,16 @@ def assert_stage(state, expected, tol=1e-12):
     assert diff_norm(state, team_state(expected)) < tol
 
 
+def opening_state(algo, inst):
+    """``inst``'s state before ``algo``'s opening steps: per opening level
+    ``(length, marker, amplitude)``, the block of that length holding the answer."""
+    entries = {}
+    for length, marker, amp in algo._levels:
+        lo = inst.answer // length * length
+        entries[TeamLabel(marker, lo, lo + length - 1)] = amp
+    return SparseState(entries)
+
+
 def round_stages(inst, r):
     """Every stage of the combine round, walked through the algorithm's steps.
 
@@ -64,7 +74,7 @@ def round_stages(inst, r):
     state.
     """
     algo = ts.TeamCombineAlgorithm(inst.n, r)
-    stages = [ts.opening_state(inst, r)]
+    stages = [opening_state(algo, inst)]
     state = ts.oracle_mod.apply_query(algo.initial_state(inst), inst)
     for step in algo._rounds[0]:
         state = step(state)
@@ -267,16 +277,15 @@ class TestTeamQuery:
             open_step(SparseState.unit(QueryLabel(0, 0, 0, 0)))
 
 
-# Each algorithm with the state it holds before its opening step.
 SCHEDULED = {
-    "binary-1": (lambda: ts.BinarySearchAlgorithm(1), None),
-    "binary-2": (lambda: ts.BinarySearchAlgorithm(2), None),
-    "binary-8": (lambda: ts.BinarySearchAlgorithm(8), None),
-    "binary-64": (lambda: ts.BinarySearchAlgorithm(64), None),
-    "team-2": (lambda: ts.TeamCombineAlgorithm(2), ts.opening_state),
-    "team-8": (lambda: ts.TeamCombineAlgorithm(8), ts.opening_state),
-    "team-32-r2": (lambda: ts.TeamCombineAlgorithm(32, r=2), ts.opening_state),
-    "team-128": (lambda: ts.TeamCombineAlgorithm(128), ts.opening_state),
+    "binary-1": lambda: ts.BinarySearchAlgorithm(1),
+    "binary-2": lambda: ts.BinarySearchAlgorithm(2),
+    "binary-8": lambda: ts.BinarySearchAlgorithm(8),
+    "binary-64": lambda: ts.BinarySearchAlgorithm(64),
+    "team-2": lambda: ts.TeamCombineAlgorithm(2),
+    "team-8": lambda: ts.TeamCombineAlgorithm(8),
+    "team-32-r2": lambda: ts.TeamCombineAlgorithm(32, r=2),
+    "team-128": lambda: ts.TeamCombineAlgorithm(128),
 }
 
 
@@ -288,7 +297,7 @@ def open_steps(algo):
 class TestSchedule:
     @pytest.mark.parametrize("name", list(SCHEDULED))
     def test_rounds_close_refine_combine_then_open(self, name):
-        algo = SCHEDULED[name][0]()
+        algo = SCHEDULED[name]()
         rounds = algo._rounds
         assert len(rounds) == algo.num_queries
         assert len(algo._opening) == min(algo.num_queries, 1)
@@ -303,13 +312,9 @@ class TestSchedule:
 
     @pytest.mark.parametrize("name", [name for name in SCHEDULED if name != "binary-1"])
     def test_each_close_step_inverts_its_open_step(self, name):
-        make, opening = SCHEDULED[name]
-        algo = make()
+        algo = SCHEDULED[name]()
         for inst in enumerate_instances(algo.n):
-            if opening is None:
-                state = SparseState.unit(TeamLabel(0, 0, algo.n - 1))
-            else:
-                state = opening(inst, algo.r)
+            state = opening_state(algo, inst)
             for j, open_step in enumerate(open_steps(algo)):
                 opened = open_step(state)
                 # The oracle sees only routed labels, and the close step
@@ -331,7 +336,7 @@ class TestCombineRound:
         final = algo.advance(0, algo.initial_state(inst), inst)
         assert_stage(final, WORKED_STAGES[-1])
         assert final.dump() == stages[-1].dump()
-        assert stages[-1].dump() == "0|5,5\t0.99999999999999989\t0\n"
+        assert stages[-1].dump() == "0|5,5\t0.99999999999999989\n"
 
     @pytest.mark.parametrize("n", [2, 4, 8, 32])
     def test_exhaustive_exactness(self, n):
@@ -354,15 +359,22 @@ class TestCombineRound:
 
 class TestOpeningState:
     def test_worked_example_opening(self):
-        opening = ts.opening_state(OrderedInstance(8, 5), 4)
+        opening = opening_state(ts.TeamCombineAlgorithm(8), OrderedInstance(8, 5))
         assert_stage(opening, WORKED_STAGES[0])
 
     def test_single_computer_opening(self):
-        opening = ts.opening_state(OrderedInstance(2, 1), 1)
+        opening = opening_state(ts.TeamCombineAlgorithm(2), OrderedInstance(2, 1))
         assert_stage(opening, {(0, 0, 1): 1.0})
 
+    @pytest.mark.parametrize("name", list(SCHEDULED))
+    def test_initial_state_is_the_opening_through_the_opening_steps(self, name):
+        algo = SCHEDULED[name]()
+        for inst in enumerate_instances(algo.n):
+            opened = ts._run_steps(algo._opening, opening_state(algo, inst))
+            assert algo.initial_state(inst).dump() == opened.dump()
+
     def test_level_masses_are_one_over_r(self):
-        opening = ts.opening_state(OrderedInstance(32, 13), 4)
+        opening = opening_state(ts.TeamCombineAlgorithm(32), OrderedInstance(32, 13))
         masses = sorted(abs(a) ** 2 for _, a in opening.items())
         assert len(masses) == 3
         assert abs(masses[0] - 1 / 4) < 1e-12
@@ -371,7 +383,7 @@ class TestOpeningState:
 
     def test_intervals_nest_down_to_the_answer(self):
         inst = OrderedInstance(32, 13)
-        opening = ts.opening_state(inst, 4)
+        opening = opening_state(ts.TeamCombineAlgorithm(32), inst)
         intervals = sorted(
             ((l.lo, l.hi) for l in opening.labels()), key=lambda t: t[0] - t[1]
         )
@@ -433,8 +445,9 @@ class TestLayout:
         # the interval its level holds in the opening superposition.
         r, n = 4, 32
         layout = ts.build_layout(r)
+        algo = ts.TeamCombineAlgorithm(n, r)
         for inst in enumerate_instances(n):
-            opening = ts.opening_state(inst, r)
+            opening = opening_state(algo, inst)
             opening_intervals = []
             for label, amp in opening.items():
                 copies = round(abs(amp) ** 2 * r)
@@ -484,6 +497,25 @@ class TestSteppableAlgorithms:
     def test_binary_search_rejects_non_powers(self):
         with pytest.raises(ValueError):
             ts.BinarySearchAlgorithm(6)
+
+    @pytest.mark.parametrize(
+        "algo, inst",
+        [
+            (ts.BinarySearchAlgorithm(8), OrderedInstance(16, 12)),
+            (ts.BinarySearchAlgorithm(16), OrderedInstance(8, 3)),
+            (ts.TeamCombineAlgorithm(8), OrderedInstance(16, 3)),
+            (ts.TeamCombineAlgorithm(32), OrderedInstance(8, 3)),
+        ],
+        ids=["binary-8-16", "binary-16-8", "team-8-16", "team-32-8"],
+    )
+    def test_an_instance_of_another_list_size_is_refused(self, algo, inst):
+        expected = f"{type(algo).__name__} is built for list size {algo.n}, not {inst.n}"
+        for run in (
+            lambda: algo.initial_state(inst),
+            lambda: algo.advance(0, algo.initial_state(OrderedInstance(algo.n, 0)), inst),
+            lambda: ts.run_algorithm(algo, inst),
+        ):
+            assert error_text(run) == expected
 
     @pytest.mark.parametrize("n", [2, 8, 32, 128])
     def test_team_combine_matches_direct_round(self, n):
@@ -698,7 +730,8 @@ class TestEnsembleOutcomes:
             ),
             SparseState({TeamLabel(1, 1, 1): S2H, TeamLabel(0, 3, 3): S2H}),
             SparseState({TeamLabel(1, 0, 0): 0.6, TeamLabel(0, 3, 3): -0.8}),
-            # numpy's square of this amplitude is one bit off Python's abs(a)**2.
+            # Both paths square as amp * amp; Python's abs(a) ** 2, a pow
+            # call, is one bit above it for this amplitude.
             SparseState(
                 {
                     TeamLabel(0, 0, 0): math.sqrt(1 - 0.9503546630566793**2),
@@ -937,7 +970,8 @@ class TestNoPerLabelPython:
         monkeypatch.setattr(SparseState, "_relabelled", classmethod(counted_relabelled))
         # The counters see the tuple path.
         binary = ts.BinarySearchAlgorithm(4)
-        binary.advance(0, binary.initial_state(), OrderedInstance(4, 1))
+        inst = OrderedInstance(4, 1)
+        binary.advance(0, binary.initial_state(inst), inst)
         assert counts["mix"] > 0 and counts["query"] > 0 and counts["state"] > 1
         counts.update(mix=0, query=0, state=0)
 
@@ -1226,14 +1260,6 @@ NOT_TILED = "list size {} is not a multiple of the sublist size {}"
         (lambda: error_text(ts.apply_refine, WIDE, 0), POW2_AT_LEAST_2.format(0)),
         (lambda: error_text(ts.team_knowledge_size, 3), COMPUTER_COUNT.format(3)),
         (lambda: error_text(ts.build_layout, 3), COMPUTER_COUNT.format(3)),
-        (
-            lambda: error_text(ts.opening_state, OrderedInstance(8, 0), 3),
-            COMPUTER_COUNT.format(3),
-        ),
-        (
-            lambda: error_text(ts.opening_state, OrderedInstance(6, 0), 2),
-            NOT_TILED.format(6, 4),
-        ),
         (lambda: error_text(ts.TeamCombineAlgorithm, 6, r=2), NOT_TILED.format(6, 4)),
         (lambda: error_text(ts.TeamCombineAlgorithm, 8, r=3), COMPUTER_COUNT.format(3)),
         (lambda: error_text(ts.BinarySearchAlgorithm, 6), LIST_SIZE.format(6)),
@@ -1254,8 +1280,6 @@ NOT_TILED = "list size {} is not a multiple of the sublist size {}"
         "apply_refine-0",
         "team_knowledge_size-3",
         "build_layout-3",
-        "opening_state-r3",
-        "opening_state-n6",
         "TeamCombineAlgorithm-n6",
         "TeamCombineAlgorithm-r3",
         "BinarySearchAlgorithm-6",
