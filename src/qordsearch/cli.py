@@ -8,6 +8,7 @@ errors.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -105,6 +106,17 @@ def build_algorithm(algo: str, n: int, sweep: bool):
     raise click.UsageError(f"unknown algorithm {algo!r}")
 
 
+def physical_memory() -> int | None:
+    """Bytes of physical memory, from ``os.sysconf``; None where it is unknown.
+
+    A cgroup or container limit below that is not read.
+    """
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
 def check_eps(eps: float) -> float:
     if not 0.0 <= eps <= 0.5:
         raise click.UsageError(f"--eps must lie in [0, 0.5], got {eps}")
@@ -126,10 +138,14 @@ def bound(n, eps, out):
     check_eps(eps)
     if n < 2:
         raise click.UsageError(f"--n must be at least 2, got {n}")
+    try:
+        total = lowerbound.total_weight(n)
+    except OverflowError as exc:
+        raise click.UsageError(f"--n is too large: {exc}")
     payload = {
         "n": n,
         "eps": eps,
-        "total_weight": lowerbound.total_weight(n),
+        "total_weight": total,
         "delta": math.pi * n,
         "bound": lowerbound.ordered_search_bound(n, eps),
     }
@@ -262,6 +278,16 @@ def norms(size, out):
     """Spectral norms of the inverse-distance matrices at a given size."""
     if size < 1:
         raise click.UsageError(f"--size must be positive, got {size}")
+    # A bound on what the command allocates: both dense matrices and the
+    # Lanczos basis.
+    needed = 8 * (2 * size * size + (lowerbound.LANCZOS_STEPS + 1) * size)
+    memory = physical_memory()
+    if memory is not None and needed > memory:
+        raise click.UsageError(
+            f"--size {size} needs {needed / 2**30:.3g} GiB for two dense "
+            f"matrices and the Lanczos basis, more than the {memory / 2**30:.3g} "
+            "GiB of physical memory (cgroup limits are not read)"
+        )
     payload = {
         "size": size,
         "hilbert_norm": lowerbound.spectral_norm(lowerbound.hilbert_matrix(size)),

@@ -77,6 +77,7 @@ from .qcore import (
     Ensemble,
     QueryLabel,
     SparseState,
+    _run_indices,
     inner_product,
     require_fields,
 )
@@ -110,18 +111,53 @@ class ConvergenceError(RuntimeError):
 # Scalar bound formulas
 
 
+# Up to this n, harmonic(n) is the fsum of its n terms; above it, an
+# Euler-Maclaurin expansion whose first omitted term, 1/(252 n^6), is far
+# below the last bit. On [2^10, 2^20] the two agree within a few ulps.
+HARMONIC_FSUM_LIMIT = 1 << 20
+EULER_GAMMA = 0.57721566490153286060651209008240243
+
+
 def harmonic(n: int) -> float:
-    """n-th harmonic number, sum of 1/k for k = 1..n."""
+    """n-th harmonic number, sum of 1/k for k = 1..n.
+
+    Exact up to the last bit from an ``fsum`` for n up to
+    ``HARMONIC_FSUM_LIMIT``, and from :func:`_harmonic_expansion` above it,
+    in time independent of n.
+    """
     if n < 1:
         raise ValueError(f"harmonic number needs n >= 1, got {n}")
+    if n > HARMONIC_FSUM_LIMIT:
+        return _harmonic_expansion(n)
     return math.fsum(1.0 / k for k in range(1, n + 1))
 
 
+def _harmonic_expansion(n: int) -> float:
+    """ln n + gamma + 1/(2n) - 1/(12 n^2) + 1/(120 n^4), for an int n >= 1.
+
+    The fractions divide ints, so they stay exact past float range.
+    """
+    return (
+        math.log(n) + EULER_GAMMA + 1 / (2 * n) - 1 / (12 * n * n) + 1 / (120 * n**4)
+    )
+
+
 def total_weight(n: int) -> float:
-    """Total inverse-distance weight over all answer pairs: n*H_n - n."""
+    """Total inverse-distance weight over all answer pairs: n*H_n - n.
+
+    Raises ``OverflowError`` where that exceeds the float range.
+    """
     if n < 1:
         raise ValueError(f"problem size must be positive, got {n}")
-    return n * harmonic(n) - n
+    try:
+        weight = n * harmonic(n) - n
+    except OverflowError:  # n itself is past the float range
+        weight = math.inf
+    if weight == math.inf:
+        raise OverflowError(
+            f"total weight n*H_n - n overflows a float at a {n.bit_length()}-bit n"
+        )
+    return weight
 
 
 def distinguishability_threshold(eps: float) -> float:
@@ -156,6 +192,13 @@ def _inverse_distance(d: np.ndarray) -> np.ndarray:
     return np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
 
 
+# The longest FFT whose kernel spectrum a WeightSpec keeps (64 KiB for all of
+# them). A longer one is transformed again by each kernel pass that meets it,
+# whose rows of that length cost far more than the transform; keeping every
+# length would hold about 32 bytes per answer.
+_KEPT_SPECTRUM = 1 << 12
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """Non-negative, finite pairwise weight over answers ``0 .. n-1`` that
@@ -165,12 +208,16 @@ class WeightSpec:
     distances ``-(n-1) .. n-1``; a scalar result stands for every distance.
     The values are checked there and kept in ``kernel``, whose entry
     ``d + n - 1`` is the weight of every pair ``(a, a + d)``. Calling the spec
-    looks one pair up, for the per-pair reference loops.
+    looks one pair up, for the per-pair reference loops. The kernel is
+    read-only, so what is derived from it (its spectrum at each FFT length
+    up to ``_KEPT_SPECTRUM``, whether it is the inverse distance) is
+    computed once and kept.
     """
 
     n: int
     weight: Callable[[np.ndarray], np.ndarray]
     kernel: np.ndarray = field(init=False, repr=False, compare=False)
+    _spectra: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         d = np.arange(1 - self.n, self.n, dtype=float)
@@ -195,19 +242,31 @@ class WeightSpec:
             raise IndexError(f"answers ({a}, {b}) outside 0 .. {self.n - 1}")
         return self.kernel[b - a + self.n - 1]
 
+    @functools.cached_property
+    def _is_inverse_distance(self) -> bool:
+        inverse = _inverse_distance(np.arange(1 - self.n, self.n, dtype=float))
+        return np.array_equal(self.kernel, inverse)
+
     def _spectrum(self, size: int) -> np.ndarray:
         """Real FFT of the kernel wrapped onto ``size`` points, d at d mod size.
 
         Only the distances below ``(size + 1) // 2`` are placed, so a column
         spanning at most that many answers correlates without wrap-around.
+        A size up to ``_KEPT_SPECTRUM`` is transformed once.
         """
-        reach = min((size + 1) // 2, self.n)
-        centre = self.n - 1
-        wrapped = np.zeros(size)
-        # Distances 0, -1, .., -(reach-1) first, then reach-1, .., 1 last.
-        wrapped[:reach] = self.kernel[centre - reach + 1 : centre + 1][::-1]
-        wrapped[size - reach + 1 :] = self.kernel[centre + 1 : centre + reach][::-1]
-        return np.fft.rfft(wrapped)
+        spectrum = self._spectra.get(size)
+        if spectrum is None:
+            reach = min((size + 1) // 2, self.n)
+            centre = self.n - 1
+            wrapped = np.zeros(size)
+            # Distances 0, -1, .., -(reach-1) first, then reach-1, .., 1 last.
+            wrapped[:reach] = self.kernel[centre - reach + 1 : centre + 1][::-1]
+            wrapped[size - reach + 1 :] = self.kernel[centre + 1 : centre + reach][::-1]
+            spectrum = np.fft.rfft(wrapped)
+            spectrum.flags.writeable = False
+            if size <= _KEPT_SPECTRUM:
+                self._spectra[size] = spectrum
+        return spectrum
 
 
 def _check_state_count(count: int, w: WeightSpec) -> None:
@@ -215,57 +274,73 @@ def _check_state_count(count: int, w: WeightSpec) -> None:
         raise ValueError(f"expected {w.n} states, got {count}")
 
 
-# Entries of one batched FFT (blocks x FFT length): bounds the temporaries of
+# Entries of one batched FFT (rows x FFT length): bounds the temporaries of
 # many or long label columns to a few MiB instead of growing with n.
 _BATCH_ENTRIES = 1 << 16
 
 
-def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> float:
-    """Sum of w(a_p, a_q) * x_p * x_q over the pairs of each block.
+def _kernel_sums(
+    ensemble: Ensemble, w: WeightSpec, overlap: bool, left: np.ndarray | None
+) -> tuple[float, float]:
+    """Sums of w(a_p, a_q) * x_p * x_q over pairs of entries of one label column.
 
-    The entries (``answers``, real ``amps``) are grouped into blocks by the block
-    number in ``blocks``: each block's entries are contiguous and its answers
-    ascend. A pair draws its first member from the entries marked in
-    ``left`` and its second from those marked in ``right``, within one block.
+    Entry e of ``ensemble`` is answer a_e holding the real amplitude x_e on
+    a label column; each column's entries are contiguous and their answers
+    ascend. With ``overlap`` the first sum runs over all ordered pairs of
+    each column, which is W. With an entry mask ``left`` the second runs over
+    the pairs whose first member is marked in ``left`` and whose second is
+    not, in the columns holding both kinds (the mixed columns); with
+    ``left`` None it is 0.0, as is the first without ``overlap``.
 
-    Because the weight depends only on b - a, each block's sums over q are a
-    correlation of its right amplitudes, scattered over the block's answer
-    span, with the kernel. Blocks are grouped by FFT length, the smallest
-    power of two >= 2 * span - 1, and each group's right sides go through
-    batched real FFTs of at most ``_BATCH_ENTRIES`` entries, one row per
-    block; every left entry then takes its product, and the products are
-    summed in entry order, so the result does not depend on the batching.
-    The sum is a ``float``. The peak memory of a chain-verified run grows
-    linearly in n (README.md gives measured figures).
+    Because the weight depends only on b - a, each column's sums over q are
+    a correlation of its amplitudes, scattered over the column's answer
+    span, with the kernel: one row of all of them for the first sum, one
+    row of the unmarked ones of a mixed column for the second. Rows are
+    grouped by FFT length, the smallest power of two >= 2 * span - 1, and
+    each group goes through batched real FFTs of at most ``_BATCH_ENTRIES``
+    entries; every first member then takes its product. Each sum keeps its
+    own products, in entry order (the second over the mixed columns' entries
+    only), and the products are summed in that order, so neither sum
+    depends on the batching or on the other. A batch finds its rows' entries
+    from the label runs, so no array but the products grows past the
+    ensemble's. The sums are ``float``s. The peak memory of a chain-verified
+    run grows linearly in n (README.md gives measured figures).
     """
-    if not len(answers):
-        return 0.0
-    first = np.diff(blocks, prepend=blocks[0] - 1) != 0
-    block = np.cumsum(first) - 1
-    starts = np.flatnonzero(first)
+    label_ids, answers, amps = ensemble.label_ids, ensemble.answers, ensemble.amps
+    if not len(answers) or not (overlap or left is not None):
+        return 0.0, 0.0
+    count = np.bincount(label_ids)
+    ends = count.cumsum()
+    starts = ends - count
     lows = answers[starts]
-    spans = answers[np.append(starts[1:], len(answers)) - 1] - lows + 1
     # A circle of at least 2 * span - 1 points keeps the distances
-    # -(span-1) .. span-1 of a block apart.
-    sizes = np.left_shift(1, np.frexp(2 * spans - 2)[1], dtype=np.int64)
-
-    # Blocks are taken in order of FFT length; a batch is a run of at most
-    # max(1, _BATCH_ENTRIES // length) blocks of one length.
-    order = np.argsort(sizes, kind="stable")
-    sorted_sizes = sizes[order].tolist()
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    entry_position = position[block]
-    entry_order = np.argsort(entry_position, kind="stable")
-    entry_starts = np.searchsorted(
-        entry_position[entry_order], np.arange(len(order) + 1)
+    # -(span-1) .. span-1 of a column apart.
+    sizes = np.left_shift(
+        1, np.frexp(2 * (answers[ends - 1] - lows))[1], dtype=np.int64
     )
-    entry_cols = answers - lows[block]
+    cols = answers - lows.repeat(count)
 
-    # The real products are summed as complex numbers: numpy's pairwise
-    # summation blocks a complex array differently from a float one, and
-    # this order gives the bits the trajectories and chain reports pin.
-    products = np.zeros(len(answers), dtype=complex)
+    # Rows 0 .. overlap_rows-1 are W's, one per label; the pair's, one per
+    # mixed label, follow. The pair's products hold the mixed labels'
+    # entries only: entry e of label k is product e - skipped[k].
+    overlap_rows = len(count) if overlap else 0
+    overlap_products = np.zeros(len(answers) if overlap else 0, dtype=complex)
+    row_labels = np.arange(overlap_rows)
+    pair_products = np.zeros(0, dtype=complex)
+    if left is not None:
+        left_count = np.bincount(label_ids, left, len(count))
+        mixed = (0 < left_count) & (left_count < count)
+        mixed_count = count * mixed
+        skipped = starts - (mixed_count.cumsum() - mixed_count)
+        pair_products = np.zeros(mixed_count.sum(), dtype=complex)
+        row_labels = np.concatenate((row_labels, np.flatnonzero(mixed)))
+
+    # Rows are taken in order of FFT length; a batch is a run of at most
+    # max(1, _BATCH_ENTRIES // length) rows of one length, in which W's rows
+    # come first.
+    row_sizes = sizes[row_labels]
+    order = row_sizes.argsort(kind="stable")
+    sorted_sizes = row_sizes[order].tolist()
     group_start = 0
     while group_start < len(order):
         size = sorted_sizes[group_start]
@@ -273,16 +348,35 @@ def _kernel_sum(blocks, answers, amps, left, right, w: WeightSpec) -> float:
         kernel_spectrum = w._spectrum(size)
         step = max(1, _BATCH_ENTRIES // size)
         for p0 in range(group_start, group_end, step):
-            p1 = min(p0 + step, group_end)
-            batch = entry_order[entry_starts[p0] : entry_starts[p1]]
-            rs, ls = batch[right[batch]], batch[left[batch]]
-            scattered = np.zeros((p1 - p0, size))
-            scattered[entry_position[rs] - p0, entry_cols[rs]] = amps[rs]
+            rows = order[p0 : min(p0 + step, group_end)]
+            labels = row_labels[rows]
+            # The batch's items are its rows' label runs, row after row. A
+            # group's rows ascend, so W's rows, and their items, come first.
+            lengths = count[labels]
+            entry = _run_indices(starts[labels], lengths)
+            row, col, amp = np.arange(len(rows)).repeat(lengths), cols[entry], amps[entry]
+            split = int(lengths[: rows.searchsorted(overlap_rows)].sum())
+            scattered = np.zeros((len(rows), size))
+            scattered[row[:split], col[:split]] = amp[:split]
+            if split < len(entry):
+                pair_left = left[entry[split:]]
+                firsts = split + np.flatnonzero(pair_left)
+                seconds = split + np.flatnonzero(~pair_left)
+                scattered[row[seconds], col[seconds]] = amp[seconds]
             correlated = np.fft.irfft(np.fft.rfft(scattered) * kernel_spectrum, size)
-            sums = correlated[entry_position[ls] - p0, entry_cols[ls]]
-            products[ls] = amps[ls] * sums
+            overlap_products[entry[:split]] = (
+                amp[:split] * correlated[row[:split], col[:split]]
+            )
+            if split < len(entry):
+                first = entry[firsts]
+                pair_products[first - skipped[label_ids[first]]] = (
+                    amp[firsts] * correlated[row[firsts], col[firsts]]
+                )
         group_start = group_end
-    return float(products.sum().real)
+    # The real products are summed as complex numbers: numpy's pairwise
+    # summation blocks a complex array differently from a float one, and
+    # this order gives the bits the trajectories and chain reports pin.
+    return float(overlap_products.sum().real), float(pair_products.sum().real)
 
 
 def weighted_overlap(ensemble: Ensemble, w: WeightSpec) -> float:
@@ -292,10 +386,7 @@ def weighted_overlap(ensemble: Ensemble, w: WeightSpec) -> float:
     ordered pairs of each label's column of amplitudes.
     """
     _check_state_count(ensemble.size, w)
-    every = np.ones(len(ensemble.answers), dtype=bool)
-    return _kernel_sum(
-        ensemble.label_ids, ensemble.answers, ensemble.amps, every, every, w
-    )
+    return _kernel_sums(ensemble, w, True, None)[0]
 
 
 def _reference_weighted_overlap(
@@ -437,6 +528,9 @@ class MassProfile:
     index: np.ndarray = field(repr=False)
     gammas: np.ndarray = field(repr=False)
     deltas: np.ndarray = field(repr=False)
+    # Pair drops per WeightSpec, left by the pass that computed W of these
+    # states for :func:`pairwise_drop` to read.
+    _drops: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
 
 def mass_profile(ensemble: Ensemble) -> MassProfile:
@@ -463,20 +557,28 @@ def pairwise_drop(profile: MassProfile, w: WeightSpec) -> float:
 
     Equals ``W_j - W_(j+1)`` exactly (up to float error) when the round is
     one query followed by shared unitaries: only indices where two instances
-    disagree, i.e. ``a <= i < b``, contribute.
+    disagree, i.e. ``a <= i < b``, contribute. A chain-verified trajectory
+    computes it in the pass that gives W_j of the same states, and this
+    reads that value; otherwise :func:`_pairwise_drop_pass` computes it.
     """
-    ensemble = profile.ensemble
-    label_ids, answers, amps = ensemble.label_ids, ensemble.answers, ensemble.amps
-    if not len(answers):
-        return 0.0
-    left = answers <= profile.index
-    # Only a column with answers on both sides of its index holds a pair.
-    left_count = np.bincount(label_ids, left)
-    mixed = ((0 < left_count) & (left_count < np.bincount(label_ids)))[label_ids]
-    left, right = left[mixed], ~left[mixed]
-    return 2.0 * _kernel_sum(
-        label_ids[mixed], answers[mixed], amps[mixed], left, right, w
-    )
+    drop = profile._drops.get(w)
+    return _pairwise_drop_pass(profile, w) if drop is None else drop
+
+
+def _pairwise_drop_pass(profile: MassProfile, w: WeightSpec) -> float:
+    """:func:`pairwise_drop` by its own kernel pass over the mixed columns."""
+    left = profile.ensemble.answers <= profile.index
+    return 2.0 * _kernel_sums(profile.ensemble, w, False, left)[1]
+
+
+def _overlap_and_drop(ensemble: Ensemble, w: WeightSpec) -> tuple[float, float]:
+    """W of states entering a query, and their pair drop, from one kernel pass.
+
+    The drop is what :func:`pairwise_drop` gives on their :func:`mass_profile`.
+    """
+    left = ensemble.answers <= ensemble.fields[4][ensemble.label_ids]
+    overlap, pair = _kernel_sums(ensemble, w, True, left)
+    return overlap, 2.0 * pair
 
 
 def _reference_pairwise_drop(states: Sequence[SparseState], w: WeightSpec) -> float:
@@ -542,8 +644,7 @@ def _require_inverse_distance(w: WeightSpec) -> None:
     on the norm of the inverse-distance Hankel matrix; for any other kernel
     its links compare unrelated numbers.
     """
-    inverse = _inverse_distance(np.arange(1 - w.n, w.n, dtype=float))
-    if not np.array_equal(w.kernel, inverse):
+    if not w._is_inverse_distance:
         raise ValueError(
             "the drop chain is derived for the inverse-distance weights "
             "1/(b-a) only; this WeightSpec has another kernel"
@@ -660,6 +761,16 @@ class TrajectoryRecord:
         return "".join(line + "\n" for line in lines)
 
 
+def _chain_report(
+    ensemble: Ensemble, pair_drop: float, drop: float, w: WeightSpec
+) -> ChainReport:
+    """:func:`verify_drop_chain` on the :func:`mass_profile` of ``ensemble``,
+    which carries the pair drop of its W pass for :func:`pairwise_drop`."""
+    profile = mass_profile(ensemble)
+    profile._drops[w] = pair_drop
+    return verify_drop_chain(profile, drop, w)
+
+
 def run_trajectory(
     algorithm, n: int, w: WeightSpec, verify_chain: bool = False
 ) -> TrajectoryRecord:
@@ -678,18 +789,24 @@ def run_trajectory(
         )
     if verify_chain:
         _require_inverse_distance(w)
-    snapshots = ensemble_snapshots(algorithm, algorithm.initial_ensemble())
-    # Each snapshot gives W_j and, entering query j, the mass profile of that
-    # step's chain report.
-    before = next(snapshots)
-    overlaps = [weighted_overlap(before, w)]
+    # With the chain, each snapshot entering a query gives its W and its
+    # pair drop from one pass; the step's report is checked once W of the
+    # next snapshot is known.
+    overlaps: list[float] = []
     reports: list[ChainReport] = []
-    for j, after in enumerate(snapshots):
-        overlaps.append(weighted_overlap(after, w))
-        if verify_chain:
-            drop = overlaps[j] - overlaps[j + 1]
-            reports.append(verify_drop_chain(mass_profile(before), drop, w))
-        before = after
+    entering = None  # (snapshot, its pair drop) of the last query, with the chain
+    snapshots = ensemble_snapshots(algorithm, algorithm.initial_ensemble())
+    for j, ensemble in enumerate(snapshots):
+        queried = verify_chain and j < algorithm.num_queries
+        if queried:
+            overlap, pair_drop = _overlap_and_drop(ensemble, w)
+        else:
+            overlap = weighted_overlap(ensemble, w)
+        overlaps.append(overlap)
+        if entering is not None:
+            drop = overlaps[j - 1] - overlap
+            reports.append(_chain_report(*entering, drop, w))
+        entering = (ensemble, pair_drop) if queried else None
 
     steps = []
     for j, overlap in enumerate(overlaps):

@@ -327,20 +327,24 @@ def require_fields(ok: np.ndarray, fields: np.ndarray, label_map: Callable) -> N
         raise AssertionError(f"{label_map!r} takes {label!r}; its array form does not")
 
 
-def _distinct_columns(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The id of each column of ``fields`` among the distinct columns, and those.
+def _distinct_columns(
+    fields: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The id of each column of ``fields`` among the distinct columns, those,
+    and the lexicographic order of all columns.
 
     The distinct columns come in lexicographic order, from one ``np.lexsort``
-    over the rows.
+    over the rows, which gives the order: ``order[k]`` is the index of the
+    k-th column in it.
     """
     count = fields.shape[1]
     order = np.lexsort(fields[::-1])
     ordered = fields[:, order]
     first = np.ones(count, dtype=bool)
-    first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    first[1:] = np.logical_or.reduce(ordered[:, 1:] != ordered[:, :-1])
     ids = np.empty(count, dtype=np.intp)
-    ids[order] = np.cumsum(first) - 1
-    return ids, fields[:, order[first]]
+    ids[order] = first.cumsum() - 1
+    return ids, ordered[:, first], order
 
 
 class Ensemble(NamedTuple):
@@ -375,7 +379,7 @@ class Ensemble(NamedTuple):
                 label_ids.append(ids.setdefault(label, len(ids)))
                 answers.append(answer)
                 amps.append(amp)
-        rank, fields = _distinct_columns(label_fields(list(ids)))
+        rank, fields, _ = _distinct_columns(label_fields(list(ids)))
         label_ids = rank[np.array(label_ids, dtype=np.intp)]
         answers = np.array(answers, dtype=np.intp)
         order = np.argsort(label_ids * len(states) + answers)
@@ -401,6 +405,13 @@ def _squared_norms(
 ) -> np.ndarray:
     """Squared norms of answers ``low .. low+count-1``, summed in entry order."""
     return np.bincount(answers - low, amps * amps, minlength=count)
+
+
+def _run_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices of runs, run after run: ``starts[k] .. starts[k] + lengths[k] - 1``."""
+    ends = lengths.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + (starts - ends + lengths).repeat(lengths)
 
 
 def _first_of_runs(sorted_values: np.ndarray) -> np.ndarray:
@@ -432,34 +443,35 @@ def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
     counts, images, coeffs = op(ens.fields)
     if np.iscomplexobj(coeffs):
         raise ValueError("ensemble coefficients must be real, got complex ones")
-    image_ids, image_fields = _distinct_columns(images)
+    image_ids, image_fields, _ = _distinct_columns(images)
     # Each label's run of entries expands image term by image term, so each
     # (label, term) is one ascending run of answers: expanded term t is image
     # term term[t] of entry source[t].
     run = np.bincount(ens.label_ids, minlength=len(counts))
-    term_label = np.repeat(np.arange(len(counts)), counts)
-    per_term = run[term_label]
-    term = np.repeat(np.arange(len(per_term)), per_term)
-    shift = np.cumsum(per_term) - per_term - (np.cumsum(run) - run)[term_label]
-    source = np.arange(len(term)) - np.repeat(shift, per_term)
+    per_term = run.repeat(counts)
+    term = np.arange(len(per_term)).repeat(per_term)
+    source = _run_indices((run.cumsum() - run).repeat(counts), per_term)
     label_ids, answers = image_ids[term], ens.answers[source]
     terms = ens.amps[source] * coeffs[term]
     # Sorted keys put the entries label by label, and the stable sort merges
     # the runs; dense image ids times the answer span stay far inside int64.
     low, count = _answer_span(ens.answers)
     keys = label_ids * count + (answers - low)
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     keys = keys[order]
     first = _first_of_runs(keys)
-    group = np.cumsum(first) - 1
     pair = order[first]
     label_ids, answers = label_ids[pair], answers[pair]
     # bincount gives int64 on empty input, whatever the weights.
-    amps = np.bincount(group, terms[order], len(pair)).astype(float, copy=False)
+    amps = np.bincount(first.cumsum() - 1, terms[order], len(pair)).astype(
+        float, copy=False
+    )
 
     # Written so that NaN is kept, to fail the finiteness check below.
     keep = ~(np.abs(amps) < PRUNE_EPS)
-    label_ids, answers, amps = label_ids[keep], answers[keep], amps[keep]
+    pruned = not keep.all()
+    if pruned:
+        label_ids, answers, amps = label_ids[keep], answers[keep], amps[keep]
     norms_sq = _squared_norms(answers, amps, low, count)
     finite = np.isfinite(norms_sq)
     if not finite.all():
@@ -473,11 +485,12 @@ def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
             f"operator declared unitary drifted the norm by {drift:.3e}"
         )
 
-    # Keep only the image labels some entry still holds.
-    held = np.bincount(label_ids, minlength=len(image_fields[0])) > 0
-    return Ensemble(
-        ens.size, image_fields[:, held], (np.cumsum(held) - 1)[label_ids], answers, amps
-    )
+    # Every label holds entries, so with nothing pruned every image label
+    # does; otherwise keep only the image labels some entry still holds.
+    if pruned:
+        held = np.bincount(label_ids, minlength=image_fields.shape[1]) > 0
+        image_fields, label_ids = image_fields[:, held], (held.cumsum() - 1)[label_ids]
+    return Ensemble(ens.size, image_fields, label_ids, answers, amps)
 
 
 def permute_ensemble(
@@ -488,15 +501,46 @@ def permute_ensemble(
     ``image_of`` is called once, on the fields of every distinct label. Two
     labels of one answer with the same image raise :class:`CollisionError`,
     which names them in label order.
+
+    A map that is one to one on the labels cannot collide: each label's run
+    of entries moves whole to its image's place, in time linear in the
+    entries, and when the images keep the label order only the fields
+    change. Any other map goes through :func:`_permute_by_sort`.
     """
-    image_ids, image_fields = _distinct_columns(image_of(ens.fields))
+    image_ids, image_fields, source = _distinct_columns(image_of(ens.fields))
+    labels = len(image_ids)
+    if image_fields.shape[1] < labels:
+        return _permute_by_sort(ens, image_ids, image_fields)
+    if (image_ids[1:] > image_ids[:-1]).all():
+        return Ensemble(ens.size, image_fields, ens.label_ids, ens.answers, ens.amps)
+    # Image id m takes the run of entries of label source[m].
+    run = np.bincount(ens.label_ids, minlength=labels)
+    count = run[source]
+    gather = _run_indices((run.cumsum() - run)[source], count)
+    return Ensemble(
+        ens.size,
+        image_fields,
+        np.arange(labels).repeat(count),
+        ens.answers[gather],
+        ens.amps[gather],
+    )
+
+
+def _permute_by_sort(
+    ens: Ensemble, image_ids: np.ndarray, image_fields: np.ndarray
+) -> Ensemble:
+    """:func:`permute_ensemble` with label ``k`` mapped to column ``image_ids[k]``
+    of ``image_fields``, by a stable sort of the entries' keys.
+
+    Labels sharing an image collide only where one answer holds both; the
+    first such pair in key order raises :class:`CollisionError`.
+    """
     label_ids = image_ids[ens.label_ids]
     low, count = _answer_span(ens.answers)
     keys = label_ids * count + (ens.answers - low)
     # Each label's entries stay one ascending run, which a stable sort merges.
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    # Labels sharing an image collide only where one answer holds both.
     repeated = keys[~_first_of_runs(keys)]
     if len(repeated):
         image, offset = divmod(int(repeated[0]), count)

@@ -139,9 +139,9 @@ def _mix_fields(fields: np.ndarray, s: int):
     kind, b, lo, hi, _ = fields
     match = (kind == TEAM) & (hi - lo + 1 == s)
     counts = match + 1
-    images = np.repeat(fields, counts, axis=1)
+    images = fields.repeat(counts, axis=1)
     coeffs = np.ones(images.shape[1])
-    marker0 = (np.cumsum(counts) - counts)[match]
+    marker0 = (counts.cumsum() - counts)[match]
     images[1, marker0] = 0
     images[1, marker0 + 1] = 1
     coeffs[marker0] = _SQRT_HALF
@@ -182,7 +182,7 @@ def _halving_fields(fields: np.ndarray, s: int) -> np.ndarray:
     mid = lo + s // 2 - 1
     lower, upper = match & (b == 1), match & (b == 0)
     lows, highs = np.where(upper, mid + 1, lo), np.where(lower, mid, hi)
-    return np.stack((kind, np.where(match, 0, b), lows, highs, last))
+    return np.array((kind, np.where(match, 0, b), lows, highs, last))
 
 
 def apply_refine(state: SparseState, s: int) -> SparseState:
@@ -262,7 +262,9 @@ def _bitwrite_fields(n: int, bitwrite_length: int):
         require_fields((kind == TEAM) & ((lo > 0) | (hi > lo)), fields, open_query)
         counts, images, coeffs = _mix_fields(fields, bitwrite_length)
         _, b, lo, hi, _ = images
-        routed = np.stack((np.full_like(b, QUERY), hi, lo, b, routed_index(b, lo, hi)))
+        routed = np.empty_like(images)
+        routed[0], routed[1], routed[2], routed[3] = QUERY, hi, lo, b
+        routed[4] = routed_index(b, lo, hi)
         return counts, routed, coeffs
 
     def close_fields(fields):
@@ -270,7 +272,8 @@ def _bitwrite_fields(n: int, bitwrite_length: int):
         # A routed interval of length >= 2 on its routed index.
         sits = (kind == QUERY) & (lo < hi) & (i == routed_index(b, lo, hi))
         require_fields(sits, fields, close_query)
-        team = np.stack((np.full_like(b, TEAM), b, lo, hi, np.zeros_like(b)))
+        team = np.empty_like(fields)
+        team[0], team[1], team[2], team[3], team[4] = TEAM, b, lo, hi, 0
         return _mix_fields(team, bitwrite_length)
 
     return open_fields, close_fields

@@ -2,6 +2,7 @@ import enum
 import hashlib
 import json
 import math
+import time
 from collections import OrderedDict
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from qordsearch import cli
 from qordsearch import lowerbound as lb
 from qordsearch.cli import main, render_json
 
@@ -45,6 +47,23 @@ class TestBound:
     def test_usage_errors(self, runner):
         assert run(runner, "bound", "--n", "1").exit_code == 2
         assert run(runner, "bound", "--n", "8", "--eps", "0.7").exit_code == 2
+
+    def test_a_list_of_2_to_the_40_is_answered_at_once(self, runner):
+        n = 1 << 40
+        start = time.perf_counter()
+        result = run(runner, "bound", "--n", str(n))
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["total_weight"] == n * lb._harmonic_expansion(n) - n
+        assert payload["bound"] == (lb._harmonic_expansion(n) - 1) / math.pi
+
+    @pytest.mark.parametrize("n", [10**306, 10**400])
+    def test_a_total_weight_past_the_float_range_is_a_usage_error(self, runner, n):
+        result = runner.invoke(main, ["bound", "--n", str(n)])
+        assert result.exit_code == 2
+        assert "--n is too large: total weight n*H_n - n overflows a float" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 class TestTrajectory:
@@ -183,6 +202,36 @@ class TestSmallCommands:
         payload = json.loads(result.output)
         assert abs(payload["hilbert_norm"] - (4 + math.sqrt(13)) / 6) < 1e-10
         assert payload["hankel_norm"] <= payload["hilbert_norm"]
+
+    def test_norms_past_physical_memory_is_refused_before_allocating(
+        self, runner, monkeypatch
+    ):
+        def refuse(size):
+            raise AssertionError(f"dense matrix of size {size} allocated")
+
+        monkeypatch.setattr(cli, "physical_memory", lambda: 8 << 30)
+        monkeypatch.setattr(lb, "hilbert_matrix", refuse)
+        monkeypatch.setattr(lb, "hankel_matrix", refuse)
+        result = runner.invoke(main, ["norms", "--size", "100000000000"])
+        assert result.exit_code == 2
+        assert "--size 100000000000 needs 1.49e+14 GiB" in result.output
+        assert "more than the 8 GiB of physical memory" in result.output
+        # Two 2048 x 2048 matrices and the basis need 64.5 MiB.
+        monkeypatch.setattr(cli, "physical_memory", lambda: 64 << 20)
+        assert runner.invoke(main, ["norms", "--size", "2048"]).exit_code == 2
+
+    def test_norms_that_fit_run_and_an_unknown_memory_is_no_refusal(
+        self, runner, monkeypatch
+    ):
+        expected = run(runner, "norms", "--size", "65").output
+        monkeypatch.setattr(cli, "physical_memory", lambda: 8 * (2 * 65 * 65 + 33 * 65))
+        assert run(runner, "norms", "--size", "65").output == expected
+        monkeypatch.setattr(cli, "physical_memory", lambda: None)
+        assert run(runner, "norms", "--size", "65").output == expected
+
+    def test_physical_memory_is_read_from_sysconf(self):
+        memory = cli.physical_memory()
+        assert memory is None or memory > 1 << 20
 
     def test_decompose(self, runner):
         result = run(runner, "decompose", "--m", "14")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qordsearch import lowerbound as lb
+from qordsearch import qcore
 from qordsearch import teamsearch as ts
 from qordsearch.oracle import OrderedInstance, apply_query, enumerate_instances
 from qordsearch.qcore import (
@@ -107,6 +108,33 @@ class TestScalarFormulas:
     def test_harmonic_log_bounds(self, n):
         h = lb.harmonic(n)
         assert math.log(n) < h < math.log(n) + 1
+
+    def test_harmonic_sums_its_terms_up_to_the_limit(self):
+        for n in (1, 2, 1000, lb.HARMONIC_FSUM_LIMIT):
+            assert lb.harmonic(n) == math.fsum(1.0 / k for k in range(1, n + 1))
+
+    def test_harmonic_expansion_agrees_with_the_sum_within_four_ulps(self):
+        # Each 1/k is rounded before the exact fsum, and the expansion's
+        # terms are rounded as they are added: a few ulps apart (2 seen).
+        rng = np.random.default_rng(7)
+        samples = [1 << 10, 1 << 20] + rng.integers(1 << 10, 1 << 20, 10).tolist()
+        for n in samples:
+            summed = math.fsum(1.0 / k for k in range(1, n + 1))
+            assert abs(lb._harmonic_expansion(n) - summed) <= 4 * math.ulp(summed), n
+
+    def test_harmonic_past_the_limit_is_the_expansion(self):
+        n = 1 << 40
+        assert lb.harmonic(n) == lb._harmonic_expansion(n)
+        assert abs(lb.harmonic(n) - (math.log(n) + lb.EULER_GAMMA)) < 1e-12
+        assert lb.harmonic(lb.HARMONIC_FSUM_LIMIT + 1) == lb._harmonic_expansion(
+            lb.HARMONIC_FSUM_LIMIT + 1
+        )
+
+    @pytest.mark.parametrize("n", [10**306, 10**400])
+    def test_total_weight_past_the_float_range_overflows(self, n):
+        with pytest.raises(OverflowError, match="overflows a float"):
+            lb.total_weight(n)
+        assert math.isfinite(lb.total_weight(10**300))
 
     def test_total_weight_small_values(self):
         assert lb.total_weight(1) == 0.0
@@ -1130,6 +1158,33 @@ class TestTrajectory:
             assert len(record.chain_reports) == algorithm.num_queries
             assert all(report.holds for report in record.chain_reports)
 
+    @pytest.mark.parametrize(
+        "algorithm",
+        [BinarySearchAlgorithm(256), TeamCombineAlgorithm(512)],
+        ids=algorithm_id,
+    )
+    def test_chain_path_sorts_no_entries_and_runs_one_pass_per_snapshot(
+        self, monkeypatch, algorithm
+    ):
+        # Every refinement maps labels one to one, so no step sorts entries;
+        # W and the pair drop of a snapshot entering a query come from one
+        # kernel pass, and only the final W is a pass of its own.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on the chain path")
+
+        monkeypatch.setattr(qcore, "_permute_by_sort", forbidden)
+        monkeypatch.setattr(lb, "_pairwise_drop_pass", forbidden)
+        overlap_calls = []
+        overlap = lb.weighted_overlap
+        monkeypatch.setattr(
+            lb, "weighted_overlap", lambda *a: overlap_calls.append(1) or overlap(*a)
+        )
+        w = lb.WeightSpec.inverse_distance(algorithm.n)
+        record = lb.run_trajectory(algorithm, algorithm.n, w, verify_chain=True)
+        assert len(record.chain_reports) == algorithm.num_queries
+        assert all(report.holds for report in record.chain_reports)
+        assert len(overlap_calls) == 1
+
     @pytest.mark.parametrize("n", [2, 32, 1024])
     def test_chain_path_builds_no_dense_matrix(self, monkeypatch, n):
         # The Hankel norm of the chain is matrix-free at every size; no
@@ -1241,3 +1296,51 @@ class TestTrajectory:
         assert ",0," in record.to_csv().splitlines()[1]  # the W_im column
         profile = lb.mass_profile(algorithm.initial_ensemble())
         assert type(lb.pairwise_drop(profile, w)) is float
+
+
+def fused_and_standalone(algorithm):
+    """Per snapshot entering a query: W and the pair drop of the chain's pass,
+    then W from ``weighted_overlap`` and the drop from the standalone pass."""
+    w = lb.WeightSpec.inverse_distance(algorithm.n)
+    checked = []
+    verify = lb.verify_drop_chain
+
+    def spy(profile, drop, w):
+        checked.append((lb.pairwise_drop(profile, w), profile))
+        return verify(profile, drop, w)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lb, "verify_drop_chain", spy)
+        record = lb.run_trajectory(algorithm, algorithm.n, w, verify_chain=True)
+    snapshots = list(ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble()))
+    fused = [step.overlap for step in record.steps], [drop for drop, _ in checked]
+    standalone = (
+        [lb.weighted_overlap(ensemble, w) for ensemble in snapshots],
+        [lb._pairwise_drop_pass(profile, w) for _, profile in checked],
+    )
+    assert all(w in profile._drops for _, profile in checked)
+    return fused, standalone
+
+
+FUSED_ALGORITHMS = (
+    [BinarySearchAlgorithm(1 << k) for k in range(13)]
+    + [TeamCombineAlgorithm(n) for n in (2, 4, 8, 32, 128, 512, 2048, 8192)]
+    + [TeamCombineAlgorithm(32, r=2)]
+)
+
+
+class TestFusedPass:
+    """W and the pair drop from one kernel pass against their own passes."""
+
+    @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS, ids=algorithm_id)
+    def test_every_overlap_and_drop_is_bit_equal(self, algorithm):
+        fused, standalone = fused_and_standalone(algorithm)
+        assert len(fused[1]) == algorithm.num_queries
+        assert fused == standalone
+
+    @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS, ids=algorithm_id)
+    def test_split_batches_move_no_bit(self, monkeypatch, algorithm):
+        whole = fused_and_standalone(algorithm)[0]
+        monkeypatch.setattr(lb, "_BATCH_ENTRIES", 32)
+        fused, standalone = fused_and_standalone(algorithm)
+        assert fused == standalone == whole

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qordsearch import qcore
 from qordsearch import teamsearch as ts
 from qordsearch.oracle import OrderedInstance, apply_query, enumerate_instances
 from qordsearch.qcore import (
@@ -648,3 +649,117 @@ class TestEnsemble:
         ):
             assert_ensemble_invariants(got)
             assert got.fields.shape == (5, 0)
+
+
+def sorted_permutation(ensemble, image_of):
+    """``permute_ensemble`` through its entry-sort path alone."""
+    image_ids, image_fields, _ = qcore._distinct_columns(image_of(ensemble.fields))
+    return qcore._permute_by_sort(ensemble, image_ids, image_fields)
+
+
+def assert_same_ensemble(got, expected):
+    """Equal array for array, dtypes included: bit for bit."""
+    assert got.size == expected.size
+    for name in ("fields", "label_ids", "answers", "amps"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def random_ensemble(rng, answers, labels):
+    """States over a shared pool of routed labels, each answer holding some."""
+    pool = [query_label(rng.randrange(4 * labels), rng.randrange(8)) for _ in range(labels)]
+    states = [
+        SparseState({label: rng.choice([-1, 1]) * (rng.random() + 0.5)
+                     for label in rng.sample(pool, rng.randrange(len(pool) + 1))})
+        for _ in range(answers)
+    ]
+    return Ensemble.from_states(states)
+
+
+def refine_steps(algorithm):
+    """The ensemble entering every refine step of an all-answer run, with its map."""
+    ensemble = algorithm.initial_ensemble()
+    for j in range(algorithm.num_queries):
+        ensemble = ts.oracle_mod.apply_query_ensemble(ensemble)
+        for step in algorithm._rounds[j]:
+            if step.kind == "permute":
+                yield ensemble, step.image
+            ensemble = ts._ENSEMBLE_STEPS[step.kind](ensemble, step.image)
+
+
+class TestPermuteByRuns:
+    """The label-run ``permute_ensemble`` against its entry-sort path."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_injective_maps(self, seed):
+        rng = random.Random(seed)
+        ensemble = random_ensemble(rng, rng.randrange(1, 9), rng.randrange(1, 12))
+        labels = labels_of(ensemble.fields)
+        targets = rng.sample(
+            [TeamLabel(b, lo, lo) for b in (0, 1) for lo in range(40)]
+            + [query_label(z, i) for z in range(20) for i in range(3)],
+            len(labels),
+        )
+        image = dict(zip(labels, targets))
+        image_of = lifted_permutation(image.__getitem__)
+        got = permute_ensemble(ensemble, image_of)
+        assert_ensemble_invariants(got)
+        assert_same_ensemble(got, sorted_permutation(ensemble, image_of))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_maps_that_keep_the_label_order_change_only_the_fields(self, seed):
+        ensemble = random_ensemble(random.Random(seed), 6, 10)
+        shifted = lambda fields: fields + np.array([[0], [3], [3], [0], [5]])
+        got = permute_ensemble(ensemble, shifted)
+        assert_same_ensemble(got, sorted_permutation(ensemble, shifted))
+        assert got.label_ids is ensemble.label_ids
+        assert got.amps is ensemble.amps
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [ts.BinarySearchAlgorithm(1 << k) for k in range(1, 13)]
+        + [ts.TeamCombineAlgorithm(n) for n in (2, 4, 8, 32, 128, 512, 2048, 8192)]
+        + [ts.TeamCombineAlgorithm(32, r=2)],
+        ids=lambda a: f"{type(a).__name__}-{a.n}-r{getattr(a, 'r', 1)}",
+    )
+    def test_every_refine_step_of_a_run(self, algorithm):
+        steps = 0
+        for ensemble, image_of in refine_steps(algorithm):
+            assert_same_ensemble(
+                permute_ensemble(ensemble, image_of), sorted_permutation(ensemble, image_of)
+            )
+            steps += 1
+        assert steps == sum(
+            step.kind == "permute" for steps_j in algorithm._rounds for step in steps_j
+        )
+
+    def test_a_map_that_merges_labels_takes_the_sort_path(self, monkeypatch):
+        # Two labels of different answers share an image: no collision, but
+        # the map is not one to one, so only the sort can merge the runs.
+        merge = lambda l: query_label(0, l.i)
+        apart = Ensemble.from_states(
+            [SparseState.unit(query_label(0, 3)), SparseState.unit(query_label(1, 3))]
+        )
+        expected = sorted_permutation(apart, lifted_permutation(merge))
+        assert_same_ensemble(permute_ensemble(apart, lifted_permutation(merge)), expected)
+        calls = []
+        sort = qcore._permute_by_sort
+        monkeypatch.setattr(
+            qcore, "_permute_by_sort", lambda *args: calls.append(1) or sort(*args)
+        )
+        permute_ensemble(apart, lifted_permutation(merge))
+        assert calls == [1]
+
+    def test_collisions_keep_their_type_and_message(self):
+        merge = lambda l: query_label(0, l.i)
+        together = Ensemble.from_states([
+            SparseState.unit(query_label(0, 3)),
+            SparseState({query_label(0, 3): 0.6, query_label(1, 3): 0.8}),
+        ])
+        with pytest.raises(CollisionError) as direct:
+            sorted_permutation(together, lifted_permutation(merge))
+        with pytest.raises(CollisionError) as public:
+            permute_ensemble(together, lifted_permutation(merge))
+        assert str(public.value) == str(direct.value)
+        assert str(public.value) == "labels 0|0,0;3 and 0|1,1;3 of answer 1 both map to 0|0,0;3"
