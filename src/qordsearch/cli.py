@@ -20,6 +20,8 @@ PROB_TOL = 1e-9
 # A run of every answer (a sweep), and a trajectory, allocate arrays of
 # length N: at 2**31 the trajectory's weight kernel alone is 32 GiB.
 SWEEP_SIZE_LIMIT = 1 << 30
+# The label id, answer and amplitude of one entry of an ensemble.
+ENTRY_BYTES = 24
 
 
 def fmt_float(x: float) -> str:
@@ -91,6 +93,11 @@ def emit(text: str, out: str | None):
 
 
 def build_algorithm(algo: str, n: int, sweep: bool):
+    """The algorithm ``algo`` at list size ``n``; a usage error if none is.
+
+    A ``sweep`` (every answer in one ensemble) must also fit in physical
+    memory: its start holds one entry per answer and opening level.
+    """
     if sweep and n > SWEEP_SIZE_LIMIT:
         raise click.UsageError(
             f"list size {n} is past 2**30, the largest run of every answer"
@@ -98,12 +105,20 @@ def build_algorithm(algo: str, n: int, sweep: bool):
     try:
         teamsearch.require_int64_positions(n)
         if algo == "binary":
-            return teamsearch.BinarySearchAlgorithm(n)
-        if algo == "team":
-            return teamsearch.TeamCombineAlgorithm(n)
+            algorithm = teamsearch.BinarySearchAlgorithm(n)
+        elif algo == "team":
+            algorithm = teamsearch.TeamCombineAlgorithm(n)
+        else:
+            raise click.UsageError(f"unknown algorithm {algo!r}")
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    raise click.UsageError(f"unknown algorithm {algo!r}")
+    if sweep:
+        require_memory(
+            ENTRY_BYTES * n * len(algorithm._levels),
+            f"--n {n}",
+            "the entry arrays of the start ensemble alone",
+        )
+    return algorithm
 
 
 def physical_memory() -> int | None:
@@ -115,6 +130,17 @@ def physical_memory() -> int | None:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
         return None
+
+
+def require_memory(needed: int, option: str, what: str) -> None:
+    """A usage error (exit 2) when ``needed`` bytes for ``what`` pass physical
+    memory, raised before anything is allocated; none where it is unknown."""
+    memory = physical_memory()
+    if memory is not None and needed > memory:
+        raise click.UsageError(
+            f"{option} needs {needed / 2**30:.3g} GiB for {what}, more than the "
+            f"{memory / 2**30:.3g} GiB of physical memory (cgroup limits are not read)"
+        )
 
 
 def check_eps(eps: float) -> float:
@@ -280,14 +306,11 @@ def norms(size, out):
         raise click.UsageError(f"--size must be positive, got {size}")
     # A bound on what the command allocates: both dense matrices and the
     # Lanczos basis.
-    needed = 8 * (2 * size * size + (lowerbound.LANCZOS_STEPS + 1) * size)
-    memory = physical_memory()
-    if memory is not None and needed > memory:
-        raise click.UsageError(
-            f"--size {size} needs {needed / 2**30:.3g} GiB for two dense "
-            f"matrices and the Lanczos basis, more than the {memory / 2**30:.3g} "
-            "GiB of physical memory (cgroup limits are not read)"
-        )
+    require_memory(
+        8 * (2 * size * size + (lowerbound.LANCZOS_STEPS + 1) * size),
+        f"--size {size}",
+        "two dense matrices and the Lanczos basis",
+    )
     payload = {
         "size": size,
         "hilbert_norm": lowerbound.spectral_norm(lowerbound.hilbert_matrix(size)),

@@ -28,12 +28,13 @@ run and every sum over the columns runs in that order.
 
 The weights depend on the answer distance b - a only (:class:`WeightSpec`),
 so W and each drop are sums of correlations of label columns with one
-distance kernel, computed by batched FFTs, and M is applied without being
-built: its product with a vector is a convolution, which serves both the
-double sum, as 2 * gamma^T M delta, and, at every size, the Lanczos
-iteration for ||M||. A chain-verified run needs memory linear in n. The
-chain is checked for the inverse-distance weights only; other kernels are
-refused there.
+distance kernel, computed by batched FFTs; one pass over a snapshot's
+columns gives its W and, for states entering a query, the pair drop of
+:func:`pairwise_drop`. M is applied without being built: its product with
+a vector is a convolution, which serves both the double sum, as
+2 * gamma^T M delta, and, at every size, the Lanczos iteration for ||M||.
+A chain-verified run needs memory linear in n. The chain is checked for
+the inverse-distance weights only; other kernels are refused there.
 
 Algorithm protocol expected by :func:`run_trajectory`, which evolves the
 states of all answers together as one :class:`~qordsearch.qcore.Ensemble`
@@ -280,17 +281,17 @@ _BATCH_ENTRIES = 1 << 16
 
 
 def _kernel_sums(
-    ensemble: Ensemble, w: WeightSpec, overlap: bool, left: np.ndarray | None
+    ensemble: Ensemble, w: WeightSpec, left: np.ndarray | None = None
 ) -> tuple[float, float]:
     """Sums of w(a_p, a_q) * x_p * x_q over pairs of entries of one label column.
 
     Entry e of ``ensemble`` is answer a_e holding the real amplitude x_e on
     a label column; each column's entries are contiguous and their answers
-    ascend. With ``overlap`` the first sum runs over all ordered pairs of
-    each column, which is W. With an entry mask ``left`` the second runs over
-    the pairs whose first member is marked in ``left`` and whose second is
-    not, in the columns holding both kinds (the mixed columns); with
-    ``left`` None it is 0.0, as is the first without ``overlap``.
+    ascend. The first sum runs over all ordered pairs of each column, which
+    is W. With an entry mask ``left`` the second runs over the pairs whose
+    first member is marked in ``left`` and whose second is not, in the
+    columns holding both kinds (the mixed columns); with ``left`` None it
+    is 0.0.
 
     Because the weight depends only on b - a, each column's sums over q are
     a correlation of its amplitudes, scattered over the column's answer
@@ -307,7 +308,7 @@ def _kernel_sums(
     run grows linearly in n (README.md gives measured figures).
     """
     label_ids, answers, amps = ensemble.label_ids, ensemble.answers, ensemble.amps
-    if not len(answers) or not (overlap or left is not None):
+    if not len(answers):
         return 0.0, 0.0
     count = np.bincount(label_ids)
     ends = count.cumsum()
@@ -323,8 +324,8 @@ def _kernel_sums(
     # Rows 0 .. overlap_rows-1 are W's, one per label; the pair's, one per
     # mixed label, follow. The pair's products hold the mixed labels'
     # entries only: entry e of label k is product e - skipped[k].
-    overlap_rows = len(count) if overlap else 0
-    overlap_products = np.zeros(len(answers) if overlap else 0, dtype=complex)
+    overlap_rows = len(count)
+    overlap_products = np.zeros(len(answers), dtype=complex)
     row_labels = np.arange(overlap_rows)
     pair_products = np.zeros(0, dtype=complex)
     if left is not None:
@@ -386,7 +387,7 @@ def weighted_overlap(ensemble: Ensemble, w: WeightSpec) -> float:
     ordered pairs of each label's column of amplitudes.
     """
     _check_state_count(ensemble.size, w)
-    return _kernel_sums(ensemble, w, True, None)[0]
+    return _kernel_sums(ensemble, w)[0]
 
 
 def _reference_weighted_overlap(
@@ -516,16 +517,14 @@ def query_index(label: BasisLabel) -> int:
 class MassProfile:
     """The per-answer states split by the index each label queries.
 
-    ``ensemble`` holds the states and ``index[e]`` the index that entry
-    ``e``'s label queries. ``gammas[d]`` is the root of the mass queried
-    ``d`` positions at or above each answer, ``deltas[d]`` of the mass
-    queried ``d + 1`` positions below. Only
-    in-range indices (0 .. n-1) contribute; queries in the zero-padding
-    region never distinguish instances.
+    ``ensemble`` holds the states, each label a ``QueryLabel``.
+    ``gammas[d]`` is the root of the mass queried ``d`` positions at or
+    above each answer, ``deltas[d]`` of the mass queried ``d + 1`` positions
+    below. Only in-range indices (0 .. n-1) contribute; queries in the
+    zero-padding region never distinguish instances.
     """
 
     ensemble: Ensemble = field(repr=False)
-    index: np.ndarray = field(repr=False)
     gammas: np.ndarray = field(repr=False)
     deltas: np.ndarray = field(repr=False)
     # Pair drops per WeightSpec, left by the pass that computed W of these
@@ -549,7 +548,7 @@ def mass_profile(ensemble: Ensemble) -> MassProfile:
     below = queried & (offset < 0)
     gammas_sq = np.bincount(offset[above], mass[above], minlength=size)
     deltas_sq = np.bincount(-1 - offset[below], mass[below], minlength=size)
-    return MassProfile(ensemble, index, np.sqrt(gammas_sq), np.sqrt(deltas_sq))
+    return MassProfile(ensemble, np.sqrt(gammas_sq), np.sqrt(deltas_sq))
 
 
 def pairwise_drop(profile: MassProfile, w: WeightSpec) -> float:
@@ -557,27 +556,23 @@ def pairwise_drop(profile: MassProfile, w: WeightSpec) -> float:
 
     Equals ``W_j - W_(j+1)`` exactly (up to float error) when the round is
     one query followed by shared unitaries: only indices where two instances
-    disagree, i.e. ``a <= i < b``, contribute. A chain-verified trajectory
-    computes it in the pass that gives W_j of the same states, and this
-    reads that value; otherwise :func:`_pairwise_drop_pass` computes it.
+    disagree, i.e. ``a <= i < b``, contribute. It comes from the one kernel
+    pass that also gives W_j of the same states (:func:`_overlap_and_drop`);
+    a chain-verified trajectory leaves that value with the profile, and this
+    reads it, otherwise it runs the pass.
     """
     drop = profile._drops.get(w)
-    return _pairwise_drop_pass(profile, w) if drop is None else drop
-
-
-def _pairwise_drop_pass(profile: MassProfile, w: WeightSpec) -> float:
-    """:func:`pairwise_drop` by its own kernel pass over the mixed columns."""
-    left = profile.ensemble.answers <= profile.index
-    return 2.0 * _kernel_sums(profile.ensemble, w, False, left)[1]
+    return _overlap_and_drop(profile.ensemble, w)[1] if drop is None else drop
 
 
 def _overlap_and_drop(ensemble: Ensemble, w: WeightSpec) -> tuple[float, float]:
     """W of states entering a query, and their pair drop, from one kernel pass.
 
-    The drop is what :func:`pairwise_drop` gives on their :func:`mass_profile`.
+    An entry is on the left of the pairs that its label's queried index i
+    separates when its answer a <= i.
     """
     left = ensemble.answers <= ensemble.fields[4][ensemble.label_ids]
-    overlap, pair = _kernel_sums(ensemble, w, True, left)
+    overlap, pair = _kernel_sums(ensemble, w, left)
     return overlap, 2.0 * pair
 
 

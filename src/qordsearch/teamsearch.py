@@ -27,11 +27,12 @@ of the whole list) and one ``_schedule``'s steps. Shared ``initial_state``
 and ``advance`` run them for one instance of the algorithm's size; a shared
 ``initial_ensemble`` builds the starts of a contiguous answer range, which
 :func:`ensemble_snapshots` evolves at once, and :func:`run_ensemble` reads
-each answer's outcome off the final ensemble, with :func:`run_algorithm`'s
-bits. The module also provides the classical binary-search reference, the
-knowledge layouts that let one query multiply every computer's explicitly
-known bits by a factor approaching three, and the digit-decomposition
-accounting behind the query-count model.
+the outcome of every answer the final ensemble holds, with
+:func:`run_algorithm`'s bits. The module also provides the classical
+binary-search reference, the knowledge layouts that let one query multiply
+every computer's explicitly known bits by a factor approaching three, and
+the digit-decomposition accounting behind the query-count model, one
+expansion chain walked from one known bit.
 """
 from __future__ import annotations
 
@@ -489,14 +490,16 @@ def _initial_ensemble(self, answers: range | None = None) -> Ensemble:
     Per level of ``self._levels``, each block of its length that meets the
     contiguous range ``answers`` (all by default) is a label, held by the
     answers it covers there; the opening's ensemble steps finish the start.
-    A size past int64, a step other than 1 or an answer off the list raises
-    ``ValueError``.
+    A size past int64, an empty range, a step other than 1 or an answer off
+    the list raises ``ValueError``: every label must be held by some answer.
     """
     require_int64_positions(self.n)
     answers = range(self.n) if answers is None else answers
     low, stop = answers.start, answers.stop
-    if answers.step != 1 or not 0 <= low <= stop <= self.n:
-        raise ValueError(f"need a step-1 range in 0 .. {self.n}, got {answers!r}")
+    if answers.step != 1 or not 0 <= low < stop <= self.n:
+        raise ValueError(
+            f"need a non-empty step-1 range in 0 .. {self.n}, got {answers!r}"
+        )
     fields, amps = [], []
     for length, marker, amp in self._levels:
         lo = np.arange(low - low % length, stop, length)
@@ -606,21 +609,21 @@ def run_algorithm(algorithm, inst: OrderedInstance) -> SimulationResult:
     )
 
 
-def measure_ensemble(algorithm, ensemble: Ensemble, answers) -> list[SimulationResult]:
-    """:func:`run_algorithm`'s measurement of each of ``answers`` in ``ensemble``.
+def measure_ensemble(algorithm, ensemble: Ensemble) -> list[SimulationResult]:
+    """:func:`run_algorithm`'s measurement of each answer ``ensemble`` holds.
 
-    The rules are :func:`measure_distribution`'s and :func:`run_algorithm`'s,
-    with the same bits: each measured answer must be normalized, every label
-    must pin one position, which is its outcome (:func:`_pinned_answer`
-    raises for the first that does not), an outcome's probability is the sum
-    of ``amp * amp`` over its labels in label sort order, and the most
-    likely outcome wins, the first in that order on a tie.
+    The answers run from the lowest holding an entry to the highest, so one
+    without entries in between fails as unnormalized. The rules are
+    :func:`measure_distribution`'s and :func:`run_algorithm`'s, with the
+    same bits: each answer must be normalized, every label must pin one
+    position, which is its outcome (:func:`_pinned_answer` raises for the
+    first that does not), an outcome's probability is the sum of
+    ``amp * amp`` over its labels in label sort order, and the most likely
+    outcome wins, the first in that order on a tie.
     """
-    answers = np.asarray(answers, dtype=np.intp)
+    answers, amps = ensemble.answers, ensemble.amps
     low, count = _answer_span(answers)
-    measured = (low <= ensemble.answers) & (ensemble.answers < low + count)
-    held, amps = ensemble.answers[measured], ensemble.amps[measured]
-    norms_sq = _squared_norms(held, amps, low, count)[answers - low]
+    norms_sq = _squared_norms(answers, amps, low, count)
     normalized = np.abs(norms_sq - 1.0) <= NORM_TOL
     if not normalized.all():
         raise _unnormalized_error(float(norms_sq[~normalized][0]))
@@ -631,18 +634,18 @@ def measure_ensemble(algorithm, ensemble: Ensemble, answers) -> list[SimulationR
     # entries come in label id order, which is the label sort order: the
     # order of the per-state sums.
     outcomes, outcome_ids = np.unique(pinned, return_inverse=True)
-    keys = outcome_ids[ensemble.label_ids[measured]] * count + (held - low)
+    keys = outcome_ids[ensemble.label_ids] * count + (answers - low)
     keys, first, group = np.unique(keys, return_index=True, return_inverse=True)
     probabilities = np.bincount(group, amps * amps, minlength=len(keys))
-    # Per answer, the most likely outcome, and the first to appear on a tie.
+    # Per answer, ascending, the most likely outcome, and the first to appear
+    # on a tie.
     owners = keys % count
     best = np.lexsort((first, -probabilities, owners))
     best = best[_first_of_runs(owners[best])]
-    chosen = best[np.searchsorted(owners[best], answers - low)]
-    found = outcomes[keys[chosen] // count].tolist()
+    found = outcomes[keys[best] // count].tolist()
     return [
         SimulationResult(answer=a, probability=p, queries=algorithm.num_queries)
-        for a, p in zip(found, probabilities[chosen].tolist())
+        for a, p in zip(found, probabilities[best].tolist())
     ]
 
 
@@ -659,7 +662,7 @@ def run_ensemble(algorithm, answer: int | None = None) -> list[SimulationResult]
         answers = range(answer, answer + 1)
     for final in ensemble_snapshots(algorithm, algorithm.initial_ensemble(answers)):
         pass
-    return measure_ensemble(algorithm, final, answers)
+    return measure_ensemble(algorithm, final)
 
 
 # ---------------------------------------------------------------------------
@@ -706,12 +709,9 @@ def classical_binary_search(inst: OrderedInstance) -> SearchTrace:
     return SearchTrace(answer=lo, queried=tuple(queried), known=tuple(known))
 
 
-# The digit values (2*4**k + 1)/3 and what each grows to in one query round,
-# 2*4**k: one table shared by every decomposition, grown on demand and never
-# shrunk. Each list only ever gains entries, the expanded values first, so a
-# reader never sees more digit values than expanded ones.
+# The digit values (2*4**k + 1)/3: one table shared by every decomposition,
+# grown on demand and never shrunk.
 _DIGIT_VALUES = [1]
-_EXPANDED_VALUES = [2]
 _TABLE_LOCK = threading.Lock()
 _DIGITS = frozenset(range(4))
 _INT_ONLY = frozenset({int})
@@ -722,7 +722,6 @@ def _cover_digits(length: int) -> None:
     if len(_DIGIT_VALUES) < length:
         with _TABLE_LOCK:
             while len(_DIGIT_VALUES) < length:
-                _EXPANDED_VALUES.append(4 * _EXPANDED_VALUES[-1])
                 _DIGIT_VALUES.append(4 * _DIGIT_VALUES[-1] - 1)
 
 
@@ -755,8 +754,8 @@ class Decomposition:
         return sum(map(mul, self.digits, _DIGIT_VALUES))
 
     def expanded(self) -> int:
-        _cover_digits(len(self.digits))
-        return sum(map(mul, self.digits, _EXPANDED_VALUES))
+        """Each digit value v_k grows to 2*4**k = 3*v_k - 1 in one query round."""
+        return 3 * self.value() - sum(self.digits)
 
 
 def base_value(k: int) -> int:
@@ -828,29 +827,23 @@ class QueryCount(NamedTuple):
     trace: tuple[int, ...]
 
 
-# The expansion chain from a start does not depend on the list size it is
-# walked to, so it is kept per start (as a tuple, replaced whole when it
-# grows) and each call reads its answer off the chain. Only the first
-# _CHAIN_STARTS distinct starts are kept; others are walked afresh per call.
-_CHAINS: dict[int, tuple[int, ...]] = {}
-_CHAIN_STARTS = 64
+# The expansion chain from one known bit does not depend on the list size it
+# is walked to, so it is kept (as a tuple, replaced whole when it grows) and
+# each call reads its answer off it.
+_CHAIN: tuple[int, ...] = (1,)
 
 
-def query_count_model(n: int, start: int = 1) -> QueryCount:
-    """Iterate the expansion from ``start`` known bits until ``n`` is covered."""
+def query_count_model(n: int) -> QueryCount:
+    """Iterate the expansion from one known bit until ``n`` is covered."""
+    global _CHAIN
     _require_int(n, "n")
-    _require_int(start, "start")
     if n < 2:
         raise ValueError(f"query accounting needs n >= 2, got {n}")
-    if start < 1:
-        raise ValueError(f"starting knowledge must be positive, got {start}")
-    chain = _CHAINS.get(start, (start,))
+    chain = _CHAIN
     if chain[-1] < n:
         grown = list(chain)
         while grown[-1] < n:
             grown.append(expansion(grown[-1]).m_next)
-        chain = tuple(grown)
-        if start in _CHAINS or len(_CHAINS) < _CHAIN_STARTS:
-            _CHAINS[start] = chain
+        chain = _CHAIN = tuple(grown)
     queries = bisect_left(chain, n)  # the chain strictly increases
     return QueryCount(queries=queries, trace=chain[: queries + 1])

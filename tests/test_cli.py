@@ -158,6 +158,55 @@ class TestSimulate:
         assert expected in result.output
 
     @pytest.mark.parametrize(
+        "args, needed",
+        [
+            (("simulate", "--algo", "binary", "--n", str(1 << 30)), "24"),
+            (("trajectory", "--algo", "binary", "--n", str(1 << 30)), "24"),
+            # Team 2^29 opens 15 levels (r = 2^14) on every answer.
+            (("simulate", "--algo", "team", "--n", str(1 << 29)), "180"),
+            (("trajectory", "--algo", "team", "--n", str(1 << 29)), "180"),
+        ],
+        ids=["simulate-binary", "trajectory-binary", "simulate-team", "trajectory-team"],
+    )
+    def test_a_sweep_past_physical_memory_is_refused_before_running(
+        self, runner, monkeypatch, args, needed
+    ):
+        # The start ensemble's label ids, answers and amplitudes alone take
+        # 24 bytes per answer and opening level.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep was started")
+
+        monkeypatch.setattr(cli, "physical_memory", lambda: 8 << 30)
+        monkeypatch.setattr(cli.teamsearch, "run_ensemble", refuse)
+        monkeypatch.setattr(cli.lowerbound, "run_trajectory", refuse)
+        result = runner.invoke(main, list(args))
+        assert result.exit_code == 2
+        assert (
+            f"--n {args[-1]} needs {needed} GiB for the entry arrays of the start "
+            "ensemble alone, more than the 8 GiB of physical memory (cgroup limits "
+            "are not read)"
+        ) in result.output
+
+    @pytest.mark.parametrize("command", ["simulate", "trajectory"])
+    def test_a_sweep_that_fits_runs_and_an_unknown_memory_is_no_refusal(
+        self, runner, monkeypatch, command
+    ):
+        args = (command, "--algo", "binary", "--n", "1024")
+        expected = run(runner, *args).output
+        monkeypatch.setattr(cli, "physical_memory", lambda: 24 * 1024)
+        assert run(runner, *args).output == expected
+        monkeypatch.setattr(cli, "physical_memory", lambda: None)
+        assert run(runner, *args).output == expected
+        monkeypatch.setattr(cli, "physical_memory", lambda: 24 * 1024 - 1)
+        assert runner.invoke(main, list(args)).exit_code == 2
+
+    def test_a_one_answer_run_needs_no_memory_check(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "physical_memory", lambda: 1)
+        result = run(runner, "simulate", "--algo", "binary", "--n", "1024",
+                     "--answer", "5")
+        assert result.exit_code == 0
+
+    @pytest.mark.parametrize(
         "algo, n",
         [("binary", 1 << 31), ("team", 1 << 31),
          ("binary", 1 << 40), ("team", 1 << 41)],

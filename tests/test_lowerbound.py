@@ -452,14 +452,12 @@ class TestMassProfile:
         profile = lb.mass_profile(Ensemble.from_states(states))
         ensemble = profile.ensemble
         rebuilt = [{} for _ in states]
-        for k, a, amp, index in zip(
+        for k, a, amp in zip(
             ensemble.label_ids.tolist(),
             ensemble.answers.tolist(),
             ensemble.amps.tolist(),
-            profile.index.tolist(),
         ):
             label = labels_of(ensemble.fields)[k]
-            assert index == label.i
             assert label not in rebuilt[a]
             rebuilt[a][label] = amp
         for a, state in enumerate(states):
@@ -1042,10 +1040,10 @@ class TestTrajectory:
                 error = abs(Fraction(step.overlap) - exact)
                 assert error <= Fraction(1, 10**14) * exact, (n, j)
 
-    @pytest.mark.parametrize("n", [1 << e for e in range(10, 17)])
+    @pytest.mark.parametrize("n", [1 << e for e in range(10, 19)])
     def test_binary_pair_identity_error_stays_a_few_ulps_of_w0(self, n):
         # The drop and its pairwise recomputation are float sums of size
-        # O(W_0), so their gap grows with W_0 (at most 4.2e-16 W_0 at these
+        # O(W_0), so their gap grows with W_0 (at most 4.3e-16 W_0 at these
         # sizes), and the absolute CHAIN_TOL is reached between 2^20 and 2^21.
         w = lb.WeightSpec.inverse_distance(n)
         record = lb.run_trajectory(BinarySearchAlgorithm(n), n, w, verify_chain=True)
@@ -1168,22 +1166,26 @@ class TestTrajectory:
     ):
         # Every refinement maps labels one to one, so no step sorts entries;
         # W and the pair drop of a snapshot entering a query come from one
-        # kernel pass, and only the final W is a pass of its own.
+        # kernel pass, whose drop the chain reads, and only the final W is a
+        # pass of its own.
         def forbidden(*args, **kwargs):
             raise AssertionError("called on the chain path")
 
+        def counted(calls, function):
+            return lambda *a: calls.append(1) or function(*a)
+
         monkeypatch.setattr(qcore, "_permute_by_sort", forbidden)
-        monkeypatch.setattr(lb, "_pairwise_drop_pass", forbidden)
-        overlap_calls = []
-        overlap = lb.weighted_overlap
+        overlap_calls, passes = [], []
         monkeypatch.setattr(
-            lb, "weighted_overlap", lambda *a: overlap_calls.append(1) or overlap(*a)
+            lb, "weighted_overlap", counted(overlap_calls, lb.weighted_overlap)
         )
+        monkeypatch.setattr(lb, "_kernel_sums", counted(passes, lb._kernel_sums))
         w = lb.WeightSpec.inverse_distance(algorithm.n)
         record = lb.run_trajectory(algorithm, algorithm.n, w, verify_chain=True)
         assert len(record.chain_reports) == algorithm.num_queries
         assert all(report.holds for report in record.chain_reports)
         assert len(overlap_calls) == 1
+        assert len(passes) == algorithm.num_queries + 1
 
     @pytest.mark.parametrize("n", [2, 32, 1024])
     def test_chain_path_builds_no_dense_matrix(self, monkeypatch, n):
@@ -1300,7 +1302,8 @@ class TestTrajectory:
 
 def fused_and_standalone(algorithm):
     """Per snapshot entering a query: W and the pair drop of the chain's pass,
-    then W from ``weighted_overlap`` and the drop from the standalone pass."""
+    then W from ``weighted_overlap``, which computes no pair sum, and the drop
+    from ``pairwise_drop`` on a fresh profile, which holds none."""
     w = lb.WeightSpec.inverse_distance(algorithm.n)
     checked = []
     verify = lb.verify_drop_chain
@@ -1316,7 +1319,10 @@ def fused_and_standalone(algorithm):
     fused = [step.overlap for step in record.steps], [drop for drop, _ in checked]
     standalone = (
         [lb.weighted_overlap(ensemble, w) for ensemble in snapshots],
-        [lb._pairwise_drop_pass(profile, w) for _, profile in checked],
+        [
+            lb.pairwise_drop(lb.mass_profile(profile.ensemble), w)
+            for _, profile in checked
+        ],
     )
     assert all(w in profile._drops for _, profile in checked)
     return fused, standalone
@@ -1330,7 +1336,7 @@ FUSED_ALGORITHMS = (
 
 
 class TestFusedPass:
-    """W and the pair drop from one kernel pass against their own passes."""
+    """W and the pair drop of the chain against a W-only pass and a fresh one."""
 
     @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS, ids=algorithm_id)
     def test_every_overlap_and_drop_is_bit_equal(self, algorithm):

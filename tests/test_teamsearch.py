@@ -638,14 +638,16 @@ class TestEnsembleOutcomes:
         ids=lambda algo: type(algo).__name__,
     )
     @pytest.mark.parametrize(
-        "answers", [range(6, 12), range(-3, 2), range(0, 8, 2), range(7, 5, -1)]
+        "answers",
+        [range(6, 12), range(-3, 2), range(0, 8, 2), range(7, 5, -1), range(3, 3)],
     )
     def test_a_start_range_off_the_list_or_strided_is_refused(
         self, algorithm, answers
     ):
         # Only start and stop are read, so these used to give the starts of
-        # answers off the list, or of every answer between the ends.
-        expected = f"need a step-1 range in 0 .. 8, got {answers!r}"
+        # answers off the list, or of every answer between the ends; an
+        # empty range gave label columns that no entry held.
+        expected = f"need a non-empty step-1 range in 0 .. 8, got {answers!r}"
         assert error_text(algorithm.initial_ensemble, answers) == expected
 
     @pytest.mark.parametrize(
@@ -712,7 +714,7 @@ class TestEnsembleOutcomes:
             np.array([0.6, 0.8]),
         )
         algorithm = ts.BinarySearchAlgorithm(n)
-        [result] = ts.measure_ensemble(algorithm, final, [k])
+        [result] = ts.measure_ensemble(algorithm, final)
         assert result == (k, 0.8**2, 62)
 
     def test_sums_per_position_and_ties_match_run_algorithm(self):
@@ -756,9 +758,22 @@ class TestEnsembleOutcomes:
         assert error_text(ts.run_ensemble, algorithm) == expected
         assert error_text(ts.run_ensemble, algorithm, 1) == expected
         final = Ensemble.from_states(states)
-        assert error_text(ts.measure_ensemble, algorithm, final, [1]) == expected
-        assert ts.measure_ensemble(algorithm, final, [0]) == [
+        assert error_text(ts.measure_ensemble, algorithm, final) == expected
+        assert ts.measure_ensemble(algorithm, algorithm.initial_ensemble(range(1))) == [
             ts.run_algorithm(algorithm, OrderedInstance(2, 0))
+        ]
+
+    def test_an_answer_without_entries_between_held_ones_is_unnormalized(self):
+        states = [SparseState.unit(TeamLabel(0, a, a)) for a in range(3)]
+        algorithm = HandBuilt(states)
+        final = Ensemble.from_states([states[0], SparseState({}), states[2]])
+        expected = error_text(
+            qcore.measure_distribution, SparseState({}), ts._pinned_answer
+        )
+        assert "requires a normalized state" in expected
+        assert error_text(ts.measure_ensemble, algorithm, final) == expected
+        assert ts.measure_ensemble(algorithm, Ensemble.from_states(states)) == [
+            (a, 1.0, 0) for a in range(3)
         ]
 
     def test_an_unpinned_final_label_raises_pinned_answers_error(self):
@@ -1065,9 +1080,9 @@ def reference_expanded(digits):
     return sum(d * 2 * 4**k for k, d in enumerate(digits))
 
 
-def reference_query_count(n, start):
-    """The expansion walked from ``start`` afresh on every call, kept as an oracle."""
-    trace = [start]
+def reference_query_count(n):
+    """The expansion walked from one known bit afresh on every call, an oracle."""
+    trace = [1]
     while trace[-1] < n:
         trace.append(reference_expanded(reference_decompose(trace[-1])))
     return len(trace) - 1, tuple(trace)
@@ -1105,7 +1120,6 @@ class TestDecomposition:
     def test_matches_reference_for_every_m_up_to_1e5(self, monkeypatch):
         # From an empty table, so that every growth of it is exercised.
         monkeypatch.setattr(ts, "_DIGIT_VALUES", [1])
-        monkeypatch.setattr(ts, "_EXPANDED_VALUES", [2])
         for m in range(1, 10**5 + 1):
             decomposition = ts.decompose(m)
             assert decomposition.digits == reference_decompose(m), m
@@ -1122,7 +1136,6 @@ class TestDecomposition:
 
     def test_hand_built_digits_longer_than_the_table(self, monkeypatch):
         monkeypatch.setattr(ts, "_DIGIT_VALUES", [1])
-        monkeypatch.setattr(ts, "_EXPANDED_VALUES", [2])
         digits = tuple(k % 4 for k in range(39)) + (2,)
         decomposition = ts.Decomposition(digits)
         assert decomposition.top == 39
@@ -1130,7 +1143,7 @@ class TestDecomposition:
             d * ts.base_value(k) for k, d in enumerate(digits)
         )
         assert decomposition.expanded() == reference_expanded(digits)
-        assert len(ts._DIGIT_VALUES) == len(ts._EXPANDED_VALUES) == 40
+        assert len(ts._DIGIT_VALUES) == 40
 
     # 1.0 and True equal 1, so set membership alone would accept the last three.
     @pytest.mark.parametrize(
@@ -1171,11 +1184,6 @@ class TestQueryCountModel:
     def test_two_costs_one_query(self):
         assert ts.query_count_model(2) == (1, (1, 2))
 
-    def test_seeded_from_figure_layout(self):
-        result = ts.query_count_model(32, start=11)
-        assert result.queries == 1
-        assert result.trace == (11, 32)
-
     def test_ceil_log3_matches_powers(self):
         for q in range(12):
             assert ts.ceil_log3(3**q) == q
@@ -1190,19 +1198,17 @@ class TestQueryCountModel:
 
     @pytest.fixture(scope="class")
     def reference_counts(self):
-        return {
-            (n, start): reference_query_count(n, start)
-            for start in (1, 3, 11, 40)
-            for n in range(2, 5001)
-        }
+        return {n: reference_query_count(n) for n in range(2, 20001)}
 
     @pytest.mark.parametrize("descending", [True, False])
     def test_matches_reference_in_either_call_order(
         self, reference_counts, descending, monkeypatch
     ):
-        monkeypatch.setattr(ts, "_CHAINS", {})
-        for (n, start), expected in sorted(reference_counts.items(), reverse=descending):
-            assert ts.query_count_model(n, start) == expected, (n, start)
+        # From a chain of one known bit, so that every growth of it is
+        # exercised: at once to the largest n, or one link at a time.
+        monkeypatch.setattr(ts, "_CHAIN", (1,))
+        for n, expected in sorted(reference_counts.items(), reverse=descending):
+            assert ts.query_count_model(n) == expected, n
 
 
 # Each call is valid input first, then the same value in a form the
@@ -1216,8 +1222,7 @@ class TestQueryCountModel:
         (ts.expansion, (11,), (11.0,)),
         (ts.query_count_model, (2,), (2.0,)),
         (ts.query_count_model, (3,), (2.5,)),
-        (ts.query_count_model, (32, 11), (32, 11.0)),
-        (ts.query_count_model, (8, 1), (8, True)),
+        (ts.query_count_model, (1 << 70,), (2.0**70,)),
         (ts.ceil_log3, (3,), (2.5,)),
         (ts.ceil_log3, (3,), (3.0,)),
         (ts.base_value, (1,), (-1,)),
