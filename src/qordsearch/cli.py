@@ -20,8 +20,15 @@ PROB_TOL = 1e-9
 # A run of every answer (a sweep), and a trajectory, allocate arrays of
 # length N: at 2**31 the trajectory's weight kernel alone is 32 GiB.
 SWEEP_SIZE_LIMIT = 1 << 30
-# The label id, answer and amplitude of one entry of an ensemble.
-ENTRY_BYTES = 24
+# Peak bytes per answer of a sweep (`simulate` without --answer, and
+# `trajectory`): peak RSS over that of a size-1024 (binary) or size-512
+# (team) run, in fresh processes, at most 949 for binary 2^16 ... 2^20 and
+# 1322-1570 for team 2^15 ... 2^19, growing with the team's opening levels.
+SWEEP_ANSWER_BYTES = 1570
+# Peak bytes per known bit of ``layout``: the sets, the sorted lists and the
+# JSON text. Peak RSS over that of r = 16 gave 106.6 at r = 128 and 101.9
+# at r = 256.
+LAYOUT_BIT_BYTES = 107
 
 
 def fmt_float(x: float) -> str:
@@ -95,8 +102,8 @@ def emit(text: str, out: str | None):
 def build_algorithm(algo: str, n: int, sweep: bool):
     """The algorithm ``algo`` at list size ``n``; a usage error if none is.
 
-    A ``sweep`` (every answer in one ensemble) must also fit in physical
-    memory: its start holds one entry per answer and opening level.
+    A ``sweep`` (every answer in one ensemble) must also fit in memory, at
+    ``SWEEP_ANSWER_BYTES`` per answer.
     """
     if sweep and n > SWEEP_SIZE_LIMIT:
         raise click.UsageError(
@@ -114,32 +121,56 @@ def build_algorithm(algo: str, n: int, sweep: bool):
         raise click.UsageError(str(exc))
     if sweep:
         require_memory(
-            ENTRY_BYTES * n * len(algorithm._levels),
+            SWEEP_ANSWER_BYTES * n,
             f"--n {n}",
-            "the entry arrays of the start ensemble alone",
+            f"a sweep of every answer at {SWEEP_ANSWER_BYTES} bytes each",
         )
     return algorithm
 
 
-def physical_memory() -> int | None:
-    """Bytes of physical memory, from ``os.sysconf``; None where it is unknown.
+def _read_text(path: str) -> str:
+    with open(path) as handle:
+        return handle.read()
 
-    A cgroup or container limit below that is not read.
+
+def cgroup_memory_limit() -> int | None:
+    """This process's cgroup v2 ``memory.max`` in bytes; None where the file
+    is missing or unreadable, or holds ``max`` (no limit).
+
+    The cgroup is the ``0::`` line of ``/proc/self/cgroup``.
     """
     try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        for line in _read_text("/proc/self/cgroup").splitlines():
+            if line.startswith("0::"):
+                path = os.path.join("/sys/fs/cgroup", line[3:].lstrip("/"), "memory.max")
+                limit = _read_text(path).strip()
+                return int(limit) if limit.isdigit() else None
+    except OSError:
+        pass
+    return None
+
+
+def physical_memory() -> int | None:
+    """Bytes of memory this process may use: physical memory, from
+    ``os.sysconf``, or the cgroup v2 limit when that is lower; None where
+    neither is known."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
-        return None
+        physical = None
+    known = [m for m in (physical, cgroup_memory_limit()) if m is not None]
+    return min(known, default=None)
 
 
 def require_memory(needed: int, option: str, what: str) -> None:
-    """A usage error (exit 2) when ``needed`` bytes for ``what`` pass physical
-    memory, raised before anything is allocated; none where it is unknown."""
+    """A usage error (exit 2) when ``needed`` bytes for ``what`` pass the
+    memory this process may use, raised before anything is allocated; none
+    where that is unknown."""
     memory = physical_memory()
     if memory is not None and needed > memory:
         raise click.UsageError(
             f"{option} needs {needed / 2**30:.3g} GiB for {what}, more than the "
-            f"{memory / 2**30:.3g} GiB of physical memory (cgroup limits are not read)"
+            f"{memory / 2**30:.3g} GiB of memory (physical, or the cgroup limit)"
         )
 
 
@@ -279,9 +310,11 @@ def simulate(ctx, algo, n, answer, out):
 def layout(r, out):
     """Explicitly-known-bit layout of r computers over a list of size 2*r*r."""
     try:
-        built = teamsearch.build_layout(r)
+        bits = r * teamsearch.team_knowledge_size(r)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    require_memory(LAYOUT_BIT_BYTES * bits, f"--r {r}", f"the layout's {bits} known bits")
+    built = teamsearch.build_layout(r)
     emit(render_json(built.to_jsonable()) + "\n", out)
 
 

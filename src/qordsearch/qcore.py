@@ -31,6 +31,15 @@ are real on both paths: floats in a ``SparseState``, one float64 array in
 an ``Ensemble``. A field beyond int64 does not fit, and no key multiplies
 two fields: entries are grouped through dense label ids times the span of
 their answers.
+
+A linear step on an ensemble takes one of two paths, chosen by its input.
+When every image label sums at most two terms, and the two source labels
+of each two-term image hold the same answers, the image's entries are one
+gathered label run times its coefficient, plus a second such run: the
+marker mixer and every open, close and combine step are of this kind. Any
+other map expands every entry into its terms and sorts them. The results
+are bit-equal: a lone term of -0.0 stays -0.0 on the first path, where the
+second's sum from zero gives +0.0, and both are pruned.
 """
 from __future__ import annotations
 
@@ -432,18 +441,69 @@ FieldsMap = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
     """:func:`apply_linear` on every state of ``ens``.
 
-    ``op`` is called once, on the fields of every distinct label. Each entry
-    expands into the terms ``amp * coeff`` of its label's image, and the
-    terms of one (label, answer) pair are summed from zero, as the
-    per-state accumulation does; with at most two terms per pair the sums
-    are bit-equal to it, in either order. Complex ``coeffs`` raise
+    ``op`` is called once, on the fields of every distinct label, and the
+    terms of one (image, answer) pair are summed as the per-state
+    accumulation sums them; with at most two terms per pair the sums are
+    bit-equal to it, in either order. Complex ``coeffs`` raise
     ``ValueError``. Pruning, the finiteness check and the norm-drift check
     hold per answer, over the answers that hold entries.
+
+    When every image has at most two terms, and the two source labels of
+    each two-term image hold the same answers, as in the marker mixer and
+    every open, close and combine step, each image's entries are its first
+    source label's run of entries times the first coefficient, plus the
+    second run times the second: two gathers and one add, with no sort.
+    Any other map goes through :func:`_apply_linear_by_sort`. A lone term
+    of -0.0 stays -0.0 here, where the sort's sum from zero gives +0.0;
+    both are pruned, so the results are bit-equal.
     """
     counts, images, coeffs = op(ens.fields)
     if np.iscomplexobj(coeffs):
         raise ValueError("ensemble coefficients must be real, got complex ones")
-    image_ids, image_fields, _ = _distinct_columns(images)
+    image_ids, image_fields, order = _distinct_columns(images)
+    # The lexsort keeps term order within an image: order[lead[m]] is image
+    # m's first term and, for a two-term image, order[lead[m] + 1] its second.
+    terms = np.bincount(image_ids, minlength=image_fields.shape[1])
+    if terms.max(initial=0) > 2:
+        return _apply_linear_by_sort(ens, counts, image_ids, image_fields, coeffs)
+    lead = terms.cumsum() - terms
+    two = terms == 2
+    first, second = order[lead], order[lead[two] + 1]
+    # Label k's entries are the run start[k] .. start[k] + run[k] - 1.
+    run = np.bincount(ens.label_ids, minlength=len(counts))
+    start = run.cumsum() - run
+    source = np.arange(len(counts)).repeat(counts)
+    head, tail = source[first], source[second]
+    length = run[head]
+    if (length[two] != run[tail]).any():
+        return _apply_linear_by_sort(ens, counts, image_ids, image_fields, coeffs)
+    gather = _run_indices(start[head], length)
+    other = _run_indices(start[tail], run[tail])
+    answers = ens.answers[gather]
+    # A two-term image's second run must hold its first run's answers.
+    paired = two.repeat(length)
+    if (answers[paired] != ens.answers[other]).any():
+        return _apply_linear_by_sort(ens, counts, image_ids, image_fields, coeffs)
+    amps = ens.amps[gather] * coeffs[first].repeat(length)
+    amps[paired] += ens.amps[other] * coeffs[second].repeat(run[tail])
+    label_ids = np.arange(len(terms)).repeat(length)
+    return _checked(ens, image_fields, label_ids, answers, amps)
+
+
+def _apply_linear_by_sort(
+    ens: Ensemble,
+    counts: np.ndarray,
+    image_ids: np.ndarray,
+    image_fields: np.ndarray,
+    coeffs: np.ndarray,
+) -> Ensemble:
+    """:func:`apply_linear_ensemble` with image term ``t`` the column
+    ``image_ids[t]`` of ``image_fields``, by a stable sort of all terms.
+
+    Each entry expands into the terms ``amp * coeff`` of its label's image,
+    and the terms of one (image, answer) pair are summed from zero, in term
+    order.
+    """
     # Each label's run of entries expands image term by image term, so each
     # (label, term) is one ascending run of answers: expanded term t is image
     # term term[t] of entry source[t].
@@ -466,12 +526,28 @@ def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
     amps = np.bincount(first.cumsum() - 1, terms[order], len(pair)).astype(
         float, copy=False
     )
+    return _checked(ens, image_fields, label_ids, answers, amps)
 
+
+def _checked(
+    ens: Ensemble,
+    image_fields: np.ndarray,
+    label_ids: np.ndarray,
+    answers: np.ndarray,
+    amps: np.ndarray,
+) -> Ensemble:
+    """The image of ``ens`` with these entries, pruned and checked.
+
+    The entries go label by label over the columns of ``image_fields``, each
+    column held by some entry. Pruning, the finiteness check and the
+    norm-drift check against ``ens`` hold per answer.
+    """
     # Written so that NaN is kept, to fail the finiteness check below.
     keep = ~(np.abs(amps) < PRUNE_EPS)
     pruned = not keep.all()
     if pruned:
         label_ids, answers, amps = label_ids[keep], answers[keep], amps[keep]
+    low, count = _answer_span(ens.answers)
     norms_sq = _squared_norms(answers, amps, low, count)
     finite = np.isfinite(norms_sq)
     if not finite.all():
@@ -485,8 +561,8 @@ def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
             f"operator declared unitary drifted the norm by {drift:.3e}"
         )
 
-    # Every label holds entries, so with nothing pruned every image label
-    # does; otherwise keep only the image labels some entry still holds.
+    # Every image label holds entries, so with nothing pruned it still does;
+    # otherwise keep only the image labels some entry still holds.
     if pruned:
         held = np.bincount(label_ids, minlength=image_fields.shape[1]) > 0
         image_fields, label_ids = image_fields[:, held], (held.cumsum() - 1)[label_ids]

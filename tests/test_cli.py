@@ -2,6 +2,7 @@ import enum
 import hashlib
 import json
 import math
+import os
 import time
 from collections import OrderedDict
 from pathlib import Path
@@ -160,19 +161,25 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "args, needed",
         [
-            (("simulate", "--algo", "binary", "--n", str(1 << 30)), "24"),
-            (("trajectory", "--algo", "binary", "--n", str(1 << 30)), "24"),
-            # Team 2^29 opens 15 levels (r = 2^14) on every answer.
-            (("simulate", "--algo", "team", "--n", str(1 << 29)), "180"),
-            (("trajectory", "--algo", "team", "--n", str(1 << 29)), "180"),
+            (("simulate", "--algo", "binary", "--n", str(1 << 30)), "1.57e+03"),
+            (("trajectory", "--algo", "binary", "--n", str(1 << 30)), "1.57e+03"),
+            (("simulate", "--algo", "team", "--n", str(1 << 29)), "785"),
+            (("trajectory", "--algo", "team", "--n", str(1 << 29)), "785"),
+            (("simulate", "--algo", "binary", "--n", str(1 << 23)), "12.3"),
         ],
-        ids=["simulate-binary", "trajectory-binary", "simulate-team", "trajectory-team"],
+        ids=[
+            "simulate-binary",
+            "trajectory-binary",
+            "simulate-team",
+            "trajectory-team",
+            "simulate-binary-2^23",
+        ],
     )
     def test_a_sweep_past_physical_memory_is_refused_before_running(
         self, runner, monkeypatch, args, needed
     ):
-        # The start ensemble's label ids, answers and amplitudes alone take
-        # 24 bytes per answer and opening level.
+        # A sweep peaks at up to 1570 bytes per answer, so an 8 GiB host
+        # refuses binary 2^23 (12.3 GiB).
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep was started")
 
@@ -182,9 +189,8 @@ class TestSimulate:
         result = runner.invoke(main, list(args))
         assert result.exit_code == 2
         assert (
-            f"--n {args[-1]} needs {needed} GiB for the entry arrays of the start "
-            "ensemble alone, more than the 8 GiB of physical memory (cgroup limits "
-            "are not read)"
+            f"--n {args[-1]} needs {needed} GiB for a sweep of every answer at 1570 "
+            "bytes each, more than the 8 GiB of memory (physical, or the cgroup limit)"
         ) in result.output
 
     @pytest.mark.parametrize("command", ["simulate", "trajectory"])
@@ -193,11 +199,11 @@ class TestSimulate:
     ):
         args = (command, "--algo", "binary", "--n", "1024")
         expected = run(runner, *args).output
-        monkeypatch.setattr(cli, "physical_memory", lambda: 24 * 1024)
+        monkeypatch.setattr(cli, "physical_memory", lambda: 1570 * 1024)
         assert run(runner, *args).output == expected
         monkeypatch.setattr(cli, "physical_memory", lambda: None)
         assert run(runner, *args).output == expected
-        monkeypatch.setattr(cli, "physical_memory", lambda: 24 * 1024 - 1)
+        monkeypatch.setattr(cli, "physical_memory", lambda: 1570 * 1024 - 1)
         assert runner.invoke(main, list(args)).exit_code == 2
 
     def test_a_one_answer_run_needs_no_memory_check(self, runner, monkeypatch):
@@ -264,7 +270,7 @@ class TestSmallCommands:
         result = runner.invoke(main, ["norms", "--size", "100000000000"])
         assert result.exit_code == 2
         assert "--size 100000000000 needs 1.49e+14 GiB" in result.output
-        assert "more than the 8 GiB of physical memory" in result.output
+        assert "more than the 8 GiB of memory" in result.output
         # Two 2048 x 2048 matrices and the basis need 64.5 MiB.
         monkeypatch.setattr(cli, "physical_memory", lambda: 64 << 20)
         assert runner.invoke(main, ["norms", "--size", "2048"]).exit_code == 2
@@ -281,6 +287,61 @@ class TestSmallCommands:
     def test_physical_memory_is_read_from_sysconf(self):
         memory = cli.physical_memory()
         assert memory is None or memory > 1 << 20
+
+    @pytest.mark.parametrize(
+        "files, expected",
+        [
+            ({"/proc/self/cgroup": "0::/user.slice/job\n",
+              "/sys/fs/cgroup/user.slice/job/memory.max": "1048576\n"}, 1048576),
+            ({"/proc/self/cgroup": "0::/\n",
+              "/sys/fs/cgroup/memory.max": "1048576\n"}, 1048576),
+            ({"/proc/self/cgroup": "0::/user.slice/job\n",
+              "/sys/fs/cgroup/user.slice/job/memory.max": "max\n"}, None),
+            # A cgroup v1 hierarchy has no 0:: line.
+            ({"/proc/self/cgroup": "4:memory:/job\n",
+              "/sys/fs/cgroup/job/memory.max": "1048576\n"}, None),
+            ({"/proc/self/cgroup": "0::/user.slice/job\n"}, None),
+            ({}, None),
+        ],
+        ids=["limit", "root-limit", "no-limit", "v1-only", "no-file", "unreadable"],
+    )
+    def test_physical_memory_takes_a_lower_cgroup_limit(self, monkeypatch, files, expected):
+        files = dict(files)
+
+        def read_text(path):
+            if path not in files:
+                raise FileNotFoundError(path)
+            return files[path]
+
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        monkeypatch.setattr(cli, "_read_text", read_text)
+        assert cli.cgroup_memory_limit() == expected
+        assert cli.physical_memory() == (physical if expected is None else expected)
+        # A limit above physical memory leaves physical memory the figure.
+        for path in files:
+            if path.endswith("memory.max"):
+                files[path] = f"{4 * physical}\n"
+        assert cli.physical_memory() == physical
+
+    def test_layout_past_memory_is_refused_before_building(self, runner, monkeypatch):
+        # r = 1024 holds 1024 * 699051 known bits, 71.3 GiB at 107 bytes each.
+        def refuse(r):
+            raise AssertionError(f"layout of r = {r} built")
+
+        monkeypatch.setattr(cli, "physical_memory", lambda: 8 << 30)
+        expected = run(runner, "layout", "--r", "32").output
+        monkeypatch.setattr(cli.teamsearch, "build_layout", refuse)
+        result = runner.invoke(main, ["layout", "--r", "1024"])
+        assert result.exit_code == 2
+        assert (
+            "--r 1024 needs 71.3 GiB for the layout's 715828224 known bits, more "
+            "than the 8 GiB of memory"
+        ) in result.output
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "physical_memory", lambda: 107 * 32 * 683)
+        assert run(runner, "layout", "--r", "32").output == expected
+        monkeypatch.setattr(cli, "physical_memory", lambda: 107 * 32 * 683 - 1)
+        assert runner.invoke(main, ["layout", "--r", "32"]).exit_code == 2
 
     def test_decompose(self, runner):
         result = run(runner, "decompose", "--m", "14")

@@ -1164,10 +1164,10 @@ class TestTrajectory:
     def test_chain_path_sorts_no_entries_and_runs_one_pass_per_snapshot(
         self, monkeypatch, algorithm
     ):
-        # Every refinement maps labels one to one, so no step sorts entries;
-        # W and the pair drop of a snapshot entering a query come from one
-        # kernel pass, whose drop the chain reads, and only the final W is a
-        # pass of its own.
+        # Every refinement maps labels one to one and every linear step pairs
+        # runs of the same answers, so no step sorts entries; W and the pair
+        # drop of a snapshot entering a query come from one kernel pass, whose
+        # drop the chain reads, and only the final W is a pass of its own.
         def forbidden(*args, **kwargs):
             raise AssertionError("called on the chain path")
 
@@ -1175,6 +1175,7 @@ class TestTrajectory:
             return lambda *a: calls.append(1) or function(*a)
 
         monkeypatch.setattr(qcore, "_permute_by_sort", forbidden)
+        monkeypatch.setattr(qcore, "_apply_linear_by_sort", forbidden)
         overlap_calls, passes = [], []
         monkeypatch.setattr(
             lb, "weighted_overlap", counted(overlap_calls, lb.weighted_overlap)

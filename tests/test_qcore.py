@@ -658,12 +658,14 @@ def sorted_permutation(ensemble, image_of):
 
 
 def assert_same_ensemble(got, expected):
-    """Equal array for array, dtypes included: bit for bit."""
+    """Equal array for array, dtypes included: bit for bit, so that -0.0 and
+    +0.0 amplitudes differ."""
     assert got.size == expected.size
     for name in ("fields", "label_ids", "answers", "amps"):
         a, b = getattr(got, name), getattr(expected, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
+    assert (np.signbit(got.amps) == np.signbit(expected.amps)).all()
 
 
 def random_ensemble(rng, answers, labels):
@@ -677,15 +679,30 @@ def random_ensemble(rng, answers, labels):
     return Ensemble.from_states(states)
 
 
-def refine_steps(algorithm):
-    """The ensemble entering every refine step of an all-answer run, with its map."""
+def round_steps(algorithm, kind):
+    """The ensemble entering every ``kind`` step of an all-answer run, with its map."""
     ensemble = algorithm.initial_ensemble()
     for j in range(algorithm.num_queries):
         ensemble = ts.oracle_mod.apply_query_ensemble(ensemble)
         for step in algorithm._rounds[j]:
-            if step.kind == "permute":
+            if step.kind == kind:
                 yield ensemble, step.image
             ensemble = ts._ENSEMBLE_STEPS[step.kind](ensemble, step.image)
+
+
+def step_count(algorithm, kind):
+    return sum(step.kind == kind for steps_j in algorithm._rounds for step in steps_j)
+
+
+RUNS = (
+    [ts.BinarySearchAlgorithm(1 << k) for k in range(1, 13)]
+    + [ts.TeamCombineAlgorithm(n) for n in (2, 4, 8, 32, 128, 512, 2048, 8192)]
+    + [ts.TeamCombineAlgorithm(32, r=2)]
+)
+
+
+def run_id(algorithm):
+    return f"{type(algorithm).__name__}-{algorithm.n}-r{getattr(algorithm, 'r', 1)}"
 
 
 class TestPermuteByRuns:
@@ -716,23 +733,15 @@ class TestPermuteByRuns:
         assert got.label_ids is ensemble.label_ids
         assert got.amps is ensemble.amps
 
-    @pytest.mark.parametrize(
-        "algorithm",
-        [ts.BinarySearchAlgorithm(1 << k) for k in range(1, 13)]
-        + [ts.TeamCombineAlgorithm(n) for n in (2, 4, 8, 32, 128, 512, 2048, 8192)]
-        + [ts.TeamCombineAlgorithm(32, r=2)],
-        ids=lambda a: f"{type(a).__name__}-{a.n}-r{getattr(a, 'r', 1)}",
-    )
+    @pytest.mark.parametrize("algorithm", RUNS, ids=run_id)
     def test_every_refine_step_of_a_run(self, algorithm):
         steps = 0
-        for ensemble, image_of in refine_steps(algorithm):
+        for ensemble, image_of in round_steps(algorithm, "permute"):
             assert_same_ensemble(
                 permute_ensemble(ensemble, image_of), sorted_permutation(ensemble, image_of)
             )
             steps += 1
-        assert steps == sum(
-            step.kind == "permute" for steps_j in algorithm._rounds for step in steps_j
-        )
+        assert steps == step_count(algorithm, "permute")
 
     def test_a_map_that_merges_labels_takes_the_sort_path(self, monkeypatch):
         # Two labels of different answers share an image: no collision, but
@@ -763,3 +772,127 @@ class TestPermuteByRuns:
             permute_ensemble(together, lifted_permutation(merge))
         assert str(public.value) == str(direct.value)
         assert str(public.value) == "labels 0|0,0;3 and 0|1,1;3 of answer 1 both map to 0|0,0;3"
+
+
+def sorted_linear(ensemble, op):
+    """``apply_linear_ensemble`` through its term-sort path alone."""
+    counts, images, coeffs = op(ensemble.fields)
+    image_ids, image_fields, _ = qcore._distinct_columns(images)
+    return qcore._apply_linear_by_sort(ensemble, counts, image_ids, image_fields, coeffs)
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("the sort path ran")
+
+
+def counted(calls, function):
+    return lambda *args: calls.append(1) or function(*args)
+
+
+def three_way(label):
+    """A real orthogonal 3x3 map on ``query_label(z, i)``, z = 0, 1, 2: every
+    image of those labels sums three terms."""
+    _, z, _, i = label
+    if z > 2:
+        return [(label, 1.0)]
+    rows = ((2, -2, 1), (2, 1, -2), (1, 2, 2))
+    return [(query_label(k, i), rows[k][z] / 3) for k in range(3)]
+
+
+class TestLinearByPairs:
+    """The pair-run ``apply_linear_ensemble`` against its term-sort path."""
+
+    @pytest.mark.parametrize("algorithm", RUNS, ids=run_id)
+    def test_every_linear_step_of_a_run_pairs_runs(self, algorithm, monkeypatch):
+        steps = 0
+        for ensemble, op in round_steps(algorithm, "linear"):
+            expected = sorted_linear(ensemble, op)
+            with monkeypatch.context() as patch:
+                patch.setattr(qcore, "_apply_linear_by_sort", forbidden)
+                got = apply_linear_ensemble(ensemble, op)
+            assert_ensemble_invariants(got)
+            assert_same_ensemble(got, expected)
+            steps += 1
+        assert steps == step_count(algorithm, "linear")
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [ts.BinarySearchAlgorithm(256), ts.TeamCombineAlgorithm(512)],
+        ids=run_id,
+    )
+    def test_run_ensemble_sorts_no_entries(self, algorithm, monkeypatch):
+        expected = ts.run_ensemble(algorithm)
+        monkeypatch.setattr(qcore, "_apply_linear_by_sort", forbidden)
+        monkeypatch.setattr(qcore, "_permute_by_sort", forbidden)
+        assert ts.run_ensemble(algorithm) == expected
+        assert [r.answer for r in expected] == list(range(algorithm.n))
+
+    def test_a_lone_negative_zero_term_stays_negative_and_is_pruned(self, monkeypatch):
+        # Label 0 sends 1.0 to itself and -0.0 to label 1, which no other
+        # term reaches: the pair path keeps the product's sign, the sort's
+        # sum from zero gives +0.0, and both prune the entry.
+        def leak(label):
+            _, z, _, i = label
+            return [(label, 1.0), (query_label(1, i), -0.0)] if z == 0 else [(label, 1.0)]
+
+        state = SparseState({query_label(0, 0): 0.6, query_label(2, 0): 0.8})
+        ensemble = Ensemble.from_states([state, state])
+        summed = []
+        check = qcore._checked
+        monkeypatch.setattr(
+            qcore,
+            "_checked",
+            lambda ens, fields, *entries: summed.append(entries) or check(ens, fields, *entries),
+        )
+        got = apply_linear_ensemble(ensemble, lifted(leak))
+        expected = sorted_linear(ensemble, lifted(leak))
+        (pair_ids, _, pair_amps), (sort_ids, _, sort_amps) = summed
+        assert pair_ids.tolist() == sort_ids.tolist() == [0, 0, 1, 1, 2, 2]
+        assert pair_amps.tolist() == sort_amps.tolist() == [0.6, 0.6, 0.0, 0.0, 0.8, 0.8]
+        assert np.signbit(pair_amps).tolist() == [False, False, True, True, False, False]
+        assert not np.signbit(sort_amps).any()
+        assert_same_ensemble(got, expected)
+        assert labels_of(got.fields) == [query_label(0, 0), query_label(2, 0)]
+        assert ensemble_entries(got) == state_entries([apply_linear(state, leak)] * 2)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pair_mixer_runs_with_differing_answers_take_the_sort_path(
+        self, seed, monkeypatch
+    ):
+        states = cancelling_states(seed)
+        calls = []
+        monkeypatch.setattr(
+            qcore, "_apply_linear_by_sort", counted(calls, qcore._apply_linear_by_sort)
+        )
+        got = apply_linear_ensemble(Ensemble.from_states(states), lifted(pair_mixer))
+        assert calls == [1]
+        assert ensemble_entries(got) == state_entries(
+            [apply_linear(s, pair_mixer) for s in states]
+        )
+        assert_ensemble_invariants(got)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_three_terms_on_an_image_take_the_sort_path(self, seed, monkeypatch):
+        # Every answer holds the same labels, so only the three terms send the
+        # map to the sort path. Entries go in label order, so the per-state
+        # sum adds the terms in the sort path's order.
+        rng = random.Random(seed)
+        labels = sorted(
+            [query_label(z, 0) for z in range(5)] + [query_label(1, 1)],
+            key=lambda l: l.sort_key,
+        )
+        states = []
+        for _ in range(4):
+            amps = [rng.choice([-1, 1]) * (rng.random() + 0.5) for _ in labels]
+            norm = math.sqrt(sum(a * a for a in amps))
+            states.append(SparseState({l: a / norm for l, a in zip(labels, amps)}))
+        calls = []
+        monkeypatch.setattr(
+            qcore, "_apply_linear_by_sort", counted(calls, qcore._apply_linear_by_sort)
+        )
+        got = apply_linear_ensemble(Ensemble.from_states(states), lifted(three_way))
+        assert calls == [1]
+        assert ensemble_entries(got) == state_entries(
+            [apply_linear(s, three_way) for s in states]
+        )
+        assert_ensemble_invariants(got)
