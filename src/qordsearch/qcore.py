@@ -32,14 +32,14 @@ an ``Ensemble``. A field beyond int64 does not fit, and no key multiplies
 two fields: entries are grouped through dense label ids times the span of
 their answers.
 
-A linear step on an ensemble takes one of two paths, chosen by its input.
-When every image label sums at most two terms, and the two source labels
-of each two-term image hold the same answers, the image's entries are one
-gathered label run times its coefficient, plus a second such run: the
-marker mixer and every open, close and combine step are of this kind. Any
-other map expands every entry into its terms and sorts them. The results
-are bit-equal: a lone term of -0.0 stays -0.0 on the first path, where the
-second's sum from zero gives +0.0, and both are pruned.
+The ensemble operations take the maps the algorithms' steps are made of,
+and refuse any other. A linear step must be a pair mixer: each image label
+sums at most two terms, and the two source labels of a two-term image hold
+the same answers, as in the marker mixer and every open, close and combine
+step; the image's entries are then one gathered label run times its
+coefficient, plus a second such run. A permutation must map the labels one
+to one, as every refinement does; each label's run of entries then moves
+whole. The per-state operations take any map and stay the reference.
 """
 from __future__ import annotations
 
@@ -423,13 +423,6 @@ def _run_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) + (starts - ends + lengths).repeat(lengths)
 
 
-def _first_of_runs(sorted_values: np.ndarray) -> np.ndarray:
-    """Mask of the entries that start a run of equal values."""
-    first = np.ones(len(sorted_values), dtype=bool)
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:])
-    return first
-
-
 # A linear label map on the ensemble path takes the ``fields`` of the distinct
 # labels and returns ``(counts, images, coeffs)``: label ``k`` has the
 # ``counts[k]`` image terms that follow those of the labels before it, term
@@ -438,24 +431,33 @@ def _first_of_runs(sorted_values: np.ndarray) -> np.ndarray:
 FieldsMap = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
+def _not_a_pair_mixer(image_fields: np.ndarray, image: int, what: str) -> ValueError:
+    """The ``ValueError`` of a map that is no pair mixer: the label of column
+    ``image`` of ``image_fields``, then ``what`` is wrong with it."""
+    [label] = labels_of(image_fields[:, [int(image)]])
+    return ValueError(
+        f"image label {label} {what}: apply_linear_ensemble takes pair mixers only"
+    )
+
+
 def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
-    """:func:`apply_linear` on every state of ``ens``.
+    """:func:`apply_linear` on every state of ``ens``, for a pair mixer.
 
-    ``op`` is called once, on the fields of every distinct label, and the
-    terms of one (image, answer) pair are summed as the per-state
-    accumulation sums them; with at most two terms per pair the sums are
-    bit-equal to it, in either order. Complex ``coeffs`` raise
-    ``ValueError``. Pruning, the finiteness check and the norm-drift check
-    hold per answer, over the answers that hold entries.
+    ``op`` is called once, on the fields of every distinct label. It must be
+    a pair mixer, as every linear step of the algorithms is: each image sums
+    at most two terms, and the two source labels of a two-term image hold
+    the same answers. Otherwise ``ValueError`` names the first image label,
+    in ``sort_key`` order, with more than two terms; else the first whose
+    source labels are held by different numbers of answers; else the first
+    whose source labels are held by different answers. Complex ``coeffs``
+    raise it too.
 
-    When every image has at most two terms, and the two source labels of
-    each two-term image hold the same answers, as in the marker mixer and
-    every open, close and combine step, each image's entries are its first
-    source label's run of entries times the first coefficient, plus the
-    second run times the second: two gathers and one add, with no sort.
-    Any other map goes through :func:`_apply_linear_by_sort`. A lone term
-    of -0.0 stays -0.0 here, where the sort's sum from zero gives +0.0;
-    both are pruned, so the results are bit-equal.
+    Each image's entries are its first source label's run of entries times
+    the first coefficient, plus the second run times the second: two
+    gathers and one add, with no sort, bit-equal to the per-state sum. A
+    lone term of -0.0 stays -0.0 here, where the per-state sum from zero
+    gives +0.0; both are pruned. Pruning, the finiteness check and the
+    norm-drift check hold per answer, over the answers that hold entries.
     """
     counts, images, coeffs = op(ens.fields)
     if np.iscomplexobj(coeffs):
@@ -465,7 +467,8 @@ def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
     # m's first term and, for a two-term image, order[lead[m] + 1] its second.
     terms = np.bincount(image_ids, minlength=image_fields.shape[1])
     if terms.max(initial=0) > 2:
-        return _apply_linear_by_sort(ens, counts, image_ids, image_fields, coeffs)
+        image = np.argmax(terms > 2)
+        raise _not_a_pair_mixer(image_fields, image, f"sums {terms[image]} terms")
     lead = terms.cumsum() - terms
     two = terms == 2
     first, second = order[lead], order[lead[two] + 1]
@@ -475,57 +478,22 @@ def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
     source = np.arange(len(counts)).repeat(counts)
     head, tail = source[first], source[second]
     length = run[head]
-    if (length[two] != run[tail]).any():
-        return _apply_linear_by_sort(ens, counts, image_ids, image_fields, coeffs)
+    uneven = length[two] != run[tail]
+    if uneven.any():
+        k = np.argmax(uneven)
+        held = f"sums labels held by {length[two][k]} and {run[tail][k]} answers"
+        raise _not_a_pair_mixer(image_fields, np.flatnonzero(two)[k], held)
     gather = _run_indices(start[head], length)
     other = _run_indices(start[tail], run[tail])
     answers = ens.answers[gather]
-    # A two-term image's second run must hold its first run's answers.
+    label_ids = np.arange(len(terms)).repeat(length)
     paired = two.repeat(length)
-    if (answers[paired] != ens.answers[other]).any():
-        return _apply_linear_by_sort(ens, counts, image_ids, image_fields, coeffs)
+    differ = answers[paired] != ens.answers[other]
+    if differ.any():
+        image = label_ids[paired][np.argmax(differ)]
+        raise _not_a_pair_mixer(image_fields, image, "sums labels of different answers")
     amps = ens.amps[gather] * coeffs[first].repeat(length)
     amps[paired] += ens.amps[other] * coeffs[second].repeat(run[tail])
-    label_ids = np.arange(len(terms)).repeat(length)
-    return _checked(ens, image_fields, label_ids, answers, amps)
-
-
-def _apply_linear_by_sort(
-    ens: Ensemble,
-    counts: np.ndarray,
-    image_ids: np.ndarray,
-    image_fields: np.ndarray,
-    coeffs: np.ndarray,
-) -> Ensemble:
-    """:func:`apply_linear_ensemble` with image term ``t`` the column
-    ``image_ids[t]`` of ``image_fields``, by a stable sort of all terms.
-
-    Each entry expands into the terms ``amp * coeff`` of its label's image,
-    and the terms of one (image, answer) pair are summed from zero, in term
-    order.
-    """
-    # Each label's run of entries expands image term by image term, so each
-    # (label, term) is one ascending run of answers: expanded term t is image
-    # term term[t] of entry source[t].
-    run = np.bincount(ens.label_ids, minlength=len(counts))
-    per_term = run.repeat(counts)
-    term = np.arange(len(per_term)).repeat(per_term)
-    source = _run_indices((run.cumsum() - run).repeat(counts), per_term)
-    label_ids, answers = image_ids[term], ens.answers[source]
-    terms = ens.amps[source] * coeffs[term]
-    # Sorted keys put the entries label by label, and the stable sort merges
-    # the runs; dense image ids times the answer span stay far inside int64.
-    low, count = _answer_span(ens.answers)
-    keys = label_ids * count + (answers - low)
-    order = keys.argsort(kind="stable")
-    keys = keys[order]
-    first = _first_of_runs(keys)
-    pair = order[first]
-    label_ids, answers = label_ids[pair], answers[pair]
-    # bincount gives int64 on empty input, whatever the weights.
-    amps = np.bincount(first.cumsum() - 1, terms[order], len(pair)).astype(
-        float, copy=False
-    )
     return _checked(ens, image_fields, label_ids, answers, amps)
 
 
@@ -574,19 +542,22 @@ def permute_ensemble(
 ) -> Ensemble:
     """Relabel every state of ``ens`` through ``image_of``; exact.
 
-    ``image_of`` is called once, on the fields of every distinct label. Two
-    labels of one answer with the same image raise :class:`CollisionError`,
-    which names them in label order.
-
-    A map that is one to one on the labels cannot collide: each label's run
-    of entries moves whole to its image's place, in time linear in the
+    ``image_of`` is called once, on the fields of every distinct label, and
+    must map them one to one: two labels with the same image raise
+    :class:`CollisionError`, which names the first such image in
+    ``sort_key`` order and its first two labels, in that order. Each label's
+    run of entries moves whole to its image's place, in time linear in the
     entries, and when the images keep the label order only the fields
-    change. Any other map goes through :func:`_permute_by_sort`.
+    change.
     """
     image_ids, image_fields, source = _distinct_columns(image_of(ens.fields))
     labels = len(image_ids)
     if image_fields.shape[1] < labels:
-        return _permute_by_sort(ens, image_ids, image_fields)
+        ordered = image_ids[source]
+        k = int(np.argmax(ordered[1:] == ordered[:-1]))
+        prior, label = labels_of(ens.fields[:, source[k : k + 2]])
+        [target] = labels_of(image_fields[:, [ordered[k]]])
+        raise CollisionError(f"labels {prior} and {label} both map to {target}")
     if (image_ids[1:] > image_ids[:-1]).all():
         return Ensemble(ens.size, image_fields, ens.label_ids, ens.answers, ens.amps)
     # Image id m takes the run of entries of label source[m].
@@ -599,34 +570,4 @@ def permute_ensemble(
         np.arange(labels).repeat(count),
         ens.answers[gather],
         ens.amps[gather],
-    )
-
-
-def _permute_by_sort(
-    ens: Ensemble, image_ids: np.ndarray, image_fields: np.ndarray
-) -> Ensemble:
-    """:func:`permute_ensemble` with label ``k`` mapped to column ``image_ids[k]``
-    of ``image_fields``, by a stable sort of the entries' keys.
-
-    Labels sharing an image collide only where one answer holds both; the
-    first such pair in key order raises :class:`CollisionError`.
-    """
-    label_ids = image_ids[ens.label_ids]
-    low, count = _answer_span(ens.answers)
-    keys = label_ids * count + (ens.answers - low)
-    # Each label's entries stay one ascending run, which a stable sort merges.
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    repeated = keys[~_first_of_runs(keys)]
-    if len(repeated):
-        image, offset = divmod(int(repeated[0]), count)
-        answer = low + offset
-        both = (label_ids == image) & (ens.answers == answer)
-        prior, label = labels_of(ens.fields[:, ens.label_ids[both][:2]])
-        [target] = labels_of(image_fields[:, [image]])
-        raise CollisionError(
-            f"labels {prior} and {label} of answer {answer} both map to {target}"
-        )
-    return Ensemble(
-        ens.size, image_fields, label_ids[order], ens.answers[order], ens.amps[order]
     )

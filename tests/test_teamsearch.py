@@ -687,8 +687,9 @@ class TestEnsembleOutcomes:
 
     @pytest.mark.parametrize("k", [(1 << 62) // 3, (1 << 62) - 1])
     def test_one_answer_keys_are_relative_to_the_answer(self, k):
-        # Each key counts answers from the one answer held: a key from the
-        # answer itself would name answer 0 here, or read another outcome.
+        # Each key of the measurement counts answers from the one answer
+        # held: a key from the answer itself would read another outcome. A
+        # collision names labels near 2^62 exactly.
         n = 1 << 62
         lo = k - k % 4
         labels = [TeamLabel(0, lo, lo + 1), TeamLabel(1, lo, lo + 3)]
@@ -702,8 +703,7 @@ class TestEnsembleOutcomes:
         with pytest.raises(ts.CollisionError) as collided:
             qcore.permute_ensemble(ensemble, lambda f: ts._halving_fields(f, 4))
         assert str(collided.value) == (
-            f"labels 0|{lo},{lo + 1} and 1|{lo},{lo + 3} of answer {k} "
-            f"both map to 0|{lo},{lo + 1}"
+            f"labels 0|{lo},{lo + 1} and 1|{lo},{lo + 3} both map to 0|{lo},{lo + 1}"
         )
         pinned = [TeamLabel(0, k - 1, k - 1), TeamLabel(0, k, k)]
         final = Ensemble(
@@ -933,7 +933,7 @@ class TestFieldMaps:
             "apply_query acts on QueryLabel states only, found TeamLabel(b=0, lo=0, hi=1)"
         )
 
-    def test_refine_collision_names_both_labels_and_the_answer(self):
+    def test_refine_collision_names_both_labels(self):
         # Halving [0,3] with marker 1 lands on the [0,1] that answer 1 holds.
         states = [
             SparseState.unit(TeamLabel(0, 0, 1)),
@@ -947,7 +947,7 @@ class TestFieldMaps:
         )
         assert expected == "labels 1|0,3 and 0|0,1 both map to 0|0,1"
         # The ensemble names the two labels in sort_key order.
-        assert got == "labels 0|0,1 and 1|0,3 of answer 1 both map to 0|0,1"
+        assert got == "labels 0|0,1 and 1|0,3 both map to 0|0,1"
 
 
 class TestNoPerLabelPython:
