@@ -20,11 +20,13 @@ PROB_TOL = 1e-9
 # A run of every answer (a sweep), and a trajectory, allocate arrays of
 # length N: at 2**31 the trajectory's weight kernel alone is 32 GiB.
 SWEEP_SIZE_LIMIT = 1 << 30
-# Peak bytes per answer of a sweep (`simulate` without --answer, and
-# `trajectory`): peak RSS over that of a size-1024 (binary) or size-512
-# (team) run, in fresh processes, at most 949 for binary 2^16 ... 2^20 and
-# 1322-1570 for team 2^15 ... 2^19, growing with the team's opening levels.
-SWEEP_ANSWER_BYTES = 1570
+# Peak bytes of a sweep (`simulate` without --answer, and `trajectory`) per
+# answer, plus per answer and opening level (one for binary search, log2(r)
+# + 1 for the team): peak RSS over that of a size-1024 (binary) or size-512
+# (team) run, in fresh processes, at most 1120 for binary 2^16 ... 2^20 and
+# 1303-1559 for team 2^15 ... 2^19 (8 to 10 levels), about 130 more a level.
+SWEEP_ANSWER_BYTES = 990
+SWEEP_LEVEL_BYTES = 130
 # Peak bytes per known bit of ``layout``: the sets, the sorted lists and the
 # JSON text. Peak RSS over that of r = 16 gave 106.6 at r = 128 and 101.9
 # at r = 256.
@@ -103,7 +105,8 @@ def build_algorithm(algo: str, n: int, sweep: bool):
     """The algorithm ``algo`` at list size ``n``; a usage error if none is.
 
     A ``sweep`` (every answer in one ensemble) must also fit in memory, at
-    ``SWEEP_ANSWER_BYTES`` per answer.
+    ``SWEEP_ANSWER_BYTES`` per answer and ``SWEEP_LEVEL_BYTES`` per answer
+    and opening level.
     """
     if sweep and n > SWEEP_SIZE_LIMIT:
         raise click.UsageError(
@@ -120,10 +123,11 @@ def build_algorithm(algo: str, n: int, sweep: bool):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if sweep:
+        per_answer = SWEEP_ANSWER_BYTES + SWEEP_LEVEL_BYTES * len(algorithm._levels)
         require_memory(
-            SWEEP_ANSWER_BYTES * n,
+            per_answer * n,
             f"--n {n}",
-            f"a sweep of every answer at {SWEEP_ANSWER_BYTES} bytes each",
+            f"a sweep of every answer at {per_answer} bytes each",
         )
     return algorithm
 

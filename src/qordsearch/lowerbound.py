@@ -48,11 +48,11 @@ the ``simulate`` command also runs:
   starts each on the whole list, the team-search combine each on its own
   block positions, to stand in for knowledge acquired outside the trace.
 * ``_rounds[j]`` for each query j: the round's shared (instance-independent)
-  steps, run after the oracle call. Each step has ``kind`` "linear", whose
-  ``image(fields)`` gives the (label, coefficient) terms of a unitary, or
-  "permute", whose ``image(fields)`` gives one label each, as arrays over
-  the fields of the ensemble's distinct labels (``qcore.FieldsMap``). Each
-  image is evaluated once per step.
+  steps, run after the oracle call. Each step's ``image(fields)`` gives the
+  (label, coefficient) terms of a pair mixer, as arrays over the fields of
+  the ensemble's distinct labels (``qcore.FieldsMap``), and is evaluated
+  once per step. A step whose ``image`` is None rides on the step before
+  it, whose image already holds it, as a refinement rides on its mix.
 
 An algorithm with ``num_queries == 0`` needs no ``_rounds``. The per-answer
 ``initial_state(instance)`` and ``advance(j, state, instance)`` of the

@@ -32,14 +32,15 @@ an ``Ensemble``. A field beyond int64 does not fit, and no key multiplies
 two fields: entries are grouped through dense label ids times the span of
 their answers.
 
-The ensemble operations take the maps the algorithms' steps are made of,
-and refuse any other. A linear step must be a pair mixer: each image label
-sums at most two terms, and the two source labels of a two-term image hold
-the same answers, as in the marker mixer and every open, close and combine
-step; the image's entries are then one gathered label run times its
-coefficient, plus a second such run. A permutation must map the labels one
-to one, as every refinement does; each label's run of entries then moves
-whole. The per-state operations take any map and stay the reference.
+The ensemble's one label operation, :func:`apply_linear_ensemble`, takes
+the maps the algorithms' steps are made of, and refuses any other: a pair
+mixer, in which each image label sums at most two terms and the two source
+labels of a two-term image hold the same answers, as in the marker mixer
+and every open, close and combine step. The image's entries are then one
+gathered label run times its coefficient, plus a second such run. A
+refinement, which relabels one to one, rides on the pair mixer before it
+as a renaming of its image labels. The per-state operations take any map
+and stay the reference.
 """
 from __future__ import annotations
 
@@ -427,7 +428,7 @@ def _run_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 # labels and returns ``(counts, images, coeffs)``: label ``k`` has the
 # ``counts[k]`` image terms that follow those of the labels before it, term
 # ``t`` being the label column ``images[:, t]`` with coefficient ``coeffs[t]``.
-# A permutation takes ``fields`` and returns the image columns.
+# A relabelling after the map renames the ``images`` columns.
 FieldsMap = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -444,13 +445,13 @@ def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
     """:func:`apply_linear` on every state of ``ens``, for a pair mixer.
 
     ``op`` is called once, on the fields of every distinct label. It must be
-    a pair mixer, as every linear step of the algorithms is: each image sums
-    at most two terms, and the two source labels of a two-term image hold
-    the same answers. Otherwise ``ValueError`` names the first image label,
-    in ``sort_key`` order, with more than two terms; else the first whose
-    source labels are held by different numbers of answers; else the first
-    whose source labels are held by different answers. Complex ``coeffs``
-    raise it too.
+    a pair mixer, as every linear step of the algorithms is, with or without
+    the refinement riding on it: each image sums at most two terms, and the
+    two source labels of a two-term image hold the same answers. Otherwise
+    ``ValueError`` names the first image label, in ``sort_key`` order, with
+    more than two terms; else the first whose source labels are held by
+    different numbers of answers; else the first whose source labels are
+    held by different answers. Complex ``coeffs`` raise it too.
 
     Each image's entries are its first source label's run of entries times
     the first coefficient, plus the second run times the second: two
@@ -536,38 +537,3 @@ def _checked(
         image_fields, label_ids = image_fields[:, held], (held.cumsum() - 1)[label_ids]
     return Ensemble(ens.size, image_fields, label_ids, answers, amps)
 
-
-def permute_ensemble(
-    ens: Ensemble, image_of: Callable[[np.ndarray], np.ndarray]
-) -> Ensemble:
-    """Relabel every state of ``ens`` through ``image_of``; exact.
-
-    ``image_of`` is called once, on the fields of every distinct label, and
-    must map them one to one: two labels with the same image raise
-    :class:`CollisionError`, which names the first such image in
-    ``sort_key`` order and its first two labels, in that order. Each label's
-    run of entries moves whole to its image's place, in time linear in the
-    entries, and when the images keep the label order only the fields
-    change.
-    """
-    image_ids, image_fields, source = _distinct_columns(image_of(ens.fields))
-    labels = len(image_ids)
-    if image_fields.shape[1] < labels:
-        ordered = image_ids[source]
-        k = int(np.argmax(ordered[1:] == ordered[:-1]))
-        prior, label = labels_of(ens.fields[:, source[k : k + 2]])
-        [target] = labels_of(image_fields[:, [ordered[k]]])
-        raise CollisionError(f"labels {prior} and {label} both map to {target}")
-    if (image_ids[1:] > image_ids[:-1]).all():
-        return Ensemble(ens.size, image_fields, ens.label_ids, ens.answers, ens.amps)
-    # Image id m takes the run of entries of label source[m].
-    run = np.bincount(ens.label_ids, minlength=labels)
-    count = run[source]
-    gather = _run_indices((run.cumsum() - run)[source], count)
-    return Ensemble(
-        ens.size,
-        image_fields,
-        np.arange(labels).repeat(count),
-        ens.answers[gather],
-        ens.amps[gather],
-    )

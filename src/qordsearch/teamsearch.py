@@ -37,7 +37,6 @@ expansion chain walked from one known bit.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -59,13 +58,14 @@ from .qcore import (
     SparseState,
     TeamLabel,
     _answer_span,
+    _distinct_columns,
     _is_pow2,
     _squared_norms,
     _unnormalized_error,
     apply_linear,
     apply_linear_ensemble,
+    labels_of,
     measure_distribution,
-    permute_ensemble,
     require_fields,
 )
 
@@ -282,29 +282,57 @@ def _bitwrite_fields(n: int, bitwrite_length: int):
 # One step of a round maps a state to a state. Each step names its operator
 # only when it runs, so that rebinding the module's operators (as a tracer
 # does) also reaches algorithms built before the rebinding. For the ensemble
-# path, a step also carries its map on label fields (see ``qcore.FieldsMap``):
-# ``kind`` "linear" with ``image(fields)`` the (counts, images, coefficients)
-# of a unitary, or "permute" with ``image(fields)`` the image columns.
+# path, a step also carries its ``image(fields)``, the (counts, images,
+# coefficients) of a pair mixer on label fields (see ``qcore.FieldsMap``). A
+# refine step's is None: it rides on the close or combine step of its size
+# before it, whose image it refines.
 
 
-def _step(run, kind: str, image) -> Callable[[SparseState], SparseState]:
-    run.kind, run.image = kind, image
+def _refined(mix, s: int):
+    """The fields map ``mix`` followed by the halving of intervals of length ``s``.
+
+    The halving renames image columns, one to one on those of length ``s``;
+    a half can only land on a marker-0 image of length ``s/2`` that passes
+    through the mix. Where one does, :class:`CollisionError` names the first
+    such half in ``sort_key`` order and its first two images, in that order,
+    as :func:`apply_refine` would on a state holding both. The check sees
+    the mix's images before pruning, so an image whose every entry prunes
+    still collides.
+    """
+
+    def image(fields):
+        counts, images, coeffs = mix(fields)
+        kind, b, lo, hi, _ = images
+        if ((kind == TEAM) & (b == 0) & (hi - lo + 1 == s // 2)).any():
+            _, labels, _ = _distinct_columns(images)
+            ids, halves, order = _distinct_columns(_halving_fields(labels, s))
+            if halves.shape[1] < labels.shape[1]:
+                ordered = ids[order]
+                k = int(np.argmax(ordered[1:] == ordered[:-1]))
+                prior, label = labels_of(labels[:, order[k : k + 2]])
+                [target] = labels_of(halves[:, [ordered[k]]])
+                raise CollisionError(f"labels {prior} and {label} both map to {target}")
+        return counts, _halving_fields(images, s), coeffs
+
+    return image
+
+
+def _step(run, image) -> Callable[[SparseState], SparseState]:
+    run.image = image
     return run
 
 
 def _linear_step(label_map, fields_map) -> Callable[[SparseState], SparseState]:
-    run = lambda state: apply_linear(state, label_map)
-    return _step(run, "linear", fields_map)
+    return _step(lambda state: apply_linear(state, label_map), fields_map)
 
 
 def _refine_step(s: int) -> Callable[[SparseState], SparseState]:
-    run = lambda state: apply_refine(state, s)
-    return _step(run, "permute", partial(_halving_fields, s=s))
+    return _step(lambda state: apply_refine(state, s), None)
 
 
 def _combine_step(s: int) -> Callable[[SparseState], SparseState]:
     run = lambda state: apply_combine(state, s)
-    return _step(run, "linear", partial(_mix_fields, s=s))
+    return _step(run, _refined(partial(_mix_fields, s=s), s))
 
 
 def _halvings(size: int) -> list[int]:
@@ -326,7 +354,7 @@ def _schedule(n: int, lengths, combine_sizes):
         open_query, close_query = _bitwrite_query(n, length)
         open_fields, close_fields = _bitwrite_fields(n, length)
         opens.append(_linear_step(open_query, open_fields))
-        closes.append(_linear_step(close_query, close_fields))
+        closes.append(_linear_step(close_query, _refined(close_fields, length)))
     rounds = []
     for j, (length, sizes) in enumerate(zip(lengths, combine_sizes)):
         steps = [closes[j], _refine_step(length)]
@@ -343,13 +371,12 @@ def _run_steps(steps, state: SparseState) -> SparseState:
     return state
 
 
-_ENSEMBLE_STEPS = {"linear": apply_linear_ensemble, "permute": permute_ensemble}
-
-
 def _run_ensemble_steps(steps, ensemble: Ensemble) -> Ensemble:
-    """:func:`_run_steps` on every answer at once, by each step's fields map."""
+    """:func:`_run_steps` on every answer at once, by each step's fields map;
+    a step without one rides on the step before it."""
     for step in steps:
-        ensemble = _ENSEMBLE_STEPS[step.kind](ensemble, step.image)
+        if step.image is not None:
+            ensemble = apply_linear_ensemble(ensemble, step.image)
     return ensemble
 
 
@@ -709,19 +736,22 @@ def classical_binary_search(inst: OrderedInstance) -> SearchTrace:
 
 
 # The digit values (2*4**k + 1)/3: one table shared by every decomposition,
-# grown on demand and never shrunk.
-_DIGIT_VALUES = [1]
-_TABLE_LOCK = threading.Lock()
+# kept as a tuple that is replaced whole when it grows, as ``_CHAIN`` is.
+_DIGIT_VALUES: tuple[int, ...] = (1,)
 _DIGITS = frozenset(range(4))
 _INT_ONLY = frozenset({int})
 
 
-def _cover_digits(length: int) -> None:
-    """Grow the digit-value table to at least ``length`` entries."""
-    if len(_DIGIT_VALUES) < length:
-        with _TABLE_LOCK:
-            while len(_DIGIT_VALUES) < length:
-                _DIGIT_VALUES.append(4 * _DIGIT_VALUES[-1] - 1)
+def _digit_values(length: int) -> tuple[int, ...]:
+    """The digit-value table, grown to at least ``length`` entries."""
+    global _DIGIT_VALUES
+    values = _DIGIT_VALUES
+    if len(values) < length:
+        grown = list(values)
+        while len(grown) < length:
+            grown.append(4 * grown[-1] - 1)
+        values = _DIGIT_VALUES = tuple(grown)
+    return values
 
 
 def _require_int(value, name: str) -> None:
@@ -749,8 +779,7 @@ class Decomposition:
         return len(self.digits) - 1
 
     def value(self) -> int:
-        _cover_digits(len(self.digits))
-        return sum(map(mul, self.digits, _DIGIT_VALUES))
+        return sum(map(mul, self.digits, _digit_values(len(self.digits))))
 
     def expanded(self) -> int:
         """Each digit value v_k grows to 2*4**k = 3*v_k - 1 in one query round."""
@@ -777,8 +806,7 @@ def decompose(m: int) -> Decomposition:
     if m < 1:
         raise ValueError(f"can only decompose positive integers, got {m}")
     # v_k > 2**(2k+1)/3 >= 2**m.bit_length() > m for k > m.bit_length() // 2.
-    _cover_digits(m.bit_length() // 2 + 1)
-    values = _DIGIT_VALUES
+    values = _digit_values(m.bit_length() // 2 + 1)
     top = bisect_right(values, m) - 1
     digits = [0] * (top + 1)
     remainder = m

@@ -159,13 +159,13 @@ class TestSimulate:
         assert expected in result.output
 
     @pytest.mark.parametrize(
-        "args, needed",
+        "args, needed, per_answer",
         [
-            (("simulate", "--algo", "binary", "--n", str(1 << 30)), "1.57e+03"),
-            (("trajectory", "--algo", "binary", "--n", str(1 << 30)), "1.57e+03"),
-            (("simulate", "--algo", "team", "--n", str(1 << 29)), "785"),
-            (("trajectory", "--algo", "team", "--n", str(1 << 29)), "785"),
-            (("simulate", "--algo", "binary", "--n", str(1 << 23)), "12.3"),
+            (("simulate", "--algo", "binary", "--n", str(1 << 30)), "1.12e+03", 1120),
+            (("trajectory", "--algo", "binary", "--n", str(1 << 30)), "1.12e+03", 1120),
+            (("simulate", "--algo", "team", "--n", str(1 << 29)), "1.47e+03", 2940),
+            (("trajectory", "--algo", "team", "--n", str(1 << 29)), "1.47e+03", 2940),
+            (("simulate", "--algo", "binary", "--n", str(1 << 23)), "8.75", 1120),
         ],
         ids=[
             "simulate-binary",
@@ -176,10 +176,11 @@ class TestSimulate:
         ],
     )
     def test_a_sweep_past_physical_memory_is_refused_before_running(
-        self, runner, monkeypatch, args, needed
+        self, runner, monkeypatch, args, needed, per_answer
     ):
-        # A sweep peaks at up to 1570 bytes per answer, so an 8 GiB host
-        # refuses binary 2^23 (12.3 GiB).
+        # A sweep is checked at 990 bytes per answer plus 130 per answer and
+        # opening level: binary search has one level, team 2^29 (r = 2^14)
+        # has 15. So an 8 GiB host refuses binary 2^23 (8.75 GiB).
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep was started")
 
@@ -189,21 +190,25 @@ class TestSimulate:
         result = runner.invoke(main, list(args))
         assert result.exit_code == 2
         assert (
-            f"--n {args[-1]} needs {needed} GiB for a sweep of every answer at 1570 "
-            "bytes each, more than the 8 GiB of memory (physical, or the cgroup limit)"
+            f"--n {args[-1]} needs {needed} GiB for a sweep of every answer at "
+            f"{per_answer} bytes each, more than the 8 GiB of memory (physical, or "
+            "the cgroup limit)"
         ) in result.output
 
     @pytest.mark.parametrize("command", ["simulate", "trajectory"])
+    # Binary search has one opening level; team 512 (r = 16) has five.
+    @pytest.mark.parametrize("algo, n, needed", [("binary", 1024, 1120 * 1024),
+                                                 ("team", 512, 1640 * 512)])
     def test_a_sweep_that_fits_runs_and_an_unknown_memory_is_no_refusal(
-        self, runner, monkeypatch, command
+        self, runner, monkeypatch, command, algo, n, needed
     ):
-        args = (command, "--algo", "binary", "--n", "1024")
+        args = (command, "--algo", algo, "--n", str(n))
         expected = run(runner, *args).output
-        monkeypatch.setattr(cli, "physical_memory", lambda: 1570 * 1024)
+        monkeypatch.setattr(cli, "physical_memory", lambda: needed)
         assert run(runner, *args).output == expected
         monkeypatch.setattr(cli, "physical_memory", lambda: None)
         assert run(runner, *args).output == expected
-        monkeypatch.setattr(cli, "physical_memory", lambda: 1570 * 1024 - 1)
+        monkeypatch.setattr(cli, "physical_memory", lambda: needed - 1)
         assert runner.invoke(main, list(args)).exit_code == 2
 
     def test_a_one_answer_run_needs_no_memory_check(self, runner, monkeypatch):

@@ -970,18 +970,13 @@ class TestEnsemblePath:
         assert got == expected == "amplitudes must be finite, got squared norm nan"
 
     def test_colliding_permutation(self):
-        start = SparseState({query_label(0, 1): 0.6, query_label(1, 1): 0.8})
-        merge = lambda label: query_label(0, label.i)
-        # query_label(z, i) has the fields (QUERY, z, z, 0, i).
-        merge_fields = lambda fields: np.stack(
-            (fields[0], 0 * fields[1], 0 * fields[2], fields[3], fields[4])
-        )
-        step = ts._step(
-            lambda state: ts._permute_labels(state, merge), "permute", merge_fields
-        )
-        algorithm = OneRoundAlgorithm(4, start, [step])
+        # Close on [0,7] and refine, then mix [0,3] and refine: its marker-1
+        # half lands on the [0,1] that passed through both mixes.
+        start = SparseState({QueryLabel(0, 0, 1, 0): 0.8, QueryLabel(1, 0, 7, 3): 0.6})
+        _, [steps] = ts._schedule(8, [8], [[4]])
+        algorithm = OneRoundAlgorithm(8, start, steps)
         expected, got = self._both_paths_raise(algorithm, CollisionError)
-        assert got == expected == "labels 0|0,0;1 and 0|1,1;1 both map to 0|0,0;1"
+        assert got == expected == "labels 0|0,1 and 1|0,3 both map to 0|0,1"
 
     def test_team_label_at_the_query(self):
         start = SparseState.unit(TeamLabel(0, 0, 3))

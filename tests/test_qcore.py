@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -25,7 +26,6 @@ from qordsearch.qcore import (
     label_fields,
     labels_of,
     measure_distribution,
-    permute_ensemble,
 )
 from test_lowerbound import (
     assert_ensemble_invariants,
@@ -486,11 +486,6 @@ def lifted(label_map):
     return fields_map
 
 
-def lifted_permutation(image_of):
-    """A tuple relabelling as a map on label fields."""
-    return lambda fields: label_fields([image_of(label) for label in labels_of(fields)])
-
-
 def pair_mixer(label):
     """A real 2x2 rotation on bit 0 of ``z`` of ``query_label(z, i)``.
 
@@ -576,16 +571,16 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             apply_linear_ensemble(Ensemble.from_states(states), lifted(nan_map))
 
-    def test_merging_labels_of_disjoint_answers_collides(self):
-        # Each state alone permutes, but the ensemble takes only maps that are
-        # one to one on its labels.
-        merge = lambda l: query_label(0, l.i)
-        apart = [SparseState.unit(query_label(0, 3)), SparseState.unit(query_label(1, 3))]
+    def test_a_half_landing_on_a_label_of_another_answer_collides(self):
+        # Each state alone mixes and refines, but a refinement riding on a
+        # mix must be one to one on the labels of the whole ensemble.
+        steps = [ts._combine_step(4), ts._refine_step(4)]
+        apart = [SparseState.unit(TeamLabel(0, 0, 1)), SparseState.unit(TeamLabel(1, 0, 3))]
         for state in apart:
-            assert ts._permute_labels(state, merge).labels() == [query_label(0, 3)]
+            assert ts._run_steps(steps, state).normalized
         with pytest.raises(CollisionError) as collided:
-            permute_ensemble(Ensemble.from_states(apart), lifted_permutation(merge))
-        assert str(collided.value) == "labels 0|0,0;3 and 0|1,1;3 both map to 0|0,0;3"
+            ts._run_ensemble_steps(steps, Ensemble.from_states(apart))
+        assert str(collided.value) == "labels 0|0,1 and 1|0,3 both map to 0|0,1"
 
     @pytest.mark.parametrize("seed", range(4))
     def test_one_state_at_every_answer(self, seed):
@@ -629,10 +624,8 @@ class TestEnsemble:
         ]
         states = [SparseState({l: 0.5 for l in labels}), SparseState({labels[1]: 1.0})]
         ensemble = Ensemble.from_states(states)
-        same = permute_ensemble(ensemble, lambda fields: fields)
-        assert_ensemble_invariants(same)
-        assert labels_of(same.fields) == sorted(labels, key=lambda l: l.sort_key)
-        assert ensemble_entries(same) == state_entries(states)
+        assert labels_of(ensemble.fields) == sorted(labels, key=lambda l: l.sort_key)
+        assert ensemble_entries(ensemble) == state_entries(states)
         identity = lambda l: [(l, 1.0)]
         got = apply_linear_ensemble(ensemble, lifted(identity))
         assert_ensemble_invariants(got)
@@ -654,38 +647,24 @@ class TestEnsemble:
     def test_empty_ensemble(self):
         empty = Ensemble.from_states([])
         assert empty.fields.shape == (5, 0)
-        for got in (
-            empty,
-            apply_linear_ensemble(empty, lifted(pair_mixer)),
-            permute_ensemble(empty, lambda fields: fields),
-        ):
+        for got in (empty, apply_linear_ensemble(empty, lifted(pair_mixer))):
             assert_ensemble_invariants(got)
             assert got.fields.shape == (5, 0)
 
 
-def random_states(rng, answers, labels):
-    """States over a shared pool of routed labels, each answer holding some."""
-    pool = [query_label(rng.randrange(4 * labels), rng.randrange(8)) for _ in range(labels)]
-    return [
-        SparseState({label: rng.choice([-1, 1]) * (rng.random() + 0.5)
-                     for label in rng.sample(pool, rng.randrange(len(pool) + 1))})
-        for _ in range(answers)
-    ]
-
-
-def round_steps(algorithm, kind):
-    """The ensemble entering every ``kind`` step of an all-answer run, with the step."""
+def ensemble_passes(algorithm):
+    """Each ensemble pass of an all-answer run's rounds: the ensemble entering
+    it, and the per-state steps it stands for, the step and the refine
+    riding on it."""
     ensemble = algorithm.initial_ensemble()
     for j in range(algorithm.num_queries):
         ensemble = ts.oracle_mod.apply_query_ensemble(ensemble)
-        for step in algorithm._rounds[j]:
-            if step.kind == kind:
-                yield ensemble, step
-            ensemble = ts._ENSEMBLE_STEPS[step.kind](ensemble, step.image)
-
-
-def step_count(algorithm, kind):
-    return sum(step.kind == kind for steps_j in algorithm._rounds for step in steps_j)
+        steps = algorithm._rounds[j]
+        for k, step in enumerate(steps):
+            if step.image is not None:
+                riding = itertools.takewhile(lambda s: s.image is None, steps[k + 1 :])
+                yield ensemble, [step, *riding]
+                ensemble = apply_linear_ensemble(ensemble, step.image)
 
 
 RUNS = (
@@ -699,19 +678,24 @@ def run_id(algorithm):
     return f"{type(algorithm).__name__}-{algorithm.n}-r{getattr(algorithm, 'r', 1)}"
 
 
-def assert_step_matches_each_state(algorithm, kind):
-    """Every ``kind`` step of an all-answer run gives, entry for entry, the
-    bits of the step on each answer's state."""
-    steps = 0
-    for ensemble, step in round_steps(algorithm, kind):
-        got = ts._ENSEMBLE_STEPS[kind](ensemble, step.image)
-        assert ensemble_entries(got) == state_entries(map(step, states_of(ensemble)))
-        steps += 1
-    assert steps == step_count(algorithm, kind)
+def random_states(rng, answers, labels):
+    """States over a shared pool of routed labels, each answer holding some."""
+    pool = [query_label(rng.randrange(4 * labels), rng.randrange(8)) for _ in range(labels)]
+    return [
+        SparseState({label: rng.choice([-1, 1]) * (rng.random() + 0.5)
+                     for label in rng.sample(pool, rng.randrange(len(pool) + 1))})
+        for _ in range(answers)
+    ]
 
 
-class TestPermuteByRuns:
-    """The label-run ``permute_ensemble`` against the per-state relabelling."""
+def relabelling(image_of):
+    """A one-to-one tuple relabelling as a one-term linear map."""
+    return lambda label: [(image_of(label), 1.0)]
+
+
+class TestRelabelByRuns:
+    """One-to-one relabellings, as a refinement riding on a mix is, through
+    ``apply_linear_ensemble`` against the per-state relabelling."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_injective_maps(self, seed):
@@ -725,37 +709,47 @@ class TestPermuteByRuns:
             len(labels),
         )
         image = dict(zip(labels, targets))
-        got = permute_ensemble(ensemble, lifted_permutation(image.__getitem__))
+        got = apply_linear_ensemble(ensemble, lifted(relabelling(image.__getitem__)))
         expected = [ts._permute_labels(s, image.__getitem__) for s in states]
         assert ensemble_entries(got) == state_entries(expected)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_maps_that_keep_the_label_order_change_only_the_fields(self, seed):
+    def test_maps_that_keep_the_label_order_keep_the_entries(self, seed):
         states = random_states(random.Random(seed), 6, 10)
         ensemble = Ensemble.from_states(states)
         # query_label(z, i) has the fields (QUERY, z, z, 0, i).
-        shifted = lambda fields: fields + np.array([[0], [3], [3], [0], [5]])
+        shifted = lambda fields: (
+            np.ones(fields.shape[1], dtype=np.intp),
+            fields + np.array([[0], [3], [3], [0], [5]]),
+            np.ones(fields.shape[1]),
+        )
         shift = lambda l: query_label(l.lo + 3, l.i + 5)
-        got = permute_ensemble(ensemble, shifted)
+        got = apply_linear_ensemble(ensemble, shifted)
         expected = [ts._permute_labels(s, shift) for s in states]
         assert ensemble_entries(got) == state_entries(expected)
-        assert got.label_ids is ensemble.label_ids
-        assert got.amps is ensemble.amps
+        assert got.label_ids.tolist() == ensemble.label_ids.tolist()
+        assert got.answers.tolist() == ensemble.answers.tolist()
+        assert got.amps.tolist() == ensemble.amps.tolist()
 
     @pytest.mark.parametrize("algorithm", RUNS, ids=run_id)
-    def test_every_refine_step_of_a_run(self, algorithm):
-        assert_step_matches_each_state(algorithm, "permute")
-
-    def test_collisions_keep_their_type_and_message(self):
-        merge = lambda l: query_label(0, l.i)
-        together = SparseState({query_label(0, 3): 0.6, query_label(1, 3): 0.8})
-        with pytest.raises(CollisionError) as per_state:
-            ts._permute_labels(together, merge)
-        states = [SparseState.unit(query_label(0, 3)), together]
-        with pytest.raises(CollisionError) as ensemble:
-            permute_ensemble(Ensemble.from_states(states), lifted_permutation(merge))
-        assert str(ensemble.value) == str(per_state.value)
-        assert str(ensemble.value) == "labels 0|0,0;3 and 0|1,1;3 both map to 0|0,0;3"
+    def test_every_refine_step_of_a_run(self, monkeypatch, algorithm):
+        # With the halving taken out, a pass is its mix on each answer's
+        # state; with it, the pass goes on to the refine riding on the mix.
+        refines = 0
+        for ensemble, steps in ensemble_passes(algorithm):
+            if len(steps) == 1:
+                continue
+            mix, refine = steps
+            with monkeypatch.context() as unrefined:
+                unrefined.setattr(ts, "_halving_fields", lambda fields, s: fields)
+                mixed = apply_linear_ensemble(ensemble, mix.image)
+            assert ensemble_entries(mixed) == state_entries(map(mix, states_of(ensemble)))
+            got = apply_linear_ensemble(ensemble, mix.image)
+            assert ensemble_entries(got) == state_entries(map(refine, states_of(mixed)))
+            refines += 1
+        assert refines == sum(
+            step.image is None for steps in algorithm._rounds for step in steps
+        )
 
 
 def three_way(label):
@@ -793,18 +787,41 @@ class TestLinearByPairs:
     """The pair-run ``apply_linear_ensemble`` against the per-state sum."""
 
     @pytest.mark.parametrize("algorithm", RUNS, ids=run_id)
-    def test_every_linear_step_of_a_run_pairs_runs(self, algorithm):
-        assert_step_matches_each_state(algorithm, "linear")
+    def test_every_pass_of_a_run_pairs_runs(self, algorithm):
+        # Each pass gives, entry for entry, the bits of its step and the
+        # refine riding on it, on each answer's state.
+        passes = 0
+        for ensemble, steps in ensemble_passes(algorithm):
+            got = apply_linear_ensemble(ensemble, steps[0].image)
+            expected = [ts._run_steps(steps, state) for state in states_of(ensemble)]
+            assert ensemble_entries(got) == state_entries(expected)
+            passes += 1
+        assert passes == sum(
+            step.image is not None for steps in algorithm._rounds for step in steps
+        )
 
     @pytest.mark.parametrize(
         "algorithm",
-        [ts.BinarySearchAlgorithm(256), ts.TeamCombineAlgorithm(512)],
+        [ts.BinarySearchAlgorithm(1 << k) for k in (1, 4, 8)]
+        + [ts.TeamCombineAlgorithm(n) for n in (2, 8, 32, 512)]
+        + [ts.TeamCombineAlgorithm(32, r=2)],
         ids=run_id,
     )
-    def test_run_ensemble_sorts_no_entries(self, algorithm):
-        expected = ts.run_ensemble(algorithm)
-        assert ts.run_ensemble(algorithm) == expected
-        assert [r.answer for r in expected] == list(range(algorithm.n))
+    def test_run_ensemble_makes_one_linear_pass_per_mix(self, monkeypatch, algorithm):
+        # Binary search opens and closes each of its log2(N) queries; the
+        # team opens and closes its one query and combines at r, r/2, ..., 2.
+        if isinstance(algorithm, ts.BinarySearchAlgorithm):
+            expected = 2 * (algorithm.n.bit_length() - 1)
+        else:
+            expected = 2 + algorithm.r.bit_length() - 1
+        calls = []
+        apply = ts.apply_linear_ensemble
+        monkeypatch.setattr(
+            ts, "apply_linear_ensemble", lambda *args: calls.append(1) or apply(*args)
+        )
+        results = ts.run_ensemble(algorithm)
+        assert [r.answer for r in results] == list(range(algorithm.n))
+        assert len(calls) == expected
 
     def test_a_lone_negative_zero_term_stays_negative_and_is_pruned(self, monkeypatch):
         # Label 0 sends 1.0 to itself and -0.0 to label 1, which no other

@@ -301,14 +301,32 @@ class TestSchedule:
         rounds = algo._rounds
         assert len(rounds) == algo.num_queries
         assert len(algo._opening) == min(algo.num_queries, 1)
-        # The team mixes and refines at r, r/2, ..., 2; binary search never.
+        # The team closes on 2r, then mixes at r, r/2, ..., 2; binary search
+        # closes on n >> j and never mixes. Exactly the refines have no
+        # image: each rides on the mix before it, of its size.
         team = isinstance(algo, ts.TeamCombineAlgorithm)
-        combines = algo.r.bit_length() - 1 if team else 0
         for j, steps in enumerate(rounds):
-            opens_next = ["linear"] if j + 1 < len(rounds) else []
-            expected = ["linear", "permute"] + ["linear", "permute"] * combines
-            assert [step.kind for step in steps] == expected + opens_next
-        assert all(step.kind == "linear" for step in open_steps(algo))
+            sizes = [2 * algo.r, *ts._halvings(algo.r)] if team else [algo.n >> j]
+            opens_next = [False] if j + 1 < len(rounds) else []
+            assert [step.image is None for step in steps] == (
+                [False, True] * len(sizes) + opens_next
+            )
+            for k, size in enumerate(sizes):
+                mix, refine = steps[2 * k : 2 * k + 2]
+                half = size // 2
+                # The close step takes a routed label, a combine step a team one.
+                if k == 0:
+                    source = QueryLabel(1, 0, size - 1, half - 1)
+                else:
+                    source = TeamLabel(0, 0, size - 1)
+                _, images, _ = mix.image(qcore.label_fields([source]))
+                assert qcore.labels_of(images) == [
+                    TeamLabel(0, half, size - 1),
+                    TeamLabel(0, 0, half - 1),
+                ]
+                refined = refine(SparseState.unit(TeamLabel(1, 0, size - 1)))
+                assert refined.labels() == [TeamLabel(0, 0, half - 1)]
+        assert all(step.image is not None for step in open_steps(algo))
 
     @pytest.mark.parametrize("name", [name for name in SCHEDULED if name != "binary-1"])
     def test_each_close_step_inverts_its_open_step(self, name):
@@ -604,7 +622,7 @@ class TestEnsembleOutcomes:
     @pytest.mark.parametrize(
         "algorithm",
         [ts.BinarySearchAlgorithm(1 << k) for k in range(9)]
-        + [ts.TeamCombineAlgorithm(n) for n in (2, 4, 8, 32, 128)]
+        + [ts.TeamCombineAlgorithm(n) for n in (2, 4, 8, 32, 128, 512)]
         + [ts.TeamCombineAlgorithm(32, r=2)],
         ids=lambda algo: f"{type(algo).__name__}-{algo.n}-r{getattr(algo, 'r', 1)}",
     )
@@ -700,8 +718,9 @@ class TestEnsembleOutcomes:
             np.array([k, k]),
             np.array([0.8, 0.6]),
         )
+        steps = [ts._combine_step(4), ts._refine_step(4)]
         with pytest.raises(ts.CollisionError) as collided:
-            qcore.permute_ensemble(ensemble, lambda f: ts._halving_fields(f, 4))
+            ts._run_ensemble_steps(steps, ensemble)
         assert str(collided.value) == (
             f"labels 0|{lo},{lo + 1} and 1|{lo},{lo + 3} both map to 0|{lo},{lo + 1}"
         )
@@ -934,16 +953,16 @@ class TestFieldMaps:
         )
 
     def test_refine_collision_names_both_labels(self):
-        # Halving [0,3] with marker 1 lands on the [0,1] that answer 1 holds.
+        # Mixing [0,3] and halving it with marker 1 lands on the [0,1] that
+        # answer 1 holds.
         states = [
             SparseState.unit(TeamLabel(0, 0, 1)),
             SparseState({TeamLabel(1, 0, 3): 0.6, TeamLabel(0, 0, 1): 0.8}),
         ]
+        steps = [ts._combine_step(4), ts._refine_step(4)]
         expected, got = same_error(
-            lambda: ts.apply_refine(states[1], 4),
-            lambda: qcore.permute_ensemble(
-                Ensemble.from_states(states), lambda f: ts._halving_fields(f, 4)
-            ),
+            lambda: ts._run_steps(steps, states[1]),
+            lambda: ts._run_ensemble_steps(steps, Ensemble.from_states(states)),
         )
         assert expected == "labels 1|0,3 and 0|0,1 both map to 0|0,1"
         # The ensemble names the two labels in sort_key order.
@@ -1119,7 +1138,7 @@ class TestDecomposition:
 
     def test_matches_reference_for_every_m_up_to_1e5(self, monkeypatch):
         # From an empty table, so that every growth of it is exercised.
-        monkeypatch.setattr(ts, "_DIGIT_VALUES", [1])
+        monkeypatch.setattr(ts, "_DIGIT_VALUES", (1,))
         for m in range(1, 10**5 + 1):
             decomposition = ts.decompose(m)
             assert decomposition.digits == reference_decompose(m), m
@@ -1135,7 +1154,7 @@ class TestDecomposition:
         assert decomposition.expanded() == reference_expanded(decomposition.digits)
 
     def test_hand_built_digits_longer_than_the_table(self, monkeypatch):
-        monkeypatch.setattr(ts, "_DIGIT_VALUES", [1])
+        monkeypatch.setattr(ts, "_DIGIT_VALUES", (1,))
         digits = tuple(k % 4 for k in range(39)) + (2,)
         decomposition = ts.Decomposition(digits)
         assert decomposition.top == 39
