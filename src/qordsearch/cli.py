@@ -3,7 +3,8 @@
 Every command emits plot-ready JSON or CSV with all floats at 17 significant
 digits, so identical invocations are byte-identical and reruns diff cleanly.
 Exit codes: 0 on success, 1 when a checked invariant is violated, 2 on usage
-errors.
+errors. Integer options carry their ranges, shown in ``--help``: ``expansion``
+and ``querycount`` stop where a result would pass the digit limit of an int.
 """
 from __future__ import annotations
 
@@ -32,15 +33,14 @@ SWEEP_LEVEL_BYTES = 130
 # at r = 256.
 LAYOUT_BIT_BYTES = 107
 
-
-def fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+ALGORITHMS = {"binary": teamsearch.BinarySearchAlgorithm,
+              "team": teamsearch.TeamCombineAlgorithm}
 
 
 def _render_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"cannot render non-finite float {value!r} as JSON")
-    return fmt_float(value)
+    return format(float(value), ".17g")
 
 
 def _render_sequence(value) -> str:
@@ -114,12 +114,7 @@ def build_algorithm(algo: str, n: int, sweep: bool):
         )
     try:
         teamsearch.require_int64_positions(n)
-        if algo == "binary":
-            algorithm = teamsearch.BinarySearchAlgorithm(n)
-        elif algo == "team":
-            algorithm = teamsearch.TeamCombineAlgorithm(n)
-        else:
-            raise click.UsageError(f"unknown algorithm {algo!r}")
+        algorithm = ALGORITHMS[algo](n)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if sweep:
@@ -178,10 +173,27 @@ def require_memory(needed: int, option: str, what: str) -> None:
         )
 
 
-def check_eps(eps: float) -> float:
+# Ints of more digits than this have no text form (0: no limit).
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+class PrintableGrowth(click.IntRange):
+    """Ints from ``min`` that still print grown by under 3x, as ``expansion``
+    and ``querycount`` grow theirs; the bound reads 10**INT_DIGITS//3."""
+
+    def __init__(self, min: int):
+        super().__init__(min=min, max=10**INT_DIGITS // 3 or None)
+
+    def _describe_range(self) -> str:
+        return super()._describe_range().replace(str(self.max), f"10**{INT_DIGITS}//3")
+
+
+def check_eps(eps: float) -> None:
     if not 0.0 <= eps <= 0.5:
         raise click.UsageError(f"--eps must lie in [0, 0.5], got {eps}")
-    return eps
+
+
+out_option = click.option("--out", type=click.Path(dir_okay=False), default=None)
 
 
 @click.group()
@@ -190,15 +202,13 @@ def main():
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="List size.")
+@click.option("--n", type=click.IntRange(min=2), required=True, help="List size.")
 @click.option("--eps", type=float, default=0.0, show_default=True,
               help="Allowed error probability.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@out_option
 def bound(n, eps, out):
     """Query lower bound for ordered search at size N."""
     check_eps(eps)
-    if n < 2:
-        raise click.UsageError(f"--n must be at least 2, got {n}")
     try:
         total = lowerbound.total_weight(n)
     except OverflowError as exc:
@@ -214,20 +224,18 @@ def bound(n, eps, out):
 
 
 @main.command()
-@click.option("--algo", type=click.Choice(["binary", "team"]), default="binary",
+@click.option("--algo", type=click.Choice(list(ALGORITHMS)), default="binary",
               show_default=True)
-@click.option("--n", type=int, required=True, help="List size.")
+@click.option("--n", type=click.IntRange(min=1), required=True, help="List size.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@out_option
 @click.pass_context
 def trajectory(ctx, algo, n, fmt, out):
     """Weighted-overlap trajectory of an algorithm, one row per query step.
 
     Exits with status 1 if any per-query drop exceeds the pi*N cap.
     """
-    if n < 1:
-        raise click.UsageError(f"--n must be positive, got {n}")
     algorithm = build_algorithm(algo, n, sweep=True)
     weights = lowerbound.WeightSpec.inverse_distance(n)
     record = lowerbound.run_trajectory(algorithm, n, weights)
@@ -260,12 +268,12 @@ def trajectory(ctx, algo, n, fmt, out):
 
 
 @main.command()
-@click.option("--algo", type=click.Choice(["binary", "team"]), default="team",
+@click.option("--algo", type=click.Choice(list(ALGORITHMS)), default="team",
               show_default=True)
-@click.option("--n", type=int, required=True, help="List size.")
+@click.option("--n", type=click.IntRange(min=1), required=True, help="List size.")
 @click.option("--answer", type=int, default=None,
               help="Instance to run; omit to sweep all N instances.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@out_option
 @click.pass_context
 def simulate(ctx, algo, n, answer, out):
     """Run an algorithm and report the measured answer and its probability.
@@ -274,8 +282,6 @@ def simulate(ctx, algo, n, answer, out):
     each answer's outcome is read off the final one. Exits with status 1 if
     any run is not exact (probability off 1).
     """
-    if n < 1:
-        raise click.UsageError(f"--n must be positive, got {n}")
     if answer is not None and not 0 <= answer < n:
         raise click.UsageError(
             f"--answer must lie in [0, {n - 1}], got {answer}"
@@ -310,7 +316,7 @@ def simulate(ctx, algo, n, answer, out):
 
 @main.command()
 @click.option("--r", type=int, required=True, help="Computer count (power of two).")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@out_option
 def layout(r, out):
     """Explicitly-known-bit layout of r computers over a list of size 2*r*r."""
     try:
@@ -323,30 +329,27 @@ def layout(r, out):
 
 
 @main.command()
-@click.option("--m", type=int, required=True, help="Explicitly known bits.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@click.option("--m", type=PrintableGrowth(min=1), required=True,
+              help="Explicitly known bits.")
+@out_option
 def expansion(m, out):
     """Known bits after one more query round, and the expansion factor."""
-    if m < 1:
-        raise click.UsageError(f"--m must be positive, got {m}")
     step = teamsearch.expansion(m)
     payload = {"m": m, "m_next": step.m_next, "F": step.factor}
     emit(render_json(payload) + "\n", out)
 
 
 @main.command()
-@click.option("--size", type=int, required=True, help="Matrix size.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@click.option("--size", type=click.IntRange(min=1), required=True, help="Matrix size.")
+@out_option
 def norms(size, out):
     """Spectral norms of the inverse-distance matrices at a given size."""
-    if size < 1:
-        raise click.UsageError(f"--size must be positive, got {size}")
-    # A bound on what the command allocates: both dense matrices and the
-    # Lanczos basis.
+    # One dense matrix at a time, the Lanczos basis and 2 MiB: the peak RSS over
+    # --size 1 passed the first two by at most 1.03 MiB at sizes 65 ... 8192.
     require_memory(
-        8 * (2 * size * size + (lowerbound.LANCZOS_STEPS + 1) * size),
+        8 * size * (size + lowerbound.LANCZOS_STEPS + 1) + (2 << 20),
         f"--size {size}",
-        "two dense matrices and the Lanczos basis",
+        "a dense matrix and the Lanczos basis",
     )
     payload = {
         "size": size,
@@ -357,12 +360,11 @@ def norms(size, out):
 
 
 @main.command()
-@click.option("--m", type=int, required=True, help="Value to decompose.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@click.option("--m", type=click.IntRange(min=1), required=True,
+              help="Value to decompose.")
+@out_option
 def decompose(m, out):
     """Digit expansion of m over the values (2*4**k + 1)/3, digits capped at 3."""
-    if m < 1:
-        raise click.UsageError(f"--m must be positive, got {m}")
     decomposition = teamsearch.decompose(m)
     payload = {
         "m": m,
@@ -374,12 +376,11 @@ def decompose(m, out):
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="List size to cover.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@click.option("--n", type=PrintableGrowth(min=2), required=True,
+              help="List size to cover.")
+@out_option
 def querycount(n, out):
     """Iterated-expansion query count until n bits are known."""
-    if n < 2:
-        raise click.UsageError(f"--n must be at least 2, got {n}")
     result = teamsearch.query_count_model(n)
     log3 = teamsearch.ceil_log3(n)
     payload = {

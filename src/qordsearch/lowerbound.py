@@ -211,8 +211,8 @@ class WeightSpec:
     ``d + n - 1`` is the weight of every pair ``(a, a + d)``. Calling the spec
     looks one pair up, for the per-pair reference loops. The kernel is
     read-only, so what is derived from it (its spectrum at each FFT length
-    up to ``_KEPT_SPECTRUM``, whether it is the inverse distance) is
-    computed once and kept.
+    up to ``_KEPT_SPECTRUM``, whether it is the inverse distance, the
+    Hankel operator of the drop chain) is computed once and kept.
     """
 
     n: int
@@ -247,6 +247,25 @@ class WeightSpec:
     def _is_inverse_distance(self) -> bool:
         inverse = _inverse_distance(np.arange(1 - self.n, self.n, dtype=float))
         return np.array_equal(self.kernel, inverse)
+
+    @functools.cached_property
+    def _hankel(self) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+        """The product of M with a vector, and its norm ||M||; n >= 2.
+
+        Row k of M is h_(k+l) = ``kernel[n + k + l]``, cut at k + l < n - 1:
+        ``hankel_matrix(n - 1)`` for the inverse distance. A product is a
+        slice of the convolution of h with v reversed, one rfft pair; the
+        norm is :func:`_lanczos_norm` on it, equal to the dense one to 1e-14.
+        """
+        size = self.n - 1
+        length = 1 << (2 * size - 2).bit_length()
+        h_spectrum = np.fft.rfft(self.kernel[self.n :], length)
+
+        def matvec(v: np.ndarray) -> np.ndarray:
+            product = np.fft.irfft(np.fft.rfft(v[::-1], length) * h_spectrum, length)
+            return product[size - 1 : 2 * size - 1]
+
+        return matvec, _lanczos_norm(matvec, size)
 
     def _spectrum(self, size: int) -> np.ndarray:
         """Real FFT of the kernel wrapped onto ``size`` points, d at d mod size.
@@ -610,28 +629,6 @@ class ChainReport:
         return not self.failures
 
 
-# A few sizes suffice: a trajectory applies one size at every step.
-@functools.lru_cache(maxsize=4)
-def _hankel(size: int) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """The product of ``hankel_matrix(size)`` with a vector, and its norm.
-
-    Row k of the matrix is h_(k+l) = 1/(k+l+1) cut at k + l < size, so its
-    product with v is the slice [size-1, 2*size-1) of the convolution of h
-    with v reversed: one rfft pair per product, O(size) memory. The norm is
-    :func:`_lanczos_norm` on this product at every size, so it agrees with
-    ``spectral_norm(hankel_matrix(size))`` to rounding (1e-14), not bit for
-    bit.
-    """
-    length = 1 << (2 * size - 2).bit_length()
-    h_spectrum = np.fft.rfft(1.0 / np.arange(1, size + 1), length)
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        product = np.fft.irfft(np.fft.rfft(v[::-1], length) * h_spectrum, length)
-        return product[size - 1 : 2 * size - 1]
-
-    return matvec, _lanczos_norm(matvec, size)
-
-
 def _require_inverse_distance(w: WeightSpec) -> None:
     """Refuse weights the drop chain is not derived for.
 
@@ -669,7 +666,7 @@ def verify_drop_chain(
 
     gammas, deltas = profile.gammas, profile.deltas
     if n >= 2:
-        matvec, m_norm = _hankel(n - 1)
+        matvec, m_norm = w._hankel
         # sum_d sum_i (1/d) gamma_i delta_(d-1-i) is gamma^T M delta.
         pair_bound = 2.0 * float(gammas @ matvec(deltas))
         norm_bound = (

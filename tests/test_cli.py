@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from collections import OrderedDict
 from pathlib import Path
@@ -274,20 +276,23 @@ class TestSmallCommands:
         monkeypatch.setattr(lb, "hankel_matrix", refuse)
         result = runner.invoke(main, ["norms", "--size", "100000000000"])
         assert result.exit_code == 2
-        assert "--size 100000000000 needs 1.49e+14 GiB" in result.output
+        assert "--size 100000000000 needs 7.45e+13 GiB for a dense matrix" in result.output
         assert "more than the 8 GiB of memory" in result.output
-        # Two 2048 x 2048 matrices and the basis need 64.5 MiB.
-        monkeypatch.setattr(cli, "physical_memory", lambda: 64 << 20)
+        # One 2048 x 2048 matrix, the basis and 2 MiB need 34.5 MiB.
+        monkeypatch.setattr(cli, "physical_memory", lambda: 34 << 20)
         assert runner.invoke(main, ["norms", "--size", "2048"]).exit_code == 2
 
     def test_norms_that_fit_run_and_an_unknown_memory_is_no_refusal(
         self, runner, monkeypatch
     ):
         expected = run(runner, "norms", "--size", "65").output
-        monkeypatch.setattr(cli, "physical_memory", lambda: 8 * (2 * 65 * 65 + 33 * 65))
+        needed = 8 * 65 * (65 + 33) + (2 << 20)
+        monkeypatch.setattr(cli, "physical_memory", lambda: needed)
         assert run(runner, "norms", "--size", "65").output == expected
         monkeypatch.setattr(cli, "physical_memory", lambda: None)
         assert run(runner, "norms", "--size", "65").output == expected
+        monkeypatch.setattr(cli, "physical_memory", lambda: needed - 1)
+        assert runner.invoke(main, ["norms", "--size", "65"]).exit_code == 2
 
     def test_physical_memory_is_read_from_sysconf(self):
         memory = cli.physical_memory()
@@ -362,6 +367,111 @@ class TestSmallCommands:
         assert payload["trace"][-1] >= 1048576
 
 
+def printable_range(low):
+    """How --help and click's errors show ``cli.PrintableGrowth(low)``."""
+    if cli.INT_DIGITS:
+        return f"{low}<=x<=10**{cli.INT_DIGITS}//3"
+    return f"x>={low}"
+
+
+# Each integer option bounded in its declaration, its smallest refused value
+# and its range as click shows it.
+LOWER_BOUNDS = [
+    ("bound", "--n", 1, "x>=2"),
+    ("trajectory", "--n", 0, "x>=1"),
+    ("simulate", "--n", 0, "x>=1"),
+    ("expansion", "--m", 0, printable_range(1)),
+    ("norms", "--size", 0, "x>=1"),
+    ("decompose", "--m", 0, "x>=1"),
+    ("querycount", "--n", 1, printable_range(2)),
+]
+
+
+class TestOptionDomains:
+    @pytest.mark.parametrize("command, option, refused, shown", LOWER_BOUNDS,
+                             ids=[bound[0] for bound in LOWER_BOUNDS])
+    def test_the_smallest_refused_value_is_a_usage_error(
+        self, runner, command, option, refused, shown
+    ):
+        result = runner.invoke(main, [command, option, str(refused)])
+        assert result.exit_code == 2
+        assert (
+            f"Invalid value for '{option}': {refused} is not in the range {shown}."
+        ) in result.output
+
+    @pytest.mark.parametrize("command, option, refused, shown", LOWER_BOUNDS,
+                             ids=[bound[0] for bound in LOWER_BOUNDS])
+    def test_help_shows_the_range(self, runner, command, option, refused, shown):
+        result = run(runner, command, "--help")
+        assert f"{option} INTEGER RANGE" in result.output
+        assert f"[{shown}; required]" in result.output
+
+    def test_both_algorithm_options_and_the_builder_read_one_table(self, runner):
+        for command in (cli.trajectory, cli.simulate):
+            [algo] = [param for param in command.params if param.name == "algo"]
+            assert list(algo.type.choices) == list(cli.ALGORITHMS)
+        for name, cls in cli.ALGORITHMS.items():
+            assert type(cli.build_algorithm(name, 8, sweep=False)) is cls
+        result = runner.invoke(main, ["simulate", "--algo", "ternary", "--n", "8"])
+        assert result.exit_code == 2
+        assert "'ternary' is not one of 'binary', 'team'" in result.output
+
+    @pytest.mark.skipif(not cli.INT_DIGITS, reason="ints print at any length")
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            # 4 * 10**4299 grows to 12 * 10**4299 less its digit sum, 4301
+            # digits; the query chain past 4300 nines ends past 10**4300.
+            ("expansion", "--m", str(4 * 10**4299)),
+            ("querycount", "--n", "9" * 4300),
+        ],
+        ids=["expansion", "querycount"],
+    )
+    def test_an_input_whose_result_would_not_print_is_a_usage_error(
+        self, runner, command, option, value
+    ):
+        result = run(runner, command, option, value)
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output
+
+    @pytest.mark.parametrize(
+        "command, option, low, largest",
+        [
+            ("expansion", "--m", 1, lambda payload: payload["m_next"]),
+            ("querycount", "--n", 2, lambda payload: payload["trace"][-1]),
+        ],
+        ids=["expansion", "querycount"],
+    )
+    def test_the_largest_printable_input_prints_and_the_next_is_refused(
+        self, command, option, low, largest
+    ):
+        # 640 is the smallest limit an interpreter takes, and walking the
+        # query chain to 10**640 takes a fraction of a second. The child
+        # imports the package this interpreter runs.
+        paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+        def invoke(value):
+            return subprocess.run(
+                [sys.executable, "-X", "int_max_str_digits=640", "-m",
+                 "qordsearch.cli", command, option, str(value)],
+                capture_output=True, text=True, env=env,
+            )
+
+        top = 10**640 // 3
+        printed = invoke(top)
+        assert printed.returncode == 0, printed.stderr
+        assert 10**639 <= largest(json.loads(printed.stdout)) < 10**640
+        refused = invoke(top + 1)
+        assert refused.returncode == 2
+        assert refused.stdout == ""
+        assert (
+            f"Invalid value for '{option}': {top + 1} is not in the range "
+            f"{low}<=x<=10**640//3."
+        ) in refused.stderr
+        assert "Traceback" not in refused.stderr
+
+
 class TestOutputDiscipline:
     def test_identical_invocations_are_byte_identical(self, runner):
         first = run(runner, "trajectory", "--algo", "team", "--n", "32")
@@ -384,7 +494,11 @@ class TestOutputDiscipline:
             ("bound", "--n", "8"),
             ("trajectory", "--algo", "binary", "--n", "8"),
             ("simulate", "--algo", "team", "--n", "8"),
+            ("layout", "--r", "2"),
+            ("expansion", "--m", "11"),
+            ("norms", "--size", "2"),
             ("decompose", "--m", "14"),
+            ("querycount", "--n", "8"),
         ],
         ids=lambda args: args[0],
     )

@@ -304,14 +304,14 @@ class TestMatrices:
 
     def test_matrix_free_lanczos_norm_matches_power_iteration(self):
         size = 2**16 - 1
-        matvec, norm = lb._hankel(size)
+        matvec, norm = lb.WeightSpec.inverse_distance(size + 1)._hankel
         assert abs(norm - reference_power_iteration(matvec, size)) <= 1e-14
 
     @pytest.mark.parametrize(
         "norm",
         [
             lambda: lb.spectral_norm(lb.hilbert_matrix(128)),
-            lambda: lb._hankel.__wrapped__(128),
+            lambda: lb.WeightSpec.inverse_distance(129)._hankel,
         ],
         ids=["dense", "matrix-free"],
     )
@@ -407,7 +407,19 @@ class TestMatrices:
     @pytest.mark.parametrize("size", [*range(1, 66), 255, 1023, 4095])
     def test_matrix_free_hankel_norm_matches_the_dense_one(self, size):
         dense = lb.spectral_norm(lb.hankel_matrix(size))
-        assert abs(lb._hankel(size)[1] - dense) <= 1e-14
+        assert abs(lb.WeightSpec.inverse_distance(size + 1)._hankel[1] - dense) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 65, 1024, 65536])
+    def test_the_chain_operator_is_the_hankel_matrix_of_the_weights(self, n):
+        # The weights at distances 1 .. n-1 are bit for bit the 1/(m + 1)
+        # that hankel_matrix(n - 1) holds, and the operator is built once.
+        w = lb.WeightSpec.inverse_distance(n)
+        assert np.array_equal(w.kernel[n:], 1.0 / np.arange(1, n))
+        assert w._hankel is w._hankel
+        if n <= 1024:
+            v = np.random.default_rng(n).standard_normal(n - 1)
+            expected = lb.hankel_matrix(n - 1) @ v
+            assert np.allclose(w._hankel[0](v), expected, rtol=0, atol=1e-12)
 
 
 def binary_prequery_states(n, rounds=0):
@@ -1221,17 +1233,26 @@ class TestTrajectory:
     @pytest.mark.parametrize("n", [2, 32, 1024])
     def test_chain_path_builds_no_dense_matrix(self, monkeypatch, n):
         # The Hankel norm of the chain is matrix-free at every size; no
-        # n x n matrix may come back to the chain path.
+        # n x n matrix may come back to the chain path, and the weights
+        # keep the one Lanczos norm that every step reads.
         def refuse(size):
             raise AssertionError(f"dense matrix of size {size} on the chain path")
 
+        norms = []
+        lanczos = lb._lanczos_norm
+
+        def counted(*args):
+            norms.append(lanczos(*args))
+            return norms[-1]
+
         monkeypatch.setattr(lb, "hankel_matrix", refuse)
         monkeypatch.setattr(lb, "hilbert_matrix", refuse)
-        lb._hankel.cache_clear()
+        monkeypatch.setattr(lb, "_lanczos_norm", counted)
         w = lb.WeightSpec.inverse_distance(n)
         record = lb.run_trajectory(BinarySearchAlgorithm(n), n, w, verify_chain=True)
         assert len(record.chain_reports) == n.bit_length() - 1
         assert all(report.holds for report in record.chain_reports)
+        assert len(norms) == 1
 
     @pytest.mark.parametrize("scale", [2.0, 0.5])
     def test_chain_refuses_other_kernels(self, scale):

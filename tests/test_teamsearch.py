@@ -458,10 +458,11 @@ class TestLayout:
             "computers": [[4, 6, 8], [2, 4, 8]],
         }
 
-    def test_layout_knowledge_reproduces_the_opening_intervals(self):
+    @pytest.mark.parametrize("r", [1, 2, 4, 8, 16])
+    def test_layout_knowledge_reproduces_the_opening_intervals(self, r):
         # Reading each computer's known bits off any instance pins exactly
         # the interval its level holds in the opening superposition.
-        r, n = 4, 32
+        n = 2 * r * r
         layout = ts.build_layout(r)
         algo = ts.TeamCombineAlgorithm(n, r)
         for inst in enumerate_instances(n):
@@ -486,6 +487,34 @@ class TestSteppableAlgorithms:
             assert result.answer == inst.answer
             assert abs(result.probability - 1.0) < 1e-12
             assert result.queries == algo.num_queries
+
+    @pytest.mark.parametrize("n", [1 << k for k in range(9)])
+    def test_binary_search_queries_what_classical_binary_search_probes(self, n):
+        # Binary search is the classical search run in superposition: each
+        # instance's state entering query j queries one in-list index, the
+        # one the classical search probes at its step j.
+        algo = ts.BinarySearchAlgorithm(n)
+        for inst in enumerate_instances(n):
+            state = algo.initial_state(inst)
+            queried = []
+            for j in range(algo.num_queries):
+                queried.append({label.i for label in state.labels() if label.i < n})
+                state = algo.advance(j, state, inst)
+            assert queried == [{i} for i in ts.classical_binary_search(inst).queried]
+
+    def test_the_binary_ensemble_queries_what_classical_binary_search_probes(self):
+        n = 4096
+        algo = ts.BinarySearchAlgorithm(n)
+        probes = np.array(
+            [ts.classical_binary_search(inst).queried for inst in enumerate_instances(n)]
+        )
+        snapshots = ts.ensemble_snapshots(algo, algo.initial_ensemble())
+        for j, ensemble in zip(range(algo.num_queries), snapshots):
+            index = ensemble.fields[4][ensemble.label_ids]
+            in_list = index < n
+            answers = ensemble.answers[in_list]
+            assert np.array_equal(np.unique(answers), np.arange(n))
+            assert np.array_equal(index[in_list], probes[answers, j])
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
     def test_binary_search_is_the_one_computer_team_round(self, n):
