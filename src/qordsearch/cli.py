@@ -28,10 +28,10 @@ SWEEP_SIZE_LIMIT = 1 << 30
 # 1303-1559 for team 2^15 ... 2^19 (8 to 10 levels), about 130 more a level.
 SWEEP_ANSWER_BYTES = 990
 SWEEP_LEVEL_BYTES = 130
-# Peak bytes per known bit of ``layout``: the sets, the sorted lists and the
-# JSON text. Peak RSS over that of r = 16 gave 106.6 at r = 128 and 101.9
-# at r = 256.
-LAYOUT_BIT_BYTES = 107
+# Peak bytes per known bit of ``layout``: the tuples of ints, the lists and
+# the JSON text. Peak RSS over that of r = 16 (four fresh processes each)
+# gave 50.8-53.1 at r = 64, 64.3-64.6 at r = 128 and 62.0-64.6 at r = 256.
+LAYOUT_BIT_BYTES = 67
 
 ALGORITHMS = {"binary": teamsearch.BinarySearchAlgorithm,
               "team": teamsearch.TeamCombineAlgorithm}

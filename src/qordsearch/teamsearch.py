@@ -29,10 +29,11 @@ and ``advance`` run them for one instance of the algorithm's size; a shared
 :func:`ensemble_snapshots` evolves at once, and :func:`run_ensemble` reads
 the outcome of every answer the final ensemble holds, with
 :func:`run_algorithm`'s bits. The module also provides the classical
-binary-search reference, the knowledge layouts that let one query multiply
-every computer's explicitly known bits by a factor approaching three, and
-the digit-decomposition accounting behind the query-count model, one
-expansion chain walked from one known bit.
+binary-search reference and what it knows after ``j`` queries
+(:func:`known_bits_after`), the layouts that stagger that knowledge so that
+one query multiplies every computer's known bits by a factor approaching
+three, and the digit-decomposition accounting behind the query-count model,
+one expansion chain walked from one known bit.
 """
 from __future__ import annotations
 
@@ -77,8 +78,15 @@ _TEAM = partial(tuple.__new__, TeamLabel)
 _QUERY = partial(tuple.__new__, QueryLabel)
 
 
+def _require_int(value, name: str) -> None:
+    """Reject anything but an integer (``bool`` included), as OrderedInstance does."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _require_pow2(value: int, what: str, minimum: int = 1) -> None:
-    """Reject a ``value`` that is not a power of two of at least ``minimum``."""
+    """Reject a ``value`` that is not an int power of two of at least ``minimum``."""
+    _require_int(value, what)
     if not _is_pow2(value) or value < minimum:
         at_least = f" >= {minimum}" if minimum > 1 else ""
         raise ValueError(f"{what} must be a power of two{at_least}, got {value}")
@@ -91,7 +99,8 @@ def require_int64_positions(n: int) -> None:
 
 
 def _require_sublists(n: int, r: int) -> None:
-    """Reject ``r`` not a power of two, or size-``2r`` sublists not tiling ``n``."""
+    """Reject a non-int ``n``, ``r`` not a power of two, or ``2r`` not dividing ``n``."""
+    _require_int(n, "list size")
     _require_pow2(r, "computer count")
     if n % (2 * r) != 0:
         raise ValueError(f"list size {n} is not a multiple of the sublist size {2 * r}")
@@ -386,7 +395,7 @@ def _run_ensemble_steps(steps, ensemble: Ensemble) -> Ensemble:
 
 @dataclass(frozen=True)
 class KnowledgeLayout:
-    """Per-computer sets of explicitly known oracle bits (1-based positions).
+    """Per-computer explicitly known oracle bits (1-based positions, ascending).
 
     A bit is explicitly known to a computer if the computer can output its
     value with certainty whatever the instance. The layout staggers the
@@ -396,46 +405,42 @@ class KnowledgeLayout:
 
     r: int
     n_list: int
-    computers: tuple[frozenset, ...]
-
-    def bit_counts(self) -> list[int]:
-        return [len(bits) for bits in self.computers]
+    computers: tuple[tuple[int, ...], ...]
 
     def to_jsonable(self) -> dict:
         return {
             "r": self.r,
             "n_list": self.n_list,
-            "computers": [sorted(bits) for bits in self.computers],
+            "computers": [list(bits) for bits in self.computers],
         }
 
 
 def team_knowledge_size(r: int) -> int:
-    """Explicitly known bits per computer in the canonical layout: (2*r*r + 1)/3."""
+    """Explicitly known bits per computer in the canonical layout: base_value(log2 r)."""
     _require_pow2(r, "computer count")
-    return (2 * r * r + 1) // 3
+    return base_value(r.bit_length() - 1)
 
 
 def build_layout(r: int) -> KnowledgeLayout:
     """Canonical layout of ``r`` computers over a list of size ``2*r*r``.
 
-    The list splits into ``r`` sublists of size ``2r``. Computer ``c`` plays
-    knowledge level ``ceil(log2(e+1))`` in the sublist ``e`` steps after its
-    home sublist (cyclically): level 0 knows only the sublist's last bit,
-    level ``k`` knows every ``(2r / 2**k)``-th bit of it.
+    The list splits into ``r`` sublists of size ``2r``, and the layout is
+    classical binary search staggered across them: in the sublist ``e``
+    steps after its home sublist (cyclically), computer ``c`` knows what
+    :func:`known_bits_after` gives on ``2r`` bits after ``e.bit_length()``
+    queries (0 -> 0, 1 -> 1, {2, 3} -> 2, ...), offset to that sublist.
     """
     _require_pow2(r, "computer count")
     sublist = 2 * r
-    computers = []
-    for c in range(r):
-        known = set()
-        for s in range(r):
-            e = (s - c) % r
-            level = e.bit_length()  # 0 -> 0, 1 -> 1, {2,3} -> 2, ...
-            stride = sublist >> level
-            base = sublist * s
-            known.update(base + t * stride for t in range(1, (1 << level) + 1))
-        computers.append(frozenset(known))
-    return KnowledgeLayout(r=r, n_list=sublist * r, computers=tuple(computers))
+    computers = tuple(
+        tuple(
+            sublist * s + bit
+            for s in range(r)
+            for bit in known_bits_after(sublist, ((s - c) % r).bit_length())
+        )
+        for c in range(r)
+    )
+    return KnowledgeLayout(r=r, n_list=sublist * r, computers=computers)
 
 
 def _opening_levels(r: int):
@@ -454,6 +459,7 @@ def _opening_levels(r: int):
 
 def default_team_size(n: int) -> int:
     """Computer count for a full team run: n/2 up to n=8, else n = 2*r*r."""
+    _require_int(n, "list size")
     if n in (2, 4, 8):
         return n // 2
     r = math.isqrt(n // 2)
@@ -697,24 +703,23 @@ def run_ensemble(algorithm, answer: int | None = None) -> list[SimulationResult]
 
 @dataclass(frozen=True)
 class SearchTrace:
-    """Classical binary-search run: answer, probed indices, known-bit growth.
+    """Classical binary-search run: the answer and the probed indices.
 
-    ``known[j]`` is the set of explicitly known bits after ``j`` queries, as
-    1-based positions; it doubles each query independently of the instance.
+    What the run explicitly knows after ``j`` queries does not depend on the
+    instance: it is :func:`known_bits_after` ``(n, j)``.
     """
 
     answer: int
     queried: tuple[int, ...]
-    known: tuple[frozenset, ...]
 
 
-def known_bits_after(n: int, j: int) -> frozenset:
-    """Explicitly known 1-based positions after ``j`` classical queries."""
+def known_bits_after(n: int, j: int) -> range:
+    """Explicitly known 1-based positions after ``j`` classical queries: every
+    ``(n >> j)``-th, ascending, the right ends of the intervals ``j`` probes leave."""
     _require_pow2(n, "list size")
     if not 0 <= j <= n.bit_length() - 1:
         raise ValueError(f"query count {j} out of range for n={n}")
-    step = n >> j
-    return frozenset(step * k for k in range(1, (1 << j) + 1))
+    return range(n >> j, n + 1, n >> j)
 
 
 def classical_binary_search(inst: OrderedInstance) -> SearchTrace:
@@ -723,7 +728,6 @@ def classical_binary_search(inst: OrderedInstance) -> SearchTrace:
     _require_pow2(n, "list size")
     lo, hi = 0, n - 1
     queried = []
-    known = [known_bits_after(n, 0)]
     while lo < hi:
         mid = lo + (hi - lo + 1) // 2 - 1
         queried.append(mid)
@@ -731,13 +735,12 @@ def classical_binary_search(inst: OrderedInstance) -> SearchTrace:
             hi = mid
         else:
             lo = mid + 1
-        known.append(known_bits_after(n, len(queried)))
-    return SearchTrace(answer=lo, queried=tuple(queried), known=tuple(known))
+    return SearchTrace(answer=lo, queried=tuple(queried))
 
 
-# The digit values (2*4**k + 1)/3: one table shared by every decomposition,
+# The digit values ``base_value(k)``: one table shared by every decomposition,
 # kept as a tuple that is replaced whole when it grows, as ``_CHAIN`` is.
-_DIGIT_VALUES: tuple[int, ...] = (1,)
+_DIGIT_VALUES: tuple[int, ...] = ()
 _DIGITS = frozenset(range(4))
 _INT_ONLY = frozenset({int})
 
@@ -747,24 +750,16 @@ def _digit_values(length: int) -> tuple[int, ...]:
     global _DIGIT_VALUES
     values = _DIGIT_VALUES
     if len(values) < length:
-        grown = list(values)
-        while len(grown) < length:
-            grown.append(4 * grown[-1] - 1)
-        values = _DIGIT_VALUES = tuple(grown)
+        grown = map(base_value, range(len(values), length))
+        values = _DIGIT_VALUES = values + tuple(grown)
     return values
-
-
-def _require_int(value, name: str) -> None:
-    """Reject anything but an integer (``bool`` included), as OrderedInstance does."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Digits of ``m`` in the base of values (2*4**k + 1)/3, each digit <= 3."""
+    """Digits of ``m`` in the base of values ``base_value(k)``, each digit <= 3."""
 
-    digits: tuple[int, ...]  # digits[k] multiplies (2*4**k + 1)/3
+    digits: tuple[int, ...]  # digits[k] multiplies base_value(k)
 
     def __post_init__(self):
         digits = self.digits

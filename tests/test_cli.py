@@ -334,7 +334,7 @@ class TestSmallCommands:
         assert cli.physical_memory() == physical
 
     def test_layout_past_memory_is_refused_before_building(self, runner, monkeypatch):
-        # r = 1024 holds 1024 * 699051 known bits, 71.3 GiB at 107 bytes each.
+        # r = 1024 holds 1024 * 699051 known bits, 44.7 GiB at 67 bytes each.
         def refuse(r):
             raise AssertionError(f"layout of r = {r} built")
 
@@ -344,13 +344,13 @@ class TestSmallCommands:
         result = runner.invoke(main, ["layout", "--r", "1024"])
         assert result.exit_code == 2
         assert (
-            "--r 1024 needs 71.3 GiB for the layout's 715828224 known bits, more "
+            "--r 1024 needs 44.7 GiB for the layout's 715828224 known bits, more "
             "than the 8 GiB of memory"
         ) in result.output
         monkeypatch.undo()
-        monkeypatch.setattr(cli, "physical_memory", lambda: 107 * 32 * 683)
+        monkeypatch.setattr(cli, "physical_memory", lambda: 67 * 32 * 683)
         assert run(runner, "layout", "--r", "32").output == expected
-        monkeypatch.setattr(cli, "physical_memory", lambda: 107 * 32 * 683 - 1)
+        monkeypatch.setattr(cli, "physical_memory", lambda: 67 * 32 * 683 - 1)
         assert runner.invoke(main, ["layout", "--r", "32"]).exit_code == 2
 
     def test_decompose(self, runner):
@@ -598,6 +598,24 @@ SIMULATE_SHA1 = [
 )
 def test_large_simulate_output_is_byte_identical(runner, args, sha1):
     result = run(runner, "simulate", *args)
+    assert result.exit_code == 0
+    assert hashlib.sha1(result.stdout_bytes).hexdigest() == sha1
+
+
+# Stdout sha1 of layouts, recorded while each computer's known bits were a
+# set that the JSON sorted; the tuples built from the classical progression
+# must print the same bytes.
+LAYOUT_SHA1 = [
+    ("16", "09af3fd46d60930cfbf50700b042a47b3897802c"),
+    ("32", "ae47999c2e48a804adea15849d220d8b788b763a"),
+    ("64", "856c2148d79aa447aaab0686dc05e4c1c475c75b"),
+    ("128", "973a054dd0a691045acd7e23a7ebde0dbbc1369a"),
+]
+
+
+@pytest.mark.parametrize("r, sha1", LAYOUT_SHA1, ids=[r for r, _ in LAYOUT_SHA1])
+def test_large_layout_output_is_byte_identical(runner, r, sha1):
+    result = run(runner, "layout", "--r", r)
     assert result.exit_code == 0
     assert hashlib.sha1(result.stdout_bytes).hexdigest() == sha1
 

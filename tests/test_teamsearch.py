@@ -425,26 +425,45 @@ def deduced_interval(known_positions, inst):
 class TestLayout:
     def test_figure_counts_for_four_computers(self):
         layout = ts.build_layout(4)
-        assert layout.bit_counts() == [11, 11, 11, 11]
-        assert layout.computers[0] == frozenset(
-            {8, 12, 16, 18, 20, 22, 24, 26, 28, 30, 32}
-        )
+        assert [len(bits) for bits in layout.computers] == [11, 11, 11, 11]
+        assert layout.computers[0] == (8, 12, 16, 18, 20, 22, 24, 26, 28, 30, 32)
 
     def test_single_computer_knows_only_the_last_bit(self):
         layout = ts.build_layout(1)
-        assert layout.computers == (frozenset({2}),)
+        assert layout.computers == ((2,),)
 
     def test_two_computers_know_three_bits_each(self):
         layout = ts.build_layout(2)
-        assert layout.bit_counts() == [3, 3]
-        assert layout.computers[0] == frozenset({4, 6, 8})
-        assert layout.computers[1] == frozenset({2, 4, 8})
+        assert [len(bits) for bits in layout.computers] == [3, 3]
+        assert layout.computers[0] == (4, 6, 8)
+        assert layout.computers[1] == (2, 4, 8)
 
     @pytest.mark.parametrize("r", [1, 2, 4, 8])
     def test_knowledge_size_formula(self, r):
         layout = ts.build_layout(r)
         expected = ts.team_knowledge_size(r)
-        assert all(count == expected for count in layout.bit_counts())
+        assert all(len(bits) == expected for bits in layout.computers)
+
+    @pytest.mark.parametrize("r", [1 << k for k in range(7)])
+    def test_the_layout_is_classical_search_staggered_over_the_sublists(self, r):
+        # In the sublist e steps after its home sublist, a computer knows
+        # what classical search knows of 2r bits after e.bit_length()
+        # queries; the sublists follow in order, so the bits ascend.
+        layout = ts.build_layout(r)
+        for c, bits in enumerate(layout.computers):
+            expected = ()
+            for s in range(r):
+                known = ts.known_bits_after(2 * r, ((s - c) % r).bit_length())
+                expected += tuple(2 * r * s + bit for bit in known)
+            assert bits == expected
+            assert all(a < b for a, b in zip(bits, bits[1:]))
+
+    @pytest.mark.parametrize("k", range(41))
+    def test_the_knowledge_size_is_the_digit_value(self, k):
+        value = ts.base_value(k)
+        assert ts.team_knowledge_size(2**k) == value == ts._digit_values(k + 1)[k]
+        # One round expands a digit value to 2*4**k, the n_list = 2*r*r of r = 2**k.
+        assert 3 * value - 1 == 2 * 4**k
 
     def test_rejects_bad_combinations(self):
         with pytest.raises(ValueError):
@@ -515,6 +534,23 @@ class TestSteppableAlgorithms:
             answers = ensemble.answers[in_list]
             assert np.array_equal(np.unique(answers), np.arange(n))
             assert np.array_equal(index[in_list], probes[answers, j])
+
+    @pytest.mark.parametrize("answer", [0, 5, 2**62 // 3, 2**62 - 1])
+    def test_one_answer_ensembles_query_the_classical_probes_at_2_to_62(self, answer):
+        # The classical reference costs O(log n), so it runs at any size the
+        # ensemble reaches.
+        n = 2**62
+        algo = ts.BinarySearchAlgorithm(n)
+        probes = ts.classical_binary_search(OrderedInstance(n, answer)).queried
+        start = algo.initial_ensemble(range(answer, answer + 1))
+        snapshots = ts.ensemble_snapshots(algo, start)
+        queried = []
+        for _, ensemble in zip(range(algo.num_queries), snapshots):
+            index = ensemble.fields[4]
+            [probe] = index[index < n].tolist()
+            queried.append(probe)
+        assert len(probes) == 62
+        assert queried == list(probes)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
     def test_binary_search_is_the_one_computer_team_round(self, n):
@@ -1062,7 +1098,7 @@ def brute_force_known_bits(n, j):
 
     A 1-based position is explicitly known if, for every instance, all
     instances consistent with that instance's first j query answers agree on
-    the bit there.
+    the bit there. The positions come back ascending.
     """
     instances = enumerate_instances(n)
     known = set(range(1, n + 1))
@@ -1080,7 +1116,7 @@ def brute_force_known_bits(n, j):
             if len({other.bit(p - 1) for other in consistent}) == 1
         }
         known &= deduced
-    return frozenset(known)
+    return sorted(known)
 
 
 class TestClassicalReference:
@@ -1095,12 +1131,11 @@ class TestClassicalReference:
                 assert ts.classical_binary_search(inst).answer == inst.answer
 
     def test_known_bits_after_two_queries_on_eight(self):
-        trace = ts.classical_binary_search(OrderedInstance(8, 5))
-        assert trace.known[2] == frozenset({2, 4, 6, 8})
+        assert list(ts.known_bits_after(8, 2)) == [2, 4, 6, 8]
 
     @pytest.mark.parametrize("n,j", [(8, 0), (8, 1), (8, 2), (8, 3), (16, 2), (16, 4)])
     def test_known_bits_formula_matches_brute_force_deduction(self, n, j):
-        assert ts.known_bits_after(n, j) == brute_force_known_bits(n, j)
+        assert list(ts.known_bits_after(n, j)) == brute_force_known_bits(n, j)
 
     @pytest.mark.parametrize("exponent", range(0, 17))
     def test_known_set_sizes_double_each_query(self, exponent):
@@ -1343,3 +1378,28 @@ NOT_TILED = "list size {} is not a multiple of the sublist size {}"
 )
 def test_size_check_messages(call, expected):
     assert call() == expected
+
+
+NOT_AN_INTEGER = "{} must be an integer, got {!r}"
+
+
+# A size is an int, as OrderedInstance's fields are: True would run as 1,
+# and a float would reach the power-of-two bit test and raise TypeError.
+@pytest.mark.parametrize(
+    "function,args,kwargs,expected",
+    [
+        (ts.BinarySearchAlgorithm, (True,), {}, ("list size", True)),
+        (ts.BinarySearchAlgorithm, (4.0,), {}, ("list size", 4.0)),
+        (ts.TeamCombineAlgorithm, (8,), {"r": True}, ("computer count", True)),
+        (ts.TeamCombineAlgorithm, (8.0,), {}, ("list size", 8.0)),
+        (ts.TeamCombineAlgorithm, (8.0,), {"r": 4}, ("list size", 8.0)),
+        (ts.default_team_size, (32.0,), {}, ("list size", 32.0)),
+        (ts.build_layout, (True,), {}, ("computer count", True)),
+        (ts.team_knowledge_size, (2.0,), {}, ("computer count", 2.0)),
+        (ts.known_bits_after, (8.0, 1), {}, ("list size", 8.0)),
+        (ts.apply_combine, (WIDE, 8.0), {}, ("interval size", 8.0)),
+        (ts.apply_refine, (WIDE, True), {}, ("interval size", True)),
+    ],
+)
+def test_power_of_two_arguments_refuse_non_integers(function, args, kwargs, expected):
+    assert error_text(function, *args, **kwargs) == NOT_AN_INTEGER.format(*expected)
