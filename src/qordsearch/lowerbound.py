@@ -27,12 +27,14 @@ W_before - W_after. An ensemble's entries go label by label, its labels in
 run and every sum over the columns runs in that order.
 
 The weights depend on the answer distance b - a only (:class:`WeightSpec`),
-so W and each drop are sums of correlations of label columns with one
-distance kernel, computed by batched FFTs; one pass over a snapshot's
-columns gives its W and, for states entering a query, the pair drop of
-:func:`pairwise_drop`. M is applied without being built: its product with
-a vector is a convolution, which serves both the double sum, as
-2 * gamma^T M delta, and, at every size, the Lanczos iteration for ||M||.
+and a label's column is a few runs of consecutive answers at one amplitude,
+so W and each drop are closed forms: every pair of runs of a column adds a
+second difference of the kernel's double prefix sums. One pass over a
+snapshot's runs, in time linear in its entries, gives its W and, for states
+entering a query, the pair drop of :func:`pairwise_drop`. M is applied
+without being built: its product with a vector is an FFT convolution, which
+serves both the double sum, as 2 * gamma^T M delta, and, at every size, the
+Lanczos iteration for ||M||.
 A chain-verified run needs memory linear in n. The chain is checked for
 the inverse-distance weights only; other kernels are refused there.
 
@@ -63,7 +65,6 @@ on both paths, so W and every drop are ``float``s.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -193,13 +194,6 @@ def _inverse_distance(d: np.ndarray) -> np.ndarray:
     return np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
 
 
-# The longest FFT whose kernel spectrum a WeightSpec keeps (64 KiB for all of
-# them). A longer one is transformed again by each kernel pass that meets it,
-# whose rows of that length cost far more than the transform; keeping every
-# length would hold about 32 bytes per answer.
-_KEPT_SPECTRUM = 1 << 12
-
-
 @dataclass(frozen=True)
 class WeightSpec:
     """Non-negative, finite pairwise weight over answers ``0 .. n-1`` that
@@ -210,15 +204,14 @@ class WeightSpec:
     The values are checked there and kept in ``kernel``, whose entry
     ``d + n - 1`` is the weight of every pair ``(a, a + d)``. Calling the spec
     looks one pair up, for the per-pair reference loops. The kernel is
-    read-only, so what is derived from it (its spectrum at each FFT length
-    up to ``_KEPT_SPECTRUM``, whether it is the inverse distance, the
-    Hankel operator of the drop chain) is computed once and kept.
+    read-only, so what is derived from it (its double prefix sums
+    ``_double_prefix``, whether it is the inverse distance, the Hankel
+    operator of the drop chain) is computed once and kept.
     """
 
     n: int
     weight: Callable[[np.ndarray], np.ndarray]
     kernel: np.ndarray = field(init=False, repr=False, compare=False)
-    _spectra: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         d = np.arange(1 - self.n, self.n, dtype=float)
@@ -249,6 +242,25 @@ class WeightSpec:
         return np.array_equal(self.kernel, inverse)
 
     @functools.cached_property
+    def _double_prefix(self) -> np.ndarray:
+        """Q(t) = sum over d <= t of (t - d + 1) * w(d), at entry t + n + 1.
+
+        t runs over -n-1 .. n-1, the 2n + 1 values a pair of runs of
+        :func:`_kernel_sums` reads. Q is the cumulative sum of the cumulative
+        sum of the kernel. Both levels are compensated: the exact rounding
+        error of each addition of ``np.cumsum`` (TwoSum) is kept, and the
+        errors are summed and added back once, so each entry is within about
+        an ulp of the exact sum of the kernel's floats; a plain double cumsum
+        is off by hundreds of ulps at n = 2^20.
+        """
+        first, first_errors = _cumsum_and_errors(self.kernel)
+        second, second_errors = _cumsum_and_errors(first)
+        table = np.zeros(2 * self.n + 1)
+        table[2:] = second + np.cumsum(second_errors + np.cumsum(first_errors))
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
     def _hankel(self) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
         """The product of M with a vector, and its norm ||M||; n >= 2.
 
@@ -267,26 +279,14 @@ class WeightSpec:
 
         return matvec, _lanczos_norm(matvec, size)
 
-    def _spectrum(self, size: int) -> np.ndarray:
-        """Real FFT of the kernel wrapped onto ``size`` points, d at d mod size.
 
-        Only the distances below ``(size + 1) // 2`` are placed, so a column
-        spanning at most that many answers correlates without wrap-around.
-        A size up to ``_KEPT_SPECTRUM`` is transformed once.
-        """
-        spectrum = self._spectra.get(size)
-        if spectrum is None:
-            reach = min((size + 1) // 2, self.n)
-            centre = self.n - 1
-            wrapped = np.zeros(size)
-            # Distances 0, -1, .., -(reach-1) first, then reach-1, .., 1 last.
-            wrapped[:reach] = self.kernel[centre - reach + 1 : centre + 1][::-1]
-            wrapped[size - reach + 1 :] = self.kernel[centre + 1 : centre + reach][::-1]
-            spectrum = np.fft.rfft(wrapped)
-            spectrum.flags.writeable = False
-            if size <= _KEPT_SPECTRUM:
-                self._spectra[size] = spectrum
-        return spectrum
+def _cumsum_and_errors(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.cumsum(values)`` and the exact rounding error of each of its
+    additions: the partial sums plus the cumulative errors are exact."""
+    sums = np.cumsum(values)
+    before = np.concatenate(([0.0], sums[:-1]))
+    added = sums - before
+    return sums, (before - (sums - added)) + (values - added)
 
 
 def _check_state_count(count: int, w: WeightSpec) -> None:
@@ -294,109 +294,82 @@ def _check_state_count(count: int, w: WeightSpec) -> None:
         raise ValueError(f"expected {w.n} states, got {count}")
 
 
-# Entries of one batched FFT (rows x FFT length): bounds the temporaries of
-# many or long label columns to a few MiB instead of growing with n.
-_BATCH_ENTRIES = 1 << 16
-
-
 def _kernel_sums(
     ensemble: Ensemble, w: WeightSpec, left: np.ndarray | None = None
 ) -> tuple[float, float]:
-    """Sums of w(a_p, a_q) * x_p * x_q over pairs of entries of one label column.
+    """Sums of w(a_f - a_e) * x_e * x_f over pairs of entries (e, f) of one
+    label column.
 
     Entry e of ``ensemble`` is answer a_e holding the real amplitude x_e on
     a label column; each column's entries are contiguous and their answers
     ascend. The first sum runs over all ordered pairs of each column, which
     is W. With an entry mask ``left`` the second runs over the pairs whose
-    first member is marked in ``left`` and whose second is not, in the
-    columns holding both kinds (the mixed columns); with ``left`` None it
-    is 0.0.
+    first member is marked in ``left`` and whose second is not; with
+    ``left`` None it is 0.0.
 
-    Because the weight depends only on b - a, each column's sums over q are
-    a correlation of its amplitudes, scattered over the column's answer
-    span, with the kernel: one row of all of them for the first sum, one
-    row of the unmarked ones of a mixed column for the second. Rows are
-    grouped by FFT length, the smallest power of two >= 2 * span - 1, and
-    each group goes through batched real FFTs of at most ``_BATCH_ENTRIES``
-    entries; every first member then takes its product. Each sum keeps its
-    own products, in entry order (the second over the mixed columns' entries
-    only), and the products are summed in that order, so neither sum
-    depends on the batching or on the other. A batch finds its rows' entries
-    from the label runs, so no array but the products grows past the
-    ensemble's. The sums are ``float``s. The peak memory of a chain-verified
-    run grows linearly in n (README.md gives measured figures).
+    Both are sums over label runs: maximal stretches of a column's entries
+    with consecutive answers and one amplitude. Runs p and q of one column,
+    of L_p and L_q answers at amplitudes x_p and x_q, add x_p * x_q times
+    the kernel summed over their answer pairs, which is the second
+    difference Q(h) - Q(h - L_p) - Q(h - L_q) + Q(h - L_p - L_q) of the
+    double prefix sums Q (``WeightSpec._double_prefix``), h the distance
+    from p's first answer to q's last. W takes every ordered pair of runs of
+    a column. The second sum splits the runs further where ``left`` changes
+    and takes the pairs of a marked run and an unmarked one; W's runs are
+    never split there, so W does not depend on ``left``. A column of R runs
+    costs R^2 pairs, so a pass costs O(runs + sum of R^2), which is
+    O(entries) on every snapshot of the algorithms here, where a column is
+    one run, or two for the second sum. Each Q entry is within about an ulp,
+    so a pair is exact to a few ulps of Q(h) * |x_p * x_q|: of the pair's
+    own sum for one run or two adjacent ones, but many more on short runs
+    far apart. Each sum adds its products with numpy's pairwise ``sum``, in
+    the order of their columns and runs, and is a ``float``.
     """
     label_ids, answers, amps = ensemble.label_ids, ensemble.answers, ensemble.amps
     if not len(answers):
         return 0.0, 0.0
-    count = np.bincount(label_ids)
-    ends = count.cumsum()
-    starts = ends - count
-    lows = answers[starts]
-    # A circle of at least 2 * span - 1 points keeps the distances
-    # -(span-1) .. span-1 of a column apart.
-    sizes = np.left_shift(
-        1, np.frexp(2 * (answers[ends - 1] - lows))[1], dtype=np.int64
+    breaks = (
+        (label_ids[1:] != label_ids[:-1])
+        | (answers[1:] != answers[:-1] + 1)
+        | (amps[1:] != amps[:-1])
     )
-    cols = answers - lows.repeat(count)
+    overlap = _run_pair_sum(ensemble, w, breaks)
+    if left is None:
+        return overlap, 0.0
+    return overlap, _run_pair_sum(ensemble, w, breaks | (left[1:] != left[:-1]), left)
 
-    # Rows 0 .. overlap_rows-1 are W's, one per label; the pair's, one per
-    # mixed label, follow. The pair's products hold the mixed labels'
-    # entries only: entry e of label k is product e - skipped[k].
-    overlap_rows = len(count)
-    overlap_products = np.zeros(len(answers), dtype=complex)
-    row_labels = np.arange(overlap_rows)
-    pair_products = np.zeros(0, dtype=complex)
+
+def _run_pair_sum(
+    ensemble: Ensemble,
+    w: WeightSpec,
+    breaks: np.ndarray,
+    left: np.ndarray | None = None,
+) -> float:
+    """The sum over ordered pairs (p, q) of runs of one column of x_p * x_q
+    times the kernel summed over their answer pairs, for the runs that start
+    at entry 0 and after each entry e with ``breaks[e]``; with ``left``, over
+    the pairs of a marked run p and an unmarked run q only."""
+    first = np.flatnonzero(np.concatenate(([True], breaks)))
+    length = np.diff(first, append=len(breaks) + 1)
+    label = ensemble.label_ids[first]
+    # Run p pairs with each of the runs[label[p]] runs of its column.
+    runs = np.bincount(label)
+    partners = runs[label]
+    p = np.arange(len(first)).repeat(partners)
+    q = _run_indices((runs.cumsum() - runs)[label], partners)
     if left is not None:
-        left_count = np.bincount(label_ids, left, len(count))
-        mixed = (0 < left_count) & (left_count < count)
-        mixed_count = count * mixed
-        skipped = starts - (mixed_count.cumsum() - mixed_count)
-        pair_products = np.zeros(mixed_count.sum(), dtype=complex)
-        row_labels = np.concatenate((row_labels, np.flatnonzero(mixed)))
-
-    # Rows are taken in order of FFT length; a batch is a run of at most
-    # max(1, _BATCH_ENTRIES // length) rows of one length, in which W's rows
-    # come first.
-    row_sizes = sizes[row_labels]
-    order = row_sizes.argsort(kind="stable")
-    sorted_sizes = row_sizes[order].tolist()
-    group_start = 0
-    while group_start < len(order):
-        size = sorted_sizes[group_start]
-        group_end = bisect.bisect_right(sorted_sizes, size)
-        kernel_spectrum = w._spectrum(size)
-        step = max(1, _BATCH_ENTRIES // size)
-        for p0 in range(group_start, group_end, step):
-            rows = order[p0 : min(p0 + step, group_end)]
-            labels = row_labels[rows]
-            # The batch's items are its rows' label runs, row after row. A
-            # group's rows ascend, so W's rows, and their items, come first.
-            lengths = count[labels]
-            entry = _run_indices(starts[labels], lengths)
-            row, col, amp = np.arange(len(rows)).repeat(lengths), cols[entry], amps[entry]
-            split = int(lengths[: rows.searchsorted(overlap_rows)].sum())
-            scattered = np.zeros((len(rows), size))
-            scattered[row[:split], col[:split]] = amp[:split]
-            if split < len(entry):
-                pair_left = left[entry[split:]]
-                firsts = split + np.flatnonzero(pair_left)
-                seconds = split + np.flatnonzero(~pair_left)
-                scattered[row[seconds], col[seconds]] = amp[seconds]
-            correlated = np.fft.irfft(np.fft.rfft(scattered) * kernel_spectrum, size)
-            overlap_products[entry[:split]] = (
-                amp[:split] * correlated[row[:split], col[:split]]
-            )
-            if split < len(entry):
-                first = entry[firsts]
-                pair_products[first - skipped[label_ids[first]]] = (
-                    amp[firsts] * correlated[row[firsts], col[firsts]]
-                )
-        group_start = group_end
-    # The real products are summed as complex numbers: numpy's pairwise
-    # summation blocks a complex array differently from a float one, and
-    # this order gives the bits the trajectories and chain reports pin.
-    return float(overlap_products.sum().real), float(pair_products.sum().real)
+        marked = left[first]
+        keep = marked[p] & ~marked[q]
+        p, q = p[keep], q[keep]
+    low, lp, lq = ensemble.answers[first], length[p], length[q]
+    # Q(h) is entry h + n + 1 of the table, with h = low[q] + lq - 1 - low[p].
+    top = low[q] + lq - low[p] + w.n
+    table = w._double_prefix
+    pair_weights = (table[top] - table[top - lp]) - (
+        table[top - lq] - table[top - lp - lq]
+    )
+    amps = ensemble.amps[first]
+    return float((amps[p] * amps[q] * pair_weights).sum())
 
 
 def weighted_overlap(ensemble: Ensemble, w: WeightSpec) -> float:

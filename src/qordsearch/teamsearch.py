@@ -717,6 +717,7 @@ def known_bits_after(n: int, j: int) -> range:
     """Explicitly known 1-based positions after ``j`` classical queries: every
     ``(n >> j)``-th, ascending, the right ends of the intervals ``j`` probes leave."""
     _require_pow2(n, "list size")
+    _require_int(j, "query count")
     if not 0 <= j <= n.bit_length() - 1:
         raise ValueError(f"query count {j} out of range for n={n}")
     return range(n >> j, n + 1, n >> j)

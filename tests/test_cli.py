@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 from qordsearch import cli
 from qordsearch import lowerbound as lb
+from qordsearch import teamsearch as ts
 from qordsearch.cli import main, render_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -99,6 +100,33 @@ class TestTrajectory:
         assert payload["n"] == 4
         assert len(payload["steps"]) == 3
         assert payload["steps"][-1]["drop_abs"] is None
+
+    # The benchmark's output check: the CLI, which computes W only, prints
+    # the W of a chain-verified run, which also computes each pair drop.
+    def test_binary_csv_is_the_chain_verified_run(self, runner):
+        result = run(runner, "trajectory", "--algo", "binary", "--n", "256")
+        assert result.exit_code == 0
+        algorithm = ts.BinarySearchAlgorithm(256)
+        w = lb.WeightSpec.inverse_distance(256)
+        record = lb.run_trajectory(algorithm, 256, w, verify_chain=True)
+        assert result.output == record.to_csv()
+
+    def test_team_json_is_the_chain_verified_run(self, runner):
+        args = ("--algo", "team", "--n", "512", "--format", "json")
+        result = run(runner, "trajectory", *args)
+        assert result.exit_code == 0
+        algorithm = ts.TeamCombineAlgorithm(512)
+        w = lb.WeightSpec.inverse_distance(512)
+        record = lb.run_trajectory(algorithm, 512, w, verify_chain=True)
+        payload = json.loads(result.output)
+        header = (payload["n"], payload["algo"], payload["bound"])
+        assert header == (512, "team", record.bound)
+        assert [
+            [s["j"], s["W_re"], s["W_im"], s["drop_abs"]] for s in payload["steps"]
+        ] == [
+            [s.j, s.overlap, 0.0, None if s.drop is None else abs(s.drop)]
+            for s in record.steps
+        ]
 
 
 class TestSimulate:
@@ -620,11 +648,11 @@ def test_large_layout_output_is_byte_identical(runner, r, sha1):
     assert hashlib.sha1(result.stdout_bytes).hexdigest() == sha1
 
 
-# Stdout sha1 of trajectories, recorded before the label columns of an
-# ensemble were kept in sort_key order; that reorders the sums of W, and these
-# runs must not move.
+# Stdout sha1 of trajectories. Team 512 was recorded before the label columns
+# of an ensemble were kept in sort_key order, and its W did not move when W
+# became a sum over label runs; binary 4096 was recorded with the run sums.
 TRAJECTORY_SHA1 = [
-    (("--algo", "binary", "--n", "4096"), "f97d85b5fbab13f3f32b747c55db8a10dd14a1a6"),
+    (("--algo", "binary", "--n", "4096"), "d15bb3234559f7458de9cb0b45b7b81fb7a1f2da"),
     (("--algo", "team", "--n", "512"), "e79b965a4bd84e24246163f81703483044ff0f58"),
 ]
 

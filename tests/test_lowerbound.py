@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fft_kernel_oracle as fft_oracle
 from qordsearch import lowerbound as lb
 from qordsearch import teamsearch as ts
 from qordsearch.oracle import OrderedInstance, apply_query, enumerate_instances
@@ -220,26 +221,6 @@ class TestWeightKernel:
             w(0, n)
         with pytest.raises(IndexError):
             w(-1, 0)
-
-    def test_batching_does_not_move_a_bit(self, monkeypatch):
-        # A small batch cap splits each FFT length's blocks into many
-        # batches; the sums must not move by a single bit. Only the
-        # snapshots that meet a query have a mass profile: the final states
-        # hold length-1 team intervals, which query nothing.
-        algorithm = BinarySearchAlgorithm(32)
-        w = lb.WeightSpec.inverse_distance(32)
-        snapshots = [Ensemble.from_states(s) for s in trajectory_snapshots(algorithm)]
-
-        def sums():
-            overlaps = [lb.weighted_overlap(c, w) for c in snapshots]
-            drops = [
-                lb.pairwise_drop(lb.mass_profile(c), w) for c in snapshots[:-1]
-            ]
-            return overlaps, drops
-
-        whole = sums()
-        monkeypatch.setattr(lb, "_BATCH_ENTRIES", 8)
-        assert sums() == whole
 
 
 class TestMatrices:
@@ -650,7 +631,8 @@ class TestKernelAgainstReference:
     @pytest.mark.parametrize("n", [1, 2, 40])
     def test_random_columns_around_fft_lengths(self, n, seed):
         # Spans 2^k - 1, 2^k and 2^k + 1 sit on both sides of a change of
-        # FFT length, and every answer also holds a single-entry column.
+        # the FFT oracle's length, and every answer also holds a
+        # single-entry column.
         rng = np.random.default_rng(seed)
         spans = [
             span
@@ -1149,15 +1131,15 @@ class TestTrajectory:
         ]
         assert got == json.loads((GOLDEN / golden).read_text())
 
-    # sha1 of repr(chain_reports), recorded while ensemble amplitudes were
-    # complex: sizes with FFT lengths up to 2 * 16384, and at binary 16384
-    # full FFT batches, which the N=32 goldens do not reach.
+    # sha1 of repr(chain_reports), recorded with W and the pair drop summed
+    # over label runs: runs up to 16384 answers long, which the N=32 goldens
+    # do not reach.
     @pytest.mark.parametrize(
         "algorithm, sha1",
         [
-            (BinarySearchAlgorithm(4096), "3e12972ca618f67f74e5250ceb12f557be02f351"),
-            (BinarySearchAlgorithm(16384), "93183415a383afc238f01d1c2bb560b498f9b1c9"),
-            (TeamCombineAlgorithm(8192), "c07776d3a39403f7e0ed3d4580b57781f969a6ae"),
+            (BinarySearchAlgorithm(4096), "0edbd3c715d8c567ea659740c3f7577ea3fff02c"),
+            (BinarySearchAlgorithm(16384), "69b6852b721631c7a4b17bf8a6d657fb161a59a2"),
+            (TeamCombineAlgorithm(8192), "af9aec14d93edbd6b46b1407510ca72a40bc204a"),
         ],
         ids=["binary-4096", "binary-16384", "team-8192"],
     )
@@ -1387,6 +1369,12 @@ FUSED_ALGORITHMS = (
 )
 
 
+def queried_left(ensemble):
+    """The entries at or below their label's queried index: the left members
+    of the pairs that the query separates."""
+    return ensemble.answers <= ensemble.fields[4][ensemble.label_ids]
+
+
 class TestFusedPass:
     """W and the pair drop of the chain against a W-only pass and a fresh one."""
 
@@ -1397,8 +1385,131 @@ class TestFusedPass:
         assert fused == standalone
 
     @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS, ids=algorithm_id)
-    def test_split_batches_move_no_bit(self, monkeypatch, algorithm):
-        whole = fused_and_standalone(algorithm)[0]
-        monkeypatch.setattr(lb, "_BATCH_ENTRIES", 32)
-        fused, standalone = fused_and_standalone(algorithm)
-        assert fused == standalone == whole
+    def test_overlap_does_not_depend_on_the_left_mask(self, algorithm):
+        # W's runs are never split where the pair sum's mask changes, so W
+        # is the same bits with any mask, or none, beside it.
+        w = lb.WeightSpec.inverse_distance(algorithm.n)
+        rng = np.random.default_rng(algorithm.n)
+        for ensemble in ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble()):
+            overlap, pair = lb._kernel_sums(ensemble, w)
+            assert pair == 0.0
+            entries = len(ensemble.answers)
+            masks = [
+                queried_left(ensemble),
+                np.ones(entries, dtype=bool),
+                np.zeros(entries, dtype=bool),
+                rng.random(entries) < 0.5,
+            ]
+            for left in masks:
+                assert lb._kernel_sums(ensemble, w, left)[0] == overlap
+
+
+ORACLE_ALGORITHMS = FUSED_ALGORITHMS + [BinarySearchAlgorithm(n) for n in (8192, 16384)]
+
+
+class TestRunPassAgainstFFT:
+    """The run pass of ``_kernel_sums`` against the FFT correlation pass it
+    replaced (``fft_kernel_oracle``), which gives the bits W and the pair drop
+    had before."""
+
+    @pytest.mark.parametrize("algorithm", ORACLE_ALGORITHMS, ids=algorithm_id)
+    def test_every_snapshot_matches_the_fft_oracle(self, algorithm):
+        # The two passes round differently. Over these runs W and the pair
+        # sum agree within 4.0e-16 * W_0 (team 8192); the bound is 1e-15.
+        w = lb.WeightSpec.inverse_distance(algorithm.n)
+        snapshots = list(
+            ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble())
+        )
+        tolerance = 1e-15 * fft_oracle.fft_kernel_sums(snapshots[0], w)[0]
+        for j, ensemble in enumerate(snapshots):
+            left = queried_left(ensemble) if j < algorithm.num_queries else None
+            runs = lb._kernel_sums(ensemble, w, left)
+            fft = fft_oracle.fft_kernel_sums(ensemble, w, left)
+            assert all(type(value) is float for value in runs)
+            assert abs(runs[0] - fft[0]) <= tolerance, j
+            assert abs(runs[1] - fft[1]) <= tolerance, j
+
+    def test_batching_does_not_move_a_bit(self, monkeypatch):
+        # A small batch cap splits each FFT length's blocks of the oracle into
+        # many batches; its sums must not move by a single bit.
+        algorithm = BinarySearchAlgorithm(32)
+        w = lb.WeightSpec.inverse_distance(32)
+        snapshots = [Ensemble.from_states(s) for s in trajectory_snapshots(algorithm)]
+
+        def sums():
+            return [fft_oracle.fft_kernel_sums(e, w, queried_left(e)) for e in snapshots]
+
+        whole = sums()
+        monkeypatch.setattr(fft_oracle, "BATCH_ENTRIES", 8)
+        assert sums() == whole
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [BinarySearchAlgorithm(1024), TeamCombineAlgorithm(2048)],
+        ids=algorithm_id,
+    )
+    def test_kernel_pass_runs_no_fft(self, monkeypatch, algorithm):
+        # W and the pair drop are closed forms over label runs; only the
+        # Hankel product of the chain, not called here, transforms.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("FFT on the kernel pass")
+
+        w = lb.WeightSpec.inverse_distance(algorithm.n)
+        snapshots = ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble())
+        ensemble = next(iter(snapshots))
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "rfft", forbidden)
+            patch.setattr(np.fft, "irfft", forbidden)
+            overlap = lb.weighted_overlap(ensemble, w)
+            drop = lb.pairwise_drop(lb.mass_profile(ensemble), w)
+            fused = lb._overlap_and_drop(ensemble, w)
+        assert fused == (overlap, drop)
+        assert drop > 0
+
+
+# Each kernel the tests build: the inverse distance, scaled, in another form,
+# symmetric with w(0) > 0, and constant.
+DRAWN_KERNELS = {
+    "inverse": lb._inverse_distance,
+    "scaled-2": lambda d: 2.0 * lb._inverse_distance(d),
+    "scaled-0.5": lambda d: 0.5 * lb._inverse_distance(d),
+    "max-d-1": lambda d: np.where(d > 0, 1.0 / np.maximum(d, 1.0), 0.0),
+    "symmetric": symmetric_weight,
+    "constant": lambda d: 1.0,
+}
+
+AMPLITUDES = st.one_of(
+    st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+    st.floats(0.1, 2.0),
+    st.floats(-2.0, -0.1),
+)
+
+
+@st.composite
+def run_states(draw):
+    """States of up to 12 answers on one to three labels, each label's column
+    several runs: its answers held with gaps, each entry's amplitude either
+    a new draw or its neighbour's, and a queried index that may fall inside
+    the column, so that the column holds entries on both sides of it."""
+    n = draw(st.integers(1, 12))
+    entries = [{} for _ in range(n)]
+    for z in range(draw(st.integers(1, 3))):
+        label = query_label(z, draw(st.integers(0, n + 1)))
+        amp = draw(AMPLITUDES)
+        held = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        for a in np.flatnonzero(held).tolist():
+            if draw(st.booleans()):
+                amp = draw(AMPLITUDES)
+            entries[a][label] = amp
+    return [SparseState(e) for e in entries]
+
+
+@pytest.mark.parametrize("kernel", DRAWN_KERNELS.values(), ids=DRAWN_KERNELS.keys())
+@given(states=run_states())
+@settings(max_examples=100, deadline=None)
+def test_drawn_run_ensembles_match_the_reference_loops(kernel, states):
+    # A pair of runs is exact to a few ulps of Q(h) times its amplitudes, so
+    # the error grows with n and with the count of short runs far apart. At
+    # up to 12 answers, the worst of 4000 random ensembles on up to four
+    # labels was 2.6e-13 of the 1e-12 allowed.
+    assert_kernel_matches_reference(states, lb.WeightSpec(len(states), kernel))

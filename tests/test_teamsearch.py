@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -1136,6 +1137,20 @@ class TestClassicalReference:
     @pytest.mark.parametrize("n,j", [(8, 0), (8, 1), (8, 2), (8, 3), (16, 2), (16, 4)])
     def test_known_bits_formula_matches_brute_force_deduction(self, n, j):
         assert list(ts.known_bits_after(n, j)) == brute_force_known_bits(n, j)
+
+    # True would count as one query, and a float would reach the shift and
+    # raise TypeError.
+    @pytest.mark.parametrize("j", [True, False, 1.0, "1", None])
+    def test_known_bits_refuse_a_query_count_that_is_not_an_int(self, j):
+        expected = f"^query count must be an integer, got {re.escape(repr(j))}$"
+        with pytest.raises(ValueError, match=expected):
+            ts.known_bits_after(8, j)
+
+    @pytest.mark.parametrize("j", [-1, 4])
+    def test_known_bits_refuse_a_query_count_out_of_range(self, j):
+        expected = f"^query count {j} out of range for n=8$"
+        with pytest.raises(ValueError, match=expected):
+            ts.known_bits_after(8, j)
 
     @pytest.mark.parametrize("exponent", range(0, 17))
     def test_known_set_sizes_double_each_query(self, exponent):
