@@ -20,21 +20,23 @@ is capped by the norm of the same-size Hilbert matrix, itself below pi.
 
 The layer reads the states as one :class:`~qordsearch.qcore.Ensemble`
 (``Ensemble.from_states`` for a list of per-answer states), which
-:func:`weighted_overlap` and :func:`mass_profile` take, and
-:func:`verify_drop_chain` takes that profile and the drop
-W_before - W_after. An ensemble's entries go label by label, its labels in
-``sort_key`` order, so each label's column of amplitudes is one contiguous
-run and every sum over the columns runs in that order.
+:func:`weighted_overlap`, :func:`pairwise_drop` and :func:`mass_profile`
+take. A profile holds plain numbers only: the masses, the weights and the
+pair drop of the states entering a query, and :func:`verify_drop_chain`
+takes it and the drop W_before - W_after. An ensemble's entries go label by
+label, its labels in ``sort_key`` order, so each label's column of
+amplitudes is one contiguous run and every sum over the columns runs in
+that order.
 
 The weights depend on the answer distance b - a only (:class:`WeightSpec`),
 and a label's column is a few runs of consecutive answers at one amplitude,
 so W and each drop are closed forms: every pair of runs of a column adds a
 second difference of the kernel's double prefix sums. One pass over a
-snapshot's runs, in time linear in its entries, gives its W and, for states
-entering a query, the pair drop of :func:`pairwise_drop`. M is applied
-without being built: its product with a vector is an FFT convolution, which
-serves both the double sum, as 2 * gamma^T M delta, and, at every size, the
-Lanczos iteration for ||M||.
+snapshot's runs, in time linear in its entries, gives its W, and one more,
+over the runs split at each label's queried index, the pair drop of states
+entering a query. M is applied without being built: its product with a
+vector is an FFT convolution, which serves both the double sum, as
+2 * gamma^T M delta, and, at every size, the Lanczos iteration for ||M||.
 A chain-verified run needs memory linear in n. The chain is checked for
 the inverse-distance weights only; other kernels are refused there.
 
@@ -83,7 +85,7 @@ from .qcore import (
     inner_product,
     require_fields,
 )
-from .teamsearch import ensemble_snapshots
+from .teamsearch import _require_int, ensemble_snapshots
 
 # Looser than state tolerances: the chain composes O(n^2) float sums.
 CHAIN_TOL = 1e-8
@@ -127,6 +129,7 @@ def harmonic(n: int) -> float:
     ``HARMONIC_FSUM_LIMIT``, and from :func:`_harmonic_expansion` above it,
     in time independent of n.
     """
+    _require_int(n, "n")
     if n < 1:
         raise ValueError(f"harmonic number needs n >= 1, got {n}")
     if n > HARMONIC_FSUM_LIMIT:
@@ -149,6 +152,7 @@ def total_weight(n: int) -> float:
 
     Raises ``OverflowError`` where that exceeds the float range.
     """
+    _require_int(n, "problem size")
     if n < 1:
         raise ValueError(f"problem size must be positive, got {n}")
     try:
@@ -180,6 +184,7 @@ def query_lower_bound(W: float, Delta: float, eps: float) -> float:
 
 def ordered_search_bound(n: int, eps: float) -> float:
     """Query lower bound for ordered search: (1 - 2*sqrt(eps(1-eps)))*(H_n - 1)/pi."""
+    _require_int(n, "problem size")
     if n < 2:
         raise ValueError(f"ordered-search bound needs n >= 2, got {n}")
     return (1.0 - distinguishability_threshold(eps)) * (harmonic(n) - 1.0) / math.pi
@@ -196,8 +201,8 @@ def _inverse_distance(d: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Non-negative, finite pairwise weight over answers ``0 .. n-1`` that
-    depends only on the distance ``d = b - a``.
+    """Non-negative, finite pairwise weight over answers ``0 .. n-1``, for an
+    int n >= 1, that depends only on the distance ``d = b - a``.
 
     ``weight(d)`` is called once, at construction, on the float array of
     distances ``-(n-1) .. n-1``; a scalar result stands for every distance.
@@ -214,6 +219,9 @@ class WeightSpec:
     kernel: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_int(self.n, "problem size")
+        if self.n < 1:
+            raise ValueError(f"problem size must be positive, got {self.n}")
         d = np.arange(1 - self.n, self.n, dtype=float)
         values = np.array(
             np.broadcast_to(np.asarray(self.weight(d), dtype=float), d.shape)
@@ -246,7 +254,7 @@ class WeightSpec:
         """Q(t) = sum over d <= t of (t - d + 1) * w(d), at entry t + n + 1.
 
         t runs over -n-1 .. n-1, the 2n + 1 values a pair of runs of
-        :func:`_kernel_sums` reads. Q is the cumulative sum of the cumulative
+        :func:`_run_pair_sum` reads. Q is the cumulative sum of the cumulative
         sum of the kernel. Both levels are compensated: the exact rounding
         error of each addition of ``np.cumsum`` (TwoSum) is kept, and the
         errors are summed and added back once, so each entry is within about
@@ -294,64 +302,55 @@ def _check_state_count(count: int, w: WeightSpec) -> None:
         raise ValueError(f"expected {w.n} states, got {count}")
 
 
-def _kernel_sums(
+def _run_pair_sum(
     ensemble: Ensemble, w: WeightSpec, left: np.ndarray | None = None
-) -> tuple[float, float]:
-    """Sums of w(a_f - a_e) * x_e * x_f over pairs of entries (e, f) of one
+) -> float:
+    """The sum of w(a_f - a_e) * x_e * x_f over pairs of entries (e, f) of one
     label column.
 
     Entry e of ``ensemble`` is answer a_e holding the real amplitude x_e on
     a label column; each column's entries are contiguous and their answers
-    ascend. The first sum runs over all ordered pairs of each column, which
-    is W. With an entry mask ``left`` the second runs over the pairs whose
-    first member is marked in ``left`` and whose second is not; with
-    ``left`` None it is 0.0.
+    ascend. Without ``left`` the sum runs over all ordered pairs of each
+    column, which is W. With an entry mask ``left`` it runs over the pairs
+    whose first member is marked in ``left`` and whose second is not.
 
-    Both are sums over label runs: maximal stretches of a column's entries
-    with consecutive answers and one amplitude. Runs p and q of one column,
-    of L_p and L_q answers at amplitudes x_p and x_q, add x_p * x_q times
-    the kernel summed over their answer pairs, which is the second
-    difference Q(h) - Q(h - L_p) - Q(h - L_q) + Q(h - L_p - L_q) of the
-    double prefix sums Q (``WeightSpec._double_prefix``), h the distance
-    from p's first answer to q's last. W takes every ordered pair of runs of
-    a column. The second sum splits the runs further where ``left`` changes
-    and takes the pairs of a marked run and an unmarked one; W's runs are
-    never split there, so W does not depend on ``left``. A column of R runs
-    costs R^2 pairs, so a pass costs O(runs + sum of R^2), which is
-    O(entries) on every snapshot of the algorithms here, where a column is
-    one run, or two for the second sum. Each Q entry is within about an ulp,
-    so a pair is exact to a few ulps of Q(h) * |x_p * x_q|: of the pair's
-    own sum for one run or two adjacent ones, but many more on short runs
-    far apart. Each sum adds its products with numpy's pairwise ``sum``, in
-    the order of their columns and runs, and is a ``float``.
+    It is a sum over label runs: maximal stretches of a column's entries
+    with consecutive answers and one amplitude, split further where
+    ``left`` changes. Runs p and q of one column, of L_p and L_q answers at
+    amplitudes x_p and x_q, add x_p * x_q times the kernel summed over their
+    answer pairs, which is the second difference
+    Q(h) - Q(h - L_p) - Q(h - L_q) + Q(h - L_p - L_q) of the double prefix
+    sums Q (``WeightSpec._double_prefix``), h the distance from p's first
+    answer to q's last. Without ``left`` every ordered pair of runs of a
+    column counts, with it the pairs of a marked run and an unmarked one. A
+    column of R runs costs R^2 pairs, so a pass costs O(runs + sum of R^2),
+    which is O(entries) on every snapshot of the algorithms here, where a
+    column is one run, or two with ``left``.
+
+    Accuracy, with u = 2^-53: each Q entry is within u * Q(t) of the exact
+    double prefix sum of the kernel's floats, and Q grows with t (the kernel
+    is non-negative), so all four reads of a pair are within u * Q(h). With
+    the three subtractions and two products, each pair's term is within
+    9u * Q(h) * |x_p * x_q| of its exact value, to first order: a few ulps
+    of the pair's own sum for one run or two adjacent ones, but many more
+    on short runs far apart, whose sum is far below Q(h). The terms are
+    added with numpy's pairwise ``sum``, in the order of their columns and
+    runs, which adds at most (m - 1)u of the sum of the m terms'
+    magnitudes. The sum is a ``float``.
     """
     label_ids, answers, amps = ensemble.label_ids, ensemble.answers, ensemble.amps
     if not len(answers):
-        return 0.0, 0.0
+        return 0.0
     breaks = (
         (label_ids[1:] != label_ids[:-1])
         | (answers[1:] != answers[:-1] + 1)
         | (amps[1:] != amps[:-1])
     )
-    overlap = _run_pair_sum(ensemble, w, breaks)
-    if left is None:
-        return overlap, 0.0
-    return overlap, _run_pair_sum(ensemble, w, breaks | (left[1:] != left[:-1]), left)
-
-
-def _run_pair_sum(
-    ensemble: Ensemble,
-    w: WeightSpec,
-    breaks: np.ndarray,
-    left: np.ndarray | None = None,
-) -> float:
-    """The sum over ordered pairs (p, q) of runs of one column of x_p * x_q
-    times the kernel summed over their answer pairs, for the runs that start
-    at entry 0 and after each entry e with ``breaks[e]``; with ``left``, over
-    the pairs of a marked run p and an unmarked run q only."""
+    if left is not None:
+        breaks |= left[1:] != left[:-1]
     first = np.flatnonzero(np.concatenate(([True], breaks)))
-    length = np.diff(first, append=len(breaks) + 1)
-    label = ensemble.label_ids[first]
+    length = np.diff(first, append=len(answers))
+    label = label_ids[first]
     # Run p pairs with each of the runs[label[p]] runs of its column.
     runs = np.bincount(label)
     partners = runs[label]
@@ -361,14 +360,14 @@ def _run_pair_sum(
         marked = left[first]
         keep = marked[p] & ~marked[q]
         p, q = p[keep], q[keep]
-    low, lp, lq = ensemble.answers[first], length[p], length[q]
+    low, lp, lq = answers[first], length[p], length[q]
     # Q(h) is entry h + n + 1 of the table, with h = low[q] + lq - 1 - low[p].
     top = low[q] + lq - low[p] + w.n
     table = w._double_prefix
     pair_weights = (table[top] - table[top - lp]) - (
         table[top - lq] - table[top - lp - lq]
     )
-    amps = ensemble.amps[first]
+    amps = amps[first]
     return float((amps[p] * amps[q] * pair_weights).sum())
 
 
@@ -379,7 +378,7 @@ def weighted_overlap(ensemble: Ensemble, w: WeightSpec) -> float:
     ordered pairs of each label's column of amplitudes.
     """
     _check_state_count(ensemble.size, w)
-    return _kernel_sums(ensemble, w)[0]
+    return _run_pair_sum(ensemble, w)
 
 
 def _reference_weighted_overlap(
@@ -505,31 +504,31 @@ def query_index(label: BasisLabel) -> int:
     return label.i
 
 
-@dataclass
+@dataclass(frozen=True)
 class MassProfile:
-    """The per-answer states split by the index each label queries.
+    """What the drop chain reads of the states entering one query.
 
-    ``ensemble`` holds the states, each label a ``QueryLabel``.
-    ``gammas[d]`` is the root of the mass queried ``d`` positions at or
-    above each answer, ``deltas[d]`` of the mass queried ``d + 1`` positions
-    below. Only in-range indices (0 .. n-1) contribute; queries in the
-    zero-padding region never distinguish instances.
+    The states are those of a :func:`mass_profile` call, each label a
+    ``QueryLabel``. ``gammas[d]`` is the root of the mass queried ``d``
+    positions at or above each answer, ``deltas[d]`` of the mass queried
+    ``d + 1`` positions below. Only in-range indices (0 .. n-1) contribute;
+    queries in the zero-padding region never distinguish instances.
+    ``pair_drop`` is the :func:`pairwise_drop` of the states under ``w``.
     """
 
-    ensemble: Ensemble = field(repr=False)
+    w: WeightSpec = field(repr=False)
     gammas: np.ndarray = field(repr=False)
     deltas: np.ndarray = field(repr=False)
-    # Pair drops per WeightSpec, left by the pass that computed W of these
-    # states for :func:`pairwise_drop` to read.
-    _drops: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    pair_drop: float
 
 
-def mass_profile(ensemble: Ensemble) -> MassProfile:
-    """Aggregate the masses of the states in ``ensemble`` by offset i - a."""
+def mass_profile(ensemble: Ensemble, w: WeightSpec) -> MassProfile:
+    """Aggregate the masses of the states in ``ensemble`` by offset i - a,
+    and take their pair drop under ``w``."""
+    # pairwise_drop refuses a size other than w.n and a non-query label.
+    pair_drop = pairwise_drop(ensemble, w)
     n = ensemble.size
-    kind, _, _, _, index = ensemble.fields
-    require_fields(kind == QUERY, ensemble.fields, query_index)
-    index = index[ensemble.label_ids]
+    index = ensemble.fields[4][ensemble.label_ids]
     mass = ensemble.amps * ensemble.amps
     offset = index - ensemble.answers
     queried = (0 <= index) & (index < n)
@@ -540,32 +539,23 @@ def mass_profile(ensemble: Ensemble) -> MassProfile:
     below = queried & (offset < 0)
     gammas_sq = np.bincount(offset[above], mass[above], minlength=size)
     deltas_sq = np.bincount(-1 - offset[below], mass[below], minlength=size)
-    return MassProfile(ensemble, np.sqrt(gammas_sq), np.sqrt(deltas_sq))
+    return MassProfile(w, np.sqrt(gammas_sq), np.sqrt(deltas_sq), pair_drop)
 
 
-def pairwise_drop(profile: MassProfile, w: WeightSpec) -> float:
+def pairwise_drop(ensemble: Ensemble, w: WeightSpec) -> float:
     """The per-query drop recomputed from the queried label columns.
 
     Equals ``W_j - W_(j+1)`` exactly (up to float error) when the round is
     one query followed by shared unitaries: only indices where two instances
-    disagree, i.e. ``a <= i < b``, contribute. It comes from the one kernel
-    pass that also gives W_j of the same states (:func:`_overlap_and_drop`);
-    a chain-verified trajectory leaves that value with the profile, and this
-    reads it, otherwise it runs the pass.
+    disagree, i.e. ``a <= i < b``, contribute, so an entry is on the left of
+    the pairs that its label's queried index i separates when its answer
+    a <= i. Every label must be a ``QueryLabel``.
     """
-    drop = profile._drops.get(w)
-    return _overlap_and_drop(profile.ensemble, w)[1] if drop is None else drop
-
-
-def _overlap_and_drop(ensemble: Ensemble, w: WeightSpec) -> tuple[float, float]:
-    """W of states entering a query, and their pair drop, from one kernel pass.
-
-    An entry is on the left of the pairs that its label's queried index i
-    separates when its answer a <= i.
-    """
-    left = ensemble.answers <= ensemble.fields[4][ensemble.label_ids]
-    overlap, pair = _kernel_sums(ensemble, w, left)
-    return overlap, 2.0 * pair
+    _check_state_count(ensemble.size, w)
+    kind, _, _, _, index = ensemble.fields
+    require_fields(kind == QUERY, ensemble.fields, query_index)
+    left = ensemble.answers <= index[ensemble.label_ids]
+    return 2.0 * _run_pair_sum(ensemble, w, left)
 
 
 def _reference_pairwise_drop(states: Sequence[SparseState], w: WeightSpec) -> float:
@@ -616,26 +606,24 @@ def _require_inverse_distance(w: WeightSpec) -> None:
         )
 
 
-def verify_drop_chain(
-    profile: MassProfile, drop: float, w: WeightSpec
-) -> ChainReport:
+def verify_drop_chain(profile: MassProfile, drop: float) -> ChainReport:
     """Check the drop chain for one (query, unitary) round.
 
     ``profile`` is the :func:`mass_profile` of the states entering the query
-    and ``drop`` is W_before - W_after. Computes D = |drop|, the explicit
-    double sum S = 2 * sum_d sum_i (1/d) gamma_i delta_(d-i-1), the matrix
-    bound B = 2 ||gamma|| ||M|| ||delta||, and the cap pi*n, and verifies
+    and ``drop`` is W_before - W_after, both under the profile's weights
+    ``w``. Computes D = |drop|, the explicit double sum
+    S = 2 * sum_d sum_i (1/d) gamma_i delta_(d-i-1), the matrix bound
+    B = 2 ||gamma|| ||M|| ||delta||, and the cap pi*n, and verifies
     D <= S + tol <= B + tol <= pi*n + tol with tol = ``CHAIN_TOL``. Also
-    checks that the drop recomputed by :func:`pairwise_drop` matches
-    ``drop`` within tol. Every link is tested as ``not lhs <= rhs + tol``,
-    so a NaN fails it. Raises ``ValueError`` unless ``w`` is the
-    inverse-distance weight.
+    checks that the profile's pair drop matches ``drop`` within tol. Every
+    link is tested as ``not lhs <= rhs + tol``, so a NaN fails it. Raises
+    ``ValueError`` unless ``w`` is the inverse-distance weight.
     """
-    _check_state_count(profile.ensemble.size, w)
+    w = profile.w
     _require_inverse_distance(w)
     n = w.n
     drop_abs = abs(drop)
-    identity_err = abs(drop - pairwise_drop(profile, w))
+    identity_err = abs(drop - profile.pair_drop)
 
     gammas, deltas = profile.gammas, profile.deltas
     if n >= 2:
@@ -726,16 +714,6 @@ class TrajectoryRecord:
         return "".join(line + "\n" for line in lines)
 
 
-def _chain_report(
-    ensemble: Ensemble, pair_drop: float, drop: float, w: WeightSpec
-) -> ChainReport:
-    """:func:`verify_drop_chain` on the :func:`mass_profile` of ``ensemble``,
-    which carries the pair drop of its W pass for :func:`pairwise_drop`."""
-    profile = mass_profile(ensemble)
-    profile._drops[w] = pair_drop
-    return verify_drop_chain(profile, drop, w)
-
-
 def run_trajectory(
     algorithm, n: int, w: WeightSpec, verify_chain: bool = False
 ) -> TrajectoryRecord:
@@ -754,24 +732,18 @@ def run_trajectory(
         )
     if verify_chain:
         _require_inverse_distance(w)
-    # With the chain, each snapshot entering a query gives its W and its
-    # pair drop from one pass; the step's report is checked once W of the
-    # next snapshot is known.
+    # With the chain, the profile of each snapshot entering a query waits
+    # for W of the next snapshot, which gives the step's drop.
     overlaps: list[float] = []
     reports: list[ChainReport] = []
-    entering = None  # (snapshot, its pair drop) of the last query, with the chain
+    profile = None
     snapshots = ensemble_snapshots(algorithm, algorithm.initial_ensemble())
     for j, ensemble in enumerate(snapshots):
+        overlaps.append(weighted_overlap(ensemble, w))
+        if profile is not None:
+            reports.append(verify_drop_chain(profile, overlaps[j - 1] - overlaps[j]))
         queried = verify_chain and j < algorithm.num_queries
-        if queried:
-            overlap, pair_drop = _overlap_and_drop(ensemble, w)
-        else:
-            overlap = weighted_overlap(ensemble, w)
-        overlaps.append(overlap)
-        if entering is not None:
-            drop = overlaps[j - 1] - overlap
-            reports.append(_chain_report(*entering, drop, w))
-        entering = (ensemble, pair_drop) if queried else None
+        profile = mass_profile(ensemble, w) if queried else None
 
     steps = []
     for j, overlap in enumerate(overlaps):

@@ -1,8 +1,10 @@
 """The FFT correlation pass over label columns: the differential oracle of
-``lowerbound._kernel_sums``.
+``lowerbound.weighted_overlap`` and ``lowerbound.pairwise_drop``.
 
 It is the kernel pass that ``lowerbound`` ran before W and the pair drop
-became closed forms over label runs, and it gives the same bits. Because the
+became closed forms over label runs, and it gives the bits they had then:
+W, and half the pair drop, the pair sum over the columns split by a
+``left`` mask. Because the
 weight depends only on b - a, each label column's sums over its second
 members are a correlation of its amplitudes, scattered over the column's
 answer span, with the kernel: one row of all of them for W, one row of the
@@ -43,7 +45,8 @@ def kernel_spectrum(w, size: int) -> np.ndarray:
 def fft_kernel_sums(
     ensemble: Ensemble, w, left: np.ndarray | None = None
 ) -> tuple[float, float]:
-    """``lowerbound._kernel_sums`` by batched FFT correlations of the columns."""
+    """W, and the pair sum of ``left`` against the rest (0.0 without it), by
+    batched FFT correlations of the columns."""
     label_ids, answers, amps = ensemble.label_ids, ensemble.answers, ensemble.amps
     if not len(answers):
         return 0.0, 0.0

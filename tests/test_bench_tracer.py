@@ -8,6 +8,8 @@ test makes tier-1 fail first.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from qordsearch import lowerbound as lb
 from qordsearch import teamsearch as ts
 from qordsearch.oracle import enumerate_instances
@@ -70,3 +72,24 @@ def test_tracer_reaches_algorithms_built_before_it_installs():
         "oracle.apply_query",
     ):
         assert tracer.stats.get(name, [0])[0] > 0, name
+
+
+@pytest.mark.parametrize(
+    "algorithm, queries",
+    [(ts.BinarySearchAlgorithm(8), 3), (ts.TeamCombineAlgorithm(8), 1)],
+    ids=["binary-8", "team-8"],
+)
+def test_a_chain_run_traces_every_kernel_pass(algorithm, queries):
+    # Each snapshot's W is one weighted_overlap call, and each of the T
+    # snapshots entering a query takes one pairwise_drop call, inside its
+    # mass_profile; no kernel pass runs as untraced run_trajectory time.
+    tracer_mod = load_tracer()
+    tracer = tracer_mod.Tracer()
+    w = lb.WeightSpec.inverse_distance(algorithm.n)
+    with tracer.installed():
+        lb.run_trajectory(algorithm, algorithm.n, w, verify_chain=True)
+    assert algorithm.num_queries == queries
+    assert tracer.stats["lowerbound.weighted_overlap"][0] == queries + 1
+    assert tracer.stats["lowerbound.pairwise_drop"][0] == queries
+    assert tracer.stats["lowerbound.mass_profile"][0] == queries
+    assert tracer.stats["lowerbound.verify_drop_chain"][0] == queries

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import fft_kernel_oracle as fft_oracle
@@ -93,7 +94,7 @@ def chain_report(before, after, w):
     drop = lb.weighted_overlap(Ensemble.from_states(before), w) - lb.weighted_overlap(
         Ensemble.from_states(after), w
     )
-    return lb.verify_drop_chain(lb.mass_profile(Ensemble.from_states(before)), drop, w)
+    return lb.verify_drop_chain(lb.mass_profile(Ensemble.from_states(before), w), drop)
 
 
 class TestScalarFormulas:
@@ -170,6 +171,41 @@ class TestScalarFormulas:
         assert lb.ordered_search_bound(n, 0.0) > (math.log(n) - 1) / math.pi
         with pytest.raises(ValueError):
             lb.ordered_search_bound(1, 0.0)
+
+
+# Each size that is not an int, with a call that took it: the spec built and
+# a later step failed, or a value came back.
+NOT_AN_INT = [
+    ("WeightSpec-float", lb.WeightSpec.inverse_distance, 8.0),
+    ("WeightSpec-bool", lb.WeightSpec.inverse_distance, True),
+    ("WeightSpec-int64", lb.WeightSpec.inverse_distance, np.int64(8)),
+    ("WeightSpec-custom-float", lambda n: lb.WeightSpec(n, symmetric_weight), 8.0),
+    ("harmonic-bool", lb.harmonic, True),
+    ("harmonic-float-past-the-fsum-limit", lb.harmonic, 2.0**21),
+    ("harmonic-float", lb.harmonic, 5.5),
+    ("total_weight-float", lb.total_weight, 8.0),
+    ("total_weight-bool", lb.total_weight, True),
+    ("ordered_search_bound-bool", lambda n: lb.ordered_search_bound(n, 0.0), True),
+    (
+        "ordered_search_bound-int64",
+        lambda n: lb.ordered_search_bound(n, 0.0),
+        np.int64(8),
+    ),
+]
+
+
+class TestSizes:
+    @pytest.mark.parametrize(
+        "call, n", [pytest.param(call, n, id=name) for name, call, n in NOT_AN_INT]
+    )
+    def test_a_size_that_is_not_an_int_is_refused(self, call, n):
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            call(n)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_weights_need_at_least_one_answer(self, n):
+        with pytest.raises(ValueError, match=f"problem size must be positive, got {n}"):
+            lb.WeightSpec.inverse_distance(n)
 
 
 class TestWeightedOverlap:
@@ -419,7 +455,9 @@ class TestMassProfile:
     def test_all_mass_in_padding_region_gives_zero_vectors(self):
         n = 4
         states = [SparseState.unit(query_label(a, n)) for a in range(n)]
-        profile = lb.mass_profile(Ensemble.from_states(states))
+        profile = lb.mass_profile(
+            Ensemble.from_states(states), lb.WeightSpec.inverse_distance(n)
+        )
         assert not profile.gammas.any()
         assert not profile.deltas.any()
 
@@ -427,23 +465,39 @@ class TestMassProfile:
         # Answer a queries exactly index a: everything lands in gamma_0.
         n = 4
         states = [SparseState.unit(query_label(0, a)) for a in range(n)]
-        profile = lb.mass_profile(Ensemble.from_states(states))
+        profile = lb.mass_profile(
+            Ensemble.from_states(states), lb.WeightSpec.inverse_distance(n)
+        )
         assert abs(profile.gammas[0] - math.sqrt(n)) < 1e-12
         assert not profile.gammas[1:].any()
         assert not profile.deltas.any()
 
     def test_binary_search_masses_stay_within_budget(self):
         _, _, states = binary_prequery_states(8, rounds=1)
-        profile = lb.mass_profile(Ensemble.from_states(states))
+        profile = lb.mass_profile(
+            Ensemble.from_states(states), lb.WeightSpec.inverse_distance(8)
+        )
         budget = float(
             np.sum(profile.gammas**2) + np.sum(profile.deltas**2)
         )
         assert budget <= 8 + 1e-9
 
     def test_projections_partition_each_state(self):
-        _, _, states = binary_prequery_states(8, rounds=2)
-        profile = lb.mass_profile(Ensemble.from_states(states))
-        ensemble = profile.ensemble
+        # Every entry queried in range lands in exactly one of gamma and
+        # delta, except at offset n - 1, which pairs with no delta.
+        n = 8
+        _, _, states = binary_prequery_states(n, rounds=2)
+        ensemble = Ensemble.from_states(states)
+        profile = lb.mass_profile(ensemble, lb.WeightSpec.inverse_distance(n))
+        in_range = math.fsum(
+            amp * amp
+            for a, state in enumerate(states)
+            for label, amp in state.items()
+            if label.i < n and label.i - a != n - 1
+        )
+        split = math.fsum(profile.gammas**2) + math.fsum(profile.deltas**2)
+        assert in_range > 0
+        assert abs(split - in_range) <= 1e-12 * in_range
         rebuilt = [{} for _ in states]
         for k, a, amp in zip(
             ensemble.label_ids.tolist(),
@@ -456,13 +510,48 @@ class TestMassProfile:
         for a, state in enumerate(states):
             assert rebuilt[a] == dict(state.items())
 
+    def test_a_profile_holds_plain_numbers_only(self):
+        n = 8
+        w = lb.WeightSpec.inverse_distance(n)
+        ensemble = Ensemble.from_states(binary_prequery_states(n)[2])
+        profile = lb.mass_profile(ensemble, w)
+        fields = [field.name for field in dataclasses.fields(profile)]
+        assert fields == ["w", "gammas", "deltas", "pair_drop"]
+        assert profile.w is w
+        assert profile.pair_drop == lb.pairwise_drop(ensemble, w) > 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.pair_drop = 0.0
+
+    def test_an_ensemble_without_entries_sums_to_zero(self):
+        n = 4
+        w = lb.WeightSpec.inverse_distance(n)
+        ensemble = Ensemble.from_states([SparseState({})] * n)
+        assert not len(ensemble.answers)
+        overlap = lb.weighted_overlap(ensemble, w)
+        profile = lb.mass_profile(ensemble, w)
+        assert type(overlap) is float and overlap == 0.0
+        assert type(profile.pair_drop) is float and profile.pair_drop == 0.0
+        assert not profile.gammas.any() and not profile.deltas.any()
+
+    def test_pairwise_drop_refuses_team_labels_as_the_profile_does(self):
+        states = [
+            SparseState.unit(query_label(0, 1)),
+            SparseState.unit(TeamLabel(0, 0, 1)),
+        ]
+        with pytest.raises(TypeError, match="expected a QueryLabel, got TeamLabel"):
+            lb.pairwise_drop(
+                Ensemble.from_states(states), lb.WeightSpec.inverse_distance(2)
+            )
+
     def test_team_labels_are_rejected(self):
         states = [
             SparseState.unit(query_label(0, 1)),
             SparseState.unit(TeamLabel(0, 0, 1)),
         ]
         with pytest.raises(TypeError):
-            lb.mass_profile(Ensemble.from_states(states))
+            lb.mass_profile(
+                Ensemble.from_states(states), lb.WeightSpec.inverse_distance(2)
+            )
 
 
 class TestDropChain:
@@ -536,8 +625,8 @@ class TestDropChain:
         n = 8
         w = lb.WeightSpec.inverse_distance(n)
         _, _, states = binary_prequery_states(n)
-        profile = lb.mass_profile(Ensemble.from_states(states))
-        report = lb.verify_drop_chain(profile, math.nan, w)
+        profile = lb.mass_profile(Ensemble.from_states(states), w)
+        report = lb.verify_drop_chain(profile, math.nan)
         assert not report.holds
         assert report.failures[0].startswith("drop nan exceeds")
         assert report.failures[-1].startswith("pair identity error nan")
@@ -584,10 +673,11 @@ def assert_kernel_matches_reference(states, w):
         lb.weighted_overlap(ensemble, w), lb._reference_weighted_overlap(states, w)
     )
     if all(isinstance(label, QueryLabel) for s in states for label in s.labels()):
-        profile = lb.mass_profile(ensemble)
+        profile = lb.mass_profile(ensemble, w)
         assert_matches_reference(
-            lb.pairwise_drop(profile, w), lb._reference_pairwise_drop(states, w)
+            lb.pairwise_drop(ensemble, w), lb._reference_pairwise_drop(states, w)
         )
+        assert profile.pair_drop == lb.pairwise_drop(ensemble, w)
         gammas, deltas = brute_force_masses(states)
         assert profile.gammas.shape == gammas.shape
         assert profile.deltas.shape == deltas.shape
@@ -693,10 +783,10 @@ def split_columns(ensemble):
     }
 
 
-def row_dot_drop(profile, w):
+def row_dot_drop(ensemble, w):
     """:func:`lb.pairwise_drop` through the row-dot Gram."""
     blocks = []
-    for label, (answers, amps) in split_columns(profile.ensemble).items():
+    for label, (answers, amps) in split_columns(ensemble).items():
         left = answers <= label.i
         if left.any() and not left.all():
             blocks.append((answers[left], amps[left], answers[~left], amps[~left]))
@@ -721,9 +811,8 @@ class TestKernelAgainstRowDots:
             )
             assert_matches_reference(lb.weighted_overlap(ensemble, w), expected)
             if j + 1 < len(snapshots):
-                profile = lb.mass_profile(ensemble)
                 assert_matches_reference(
-                    lb.pairwise_drop(profile, w), row_dot_drop(profile, w)
+                    lb.pairwise_drop(ensemble, w), row_dot_drop(ensemble, w)
                 )
 
 
@@ -753,7 +842,7 @@ class TestPairBoundAgainstConvolution:
         assert len(entering) == len(record.chain_reports) == algorithm.num_queries
         for ensemble, report in zip(entering, record.chain_reports):
             assert_ensemble_invariants(ensemble)
-            profile = lb.mass_profile(ensemble)
+            profile = lb.mass_profile(ensemble, w)
             expected = convolve_pair_bound(profile, n)
             assert expected > 0
             assert abs(report.pair_bound - expected) <= 1e-12 * expected
@@ -988,7 +1077,9 @@ class TestEnsemblePath:
         with pytest.raises(TypeError) as expected:
             lb.query_index(TeamLabel(0, 0, 1))
         with pytest.raises(TypeError) as got:
-            lb.mass_profile(Ensemble.from_states(states))
+            lb.mass_profile(
+                Ensemble.from_states(states), lb.WeightSpec.inverse_distance(2)
+            )
         assert str(got.value) == str(expected.value)
 
 
@@ -1103,7 +1194,7 @@ class TestTrajectory:
         measured = lb.weighted_overlap(ensemble, w) - lb.weighted_overlap(
             Ensemble.from_states(after), w
         )
-        recomputed = lb.pairwise_drop(lb.mass_profile(ensemble), w)
+        recomputed = lb.pairwise_drop(ensemble, w)
         assert abs(measured - recomputed) < 1e-10
 
     @pytest.mark.parametrize(
@@ -1163,9 +1254,9 @@ class TestTrajectory:
         assert len(record.chain_reports) == len(snapshots) - 1
         overlaps = [lb.weighted_overlap(ensemble, w) for ensemble in snapshots]
         for j, report in enumerate(record.chain_reports):
-            profile = lb.mass_profile(snapshots[j])
+            profile = lb.mass_profile(snapshots[j], w)
             drop = overlaps[j] - overlaps[j + 1]
-            assert report == lb.verify_drop_chain(profile, drop, w)
+            assert report == lb.verify_drop_chain(profile, drop)
 
     def test_chain_path_needs_no_per_answer_start_or_direct_convolution(
         self, monkeypatch
@@ -1194,23 +1285,28 @@ class TestTrajectory:
     def test_chain_path_sorts_no_entries_and_runs_one_pass_per_snapshot(
         self, monkeypatch, algorithm
     ):
-        # W and the pair drop of a snapshot entering a query come from one
-        # kernel pass, whose drop the chain reads, and only the final W is a
-        # pass of its own.
+        # Every snapshot takes one run pass for its W, and each of the T
+        # snapshots entering a query one more for its pair drop, which its
+        # profile keeps for the chain: 2T + 1 passes, none repeated.
         def counted(calls, function):
             return lambda *a: calls.append(1) or function(*a)
 
-        overlap_calls, passes = [], []
+        overlap_calls, drop_calls, passes = [], [], []
         monkeypatch.setattr(
             lb, "weighted_overlap", counted(overlap_calls, lb.weighted_overlap)
         )
-        monkeypatch.setattr(lb, "_kernel_sums", counted(passes, lb._kernel_sums))
+        monkeypatch.setattr(
+            lb, "pairwise_drop", counted(drop_calls, lb.pairwise_drop)
+        )
+        monkeypatch.setattr(lb, "_run_pair_sum", counted(passes, lb._run_pair_sum))
         w = lb.WeightSpec.inverse_distance(algorithm.n)
         record = lb.run_trajectory(algorithm, algorithm.n, w, verify_chain=True)
-        assert len(record.chain_reports) == algorithm.num_queries
+        queries = algorithm.num_queries
+        assert len(record.chain_reports) == queries
         assert all(report.holds for report in record.chain_reports)
-        assert len(overlap_calls) == 1
-        assert len(passes) == algorithm.num_queries + 1
+        assert len(overlap_calls) == queries + 1
+        assert len(drop_calls) == queries
+        assert len(passes) == 2 * queries + 1
 
     @pytest.mark.parametrize("n", [2, 32, 1024])
     def test_chain_path_builds_no_dense_matrix(self, monkeypatch, n):
@@ -1243,21 +1339,22 @@ class TestTrajectory:
         n = 64
         w = lb.WeightSpec(n, lambda d: scale * lb._inverse_distance(d))
         algorithm = BinarySearchAlgorithm(n)
-        start = trajectory_snapshots(algorithm)[0]
-        profile = lb.mass_profile(Ensemble.from_states(start))
+        start = Ensemble.from_states(trajectory_snapshots(algorithm)[0])
+        profile = lb.mass_profile(start, w)
         restriction = r"inverse-distance weights 1/\(b-a\) only"
         with pytest.raises(ValueError, match=restriction):
             lb.run_trajectory(algorithm, n, w, verify_chain=True)
         with pytest.raises(ValueError, match=restriction):
-            lb.verify_drop_chain(profile, 0.0, w)
+            lb.verify_drop_chain(profile, 0.0)
         # Without the chain the kernel serves: W scales with it.
         plain = lb.run_trajectory(algorithm, n, lb.WeightSpec.inverse_distance(n))
         scaled = lb.run_trajectory(algorithm, n, w)
         for got, expected in zip(scaled.steps, plain.steps):
             assert_matches_reference(got.overlap, scale * expected.overlap)
         assert_matches_reference(
-            lb.pairwise_drop(profile, w), scale * plain.steps[0].drop
+            lb.pairwise_drop(start, w), scale * plain.steps[0].drop
         )
+        assert profile.pair_drop == lb.pairwise_drop(start, w)
 
     def test_chain_accepts_the_inverse_distance_kernel_of_any_callable(self):
         n = 64
@@ -1272,13 +1369,17 @@ class TestTrajectory:
             lambda w: lb.weighted_overlap(
                 Ensemble.from_states(binary_prequery_states(8)[2]), w
             ),
+            lambda w: lb.pairwise_drop(
+                Ensemble.from_states(binary_prequery_states(8)[2]), w
+            ),
             lambda w: lb.verify_drop_chain(
-                lb.mass_profile(Ensemble.from_states(binary_prequery_states(8)[2])),
+                lb.mass_profile(Ensemble.from_states(binary_prequery_states(8)[2]), w),
                 0.0,
-                w,
             ),
         ],
-        ids=["run_trajectory", "weighted_overlap", "verify_drop_chain"],
+        ids=[
+            "run_trajectory", "weighted_overlap", "pairwise_drop", "verify_drop_chain"
+        ],
     )
     def test_weight_size_must_match_the_problem_size(self, call):
         w = lb.WeightSpec.inverse_distance(4)
@@ -1330,36 +1431,31 @@ class TestTrajectory:
             assert step.drop is None or type(step.drop) is float
         assert all(type(drop) is float for drop in record.drops())
         assert ",0," in record.to_csv().splitlines()[1]  # the W_im column
-        profile = lb.mass_profile(algorithm.initial_ensemble())
-        assert type(lb.pairwise_drop(profile, w)) is float
+        start = algorithm.initial_ensemble()
+        assert type(lb.pairwise_drop(start, w)) is float
+        assert type(lb.mass_profile(start, w).pair_drop) is float
 
 
-def fused_and_standalone(algorithm):
-    """Per snapshot entering a query: W and the pair drop of the chain's pass,
-    then W from ``weighted_overlap``, which computes no pair sum, and the drop
-    from ``pairwise_drop`` on a fresh profile, which holds none."""
+def chain_values(algorithm):
+    """The weights, W of every snapshot of a chain-verified run, and the
+    profile that each step's chain read."""
     w = lb.WeightSpec.inverse_distance(algorithm.n)
-    checked = []
+    profiles = []
     verify = lb.verify_drop_chain
 
-    def spy(profile, drop, w):
-        checked.append((lb.pairwise_drop(profile, w), profile))
-        return verify(profile, drop, w)
+    def spy(profile, drop):
+        profiles.append(profile)
+        return verify(profile, drop)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lb, "verify_drop_chain", spy)
         record = lb.run_trajectory(algorithm, algorithm.n, w, verify_chain=True)
-    snapshots = list(ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble()))
-    fused = [step.overlap for step in record.steps], [drop for drop, _ in checked]
-    standalone = (
-        [lb.weighted_overlap(ensemble, w) for ensemble in snapshots],
-        [
-            lb.pairwise_drop(lb.mass_profile(profile.ensemble), w)
-            for _, profile in checked
-        ],
-    )
-    assert all(w in profile._drops for _, profile in checked)
-    return fused, standalone
+    return w, [step.overlap for step in record.steps], profiles
+
+
+def float_bits(values):
+    """Each float's exact hex form, so that -0.0 and 0.0 differ."""
+    return [float.hex(value) for value in values]
 
 
 FUSED_ALGORITHMS = (
@@ -1376,58 +1472,53 @@ def queried_left(ensemble):
 
 
 class TestFusedPass:
-    """W and the pair drop of the chain against a W-only pass and a fresh one."""
+    """W and the pair drop that the chain reads against the public functions
+    on each snapshot."""
 
     @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS, ids=algorithm_id)
     def test_every_overlap_and_drop_is_bit_equal(self, algorithm):
-        fused, standalone = fused_and_standalone(algorithm)
-        assert len(fused[1]) == algorithm.num_queries
-        assert fused == standalone
-
-    @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS, ids=algorithm_id)
-    def test_overlap_does_not_depend_on_the_left_mask(self, algorithm):
-        # W's runs are never split where the pair sum's mask changes, so W
-        # is the same bits with any mask, or none, beside it.
-        w = lb.WeightSpec.inverse_distance(algorithm.n)
-        rng = np.random.default_rng(algorithm.n)
-        for ensemble in ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble()):
-            overlap, pair = lb._kernel_sums(ensemble, w)
-            assert pair == 0.0
-            entries = len(ensemble.answers)
-            masks = [
-                queried_left(ensemble),
-                np.ones(entries, dtype=bool),
-                np.zeros(entries, dtype=bool),
-                rng.random(entries) < 0.5,
-            ]
-            for left in masks:
-                assert lb._kernel_sums(ensemble, w, left)[0] == overlap
+        w, overlaps, profiles = chain_values(algorithm)
+        snapshots = list(
+            ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble())
+        )
+        assert len(profiles) == algorithm.num_queries
+        assert all(profile.w is w for profile in profiles)
+        assert float_bits(overlaps) == float_bits(
+            lb.weighted_overlap(ensemble, w) for ensemble in snapshots
+        )
+        assert float_bits(profile.pair_drop for profile in profiles) == float_bits(
+            lb.pairwise_drop(ensemble, w) for ensemble in snapshots[:-1]
+        )
 
 
 ORACLE_ALGORITHMS = FUSED_ALGORITHMS + [BinarySearchAlgorithm(n) for n in (8192, 16384)]
 
 
 class TestRunPassAgainstFFT:
-    """The run pass of ``_kernel_sums`` against the FFT correlation pass it
-    replaced (``fft_kernel_oracle``), which gives the bits W and the pair drop
-    had before."""
+    """``weighted_overlap`` and ``pairwise_drop`` against the FFT correlation
+    pass they replaced (``fft_kernel_oracle``), which gives the bits W and the
+    pair drop had before."""
 
     @pytest.mark.parametrize("algorithm", ORACLE_ALGORITHMS, ids=algorithm_id)
     def test_every_snapshot_matches_the_fft_oracle(self, algorithm):
         # The two passes round differently. Over these runs W and the pair
-        # sum agree within 4.0e-16 * W_0 (team 8192); the bound is 1e-15.
+        # sum agree within 4.0e-16 * W_0 (team 8192); the bound is 1e-15,
+        # doubled for the drop, which is twice the pair sum.
         w = lb.WeightSpec.inverse_distance(algorithm.n)
         snapshots = list(
             ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble())
         )
         tolerance = 1e-15 * fft_oracle.fft_kernel_sums(snapshots[0], w)[0]
+        for j, ensemble in enumerate(snapshots[:-1]):
+            fft = fft_oracle.fft_kernel_sums(ensemble, w, queried_left(ensemble))
+            drop = lb.pairwise_drop(ensemble, w)
+            assert type(drop) is float
+            assert abs(drop - 2.0 * fft[1]) <= 2.0 * tolerance, j
         for j, ensemble in enumerate(snapshots):
-            left = queried_left(ensemble) if j < algorithm.num_queries else None
-            runs = lb._kernel_sums(ensemble, w, left)
-            fft = fft_oracle.fft_kernel_sums(ensemble, w, left)
-            assert all(type(value) is float for value in runs)
-            assert abs(runs[0] - fft[0]) <= tolerance, j
-            assert abs(runs[1] - fft[1]) <= tolerance, j
+            overlap = lb.weighted_overlap(ensemble, w)
+            assert type(overlap) is float
+            expected = fft_oracle.fft_kernel_sums(ensemble, w)[0]
+            assert abs(overlap - expected) <= tolerance, j
 
     def test_batching_does_not_move_a_bit(self, monkeypatch):
         # A small batch cap splits each FFT length's blocks of the oracle into
@@ -1461,10 +1552,9 @@ class TestRunPassAgainstFFT:
             patch.setattr(np.fft, "rfft", forbidden)
             patch.setattr(np.fft, "irfft", forbidden)
             overlap = lb.weighted_overlap(ensemble, w)
-            drop = lb.pairwise_drop(lb.mass_profile(ensemble), w)
-            fused = lb._overlap_and_drop(ensemble, w)
-        assert fused == (overlap, drop)
-        assert drop > 0
+            profile = lb.mass_profile(ensemble, w)
+        assert overlap > 0
+        assert profile.pair_drop == lb.pairwise_drop(ensemble, w) > 0
 
 
 # Each kernel the tests build: the inverse distance, scaled, in another form,
@@ -1513,3 +1603,141 @@ def test_drawn_run_ensembles_match_the_reference_loops(kernel, states):
     # up to 12 answers, the worst of 4000 random ensembles on up to four
     # labels was 2.6e-13 of the 1e-12 allowed.
     assert_kernel_matches_reference(states, lb.WeightSpec(len(states), kernel))
+
+
+# The unit roundoff of float64: a rounded operation is within u of its
+# exact result, relatively.
+U = 2.0**-53
+
+ACCURACY_KERNELS = {
+    name: DRAWN_KERNELS[name] for name in ("inverse", "symmetric", "constant")
+}
+
+
+@st.composite
+def gapped_run_states(draw):
+    """States of up to 40 answers on one to four labels. Each label's column
+    is a row of runs, stretches of consecutive answers at one amplitude,
+    often short, with gaps of zero or more answers between them. The
+    amplitudes repeat, so that runs next to each other may merge, and the
+    queried index may fall inside the column."""
+    n = draw(st.integers(1, 40))
+    entries = [{} for _ in range(n)]
+    for z in range(draw(st.integers(1, 4))):
+        label = query_label(z, draw(st.integers(0, n + 1)))
+        a = draw(st.integers(0, n - 1))
+        while a < n:
+            amp = draw(AMPLITUDES)
+            end = min(n, a + draw(st.integers(1, 3) | st.integers(1, n - a)))
+            for b in range(a, end):
+                entries[b][label] = amp
+            a = end + draw(st.integers(0, 5))
+    return [SparseState(e) for e in entries]
+
+
+def label_columns(states):
+    """Each label's column as (answer, amplitude) pairs, answers ascending."""
+    columns = {}
+    for a, state in enumerate(states):
+        for label, amp in state.items():
+            columns.setdefault(label, []).append((a, amp))
+    return columns
+
+
+def run_pairs(states, split_at_query):
+    """The pairs of runs (first answer, length, amplitude) that the run pass
+    sums: runs are maximal stretches of a column's consecutive answers at
+    one amplitude. For W every ordered pair of runs of a column; split at
+    each label's queried index i, the pairs of a run at or below i and one
+    above it, for the pair drop."""
+    pairs = []
+    for label, column in label_columns(states).items():
+        runs = []  # [first answer, length, amplitude, left of i]
+        for a, amp in column:
+            left = split_at_query and a <= label.i
+            if runs and runs[-1][0] + runs[-1][1] == a and runs[-1][2:] == [amp, left]:
+                runs[-1][1] += 1
+            else:
+                runs.append([a, 1, amp, left])
+        pairs += [
+            (p[:3], q[:3])
+            for p in runs
+            for q in runs
+            if not split_at_query or (p[3] and not q[3])
+        ]
+    return pairs
+
+
+def exact_sums(states, w):
+    """W and the pair drop of ``states``, summed entry pair by entry pair as
+    exact fractions of the kernel's and the amplitudes' floats."""
+    kernel = [Fraction(value) for value in w.kernel]
+    overlap = pair = Fraction(0)
+    for label, column in label_columns(states).items():
+        column = [(a, Fraction(amp)) for a, amp in column]
+        for a, x in column:
+            for b, y in column:
+                term = kernel[b - a + w.n - 1] * x * y
+                overlap += term
+                if a <= label.i < b:
+                    pair += term
+    return overlap, 2 * pair
+
+
+def exact_double_prefix(w):
+    """Q(t) = sum over d <= t of (t - d + 1) * w(d), for t = -n-1 .. n-1,
+    exact over the kernel's floats: Q(t) - Q(t-1) is the kernel summed up
+    to t."""
+    single = double = Fraction(0)
+    table = {}
+    for t in range(-w.n - 1, w.n):
+        if t > -w.n:
+            single += Fraction(w.kernel[t + w.n - 1])
+        double += single
+        table[t] = double
+    return table
+
+
+def run_pass_error_bound(pairs, double_prefix):
+    """How far ``_run_pair_sum`` may be from the exact sum over ``pairs``.
+
+    A pair of runs p, q of lengths L_p, L_q, with h the distance from p's
+    first answer to q's last, reads Q at h, h - L_p, h - L_q and
+    h - L_p - L_q. Each entry is within u * Q(t) <= u * Q(h) of the exact
+    one, as Q grows with t on a non-negative kernel, and the three
+    subtractions each round a value of at most Q(h): the pair's kernel sum
+    G comes out within 7u * Q(h). G is at most Q(h), and the products
+    x_p * x_q and (x_p * x_q) * G round by u each. So the pair's term is
+    within 9u * Q(h) * |x_p * x_q| of x_p * x_q * G and at most
+    Q(h) * |x_p * x_q| in size, and summing the m terms in any order adds
+    at most (m - 1)u times their total size. In all
+    (m + 8) u * sum of Q(h) * |x_p * x_q|, to first order in u; the factor
+    1 + 2^-20 covers the second-order terms, below m * u (< 1e-12) of it.
+    """
+    size = math.fsum(
+        float(double_prefix[q_first + q_length - 1 - p_first]) * abs(x * y)
+        for (p_first, _, x), (q_first, q_length, y) in pairs
+    )
+    return (len(pairs) + 8) * U * size * (1 + 2.0**-20)
+
+
+@pytest.mark.parametrize(
+    "kernel", ACCURACY_KERNELS.values(), ids=ACCURACY_KERNELS.keys()
+)
+@seed(20261020)
+@given(states=gapped_run_states())
+@settings(max_examples=200, deadline=None)
+def test_run_pass_stays_within_its_stated_accuracy(kernel, states):
+    # W and the pair drop against exact sums, within the accuracy the
+    # docstring of _run_pair_sum states (derived in run_pass_error_bound).
+    # The drop is twice a pair sum; doubling is exact.
+    w = lb.WeightSpec(len(states), kernel)
+    ensemble = Ensemble.from_states(states)
+    double_prefix = exact_double_prefix(w)
+    exact_overlap, exact_drop = exact_sums(states, w)
+    overlap_bound = run_pass_error_bound(run_pairs(states, False), double_prefix)
+    drop_bound = 2 * run_pass_error_bound(run_pairs(states, True), double_prefix)
+    overlap = lb.weighted_overlap(ensemble, w)
+    drop = lb.pairwise_drop(ensemble, w)
+    assert abs(Fraction(overlap) - exact_overlap) <= Fraction(overlap_bound)
+    assert abs(Fraction(drop) - exact_drop) <= Fraction(drop_bound)
