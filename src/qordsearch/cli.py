@@ -1,7 +1,10 @@
 """Command-line front end: simulations, bounds, trajectories, layouts, norms.
 
 Every command emits plot-ready JSON or CSV with all floats at 17 significant
-digits, so identical invocations are byte-identical and reruns diff cleanly.
+digits, so identical invocations are byte-identical and reruns diff cleanly,
+whatever number of threads BLAS runs: the sums of the drop chain and of the
+Lanczos norm are numpy's own loops, where a BLAS dot product splits its sum
+by thread and so rounds it by thread count.
 Exit codes: 0 on success, 1 when a checked invariant is violated, 2 on usage
 errors. Integer options carry their ranges, shown in ``--help``: ``expansion``
 and ``querycount`` stop where a result would pass the digit limit of an int.

@@ -341,15 +341,19 @@ def _run_pair_sum(
     label_ids, answers, amps = ensemble.label_ids, ensemble.answers, ensemble.amps
     if not len(answers):
         return 0.0
-    breaks = (
-        (label_ids[1:] != label_ids[:-1])
-        | (answers[1:] != answers[:-1] + 1)
-        | (amps[1:] != amps[:-1])
-    )
+    # A run starts at entry 0 and at each break; the run starts, then the
+    # entry count, are the set entries of ``edges``.
+    edges = np.empty(len(answers) + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    breaks = edges[1:-1]
+    np.not_equal(label_ids[1:], label_ids[:-1], out=breaks)
+    breaks |= answers[1:] != answers[:-1] + 1
+    breaks |= amps[1:] != amps[:-1]
     if left is not None:
         breaks |= left[1:] != left[:-1]
-    first = np.flatnonzero(np.concatenate(([True], breaks)))
-    length = np.diff(first, append=len(answers))
+    edges = edges.nonzero()[0]
+    first = edges[:-1]
+    length = edges[1:] - first
     label = label_ids[first]
     # Run p pairs with each of the runs[label[p]] runs of its column.
     runs = np.bincount(label)
@@ -363,9 +367,10 @@ def _run_pair_sum(
     low, lp, lq = answers[first], length[p], length[q]
     # Q(h) is entry h + n + 1 of the table, with h = low[q] + lq - 1 - low[p].
     top = low[q] + lq - low[p] + w.n
+    below_p = top - lp
     table = w._double_prefix
-    pair_weights = (table[top] - table[top - lp]) - (
-        table[top - lq] - table[top - lp - lq]
+    pair_weights = (table[top] - table[below_p]) - (
+        table[top - lq] - table[below_p - lq]
     )
     amps = amps[first]
     return float((amps[p] * amps[q] * pair_weights).sum())
@@ -469,7 +474,9 @@ def _lanczos_norm(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> float:
     iteration stops once that is at most ``POWER_TOL`` and returns lam, and
     raises :class:`ConvergenceError` after ``LANCZOS_STEPS`` products. The
     basis is one preallocated array used through row views, so only the
-    rows of the steps taken are ever written.
+    rows of the steps taken are ever written. Its products are ``np.einsum``
+    loops, not BLAS calls, whose sums split with the thread count: the
+    norm does not depend on it.
     """
     steps = LANCZOS_STEPS
     basis = np.empty((steps + 1, n))
@@ -477,11 +484,11 @@ def _lanczos_norm(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> float:
     tridiagonal = np.zeros((steps + 1, steps + 1))
     for k in range(steps):
         w = matvec(basis[k])
-        tridiagonal[k, k] = basis[k] @ w
+        tridiagonal[k, k] = np.einsum("i,i", basis[k], w)
         spanned = basis[: k + 1]
         for _ in range(2):
-            w -= spanned.T @ (spanned @ w)
-        beta = float(np.linalg.norm(w))
+            w -= np.einsum("ij,i", spanned, np.einsum("ij,j", spanned, w))
+        beta = math.sqrt(np.einsum("i,i", w, w))
         ritz_values, ritz_vectors = np.linalg.eigh(tridiagonal[: k + 1, : k + 1])
         if beta * abs(ritz_vectors[-1, -1]) <= POWER_TOL:
             return float(ritz_values[-1])
@@ -525,37 +532,41 @@ class MassProfile:
 def mass_profile(ensemble: Ensemble, w: WeightSpec) -> MassProfile:
     """Aggregate the masses of the states in ``ensemble`` by offset i - a,
     and take their pair drop under ``w``."""
-    # pairwise_drop refuses a size other than w.n and a non-query label.
-    pair_drop = pairwise_drop(ensemble, w)
-    n = ensemble.size
     index = ensemble.fields[4][ensemble.label_ids]
-    mass = ensemble.amps * ensemble.amps
+    # pairwise_drop refuses a size other than w.n and a non-query label.
+    pair_drop = pairwise_drop(ensemble, w, index)
+    n = ensemble.size
     offset = index - ensemble.answers
-    queried = (0 <= index) & (index < n)
     # Offset n - 1 (a = 0, i = n - 1) pairs with no delta; below the answer,
-    # a - i - 1 is at most n - 2.
+    # a - i - 1 is at most n - 2. A queried index is in 0 .. n-1, so an
+    # offset is at least -(n - 1): offset + size is the offset's bin, the
+    # gammas' from size up and the deltas' below it, in reverse.
     size = max(n - 1, 0)
-    above = queried & (offset >= 0) & (offset < size)
-    below = queried & (offset < 0)
-    gammas_sq = np.bincount(offset[above], mass[above], minlength=size)
-    deltas_sq = np.bincount(-1 - offset[below], mass[below], minlength=size)
-    return MassProfile(w, np.sqrt(gammas_sq), np.sqrt(deltas_sq), pair_drop)
+    queried = (0 <= index) & (index < n) & (offset < size)
+    mass = ensemble.amps[queried]
+    masses = np.bincount(offset[queried] + size, mass * mass, minlength=2 * size)
+    roots = np.sqrt(masses)
+    return MassProfile(w, roots[size:], roots[:size][::-1], pair_drop)
 
 
-def pairwise_drop(ensemble: Ensemble, w: WeightSpec) -> float:
+def pairwise_drop(
+    ensemble: Ensemble, w: WeightSpec, index: np.ndarray | None = None
+) -> float:
     """The per-query drop recomputed from the queried label columns.
 
     Equals ``W_j - W_(j+1)`` exactly (up to float error) when the round is
     one query followed by shared unitaries: only indices where two instances
     disagree, i.e. ``a <= i < b``, contribute, so an entry is on the left of
     the pairs that its label's queried index i separates when its answer
-    a <= i. Every label must be a ``QueryLabel``.
+    a <= i. Every label must be a ``QueryLabel``. ``index``, if given, is
+    each entry's queried index, as :func:`mass_profile` has gathered it.
     """
     _check_state_count(ensemble.size, w)
-    kind, _, _, _, index = ensemble.fields
+    kind = ensemble.fields[0]
     require_fields(kind == QUERY, ensemble.fields, query_index)
-    left = ensemble.answers <= index[ensemble.label_ids]
-    return 2.0 * _run_pair_sum(ensemble, w, left)
+    if index is None:
+        index = ensemble.fields[4][ensemble.label_ids]
+    return 2.0 * _run_pair_sum(ensemble, w, ensemble.answers <= index)
 
 
 def _reference_pairwise_drop(states: Sequence[SparseState], w: WeightSpec) -> float:
@@ -617,7 +628,9 @@ def verify_drop_chain(profile: MassProfile, drop: float) -> ChainReport:
     D <= S + tol <= B + tol <= pi*n + tol with tol = ``CHAIN_TOL``. Also
     checks that the profile's pair drop matches ``drop`` within tol. Every
     link is tested as ``not lhs <= rhs + tol``, so a NaN fails it. Raises
-    ``ValueError`` unless ``w`` is the inverse-distance weight.
+    ``ValueError`` unless ``w`` is the inverse-distance weight. The sums
+    over the masses are numpy's pairwise sums, not BLAS calls, so the report
+    does not depend on the BLAS thread count.
     """
     w = profile.w
     _require_inverse_distance(w)
@@ -629,10 +642,9 @@ def verify_drop_chain(profile: MassProfile, drop: float) -> ChainReport:
     if n >= 2:
         matvec, m_norm = w._hankel
         # sum_d sum_i (1/d) gamma_i delta_(d-1-i) is gamma^T M delta.
-        pair_bound = 2.0 * float(gammas @ matvec(deltas))
-        norm_bound = (
-            2.0 * float(np.linalg.norm(gammas)) * m_norm * float(np.linalg.norm(deltas))
-        )
+        pair_bound = 2.0 * float((gammas * matvec(deltas)).sum())
+        gamma_norm = math.sqrt((gammas * gammas).sum())
+        norm_bound = 2.0 * gamma_norm * m_norm * math.sqrt((deltas * deltas).sum())
     else:
         pair_bound = norm_bound = 0.0
     cap = math.pi * n

@@ -40,7 +40,10 @@ and every open, close and combine step. The image's entries are then one
 gathered label run times its coefficient, plus a second such run. A
 refinement, which relabels one to one, rides on the pair mixer before it
 as a renaming of its image labels. The per-state operations take any map
-and stay the reference.
+and stay the reference. A run of such steps goes through
+:func:`step_ensemble`, the same pass handed a :class:`Tally` of its input
+(the answers' norms and each label's run of entries) by the step before, so
+that no step counts again what the one before it summed.
 """
 from __future__ import annotations
 
@@ -337,24 +340,24 @@ def require_fields(ok: np.ndarray, fields: np.ndarray, label_map: Callable) -> N
         raise AssertionError(f"{label_map!r} takes {label!r}; its array form does not")
 
 
-def _distinct_columns(
+def _group_columns(
     fields: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The id of each column of ``fields`` among the distinct columns, those,
-    and the lexicographic order of all columns.
+    """The columns of ``fields`` in lexicographic order, grouped where equal:
+    ``(order, ordered, lead)``.
 
-    The distinct columns come in lexicographic order, from one ``np.lexsort``
-    over the rows, which gives the order: ``order[k]`` is the index of the
-    k-th column in it.
+    ``order[k]`` is the index of the k-th column in that order, from one
+    ``np.lexsort`` over the rows, which keeps equal columns in index order;
+    ``ordered`` is ``fields[:, order]``. The m-th distinct column is
+    ``ordered[:, k]`` for ``lead[m] <= k < lead[m + 1]``, and ``lead`` ends
+    with the column count.
     """
-    count = fields.shape[1]
     order = np.lexsort(fields[::-1])
     ordered = fields[:, order]
-    first = np.ones(count, dtype=bool)
-    first[1:] = np.logical_or.reduce(ordered[:, 1:] != ordered[:, :-1])
-    ids = np.empty(count, dtype=np.intp)
-    ids[order] = first.cumsum() - 1
-    return ids, ordered[:, first], order
+    edges = np.empty(len(order) + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.logical_or.reduce(ordered[:, 1:] != ordered[:, :-1], out=edges[1:-1])
+    return order, ordered, edges.nonzero()[0]
 
 
 class Ensemble(NamedTuple):
@@ -389,7 +392,12 @@ class Ensemble(NamedTuple):
                 label_ids.append(ids.setdefault(label, len(ids)))
                 answers.append(answer)
                 amps.append(amp)
-        rank, fields, _ = _distinct_columns(label_fields(list(ids)))
+        # The labels are distinct: a label's id is its rank in sort_key order.
+        fields = label_fields(list(ids))
+        by_key = np.lexsort(fields[::-1])
+        rank = np.empty_like(by_key)
+        rank[by_key] = np.arange(len(by_key))
+        fields = fields[:, by_key]
         label_ids = rank[np.array(label_ids, dtype=np.intp)]
         answers = np.array(answers, dtype=np.intp)
         order = np.argsort(label_ids * len(states) + answers)
@@ -414,14 +422,15 @@ def _squared_norms(
     answers: np.ndarray, amps: np.ndarray, low: int, count: int
 ) -> np.ndarray:
     """Squared norms of answers ``low .. low+count-1``, summed in entry order."""
-    return np.bincount(answers - low, amps * amps, minlength=count)
+    return np.bincount(answers - low if low else answers, amps * amps, minlength=count)
 
 
 def _run_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The indices of runs, run after run: ``starts[k] .. starts[k] + lengths[k] - 1``."""
     ends = lengths.cumsum()
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + (starts - ends + lengths).repeat(lengths)
+    indices = np.arange(int(ends[-1]) if len(ends) else 0)
+    indices += (starts - ends + lengths).repeat(lengths)
+    return indices
 
 
 # A linear label map on the ensemble path takes the ``fields`` of the distinct
@@ -430,6 +439,29 @@ def _run_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 # ``t`` being the label column ``images[:, t]`` with coefficient ``coeffs[t]``.
 # A relabelling after the map renames the ``images`` columns.
 FieldsMap = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+class Tally(NamedTuple):
+    """What one ensemble step hands the next: its output's bookkeeping.
+
+    ``norms`` holds the root norms of answers ``low .. low+count-1``, each
+    summed in entry order, and ``runs[k]`` the number of entries of label
+    column ``k``. A later step takes the span as it is: its answers only
+    ever thin out, and one that lost its entries holds a norm of zero.
+    """
+
+    low: int
+    count: int
+    norms: np.ndarray
+    runs: np.ndarray
+
+
+def tally(ens: Ensemble) -> Tally:
+    """The :class:`Tally` of ``ens``, counted from its entries."""
+    low, count = _answer_span(ens.answers)
+    norms = np.sqrt(_squared_norms(ens.answers, ens.amps, low, count))
+    runs = np.bincount(ens.label_ids, minlength=ens.fields.shape[1])
+    return Tally(low, count, norms, runs)
 
 
 def _not_a_pair_mixer(image_fields: np.ndarray, image: int, what: str) -> ValueError:
@@ -459,81 +491,123 @@ def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
     lone term of -0.0 stays -0.0 here, where the per-state sum from zero
     gives +0.0; both are pruned. Pruning, the finiteness check and the
     norm-drift check hold per answer, over the answers that hold entries.
+
+    This is :func:`step_ensemble` from the :func:`tally` of ``ens``, counted
+    here; a round of steps hands each step the tally of the one before.
     """
+    return step_ensemble(ens, op, tally(ens))[0]
+
+
+def step_ensemble(ens: Ensemble, op: FieldsMap, books: Tally) -> tuple[Ensemble, Tally]:
+    """:func:`apply_linear_ensemble` on ``ens``, whose tally is ``books``, as
+    :func:`tally` counts it or the step that made ``ens`` hands it on; the
+    image and its tally, whose norms are the ones the drift check summed and
+    whose runs are counted again only when an entry is pruned."""
     counts, images, coeffs = op(ens.fields)
     if np.iscomplexobj(coeffs):
         raise ValueError("ensemble coefficients must be real, got complex ones")
-    image_ids, image_fields, order = _distinct_columns(images)
-    # The lexsort keeps term order within an image: order[lead[m]] is image
-    # m's first term and, for a two-term image, order[lead[m] + 1] its second.
-    terms = np.bincount(image_ids, minlength=image_fields.shape[1])
-    if terms.max(initial=0) > 2:
+    # The terms grouped by image label, the images in sort_key order: term
+    # order holds within an image, so order[lead[m]] is image m's first term
+    # and, for a two-term image, order[lead[m] + 1] its second.
+    order, images, lead = _group_columns(images)
+    terms = lead[1:] - lead[:-1]
+    lead = lead[:-1]
+    image_fields = images[:, lead]
+    del images
+    if len(terms) and terms.max() > 2:
         image = np.argmax(terms > 2)
         raise _not_a_pair_mixer(image_fields, image, f"sums {terms[image]} terms")
-    lead = terms.cumsum() - terms
     two = terms == 2
     first, second = order[lead], order[lead[two] + 1]
-    # Label k's entries are the run start[k] .. start[k] + run[k] - 1.
-    run = np.bincount(ens.label_ids, minlength=len(counts))
-    start = run.cumsum() - run
+    # Label k's entries are the run starts[k] .. starts[k] + runs[k] - 1.
+    runs = books.runs
+    starts = runs.cumsum() - runs
     source = np.arange(len(counts)).repeat(counts)
     head, tail = source[first], source[second]
-    length = run[head]
-    uneven = length[two] != run[tail]
+    length, paired_length = runs[head], runs[tail]
+    uneven = length[two] != paired_length
     if uneven.any():
         k = np.argmax(uneven)
-        held = f"sums labels held by {length[two][k]} and {run[tail][k]} answers"
+        held = f"sums labels held by {length[two][k]} and {paired_length[k]} answers"
         raise _not_a_pair_mixer(image_fields, np.flatnonzero(two)[k], held)
-    gather = _run_indices(start[head], length)
-    other = _run_indices(start[tail], run[tail])
-    answers = ens.answers[gather]
-    label_ids = np.arange(len(terms)).repeat(length)
+    gather = _run_indices(starts[head], length)
+    answers, amps = ens.answers[gather], ens.amps[gather]
+    del gather
     paired = two.repeat(length)
+    other = _run_indices(starts[tail], paired_length)
     differ = answers[paired] != ens.answers[other]
     if differ.any():
-        image = label_ids[paired][np.argmax(differ)]
+        image = np.arange(len(terms)).repeat(length)[paired][np.argmax(differ)]
         raise _not_a_pair_mixer(image_fields, image, "sums labels of different answers")
-    amps = ens.amps[gather] * coeffs[first].repeat(length)
-    amps[paired] += ens.amps[other] * coeffs[second].repeat(run[tail])
-    return _checked(ens, image_fields, label_ids, answers, amps)
+    del differ
+    amps *= coeffs[first].repeat(length)
+    paired_amps = ens.amps[other]
+    del other
+    paired_amps *= coeffs[second].repeat(paired_length)
+    amps[paired] += paired_amps
+    del paired, paired_amps
+    label_ids = np.arange(len(terms)).repeat(length)
+    kept = _prune(label_ids, answers, amps)
+    if kept is None:
+        entries = label_ids, answers, amps
+        return _checked(ens.size, image_fields, entries, books, length)
+    del label_ids, answers, amps
+    return _checked(ens.size, image_fields, kept, books, None)
+
+
+def _prune(
+    label_ids: np.ndarray, answers: np.ndarray, amps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The entries whose amplitudes are not below ``PRUNE_EPS`` in magnitude,
+    or None when no entry is pruned."""
+    # NaN is not small, so it is kept, to fail the finiteness check.
+    small = np.abs(amps) < PRUNE_EPS
+    if not small.any():
+        return None
+    keep = ~small
+    del small
+    return label_ids[keep], answers[keep], amps[keep]
 
 
 def _checked(
-    ens: Ensemble,
+    size: int,
     image_fields: np.ndarray,
-    label_ids: np.ndarray,
-    answers: np.ndarray,
-    amps: np.ndarray,
-) -> Ensemble:
-    """The image of ``ens`` with these entries, pruned and checked.
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
+    books: Tally,
+    runs: np.ndarray | None,
+) -> tuple[Ensemble, Tally]:
+    """The ensemble of ``size`` answers with these entries, checked against
+    the norms of ``books``, and its tally.
 
-    The entries go label by label over the columns of ``image_fields``, each
-    column held by some entry. Pruning, the finiteness check and the
-    norm-drift check against ``ens`` hold per answer.
+    The ``(label_ids, answers, amps)`` of ``entries`` go label by label over
+    the columns of ``image_fields``; column ``k`` is held by ``runs[k]``
+    entries, or, when ``runs`` is None because entries were pruned, by the
+    entries counted here, and a column left without entries is dropped. The
+    finiteness check and the norm-drift check hold per answer.
     """
-    # Written so that NaN is kept, to fail the finiteness check below.
-    keep = ~(np.abs(amps) < PRUNE_EPS)
-    pruned = not keep.all()
-    if pruned:
-        label_ids, answers, amps = label_ids[keep], answers[keep], amps[keep]
-    low, count = _answer_span(ens.answers)
+    label_ids, answers, amps = entries
+    low, count = books.low, books.count
     norms_sq = _squared_norms(answers, amps, low, count)
-    finite = np.isfinite(norms_sq)
-    if not finite.all():
-        raise ValueError(
-            f"amplitudes must be finite, got squared norm {norms_sq[~finite][0]}"
-        )
-    before = _squared_norms(ens.answers, ens.amps, low, count)
-    drift = float(np.abs(np.sqrt(norms_sq) - np.sqrt(before)).max(initial=0.0))
-    if drift > NORM_TOL:
-        raise NormDriftError(
-            f"operator declared unitary drifted the norm by {drift:.3e}"
-        )
+    norms = np.sqrt(norms_sq)
+    # A NaN or infinite norm makes the drift NaN or infinite.
+    drift = float(np.abs(norms - books.norms).max(initial=0.0))
+    if not drift <= NORM_TOL:
+        finite = np.isfinite(norms_sq)
+        if not finite.all():
+            raise ValueError(
+                f"amplitudes must be finite, got squared norm {norms_sq[~finite][0]}"
+            )
+        if drift > NORM_TOL:
+            raise NormDriftError(
+                f"operator declared unitary drifted the norm by {drift:.3e}"
+            )
 
     # Every image label holds entries, so with nothing pruned it still does;
     # otherwise keep only the image labels some entry still holds.
-    if pruned:
-        held = np.bincount(label_ids, minlength=image_fields.shape[1]) > 0
+    if runs is None:
+        runs = np.bincount(label_ids, minlength=image_fields.shape[1])
+        held = runs > 0
         image_fields, label_ids = image_fields[:, held], (held.cumsum() - 1)[label_ids]
-    return Ensemble(ens.size, image_fields, label_ids, answers, amps)
-
+        runs = runs[held]
+    image = Ensemble(size, image_fields, label_ids, answers, amps)
+    return image, Tally(low, count, norms, runs)

@@ -59,18 +59,24 @@ from .qcore import (
     SparseState,
     TeamLabel,
     _answer_span,
-    _distinct_columns,
+    _group_columns,
     _is_pow2,
     _squared_norms,
     _unnormalized_error,
     apply_linear,
-    apply_linear_ensemble,
     labels_of,
     measure_distribution,
     require_fields,
+    step_ensemble,
+    tally,
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+# The mixer's coefficient on the marker-1 image of a label with marker b.
+_MARKER_ONE_COEFFS = np.array([_SQRT_HALF, -_SQRT_HALF])
+# The rows of label fields with the second and fourth swapped: a QueryLabel's
+# (QUERY, hi, lo, b, i) reads (QUERY, b, lo, hi, i).
+_SWAP_B_HI = np.array([0, 3, 2, 1, 4])
 # Build labels without re-checking them: only for labels derived from a
 # checked one by flipping its marker, taking a half of its interval, or
 # routing it to or back from an index >= 0.
@@ -146,15 +152,16 @@ def _mix_fields(fields: np.ndarray, s: int):
     other label is its own image with coefficient 1.
     """
     kind, b, lo, hi, _ = fields
-    match = (kind == TEAM) & (hi - lo + 1 == s)
+    match = (kind == TEAM) & (hi - lo == s - 1)
     counts = match + 1
     images = fields.repeat(counts, axis=1)
     coeffs = np.ones(images.shape[1])
-    marker0 = (counts.cumsum() - counts)[match]
+    marker1 = counts.cumsum()[match] - 1
+    marker0 = marker1 - 1
     images[1, marker0] = 0
-    images[1, marker0 + 1] = 1
+    images[1, marker1] = 1
     coeffs[marker0] = _SQRT_HALF
-    coeffs[marker0 + 1] = np.where(b[match] == 1, -_SQRT_HALF, _SQRT_HALF)
+    coeffs[marker1] = _MARKER_ONE_COEFFS[b[match]]
     return counts, images, coeffs
 
 
@@ -186,12 +193,15 @@ def _halving(s: int) -> Callable[[BasisLabel], BasisLabel]:
 
 def _halving_fields(fields: np.ndarray, s: int) -> np.ndarray:
     """:func:`_halving` of every label column of ``fields``."""
-    kind, b, lo, hi, last = fields
-    match = (kind == TEAM) & (hi - lo + 1 == s)
-    mid = lo + s // 2 - 1
-    lower, upper = match & (b == 1), match & (b == 0)
-    lows, highs = np.where(upper, mid + 1, lo), np.where(lower, mid, hi)
-    return np.array((kind, np.where(match, 0, b), lows, highs, last))
+    kind, b, lo, hi, _ = fields
+    match = (kind == TEAM) & (hi - lo == s - 1)
+    lower = match & (b == 1)
+    upper = match & (b == 0)
+    halves = fields.copy()
+    halves[1, match] = 0
+    halves[3, lower] = lo[lower] + (s // 2 - 1)
+    halves[2, upper] = hi[upper] - (s // 2 - 1)
+    return halves
 
 
 def apply_refine(state: SparseState, s: int) -> SparseState:
@@ -270,19 +280,19 @@ def _bitwrite_fields(n: int, bitwrite_length: int):
         # Only a length-1 interval at 0 would route below index 0.
         require_fields((kind == TEAM) & ((lo > 0) | (hi > lo)), fields, open_query)
         counts, images, coeffs = _mix_fields(fields, bitwrite_length)
-        _, b, lo, hi, _ = images
-        routed = np.empty_like(images)
-        routed[0], routed[1], routed[2], routed[3] = QUERY, hi, lo, b
-        routed[4] = routed_index(b, lo, hi)
-        return counts, routed, coeffs
+        # (TEAM, b, lo, hi, 0) to (QUERY, hi, lo, b, index), in place.
+        images[1], images[3] = images[3], images[1].copy()
+        _, hi, lo, b, _ = images
+        images[0], images[4] = QUERY, routed_index(b, lo, hi)
+        return counts, images, coeffs
 
     def close_fields(fields):
         kind, hi, lo, b, i = fields
         # A routed interval of length >= 2 on its routed index.
         sits = (kind == QUERY) & (lo < hi) & (i == routed_index(b, lo, hi))
         require_fields(sits, fields, close_query)
-        team = np.empty_like(fields)
-        team[0], team[1], team[2], team[3], team[4] = TEAM, b, lo, hi, 0
+        team = fields[_SWAP_B_HI]
+        team[0], team[4] = TEAM, 0
         return _mix_fields(team, bitwrite_length)
 
     return open_fields, close_fields
@@ -312,14 +322,15 @@ def _refined(mix, s: int):
     def image(fields):
         counts, images, coeffs = mix(fields)
         kind, b, lo, hi, _ = images
-        if ((kind == TEAM) & (b == 0) & (hi - lo + 1 == s // 2)).any():
-            _, labels, _ = _distinct_columns(images)
-            ids, halves, order = _distinct_columns(_halving_fields(labels, s))
-            if halves.shape[1] < labels.shape[1]:
-                ordered = ids[order]
-                k = int(np.argmax(ordered[1:] == ordered[:-1]))
+        if ((kind == TEAM) & (b == 0) & (hi - lo == s // 2 - 1)).any():
+            _, ordered, lead = _group_columns(images)
+            labels = ordered[:, lead[:-1]]
+            order, halves, lead = _group_columns(_halving_fields(labels, s))
+            if len(lead) - 1 < labels.shape[1]:
+                # The first half that two labels map to, and those two.
+                k = int(lead[np.argmax(lead[1:] - lead[:-1] > 1)])
                 prior, label = labels_of(labels[:, order[k : k + 2]])
-                [target] = labels_of(halves[:, [ordered[k]]])
+                [target] = labels_of(halves[:, [k]])
                 raise CollisionError(f"labels {prior} and {label} both map to {target}")
         return counts, _halving_fields(images, s), coeffs
 
@@ -380,13 +391,23 @@ def _run_steps(steps, state: SparseState) -> SparseState:
     return state
 
 
-def _run_ensemble_steps(steps, ensemble: Ensemble) -> Ensemble:
+def _run_ensemble_steps(steps, ensemble: Ensemble, books=None):
     """:func:`_run_steps` on every answer at once, by each step's fields map;
-    a step without one rides on the step before it."""
+    a step without one rides on the step before it. Returns the ensemble and
+    its :class:`~qordsearch.qcore.Tally`.
+
+    ``books`` is the tally of ``ensemble``, counted here when it is None.
+    Each step hands the next the tally of its image: the root norms of the
+    answers, summed as its own drift check summed them, which the next drift
+    check compares against; the answer span, which stays that of the first
+    step's input; and each label's entry count, which are its image runs,
+    counted again from the entries after a step that prunes.
+    """
+    books = tally(ensemble) if books is None else books
     for step in steps:
         if step.image is not None:
-            ensemble = apply_linear_ensemble(ensemble, step.image)
-    return ensemble
+            ensemble, books = step_ensemble(ensemble, step.image, books)
+    return ensemble, books
 
 
 # ---------------------------------------------------------------------------
@@ -532,15 +553,20 @@ def _initial_ensemble(self, answers: range | None = None) -> Ensemble:
         raise ValueError(
             f"need a non-empty step-1 range in 0 .. {self.n}, got {answers!r}"
         )
-    fields, amps = [], []
-    for length, marker, amp in self._levels:
-        lo = np.arange(low - low % length, stop, length)
-        kind, markers = np.full_like(lo, TEAM), np.full_like(lo, marker)
-        fields.append(np.stack((kind, markers, lo, lo + length - 1, np.zeros_like(lo))))
-        amps.append(np.full(len(lo), amp))
+    # The blocks of every level in one array, level by level: level j has
+    # blocks[j] blocks of length[j] meeting the range, from the one at
+    # lowest[j], and block k is the within[k]-th of its level[k].
+    length, marker, amp = map(np.array, zip(*self._levels))
+    lowest = low - low % length
+    blocks = -((lowest - stop) // length)
+    level = np.arange(len(blocks)).repeat(blocks)
+    within = np.arange(len(level)) - (blocks.cumsum() - blocks)[level]
+    fields = np.zeros((5, len(level)), dtype=np.int64)
+    fields[0], fields[1] = TEAM, marker[level]
+    fields[2] = lo = lowest[level] + within * length[level]
+    fields[3] = lo + length[level] - 1
     # Distinct blocks in sort_key order, block lo .. hi held by answers
     # max(lo, low) .. min(hi, stop - 1): the entries go label by label.
-    fields = np.concatenate(fields, axis=1)
     order = np.lexsort(fields[::-1])
     fields = fields[:, order]
     first = np.maximum(fields[2], low)
@@ -548,9 +574,9 @@ def _initial_ensemble(self, answers: range | None = None) -> Ensemble:
     label_ids = np.repeat(np.arange(len(order)), counts)
     shift = np.cumsum(counts) - counts - first
     answers = np.arange(len(label_ids)) - shift[label_ids]
-    amps = np.concatenate(amps)[order][label_ids]
+    amps = amp[level][order][label_ids]
     start = Ensemble(self.n, fields, label_ids, answers, amps)
-    return _run_ensemble_steps(self._opening, start)
+    return _run_ensemble_steps(self._opening, start)[0]
 
 
 def ensemble_snapshots(algorithm, ensemble: Ensemble):
@@ -562,11 +588,14 @@ def ensemble_snapshots(algorithm, ensemble: Ensemble):
     shared steps evaluates its map once, on the fields of the distinct labels.
     """
     yield ensemble
+    books = None
     for j in range(algorithm.num_queries):
         # The queried ensemble goes straight in, so that no name here keeps
-        # it alive once the round's first step has replaced it.
-        ensemble = _run_ensemble_steps(
-            algorithm._rounds[j], oracle_mod.apply_query_ensemble(ensemble)
+        # it alive once the round's first step has replaced it. The query
+        # flips signs only, so the tally of one round's last step is the
+        # tally of the next round's first input.
+        ensemble, books = _run_ensemble_steps(
+            algorithm._rounds[j], oracle_mod.apply_query_ensemble(ensemble), books
         )
         yield ensemble
 

@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -1228,9 +1231,9 @@ class TestTrajectory:
     @pytest.mark.parametrize(
         "algorithm, sha1",
         [
-            (BinarySearchAlgorithm(4096), "0edbd3c715d8c567ea659740c3f7577ea3fff02c"),
-            (BinarySearchAlgorithm(16384), "69b6852b721631c7a4b17bf8a6d657fb161a59a2"),
-            (TeamCombineAlgorithm(8192), "af9aec14d93edbd6b46b1407510ca72a40bc204a"),
+            (BinarySearchAlgorithm(4096), "e85f42a4a1e39d6da77986122e51a1f8409b46b1"),
+            (BinarySearchAlgorithm(16384), "6fd3bb45c8508811ec0574d400a1ce0c4873fd6a"),
+            (TeamCombineAlgorithm(8192), "a4a31dce7b6d8ca62ef67ea40bdb896d893f8ff5"),
         ],
         ids=["binary-4096", "binary-16384", "team-8192"],
     )
@@ -1238,6 +1241,35 @@ class TestTrajectory:
         w = lb.WeightSpec.inverse_distance(algorithm.n)
         record = lb.run_trajectory(algorithm, algorithm.n, w, verify_chain=True)
         assert hashlib.sha1(repr(record.chain_reports).encode()).hexdigest() == sha1
+
+    def test_chain_reports_do_not_depend_on_the_blas_thread_count(self):
+        # BLAS splits a long dot product over its threads, and each split
+        # sums in another order; the chain sums with numpy's own loops. Each
+        # child sets its thread count before numpy loads, and both print the
+        # reports pinned above for binary-16384.
+        script = (
+            "from qordsearch import lowerbound as lb, teamsearch as ts\n"
+            "a = ts.BinarySearchAlgorithm(16384)\n"
+            "w = lb.WeightSpec.inverse_distance(a.n)\n"
+            "print(repr(lb.run_trajectory(a, a.n, w, verify_chain=True).chain_reports))\n"
+        )
+        paths = [str(Path(lb.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        printed = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(paths),
+                "OPENBLAS_NUM_THREADS": threads,
+            }
+            child = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert child.returncode == 0, child.stderr
+            printed.append(child.stdout)
+        assert printed[0] == printed[1]
+        assert hashlib.sha1(printed[0].rstrip("\n").encode()).hexdigest() == (
+            "6fd3bb45c8508811ec0574d400a1ce0c4873fd6a"
+        )
 
     @pytest.mark.parametrize(
         "algorithm",

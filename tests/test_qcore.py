@@ -2,6 +2,8 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -815,9 +817,9 @@ class TestLinearByPairs:
         else:
             expected = 2 + algorithm.r.bit_length() - 1
         calls = []
-        apply = ts.apply_linear_ensemble
+        step = ts.step_ensemble
         monkeypatch.setattr(
-            ts, "apply_linear_ensemble", lambda *args: calls.append(1) or apply(*args)
+            ts, "step_ensemble", lambda *args: calls.append(1) or step(*args)
         )
         results = ts.run_ensemble(algorithm)
         assert [r.answer for r in results] == list(range(algorithm.n))
@@ -834,11 +836,9 @@ class TestLinearByPairs:
         state = SparseState({query_label(0, 0): 0.6, query_label(2, 0): 0.8})
         ensemble = Ensemble.from_states([state, state])
         summed = []
-        check = qcore._checked
+        prune = qcore._prune
         monkeypatch.setattr(
-            qcore,
-            "_checked",
-            lambda ens, fields, *entries: summed.append(entries) or check(ens, fields, *entries),
+            qcore, "_prune", lambda *entries: summed.append(entries) or prune(*entries)
         )
         got = apply_linear_ensemble(ensemble, lifted(leak))
         [(label_ids, _, amps)] = summed
@@ -879,3 +879,166 @@ class TestLinearByPairs:
         assert str(refused.value) == (
             "image label 0|0,0;0 sums 3 terms: apply_linear_ensemble takes pair mixers only"
         )
+
+
+def step_of(fields_map):
+    """A step that ``ts._run_ensemble_steps`` runs by ``fields_map``."""
+    return types.SimpleNamespace(image=fields_map)
+
+
+def same_arrays(got, expected):
+    """Whether two ensembles, or two tallies, hold the same values, bit for bit."""
+    return all(
+        np.asarray(a).dtype == np.asarray(b).dtype
+        and np.asarray(a).shape == np.asarray(b).shape
+        and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        for a, b in zip(got, expected)
+    )
+
+
+def raised(call):
+    """The type and message of what ``call`` raises."""
+    with pytest.raises(Exception) as caught:
+        call()
+    return type(caught.value), str(caught.value)
+
+
+IDENTITY = step_of(lifted(lambda label: [(label, 1.0)]))
+
+
+class TestThreadedRounds:
+    """A round hands each step the tally of the step before it; every step
+    must see what ``apply_linear_ensemble``, counting afresh, sees."""
+
+    @pytest.mark.parametrize("algorithm", RUNS, ids=run_id)
+    def test_a_threaded_run_is_its_steps_one_by_one(self, algorithm):
+        ensemble = algorithm.initial_ensemble()
+        snapshots = ts.ensemble_snapshots(algorithm, ensemble)
+        assert same_arrays(next(snapshots), ensemble)
+        for j, threaded in enumerate(snapshots):
+            ensemble = ts.oracle_mod.apply_query_ensemble(ensemble)
+            entering = ensemble
+            for step in algorithm._rounds[j]:
+                if step.image is not None:
+                    ensemble = apply_linear_ensemble(ensemble, step.image)
+            assert same_arrays(threaded, ensemble)
+            # The tally a round hands on is the one counted from its image.
+            got, books = ts._run_ensemble_steps(algorithm._rounds[j], entering)
+            assert same_arrays(got, ensemble)
+            assert same_arrays(books, qcore.tally(ensemble))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_step_that_prunes_hands_on_recounted_runs(self, seed):
+        # The mix cancels label 11 in every answer, and pairs like (0.4, 0.3)
+        # to exact zeros in some: label ids and run counts shift, and runs
+        # handed on uncounted would gather the relabelled runs from the
+        # wrong entries.
+        states = cancelling_states(seed, partnered=True)
+        ensemble = Ensemble.from_states(states)
+        mix = lifted(pair_mixer)
+        mirror = lambda label: query_label(20 - label.lo, label.i)
+        mirrored = lifted(relabelling(mirror))
+        mixed = apply_linear_ensemble(ensemble, mix)
+        assert query_label(11, 0) not in labels_of(mixed.fields)
+        expected = apply_linear_ensemble(mixed, mirrored)
+        got, books = ts._run_ensemble_steps([step_of(mix), step_of(mirrored)], ensemble)
+        assert same_arrays(got, expected)
+        assert same_arrays(books, qcore.tally(expected))
+        per_state = [apply_linear(s, pair_mixer) for s in states]
+        per_state = [ts._permute_labels(s, mirror) for s in per_state]
+        assert ensemble_entries(got) == state_entries(per_state)
+
+    def test_a_round_thins_out_within_the_span_it_started_with(self):
+        # Answer 0's one entry shrinks below PRUNE_EPS, a drift within
+        # NORM_TOL: the span handed on stays 0 .. 1, with a zero norm for
+        # answer 0, where a fresh count finds answer 1 alone.
+        states = [
+            SparseState({query_label(0, 0): 1e-10}),
+            SparseState.unit(query_label(2, 0)),
+        ]
+        ensemble = Ensemble.from_states(states)
+        shrink = lifted(lambda label: [(label, 1e-6 if label.lo == 0 else 1.0)])
+        got, books = ts._run_ensemble_steps([step_of(shrink), IDENTITY], ensemble)
+        shrunk = apply_linear_ensemble(ensemble, shrink)
+        expected = apply_linear_ensemble(shrunk, IDENTITY.image)
+        assert same_arrays(got, expected)
+        assert got.answers.tolist() == [1]
+        assert (books.low, books.count, books.norms.tolist()) == (0, 2, [0.0, 1.0])
+        fresh = qcore.tally(got)
+        assert (fresh.low, fresh.count, fresh.norms.tolist()) == (1, 1, [1.0])
+
+    @pytest.mark.parametrize(
+        "states, label_map",
+        [
+            # Each answer's norm moves off 1.
+            (
+                [SparseState.unit(query_label(0, 0)), SparseState.unit(query_label(1, 0))],
+                lambda l: [(l, math.sqrt(0.5) if l.lo else math.sqrt(1.5))],
+            ),
+            ([SparseState.unit(query_label(0, 0))], lambda l: [(l, math.nan)]),
+            (
+                [SparseState({query_label(z, 0): 0.5 for z in range(4)})] * 2,
+                three_way,
+            ),
+            # Label 0 is held by two answers, its partner label 1 by one.
+            (
+                [
+                    SparseState({query_label(0, 0): 0.6, query_label(1, 0): 0.8}),
+                    SparseState.unit(query_label(0, 0)),
+                ],
+                pair_mixer,
+            ),
+            (
+                [SparseState.unit(query_label(0, 0)), SparseState.unit(query_label(1, 0))],
+                pair_mixer,
+            ),
+        ],
+        ids=["drift", "non-finite", "three-terms", "uneven", "different-answers"],
+    )
+    def test_a_round_raises_what_one_step_raises(self, states, label_map):
+        # The failing step comes first, counting its own tally, and second,
+        # handed one.
+        ensemble = Ensemble.from_states(states)
+        fields_map = lifted(label_map)
+        expected = raised(lambda: apply_linear_ensemble(ensemble, fields_map))
+        for steps in ([step_of(fields_map)], [IDENTITY, step_of(fields_map)]):
+            assert raised(lambda: ts._run_ensemble_steps(steps, ensemble)) == expected
+
+    def test_a_round_raises_the_collision_of_its_refine(self):
+        apart = [SparseState.unit(TeamLabel(0, 0, 1)), SparseState.unit(TeamLabel(1, 0, 3))]
+        ensemble = Ensemble.from_states(apart)
+        combine = ts._combine_step(4)
+        expected = raised(lambda: apply_linear_ensemble(ensemble, combine.image))
+        assert expected == (CollisionError, "labels 0|0,1 and 1|0,3 both map to 0|0,1")
+        for steps in (
+            [combine, ts._refine_step(4)],
+            [IDENTITY, combine, ts._refine_step(4)],
+        ):
+            assert raised(lambda: ts._run_ensemble_steps(steps, ensemble)) == expected
+
+
+def test_a_step_peaks_below_150_bytes_per_entry_at_binary_2_to_14(monkeypatch):
+    # What a step allocates, over what is live when it starts, per entry of
+    # its input or its image, whichever holds more. The largest, 137.6, is
+    # the last close step, whose 16384 labels halve into as many answers.
+    algorithm = ts.BinarySearchAlgorithm(1 << 14)
+    step = ts.step_ensemble
+    per_entry = []
+
+    def traced(ensemble, op, books):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        image, handed = step(ensemble, op, books)
+        peak = tracemalloc.get_traced_memory()[1] - start
+        per_entry.append(peak / max(len(ensemble.amps), len(image.amps)))
+        return image, handed
+
+    monkeypatch.setattr(ts, "step_ensemble", traced)
+    tracemalloc.start()
+    try:
+        for _ in ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble()):
+            pass
+    finally:
+        tracemalloc.stop()
+    assert len(per_entry) == 2 * 14
+    assert max(per_entry) <= 150
