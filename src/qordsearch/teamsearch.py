@@ -785,30 +785,48 @@ def _digit_values(length: int) -> tuple[int, ...]:
     return values
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Digits of ``m`` in the base of values ``base_value(k)``, each digit <= 3."""
+class Decomposition(bytes):
+    """Digits of ``m`` in the base of values ``base_value(k)``, each digit <= 3.
 
-    digits: tuple[int, ...]  # digits[k] multiplies base_value(k)
+    A decomposition is a ``bytes`` subclass holding its digits one byte each,
+    low digit first: byte ``k`` multiplies ``base_value(k)``. It has no
+    instance dict and no second object, so in CPython it takes a 33-byte
+    header plus one byte per digit; it compares equal to, and hashes as, the
+    ``bytes`` of its digits. Construction, unpickling included, copies the
+    digits once and validates the copy; ``digits`` reads them as ints.
+    """
 
-    def __post_init__(self):
-        digits = self.digits
+    __slots__ = ()
+
+    def __new__(cls, digits):
+        digits = tuple(digits)
         if not digits or digits[-1] == 0:
             raise ValueError("digit vector must be non-empty with a nonzero top digit")
         # Set membership alone would pass 1.0 and True, which equal 1.
         if not _DIGITS.issuperset(digits) or set(map(type, digits)) != _INT_ONLY:
             raise ValueError(f"digits must be integers in 0..3, got {digits}")
+        return super().__new__(cls, digits)
+
+    def __repr__(self) -> str:
+        return f"Decomposition(digits={self.digits})"
+
+    def __reduce__(self):
+        return type(self), (bytes(self),)
+
+    @property
+    def digits(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def top(self) -> int:
-        return len(self.digits) - 1
+        return len(self) - 1
 
     def value(self) -> int:
-        return sum(map(mul, self.digits, _digit_values(len(self.digits))))
+        return sum(map(mul, self, _digit_values(len(self))))
 
     def expanded(self) -> int:
         """Each digit value v_k grows to 2*4**k = 3*v_k - 1 in one query round."""
-        return 3 * self.value() - sum(self.digits)
+        return 3 * self.value() - sum(self)
 
 
 def base_value(k: int) -> int:
@@ -833,13 +851,13 @@ def decompose(m: int) -> Decomposition:
     # v_k > 2**(2k+1)/3 >= 2**m.bit_length() > m for k > m.bit_length() // 2.
     values = _digit_values(m.bit_length() // 2 + 1)
     top = bisect_right(values, m) - 1
-    digits = [0] * (top + 1)
+    digits = []
     remainder = m
-    for k in range(top, -1, -1):
-        value = values[k]
-        digits[k] = remainder // value
-        remainder %= value
-    return Decomposition(tuple(digits))
+    for value in values[top::-1]:
+        digit, remainder = divmod(remainder, value)
+        digits.append(digit)
+    digits.reverse()
+    return Decomposition(digits)
 
 
 class ExpansionStep(NamedTuple):
@@ -852,7 +870,9 @@ def expansion_floor(top: int) -> float:
     _require_int(top, "top")
     if top < 0:
         raise ValueError(f"top digit index must be non-negative, got {top}")
-    return 3.0 / (1.0 + 3.0 * (top + 1) / (2.0 * 4**top))
+    # 3*(top + 1) / (2*4**top), scaled by a power of two: 4**top overflows a
+    # float from top = 512, where the term is long past 0.
+    return 3.0 / (1.0 + math.ldexp(3.0 * (top + 1), -(2 * top + 1)))
 
 
 def expansion(m: int) -> ExpansionStep:

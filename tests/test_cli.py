@@ -630,6 +630,27 @@ def test_large_simulate_output_is_byte_identical(runner, args, sha1):
     assert hashlib.sha1(result.stdout_bytes).hexdigest() == sha1
 
 
+# Stdout sha1 of the digit accounting, recorded while a decomposition was a
+# frozen dataclass holding a tuple of its digits.
+ACCOUNTING_SHA1 = [
+    (("decompose", "--m", "999999937"), "a0341460dd281ff4fb54191fa851405d6d591f65"),
+    (("decompose", "--m", str(10**3999 + 7)), "9a3f343ea8b27f0ef08058b0b261b4fb0a1aab34"),
+    (("expansion", "--m", str(10**300 + 7)), "806a93a50ff4ed0178724434d63b2c5b373cb132"),
+    (("querycount", "--n", str(10**200)), "b831722f43c4a4cc8598c0c4b9732123fa346b9c"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, sha1",
+    ACCOUNTING_SHA1,
+    ids=["decompose-999999937", "decompose-4000-digits", "expansion-1e300", "querycount-1e200"],
+)
+def test_large_accounting_output_is_byte_identical(runner, args, sha1):
+    result = run(runner, *args)
+    assert result.exit_code == 0
+    assert hashlib.sha1(result.stdout_bytes).hexdigest() == sha1
+
+
 # Stdout sha1 of layouts, recorded while each computer's known bits were a
 # set that the JSON sorted; the tuples built from the classical progression
 # must print the same bytes.

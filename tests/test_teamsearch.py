@@ -1,6 +1,10 @@
+import copy
 import json
 import math
+import pickle
+import random
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -1252,6 +1256,116 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             ts.Decomposition(digits)
 
+    @pytest.mark.parametrize(
+        "digits,expected",
+        [
+            ((), "digit vector must be non-empty with a nonzero top digit"),
+            ((1, 0), "digit vector must be non-empty with a nonzero top digit"),
+            ((4,), "digits must be integers in 0..3, got (4,)"),
+            ((1, True), "digits must be integers in 0..3, got (1, True)"),
+            ((256,), "digits must be integers in 0..3, got (256,)"),
+        ],
+    )
+    def test_error_messages(self, digits, expected):
+        assert error_text(ts.Decomposition, digits) == expected
+
+    def test_the_callers_list_is_copied(self):
+        digits = [1, 2]
+        decomposition = ts.Decomposition(digits)
+        digits.append(3)  # would lift value() past the checked digits
+        assert decomposition.digits == (1, 2)
+        assert decomposition.value() == 7
+        assert hash(decomposition) == hash(ts.Decomposition((1, 2)))
+
+    def test_an_iterator_is_copied_then_validated(self):
+        assert ts.Decomposition(iter([0, 1])).digits == (0, 1)
+        for digits in ([1, 0], [4], []):
+            with pytest.raises(ValueError):
+                ts.Decomposition(iter(digits))
+
+    def test_digits_are_a_tuple_of_ints(self):
+        digits = ts.decompose(999_999_937).digits
+        assert type(digits) is tuple
+        assert set(map(type, digits)) == {int}
+
+    def test_repr_names_the_digits(self):
+        assert repr(ts.decompose(14)) == "Decomposition(digits=(0, 1, 1))"
+        assert repr(ts.Decomposition((1,))) == "Decomposition(digits=(1,))"
+
+    def test_keyword_construction(self):
+        assert ts.Decomposition(digits=(0, 1, 1)) == ts.decompose(14)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        decomposition = ts.decompose(10**30 + 7)
+        loaded = pickle.loads(pickle.dumps(decomposition, protocol))
+        assert type(loaded) is ts.Decomposition
+        assert loaded == decomposition
+        assert loaded.value() == 10**30 + 7
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_validates(self, protocol):
+        # No zero digit, so that the digits lie raw in every protocol's bytes.
+        digits = bytes((1, 2, 3, 1))
+        blob = pickle.dumps(ts.Decomposition(digits), protocol)
+        assert blob.count(digits) == 1
+        with pytest.raises(ValueError, match=r"got \(4, 4, 4, 4\)"):
+            pickle.loads(blob.replace(digits, bytes((4, 4, 4, 4))))
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy])
+    def test_copy_round_trip(self, duplicate):
+        decomposition = ts.decompose(999_999_937)
+        copied = duplicate(decomposition)
+        assert type(copied) is ts.Decomposition
+        assert copied == decomposition
+
+    def test_equality_and_hash_follow_the_digits(self):
+        a, b = ts.decompose(14), ts.Decomposition((0, 1, 1))
+        assert a == b and hash(a) == hash(b)
+        assert a != ts.decompose(15)
+        assert len({a, b, ts.decompose(15)}) == 2
+        # The representation: the bytes of its digits, low digit first.
+        assert a == bytes((0, 1, 1))
+
+    def test_attribute_assignment_is_refused(self):
+        decomposition = ts.decompose(14)
+        for name in ("digits", "top", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(decomposition, name, (1,))
+        assert decomposition.digits == (0, 1, 1)
+
+
+def stored_bytes_per_decomposition(values):
+    """Traced bytes that a list of the decompositions of ``values`` holds,
+    per decomposition, with the digit-value table grown beforehand."""
+    ts.decompose(max(values))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stored = [ts.decompose(m) for m in values]
+        used = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    return used / len(stored), stored
+
+
+# One byte per digit: 70.3 bytes per decomposition and 1.1 per digit, where a
+# frozen dataclass holding a tuple took 192.4 and 8.3.
+def test_a_decomposition_stores_its_digits_in_under_100_bytes():
+    rng = random.Random(34)
+    values = [int(math.exp(rng.uniform(0.0, math.log(1e9)))) for _ in range(20_000)]
+    per_decomposition, _ = stored_bytes_per_decomposition(values)
+    assert per_decomposition <= 100
+
+
+def test_a_long_decomposition_stores_two_bytes_per_digit_at_most():
+    per_decomposition, stored = stored_bytes_per_decomposition(
+        [10**300 + k for k in range(200)]
+    )
+    digits = len(stored[0].digits)
+    assert digits == 499
+    assert per_decomposition <= 2 * digits + 100
+
 
 class TestExpansion:
     def test_figure_anchor_eleven_to_thirty_two(self):
@@ -1276,6 +1390,21 @@ class TestExpansion:
 
     def test_factor_approaches_three(self):
         assert ts.expansion(ts.base_value(10)).factor > 2.99999
+
+    def test_floor_matches_the_float_quotient_wherever_that_is_finite(self):
+        # 4**top converts to a float up to top = 511.
+        for top in range(512):
+            quotient = 3.0 * (top + 1) / (2.0 * 4**top)
+            assert ts.expansion_floor(top) == 3.0 / (1.0 + quotient), top
+
+    @pytest.mark.parametrize("top", [511, 512, 10**6])
+    def test_floor_is_three_at_large_tops(self, top):
+        assert ts.expansion_floor(top) == 3.0
+
+    def test_floor_of_a_400_digit_value(self):
+        top = ts.decompose(10**400).top
+        assert top == 664
+        assert ts.expansion_floor(top) == 3.0
 
 
 class TestQueryCountModel:
