@@ -75,6 +75,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .oracle import _require_int
 from .qcore import (
     QUERY,
     BasisLabel,
@@ -85,7 +86,7 @@ from .qcore import (
     inner_product,
     require_fields,
 )
-from .teamsearch import _require_int, ensemble_snapshots
+from .teamsearch import ensemble_snapshots
 
 # Looser than state tolerances: the chain composes O(n^2) float sums.
 CHAIN_TOL = 1e-8
@@ -175,10 +176,12 @@ def distinguishability_threshold(eps: float) -> float:
 
 def query_lower_bound(W: float, Delta: float, eps: float) -> float:
     """Minimum query count when each query moves at most Delta of weight W."""
-    if Delta <= 0:
-        raise ValueError(f"per-query decrease bound must be positive, got {Delta}")
-    if W < 0:
-        raise ValueError(f"initial weight must be non-negative, got {W}")
+    if not Delta > 0 or not math.isfinite(Delta):
+        raise ValueError(
+            f"per-query decrease bound must be positive and finite, got {Delta}"
+        )
+    if not W >= 0 or not math.isfinite(W):
+        raise ValueError(f"initial weight must be non-negative and finite, got {W}")
     return (1.0 - distinguishability_threshold(eps)) * W / Delta
 
 
@@ -532,9 +535,10 @@ class MassProfile:
 def mass_profile(ensemble: Ensemble, w: WeightSpec) -> MassProfile:
     """Aggregate the masses of the states in ``ensemble`` by offset i - a,
     and take their pair drop under ``w``."""
-    index = ensemble.fields[4][ensemble.label_ids]
-    # pairwise_drop refuses a size other than w.n and a non-query label.
-    pair_drop = pairwise_drop(ensemble, w, index)
+    index = _queried_index(ensemble, w)
+    # pairwise_drop gathers the index once more: it stays a call of its own,
+    # which the benchmark's tracer times as a layer.
+    pair_drop = pairwise_drop(ensemble, w)
     n = ensemble.size
     offset = index - ensemble.answers
     # Offset n - 1 (a = 0, i = n - 1) pairs with no delta; below the answer,
@@ -549,23 +553,24 @@ def mass_profile(ensemble: Ensemble, w: WeightSpec) -> MassProfile:
     return MassProfile(w, roots[size:], roots[:size][::-1], pair_drop)
 
 
-def pairwise_drop(
-    ensemble: Ensemble, w: WeightSpec, index: np.ndarray | None = None
-) -> float:
+def _queried_index(ensemble: Ensemble, w: WeightSpec) -> np.ndarray:
+    """Each entry's queried index; refuses a size other than ``w.n`` and a
+    label that is not a ``QueryLabel``."""
+    _check_state_count(ensemble.size, w)
+    require_fields(ensemble.fields[0] == QUERY, ensemble.fields, query_index)
+    return ensemble.fields[4][ensemble.label_ids]
+
+
+def pairwise_drop(ensemble: Ensemble, w: WeightSpec) -> float:
     """The per-query drop recomputed from the queried label columns.
 
     Equals ``W_j - W_(j+1)`` exactly (up to float error) when the round is
     one query followed by shared unitaries: only indices where two instances
     disagree, i.e. ``a <= i < b``, contribute, so an entry is on the left of
     the pairs that its label's queried index i separates when its answer
-    a <= i. Every label must be a ``QueryLabel``. ``index``, if given, is
-    each entry's queried index, as :func:`mass_profile` has gathered it.
+    a <= i. Every label must be a ``QueryLabel``.
     """
-    _check_state_count(ensemble.size, w)
-    kind = ensemble.fields[0]
-    require_fields(kind == QUERY, ensemble.fields, query_index)
-    if index is None:
-        index = ensemble.fields[4][ensemble.label_ids]
+    index = _queried_index(ensemble, w)
     return 2.0 * _run_pair_sum(ensemble, w, ensemble.answers <= index)
 
 

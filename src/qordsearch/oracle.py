@@ -20,6 +20,12 @@ import numpy as np
 from .qcore import QUERY, Ensemble, QueryLabel, SparseState, labels_of
 
 
+def _require_int(value, name: str) -> None:
+    """Reject anything but an integer, ``bool`` included."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OrderedInstance:
     """Sorted list of length ``n`` whose leftmost 1 sits at ``answer``."""
@@ -28,10 +34,8 @@ class OrderedInstance:
     answer: int
 
     def __post_init__(self):
-        for name in ("n", "answer"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _require_int(self.n, "n")
+        _require_int(self.answer, "answer")
         if self.n < 1:
             raise ValueError(f"list length must be positive, got {self.n}")
         if not 0 <= self.answer < self.n:
@@ -48,6 +52,7 @@ class OrderedInstance:
 
 def enumerate_instances(n: int) -> list[OrderedInstance]:
     """All ``n`` instances of size ``n``, in increasing answer order."""
+    _require_int(n, "n")
     if n < 1:
         raise ValueError(f"list length must be positive, got {n}")
     return [OrderedInstance(n, a) for a in range(n)]

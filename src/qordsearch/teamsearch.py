@@ -38,16 +38,15 @@ one expansion chain walked from one known bit.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import oracle as oracle_mod
-from .oracle import OrderedInstance
+from .oracle import OrderedInstance, _require_int
 from .qcore import (
     NORM_TOL,
     QUERY,
@@ -82,12 +81,6 @@ _SWAP_B_HI = np.array([0, 3, 2, 1, 4])
 # routing it to or back from an index >= 0.
 _TEAM = partial(tuple.__new__, TeamLabel)
 _QUERY = partial(tuple.__new__, QueryLabel)
-
-
-def _require_int(value, name: str) -> None:
-    """Reject anything but an integer (``bool`` included), as OrderedInstance does."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_pow2(value: int, what: str, minimum: int = 1) -> None:
@@ -768,21 +761,10 @@ def classical_binary_search(inst: OrderedInstance) -> SearchTrace:
     return SearchTrace(answer=lo, queried=tuple(queried))
 
 
-# The digit values ``base_value(k)``: one table shared by every decomposition,
-# kept as a tuple that is replaced whole when it grows, as ``_CHAIN`` is.
-_DIGIT_VALUES: tuple[int, ...] = ()
 _DIGITS = frozenset(range(4))
 _INT_ONLY = frozenset({int})
-
-
-def _digit_values(length: int) -> tuple[int, ...]:
-    """The digit-value table, grown to at least ``length`` entries."""
-    global _DIGIT_VALUES
-    values = _DIGIT_VALUES
-    if len(values) < length:
-        grown = map(base_value, range(len(values), length))
-        values = _DIGIT_VALUES = values + tuple(grown)
-    return values
+# Digit bytes 0..3 to the characters of a base-4 numeral.
+_BASE4 = bytes.maketrans(bytes(range(4)), b"0123")
 
 
 class Decomposition(bytes):
@@ -793,7 +775,8 @@ class Decomposition(bytes):
     instance dict and no second object, so in CPython it takes a 33-byte
     header plus one byte per digit; it compares equal to, and hashes as, the
     ``bytes`` of its digits. Construction, unpickling included, copies the
-    digits once and validates the copy; ``digits`` reads them as ints.
+    digits once and validates the copy; ``digits`` reads them as ints, and
+    ``value`` and ``expanded`` read the digits as a base-4 numeral.
     """
 
     __slots__ = ()
@@ -821,12 +804,17 @@ class Decomposition(bytes):
     def top(self) -> int:
         return len(self) - 1
 
+    def _base4(self) -> int:
+        """B, the digits read as a base-4 numeral: the sum of d_k * 4**k."""
+        return int(self[::-1].translate(_BASE4), 4)
+
     def value(self) -> int:
-        return sum(map(mul, self, _digit_values(len(self))))
+        """The sum of d_k * v_k, read off the digits: v_k = (2*4**k + 1)/3."""
+        return (2 * self._base4() + sum(self)) // 3
 
     def expanded(self) -> int:
         """Each digit value v_k grows to 2*4**k = 3*v_k - 1 in one query round."""
-        return 3 * self.value() - sum(self)
+        return 2 * self._base4()
 
 
 def base_value(k: int) -> int:
@@ -848,14 +836,14 @@ def decompose(m: int) -> Decomposition:
     _require_int(m, "m")
     if m < 1:
         raise ValueError(f"can only decompose positive integers, got {m}")
-    # v_k > 2**(2k+1)/3 >= 2**m.bit_length() > m for k > m.bit_length() // 2.
-    values = _digit_values(m.bit_length() // 2 + 1)
-    top = bisect_right(values, m) - 1
+    # v_k <= m exactly when 4**k <= (3m - 1) // 2.
+    value = base_value((((3 * m - 1) >> 1).bit_length() - 1) >> 1)
     digits = []
     remainder = m
-    for value in values[top::-1]:
+    while value:  # v_(k-1) = (v_k + 1) / 4, and v_0 = 1 is the last
         digit, remainder = divmod(remainder, value)
         digits.append(digit)
+        value = (value + 1) >> 2
     digits.reverse()
     return Decomposition(digits)
 

@@ -167,6 +167,15 @@ class TestScalarFormulas:
         with pytest.raises(ValueError):
             lb.query_lower_bound(1.0, 0.0, 0.0)
 
+    # Each was answered nan, inf or 0.0 while only Delta <= 0 and W < 0 raised.
+    @pytest.mark.parametrize(
+        "W, Delta",
+        [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)],
+    )
+    def test_query_lower_bound_refuses_non_finite_input(self, W, Delta):
+        with pytest.raises(ValueError, match="finite"):
+            lb.query_lower_bound(W, Delta, 0.0)
+
     def test_ordered_search_bound(self):
         assert lb.ordered_search_bound(100, 0.5) == 0.0
         assert abs(lb.ordered_search_bound(2, 0.0) - 0.5 / math.pi) < 1e-12

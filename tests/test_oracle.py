@@ -69,6 +69,12 @@ class TestEnumerate:
         assert len(instances) == 8
         assert [inst.answer for inst in instances] == list(range(8))
 
+    # 2.0 used to reach range() and raise TypeError.
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_rejects_a_non_integer_size(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            enumerate_instances(n)
+
     @pytest.mark.parametrize("n", [2, 8, 64])
     def test_instances_pairwise_differ(self, n):
         patterns = [

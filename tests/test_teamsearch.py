@@ -466,7 +466,8 @@ class TestLayout:
     @pytest.mark.parametrize("k", range(41))
     def test_the_knowledge_size_is_the_digit_value(self, k):
         value = ts.base_value(k)
-        assert ts.team_knowledge_size(2**k) == value == ts._digit_values(k + 1)[k]
+        assert ts.team_knowledge_size(2**k) == value
+        assert ts.decompose(value).digits == (0,) * k + (1,)
         # One round expands a digit value to 2*4**k, the n_list = 2*r*r of r = 2**k.
         assert 3 * value - 1 == 2 * 4**k
 
@@ -1219,9 +1220,7 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             ts.decompose(0)
 
-    def test_matches_reference_for_every_m_up_to_1e5(self, monkeypatch):
-        # From an empty table, so that every growth of it is exercised.
-        monkeypatch.setattr(ts, "_DIGIT_VALUES", (1,))
+    def test_matches_reference_for_every_m_up_to_1e5(self):
         for m in range(1, 10**5 + 1):
             decomposition = ts.decompose(m)
             assert decomposition.digits == reference_decompose(m), m
@@ -1236,8 +1235,7 @@ class TestDecomposition:
         assert decomposition.value() == m
         assert decomposition.expanded() == reference_expanded(decomposition.digits)
 
-    def test_hand_built_digits_longer_than_the_table(self, monkeypatch):
-        monkeypatch.setattr(ts, "_DIGIT_VALUES", (1,))
+    def test_hand_built_digits_longer_than_the_table(self):
         digits = tuple(k % 4 for k in range(39)) + (2,)
         decomposition = ts.Decomposition(digits)
         assert decomposition.top == 39
@@ -1245,7 +1243,32 @@ class TestDecomposition:
             d * ts.base_value(k) for k, d in enumerate(digits)
         )
         assert decomposition.expanded() == reference_expanded(digits)
-        assert len(ts._DIGIT_VALUES) == 40
+
+    # Either side of each digit value v_k, and 4*v_k - 2, the largest m whose
+    # top digit is k: 1602 cases, up to about 2**802.
+    def test_matches_reference_around_each_digit_value(self):
+        for k in range(401):
+            v = ts.base_value(k)
+            for m in {v - 1, v, v + 1, 4 * v - 2} - {0}:
+                decomposition = ts.decompose(m)
+                digits = decomposition.digits
+                assert digits == reference_decompose(m), m
+                assert decomposition.value() == m
+                assert decomposition.expanded() == reference_expanded(digits)
+
+    # A table of digit values kept 51.5 MiB after this call.
+    def test_value_keeps_no_memory_after_the_call(self):
+        decomposition = ts.Decomposition((1,) * 20_000)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            value = decomposition.value()
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # The sum of v_k = (2*4**k + 1)/3 over k < n, as a geometric series.
+        assert value == (2 * (4**20_000 - 1) // 3 + 20_000) // 3
+        assert kept < 2**20
 
     # 1.0 and True equal 1, so set membership alone would accept the last three.
     @pytest.mark.parametrize(
@@ -1337,8 +1360,7 @@ class TestDecomposition:
 
 def stored_bytes_per_decomposition(values):
     """Traced bytes that a list of the decompositions of ``values`` holds,
-    per decomposition, with the digit-value table grown beforehand."""
-    ts.decompose(max(values))
+    per decomposition."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
