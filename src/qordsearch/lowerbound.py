@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -176,11 +177,13 @@ def distinguishability_threshold(eps: float) -> float:
 
 def query_lower_bound(W: float, Delta: float, eps: float) -> float:
     """Minimum query count when each query moves at most Delta of weight W."""
-    if not Delta > 0 or not math.isfinite(Delta):
+    # A chained comparison refuses nan, the infinities and an int past float
+    # range, on which math.isfinite raises OverflowError.
+    if not 0 < Delta <= sys.float_info.max:
         raise ValueError(
             f"per-query decrease bound must be positive and finite, got {Delta}"
         )
-    if not W >= 0 or not math.isfinite(W):
+    if not 0 <= W <= sys.float_info.max:
         raise ValueError(f"initial weight must be non-negative and finite, got {W}")
     return (1.0 - distinguishability_threshold(eps)) * W / Delta
 

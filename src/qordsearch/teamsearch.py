@@ -762,9 +762,12 @@ def classical_binary_search(inst: OrderedInstance) -> SearchTrace:
 
 
 _DIGITS = frozenset(range(4))
+_DIGIT_BYTES = bytes(range(4))
 _INT_ONLY = frozenset({int})
 # Digit bytes 0..3 to the characters of a base-4 numeral.
-_BASE4 = bytes.maketrans(bytes(range(4)), b"0123")
+_BASE4 = bytes.maketrans(_DIGIT_BYTES, b"0123")
+# The four base-4 digits of each byte value, low digit first, as digit bytes.
+_BYTE_DIGITS = tuple(bytes((b & 3, b >> 2 & 3, b >> 4 & 3, b >> 6)) for b in range(256))
 
 
 class Decomposition(bytes):
@@ -782,7 +785,14 @@ class Decomposition(bytes):
     __slots__ = ()
 
     def __new__(cls, digits):
-        digits = tuple(digits)
+        if isinstance(digits, (bytes, bytearray)):
+            self = super().__new__(cls, digits)
+            # Deleting the digit bytes leaves only the bytes past 3.
+            if self and self[-1] and not self.translate(None, _DIGIT_BYTES):
+                return self
+            digits = tuple(self)  # refused below, with the tuple's message
+        else:
+            digits = tuple(digits)
         if not digits or digits[-1] == 0:
             raise ValueError("digit vector must be non-empty with a nonzero top digit")
         # Set membership alone would pass 1.0 and True, which equal 1.
@@ -825,27 +835,49 @@ def base_value(k: int) -> int:
     return (2 * 4**k + 1) // 3
 
 
-def decompose(m: int) -> Decomposition:
-    """Greedy digit expansion of ``m``, largest digit value first.
-
-    Always reconstructs ``m`` exactly with digits capped at 3: ``m`` lies
-    below the next value up, 4*v_top - 1, each remainder lies below the value
-    it was divided by, and the unit digit value leaves no remainder. The cap
-    is still checked, by the validation of :class:`Decomposition`.
-    """
+def _greedy_base4(m: int) -> int:
+    """B, the greedy digits of ``m`` read as a base-4 numeral (see :func:`decompose`)."""
     _require_int(m, "m")
     if m < 1:
         raise ValueError(f"can only decompose positive integers, got {m}")
-    # v_k <= m exactly when 4**k <= (3m - 1) // 2.
-    value = base_value((((3 * m - 1) >> 1).bit_length() - 1) >> 1)
-    digits = []
-    remainder = m
-    while value:  # v_(k-1) = (v_k + 1) / 4, and v_0 = 1 is the last
-        digit, remainder = divmod(remainder, value)
-        digits.append(digit)
-        value = (value + 1) >> 2
-    digits.reverse()
-    return Decomposition(digits)
+    three_m = 3 * m
+    bits = three_m.bit_length()
+    # The base-4 digit sum of x < 2**bits is its bit count plus that of its
+    # odd bits, the high bit of each digit.
+    odd = (2 << ((bits + 1) & ~1)) // 3
+    # S <= 3 * digits < 2**shift, and shift is odd, so the high digits of B,
+    # B >> (shift - 1), are (3m - S) >> shift: high, or high - 1 when the low
+    # digits are not all zero (else 3m >> shift would be high - 1). A
+    # decrement lowers a digit sum by at most one, so S >= s4(high).
+    shift = (3 * (bits + 1) >> 1).bit_length() | 1
+    high = three_m >> shift
+    s = high.bit_count() + (high & odd).bit_count()
+    s += (s ^ m) & 1  # 2B = 3m - S is even
+    while True:
+        b = (three_m - s) >> 1
+        if b.bit_count() + (b & odd).bit_count() == s:
+            return b
+        s += 2
+
+
+def decompose(m: int) -> Decomposition:
+    """Greedy digit expansion of ``m``, largest digit value first.
+
+    Read the digits d_k as a base-4 numeral B = sum d_k * 4**k, with digit
+    sum S = sum d_k. Since 3*v_k = 2*4**k + 1, every digit vector capped at 3
+    whose value is ``m`` has 2B + S = 3m, and every B with 2B + s4(B) = 3m,
+    s4 the base-4 digit sum, is one. Each greedy digit is the largest that
+    its remainder allows, so the greedy vector is the lexicographically
+    largest from the top digit down: the one with the largest B, hence the
+    smallest S. So S is searched upward, in the parity of 3m, from a lower
+    bound read off the high digits of 3m, and the first S with
+    s4((3m - S)/2) = S gives B: a few candidates of O(bits) each. The digits
+    are B's bytes, four digits a byte. The cap is still checked, by the
+    validation of :class:`Decomposition`.
+    """
+    b = _greedy_base4(m)
+    data = b.to_bytes((b.bit_length() + 7) >> 3, "little")
+    return Decomposition(b"".join(map(_BYTE_DIGITS.__getitem__, data)).rstrip(b"\0"))
 
 
 class ExpansionStep(NamedTuple):
@@ -864,9 +896,13 @@ def expansion_floor(top: int) -> float:
 
 
 def expansion(m: int) -> ExpansionStep:
-    """Known bits after one more query round: each digit value grows to 2*4**k."""
-    decomposition = decompose(m)
-    m_next = decomposition.expanded()
+    """Known bits after one more query round: each digit value grows to 2*4**k.
+
+    The digits grow to 2B, B the greedy digits of ``m`` read as a base-4
+    numeral; by 2B + S = 3m (see :func:`decompose`) that is 3m less the
+    smallest digit sum S, and no digit is built.
+    """
+    m_next = 2 * _greedy_base4(m)
     return ExpansionStep(m_next=m_next, factor=m_next / m)
 
 

@@ -176,6 +176,12 @@ class TestScalarFormulas:
         with pytest.raises(ValueError, match="finite"):
             lb.query_lower_bound(W, Delta, 0.0)
 
+    # math.isfinite raised OverflowError on each.
+    @pytest.mark.parametrize("W, Delta", [(1.0, 10**400), (10**400, 1.0)])
+    def test_query_lower_bound_refuses_an_int_past_float_range(self, W, Delta):
+        with pytest.raises(ValueError, match="finite"):
+            lb.query_lower_bound(W, Delta, 0.0)
+
     def test_ordered_search_bound(self):
         assert lb.ordered_search_bound(100, 0.5) == 0.0
         assert abs(lb.ordered_search_bound(2, 0.0) - 0.5 / math.pi) < 1e-12

@@ -1183,6 +1183,20 @@ def reference_expanded(digits):
     return sum(d * 2 * 4**k for k, d in enumerate(digits))
 
 
+def base4_numeral(digits):
+    """B, the digits read in base 4 through their text: linear in the digits,
+    where ``reference_expanded`` is quadratic."""
+    return int("".join(map(str, reversed(digits))), 4)
+
+
+def base4_digit_sum(x):
+    total = 0
+    while x:
+        total += x & 3
+        x >>= 2
+    return total
+
+
 def reference_query_count(n):
     """The expansion walked from one known bit afresh on every call, an oracle."""
     trace = [1]
@@ -1256,6 +1270,53 @@ class TestDecomposition:
                 assert decomposition.value() == m
                 assert decomposition.expanded() == reference_expanded(digits)
 
+    def assert_matches_reference(self, m):
+        digits = reference_decompose(m)
+        decomposition = ts.decompose(m)
+        assert decomposition.digits == digits, m
+        assert decomposition.expanded() == 2 * base4_numeral(digits), m
+        assert ts.expansion(m).m_next == 2 * base4_numeral(digits), m
+
+    # Bit lengths log-uniform up to the command line's cap, 10**4300 // 3.
+    def test_matches_reference_up_to_the_cap(self):
+        cap = 10**4300 // 3
+        rng = random.Random(36)
+        values = [cap, cap - 1]
+        for _ in range(40):
+            bits = int(math.exp(rng.uniform(0.0, math.log(cap.bit_length()))))
+            values.append(min(rng.getrandbits(bits) | 1 << (bits - 1), cap))
+        for m in values:
+            self.assert_matches_reference(m)
+
+    # The top digit index at the cap is 7142.
+    def test_matches_reference_around_large_digit_values(self):
+        rng = random.Random(3636)
+        for k in rng.sample(range(400, 7151), 12):
+            v = ts.base_value(k)
+            for m in (v - 1, v, v + 1, 4 * v - 2):
+                self.assert_matches_reference(m)
+
+    # 3m near 2**(2k + 1): the start bound of the digit-sum search reads the
+    # high bits of 3m, and here 3m - S borrows from all of them. Every k up to
+    # 150 and two past 400 (the oracle takes 4 s a window at k = 7150).
+    def test_matches_reference_where_three_m_crosses_an_odd_power_of_two(self):
+        ks = list(range(1, 151)) + random.Random(3637).sample(range(400, 3001), 2)
+        for k in ks:
+            centre = (1 << (2 * k + 1)) // 3
+            for m in range(max(centre - 100, 1), centre + 101):
+                self.assert_matches_reference(m)
+
+    # Every B' > B with 2B' + s4(B') = 3m has s4(B') < S, so B' - B < S / 2
+    # <= 3 * digits: past that window no representation beats the greedy B.
+    @given(st.integers(1, 10**40))
+    @settings(max_examples=200, deadline=None)
+    def test_no_larger_numeral_represents_m(self, m):
+        digits = ts.decompose(m).digits
+        b = base4_numeral(digits)
+        assert 2 * b + sum(digits) == 3 * m
+        for larger in range(b + 1, b + 3 * len(digits) + 1):
+            assert 2 * larger + base4_digit_sum(larger) != 3 * m, larger
+
     # A table of digit values kept 51.5 MiB after this call.
     def test_value_keeps_no_memory_after_the_call(self):
         decomposition = ts.Decomposition((1,) * 20_000)
@@ -1291,6 +1352,36 @@ class TestDecomposition:
     )
     def test_error_messages(self, digits, expected):
         assert error_text(ts.Decomposition, digits) == expected
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray])
+    @pytest.mark.parametrize(
+        "digits,expected",
+        [
+            ((), "digit vector must be non-empty with a nonzero top digit"),
+            ((1, 0), "digit vector must be non-empty with a nonzero top digit"),
+            ((4, 0), "digit vector must be non-empty with a nonzero top digit"),
+            ((4,), "digits must be integers in 0..3, got (4,)"),
+            ((1, 2, 255, 3), "digits must be integers in 0..3, got (1, 2, 255, 3)"),
+        ],
+    )
+    def test_byte_input_is_refused_with_the_tuple_message(self, kind, digits, expected):
+        assert error_text(ts.Decomposition, kind(digits)) == expected
+        assert error_text(ts.Decomposition, digits) == expected
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, ts.Decomposition])
+    def test_byte_input_builds_the_same_decomposition(self, kind):
+        decomposition = ts.Decomposition(kind(bytes((0, 1, 3))))
+        assert type(decomposition) is ts.Decomposition
+        assert decomposition == ts.Decomposition((0, 1, 3))
+        assert decomposition.value() == 3 + 3 * 11
+
+    def test_a_bytearray_mutated_after_construction_is_copied(self):
+        digits = bytearray((1, 2))
+        decomposition = ts.Decomposition(digits)
+        digits[0] = 7
+        digits.append(3)
+        assert decomposition.digits == (1, 2)
+        assert decomposition.value() == 7
 
     def test_the_callers_list_is_copied(self):
         digits = [1, 2]
