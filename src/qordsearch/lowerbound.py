@@ -124,6 +124,16 @@ HARMONIC_FSUM_LIMIT = 1 << 20
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
 
+def _shown(value) -> str:
+    """``value`` as a message shows it; an int too long for ``str()`` (see
+    ``sys.get_int_max_str_digits``) by its bit length."""
+    try:
+        return str(value)
+    except ValueError:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} int of {value.bit_length()} bits"
+
+
 def harmonic(n: int) -> float:
     """n-th harmonic number, sum of 1/k for k = 1..n.
 
@@ -133,7 +143,7 @@ def harmonic(n: int) -> float:
     """
     _require_int(n, "n")
     if n < 1:
-        raise ValueError(f"harmonic number needs n >= 1, got {n}")
+        raise ValueError(f"harmonic number needs n >= 1, got {_shown(n)}")
     if n > HARMONIC_FSUM_LIMIT:
         return _harmonic_expansion(n)
     return math.fsum(1.0 / k for k in range(1, n + 1))
@@ -156,7 +166,7 @@ def total_weight(n: int) -> float:
     """
     _require_int(n, "problem size")
     if n < 1:
-        raise ValueError(f"problem size must be positive, got {n}")
+        raise ValueError(f"problem size must be positive, got {_shown(n)}")
     try:
         weight = n * harmonic(n) - n
     except OverflowError:  # n itself is past the float range
@@ -171,7 +181,7 @@ def total_weight(n: int) -> float:
 def distinguishability_threshold(eps: float) -> float:
     """Largest overlap magnitude allowing error probability at most eps."""
     if not 0.0 <= eps <= 0.5:
-        raise ValueError(f"error probability must lie in [0, 1/2], got {eps}")
+        raise ValueError(f"error probability must lie in [0, 1/2], got {_shown(eps)}")
     return 2.0 * math.sqrt(eps * (1.0 - eps))
 
 
@@ -181,10 +191,13 @@ def query_lower_bound(W: float, Delta: float, eps: float) -> float:
     # range, on which math.isfinite raises OverflowError.
     if not 0 < Delta <= sys.float_info.max:
         raise ValueError(
-            f"per-query decrease bound must be positive and finite, got {Delta}"
+            "per-query decrease bound must be positive and finite, "
+            f"got {_shown(Delta)}"
         )
     if not 0 <= W <= sys.float_info.max:
-        raise ValueError(f"initial weight must be non-negative and finite, got {W}")
+        raise ValueError(
+            f"initial weight must be non-negative and finite, got {_shown(W)}"
+        )
     return (1.0 - distinguishability_threshold(eps)) * W / Delta
 
 
@@ -192,7 +205,7 @@ def ordered_search_bound(n: int, eps: float) -> float:
     """Query lower bound for ordered search: (1 - 2*sqrt(eps(1-eps)))*(H_n - 1)/pi."""
     _require_int(n, "problem size")
     if n < 2:
-        raise ValueError(f"ordered-search bound needs n >= 2, got {n}")
+        raise ValueError(f"ordered-search bound needs n >= 2, got {_shown(n)}")
     return (1.0 - distinguishability_threshold(eps)) * (harmonic(n) - 1.0) / math.pi
 
 

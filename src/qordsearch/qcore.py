@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -57,6 +58,8 @@ import numpy as np
 PRUNE_EPS = 1e-15
 # Tolerance for calling a state normalized and for unitarity drift checks.
 NORM_TOL = 1e-9
+# Types refused as amplitudes, though float() reads all but None as a number.
+_NOT_AMPLITUDES = (str, bytes, bytearray, bool, np.bool_, type(None))
 
 
 class NormDriftError(ValueError):
@@ -135,7 +138,9 @@ BasisLabel = QueryLabel | TeamLabel
 class SparseState:
     """Immutable sparse state: a finite label -> amplitude map.
 
-    Amplitudes are stored as floats, and a complex one raises ``ValueError``.
+    Amplitudes are stored as floats. A complex one raises ``ValueError``, and
+    so do a ``str``, ``bytes``, ``bool`` and ``None``, which are not numbers
+    although ``float()`` reads some of them as one.
     Construction prunes entries with magnitude below ``PRUNE_EPS``, raises
     ``ValueError`` when an amplitude or the squared 2-norm is not finite, and
     sets ``normalized`` when the squared 2-norm is within ``NORM_TOL`` of one.
@@ -149,12 +154,16 @@ class SparseState:
             if type(amp) is not float:
                 if isinstance(amp, (complex, np.complexfloating)):
                     raise ValueError(f"amplitudes must be real, got {amp!r} on {label}")
+                if isinstance(amp, _NOT_AMPLITUDES):
+                    raise ValueError(
+                        f"amplitudes must be real numbers, got {amp!r} on {label}"
+                    )
                 amp = float(amp)
             # Written so that NaN is kept, to fail the finiteness check below.
             if not abs(amp) < PRUNE_EPS:
                 kept[label] = amp
         self._entries = kept
-        self._norm_sq = math.fsum(a * a for a in kept.values())
+        self._norm_sq = math.fsum(map(mul, kept.values(), kept.values()))
         if not math.isfinite(self._norm_sq):
             raise ValueError(
                 f"amplitudes must be finite, got squared norm {self._norm_sq}"

@@ -78,7 +78,8 @@ _MARKER_ONE_COEFFS = np.array([_SQRT_HALF, -_SQRT_HALF])
 _SWAP_B_HI = np.array([0, 3, 2, 1, 4])
 # Build labels without re-checking them: only for labels derived from a
 # checked one by flipping its marker, taking a half of its interval, or
-# routing it to or back from an index >= 0.
+# routing it to or back from an index >= 0, and for the aligned blocks of
+# an algorithm's opening levels.
 _TEAM = partial(tuple.__new__, TeamLabel)
 _QUERY = partial(tuple.__new__, QueryLabel)
 
@@ -89,6 +90,13 @@ def _require_pow2(value: int, what: str, minimum: int = 1) -> None:
     if not _is_pow2(value) or value < minimum:
         at_least = f" >= {minimum}" if minimum > 1 else ""
         raise ValueError(f"{what} must be a power of two{at_least}, got {value}")
+
+
+def _require_interval_size(s: int) -> None:
+    """:func:`_require_pow2` of a step's interval size ``s >= 2``, called only
+    when the cheap test of a valid size fails, for its error."""
+    if type(s) is not int or s < 2 or s & (s - 1):
+        _require_pow2(s, "interval size", minimum=2)
 
 
 def require_int64_positions(n: int) -> None:
@@ -106,14 +114,15 @@ def _require_sublists(n: int, r: int) -> None:
 
 
 def _permute_labels(
-    state: SparseState, image_of: Callable[[BasisLabel], BasisLabel]
+    state: SparseState, image_of: Callable[..., BasisLabel], *args
 ) -> SparseState:
-    """Relabel a state through an injective map; exact, no float arithmetic."""
+    """Relabel a state through an injective map ``image_of(label, *args)``;
+    exact, no float arithmetic."""
     out: dict[BasisLabel, float] = {}
     for label, amp in state._entries.items():
-        image = image_of(label)
+        image = image_of(label, *args)
         if image in out:
-            prior = next(l for l in state._entries if image_of(l) == image)
+            prior = next(l for l in state._entries if image_of(l, *args) == image)
             raise CollisionError(
                 f"labels {prior} and {label} both map to {image}"
             )
@@ -132,9 +141,9 @@ def _mix(label, s: int):
         if hi - lo + 1 == s:
             # The partner differs from a checked label only in its marker.
             if b == 0:
-                return [(label, _SQRT_HALF), (_TEAM((1, lo, hi)), _SQRT_HALF)]
-            return [(_TEAM((0, lo, hi)), _SQRT_HALF), (label, -_SQRT_HALF)]
-    return [(label, 1.0)]
+                return (label, _SQRT_HALF), (_TEAM((1, lo, hi)), _SQRT_HALF)
+            return (_TEAM((0, lo, hi)), _SQRT_HALF), (label, -_SQRT_HALF)
+    return ((label, 1.0),)
 
 
 def _mix_fields(fields: np.ndarray, s: int):
@@ -166,22 +175,18 @@ def apply_combine(state: SparseState, s: int) -> SparseState:
     computers holding the same interval with marker values 0 and ``bit``-sign
     interfere into the single computer ``(bit, I)``.
     """
-    _require_pow2(s, "interval size", minimum=2)
+    _require_interval_size(s)
     return apply_linear(state, lambda label: _mix(label, s))
 
 
-def _halving(s: int) -> Callable[[BasisLabel], BasisLabel]:
+def _halving(label, s: int):
     """Image of one label under the halving of intervals of length ``s``."""
-
-    def image_of(label):
-        if isinstance(label, TeamLabel):
-            b, lo, hi = label
-            if hi - lo + 1 == s:
-                mid = lo + s // 2 - 1
-                return _TEAM((0, lo, mid)) if b == 1 else _TEAM((0, mid + 1, hi))
-        return label
-
-    return image_of
+    if isinstance(label, TeamLabel):
+        b, lo, hi = label
+        if hi - lo + 1 == s:
+            mid = lo + s // 2 - 1
+            return _TEAM((0, lo, mid)) if b == 1 else _TEAM((0, mid + 1, hi))
+    return label
 
 
 def _halving_fields(fields: np.ndarray, s: int) -> np.ndarray:
@@ -203,8 +208,8 @@ def apply_refine(state: SparseState, s: int) -> SparseState:
     Marker 1 selects the lower half, marker 0 the upper half; the marker is
     cleared. A label permutation: colliding images are a hard error.
     """
-    _require_pow2(s, "interval size", minimum=2)
-    return _permute_labels(state, _halving(s))
+    _require_interval_size(s)
+    return _permute_labels(state, _halving, s)
 
 
 def _bitwrite_query(n: int, bitwrite_length: int):
@@ -216,41 +221,41 @@ def _bitwrite_query(n: int, bitwrite_length: int):
     index is the interval midpoint, except that the least-knowing computer's
     marker-0 branch parks at the padding index ``n`` where every instance
     answers 0. ``close_query`` unroutes and mixes again, inverting
-    ``open_query``.
+    ``open_query``. Each routes and mixes a label in one call, with the
+    images and coefficients of :func:`_mix`, in its order.
     """
 
-    def routed_index(b: int, lo: int, hi: int) -> int:
-        # Callers pass checked intervals of length >= 2.
-        length = hi - lo + 1
-        if length == bitwrite_length and b == 0:
-            return n
-        return lo + length // 2 - 1
-
-    def route(label) -> QueryLabel:
+    def open_query(label):
         if not isinstance(label, TeamLabel):
             raise TypeError(f"expected a TeamLabel, got {label!r}")
         b, lo, hi = label
-        i = routed_index(b, lo, hi)
-        # Only a length-1 interval at 0 routes below 0, which the check refuses.
-        return _QUERY((b, lo, hi, i)) if i >= 0 else QueryLabel(b, lo, hi, i)
+        length = hi - lo + 1
+        mid = lo + length // 2 - 1
+        if mid < 0:
+            # Only a length-1 interval at 0 routes below 0, which the check refuses.
+            QueryLabel(b, lo, hi, mid)
+        if length == bitwrite_length:
+            return [
+                (_QUERY((0, lo, hi, n)), _SQRT_HALF),
+                (_QUERY((1, lo, hi, mid)), -_SQRT_HALF if b else _SQRT_HALF),
+            ]
+        return [(_QUERY((b, lo, hi, mid)), 1.0)]
 
-    def unroute(label) -> TeamLabel:
+    def close_query(label):
         if not isinstance(label, QueryLabel):
             raise TypeError(f"expected a QueryLabel, got {label!r}")
         b, lo, hi, i = label
-        if hi == lo or i != routed_index(b, lo, hi):
-            raise ValueError(
-                f"label {label} does not sit on its routed query index"
-            )
-        return _TEAM((b, lo, hi))
-
-    def open_query(label):
-        return [
-            (route(image), coeff) for image, coeff in _mix(label, bitwrite_length)
-        ]
-
-    def close_query(label):
-        return _mix(unroute(label), bitwrite_length)
+        length = hi - lo + 1
+        if hi != lo:
+            if length != bitwrite_length:
+                if i == lo + length // 2 - 1:
+                    return [(_TEAM((b, lo, hi)), 1.0)]
+            elif i == (lo + length // 2 - 1 if b else n):
+                return [
+                    (_TEAM((0, lo, hi)), _SQRT_HALF),
+                    (_TEAM((1, lo, hi)), -_SQRT_HALF if b else _SQRT_HALF),
+                ]
+        raise ValueError(f"label {label} does not sit on its routed query index")
 
     return open_query, close_query
 
@@ -511,12 +516,13 @@ def _require_list_size(self, inst: OrderedInstance) -> None:
 
 def _initial_state(self, inst: OrderedInstance) -> SparseState:
     """The state of ``inst`` entering query 0: per level of ``self._levels``,
-    the block of its length that holds the answer, through the opening steps."""
+    the block of its length that holds the answer, through the opening steps.
+    The blocks are aligned and of power-of-two length by construction."""
     _require_list_size(self, inst)
     entries = {}
     for length, marker, amp in self._levels:
         lo = inst.answer // length * length
-        entries[TeamLabel(marker, lo, lo + length - 1)] = amp
+        entries[_TEAM((marker, lo, lo + length - 1))] = amp
     return _run_steps(self._opening, SparseState(entries))
 
 

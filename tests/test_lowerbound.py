@@ -182,6 +182,34 @@ class TestScalarFormulas:
         with pytest.raises(ValueError, match="finite"):
             lb.query_lower_bound(W, Delta, 0.0)
 
+    # Each raised str()'s "Exceeds the limit (4300 digits)" ValueError.
+    @pytest.mark.parametrize(
+        "W, Delta, eps, message",
+        [
+            (1.0, 10**5000, 0.0, "per-query decrease bound must be positive"),
+            (10**5000, 1.0, 0.0, "initial weight must be non-negative"),
+            (1.0, 1.0, 10**5000, r"error probability must lie in \[0, 1/2\]"),
+            (1.0, -(10**5000), 0.0, "per-query decrease bound must be positive"),
+        ],
+        ids=["Delta", "W", "eps", "negative-Delta"],
+    )
+    def test_query_lower_bound_names_an_over_long_int_by_its_bits(
+        self, W, Delta, eps, message
+    ):
+        sign = "a negative" if -(10**5000) in (W, Delta, eps) else "an"
+        expected = f"^{message}.*, got {sign} int of 16610 bits$"
+        with pytest.raises(ValueError, match=expected):
+            lb.query_lower_bound(W, Delta, eps)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lb.harmonic, lb.total_weight, lambda n: lb.ordered_search_bound(n, 0.0)],
+        ids=["harmonic", "total_weight", "ordered_search_bound"],
+    )
+    def test_size_checks_name_an_over_long_int_by_its_bits(self, call):
+        with pytest.raises(ValueError, match=", got a negative int of 16610 bits$"):
+            call(-(10**5000))
+
     def test_ordered_search_bound(self):
         assert lb.ordered_search_bound(100, 0.5) == 0.0
         assert abs(lb.ordered_search_bound(2, 0.0) - 0.5 / math.pi) < 1e-12

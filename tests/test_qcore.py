@@ -207,6 +207,19 @@ class TestSparseState:
         with pytest.raises(ValueError, match=r"must be real, got .* on 0\|0,0;3$"):
             SparseState({query_label(0, 1): 0.6, query_label(0, 3): amp})
 
+    @pytest.mark.parametrize(
+        "amp",
+        ["1.0", b"1", bytearray(b"1"), None, True, False, np.True_],
+        ids=["str", "bytes", "bytearray", "none", "true", "false", "numpy-bool"],
+    )
+    def test_non_numbers_are_refused_naming_the_label(self, amp):
+        # float() reads "1.0", b"1" and True as 1.0, which would pass as a
+        # normalized state.
+        with pytest.raises(ValueError, match=r"real numbers, got .* on 0\|0,0$"):
+            SparseState({TeamLabel(0, 0, 0): amp})
+        with pytest.raises(ValueError, match=r"real numbers, got .* on 0\|0,0;3$"):
+            SparseState({query_label(0, 1): 0.6, query_label(0, 3): amp})
+
     def test_amplitudes_are_stored_as_floats(self):
         state = SparseState({query_label(0, 0): np.float64(0.6), query_label(0, 1): 1})
         assert [type(a) for _, a in state.items()] == [float, float]

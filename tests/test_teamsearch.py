@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tuple_map_oracle as tuple_oracle
 from qordsearch import lowerbound as lb
 from qordsearch import qcore
 from qordsearch import teamsearch as ts
@@ -936,7 +937,7 @@ class TestFieldMaps:
             mix, labels
         )
         halved = ts._halving_fields(qcore.label_fields(labels), s)
-        assert qcore.labels_of(halved) == [ts._halving(s)(label) for label in labels]
+        assert qcore.labels_of(halved) == [ts._halving(label, s) for label in labels]
 
     @pytest.mark.parametrize("length", [2, 4, 8, 16, 32])
     def test_open_and_close(self, length):
@@ -1040,17 +1041,166 @@ class TestFieldMaps:
         assert got == "labels 0|0,1 and 1|0,3 both map to 0|0,1"
 
 
+def tuple_map(n, kind, size):
+    """``teamsearch``'s per-instance label map of one step, ``(kind, size)`` as
+    in ``tuple_oracle.schedule``, of an algorithm of list size ``n``."""
+    if kind == "combine":
+        return lambda label: ts._mix(label, size)
+    if kind == "refine":
+        return lambda label: ts._halving(label, size)
+    return ts._bitwrite_query(n, size)[kind == "close"]
+
+
+def oracle_map(n, kind, size):
+    """``tuple_oracle``'s label map of the same step."""
+    if kind == "combine":
+        return lambda label: tuple_oracle.mix(label, size)
+    if kind == "refine":
+        return tuple_oracle.halving(size)
+    return tuple_oracle.bitwrite_query(n, size)[kind == "close"]
+
+
+def assert_same_image(got, expected):
+    """The same image labels, of the same types, with bit-equal float
+    coefficients, in the same order; a refinement's single label alike."""
+    if isinstance(expected, tuple):  # a refinement's image label
+        got, expected = [(got, 1.0)], [(expected, 1.0)]
+    got = list(got)
+    assert [(type(l), l) for l, _ in got] == [(type(l), l) for l, _ in expected]
+    assert all(type(c) is float for _, c in got)
+    assert [c.hex() for _, c in got] == [c.hex() for _, c in expected]
+
+
+def assert_same_outcome(label_map, oracle_map, label):
+    """``label_map`` gives ``oracle_map``'s image of ``label``, or raises its
+    error, type and message; returns whether there was an image."""
+    try:
+        expected = oracle_map(label)
+    except Exception as error:
+        with pytest.raises(type(error)) as got:
+            label_map(label)
+        assert type(got.value) is type(error) and str(got.value) == str(error)
+        return False
+    assert_same_image(label_map(label), expected)
+    return True
+
+
+TUPLE_MAP_RUNS = [ts.BinarySearchAlgorithm(1 << k) for k in range(1, 9)] + [
+    ts.TeamCombineAlgorithm(8),
+    ts.TeamCombineAlgorithm(32),
+    ts.TeamCombineAlgorithm(128),
+    ts.TeamCombineAlgorithm(32, r=2),
+]
+
+
+class TestTupleMapOracle:
+    """The per-instance maps against ``tuple_map_oracle``'s separate route,
+    unroute, mix and halving maps: images, bit-equal coefficients, order, and
+    errors, then every state of whole runs."""
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        TUPLE_MAP_RUNS,
+        ids=lambda a: f"{type(a).__name__}-{a.n}-r{getattr(a, 'r', 1)}",
+    )
+    def test_every_label_each_step_sees(self, algorithm):
+        seen = {}
+        for inst in enumerate_instances(algorithm.n):
+            for _ in tuple_oracle.states(algorithm, inst, seen):
+                pass
+        opening, rounds = tuple_oracle.schedule(algorithm)
+        assert set(seen) == set(opening).union(*rounds)
+        for (kind, size), labels in seen.items():
+            new = tuple_map(algorithm.n, kind, size)
+            old = oracle_map(algorithm.n, kind, size)
+            for label in sorted(labels, key=lambda l: l.sort_key):
+                assert assert_same_outcome(new, old, label)
+
+    @pytest.mark.parametrize("length", [1, 2, 4, 8, 16, 32])
+    def test_every_block_and_its_routings(self, length):
+        # Every label on a dyadic block of [0, 32), length 1 included, opened
+        # (a length-1 interval at 0 is refused), then closed from its images
+        # and from the indices next to them (refused).
+        n = 16
+        new_open, new_close = ts._bitwrite_query(n, length)
+        old_open, old_close = tuple_oracle.bitwrite_query(n, length)
+        blocks = [(lo, lo) for lo in range(32)]
+        blocks += [(lo, lo + size - 1) for lo, size in dyadic_blocks(5)]
+        routed = set()
+        for b in (0, 1):
+            for lo, hi in blocks:
+                label = TeamLabel(b, lo, hi)
+                if assert_same_outcome(new_open, old_open, label):
+                    for image, _ in old_open(label):
+                        routed.update(
+                            QueryLabel(image.b, lo, hi, i)
+                            for i in (image.i - 1, image.i, image.i + 1, n)
+                            if i >= 0
+                        )
+        closed = [
+            assert_same_outcome(new_close, old_close, label)
+            for label in sorted(routed, key=lambda l: l.sort_key)
+        ]
+        assert any(closed) and not all(closed)
+
+    @pytest.mark.parametrize(
+        "kind, label",
+        [
+            ("open", TeamLabel(0, 0, 0)),
+            ("open", TeamLabel(1, 0, 0)),
+            ("open", QueryLabel(1, 0, 3, 1)),
+            ("open", QueryLabel(0, 0, 0, 0)),
+            ("close", TeamLabel(1, 4, 7)),
+            ("close", QueryLabel(1, 4, 7, 6)),
+            ("close", QueryLabel(1, 5, 5, 3)),
+            ("close", QueryLabel(1, 5, 5, 4)),
+            ("close", QueryLabel(1, 5, 5, 5)),
+            ("close", QueryLabel(0, 0, 7, 3)),
+        ],
+    )
+    def test_refused_labels(self, kind, label):
+        new = tuple_map(8, kind, 8)
+        old = oracle_map(8, kind, 8)
+        assert not assert_same_outcome(new, old, label)
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [ts.BinarySearchAlgorithm(64), ts.TeamCombineAlgorithm(128)],
+        ids=["binary-64", "team-128"],
+    )
+    def test_every_state_of_every_instance(self, algorithm):
+        for inst in enumerate_instances(algorithm.n):
+            expected = [state.dump() for state in tuple_oracle.states(algorithm, inst)]
+            state = algorithm.initial_state(inst)
+            got = [state.dump()]
+            for j in range(algorithm.num_queries):
+                state = algorithm.advance(j, state, inst)
+                got.append(state.dump())
+            assert got == expected
+
+
+# The operators a step calls by module attribute, the oracle's first.
+STEP_OPERATORS = ("apply_query", "apply_linear", "apply_refine", "apply_combine")
+
+
 class TestNoPerLabelPython:
     """The ensemble path builds no state or tuple label, and calls no tuple map."""
 
     def test_no_mix_call_no_query_label_and_no_state(self, monkeypatch):
+        # "mix" counts the tuple mixer and the unchecked team labels that it
+        # and the close map build; "query" the routed labels of the open map.
         counts = {"mix": 0, "query": 0, "state": 0}
         mix, query_new, unchecked_query = ts._mix, QueryLabel.__new__, ts._QUERY
+        unchecked_team = ts._TEAM
         state_init, relabelled = SparseState.__init__, SparseState._relabelled
 
         def counted_mix(*args):
             counts["mix"] += 1
             return mix(*args)
+
+        def counted_unchecked_team(fields):
+            counts["mix"] += 1
+            return unchecked_team(fields)
 
         def counted_query(cls, *args):
             counts["query"] += 1
@@ -1069,6 +1219,7 @@ class TestNoPerLabelPython:
             return relabelled(*args)
 
         monkeypatch.setattr(ts, "_mix", counted_mix)
+        monkeypatch.setattr(ts, "_TEAM", counted_unchecked_team)
         monkeypatch.setattr(QueryLabel, "__new__", counted_query)
         monkeypatch.setattr(ts, "_QUERY", counted_unchecked_query)
         monkeypatch.setattr(SparseState, "__init__", counted_init)
@@ -1097,6 +1248,43 @@ class TestNoPerLabelPython:
         ):
             assert runner.invoke(main, args).exit_code == 0
         assert counts == {"mix": 0, "query": 0, "state": 0}
+
+    @pytest.mark.parametrize(
+        "algorithm, calls",
+        [
+            (ts.BinarySearchAlgorithm(64), dict(zip(STEP_OPERATORS, (6, 12, 6, 0)))),
+            (ts.TeamCombineAlgorithm(128), dict(zip(STEP_OPERATORS, (1, 5, 4, 3)))),
+        ],
+        ids=["binary-64", "team-128"],
+    )
+    def test_one_run_builds_no_checked_label(self, monkeypatch, algorithm, calls):
+        # Once the algorithm and the instance are built, a run calls each
+        # step's operator once (a combine's apply_linear included), builds
+        # every label unchecked, and checks each interval size cheaply.
+        inst = OrderedInstance(algorithm.n, algorithm.n // 3)
+        counts = dict.fromkeys([*calls, "checked label", "_require_pow2"], 0)
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            return call
+
+        for name in STEP_OPERATORS[1:] + ("_require_pow2",):
+            monkeypatch.setattr(ts, name, counted(name, getattr(ts, name)))
+        query = counted("apply_query", ts.oracle_mod.apply_query)
+        monkeypatch.setattr(ts.oracle_mod, "apply_query", query)
+        for cls in (TeamLabel, QueryLabel):
+            monkeypatch.setattr(cls, "__new__", counted("checked label", cls.__new__))
+        result = ts.run_algorithm(algorithm, inst)
+        assert result.answer == inst.answer and abs(result.probability - 1.0) < 1e-12
+        assert counts == {**calls, "checked label": 0, "_require_pow2": 0}
+        # The counters see a checked label and a failing size check.
+        TeamLabel(0, 0, 1)
+        with pytest.raises(ValueError, match="power of two >= 2, got 3"):
+            ts.apply_refine(SparseState.unit(TeamLabel(0, 0, 1)), 3)
+        assert counts["checked label"] == 2 and counts["_require_pow2"] == 1
 
 
 def brute_force_known_bits(n, j):
