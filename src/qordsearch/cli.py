@@ -31,9 +31,10 @@ SWEEP_SIZE_LIMIT = 1 << 30
 # 1303-1559 for team 2^15 ... 2^19 (8 to 10 levels), about 130 more a level.
 SWEEP_ANSWER_BYTES = 990
 SWEEP_LEVEL_BYTES = 130
-# Peak bytes per known bit of ``layout``: the tuples of ints, the lists and
-# the JSON text. Peak RSS over that of r = 16 (four fresh processes each)
-# gave 50.8-53.1 at r = 64, 64.3-64.6 at r = 128 and 62.0-64.6 at r = 256.
+# Peak bytes per known bit of ``layout``: the tuples of ints and the JSON
+# text. Peak RSS over that of r = 16 (four fresh processes each) gave
+# 50.8-53.1 at r = 64, 64.3-64.6 at r = 128 and 62.0-64.6 at r = 256 when a
+# list copy of each tuple was rendered too, so it is an upper bound now.
 LAYOUT_BIT_BYTES = 67
 
 ALGORITHMS = {"binary": teamsearch.BinarySearchAlgorithm,
@@ -328,7 +329,8 @@ def layout(r, out):
         raise click.UsageError(str(exc))
     require_memory(LAYOUT_BIT_BYTES * bits, f"--r {r}", f"the layout's {bits} known bits")
     built = teamsearch.build_layout(r)
-    emit(render_json(built.to_jsonable()) + "\n", out)
+    payload = {"r": built.r, "n_list": built.n_list, "computers": built.computers}
+    emit(render_json(payload) + "\n", out)
 
 
 @main.command()

@@ -18,15 +18,16 @@ the full inequality chain
 where M is the banded inverse-distance (Hankel) matrix, whose spectral norm
 is capped by the norm of the same-size Hilbert matrix, itself below pi.
 
-The layer reads the states as one :class:`~qordsearch.qcore.Ensemble`
-(``Ensemble.from_states`` for a list of per-answer states), which
-:func:`weighted_overlap`, :func:`pairwise_drop` and :func:`mass_profile`
-take. A profile holds plain numbers only: the masses, the weights and the
-pair drop of the states entering a query, and :func:`verify_drop_chain`
-takes it and the drop W_before - W_after. An ensemble's entries go label by
-label, its labels in ``sort_key`` order, so each label's column of
-amplitudes is one contiguous run and every sum over the columns runs in
-that order.
+The layer reads the states as one :class:`~qordsearch.qcore.Ensemble`,
+which :func:`weighted_overlap`, :func:`pairwise_drop` and
+:func:`mass_profile` take. The per-pair loops over a list of per-answer
+states, and the gathering of such a list into an ensemble, are the tests'
+references, in ``tests/per_instance_oracle.py``. A profile holds plain
+numbers only: the masses, the weights and the pair drop of the states
+entering a query, and :func:`verify_drop_chain` takes it and the drop
+W_before - W_after. An ensemble's entries go label by label, its labels in
+``sort_key`` order, so each label's column of amplitudes is one contiguous
+run and every sum over the columns runs in that order.
 
 The weights depend on the answer distance b - a only (:class:`WeightSpec`),
 and a label's column is a few runs of consecutive answers at one amplitude,
@@ -71,22 +72,13 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .oracle import _require_int
-from .qcore import (
-    QUERY,
-    BasisLabel,
-    Ensemble,
-    QueryLabel,
-    SparseState,
-    _run_indices,
-    inner_product,
-    require_fields,
-)
+from .oracle import _require_int, _shown
+from .qcore import QUERY, BasisLabel, Ensemble, QueryLabel, _run_indices, require_fields
 from .teamsearch import ensemble_snapshots
 
 # Looser than state tolerances: the chain composes O(n^2) float sums.
@@ -122,16 +114,6 @@ class ConvergenceError(RuntimeError):
 # below the last bit. On [2^10, 2^20] the two agree within a few ulps.
 HARMONIC_FSUM_LIMIT = 1 << 20
 EULER_GAMMA = 0.57721566490153286060651209008240243
-
-
-def _shown(value) -> str:
-    """``value`` as a message shows it; an int too long for ``str()`` (see
-    ``sys.get_int_max_str_digits``) by its bit length."""
-    try:
-        return str(value)
-    except ValueError:
-        sign = "a negative" if value < 0 else "an"
-        return f"{sign} int of {value.bit_length()} bits"
 
 
 def harmonic(n: int) -> float:
@@ -226,8 +208,7 @@ class WeightSpec:
     ``weight(d)`` is called once, at construction, on the float array of
     distances ``-(n-1) .. n-1``; a scalar result stands for every distance.
     The values are checked there and kept in ``kernel``, whose entry
-    ``d + n - 1`` is the weight of every pair ``(a, a + d)``. Calling the spec
-    looks one pair up, for the per-pair reference loops. The kernel is
+    ``d + n - 1`` is the weight of every pair ``(a, a + d)``. The kernel is
     read-only, so what is derived from it (its double prefix sums
     ``_double_prefix``, whether it is the inverse distance, the Hankel
     operator of the drop chain) is computed once and kept.
@@ -240,7 +221,7 @@ class WeightSpec:
     def __post_init__(self):
         _require_int(self.n, "problem size")
         if self.n < 1:
-            raise ValueError(f"problem size must be positive, got {self.n}")
+            raise ValueError(f"problem size must be positive, got {_shown(self.n)}")
         d = np.arange(1 - self.n, self.n, dtype=float)
         values = np.array(
             np.broadcast_to(np.asarray(self.weight(d), dtype=float), d.shape)
@@ -257,11 +238,6 @@ class WeightSpec:
     def inverse_distance(cls, n: int) -> "WeightSpec":
         """Ordered-search weights: 1/(b-a) for a < b, zero otherwise."""
         return cls(n=n, weight=_inverse_distance)
-
-    def __call__(self, a: int, b: int) -> float:
-        if not (0 <= a < self.n and 0 <= b < self.n):
-            raise IndexError(f"answers ({a}, {b}) outside 0 .. {self.n - 1}")
-        return self.kernel[b - a + self.n - 1]
 
     @functools.cached_property
     def _is_inverse_distance(self) -> bool:
@@ -318,7 +294,7 @@ def _cumsum_and_errors(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_state_count(count: int, w: WeightSpec) -> None:
     if count != w.n:
-        raise ValueError(f"expected {w.n} states, got {count}")
+        raise ValueError(f"expected {w.n} states, got {_shown(count)}")
 
 
 def _run_pair_sum(
@@ -403,20 +379,6 @@ def weighted_overlap(ensemble: Ensemble, w: WeightSpec) -> float:
     """
     _check_state_count(ensemble.size, w)
     return _run_pair_sum(ensemble, w)
-
-
-def _reference_weighted_overlap(
-    states: Sequence[SparseState], w: WeightSpec
-) -> float:
-    """Per-pair loop form of :func:`weighted_overlap`, kept for the tests."""
-    _check_state_count(len(states), w)
-    total = 0.0
-    for a in range(w.n):
-        for b in range(w.n):
-            wt = w(a, b)
-            if wt != 0.0:
-                total += wt * inner_product(states[a], states[b])
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -588,23 +550,6 @@ def pairwise_drop(ensemble: Ensemble, w: WeightSpec) -> float:
     """
     index = _queried_index(ensemble, w)
     return 2.0 * _run_pair_sum(ensemble, w, ensemble.answers <= index)
-
-
-def _reference_pairwise_drop(states: Sequence[SparseState], w: WeightSpec) -> float:
-    """Per-pair loop form of :func:`pairwise_drop`, kept for the tests."""
-    n = len(states)
-    total = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            wt = w(a, b)
-            if wt == 0.0:
-                continue
-            overlap = 0.0
-            for label, amp in states[a].items():
-                if a <= query_index(label) < b:
-                    overlap += amp * states[b].amplitude(label)
-            total += wt * overlap
-    return 2.0 * total
 
 
 @dataclass

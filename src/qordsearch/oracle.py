@@ -26,6 +26,24 @@ def _require_int(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _shown(value) -> str:
+    """``value`` as a message shows it. An int too long for ``str()`` (see
+    ``sys.get_int_max_str_digits``) shows as its sign and bit length, alone
+    or inside a tuple or a range."""
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, int):
+            sign = "a negative" if value < 0 else "an"
+            return f"{sign} int of {value.bit_length()} bits"
+        if isinstance(value, range):
+            step = (value.step,) if value.step != 1 else ()
+            bounds = ", ".join(map(_shown, (value.start, value.stop) + step))
+            return f"range({bounds})"
+        items = ", ".join(map(_shown, value))
+        return f"({items},)" if len(value) == 1 else f"({items})"
+
+
 @dataclass(frozen=True)
 class OrderedInstance:
     """Sorted list of length ``n`` whose leftmost 1 sits at ``answer``."""
@@ -37,16 +55,17 @@ class OrderedInstance:
         _require_int(self.n, "n")
         _require_int(self.answer, "answer")
         if self.n < 1:
-            raise ValueError(f"list length must be positive, got {self.n}")
+            raise ValueError(f"list length must be positive, got {_shown(self.n)}")
         if not 0 <= self.answer < self.n:
             raise ValueError(
-                f"answer must lie in [0, {self.n - 1}], got {self.answer}"
+                f"answer must lie in [0, {_shown(self.n - 1)}], "
+                f"got {_shown(self.answer)}"
             )
 
     def bit(self, i: int) -> int:
         """Value of the list at index ``i`` (0 beyond the list)."""
         if i < 0:
-            raise ValueError(f"bit index must be non-negative, got {i}")
+            raise ValueError(f"bit index must be non-negative, got {_shown(i)}")
         return 1 if self.answer <= i < self.n else 0
 
 
@@ -54,7 +73,7 @@ def enumerate_instances(n: int) -> list[OrderedInstance]:
     """All ``n`` instances of size ``n``, in increasing answer order."""
     _require_int(n, "n")
     if n < 1:
-        raise ValueError(f"list length must be positive, got {n}")
+        raise ValueError(f"list length must be positive, got {_shown(n)}")
     return [OrderedInstance(n, a) for a in range(n)]
 
 

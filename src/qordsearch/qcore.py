@@ -39,8 +39,10 @@ labels of a two-term image hold the same answers, as in the marker mixer
 and every open, close and combine step. The image's entries are then one
 gathered label run times its coefficient, plus a second such run. A
 refinement, which relabels one to one, rides on the pair mixer before it
-as a renaming of its image labels. The per-state operations take any map
-and stay the reference. A run of such steps goes through
+as a renaming of its image labels. The per-state operations take any map;
+they run one instance (``teamsearch.run_algorithm``), and the tests check
+the ensemble against them, gathering per-answer states into an ensemble
+with ``tests/per_instance_oracle.py``. A run of such steps goes through
 :func:`step_ensemble`, the same pass handed a :class:`Tally` of its input
 (the answers' norms and each label's run of entries) by the step before, so
 that no step counts again what the one before it summed.
@@ -50,7 +52,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from operator import mul
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -74,6 +76,14 @@ def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
 
+def _shown(value) -> str:
+    """``oracle._shown``, imported only when a label check fails: ``oracle``
+    imports this module."""
+    from .oracle import _shown
+
+    return _shown(value)
+
+
 class TeamLabel(namedtuple("TeamLabel", "b lo hi")):
     """Basis label ``(b, lo, hi)``: marker bit plus a dyadic interval.
 
@@ -85,14 +95,18 @@ class TeamLabel(namedtuple("TeamLabel", "b lo hi")):
 
     def __new__(cls, b: int, lo: int, hi: int):
         if b not in (0, 1):
-            raise ValueError(f"marker bit must be 0 or 1, got {b}")
+            raise ValueError(f"marker bit must be 0 or 1, got {_shown(b)}")
         if not 0 <= lo <= hi:
-            raise ValueError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
+            raise ValueError(
+                f"need 0 <= lo <= hi, got lo={_shown(lo)}, hi={_shown(hi)}"
+            )
         length = hi - lo + 1
         if not _is_pow2(length):
-            raise ValueError(f"interval length {length} is not a power of two")
+            raise ValueError(f"interval length {_shown(length)} is not a power of two")
         if lo % length != 0:
-            raise ValueError(f"interval [{lo},{hi}] is not dyadically aligned")
+            raise ValueError(
+                f"interval [{_shown(lo)},{_shown(hi)}] is not dyadically aligned"
+            )
         return tuple.__new__(cls, (b, lo, hi))
 
     @property
@@ -121,7 +135,7 @@ class QueryLabel(namedtuple("QueryLabel", "b lo hi i")):
     def __new__(cls, b: int, lo: int, hi: int, i: int):
         TeamLabel(b, lo, hi)  # the interval checks
         if i < 0:
-            raise ValueError(f"query index must be non-negative, got {i}")
+            raise ValueError(f"query index must be non-negative, got {_shown(i)}")
         return tuple.__new__(cls, (b, lo, hi, i))
 
     @property
@@ -221,6 +235,7 @@ class SparseState:
         return f"SparseState({len(self)} labels, norm={self.norm():.6g})"
 
 
+# Only tests call this; it stays while bench/tracer.py installs a timer on it.
 def inner_product(s1: SparseState, s2: SparseState) -> float:
     """<s1|s2> = sum over shared labels of amp1 * amp2.
 
@@ -233,30 +248,6 @@ def inner_product(s1: SparseState, s2: SparseState) -> float:
     return math.fsum(
         amp * other[label] for label, amp in s1._entries.items() if label in other
     )
-
-
-def diff_norm(s1: SparseState, s2: SparseState) -> float:
-    """2-norm of the difference of two states."""
-    labels = set(s1._entries) | set(s2._entries)
-    return math.sqrt(
-        math.fsum((s1.amplitude(l) - s2.amplitude(l)) ** 2 for l in labels)
-    )
-
-
-def apply_diagonal_phase(
-    s: SparseState, phase_of: Callable[[BasisLabel], int]
-) -> SparseState:
-    """Multiply every amplitude by the label's sign (+1 or -1).
-
-    Exactly norm-preserving: the only arithmetic is sign flips.
-    """
-    out: dict[BasisLabel, float] = {}
-    for label, amp in s._entries.items():
-        sign = phase_of(label)
-        if sign not in (1, -1):
-            raise ValueError(f"phase function must return +1 or -1, got {sign!r}")
-        out[label] = amp if sign == 1 else -amp
-    return SparseState._relabelled(out, s)
 
 
 def apply_linear(
@@ -315,18 +306,6 @@ def measure_distribution(
 QUERY, TEAM = 0, 1
 
 
-def label_fields(labels: Sequence[BasisLabel]) -> np.ndarray:
-    """The ``(5, len(labels))`` int64 fields of tuple labels, one column each.
-
-    A label's column is its ``sort_key``: ``(QUERY, hi, lo, b, i)`` for a
-    ``QueryLabel`` and ``(TEAM, b, lo, hi, 0)`` for a ``TeamLabel``, so the
-    lexicographic order of columns is the ``sort_key`` order. A field
-    beyond int64 raises ``OverflowError``.
-    """
-    rows = [label.sort_key for label in labels]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), 5).T.copy()
-
-
 def labels_of(fields: np.ndarray) -> list[BasisLabel]:
     """The tuple labels of the columns of ``fields``, to print or inspect."""
     return [
@@ -372,8 +351,8 @@ def _group_columns(
 class Ensemble(NamedTuple):
     """One sparse state per answer ``0 .. size-1``, held as arrays.
 
-    Column ``k`` of the int64 ``fields`` (see :func:`label_fields`) is the
-    ``k``-th distinct label. Entry ``e`` is the float64 amplitude ``amps[e]``
+    Column ``k`` of the int64 ``fields`` is the ``k``-th distinct label, as
+    its ``sort_key``. Entry ``e`` is the float64 amplitude ``amps[e]``
     of answer ``answers[e]`` on label column ``label_ids[e]``, and each
     column is held by some entry. The columns are distinct and in lexicographic
     order, which is the ``sort_key`` order of their labels, so a label id
@@ -390,33 +369,6 @@ class Ensemble(NamedTuple):
     label_ids: np.ndarray
     answers: np.ndarray
     amps: np.ndarray
-
-    @classmethod
-    def from_states(cls, states: Sequence[SparseState]) -> "Ensemble":
-        """The ensemble whose answer ``a`` holds ``states[a]``."""
-        ids: dict = {}
-        label_ids, answers, amps = [], [], []
-        for answer, state in enumerate(states):
-            for label, amp in state._entries.items():
-                label_ids.append(ids.setdefault(label, len(ids)))
-                answers.append(answer)
-                amps.append(amp)
-        # The labels are distinct: a label's id is its rank in sort_key order.
-        fields = label_fields(list(ids))
-        by_key = np.lexsort(fields[::-1])
-        rank = np.empty_like(by_key)
-        rank[by_key] = np.arange(len(by_key))
-        fields = fields[:, by_key]
-        label_ids = rank[np.array(label_ids, dtype=np.intp)]
-        answers = np.array(answers, dtype=np.intp)
-        order = np.argsort(label_ids * len(states) + answers)
-        return cls(
-            len(states),
-            fields,
-            label_ids[order],
-            answers[order],
-            np.array(amps, dtype=float)[order],
-        )
 
 
 def _answer_span(answers: np.ndarray) -> tuple[int, int]:

@@ -28,12 +28,13 @@ and ``advance`` run them for one instance of the algorithm's size; a shared
 ``initial_ensemble`` builds the starts of a contiguous answer range, which
 :func:`ensemble_snapshots` evolves at once, and :func:`run_ensemble` reads
 the outcome of every answer the final ensemble holds, with
-:func:`run_algorithm`'s bits. The module also provides the classical
-binary-search reference and what it knows after ``j`` queries
-(:func:`known_bits_after`), the layouts that stagger that knowledge so that
-one query multiplies every computer's known bits by a factor approaching
-three, and the digit-decomposition accounting behind the query-count model,
-one expansion chain walked from one known bit.
+:func:`run_algorithm`'s bits. The module also provides what classical
+binary search knows after ``j`` queries (:func:`known_bits_after`; the
+classical search itself is a reference in ``tests/per_instance_oracle.py``),
+the layouts that stagger that knowledge so that one query multiplies every
+computer's known bits by a factor approaching three, and the
+digit-decomposition accounting behind the query-count model, one expansion
+chain walked from one known bit.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import oracle as oracle_mod
-from .oracle import OrderedInstance, _require_int
+from .oracle import OrderedInstance, _require_int, _shown
 from .qcore import (
     NORM_TOL,
     QUERY,
@@ -89,7 +90,9 @@ def _require_pow2(value: int, what: str, minimum: int = 1) -> None:
     _require_int(value, what)
     if not _is_pow2(value) or value < minimum:
         at_least = f" >= {minimum}" if minimum > 1 else ""
-        raise ValueError(f"{what} must be a power of two{at_least}, got {value}")
+        raise ValueError(
+            f"{what} must be a power of two{at_least}, got {_shown(value)}"
+        )
 
 
 def _require_interval_size(s: int) -> None:
@@ -102,7 +105,7 @@ def _require_interval_size(s: int) -> None:
 def require_int64_positions(n: int) -> None:
     """Reject a list size whose padding index ``n`` does not fit int64."""
     if n >= 1 << 63:
-        raise ValueError(f"list size {n} is past int64: need n < 2**63")
+        raise ValueError(f"list size {_shown(n)} is past int64: need n < 2**63")
 
 
 def _require_sublists(n: int, r: int) -> None:
@@ -110,7 +113,9 @@ def _require_sublists(n: int, r: int) -> None:
     _require_int(n, "list size")
     _require_pow2(r, "computer count")
     if n % (2 * r) != 0:
-        raise ValueError(f"list size {n} is not a multiple of the sublist size {2 * r}")
+        raise ValueError(
+            f"list size {_shown(n)} is not a multiple of the sublist size {2 * r}"
+        )
 
 
 def _permute_labels(
@@ -426,13 +431,6 @@ class KnowledgeLayout:
     n_list: int
     computers: tuple[tuple[int, ...], ...]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "r": self.r,
-            "n_list": self.n_list,
-            "computers": [list(bits) for bits in self.computers],
-        }
-
 
 def team_knowledge_size(r: int) -> int:
     """Explicitly known bits per computer in the canonical layout: base_value(log2 r)."""
@@ -484,7 +482,7 @@ def default_team_size(n: int) -> int:
     r = math.isqrt(n // 2)
     if 2 * r * r != n or not _is_pow2(r):
         raise ValueError(
-            f"no canonical team size for list size {n}; need n in {{2,4,8}} "
+            f"no canonical team size for list size {_shown(n)}; need n in {{2,4,8}} "
             f"or n = 2*r*r with r a power of two"
         )
     return r
@@ -510,7 +508,8 @@ def _require_list_size(self, inst: OrderedInstance) -> None:
     """Refuse an instance of another list size than the algorithm's."""
     if inst.n != self.n:
         raise ValueError(
-            f"{type(self).__name__} is built for list size {self.n}, not {inst.n}"
+            f"{type(self).__name__} is built for list size {self.n}, "
+            f"not {_shown(inst.n)}"
         )
 
 
@@ -530,7 +529,7 @@ def _advance(self, j: int, state: SparseState, inst: OrderedInstance) -> SparseS
     """Spend query ``j``: the oracle call, then the round's shared steps."""
     if not 0 <= j < self.num_queries:
         raise ValueError(
-            f"{type(self).__name__} has {self.num_queries} steps, got step {j}"
+            f"{type(self).__name__} has {self.num_queries} steps, got step {_shown(j)}"
         )
     _require_list_size(self, inst)
     return _run_steps(self._rounds[j], oracle_mod.apply_query(state, inst))
@@ -550,7 +549,7 @@ def _initial_ensemble(self, answers: range | None = None) -> Ensemble:
     low, stop = answers.start, answers.stop
     if answers.step != 1 or not 0 <= low < stop <= self.n:
         raise ValueError(
-            f"need a non-empty step-1 range in 0 .. {self.n}, got {answers!r}"
+            f"need a non-empty step-1 range in 0 .. {self.n}, got {_shown(answers)}"
         )
     # The blocks of every level in one array, level by level: level j has
     # blocks[j] blocks of length[j] meeting the range, from the one at
@@ -726,19 +725,7 @@ def run_ensemble(algorithm, answer: int | None = None) -> list[SimulationResult]
 
 
 # ---------------------------------------------------------------------------
-# Classical reference and query accounting
-
-
-@dataclass(frozen=True)
-class SearchTrace:
-    """Classical binary-search run: the answer and the probed indices.
-
-    What the run explicitly knows after ``j`` queries does not depend on the
-    instance: it is :func:`known_bits_after` ``(n, j)``.
-    """
-
-    answer: int
-    queried: tuple[int, ...]
+# Classical knowledge and query accounting
 
 
 def known_bits_after(n: int, j: int) -> range:
@@ -747,24 +734,8 @@ def known_bits_after(n: int, j: int) -> range:
     _require_pow2(n, "list size")
     _require_int(j, "query count")
     if not 0 <= j <= n.bit_length() - 1:
-        raise ValueError(f"query count {j} out of range for n={n}")
+        raise ValueError(f"query count {_shown(j)} out of range for n={n}")
     return range(n >> j, n + 1, n >> j)
-
-
-def classical_binary_search(inst: OrderedInstance) -> SearchTrace:
-    """Halve the candidate interval on each probed bit; exactly log2(n) queries."""
-    n = inst.n
-    _require_pow2(n, "list size")
-    lo, hi = 0, n - 1
-    queried = []
-    while lo < hi:
-        mid = lo + (hi - lo + 1) // 2 - 1
-        queried.append(mid)
-        if inst.bit(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return SearchTrace(answer=lo, queried=tuple(queried))
 
 
 _DIGITS = frozenset(range(4))
@@ -803,7 +774,7 @@ class Decomposition(bytes):
             raise ValueError("digit vector must be non-empty with a nonzero top digit")
         # Set membership alone would pass 1.0 and True, which equal 1.
         if not _DIGITS.issuperset(digits) or set(map(type, digits)) != _INT_ONLY:
-            raise ValueError(f"digits must be integers in 0..3, got {digits}")
+            raise ValueError(f"digits must be integers in 0..3, got {_shown(digits)}")
         return super().__new__(cls, digits)
 
     def __repr__(self) -> str:
@@ -837,7 +808,7 @@ def base_value(k: int) -> int:
     """The k-th digit value (2*4**k + 1)/3: 1, 3, 11, 43, 171, ..."""
     _require_int(k, "k")
     if k < 0:
-        raise ValueError(f"digit index must be non-negative, got {k}")
+        raise ValueError(f"digit index must be non-negative, got {_shown(k)}")
     return (2 * 4**k + 1) // 3
 
 
@@ -845,7 +816,7 @@ def _greedy_base4(m: int) -> int:
     """B, the greedy digits of ``m`` read as a base-4 numeral (see :func:`decompose`)."""
     _require_int(m, "m")
     if m < 1:
-        raise ValueError(f"can only decompose positive integers, got {m}")
+        raise ValueError(f"can only decompose positive integers, got {_shown(m)}")
     three_m = 3 * m
     bits = three_m.bit_length()
     # The base-4 digit sum of x < 2**bits is its bit count plus that of its
@@ -895,7 +866,7 @@ def expansion_floor(top: int) -> float:
     """Guaranteed expansion factor for decompositions with top digit ``top``."""
     _require_int(top, "top")
     if top < 0:
-        raise ValueError(f"top digit index must be non-negative, got {top}")
+        raise ValueError(f"top digit index must be non-negative, got {_shown(top)}")
     # 3*(top + 1) / (2*4**top), scaled by a power of two: 4**top overflows a
     # float from top = 512, where the term is long past 0.
     return 3.0 / (1.0 + math.ldexp(3.0 * (top + 1), -(2 * top + 1)))
@@ -916,7 +887,7 @@ def ceil_log3(n: int) -> int:
     """Smallest q with 3**q >= n, computed in exact integer arithmetic."""
     _require_int(n, "n")
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise ValueError(f"need n >= 1, got {_shown(n)}")
     q, power = 0, 1
     while power < n:
         q += 1
@@ -940,7 +911,7 @@ def query_count_model(n: int) -> QueryCount:
     global _CHAIN
     _require_int(n, "n")
     if n < 2:
-        raise ValueError(f"query accounting needs n >= 2, got {n}")
+        raise ValueError(f"query accounting needs n >= 2, got {_shown(n)}")
     chain = _CHAIN
     if chain[-1] < n:
         grown = list(chain)

@@ -19,7 +19,8 @@ import pytest
 from qordsearch import lowerbound as lb
 from qordsearch import teamsearch as ts
 from qordsearch.oracle import OrderedInstance, enumerate_instances
-from qordsearch.qcore import SparseState, TeamLabel, diff_norm
+from qordsearch.qcore import SparseState, TeamLabel
+from per_instance_oracle import diff_norm
 from test_teamsearch import opening_state
 
 PROB_TOL = 1e-9

@@ -15,12 +15,16 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import fft_kernel_oracle as fft_oracle
+from per_instance_oracle import (
+    _reference_pairwise_drop,
+    _reference_weighted_overlap,
+    from_states,
+)
 from qordsearch import lowerbound as lb
 from qordsearch import teamsearch as ts
 from qordsearch.oracle import OrderedInstance, apply_query, enumerate_instances
 from qordsearch.qcore import (
     CollisionError,
-    Ensemble,
     NormDriftError,
     QueryLabel,
     SparseState,
@@ -62,7 +66,7 @@ class ZeroQueryAlgorithm:
         return SparseState.unit(query_label(0, self.n))
 
     def initial_ensemble(self):
-        return Ensemble.from_states([self.initial_state(None)] * self.n)
+        return from_states([self.initial_state(None)] * self.n)
 
 
 def symmetric_weight(d):
@@ -94,10 +98,10 @@ def reference_power_iteration(matvec, n, tol=1e-10, max_iterations=100_000):
 
 def chain_report(before, after, w):
     """The drop chain of one round, from the states entering and leaving it."""
-    drop = lb.weighted_overlap(Ensemble.from_states(before), w) - lb.weighted_overlap(
-        Ensemble.from_states(after), w
+    drop = lb.weighted_overlap(from_states(before), w) - lb.weighted_overlap(
+        from_states(after), w
     )
-    return lb.verify_drop_chain(lb.mass_profile(Ensemble.from_states(before), w), drop)
+    return lb.verify_drop_chain(lb.mass_profile(from_states(before), w), drop)
 
 
 class TestScalarFormulas:
@@ -259,14 +263,14 @@ class TestWeightedOverlap:
         n = 8
         w = lb.WeightSpec.inverse_distance(n)
         state = SparseState.unit(query_label(0, 0))
-        overlap = lb.weighted_overlap(Ensemble.from_states([state] * n), w)
+        overlap = lb.weighted_overlap(from_states([state] * n), w)
         assert abs(overlap - lb.total_weight(n)) < 1e-9
 
     def test_orthogonal_states_give_zero(self):
         n = 6
         w = lb.WeightSpec.inverse_distance(n)
         states = [SparseState.unit(query_label(a, 0)) for a in range(n)]
-        assert lb.weighted_overlap(Ensemble.from_states(states), w) == 0.0
+        assert lb.weighted_overlap(from_states(states), w) == 0.0
 
     def test_two_answer_half_overlap(self):
         w = lb.WeightSpec.inverse_distance(2)
@@ -276,7 +280,7 @@ class TestWeightedOverlap:
             SparseState({shared: half, only0: half}),
             SparseState({shared: half, only1: half}),
         ]
-        assert abs(lb.weighted_overlap(Ensemble.from_states(states), w) - 0.5) < 1e-12
+        assert abs(lb.weighted_overlap(from_states(states), w) - 0.5) < 1e-12
 
     # The kernel is evaluated and checked once, when the spec is built.
     def test_negative_weight_rejected(self):
@@ -298,11 +302,7 @@ class TestWeightKernel:
         w = lb.WeightSpec(n, weight)
         for a in range(n):
             for b in range(n):
-                assert w(a, b) == weight(b - a)
-        with pytest.raises(IndexError):
-            w(0, n)
-        with pytest.raises(IndexError):
-            w(-1, 0)
+                assert w.kernel[b - a + n - 1] == weight(b - a)
 
 
 class TestMatrices:
@@ -502,7 +502,7 @@ class TestMassProfile:
         n = 4
         states = [SparseState.unit(query_label(a, n)) for a in range(n)]
         profile = lb.mass_profile(
-            Ensemble.from_states(states), lb.WeightSpec.inverse_distance(n)
+            from_states(states), lb.WeightSpec.inverse_distance(n)
         )
         assert not profile.gammas.any()
         assert not profile.deltas.any()
@@ -512,7 +512,7 @@ class TestMassProfile:
         n = 4
         states = [SparseState.unit(query_label(0, a)) for a in range(n)]
         profile = lb.mass_profile(
-            Ensemble.from_states(states), lb.WeightSpec.inverse_distance(n)
+            from_states(states), lb.WeightSpec.inverse_distance(n)
         )
         assert abs(profile.gammas[0] - math.sqrt(n)) < 1e-12
         assert not profile.gammas[1:].any()
@@ -521,7 +521,7 @@ class TestMassProfile:
     def test_binary_search_masses_stay_within_budget(self):
         _, _, states = binary_prequery_states(8, rounds=1)
         profile = lb.mass_profile(
-            Ensemble.from_states(states), lb.WeightSpec.inverse_distance(8)
+            from_states(states), lb.WeightSpec.inverse_distance(8)
         )
         budget = float(
             np.sum(profile.gammas**2) + np.sum(profile.deltas**2)
@@ -533,7 +533,7 @@ class TestMassProfile:
         # delta, except at offset n - 1, which pairs with no delta.
         n = 8
         _, _, states = binary_prequery_states(n, rounds=2)
-        ensemble = Ensemble.from_states(states)
+        ensemble = from_states(states)
         profile = lb.mass_profile(ensemble, lb.WeightSpec.inverse_distance(n))
         in_range = math.fsum(
             amp * amp
@@ -559,7 +559,7 @@ class TestMassProfile:
     def test_a_profile_holds_plain_numbers_only(self):
         n = 8
         w = lb.WeightSpec.inverse_distance(n)
-        ensemble = Ensemble.from_states(binary_prequery_states(n)[2])
+        ensemble = from_states(binary_prequery_states(n)[2])
         profile = lb.mass_profile(ensemble, w)
         fields = [field.name for field in dataclasses.fields(profile)]
         assert fields == ["w", "gammas", "deltas", "pair_drop"]
@@ -571,7 +571,7 @@ class TestMassProfile:
     def test_an_ensemble_without_entries_sums_to_zero(self):
         n = 4
         w = lb.WeightSpec.inverse_distance(n)
-        ensemble = Ensemble.from_states([SparseState({})] * n)
+        ensemble = from_states([SparseState({})] * n)
         assert not len(ensemble.answers)
         overlap = lb.weighted_overlap(ensemble, w)
         profile = lb.mass_profile(ensemble, w)
@@ -586,7 +586,7 @@ class TestMassProfile:
         ]
         with pytest.raises(TypeError, match="expected a QueryLabel, got TeamLabel"):
             lb.pairwise_drop(
-                Ensemble.from_states(states), lb.WeightSpec.inverse_distance(2)
+                from_states(states), lb.WeightSpec.inverse_distance(2)
             )
 
     def test_team_labels_are_rejected(self):
@@ -596,7 +596,7 @@ class TestMassProfile:
         ]
         with pytest.raises(TypeError):
             lb.mass_profile(
-                Ensemble.from_states(states), lb.WeightSpec.inverse_distance(2)
+                from_states(states), lb.WeightSpec.inverse_distance(2)
             )
 
 
@@ -671,7 +671,7 @@ class TestDropChain:
         n = 8
         w = lb.WeightSpec.inverse_distance(n)
         _, _, states = binary_prequery_states(n)
-        profile = lb.mass_profile(Ensemble.from_states(states), w)
+        profile = lb.mass_profile(from_states(states), w)
         report = lb.verify_drop_chain(profile, math.nan)
         assert not report.holds
         assert report.failures[0].startswith("drop nan exceeds")
@@ -713,15 +713,15 @@ def brute_force_masses(states):
 
 
 def assert_kernel_matches_reference(states, w):
-    ensemble = Ensemble.from_states(states)
+    ensemble = from_states(states)
     assert_ensemble_invariants(ensemble)
     assert_matches_reference(
-        lb.weighted_overlap(ensemble, w), lb._reference_weighted_overlap(states, w)
+        lb.weighted_overlap(ensemble, w), _reference_weighted_overlap(states, w)
     )
     if all(isinstance(label, QueryLabel) for s in states for label in s.labels()):
         profile = lb.mass_profile(ensemble, w)
         assert_matches_reference(
-            lb.pairwise_drop(ensemble, w), lb._reference_pairwise_drop(states, w)
+            lb.pairwise_drop(ensemble, w), _reference_pairwise_drop(states, w)
         )
         assert profile.pair_drop == lb.pairwise_drop(ensemble, w)
         gammas, deltas = brute_force_masses(states)
@@ -759,7 +759,7 @@ class TestKernelAgainstReference:
                 )
             )
         symmetric = lb.WeightSpec(n, symmetric_weight)
-        assert symmetric(3, 3) > 0
+        assert symmetric.kernel[n - 1] > 0  # the weight at distance 0
         for w in (symmetric, lb.WeightSpec.inverse_distance(n)):
             assert_kernel_matches_reference(states, w)
 
@@ -909,7 +909,7 @@ class OneRoundAlgorithm:
         return self._start
 
     def initial_ensemble(self):
-        return Ensemble.from_states([self._start] * self.n)
+        return from_states([self._start] * self.n)
 
 
 def ensemble_entries(ensemble):
@@ -992,7 +992,7 @@ class TestEnsemblePath:
     )
     def test_initial_ensemble_matches_the_per_instance_starts(self, algorithm):
         got = algorithm.initial_ensemble()
-        expected = Ensemble.from_states(
+        expected = from_states(
             [algorithm.initial_state(inst) for inst in enumerate_instances(algorithm.n)]
         )
         assert got.size == expected.size == algorithm.n
@@ -1007,7 +1007,7 @@ class TestEnsemblePath:
         for low in range(n):
             for stop in range(low + 1, n + 1):
                 got = algorithm.initial_ensemble(range(low, stop))
-                expected = Ensemble.from_states(
+                expected = from_states(
                     [s if low <= a < stop else empty for a, s in enumerate(starts)]
                 )
                 assert_ensemble_invariants(got)
@@ -1054,7 +1054,7 @@ class TestEnsemblePath:
         for ensemble, states in zip(ensembles, snapshots):
             assert ensemble_entries(ensemble) == state_entries(states)
             # Array for array, in the same entry order.
-            expected = Ensemble.from_states(states)
+            expected = from_states(states)
             assert ensemble.size == expected.size == algorithm.n
             assert labels_of(ensemble.fields) == labels_of(expected.fields)
             assert ensemble.label_ids.tolist() == expected.label_ids.tolist()
@@ -1124,7 +1124,7 @@ class TestEnsemblePath:
             lb.query_index(TeamLabel(0, 0, 1))
         with pytest.raises(TypeError) as got:
             lb.mass_profile(
-                Ensemble.from_states(states), lb.WeightSpec.inverse_distance(2)
+                from_states(states), lb.WeightSpec.inverse_distance(2)
             )
         assert str(got.value) == str(expected.value)
 
@@ -1221,10 +1221,10 @@ class TestTrajectory:
         n = 8
         w = lb.WeightSpec.inverse_distance(n)
         _, _, states = binary_prequery_states(n, rounds=2)
-        before = lb.weighted_overlap(Ensemble.from_states(states), w)
+        before = lb.weighted_overlap(from_states(states), w)
         relabel = lambda l: [(query_label(2 * l.lo + 1, l.i), 1.0)]
         shifted = [apply_linear(s, relabel) for s in states]
-        after = lb.weighted_overlap(Ensemble.from_states(shifted), w)
+        after = lb.weighted_overlap(from_states(shifted), w)
         assert abs(before - after) < 1e-12
 
     def test_pairwise_drop_identity_from_projections(self):
@@ -1236,9 +1236,9 @@ class TestTrajectory:
         after = [
             algo.advance(1, state, inst) for state, inst in zip(states, instances)
         ]
-        ensemble = Ensemble.from_states(states)
+        ensemble = from_states(states)
         measured = lb.weighted_overlap(ensemble, w) - lb.weighted_overlap(
-            Ensemble.from_states(after), w
+            from_states(after), w
         )
         recomputed = lb.pairwise_drop(ensemble, w)
         assert abs(measured - recomputed) < 1e-10
@@ -1325,7 +1325,7 @@ class TestTrajectory:
         # must agree.
         w = lb.WeightSpec.inverse_distance(algorithm.n)
         record = lb.run_trajectory(algorithm, algorithm.n, w, verify_chain=True)
-        snapshots = [Ensemble.from_states(s) for s in trajectory_snapshots(algorithm)]
+        snapshots = [from_states(s) for s in trajectory_snapshots(algorithm)]
         assert len(record.chain_reports) == len(snapshots) - 1
         overlaps = [lb.weighted_overlap(ensemble, w) for ensemble in snapshots]
         for j, report in enumerate(record.chain_reports):
@@ -1337,14 +1337,14 @@ class TestTrajectory:
         self, monkeypatch
     ):
         # The start is built as one ensemble and the pair bound goes through
-        # the Hankel operator; neither per-answer starts nor the O(n^2)
-        # convolution may come back to the chain path.
+        # the Hankel operator; neither per-answer starts or states nor the
+        # O(n^2) convolution may come back to the chain path.
         def forbidden(*args, **kwargs):
             raise AssertionError("called on the chain path")
 
         for cls in (BinarySearchAlgorithm, TeamCombineAlgorithm):
             monkeypatch.setattr(cls, "initial_state", forbidden)
-        monkeypatch.setattr(Ensemble, "from_states", forbidden)
+        monkeypatch.setattr(SparseState, "__init__", forbidden)
         monkeypatch.setattr(np, "convolve", forbidden)
         for algorithm in (BinarySearchAlgorithm(1024), TeamCombineAlgorithm(2048)):
             w = lb.WeightSpec.inverse_distance(algorithm.n)
@@ -1414,7 +1414,7 @@ class TestTrajectory:
         n = 64
         w = lb.WeightSpec(n, lambda d: scale * lb._inverse_distance(d))
         algorithm = BinarySearchAlgorithm(n)
-        start = Ensemble.from_states(trajectory_snapshots(algorithm)[0])
+        start = from_states(trajectory_snapshots(algorithm)[0])
         profile = lb.mass_profile(start, w)
         restriction = r"inverse-distance weights 1/\(b-a\) only"
         with pytest.raises(ValueError, match=restriction):
@@ -1442,13 +1442,13 @@ class TestTrajectory:
         [
             lambda w: lb.run_trajectory(BinarySearchAlgorithm(8), 8, w),
             lambda w: lb.weighted_overlap(
-                Ensemble.from_states(binary_prequery_states(8)[2]), w
+                from_states(binary_prequery_states(8)[2]), w
             ),
             lambda w: lb.pairwise_drop(
-                Ensemble.from_states(binary_prequery_states(8)[2]), w
+                from_states(binary_prequery_states(8)[2]), w
             ),
             lambda w: lb.verify_drop_chain(
-                lb.mass_profile(Ensemble.from_states(binary_prequery_states(8)[2]), w),
+                lb.mass_profile(from_states(binary_prequery_states(8)[2]), w),
                 0.0,
             ),
         ],
@@ -1600,7 +1600,7 @@ class TestRunPassAgainstFFT:
         # many batches; its sums must not move by a single bit.
         algorithm = BinarySearchAlgorithm(32)
         w = lb.WeightSpec.inverse_distance(32)
-        snapshots = [Ensemble.from_states(s) for s in trajectory_snapshots(algorithm)]
+        snapshots = [from_states(s) for s in trajectory_snapshots(algorithm)]
 
         def sums():
             return [fft_oracle.fft_kernel_sums(e, w, queried_left(e)) for e in snapshots]
@@ -1807,7 +1807,7 @@ def test_run_pass_stays_within_its_stated_accuracy(kernel, states):
     # docstring of _run_pair_sum states (derived in run_pass_error_bound).
     # The drop is twice a pair sum; doubling is exact.
     w = lb.WeightSpec(len(states), kernel)
-    ensemble = Ensemble.from_states(states)
+    ensemble = from_states(states)
     double_prefix = exact_double_prefix(w)
     exact_overlap, exact_drop = exact_sums(states, w)
     overlap_bound = run_pass_error_bound(run_pairs(states, False), double_prefix)

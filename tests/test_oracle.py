@@ -4,19 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qordsearch import lowerbound as lb
+from qordsearch import qcore
+from qordsearch import teamsearch as ts
 from qordsearch.oracle import (
     OrderedInstance,
     apply_query,
     apply_query_ensemble,
     enumerate_instances,
 )
-from qordsearch.qcore import (
-    Ensemble,
-    SparseState,
-    TeamLabel,
-    apply_linear,
-    diff_norm,
-)
+from qordsearch.qcore import QueryLabel, SparseState, TeamLabel, apply_linear
+from per_instance_oracle import diff_norm, from_states
 from test_lowerbound import ensemble_entries, query_label, state_entries
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -163,12 +161,12 @@ class TestApplyQueryEnsemble:
             SparseState({l: (-1) ** k * (k + 1) / 16 for k, l in enumerate(labels)})
             for _ in range(n)
         ]
-        got = apply_query_ensemble(Ensemble.from_states(states))
+        got = apply_query_ensemble(from_states(states))
         expected = [apply_query(states[i.answer], i) for i in enumerate_instances(n)]
         assert ensemble_entries(got) == state_entries(expected)
 
     def test_rejects_team_labels(self):
-        ensemble = Ensemble.from_states([SparseState.unit(TeamLabel(0, 0, 1))] * 2)
+        ensemble = from_states([SparseState.unit(TeamLabel(0, 0, 1))] * 2)
         with pytest.raises(TypeError, match="QueryLabel states only"):
             apply_query_ensemble(ensemble)
 
@@ -178,4 +176,161 @@ class TestApplyQueryEnsemble:
         queried = apply_query(state, OrderedInstance(2, 1))
         assert queried.amplitude(query_label(0, 1 << 80)) == 1
         with pytest.raises(OverflowError):
-            Ensemble.from_states([state])
+            from_states([state])
+
+
+# A 5001-digit int: past the default limit of ``str()`` on ints (4300 digits).
+BIG = 10**5000
+# How a check's message names it, and the ints next to it.
+SHOWN = f"an int of {BIG.bit_length()} bits"
+SHOWN_NEGATIVE = f"a negative int of {BIG.bit_length()} bits"
+SHOWN_3BIG = f"an int of {(3 * BIG).bit_length()} bits"
+
+
+# Every argument check names an over-long int by its bit count, where
+# formatting it would raise Python's own "Exceeds the limit" ValueError.
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (
+            lambda: ts.BinarySearchAlgorithm(3 * BIG),
+            f"list size must be a power of two, got {SHOWN_3BIG}",
+        ),
+        (
+            lambda: ts.TeamCombineAlgorithm(BIG + 2, r=2),
+            f"list size an int of {(BIG + 2).bit_length()} bits is not a multiple "
+            "of the sublist size 4",
+        ),
+        (
+            lambda: ts.default_team_size(3 * BIG),
+            f"no canonical team size for list size {SHOWN_3BIG}; need n in {{2,4,8}} "
+            "or n = 2*r*r with r a power of two",
+        ),
+        (
+            lambda: ts.decompose(-BIG),
+            f"can only decompose positive integers, got {SHOWN_NEGATIVE}",
+        ),
+        (
+            lambda: ts.base_value(-BIG),
+            f"digit index must be non-negative, got {SHOWN_NEGATIVE}",
+        ),
+        (
+            lambda: ts.known_bits_after(4, BIG),
+            f"query count {SHOWN} out of range for n=4",
+        ),
+        (
+            lambda: OrderedInstance(-BIG, 0),
+            f"list length must be positive, got {SHOWN_NEGATIVE}",
+        ),
+        (
+            lambda: OrderedInstance(BIG, BIG),
+            f"answer must lie in [0, {SHOWN}], got {SHOWN}",
+        ),
+        (
+            lambda: enumerate_instances(-BIG),
+            f"list length must be positive, got {SHOWN_NEGATIVE}",
+        ),
+        (
+            lambda: ts.require_int64_positions(BIG),
+            f"list size {SHOWN} is past int64: need n < 2**63",
+        ),
+        (
+            lambda: ts.expansion_floor(-BIG),
+            f"top digit index must be non-negative, got {SHOWN_NEGATIVE}",
+        ),
+        (lambda: ts.ceil_log3(-BIG), f"need n >= 1, got {SHOWN_NEGATIVE}"),
+        (
+            lambda: ts.query_count_model(-BIG),
+            f"query accounting needs n >= 2, got {SHOWN_NEGATIVE}",
+        ),
+        (
+            lambda: ts.build_layout(3 * BIG),
+            f"computer count must be a power of two, got {SHOWN_3BIG}",
+        ),
+        (
+            lambda: lb.WeightSpec.inverse_distance(-BIG),
+            f"problem size must be positive, got {SHOWN_NEGATIVE}",
+        ),
+        (
+            lambda: TeamLabel(0, 0, BIG),
+            f"interval length an int of {(BIG + 1).bit_length()} bits "
+            "is not a power of two",
+        ),
+        (
+            lambda: QueryLabel(0, 0, 0, -BIG),
+            f"query index must be non-negative, got {SHOWN_NEGATIVE}",
+        ),
+        (
+            lambda: ts.BinarySearchAlgorithm(4).initial_ensemble(range(BIG, BIG + 1)),
+            f"need a non-empty step-1 range in 0 .. 4, got range({SHOWN}, {SHOWN})",
+        ),
+        (
+            lambda: ts.Decomposition((BIG,)),
+            f"digits must be integers in 0..3, got ({SHOWN},)",
+        ),
+        (
+            lambda: ts.run_algorithm(
+                ts.BinarySearchAlgorithm(4), OrderedInstance(BIG, 0)
+            ),
+            f"BinarySearchAlgorithm is built for list size 4, not {SHOWN}",
+        ),
+        (
+            lambda: ts.TeamCombineAlgorithm(8).advance(
+                BIG, None, OrderedInstance(8, 0)
+            ),
+            f"TeamCombineAlgorithm has 1 steps, got step {SHOWN}",
+        ),
+        (
+            lambda: lb.run_trajectory(
+                ts.BinarySearchAlgorithm(4), BIG, lb.WeightSpec.inverse_distance(4)
+            ),
+            f"expected 4 states, got {SHOWN}",
+        ),
+    ],
+    ids=[
+        "BinarySearchAlgorithm",
+        "TeamCombineAlgorithm",
+        "default_team_size",
+        "decompose",
+        "base_value",
+        "known_bits_after",
+        "OrderedInstance-n",
+        "OrderedInstance-answer",
+        "enumerate_instances",
+        "require_int64_positions",
+        "expansion_floor",
+        "ceil_log3",
+        "query_count_model",
+        "build_layout",
+        "WeightSpec.inverse_distance",
+        "TeamLabel",
+        "QueryLabel",
+        "initial_ensemble",
+        "Decomposition",
+        "run_algorithm",
+        "advance",
+        "run_trajectory",
+    ],
+)
+def test_checks_name_an_over_long_int_by_its_bits(call, expected):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == expected
+
+
+def test_test_only_references_have_left_the_package():
+    # lowerbound reads ensembles only; the per-instance references that only
+    # the tests call live in tests/per_instance_oracle.py, and the names
+    # that nothing called are gone.
+    assert "SparseState" not in vars(lb) and "inner_product" not in vars(lb)
+    gone = {
+        qcore: ("label_fields", "diff_norm", "apply_diagonal_phase"),
+        qcore.Ensemble: ("from_states",),
+        lb: ("_reference_weighted_overlap", "_reference_pairwise_drop"),
+        ts: ("classical_binary_search", "SearchTrace"),
+        ts.KnowledgeLayout: ("to_jsonable",),
+    }
+    for owner, names in gone.items():
+        for name in names:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    assert not callable(lb.WeightSpec.inverse_distance(2))

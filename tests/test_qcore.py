@@ -15,20 +15,17 @@ from qordsearch import teamsearch as ts
 from qordsearch.oracle import OrderedInstance, apply_query, enumerate_instances
 from qordsearch.qcore import (
     CollisionError,
-    Ensemble,
     NormDriftError,
     QueryLabel,
     SparseState,
     TeamLabel,
-    apply_diagonal_phase,
     apply_linear,
     apply_linear_ensemble,
-    diff_norm,
     inner_product,
-    label_fields,
     labels_of,
     measure_distribution,
 )
+from per_instance_oracle import diff_norm, from_states, label_fields
 from test_lowerbound import (
     assert_ensemble_invariants,
     ensemble_entries,
@@ -267,32 +264,6 @@ class TestInnerProduct:
         assert inner_product(a, b) == inner_product(b, a)
 
 
-class TestDiagonalPhase:
-    def test_all_plus_one_is_identity(self):
-        state = random_state(20, seed=3)
-        assert diff_norm(apply_diagonal_phase(state, lambda l: 1), state) == 0.0
-
-    def test_single_label_flip(self):
-        state = SparseState({query_label(0, 0): 0.6, query_label(0, 1): 0.8})
-        flipped = apply_diagonal_phase(
-            state, lambda l: -1 if l == query_label(0, 1) else 1
-        )
-        assert flipped.amplitude(query_label(0, 0)) == 0.6
-        assert flipped.amplitude(query_label(0, 1)) == -0.8
-
-    def test_norm_preserved_on_random_state(self):
-        state = random_state(50, seed=11)
-        rng = random.Random(5)
-        signs = {label: rng.choice((1, -1)) for label in state.labels()}
-        out = apply_diagonal_phase(state, signs.__getitem__)
-        assert abs(out.norm() - state.norm()) < 1e-12
-
-    def test_rejects_non_sign_values(self):
-        state = SparseState.unit(query_label(0, 0))
-        with pytest.raises(ValueError):
-            apply_diagonal_phase(state, lambda l: 2)
-
-
 class TestApplyLinear:
     def test_identity_returns_input_bit_exact(self):
         state = random_state(25, seed=13)
@@ -361,7 +332,7 @@ class TestApplyLinear:
 
     def test_norm_preserved_on_ten_thousand_labels(self):
         state = random_state(10_000, seed=29)
-        phased = apply_diagonal_phase(state, lambda l: -1 if l.i % 3 else 1)
+        phased = SparseState({l: -a if l.i % 3 else a for l, a in state.items()})
         assert abs(phased.norm() - state.norm()) < 1e-12
         paired = apply_linear(
             state,
@@ -444,16 +415,18 @@ class TestRelabelledConstructor:
 
     def test_unnormalized_source_keeps_its_flag_and_norm(self):
         state = random_state(40, seed=31, normalize=False)
-        phased = apply_diagonal_phase(state, lambda l: -1 if l.lo % 2 else 1)
+        signed = {l: -a if l.lo % 2 else a for l, a in state._entries.items()}
+        phased = SparseState._relabelled(signed, state)
         full = SparseState(phased._entries)
         assert not phased.normalized and not full.normalized
         assert phased._norm_sq == full._norm_sq == state._norm_sq
 
 
 def reference_query(state, inst):
-    """The query as a generic diagonal phase from ``inst.bit``, rebuilt in full."""
-    phased = apply_diagonal_phase(state, lambda l: -1 if inst.bit(l.i) else 1)
-    return SparseState(phased._entries)
+    """The query as a sign flip read off ``inst.bit``, built in full."""
+    return SparseState(
+        {l: -a if inst.bit(l.i) else a for l, a in state._entries.items()}
+    )
 
 
 class TestQueryFastPath:
@@ -552,7 +525,7 @@ class TestEnsemble:
     @pytest.mark.parametrize("seed", range(8))
     def test_linear_step_is_bit_equal_per_answer(self, seed):
         states = cancelling_states(seed, partnered=True)
-        got = apply_linear_ensemble(Ensemble.from_states(states), lifted(pair_mixer))
+        got = apply_linear_ensemble(from_states(states), lifted(pair_mixer))
         expected = [apply_linear(s, pair_mixer) for s in states]
         assert ensemble_entries(got) == state_entries(expected)
         assert all(query_label(11, 0) not in s for s in expected)
@@ -566,7 +539,7 @@ class TestEnsemble:
             calls.append(labels_of(fields))
             return lifted(pair_mixer)(fields)
 
-        apply_linear_ensemble(Ensemble.from_states(states), counted)
+        apply_linear_ensemble(from_states(states), counted)
         assert calls == [[query_label(0, 0)]]
 
     def test_norm_drift_is_checked_per_answer(self):
@@ -576,7 +549,7 @@ class TestEnsemble:
         with pytest.raises(NormDriftError):
             apply_linear(states[1], shift)
         with pytest.raises(NormDriftError):
-            apply_linear_ensemble(Ensemble.from_states(states), lifted(shift))
+            apply_linear_ensemble(from_states(states), lifted(shift))
 
     def test_nan_coefficient_fails_the_finiteness_check(self):
         states = [SparseState({query_label(0, 0): 1.0})]
@@ -584,7 +557,7 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             apply_linear(states[0], nan_map)
         with pytest.raises(ValueError, match="amplitudes must be finite"):
-            apply_linear_ensemble(Ensemble.from_states(states), lifted(nan_map))
+            apply_linear_ensemble(from_states(states), lifted(nan_map))
 
     def test_a_half_landing_on_a_label_of_another_answer_collides(self):
         # Each state alone mixes and refines, but a refinement riding on a
@@ -594,13 +567,13 @@ class TestEnsemble:
         for state in apart:
             assert ts._run_steps(steps, state).normalized
         with pytest.raises(CollisionError) as collided:
-            ts._run_ensemble_steps(steps, Ensemble.from_states(apart))
+            ts._run_ensemble_steps(steps, from_states(apart))
         assert str(collided.value) == "labels 0|0,1 and 1|0,3 both map to 0|0,1"
 
     @pytest.mark.parametrize("seed", range(4))
     def test_one_state_at_every_answer(self, seed):
         state = cancelling_states(seed, count=1)[0]
-        got = Ensemble.from_states([state] * 5)
+        got = from_states([state] * 5)
         assert got.size == 5
         assert ensemble_entries(got) == state_entries([state] * 5)
         assert len(got.amps) == 5 * len(state) > 5
@@ -611,7 +584,7 @@ class TestEnsemble:
         first = SparseState({TeamLabel(0, 0, 1): 0.6, query_label(3, 2): 0.8})
         second = SparseState({query_label(3, 1): 0.6, TeamLabel(1, 2, 3): -0.8})
         states = [first, second]
-        ensemble = Ensemble.from_states(states)
+        ensemble = from_states(states)
         assert_ensemble_invariants(ensemble)
         assert labels_of(ensemble.fields) == [
             query_label(3, 1),
@@ -621,7 +594,7 @@ class TestEnsemble:
         ]
         assert ensemble_entries(ensemble) == state_entries(states)
         empty = SparseState({})
-        one = Ensemble.from_states([empty, empty, second, empty])
+        one = from_states([empty, empty, second, empty])
         assert_ensemble_invariants(one)
         assert one.size == 4
         assert ensemble_entries(one) == state_entries([empty, empty, second, empty])
@@ -638,7 +611,7 @@ class TestEnsemble:
             QueryLabel(0, 0, 0, 0),
         ]
         states = [SparseState({l: 0.5 for l in labels}), SparseState({labels[1]: 1.0})]
-        ensemble = Ensemble.from_states(states)
+        ensemble = from_states(states)
         assert labels_of(ensemble.fields) == sorted(labels, key=lambda l: l.sort_key)
         assert ensemble_entries(ensemble) == state_entries(states)
         identity = lambda l: [(l, 1.0)]
@@ -657,10 +630,10 @@ class TestEnsemble:
             np.full(fields.shape[1], 1j),
         )
         with pytest.raises(ValueError, match="coefficients must be real"):
-            apply_linear_ensemble(Ensemble.from_states([state]), phase)
+            apply_linear_ensemble(from_states([state]), phase)
 
     def test_empty_ensemble(self):
-        empty = Ensemble.from_states([])
+        empty = from_states([])
         assert empty.fields.shape == (5, 0)
         for got in (empty, apply_linear_ensemble(empty, lifted(pair_mixer))):
             assert_ensemble_invariants(got)
@@ -716,7 +689,7 @@ class TestRelabelByRuns:
     def test_random_injective_maps(self, seed):
         rng = random.Random(seed)
         states = random_states(rng, rng.randrange(1, 9), rng.randrange(1, 12))
-        ensemble = Ensemble.from_states(states)
+        ensemble = from_states(states)
         labels = labels_of(ensemble.fields)
         targets = rng.sample(
             [TeamLabel(b, lo, lo) for b in (0, 1) for lo in range(40)]
@@ -731,7 +704,7 @@ class TestRelabelByRuns:
     @pytest.mark.parametrize("seed", range(8))
     def test_maps_that_keep_the_label_order_keep_the_entries(self, seed):
         states = random_states(random.Random(seed), 6, 10)
-        ensemble = Ensemble.from_states(states)
+        ensemble = from_states(states)
         # query_label(z, i) has the fields (QUERY, z, z, 0, i).
         shifted = lambda fields: (
             np.ones(fields.shape[1], dtype=np.intp),
@@ -847,7 +820,7 @@ class TestLinearByPairs:
             return [(label, 1.0), (query_label(1, i), -0.0)] if z == 0 else [(label, 1.0)]
 
         state = SparseState({query_label(0, 0): 0.6, query_label(2, 0): 0.8})
-        ensemble = Ensemble.from_states([state, state])
+        ensemble = from_states([state, state])
         summed = []
         prune = qcore._prune
         monkeypatch.setattr(
@@ -868,7 +841,7 @@ class TestLinearByPairs:
             apply_linear(state, pair_mixer)
         image, why = first_unpaired_image(states, pair_mixer)
         with pytest.raises(ValueError) as refused:
-            apply_linear_ensemble(Ensemble.from_states(states), lifted(pair_mixer))
+            apply_linear_ensemble(from_states(states), lifted(pair_mixer))
         assert str(refused.value) == (
             f"image label {image} {why}: apply_linear_ensemble takes pair mixers only"
         )
@@ -888,7 +861,7 @@ class TestLinearByPairs:
             assert apply_linear(state, three_way).normalized
         assert first_unpaired_image(states, three_way) is None
         with pytest.raises(ValueError) as refused:
-            apply_linear_ensemble(Ensemble.from_states(states), lifted(three_way))
+            apply_linear_ensemble(from_states(states), lifted(three_way))
         assert str(refused.value) == (
             "image label 0|0,0;0 sums 3 terms: apply_linear_ensemble takes pair mixers only"
         )
@@ -947,7 +920,7 @@ class TestThreadedRounds:
         # handed on uncounted would gather the relabelled runs from the
         # wrong entries.
         states = cancelling_states(seed, partnered=True)
-        ensemble = Ensemble.from_states(states)
+        ensemble = from_states(states)
         mix = lifted(pair_mixer)
         mirror = lambda label: query_label(20 - label.lo, label.i)
         mirrored = lifted(relabelling(mirror))
@@ -969,7 +942,7 @@ class TestThreadedRounds:
             SparseState({query_label(0, 0): 1e-10}),
             SparseState.unit(query_label(2, 0)),
         ]
-        ensemble = Ensemble.from_states(states)
+        ensemble = from_states(states)
         shrink = lifted(lambda label: [(label, 1e-6 if label.lo == 0 else 1.0)])
         got, books = ts._run_ensemble_steps([step_of(shrink), IDENTITY], ensemble)
         shrunk = apply_linear_ensemble(ensemble, shrink)
@@ -1011,7 +984,7 @@ class TestThreadedRounds:
     def test_a_round_raises_what_one_step_raises(self, states, label_map):
         # The failing step comes first, counting its own tally, and second,
         # handed one.
-        ensemble = Ensemble.from_states(states)
+        ensemble = from_states(states)
         fields_map = lifted(label_map)
         expected = raised(lambda: apply_linear_ensemble(ensemble, fields_map))
         for steps in ([step_of(fields_map)], [IDENTITY, step_of(fields_map)]):
@@ -1019,7 +992,7 @@ class TestThreadedRounds:
 
     def test_a_round_raises_the_collision_of_its_refine(self):
         apart = [SparseState.unit(TeamLabel(0, 0, 1)), SparseState.unit(TeamLabel(1, 0, 3))]
-        ensemble = Ensemble.from_states(apart)
+        ensemble = from_states(apart)
         combine = ts._combine_step(4)
         expected = raised(lambda: apply_linear_ensemble(ensemble, combine.image))
         assert expected == (CollisionError, "labels 0|0,1 and 1|0,3 both map to 0|0,1")

@@ -15,6 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuple_map_oracle as tuple_oracle
+from per_instance_oracle import (
+    classical_binary_search,
+    diff_norm,
+    from_states,
+    label_fields,
+)
 from qordsearch import lowerbound as lb
 from qordsearch import qcore
 from qordsearch import teamsearch as ts
@@ -31,7 +37,6 @@ from qordsearch.qcore import (
     SparseState,
     TeamLabel,
     apply_linear,
-    diff_norm,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -325,7 +330,7 @@ class TestSchedule:
                     source = QueryLabel(1, 0, size - 1, half - 1)
                 else:
                     source = TeamLabel(0, 0, size - 1)
-                _, images, _ = mix.image(qcore.label_fields([source]))
+                _, images, _ = mix.image(label_fields([source]))
                 assert qcore.labels_of(images) == [
                     TeamLabel(0, half, size - 1),
                     TeamLabel(0, 0, half - 1),
@@ -476,13 +481,10 @@ class TestLayout:
         with pytest.raises(ValueError):
             ts.build_layout(3)
 
-    def test_jsonable_shape(self):
-        data = ts.build_layout(2).to_jsonable()
-        assert data == {
-            "r": 2,
-            "n_list": 8,
-            "computers": [[4, 6, 8], [2, 4, 8]],
-        }
+    def test_layout_shape(self):
+        layout = ts.build_layout(2)
+        assert (layout.r, layout.n_list) == (2, 8)
+        assert layout.computers == ((4, 6, 8), (2, 4, 8))
 
     @pytest.mark.parametrize("r", [1, 2, 4, 8, 16])
     def test_layout_knowledge_reproduces_the_opening_intervals(self, r):
@@ -526,13 +528,13 @@ class TestSteppableAlgorithms:
             for j in range(algo.num_queries):
                 queried.append({label.i for label in state.labels() if label.i < n})
                 state = algo.advance(j, state, inst)
-            assert queried == [{i} for i in ts.classical_binary_search(inst).queried]
+            assert queried == [{i} for i in classical_binary_search(inst).queried]
 
     def test_the_binary_ensemble_queries_what_classical_binary_search_probes(self):
         n = 4096
         algo = ts.BinarySearchAlgorithm(n)
         probes = np.array(
-            [ts.classical_binary_search(inst).queried for inst in enumerate_instances(n)]
+            [classical_binary_search(inst).queried for inst in enumerate_instances(n)]
         )
         snapshots = ts.ensemble_snapshots(algo, algo.initial_ensemble())
         for j, ensemble in zip(range(algo.num_queries), snapshots):
@@ -548,7 +550,7 @@ class TestSteppableAlgorithms:
         # ensemble reaches.
         n = 2**62
         algo = ts.BinarySearchAlgorithm(n)
-        probes = ts.classical_binary_search(OrderedInstance(n, answer)).queried
+        probes = classical_binary_search(OrderedInstance(n, answer)).queried
         start = algo.initial_ensemble(range(answer, answer + 1))
         snapshots = ts.ensemble_snapshots(algo, start)
         queried = []
@@ -678,7 +680,7 @@ class HandBuilt:
     def initial_ensemble(self, answers=None):
         answers = range(self.n) if answers is None else answers
         empty = SparseState({})
-        return Ensemble.from_states(
+        return from_states(
             [state if a in answers else empty for a, state in enumerate(self.states)]
         )
 
@@ -785,7 +787,7 @@ class TestEnsembleOutcomes:
         labels = [TeamLabel(0, lo, lo + 1), TeamLabel(1, lo, lo + 3)]
         ensemble = Ensemble(
             n,
-            qcore.label_fields(labels),
+            label_fields(labels),
             np.array([0, 1]),
             np.array([k, k]),
             np.array([0.8, 0.6]),
@@ -799,7 +801,7 @@ class TestEnsembleOutcomes:
         pinned = [TeamLabel(0, k - 1, k - 1), TeamLabel(0, k, k)]
         final = Ensemble(
             n,
-            qcore.label_fields(pinned),
+            label_fields(pinned),
             np.array([0, 1]),
             np.array([k, k]),
             np.array([0.6, 0.8]),
@@ -848,7 +850,7 @@ class TestEnsembleOutcomes:
         assert "requires a normalized state" in expected
         assert error_text(ts.run_ensemble, algorithm) == expected
         assert error_text(ts.run_ensemble, algorithm, 1) == expected
-        final = Ensemble.from_states(states)
+        final = from_states(states)
         assert error_text(ts.measure_ensemble, algorithm, final) == expected
         assert ts.measure_ensemble(algorithm, algorithm.initial_ensemble(range(1))) == [
             ts.run_algorithm(algorithm, OrderedInstance(2, 0))
@@ -857,13 +859,13 @@ class TestEnsembleOutcomes:
     def test_an_answer_without_entries_between_held_ones_is_unnormalized(self):
         states = [SparseState.unit(TeamLabel(0, a, a)) for a in range(3)]
         algorithm = HandBuilt(states)
-        final = Ensemble.from_states([states[0], SparseState({}), states[2]])
+        final = from_states([states[0], SparseState({}), states[2]])
         expected = error_text(
             qcore.measure_distribution, SparseState({}), ts._pinned_answer
         )
         assert "requires a normalized state" in expected
         assert error_text(ts.measure_ensemble, algorithm, final) == expected
-        assert ts.measure_ensemble(algorithm, Ensemble.from_states(states)) == [
+        assert ts.measure_ensemble(algorithm, from_states(states)) == [
             (a, 1.0, 0) for a in range(3)
         ]
 
@@ -902,7 +904,7 @@ def linear_images(label_map, labels):
 
 def field_images(fields_map, labels):
     """The same three lists from the map on label fields."""
-    counts, images, coeffs = fields_map(qcore.label_fields(labels))
+    counts, images, coeffs = fields_map(label_fields(labels))
     return counts.tolist(), qcore.labels_of(images), coeffs.tolist()
 
 
@@ -936,7 +938,7 @@ class TestFieldMaps:
         assert field_images(lambda f: ts._mix_fields(f, s), labels) == linear_images(
             mix, labels
         )
-        halved = ts._halving_fields(qcore.label_fields(labels), s)
+        halved = ts._halving_fields(label_fields(labels), s)
         assert qcore.labels_of(halved) == [ts._halving(label, s) for label in labels]
 
     @pytest.mark.parametrize("length", [2, 4, 8, 16, 32])
@@ -958,7 +960,7 @@ class TestFieldMaps:
         expected, got = same_error(
             lambda: apply_linear(state, open_query),
             lambda: qcore.apply_linear_ensemble(
-                Ensemble.from_states([state] * 8), open_fields
+                from_states([state] * 8), open_fields
             ),
         )
         assert got == expected == "query index must be non-negative, got -1"
@@ -970,7 +972,7 @@ class TestFieldMaps:
         expected, got = same_error(
             lambda: apply_linear(state, open_query),
             lambda: qcore.apply_linear_ensemble(
-                Ensemble.from_states([state] * 8), open_fields
+                from_states([state] * 8), open_fields
             ),
         )
         assert got == expected == (
@@ -985,7 +987,7 @@ class TestFieldMaps:
         expected, got = same_error(
             lambda: apply_linear(state, close_query),
             lambda: qcore.apply_linear_ensemble(
-                Ensemble.from_states([state] * 8), close_fields
+                from_states([state] * 8), close_fields
             ),
         )
         assert got == expected == "expected a QueryLabel, got TeamLabel(b=1, lo=4, hi=7)"
@@ -1009,7 +1011,7 @@ class TestFieldMaps:
         expected, got = same_error(
             lambda: apply_linear(state, close_query),
             lambda: qcore.apply_linear_ensemble(
-                Ensemble.from_states([state] * n), close_fields
+                from_states([state] * n), close_fields
             ),
         )
         assert got == expected == f"{message} does not sit on its routed query index"
@@ -1018,7 +1020,7 @@ class TestFieldMaps:
         state = SparseState({QueryLabel(0, 0, 0, 1): 0.6, TeamLabel(0, 0, 1): 0.8})
         expected, got = same_error(
             lambda: apply_query(state, OrderedInstance(2, 0)),
-            lambda: apply_query_ensemble(Ensemble.from_states([state] * 2)),
+            lambda: apply_query_ensemble(from_states([state] * 2)),
         )
         assert got == expected == (
             "apply_query acts on QueryLabel states only, found TeamLabel(b=0, lo=0, hi=1)"
@@ -1034,7 +1036,7 @@ class TestFieldMaps:
         steps = [ts._combine_step(4), ts._refine_step(4)]
         expected, got = same_error(
             lambda: ts._run_steps(steps, states[1]),
-            lambda: ts._run_ensemble_steps(steps, Ensemble.from_states(states)),
+            lambda: ts._run_ensemble_steps(steps, from_states(states)),
         )
         assert expected == "labels 1|0,3 and 0|0,1 both map to 0|0,1"
         # The ensemble names the two labels in sort_key order.
@@ -1297,7 +1299,7 @@ def brute_force_known_bits(n, j):
     instances = enumerate_instances(n)
     known = set(range(1, n + 1))
     for inst in instances:
-        trace = ts.classical_binary_search(inst)
+        trace = classical_binary_search(inst)
         observed = [(q, inst.bit(q)) for q in trace.queried[:j]]
         consistent = [
             other
@@ -1316,13 +1318,13 @@ def brute_force_known_bits(n, j):
 class TestClassicalReference:
     def test_query_counts(self):
         for inst in enumerate_instances(8):
-            assert len(ts.classical_binary_search(inst).queried) == 3
-        assert len(ts.classical_binary_search(OrderedInstance(2, 0)).queried) == 1
+            assert len(classical_binary_search(inst).queried) == 3
+        assert len(classical_binary_search(OrderedInstance(2, 0)).queried) == 1
 
     def test_answers(self):
         for n in (1, 2, 16):
             for inst in enumerate_instances(n):
-                assert ts.classical_binary_search(inst).answer == inst.answer
+                assert classical_binary_search(inst).answer == inst.answer
 
     def test_known_bits_after_two_queries_on_eight(self):
         assert list(ts.known_bits_after(8, 2)) == [2, 4, 6, 8]
@@ -1798,7 +1800,7 @@ NOT_TILED = "list size {} is not a multiple of the sublist size {}"
         (lambda: error_text(ts.BinarySearchAlgorithm, 6), LIST_SIZE.format(6)),
         (lambda: error_text(ts.known_bits_after, 6, 1), LIST_SIZE.format(6)),
         (
-            lambda: error_text(ts.classical_binary_search, OrderedInstance(6, 1)),
+            lambda: error_text(classical_binary_search, OrderedInstance(6, 1)),
             LIST_SIZE.format(6),
         ),
         (
