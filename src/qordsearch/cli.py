@@ -33,9 +33,8 @@ SWEEP_ANSWER_BYTES = 990
 SWEEP_LEVEL_BYTES = 130
 # Peak bytes per known bit of ``layout``: the tuples of ints and the JSON
 # text. Peak RSS over that of r = 16 (four fresh processes each) gave
-# 50.8-53.1 at r = 64, 64.3-64.6 at r = 128 and 62.0-64.6 at r = 256 when a
-# list copy of each tuple was rendered too, so it is an upper bound now.
-LAYOUT_BIT_BYTES = 67
+# 45.6-46.3 at r = 64, 57.9-58.1 at r = 128 and 53.9 at r = 256.
+LAYOUT_BIT_BYTES = 59
 
 ALGORITHMS = {"binary": teamsearch.BinarySearchAlgorithm,
               "team": teamsearch.TeamCombineAlgorithm}

@@ -27,7 +27,8 @@ numbers only: the masses, the weights and the pair drop of the states
 entering a query, and :func:`verify_drop_chain` takes it and the drop
 W_before - W_after. An ensemble's entries go label by label, its labels in
 ``sort_key`` order, so each label's column of amplitudes is one contiguous
-run and every sum over the columns runs in that order.
+run, of the length its ``column_sizes`` entry gives, and every sum over the
+columns runs in that order.
 
 The weights depend on the answer distance b - a only (:class:`WeightSpec`),
 and a label's column is a few runs of consecutive answers at one amplitude,
@@ -333,23 +334,23 @@ def _run_pair_sum(
     runs, which adds at most (m - 1)u of the sum of the m terms'
     magnitudes. The sum is a ``float``.
     """
-    label_ids, answers, amps = ensemble.label_ids, ensemble.answers, ensemble.amps
+    sizes, answers, amps = ensemble.column_sizes, ensemble.answers, ensemble.amps
     if not len(answers):
         return 0.0
-    # A run starts at entry 0 and at each break; the run starts, then the
-    # entry count, are the set entries of ``edges``.
+    # A run starts at entry 0, at each column's start and at each break; the
+    # run starts, then the entry count, are the set entries of ``edges``.
     edges = np.empty(len(answers) + 1, dtype=bool)
-    edges[0] = edges[-1] = True
+    edges[0] = True
     breaks = edges[1:-1]
-    np.not_equal(label_ids[1:], label_ids[:-1], out=breaks)
-    breaks |= answers[1:] != answers[:-1] + 1
+    np.not_equal(answers[1:], answers[:-1] + 1, out=breaks)
     breaks |= amps[1:] != amps[:-1]
     if left is not None:
         breaks |= left[1:] != left[:-1]
+    edges[sizes.cumsum()] = True
     edges = edges.nonzero()[0]
     first = edges[:-1]
     length = edges[1:] - first
-    label = label_ids[first]
+    label = np.arange(len(sizes)).repeat(sizes)[first]
     # Run p pairs with each of the runs[label[p]] runs of its column.
     runs = np.bincount(label)
     partners = runs[label]
@@ -536,7 +537,7 @@ def _queried_index(ensemble: Ensemble, w: WeightSpec) -> np.ndarray:
     label that is not a ``QueryLabel``."""
     _check_state_count(ensemble.size, w)
     require_fields(ensemble.fields[0] == QUERY, ensemble.fields, query_index)
-    return ensemble.fields[4][ensemble.label_ids]
+    return ensemble.fields[4].repeat(ensemble.column_sizes)
 
 
 def pairwise_drop(ensemble: Ensemble, w: WeightSpec) -> float:

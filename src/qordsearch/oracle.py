@@ -103,13 +103,14 @@ def apply_query_ensemble(ensemble: Ensemble) -> Ensemble:
 
     Answer ``a`` flips the sign of its entries whose label queries an index
     ``i`` with ``a <= i < size``, read off the label fields; every label must
-    be a ``QueryLabel``.
+    be a ``QueryLabel``. A sign flip moves no magnitude, so the result
+    keeps the input's norms.
     """
     kind, _, _, _, index = ensemble.fields
     unrouted = kind != QUERY
     if unrouted.any():
         [label] = labels_of(ensemble.fields[:, [int(np.argmax(unrouted))]])
         raise _not_a_query_label(label)
-    queried = index[ensemble.label_ids]
+    queried = index.repeat(ensemble.column_sizes)
     flip = (ensemble.answers <= queried) & (queried < ensemble.size)
     return ensemble._replace(amps=np.where(flip, -ensemble.amps, ensemble.amps))

@@ -29,8 +29,7 @@ entry, the bits of the per-state operations. Every operator in use has
 real coefficients (+/-sqrt(1/2), sign flips, relabellings), so amplitudes
 are real on both paths: floats in a ``SparseState``, one float64 array in
 an ``Ensemble``. A field beyond int64 does not fit, and no key multiplies
-two fields: entries are grouped through dense label ids times the span of
-their answers.
+two fields: an entry's label is the column whose run of entries holds it.
 
 The ensemble's one label operation, :func:`apply_linear_ensemble`, takes
 the maps the algorithms' steps are made of, and refuses any other: a pair
@@ -42,10 +41,10 @@ refinement, which relabels one to one, rides on the pair mixer before it
 as a renaming of its image labels. The per-state operations take any map;
 they run one instance (``teamsearch.run_algorithm``), and the tests check
 the ensemble against them, gathering per-answer states into an ensemble
-with ``tests/per_instance_oracle.py``. A run of such steps goes through
-:func:`step_ensemble`, the same pass handed a :class:`Tally` of its input
-(the answers' norms and each label's run of entries) by the step before, so
-that no step counts again what the one before it summed.
+with ``tests/per_instance_oracle.py``. An ensemble carries its own books,
+each label column's entry count and each answer's norm: a step reads its
+input's and builds its image's from the sums its checks made, so that no
+step counts again what the one before it summed.
 """
 from __future__ import annotations
 
@@ -352,23 +351,45 @@ class Ensemble(NamedTuple):
     """One sparse state per answer ``0 .. size-1``, held as arrays.
 
     Column ``k`` of the int64 ``fields`` is the ``k``-th distinct label, as
-    its ``sort_key``. Entry ``e`` is the float64 amplitude ``amps[e]``
-    of answer ``answers[e]`` on label column ``label_ids[e]``, and each
-    column is held by some entry. The columns are distinct and in lexicographic
-    order, which is the ``sort_key`` order of their labels, so a label id
-    orders labels as ``sort_key`` does. The entries go label by label: with
-    the answers holding entries spanning ``low .. low+count-1``, their keys
-    ``label_ids * count + answers - low`` strictly increase, so no (label,
-    answer) pair repeats, each label's entries are contiguous with their
-    answers ascending, and each answer's entries come in label order. The
-    constructors here establish both orders and every operation keeps them.
+    its ``sort_key``. The columns are distinct and in lexicographic order,
+    which is the ``sort_key`` order of their labels. Entry ``e`` is the
+    float64 amplitude ``amps[e]`` of answer ``answers[e]``, and the entries
+    go label by label: the first ``column_sizes[0]`` are column 0's, the
+    next ``column_sizes[1]`` column 1's, and so on, each column held by
+    some entry. Within a column the answers strictly increase, so no
+    (label, answer) pair repeats, and each answer's entries come in label
+    order.
+
+    ``norms`` holds the root norms of answers ``low .. low+len(norms)-1``,
+    each summed in entry order, and every answer holding an entry lies in
+    that span. :meth:`counted` counts them; a step keeps the span of its
+    input, since its answers only ever thin out, and an answer that lost
+    its entries holds a norm of zero. The constructors here establish these
+    orders and every operation keeps them.
     """
 
     size: int
     fields: np.ndarray
-    label_ids: np.ndarray
+    column_sizes: np.ndarray
     answers: np.ndarray
     amps: np.ndarray
+    low: int
+    norms: np.ndarray
+
+    @classmethod
+    def counted(
+        cls,
+        size: int,
+        fields: np.ndarray,
+        column_sizes: np.ndarray,
+        answers: np.ndarray,
+        amps: np.ndarray,
+    ) -> "Ensemble":
+        """The ensemble of these columns and entries, its answer span and
+        norms counted from the entries."""
+        low, count = _answer_span(answers)
+        norms = np.sqrt(_squared_norms(answers, amps, low, count))
+        return cls(size, fields, column_sizes, answers, amps, low, norms)
 
 
 def _answer_span(answers: np.ndarray) -> tuple[int, int]:
@@ -402,29 +423,6 @@ def _run_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 FieldsMap = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-class Tally(NamedTuple):
-    """What one ensemble step hands the next: its output's bookkeeping.
-
-    ``norms`` holds the root norms of answers ``low .. low+count-1``, each
-    summed in entry order, and ``runs[k]`` the number of entries of label
-    column ``k``. A later step takes the span as it is: its answers only
-    ever thin out, and one that lost its entries holds a norm of zero.
-    """
-
-    low: int
-    count: int
-    norms: np.ndarray
-    runs: np.ndarray
-
-
-def tally(ens: Ensemble) -> Tally:
-    """The :class:`Tally` of ``ens``, counted from its entries."""
-    low, count = _answer_span(ens.answers)
-    norms = np.sqrt(_squared_norms(ens.answers, ens.amps, low, count))
-    runs = np.bincount(ens.label_ids, minlength=ens.fields.shape[1])
-    return Tally(low, count, norms, runs)
-
-
 def _not_a_pair_mixer(image_fields: np.ndarray, image: int, what: str) -> ValueError:
     """The ``ValueError`` of a map that is no pair mixer: the label of column
     ``image`` of ``image_fields``, then ``what`` is wrong with it."""
@@ -453,17 +451,19 @@ def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
     gives +0.0; both are pruned. Pruning, the finiteness check and the
     norm-drift check hold per answer, over the answers that hold entries.
 
-    This is :func:`step_ensemble` from the :func:`tally` of ``ens``, counted
-    here; a round of steps hands each step the tally of the one before.
+    The image keeps the answer span of ``ens`` and holds the norms its
+    drift check summed; its column sizes are the image runs, less what is
+    pruned.
     """
-    return step_ensemble(ens, op, tally(ens))[0]
+    return _checked(ens, *_prune(*_pair_sums(ens, op)))
 
 
-def step_ensemble(ens: Ensemble, op: FieldsMap, books: Tally) -> tuple[Ensemble, Tally]:
-    """:func:`apply_linear_ensemble` on ``ens``, whose tally is ``books``, as
-    :func:`tally` counts it or the step that made ``ens`` hands it on; the
-    image and its tally, whose norms are the ones the drift check summed and
-    whose runs are counted again only when an entry is pruned."""
+def _pair_sums(
+    ens: Ensemble, op: FieldsMap
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The image columns of ``ens`` under the pair mixer ``op``, each one's
+    entry count, and the entries' answers and summed amplitudes, unpruned;
+    the per-label arrays behind them go with this frame."""
     counts, images, coeffs = op(ens.fields)
     if np.iscomplexobj(coeffs):
         raise ValueError("ensemble coefficients must be real, got complex ones")
@@ -480,12 +480,12 @@ def step_ensemble(ens: Ensemble, op: FieldsMap, books: Tally) -> tuple[Ensemble,
         raise _not_a_pair_mixer(image_fields, image, f"sums {terms[image]} terms")
     two = terms == 2
     first, second = order[lead], order[lead[two] + 1]
-    # Label k's entries are the run starts[k] .. starts[k] + runs[k] - 1.
-    runs = books.runs
-    starts = runs.cumsum() - runs
+    # Label k's entries are the run starts[k] .. starts[k] + sizes[k] - 1.
+    sizes = ens.column_sizes
+    starts = sizes.cumsum() - sizes
     source = np.arange(len(counts)).repeat(counts)
     head, tail = source[first], source[second]
-    length, paired_length = runs[head], runs[tail]
+    length, paired_length = sizes[head], sizes[tail]
     uneven = length[two] != paired_length
     if uneven.any():
         k = np.argmax(uneven)
@@ -507,51 +507,44 @@ def step_ensemble(ens: Ensemble, op: FieldsMap, books: Tally) -> tuple[Ensemble,
     paired_amps *= coeffs[second].repeat(paired_length)
     amps[paired] += paired_amps
     del paired, paired_amps
-    label_ids = np.arange(len(terms)).repeat(length)
-    kept = _prune(label_ids, answers, amps)
-    if kept is None:
-        entries = label_ids, answers, amps
-        return _checked(ens.size, image_fields, entries, books, length)
-    del label_ids, answers, amps
-    return _checked(ens.size, image_fields, kept, books, None)
+    return image_fields, length, answers, amps
 
 
 def _prune(
-    label_ids: np.ndarray, answers: np.ndarray, amps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The entries whose amplitudes are not below ``PRUNE_EPS`` in magnitude,
-    or None when no entry is pruned."""
+    fields: np.ndarray, column_sizes: np.ndarray, answers: np.ndarray, amps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The columns and entries left once the entries whose amplitudes are
+    below ``PRUNE_EPS`` in magnitude are dropped, and with them each column
+    left without entries; the arguments themselves when none is dropped."""
     # NaN is not small, so it is kept, to fail the finiteness check.
     small = np.abs(amps) < PRUNE_EPS
     if not small.any():
-        return None
+        return fields, column_sizes, answers, amps
     keep = ~small
     del small
-    return label_ids[keep], answers[keep], amps[keep]
+    # Column k keeps the entries kept from its start to the next one's;
+    # every image column holds an entry, so no segment is empty.
+    starts = column_sizes.cumsum() - column_sizes
+    column_sizes = np.add.reduceat(keep, starts, dtype=column_sizes.dtype)
+    held = column_sizes > 0
+    return fields[:, held], column_sizes[held], answers[keep], amps[keep]
 
 
 def _checked(
-    size: int,
-    image_fields: np.ndarray,
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
-    books: Tally,
-    runs: np.ndarray | None,
-) -> tuple[Ensemble, Tally]:
-    """The ensemble of ``size`` answers with these entries, checked against
-    the norms of ``books``, and its tally.
-
-    The ``(label_ids, answers, amps)`` of ``entries`` go label by label over
-    the columns of ``image_fields``; column ``k`` is held by ``runs[k]``
-    entries, or, when ``runs`` is None because entries were pruned, by the
-    entries counted here, and a column left without entries is dropped. The
-    finiteness check and the norm-drift check hold per answer.
-    """
-    label_ids, answers, amps = entries
-    low, count = books.low, books.count
-    norms_sq = _squared_norms(answers, amps, low, count)
+    ens: Ensemble,
+    fields: np.ndarray,
+    column_sizes: np.ndarray,
+    answers: np.ndarray,
+    amps: np.ndarray,
+) -> Ensemble:
+    """The image of ``ens`` with these columns and entries, checked against
+    the norms of ``ens`` over its answer span: the finiteness check and the
+    norm-drift check hold per answer."""
+    low = ens.low
+    norms_sq = _squared_norms(answers, amps, low, len(ens.norms))
     norms = np.sqrt(norms_sq)
     # A NaN or infinite norm makes the drift NaN or infinite.
-    drift = float(np.abs(norms - books.norms).max(initial=0.0))
+    drift = float(np.abs(norms - ens.norms).max(initial=0.0))
     if not drift <= NORM_TOL:
         finite = np.isfinite(norms_sq)
         if not finite.all():
@@ -562,13 +555,4 @@ def _checked(
             raise NormDriftError(
                 f"operator declared unitary drifted the norm by {drift:.3e}"
             )
-
-    # Every image label holds entries, so with nothing pruned it still does;
-    # otherwise keep only the image labels some entry still holds.
-    if runs is None:
-        runs = np.bincount(label_ids, minlength=image_fields.shape[1])
-        held = runs > 0
-        image_fields, label_ids = image_fields[:, held], (held.cumsum() - 1)[label_ids]
-        runs = runs[held]
-    image = Ensemble(size, image_fields, label_ids, answers, amps)
-    return image, Tally(low, count, norms, runs)
+    return Ensemble(ens.size, fields, column_sizes, answers, amps, low, norms)

@@ -64,11 +64,10 @@ from .qcore import (
     _squared_norms,
     _unnormalized_error,
     apply_linear,
+    apply_linear_ensemble,
     labels_of,
     measure_distribution,
     require_fields,
-    step_ensemble,
-    tally,
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -394,23 +393,18 @@ def _run_steps(steps, state: SparseState) -> SparseState:
     return state
 
 
-def _run_ensemble_steps(steps, ensemble: Ensemble, books=None):
+def _run_ensemble_steps(steps, ensemble: Ensemble) -> Ensemble:
     """:func:`_run_steps` on every answer at once, by each step's fields map;
-    a step without one rides on the step before it. Returns the ensemble and
-    its :class:`~qordsearch.qcore.Tally`.
+    a step without one rides on the step before it.
 
-    ``books`` is the tally of ``ensemble``, counted here when it is None.
-    Each step hands the next the tally of its image: the root norms of the
-    answers, summed as its own drift check summed them, which the next drift
-    check compares against; the answer span, which stays that of the first
-    step's input; and each label's entry count, which are its image runs,
-    counted again from the entries after a step that prunes.
+    Each step reads the books its input carries, the column sizes and the
+    root norms its drift check compares against, and builds its image's
+    from its own sums, so no step recounts its input.
     """
-    books = tally(ensemble) if books is None else books
     for step in steps:
         if step.image is not None:
-            ensemble, books = step_ensemble(ensemble, step.image, books)
-    return ensemble, books
+            ensemble = apply_linear_ensemble(ensemble, step.image)
+    return ensemble
 
 
 # ---------------------------------------------------------------------------
@@ -569,12 +563,11 @@ def _initial_ensemble(self, answers: range | None = None) -> Ensemble:
     fields = fields[:, order]
     first = np.maximum(fields[2], low)
     counts = np.minimum(fields[3] + 1, stop) - first
-    label_ids = np.repeat(np.arange(len(order)), counts)
     shift = np.cumsum(counts) - counts - first
-    answers = np.arange(len(label_ids)) - shift[label_ids]
-    amps = amp[level][order][label_ids]
-    start = Ensemble(self.n, fields, label_ids, answers, amps)
-    return _run_ensemble_steps(self._opening, start)[0]
+    answers = np.arange(int(counts.sum())) - shift.repeat(counts)
+    amps = amp[level][order].repeat(counts)
+    start = Ensemble.counted(self.n, fields, counts, answers, amps)
+    return _run_ensemble_steps(self._opening, start)
 
 
 def ensemble_snapshots(algorithm, ensemble: Ensemble):
@@ -582,18 +575,16 @@ def ensemble_snapshots(algorithm, ensemble: Ensemble):
 
     From ``algorithm.initial_ensemble()`` these are the snapshots entering
     each query, then the final one. Each snapshot is one array set for all
-    answers: the oracle call flips signs per answer, and each of the round's
-    shared steps evaluates its map once, on the fields of the distinct labels.
+    answers: the oracle call flips signs per answer, which leaves the books
+    the snapshot carries as they are, and each of the round's shared steps
+    evaluates its map once, on the fields of the distinct labels.
     """
     yield ensemble
-    books = None
     for j in range(algorithm.num_queries):
         # The queried ensemble goes straight in, so that no name here keeps
-        # it alive once the round's first step has replaced it. The query
-        # flips signs only, so the tally of one round's last step is the
-        # tally of the next round's first input.
-        ensemble, books = _run_ensemble_steps(
-            algorithm._rounds[j], oracle_mod.apply_query_ensemble(ensemble), books
+        # it alive once the round's first step has replaced it.
+        ensemble = _run_ensemble_steps(
+            algorithm._rounds[j], oracle_mod.apply_query_ensemble(ensemble)
         )
         yield ensemble
 
@@ -690,10 +681,10 @@ def measure_ensemble(algorithm, ensemble: Ensemble) -> list[SimulationResult]:
     kind, _, pinned, hi, _ = fields
     require_fields((kind == TEAM) & (pinned == hi), fields, _pinned_answer)
     # Labels pinning one position share a dense outcome id. Each answer's
-    # entries come in label id order, which is the label sort order: the
+    # entries come in column order, which is the label sort order: the
     # order of the per-state sums.
     outcomes, outcome_ids = np.unique(pinned, return_inverse=True)
-    keys = outcome_ids[ensemble.label_ids] * count + (answers - low)
+    keys = outcome_ids.repeat(ensemble.column_sizes) * count + (answers - low)
     keys, first, group = np.unique(keys, return_index=True, return_inverse=True)
     probabilities = np.bincount(group, amps * amps, minlength=len(keys))
     # Per answer, ascending, the most likely outcome, and the first to appear

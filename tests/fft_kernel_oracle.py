@@ -21,6 +21,7 @@ import bisect
 
 import numpy as np
 
+from per_instance_oracle import column_ids
 from qordsearch.qcore import Ensemble, _run_indices
 
 # Entries of one batched FFT (rows x FFT length).
@@ -47,7 +48,7 @@ def fft_kernel_sums(
 ) -> tuple[float, float]:
     """W, and the pair sum of ``left`` against the rest (0.0 without it), by
     batched FFT correlations of the columns."""
-    label_ids, answers, amps = ensemble.label_ids, ensemble.answers, ensemble.amps
+    label_ids, answers, amps = column_ids(ensemble), ensemble.answers, ensemble.amps
     if not len(answers):
         return 0.0, 0.0
     count = np.bincount(label_ids)

@@ -3,7 +3,8 @@ of the ensemble path and of the run-based overlap sums.
 
 * :func:`from_states` gathers one ``SparseState`` per answer into the
   ``qcore.Ensemble`` that holds them, through :func:`label_fields`, so an
-  ensemble operation can be checked against the per-state one it stands for.
+  ensemble operation can be checked against the per-state one it stands for;
+  :func:`column_ids` gives each of its entries' label column.
 * :func:`diff_norm` is the 2-norm of the difference of two states.
 * :func:`_reference_weighted_overlap` and :func:`_reference_pairwise_drop`
   are the per-pair loops behind ``lowerbound.weighted_overlap`` and
@@ -55,13 +56,19 @@ def from_states(states: Sequence[SparseState]) -> Ensemble:
     label_ids = rank[np.array(label_ids, dtype=np.intp)]
     answers = np.array(answers, dtype=np.intp)
     order = np.argsort(label_ids * len(states) + answers)
-    return Ensemble(
+    return Ensemble.counted(
         len(states),
         fields,
-        label_ids[order],
+        np.bincount(label_ids, minlength=len(ids)),
         answers[order],
         np.array(amps, dtype=float)[order],
     )
+
+
+def column_ids(ensemble: Ensemble) -> np.ndarray:
+    """Each entry's label column, expanded from ``ensemble.column_sizes``."""
+    sizes = ensemble.column_sizes
+    return np.arange(len(sizes)).repeat(sizes)
 
 
 def diff_norm(s1: SparseState, s2: SparseState) -> float:

@@ -362,7 +362,7 @@ class TestSmallCommands:
         assert cli.physical_memory() == physical
 
     def test_layout_past_memory_is_refused_before_building(self, runner, monkeypatch):
-        # r = 1024 holds 1024 * 699051 known bits, 44.7 GiB at 67 bytes each.
+        # r = 1024 holds 1024 * 699051 known bits, 39.3 GiB at 59 bytes each.
         def refuse(r):
             raise AssertionError(f"layout of r = {r} built")
 
@@ -372,13 +372,13 @@ class TestSmallCommands:
         result = runner.invoke(main, ["layout", "--r", "1024"])
         assert result.exit_code == 2
         assert (
-            "--r 1024 needs 44.7 GiB for the layout's 715828224 known bits, more "
+            "--r 1024 needs 39.3 GiB for the layout's 715828224 known bits, more "
             "than the 8 GiB of memory"
         ) in result.output
         monkeypatch.undo()
-        monkeypatch.setattr(cli, "physical_memory", lambda: 67 * 32 * 683)
+        monkeypatch.setattr(cli, "physical_memory", lambda: 59 * 32 * 683)
         assert run(runner, "layout", "--r", "32").output == expected
-        monkeypatch.setattr(cli, "physical_memory", lambda: 67 * 32 * 683 - 1)
+        monkeypatch.setattr(cli, "physical_memory", lambda: 59 * 32 * 683 - 1)
         assert runner.invoke(main, ["layout", "--r", "32"]).exit_code == 2
 
     def test_decompose(self, runner):

@@ -18,6 +18,7 @@ import fft_kernel_oracle as fft_oracle
 from per_instance_oracle import (
     _reference_pairwise_drop,
     _reference_weighted_overlap,
+    column_ids,
     from_states,
 )
 from qordsearch import lowerbound as lb
@@ -546,7 +547,7 @@ class TestMassProfile:
         assert abs(split - in_range) <= 1e-12 * in_range
         rebuilt = [{} for _ in states]
         for k, a, amp in zip(
-            ensemble.label_ids.tolist(),
+            column_ids(ensemble).tolist(),
             ensemble.answers.tolist(),
             ensemble.amps.tolist(),
         ):
@@ -820,10 +821,11 @@ def row_dot_gram(blocks, w):
 def split_columns(ensemble):
     """Each label mapped to its column's answers and amplitudes."""
     assert_ensemble_invariants(ensemble)
+    ids = column_ids(ensemble)
     return {
         label: (
-            ensemble.answers[ensemble.label_ids == k],
-            ensemble.amps[ensemble.label_ids == k],
+            ensemble.answers[ids == k],
+            ensemble.amps[ids == k],
         )
         for k, label in enumerate(labels_of(ensemble.fields))
     }
@@ -918,7 +920,7 @@ def ensemble_entries(ensemble):
     entries = [{} for _ in range(ensemble.size)]
     labels = labels_of(ensemble.fields)
     for k, answer, amp in zip(
-        ensemble.label_ids.tolist(), ensemble.answers.tolist(), ensemble.amps.tolist()
+        column_ids(ensemble).tolist(), ensemble.answers.tolist(), ensemble.amps.tolist()
     ):
         entries[answer][labels[k]] = repr(amp)
     return entries
@@ -934,7 +936,7 @@ def assert_ensemble_invariants(ensemble):
     (label, answer) pair repeats, and the listed labels are held and strictly
     increasing in ``sort_key`` order."""
     assert ensemble.amps.dtype == np.float64
-    pairs = list(zip(ensemble.label_ids.tolist(), ensemble.answers.tolist()))
+    pairs = list(zip(column_ids(ensemble).tolist(), ensemble.answers.tolist()))
     assert all(p < q for p, q in zip(pairs, pairs[1:]))
     keys = [label.sort_key for label in labels_of(ensemble.fields)]
     assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -1013,7 +1015,7 @@ class TestEnsemblePath:
                 assert_ensemble_invariants(got)
                 assert got.size == expected.size == n
                 assert labels_of(got.fields) == labels_of(expected.fields)
-                assert got.label_ids.tolist() == expected.label_ids.tolist()
+                assert column_ids(got).tolist() == column_ids(expected).tolist()
                 assert got.answers.tolist() == expected.answers.tolist()
                 # repr tells -0.0 from 0.0, so signed zeros must match too.
                 assert repr(got.amps.tolist()) == repr(expected.amps.tolist())
@@ -1057,7 +1059,7 @@ class TestEnsemblePath:
             expected = from_states(states)
             assert ensemble.size == expected.size == algorithm.n
             assert labels_of(ensemble.fields) == labels_of(expected.fields)
-            assert ensemble.label_ids.tolist() == expected.label_ids.tolist()
+            assert column_ids(ensemble).tolist() == column_ids(expected).tolist()
             assert ensemble.answers.tolist() == expected.answers.tolist()
             assert list(map(repr, ensemble.amps.tolist())) == list(
                 map(repr, expected.amps.tolist())
@@ -1543,7 +1545,7 @@ FUSED_ALGORITHMS = (
 def queried_left(ensemble):
     """The entries at or below their label's queried index: the left members
     of the pairs that the query separates."""
-    return ensemble.answers <= ensemble.fields[4][ensemble.label_ids]
+    return ensemble.answers <= ensemble.fields[4][column_ids(ensemble)]
 
 
 class TestFusedPass:

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -25,7 +26,7 @@ from qordsearch.qcore import (
     labels_of,
     measure_distribution,
 )
-from per_instance_oracle import diff_norm, from_states, label_fields
+from per_instance_oracle import column_ids, diff_norm, from_states, label_fields
 from test_lowerbound import (
     assert_ensemble_invariants,
     ensemble_entries,
@@ -513,7 +514,7 @@ def states_of(ensemble):
     entries = [{} for _ in range(ensemble.size)]
     labels = labels_of(ensemble.fields)
     for k, answer, amp in zip(
-        ensemble.label_ids.tolist(), ensemble.answers.tolist(), ensemble.amps.tolist()
+        column_ids(ensemble).tolist(), ensemble.answers.tolist(), ensemble.amps.tolist()
     ):
         entries[answer][labels[k]] = amp
     return [SparseState(e) for e in entries]
@@ -715,7 +716,7 @@ class TestRelabelByRuns:
         got = apply_linear_ensemble(ensemble, shifted)
         expected = [ts._permute_labels(s, shift) for s in states]
         assert ensemble_entries(got) == state_entries(expected)
-        assert got.label_ids.tolist() == ensemble.label_ids.tolist()
+        assert column_ids(got).tolist() == column_ids(ensemble).tolist()
         assert got.answers.tolist() == ensemble.answers.tolist()
         assert got.amps.tolist() == ensemble.amps.tolist()
 
@@ -803,9 +804,9 @@ class TestLinearByPairs:
         else:
             expected = 2 + algorithm.r.bit_length() - 1
         calls = []
-        step = ts.step_ensemble
+        step = ts.apply_linear_ensemble
         monkeypatch.setattr(
-            ts, "step_ensemble", lambda *args: calls.append(1) or step(*args)
+            ts, "apply_linear_ensemble", lambda *args: calls.append(1) or step(*args)
         )
         results = ts.run_ensemble(algorithm)
         assert [r.answer for r in results] == list(range(algorithm.n))
@@ -827,8 +828,8 @@ class TestLinearByPairs:
             qcore, "_prune", lambda *entries: summed.append(entries) or prune(*entries)
         )
         got = apply_linear_ensemble(ensemble, lifted(leak))
-        [(label_ids, _, amps)] = summed
-        assert label_ids.tolist() == [0, 0, 1, 1, 2, 2]
+        [(_, column_sizes, _, amps)] = summed
+        assert column_sizes.tolist() == [2, 2, 2]
         assert amps.tolist() == [0.6, 0.6, 0.0, 0.0, 0.8, 0.8]
         assert np.signbit(amps).tolist() == [False, False, True, True, False, False]
         assert labels_of(got.fields) == [query_label(0, 0), query_label(2, 0)]
@@ -873,13 +874,21 @@ def step_of(fields_map):
 
 
 def same_arrays(got, expected):
-    """Whether two ensembles, or two tallies, hold the same values, bit for bit."""
+    """Whether two ensembles hold the same values, bit for bit."""
     return all(
         np.asarray(a).dtype == np.asarray(b).dtype
         and np.asarray(a).shape == np.asarray(b).shape
         and np.asarray(a).tobytes() == np.asarray(b).tobytes()
         for a, b in zip(got, expected)
     )
+
+
+def assert_books_recount(ensemble, states):
+    """The books ``ensemble`` carries are bit-equal to a recount: its column
+    sizes to those of the per-answer ``states`` it stands for, gathered
+    afresh, and its answer span and norms to those of its own entries."""
+    assert same_arrays([ensemble.column_sizes], [from_states(states).column_sizes])
+    assert same_arrays(ensemble, qcore.Ensemble.counted(*ensemble[:5]))
 
 
 def raised(call):
@@ -892,33 +901,38 @@ def raised(call):
 IDENTITY = step_of(lifted(lambda label: [(label, 1.0)]))
 
 
-class TestThreadedRounds:
-    """A round hands each step the tally of the step before it; every step
-    must see what ``apply_linear_ensemble``, counting afresh, sees."""
+class TestEnsembleBooks:
+    """Every step reads the column sizes and norms its input carries and
+    builds its image's; each must hold what counting afresh gives."""
 
     @pytest.mark.parametrize("algorithm", RUNS, ids=run_id)
-    def test_a_threaded_run_is_its_steps_one_by_one(self, algorithm):
+    def test_every_snapshot_and_step_image_holds_recounted_books(self, algorithm):
+        instances = enumerate_instances(algorithm.n)
+        states = [algorithm.initial_state(inst) for inst in instances]
         ensemble = algorithm.initial_ensemble()
+        assert_books_recount(ensemble, states)
         snapshots = ts.ensemble_snapshots(algorithm, ensemble)
         assert same_arrays(next(snapshots), ensemble)
-        for j, threaded in enumerate(snapshots):
+        for j, snapshot in enumerate(snapshots):
             ensemble = ts.oracle_mod.apply_query_ensemble(ensemble)
-            entering = ensemble
-            for step in algorithm._rounds[j]:
+            states = [apply_query(s, inst) for s, inst in zip(states, instances)]
+            assert_books_recount(ensemble, states)
+            steps = algorithm._rounds[j]
+            for k, step in enumerate(steps):
+                states = [step(state) for state in states]
                 if step.image is not None:
                     ensemble = apply_linear_ensemble(ensemble, step.image)
-            assert same_arrays(threaded, ensemble)
-            # The tally a round hands on is the one counted from its image.
-            got, books = ts._run_ensemble_steps(algorithm._rounds[j], entering)
-            assert same_arrays(got, ensemble)
-            assert same_arrays(books, qcore.tally(ensemble))
+                # A refinement rides on the step before it.
+                if k + 1 == len(steps) or steps[k + 1].image is not None:
+                    assert_books_recount(ensemble, states)
+            assert same_arrays(snapshot, ensemble)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_a_step_that_prunes_hands_on_recounted_runs(self, seed):
+    def test_a_step_that_prunes_holds_recounted_books(self, seed):
         # The mix cancels label 11 in every answer, and pairs like (0.4, 0.3)
-        # to exact zeros in some: label ids and run counts shift, and runs
-        # handed on uncounted would gather the relabelled runs from the
-        # wrong entries.
+        # to exact zeros in some: column sizes shrink and columns drop, and
+        # sizes carried over unpruned would gather the relabelled runs from
+        # the wrong entries.
         states = cancelling_states(seed, partnered=True)
         ensemble = from_states(states)
         mix = lifted(pair_mixer)
@@ -926,17 +940,18 @@ class TestThreadedRounds:
         mirrored = lifted(relabelling(mirror))
         mixed = apply_linear_ensemble(ensemble, mix)
         assert query_label(11, 0) not in labels_of(mixed.fields)
-        expected = apply_linear_ensemble(mixed, mirrored)
-        got, books = ts._run_ensemble_steps([step_of(mix), step_of(mirrored)], ensemble)
-        assert same_arrays(got, expected)
-        assert same_arrays(books, qcore.tally(expected))
         per_state = [apply_linear(s, pair_mixer) for s in states]
+        assert_books_recount(mixed, per_state)
+        expected = apply_linear_ensemble(mixed, mirrored)
+        got = ts._run_ensemble_steps([step_of(mix), step_of(mirrored)], ensemble)
+        assert same_arrays(got, expected)
         per_state = [ts._permute_labels(s, mirror) for s in per_state]
+        assert_books_recount(got, per_state)
         assert ensemble_entries(got) == state_entries(per_state)
 
     def test_a_round_thins_out_within_the_span_it_started_with(self):
         # Answer 0's one entry shrinks below PRUNE_EPS, a drift within
-        # NORM_TOL: the span handed on stays 0 .. 1, with a zero norm for
+        # NORM_TOL: the span carried on stays 0 .. 1, with a zero norm for
         # answer 0, where a fresh count finds answer 1 alone.
         states = [
             SparseState({query_label(0, 0): 1e-10}),
@@ -944,14 +959,14 @@ class TestThreadedRounds:
         ]
         ensemble = from_states(states)
         shrink = lifted(lambda label: [(label, 1e-6 if label.lo == 0 else 1.0)])
-        got, books = ts._run_ensemble_steps([step_of(shrink), IDENTITY], ensemble)
+        got = ts._run_ensemble_steps([step_of(shrink), IDENTITY], ensemble)
         shrunk = apply_linear_ensemble(ensemble, shrink)
         expected = apply_linear_ensemble(shrunk, IDENTITY.image)
         assert same_arrays(got, expected)
         assert got.answers.tolist() == [1]
-        assert (books.low, books.count, books.norms.tolist()) == (0, 2, [0.0, 1.0])
-        fresh = qcore.tally(got)
-        assert (fresh.low, fresh.count, fresh.norms.tolist()) == (1, 1, [1.0])
+        assert (got.low, len(got.norms), got.norms.tolist()) == (0, 2, [0.0, 1.0])
+        fresh = qcore.Ensemble.counted(*got[:5])
+        assert (fresh.low, len(fresh.norms), fresh.norms.tolist()) == (1, 1, [1.0])
 
     @pytest.mark.parametrize(
         "states, label_map",
@@ -982,8 +997,8 @@ class TestThreadedRounds:
         ids=["drift", "non-finite", "three-terms", "uneven", "different-answers"],
     )
     def test_a_round_raises_what_one_step_raises(self, states, label_map):
-        # The failing step comes first, counting its own tally, and second,
-        # handed one.
+        # The failing step comes first, on the books of a gathered ensemble,
+        # and second, on those of a step's image.
         ensemble = from_states(states)
         fields_map = lifted(label_map)
         expected = raised(lambda: apply_linear_ensemble(ensemble, fields_map))
@@ -1005,21 +1020,21 @@ class TestThreadedRounds:
 
 def test_a_step_peaks_below_150_bytes_per_entry_at_binary_2_to_14(monkeypatch):
     # What a step allocates, over what is live when it starts, per entry of
-    # its input or its image, whichever holds more. The largest, 137.6, is
+    # its input or its image, whichever holds more. The largest, 130.1, is
     # the last close step, whose 16384 labels halve into as many answers.
     algorithm = ts.BinarySearchAlgorithm(1 << 14)
-    step = ts.step_ensemble
+    step = ts.apply_linear_ensemble
     per_entry = []
 
-    def traced(ensemble, op, books):
+    def traced(ensemble, op):
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        image, handed = step(ensemble, op, books)
+        image = step(ensemble, op)
         peak = tracemalloc.get_traced_memory()[1] - start
         per_entry.append(peak / max(len(ensemble.amps), len(image.amps)))
-        return image, handed
+        return image
 
-    monkeypatch.setattr(ts, "step_ensemble", traced)
+    monkeypatch.setattr(ts, "apply_linear_ensemble", traced)
     tracemalloc.start()
     try:
         for _ in ts.ensemble_snapshots(algorithm, algorithm.initial_ensemble()):
@@ -1028,3 +1043,15 @@ def test_a_step_peaks_below_150_bytes_per_entry_at_binary_2_to_14(monkeypatch):
         tracemalloc.stop()
     assert len(per_entry) == 2 * 14
     assert max(per_entry) <= 150
+
+
+def test_an_ensemble_keeps_its_own_books():
+    # The column sizes, span and norms live on the ensemble: no tally rides
+    # beside it, no entry holds a label id, and one step function remains.
+    for name in ("Tally", "tally", "step_ensemble"):
+        assert not hasattr(qcore, name), name
+    assert "label_ids" not in qcore.Ensemble._fields
+    assert qcore.Ensemble._fields[-2:] == ("low", "norms")
+    for name, function in vars(ts).items():
+        if inspect.isfunction(function) and function.__module__ == ts.__name__:
+            assert "books" not in inspect.signature(function).parameters, name

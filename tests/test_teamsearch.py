@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import tuple_map_oracle as tuple_oracle
 from per_instance_oracle import (
     classical_binary_search,
+    column_ids,
     diff_norm,
     from_states,
     label_fields,
@@ -538,7 +539,7 @@ class TestSteppableAlgorithms:
         )
         snapshots = ts.ensemble_snapshots(algo, algo.initial_ensemble())
         for j, ensemble in zip(range(algo.num_queries), snapshots):
-            index = ensemble.fields[4][ensemble.label_ids]
+            index = ensemble.fields[4][column_ids(ensemble)]
             in_list = index < n
             answers = ensemble.answers[in_list]
             assert np.array_equal(np.unique(answers), np.arange(n))
@@ -660,7 +661,7 @@ class TestSteppableAlgorithms:
         )
         for ours, theirs in snapshots:
             assert ours.fields.tolist() == theirs.fields.tolist()
-            assert ours.label_ids.tolist() == theirs.label_ids.tolist()
+            assert column_ids(ours).tolist() == column_ids(theirs).tolist()
             assert ours.answers.tolist() == theirs.answers.tolist()
             assert repr(ours.amps.tolist()) == repr(theirs.amps.tolist())
 
@@ -785,10 +786,10 @@ class TestEnsembleOutcomes:
         n = 1 << 62
         lo = k - k % 4
         labels = [TeamLabel(0, lo, lo + 1), TeamLabel(1, lo, lo + 3)]
-        ensemble = Ensemble(
+        ensemble = Ensemble.counted(
             n,
             label_fields(labels),
-            np.array([0, 1]),
+            np.array([1, 1]),
             np.array([k, k]),
             np.array([0.8, 0.6]),
         )
@@ -799,10 +800,10 @@ class TestEnsembleOutcomes:
             f"labels 0|{lo},{lo + 1} and 1|{lo},{lo + 3} both map to 0|{lo},{lo + 1}"
         )
         pinned = [TeamLabel(0, k - 1, k - 1), TeamLabel(0, k, k)]
-        final = Ensemble(
+        final = Ensemble.counted(
             n,
             label_fields(pinned),
-            np.array([0, 1]),
+            np.array([1, 1]),
             np.array([k, k]),
             np.array([0.6, 0.8]),
         )
