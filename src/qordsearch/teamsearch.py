@@ -34,7 +34,9 @@ classical search itself is a reference in ``tests/per_instance_oracle.py``),
 the layouts that stagger that knowledge so that one query multiplies every
 computer's known bits by a factor approaching three, and the
 digit-decomposition accounting behind the query-count model, one expansion
-chain walked from one known bit.
+chain walked from one known bit. A decomposition is held as one int, its
+digits read as a base-4 numeral; its value, its expansion and its top digit
+index are arithmetic on that int.
 """
 from __future__ import annotations
 
@@ -738,27 +740,45 @@ _BASE4 = bytes.maketrans(_DIGIT_BYTES, b"0123")
 _BYTE_DIGITS = tuple(bytes((b & 3, b >> 2 & 3, b >> 4 & 3, b >> 6)) for b in range(256))
 
 
-class Decomposition(bytes):
+def _digit_sum(x: int) -> int:
+    """s4(x), the base-4 digit sum of ``x >= 0``: its bit count plus that of
+    its odd bits, the high bit of each digit. The mask 0b1010...10 covers
+    every odd position up to x.bit_length()."""
+    return x.bit_count() + (x & (2 << ((x.bit_length() + 1) & ~1)) // 3).bit_count()
+
+
+class Decomposition(int):
     """Digits of ``m`` in the base of values ``base_value(k)``, each digit <= 3.
 
-    A decomposition is a ``bytes`` subclass holding its digits one byte each,
-    low digit first: byte ``k`` multiplies ``base_value(k)``. It has no
-    instance dict and no second object, so in CPython it takes a 33-byte
-    header plus one byte per digit; it compares equal to, and hashes as, the
-    ``bytes`` of its digits. Construction, unpickling included, copies the
-    digits once and validates the copy; ``digits`` reads them as ints, and
-    ``value`` and ``expanded`` read the digits as a base-4 numeral.
+    A decomposition is an ``int`` subclass whose value is its digits read as
+    a base-4 numeral, B = sum d_k * 4**k: digit k is base-4 digit k of B.
+    Every B >= 1 is one digit vector capped at 3 with a nonzero top digit,
+    and every such vector is one B, so the int is the whole representation:
+    a decomposition compares equal to, and hashes as, B. It has no instance
+    dict and no second object, so in CPython it takes the size of the int B.
+    ``value``, ``expanded`` and ``top`` are arithmetic on B; ``digits``
+    decodes the digits on demand. Built from a digit sequence (``bytes``,
+    ``bytearray`` or any iterable of ints, low digit first), it validates
+    the digits and reads them once as a base-4 numeral; unpickling rebuilds
+    it from its digit bytes, so it validates them too.
     """
 
     __slots__ = ()
 
     def __new__(cls, digits):
+        if isinstance(digits, Decomposition):
+            return super().__new__(cls, digits)
+        if isinstance(digits, int):
+            # An int would pass as the numeral B, with no digit checked.
+            raise ValueError(
+                "digits must be a sequence of integers in 0..3, low digit first, "
+                f"not an int: got {_shown(digits)}"
+            )
         if isinstance(digits, (bytes, bytearray)):
-            self = super().__new__(cls, digits)
             # Deleting the digit bytes leaves only the bytes past 3.
-            if self and self[-1] and not self.translate(None, _DIGIT_BYTES):
-                return self
-            digits = tuple(self)  # refused below, with the tuple's message
+            if digits and digits[-1] and not digits.translate(None, _DIGIT_BYTES):
+                return super().__new__(cls, digits[::-1].translate(_BASE4), 4)
+            digits = tuple(digits)  # refused below, with the tuple's message
         else:
             digits = tuple(digits)
         if not digits or digits[-1] == 0:
@@ -766,33 +786,34 @@ class Decomposition(bytes):
         # Set membership alone would pass 1.0 and True, which equal 1.
         if not _DIGITS.issuperset(digits) or set(map(type, digits)) != _INT_ONLY:
             raise ValueError(f"digits must be integers in 0..3, got {_shown(digits)}")
-        return super().__new__(cls, digits)
+        return super().__new__(cls, bytes(digits[::-1]).translate(_BASE4), 4)
 
     def __repr__(self) -> str:
         return f"Decomposition(digits={self.digits})"
 
     def __reduce__(self):
-        return type(self), (bytes(self),)
+        return type(self), (self._digit_bytes(),)
+
+    def _digit_bytes(self) -> bytes:
+        """The digits one byte each, low digit first: B's bytes, four digits a byte."""
+        data = self.to_bytes((self.bit_length() + 7) >> 3, "little")
+        return b"".join(map(_BYTE_DIGITS.__getitem__, data)).rstrip(b"\0")
 
     @property
     def digits(self) -> tuple[int, ...]:
-        return tuple(self)
+        return tuple(self._digit_bytes())
 
     @property
     def top(self) -> int:
-        return len(self) - 1
-
-    def _base4(self) -> int:
-        """B, the digits read as a base-4 numeral: the sum of d_k * 4**k."""
-        return int(self[::-1].translate(_BASE4), 4)
+        return (self.bit_length() - 1) >> 1
 
     def value(self) -> int:
-        """The sum of d_k * v_k, read off the digits: v_k = (2*4**k + 1)/3."""
-        return (2 * self._base4() + sum(self)) // 3
+        """The sum of d_k * v_k with v_k = (2*4**k + 1)/3: (2B + s4(B))/3."""
+        return (2 * self + _digit_sum(self)) // 3
 
     def expanded(self) -> int:
-        """Each digit value v_k grows to 2*4**k = 3*v_k - 1 in one query round."""
-        return 2 * self._base4()
+        """Each digit value v_k grows to 2*4**k = 3*v_k - 1 in one query round: 2B."""
+        return 2 * self
 
 
 def base_value(k: int) -> int:
@@ -810,20 +831,17 @@ def _greedy_base4(m: int) -> int:
         raise ValueError(f"can only decompose positive integers, got {_shown(m)}")
     three_m = 3 * m
     bits = three_m.bit_length()
-    # The base-4 digit sum of x < 2**bits is its bit count plus that of its
-    # odd bits, the high bit of each digit.
-    odd = (2 << ((bits + 1) & ~1)) // 3
     # S <= 3 * digits < 2**shift, and shift is odd, so the high digits of B,
     # B >> (shift - 1), are (3m - S) >> shift: high, or high - 1 when the low
     # digits are not all zero (else 3m >> shift would be high - 1). A
     # decrement lowers a digit sum by at most one, so S >= s4(high).
     shift = (3 * (bits + 1) >> 1).bit_length() | 1
     high = three_m >> shift
-    s = high.bit_count() + (high & odd).bit_count()
+    s = _digit_sum(high)
     s += (s ^ m) & 1  # 2B = 3m - S is even
     while True:
         b = (three_m - s) >> 1
-        if b.bit_count() + (b & odd).bit_count() == s:
+        if _digit_sum(b) == s:
             return b
         s += 2
 
@@ -839,13 +857,12 @@ def decompose(m: int) -> Decomposition:
     largest from the top digit down: the one with the largest B, hence the
     smallest S. So S is searched upward, in the parity of 3m, from a lower
     bound read off the high digits of 3m, and the first S with
-    s4((3m - S)/2) = S gives B: a few candidates of O(bits) each. The digits
-    are B's bytes, four digits a byte. The cap is still checked, by the
-    validation of :class:`Decomposition`.
+    s4((3m - S)/2) = S gives B: a few candidates of O(bits) each. The
+    decomposition is B itself, and no digit is built. Nothing is left to
+    check: B >= 1, so its base-4 digits are a vector capped at 3 by
+    construction, with a nonzero top digit.
     """
-    b = _greedy_base4(m)
-    data = b.to_bytes((b.bit_length() + 7) >> 3, "little")
-    return Decomposition(b"".join(map(_BYTE_DIGITS.__getitem__, data)).rstrip(b"\0"))
+    return int.__new__(Decomposition, _greedy_base4(m))
 
 
 class ExpansionStep(NamedTuple):

@@ -269,6 +269,11 @@ SHOWN_3BIG = f"an int of {(3 * BIG).bit_length()} bits"
             f"digits must be integers in 0..3, got ({SHOWN},)",
         ),
         (
+            lambda: ts.Decomposition(BIG),
+            "digits must be a sequence of integers in 0..3, low digit first, "
+            f"not an int: got {SHOWN}",
+        ),
+        (
             lambda: ts.run_algorithm(
                 ts.BinarySearchAlgorithm(4), OrderedInstance(BIG, 0)
             ),
@@ -307,6 +312,7 @@ SHOWN_3BIG = f"an int of {(3 * BIG).bit_length()} bits"
         "QueryLabel",
         "initial_ensemble",
         "Decomposition",
+        "Decomposition-int",
         "run_algorithm",
         "advance",
         "run_trajectory",
