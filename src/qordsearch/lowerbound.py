@@ -78,8 +78,16 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .oracle import _require_int, _shown
-from .qcore import QUERY, BasisLabel, Ensemble, QueryLabel, _run_indices, require_fields
+from .qcore import (
+    QUERY,
+    BasisLabel,
+    Ensemble,
+    QueryLabel,
+    _require_int,
+    _run_indices,
+    _shown,
+    require_fields,
+)
 from .teamsearch import ensemble_snapshots
 
 # Looser than state tolerances: the chain composes O(n^2) float sums.

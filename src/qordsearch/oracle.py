@@ -17,31 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import QUERY, Ensemble, QueryLabel, SparseState, labels_of
-
-
-def _require_int(value, name: str) -> None:
-    """Reject anything but an integer, ``bool`` included."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _shown(value) -> str:
-    """``value`` as a message shows it. An int too long for ``str()`` (see
-    ``sys.get_int_max_str_digits``) shows as its sign and bit length, alone
-    or inside a tuple or a range."""
-    try:
-        return str(value)
-    except ValueError:
-        if isinstance(value, int):
-            sign = "a negative" if value < 0 else "an"
-            return f"{sign} int of {value.bit_length()} bits"
-        if isinstance(value, range):
-            step = (value.step,) if value.step != 1 else ()
-            bounds = ", ".join(map(_shown, (value.start, value.stop) + step))
-            return f"range({bounds})"
-        items = ", ".join(map(_shown, value))
-        return f"({items},)" if len(value) == 1 else f"({items})"
+from .qcore import (
+    QUERY,
+    Ensemble,
+    QueryLabel,
+    SparseState,
+    _require_int,
+    _shown,
+    labels_of,
+)
 
 
 @dataclass(frozen=True)

@@ -42,9 +42,9 @@ as a renaming of its image labels. The per-state operations take any map;
 they run one instance (``teamsearch.run_algorithm``), and the tests check
 the ensemble against them, gathering per-answer states into an ensemble
 with ``tests/per_instance_oracle.py``. An ensemble carries its own books,
-each label column's entry count and each answer's norm: a step reads its
-input's and builds its image's from the sums its checks made, so that no
-step counts again what the one before it summed.
+each label column's entry count and each answer's squared norm: a step
+reads its input's and builds its image's from the sums its checks made,
+so that nothing counts again what the step before it summed.
 """
 from __future__ import annotations
 
@@ -75,12 +75,28 @@ def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
 
-def _shown(value) -> str:
-    """``oracle._shown``, imported only when a label check fails: ``oracle``
-    imports this module."""
-    from .oracle import _shown
+def _require_int(value, name: str) -> None:
+    """Reject anything but an integer, ``bool`` included."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
-    return _shown(value)
+
+def _shown(value) -> str:
+    """``value`` as a message shows it. An int too long for ``str()`` (see
+    ``sys.get_int_max_str_digits``) shows as its sign and bit length, alone
+    or inside a tuple or a range."""
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, int):
+            sign = "a negative" if value < 0 else "an"
+            return f"{sign} int of {value.bit_length()} bits"
+        if isinstance(value, range):
+            step = (value.step,) if value.step != 1 else ()
+            bounds = ", ".join(map(_shown, (value.start, value.stop) + step))
+            return f"range({bounds})"
+        items = ", ".join(map(_shown, value))
+        return f"({items},)" if len(value) == 1 else f"({items})"
 
 
 class TeamLabel(namedtuple("TeamLabel", "b lo hi")):
@@ -360,11 +376,11 @@ class Ensemble(NamedTuple):
     (label, answer) pair repeats, and each answer's entries come in label
     order.
 
-    ``norms`` holds the root norms of answers ``low .. low+len(norms)-1``,
-    each summed in entry order, and every answer holding an entry lies in
-    that span. :meth:`counted` counts them; a step keeps the span of its
-    input, since its answers only ever thin out, and an answer that lost
-    its entries holds a norm of zero. The constructors here establish these
+    ``norms_sq`` holds the squared norms of the ``len(norms_sq)`` answers
+    from ``low`` on, each summed in entry order, and every answer holding an
+    entry lies in that span. :meth:`counted` counts them; a step keeps the
+    span of its input, since its answers only ever thin out, and an answer
+    that lost its entries holds zero. The constructors here establish these
     orders and every operation keeps them.
     """
 
@@ -374,7 +390,7 @@ class Ensemble(NamedTuple):
     answers: np.ndarray
     amps: np.ndarray
     low: int
-    norms: np.ndarray
+    norms_sq: np.ndarray
 
     @classmethod
     def counted(
@@ -385,19 +401,12 @@ class Ensemble(NamedTuple):
         answers: np.ndarray,
         amps: np.ndarray,
     ) -> "Ensemble":
-        """The ensemble of these columns and entries, its answer span and
-        norms counted from the entries."""
-        low, count = _answer_span(answers)
-        norms = np.sqrt(_squared_norms(answers, amps, low, count))
-        return cls(size, fields, column_sizes, answers, amps, low, norms)
-
-
-def _answer_span(answers: np.ndarray) -> tuple[int, int]:
-    """The lowest answer holding an entry and the count up to the highest."""
-    if not len(answers):
-        return 0, 0
-    low = int(answers.min())
-    return low, int(answers.max()) - low + 1
+        """The ensemble of these columns and entries, its answer span, lowest
+        to highest holding an entry, and squared norms counted from them."""
+        low = int(answers.min()) if len(answers) else 0
+        count = int(answers.max()) + 1 - low if len(answers) else 0
+        norms_sq = _squared_norms(answers, amps, low, count)
+        return cls(size, fields, column_sizes, answers, amps, low, norms_sq)
 
 
 def _squared_norms(
@@ -451,8 +460,8 @@ def apply_linear_ensemble(ens: Ensemble, op: FieldsMap) -> Ensemble:
     gives +0.0; both are pruned. Pruning, the finiteness check and the
     norm-drift check hold per answer, over the answers that hold entries.
 
-    The image keeps the answer span of ``ens`` and holds the norms its
-    drift check summed; its column sizes are the image runs, less what is
+    The image keeps the answer span of ``ens`` and holds the squared norms
+    its drift check summed; its column sizes are the image runs, less what is
     pruned.
     """
     return _checked(ens, *_prune(*_pair_sums(ens, op)))
@@ -538,13 +547,12 @@ def _checked(
     amps: np.ndarray,
 ) -> Ensemble:
     """The image of ``ens`` with these columns and entries, checked against
-    the norms of ``ens`` over its answer span: the finiteness check and the
-    norm-drift check hold per answer."""
+    the squared norms of ``ens`` over its answer span: the finiteness check
+    and the norm-drift check, on the roots, hold per answer."""
     low = ens.low
-    norms_sq = _squared_norms(answers, amps, low, len(ens.norms))
-    norms = np.sqrt(norms_sq)
+    norms_sq = _squared_norms(answers, amps, low, len(ens.norms_sq))
     # A NaN or infinite norm makes the drift NaN or infinite.
-    drift = float(np.abs(norms - ens.norms).max(initial=0.0))
+    drift = float(np.abs(np.sqrt(norms_sq) - np.sqrt(ens.norms_sq)).max(initial=0.0))
     if not drift <= NORM_TOL:
         finite = np.isfinite(norms_sq)
         if not finite.all():
@@ -555,4 +563,4 @@ def _checked(
             raise NormDriftError(
                 f"operator declared unitary drifted the norm by {drift:.3e}"
             )
-    return Ensemble(ens.size, fields, column_sizes, answers, amps, low, norms)
+    return Ensemble(ens.size, fields, column_sizes, answers, amps, low, norms_sq)

@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import oracle as oracle_mod
-from .oracle import OrderedInstance, _require_int, _shown
+from .oracle import OrderedInstance
 from .qcore import (
     NORM_TOL,
     QUERY,
@@ -60,10 +60,10 @@ from .qcore import (
     QueryLabel,
     SparseState,
     TeamLabel,
-    _answer_span,
     _group_columns,
     _is_pow2,
-    _squared_norms,
+    _require_int,
+    _shown,
     _unnormalized_error,
     apply_linear,
     apply_linear_ensemble,
@@ -400,7 +400,7 @@ def _run_ensemble_steps(steps, ensemble: Ensemble) -> Ensemble:
     a step without one rides on the step before it.
 
     Each step reads the books its input carries, the column sizes and the
-    root norms its drift check compares against, and builds its image's
+    squared norms its drift check compares against, and builds its image's
     from its own sums, so no step recounts its input.
     """
     for step in steps:
@@ -664,8 +664,8 @@ def run_algorithm(algorithm, inst: OrderedInstance) -> SimulationResult:
 def measure_ensemble(algorithm, ensemble: Ensemble) -> list[SimulationResult]:
     """:func:`run_algorithm`'s measurement of each answer ``ensemble`` holds.
 
-    The answers run from the lowest holding an entry to the highest, so one
-    without entries in between fails as unnormalized. The rules are
+    The answers and their squared norms are the books' of ``ensemble``, so
+    one in the span without entries fails as unnormalized. The rules are
     :func:`measure_distribution`'s and :func:`run_algorithm`'s, with the
     same bits: each answer must be normalized, every label must pin one
     position, which is its outcome (:func:`_pinned_answer` raises for the
@@ -674,8 +674,8 @@ def measure_ensemble(algorithm, ensemble: Ensemble) -> list[SimulationResult]:
     outcome wins, the first in that order on a tie.
     """
     answers, amps = ensemble.answers, ensemble.amps
-    low, count = _answer_span(answers)
-    norms_sq = _squared_norms(answers, amps, low, count)
+    low, norms_sq = ensemble.low, ensemble.norms_sq
+    count = len(norms_sq)
     normalized = np.abs(norms_sq - 1.0) <= NORM_TOL
     if not normalized.all():
         raise _unnormalized_error(float(norms_sq[~normalized][0]))
@@ -732,10 +732,9 @@ def known_bits_after(n: int, j: int) -> range:
 
 
 _DIGITS = frozenset(range(4))
-_DIGIT_BYTES = bytes(range(4))
 _INT_ONLY = frozenset({int})
 # Digit bytes 0..3 to the characters of a base-4 numeral.
-_BASE4 = bytes.maketrans(_DIGIT_BYTES, b"0123")
+_BASE4 = bytes.maketrans(bytes(range(4)), b"0123")
 # The four base-4 digits of each byte value, low digit first, as digit bytes.
 _BYTE_DIGITS = tuple(bytes((b & 3, b >> 2 & 3, b >> 4 & 3, b >> 6)) for b in range(256))
 
@@ -774,13 +773,7 @@ class Decomposition(int):
                 "digits must be a sequence of integers in 0..3, low digit first, "
                 f"not an int: got {_shown(digits)}"
             )
-        if isinstance(digits, (bytes, bytearray)):
-            # Deleting the digit bytes leaves only the bytes past 3.
-            if digits and digits[-1] and not digits.translate(None, _DIGIT_BYTES):
-                return super().__new__(cls, digits[::-1].translate(_BASE4), 4)
-            digits = tuple(digits)  # refused below, with the tuple's message
-        else:
-            digits = tuple(digits)
+        digits = tuple(digits)
         if not digits or digits[-1] == 0:
             raise ValueError("digit vector must be non-empty with a nonzero top digit")
         # Set membership alone would pass 1.0 and True, which equal 1.

@@ -101,6 +101,19 @@ class TestTrajectory:
         assert len(payload["steps"]) == 3
         assert payload["steps"][-1]["drop_abs"] is None
 
+    def test_a_drop_past_the_cap_prints_the_record_and_exits_1(
+        self, runner, monkeypatch
+    ):
+        steps = [lb.StepRecord(0, 30.0, 30.0), lb.StepRecord(1, 0.0, None)]
+        record = lb.TrajectoryRecord(n=8, bound=8 * math.pi, steps=steps)
+        monkeypatch.setattr(cli.lowerbound, "run_trajectory", lambda *args: record)
+        result = run(runner, "trajectory", "--algo", "binary", "--n", "8")
+        assert result.exit_code == 1
+        assert result.stdout == record.to_csv()
+        assert result.stderr == (
+            f"per-query drop 30 exceeds the cap {8 * math.pi:.12g}\n"
+        )
+
     # The benchmark's output check: the CLI, which computes W only, prints
     # the W of a chain-verified run, which also computes each pair drop.
     def test_binary_csv_is_the_chain_verified_run(self, runner):
@@ -140,6 +153,18 @@ class TestSimulate:
             assert row["answer_found"] == row["answer"]
             assert abs(row["probability"] - 1.0) <= 1e-9
             assert row["queries"] == 1
+
+    def test_an_inexact_run_is_reported_and_exits_1(self, runner, monkeypatch):
+        # Answer 2 is found with probability 1/2, the others exactly.
+        found = [ts.SimulationResult(a, 0.5 if a == 2 else 1.0, 2) for a in range(4)]
+        monkeypatch.setattr(cli.teamsearch, "run_ensemble", lambda *args: found)
+        result = run(runner, "simulate", "--algo", "binary", "--n", "4")
+        assert result.exit_code == 1
+        payload = json.loads(result.stdout)
+        assert payload["all_exact"] is False
+        correct = [row["correct"] for row in payload["results"]]
+        assert correct == [True, True, False, True]
+        assert result.stderr == "algorithm failed to identify an answer exactly\n"
 
     def test_binary_sixteen_uses_four_queries(self, runner):
         result = run(runner, "simulate", "--algo", "binary", "--n", "16",

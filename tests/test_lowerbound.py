@@ -314,6 +314,11 @@ class TestMatrices:
     def test_hankel_2x2_truncates_past_antidiagonal(self):
         assert lb.hankel_matrix(2).tolist() == [[1.0, 0.5], [0.5, 0.0]]
 
+    @pytest.mark.parametrize("build", [lb.hilbert_matrix, lb.hankel_matrix])
+    def test_a_matrix_of_size_zero_is_refused(self, build):
+        with pytest.raises(ValueError, match=r"^matrix size must be positive, got 0$"):
+            build(0)
+
     @pytest.mark.parametrize("n", [1, 2, 9, 64, 257])
     def test_hankel_agrees_with_hilbert_inside_the_band(self, n):
         hk, hb = lb.hankel_matrix(n), lb.hilbert_matrix(n)
@@ -665,6 +670,24 @@ class TestDropChain:
         assert report.pair_identity_err == 2.0
         assert len(report.failures) == 1
         assert report.failures[0].startswith("pair identity error")
+
+    def test_a_one_answer_chain_has_no_pair_to_bound(self):
+        # A list of one holds no pair (a, b): W is 0 before and after the
+        # query, both bounds are 0 and only the cap pi * 1 is left.
+        w = lb.WeightSpec.inverse_distance(1)
+        before = [SparseState.unit(query_label(0, 0))]
+        after = [apply_query(before[0], OrderedInstance(1, 0))]
+        assert after[0].amplitude(query_label(0, 0)) == -1.0
+        report = chain_report(before, after, w)
+        assert report == lb.ChainReport(
+            n=1,
+            drop=0.0,
+            pair_bound=0.0,
+            norm_bound=0.0,
+            cap=math.pi,
+            pair_identity_err=0.0,
+            failures=(),
+        )
 
     def test_nan_overlap_fails_the_chain(self):
         # Every comparison against NaN is false, so links written as

@@ -1,6 +1,8 @@
+import ast
 import inspect
 import itertools
 import math
+import pathlib
 import random
 import re
 import tracemalloc
@@ -902,8 +904,9 @@ IDENTITY = step_of(lifted(lambda label: [(label, 1.0)]))
 
 
 class TestEnsembleBooks:
-    """Every step reads the column sizes and norms its input carries and
-    builds its image's; each must hold what counting afresh gives."""
+    """Every step reads the column sizes and squared norms its input carries
+    and builds its image's; each must hold what counting afresh gives, and
+    the measurement reads the last image's."""
 
     @pytest.mark.parametrize("algorithm", RUNS, ids=run_id)
     def test_every_snapshot_and_step_image_holds_recounted_books(self, algorithm):
@@ -964,9 +967,43 @@ class TestEnsembleBooks:
         expected = apply_linear_ensemble(shrunk, IDENTITY.image)
         assert same_arrays(got, expected)
         assert got.answers.tolist() == [1]
-        assert (got.low, len(got.norms), got.norms.tolist()) == (0, 2, [0.0, 1.0])
+        assert (got.low, len(got.norms_sq), got.norms_sq.tolist()) == (0, 2, [0.0, 1.0])
         fresh = qcore.Ensemble.counted(*got[:5])
-        assert (fresh.low, len(fresh.norms), fresh.norms.tolist()) == (1, 1, [1.0])
+        assert (fresh.low, len(fresh.norms_sq), fresh.norms_sq.tolist()) == (1, 1, [1.0])
+
+    def test_the_measurement_reads_the_squared_norms_in_the_books(self):
+        # The entries are normalized; only the books say answer 1 is not.
+        states = [SparseState.unit(TeamLabel(0, a, a)) for a in range(2)]
+        final = from_states(states)
+        off = final._replace(norms_sq=np.array([1.0, 0.5]))
+        algorithm = ts.BinarySearchAlgorithm(2)
+        assert ts.measure_ensemble(algorithm, final) == [(0, 1.0, 1), (1, 1.0, 1)]
+        assert raised(lambda: ts.measure_ensemble(algorithm, off)) == (
+            ValueError,
+            "measure_distribution requires a normalized state (squared norm 0.5)",
+        )
+
+    def test_an_edge_answer_that_thinned_out_within_the_span_is_unnormalized(self):
+        # As in the round above, answer 0's one entry shrinks below
+        # PRUNE_EPS within NORM_TOL, so the books keep answer 0 with a
+        # squared norm of zero: the measurement refuses it, as it refuses an
+        # answer without entries between held ones, where a recount of the
+        # span would leave it out and measure answer 1 alone.
+        states = [
+            SparseState({TeamLabel(0, 0, 0): 1e-10}),
+            SparseState.unit(TeamLabel(0, 1, 1)),
+        ]
+        shrink = lifted(lambda label: [(label, 1e-6 if label.lo == 0 else 1.0)])
+        final = apply_linear_ensemble(from_states(states), shrink)
+        assert final.answers.tolist() == [1]
+        assert (final.low, final.norms_sq.tolist()) == (0, [0.0, 1.0])
+        algorithm = ts.BinarySearchAlgorithm(2)
+        assert raised(lambda: ts.measure_ensemble(algorithm, final)) == (
+            ValueError,
+            "measure_distribution requires a normalized state (squared norm 0)",
+        )
+        recounted = qcore.Ensemble.counted(*final[:5])
+        assert ts.measure_ensemble(algorithm, recounted) == [(1, 1.0, 1)]
 
     @pytest.mark.parametrize(
         "states, label_map",
@@ -1051,7 +1088,31 @@ def test_an_ensemble_keeps_its_own_books():
     for name in ("Tally", "tally", "step_ensemble"):
         assert not hasattr(qcore, name), name
     assert "label_ids" not in qcore.Ensemble._fields
-    assert qcore.Ensemble._fields[-2:] == ("low", "norms")
+    assert qcore.Ensemble._fields[-2:] == ("low", "norms_sq")
     for name, function in vars(ts).items():
         if inspect.isfunction(function) and function.__module__ == ts.__name__:
             assert "books" not in inspect.signature(function).parameters, name
+
+
+def package_imports(node):
+    """The imports of a module of this package within ``node``, each as the
+    ``ast`` node: relative ones and those naming ``qordsearch``."""
+    return [
+        sub
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.ImportFrom)
+        and (sub.level or sub.module.split(".")[0] == "qordsearch")
+        or isinstance(sub, ast.Import)
+        and any(alias.name.split(".")[0] == "qordsearch" for alias in sub.names)
+    ]
+
+
+def test_qcore_imports_no_sibling_and_no_function_imports_the_package():
+    # Every module imports qcore, which owns the argument checks: an import
+    # of a sibling there, even one put off into a function, is a cycle.
+    source = pathlib.Path(qcore.__file__).parent
+    assert package_imports(ast.parse((source / "qcore.py").read_text())) == []
+    for path in sorted(source.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert package_imports(node) == [], (path.name, node.name)
