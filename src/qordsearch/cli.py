@@ -5,9 +5,10 @@ digits, so identical invocations are byte-identical and reruns diff cleanly,
 whatever number of threads BLAS runs: the sums of the drop chain and of the
 Lanczos norm are numpy's own loops, where a BLAS dot product splits its sum
 by thread and so rounds it by thread count.
-Exit codes: 0 on success, 1 when a checked invariant is violated, 2 on usage
-errors. Integer options carry their ranges, shown in ``--help``: ``expansion``
-and ``querycount`` stop where a result would pass the digit limit of an int.
+Exit codes: 0 on success, 1 when a checked invariant is violated (a
+non-finite number to print among them), 2 on usage errors. Integer options
+carry their ranges, shown in ``--help``: ``expansion`` and ``querycount``
+stop where a result would pass the digit limit of an int.
 """
 from __future__ import annotations
 
@@ -40,9 +41,16 @@ ALGORITHMS = {"binary": teamsearch.BinarySearchAlgorithm,
               "team": teamsearch.TeamCombineAlgorithm}
 
 
+class NonFiniteOutput(click.ClickException, ValueError):
+    """A non-finite float to print, which strict JSON cannot hold: a
+    ``ValueError`` to callers of :func:`render_json`, and to click a
+    violated invariant, which a command reports in one line on stderr
+    with exit code 1."""
+
+
 def _render_float(value: float) -> str:
     if not math.isfinite(value):
-        raise ValueError(f"cannot render non-finite float {value!r} as JSON")
+        raise NonFiniteOutput(f"cannot print the non-finite float {value!r}")
     return format(float(value), ".17g")
 
 
@@ -79,7 +87,8 @@ _RENDER = {
 def render_json(value) -> str:
     """Deterministic JSON: insertion-ordered keys, floats at 17 digits.
 
-    Non-finite floats raise ``ValueError``: strict JSON has no nan or inf.
+    Non-finite floats raise :class:`NonFiniteOutput`, a ``ValueError``:
+    strict JSON has no nan or inf.
     """
     for cls in type(value).__mro__:
         render = _RENDER.get(cls)
@@ -242,25 +251,23 @@ def trajectory(ctx, algo, n, fmt, out):
     algorithm = build_algorithm(algo, n, sweep=True)
     weights = lowerbound.WeightSpec.inverse_distance(n)
     record = lowerbound.run_trajectory(algorithm, n, weights)
-    if fmt == "csv":
-        text = record.to_csv()
-    else:
-        payload = {
-            "n": n,
-            "algo": algo,
-            "bound": record.bound,
-            "steps": [
-                {
-                    "j": step.j,
-                    "W_re": step.overlap,
-                    "W_im": 0.0,
-                    "drop_abs": None if step.drop is None else abs(step.drop),
-                }
-                for step in record.steps
-            ],
-        }
-        text = render_json(payload) + "\n"
-    emit(text, out)
+    payload = {
+        "n": n,
+        "algo": algo,
+        "bound": record.bound,
+        "steps": [
+            {
+                "j": step.j,
+                "W_re": step.overlap,
+                "W_im": 0.0,
+                "drop_abs": None if step.drop is None else abs(step.drop),
+            }
+            for step in record.steps
+        ],
+    }
+    # Rendered in either format, so that a non-finite number fails both.
+    text = render_json(payload) + "\n"
+    emit(record.to_csv() if fmt == "csv" else text, out)
     if not record.bound_satisfied():
         click.echo(
             f"per-query drop {record.max_drop_abs():.12g} exceeds the cap "

@@ -37,8 +37,10 @@ mixer, in which each image label sums at most two terms and the two source
 labels of a two-term image hold the same answers, as in the marker mixer
 and every open, close and combine step. The image's entries are then one
 gathered label run times its coefficient, plus a second such run. A
-refinement, which relabels one to one, rides on the pair mixer before it
-as a renaming of its image labels. The per-state operations take any map;
+refinement, which relabels one to one, rides on the pair mixer before it:
+the mixer's map writes the renamed image labels, so a step's label work
+is one pass over its columns, which are selected and regrouped by index
+(``take``). The per-state operations take any map;
 they run one instance (``teamsearch.run_algorithm``), and the tests check
 the ensemble against them, gathering per-answer states into an ensemble
 with ``tests/per_instance_oracle.py``. An ensemble carries its own books,
@@ -356,10 +358,10 @@ def _group_columns(
     with the column count.
     """
     order = np.lexsort(fields[::-1])
-    ordered = fields[:, order]
+    ordered = fields.take(order, axis=1)
     edges = np.empty(len(order) + 1, dtype=bool)
     edges[0] = edges[-1] = True
-    np.logical_or.reduce(ordered[:, 1:] != ordered[:, :-1], out=edges[1:-1])
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=edges[1:-1])
     return order, ordered, edges.nonzero()[0]
 
 
@@ -482,7 +484,7 @@ def _pair_sums(
     order, images, lead = _group_columns(images)
     terms = lead[1:] - lead[:-1]
     lead = lead[:-1]
-    image_fields = images[:, lead]
+    image_fields = images.take(lead, axis=1)
     del images
     if len(terms) and terms.max() > 2:
         image = np.argmax(terms > 2)
@@ -524,7 +526,8 @@ def _prune(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The columns and entries left once the entries whose amplitudes are
     below ``PRUNE_EPS`` in magnitude are dropped, and with them each column
-    left without entries; the arguments themselves when none is dropped."""
+    left without entries; the arguments themselves when none is dropped,
+    and ``fields`` itself when no column is."""
     # NaN is not small, so it is kept, to fail the finiteness check.
     small = np.abs(amps) < PRUNE_EPS
     if not small.any():
@@ -535,8 +538,10 @@ def _prune(
     # every image column holds an entry, so no segment is empty.
     starts = column_sizes.cumsum() - column_sizes
     column_sizes = np.add.reduceat(keep, starts, dtype=column_sizes.dtype)
-    held = column_sizes > 0
-    return fields[:, held], column_sizes[held], answers[keep], amps[keep]
+    held = column_sizes.nonzero()[0]
+    if len(held) < len(column_sizes):
+        fields, column_sizes = fields.take(held, axis=1), column_sizes[held]
+    return fields, column_sizes, answers[keep], amps[keep]
 
 
 def _checked(

@@ -23,7 +23,9 @@ Binary search is the r = 1 case of the same operators: a team of one
 computer whose every round is the bit-writing query on its own interval
 followed by one refinement. Both steppable algorithms are data: opening
 levels (interval length, marker, amplitude; binary search has the one level
-of the whole list) and one ``_schedule``'s steps. Shared ``initial_state``
+of the whole list) and one ``_schedule``'s steps; on the ensemble, each
+close or combine step halves the intervals it mixes in the same pass, so
+its refinement costs no pass of its own. Shared ``initial_state``
 and ``advance`` run them for one instance of the algorithm's size; a shared
 ``initial_ensemble`` builds the starts of a contiguous answer range, which
 :func:`ensemble_snapshots` evolves at once, and :func:`run_ensemble` reads
@@ -152,12 +154,14 @@ def _mix(label, s: int):
     return ((label, 1.0),)
 
 
-def _mix_fields(fields: np.ndarray, s: int):
-    """:func:`_mix` of every label column of ``fields``: ``(counts, images, coeffs)``.
+def _mix_terms(fields: np.ndarray, s: int):
+    """The terms of :func:`_mix` on every label column of ``fields``, before
+    the markers are written: ``(counts, images, coeffs, marker0, marker1)``.
 
-    A matched label has two terms, on marker 0 then marker 1, each with
-    coefficient sqrt(1/2) except the marker-1 label's own, -sqrt(1/2); every
-    other label is its own image with coefficient 1.
+    ``images`` holds each term's source label. A matched label has two
+    terms, at ``marker0`` then ``marker1``, each with coefficient sqrt(1/2)
+    except the marker-1 label's own, -sqrt(1/2); every other label is its
+    own image with coefficient 1.
     """
     kind, b, lo, hi, _ = fields
     match = (kind == TEAM) & (hi - lo == s - 1)
@@ -166,10 +170,34 @@ def _mix_fields(fields: np.ndarray, s: int):
     coeffs = np.ones(images.shape[1])
     marker1 = counts.cumsum()[match] - 1
     marker0 = marker1 - 1
-    images[1, marker0] = 0
-    images[1, marker1] = 1
     coeffs[marker0] = _SQRT_HALF
     coeffs[marker1] = _MARKER_ONE_COEFFS[b[match]]
+    return counts, images, coeffs, marker0, marker1
+
+
+def _mix_fields(fields: np.ndarray, s: int):
+    """:func:`_mix` of every label column of ``fields``: ``(counts, images, coeffs)``.
+
+    A matched label's images are its interval with marker 0, then marker 1.
+    """
+    counts, images, coeffs, marker0, marker1 = _mix_terms(fields, s)
+    images[1, marker0] = 0
+    images[1, marker1] = 1
+    return counts, images, coeffs
+
+
+def _mix_halves_fields(fields: np.ndarray, s: int):
+    """:func:`_mix_fields`, its images halved by :func:`_halving_fields` at
+    ``s``, in one pass: a matched label's marker-0 image is the upper half
+    of its interval and its marker-1 image the lower half, both with marker
+    0. The halving renames only images of length ``s``, and those are
+    exactly the matched labels' images.
+    """
+    counts, images, coeffs, marker0, marker1 = _mix_terms(fields, s)
+    images[1, marker0] = 0
+    images[1, marker1] = 0
+    images[2, marker0] += s // 2
+    images[3, marker1] -= s // 2
     return counts, images, coeffs
 
 
@@ -266,18 +294,46 @@ def _bitwrite_query(n: int, bitwrite_length: int):
     return open_query, close_query
 
 
+def _routed_index(b, lo, hi, n: int, bitwrite_length: int) -> np.ndarray:
+    """The query index of each routed interval: its midpoint, or the padding
+    index ``n`` for marker 0 on the bit-write length."""
+    length = hi - lo + 1
+    parked = (length == bitwrite_length) & (b == 0)
+    return np.where(parked, n, lo + length // 2 - 1)
+
+
+def _unrouting(n: int, bitwrite_length: int):
+    """The unrouting of :func:`_bitwrite_query`'s close map on label fields:
+    each routed column as the fields of its ``TeamLabel``.
+
+    A column that does not sit on its routed index is found by an array
+    check; the tuple close map then raises its own error on the first.
+    """
+    _, close_query = _bitwrite_query(n, bitwrite_length)
+
+    def unrouted(fields):
+        kind, hi, lo, b, i = fields
+        # A routed interval of length >= 2 on its routed index.
+        sits = (kind == QUERY) & (lo < hi)
+        sits &= i == _routed_index(b, lo, hi, n, bitwrite_length)
+        require_fields(sits, fields, close_query)
+        team = fields[_SWAP_B_HI]
+        team[0], team[4] = TEAM, 0
+        return team
+
+    return unrouted
+
+
 def _bitwrite_fields(n: int, bitwrite_length: int):
-    """:func:`_bitwrite_query`'s two maps on label fields, for the ensemble.
+    """:func:`_bitwrite_query`'s two maps on label fields.
 
     Labels that the tuple maps refuse are found by array checks; the tuple
-    map then raises its own error on the first of them.
+    map then raises its own error on the first of them. A round's close
+    step runs the close map's unrouting with the mix and halving of
+    :func:`_refined`, so the close map alone is the unfused form.
     """
-    open_query, close_query = _bitwrite_query(n, bitwrite_length)
-
-    def routed_index(b, lo, hi):
-        length = hi - lo + 1
-        parked = (length == bitwrite_length) & (b == 0)
-        return np.where(parked, n, lo + length // 2 - 1)
+    open_query, _ = _bitwrite_query(n, bitwrite_length)
+    unrouted = _unrouting(n, bitwrite_length)
 
     def open_fields(fields):
         kind, _, lo, hi, _ = fields
@@ -287,17 +343,11 @@ def _bitwrite_fields(n: int, bitwrite_length: int):
         # (TEAM, b, lo, hi, 0) to (QUERY, hi, lo, b, index), in place.
         images[1], images[3] = images[3], images[1].copy()
         _, hi, lo, b, _ = images
-        images[0], images[4] = QUERY, routed_index(b, lo, hi)
+        images[0], images[4] = QUERY, _routed_index(b, lo, hi, n, bitwrite_length)
         return counts, images, coeffs
 
     def close_fields(fields):
-        kind, hi, lo, b, i = fields
-        # A routed interval of length >= 2 on its routed index.
-        sits = (kind == QUERY) & (lo < hi) & (i == routed_index(b, lo, hi))
-        require_fields(sits, fields, close_query)
-        team = fields[_SWAP_B_HI]
-        team[0], team[4] = TEAM, 0
-        return _mix_fields(team, bitwrite_length)
+        return _mix_fields(unrouted(fields), bitwrite_length)
 
     return open_fields, close_fields
 
@@ -308,35 +358,42 @@ def _bitwrite_fields(n: int, bitwrite_length: int):
 # path, a step also carries its ``image(fields)``, the (counts, images,
 # coefficients) of a pair mixer on label fields (see ``qcore.FieldsMap``). A
 # refine step's is None: it rides on the close or combine step of its size
-# before it, whose image it refines.
+# before it, whose map writes the halves of the intervals it mixes.
 
 
-def _refined(mix, s: int):
-    """The fields map ``mix`` followed by the halving of intervals of length ``s``.
+def _refined(unroute, s: int):
+    """The fields map of a close or combine step at size ``s``: the marker
+    mixer on intervals of length ``s`` with the halving of them riding on
+    it, both written in one pass by :func:`_mix_halves_fields`, after
+    ``unroute`` (a close step's; None for a combine step) takes the fields
+    to those of ``TeamLabel`` columns.
 
-    The halving renames image columns, one to one on those of length ``s``;
-    a half can only land on a marker-0 image of length ``s/2`` that passes
-    through the mix. Where one does, :class:`CollisionError` names the first
-    such half in ``sort_key`` order and its first two images, in that order,
-    as :func:`apply_refine` would on a state holding both. The check sees
-    the mix's images before pruning, so an image whose every entry prunes
-    still collides.
+    The halving renames one to one the mix's images of length ``s``, which
+    are the images of the labels it mixes; a half can only land on a label
+    of length ``s/2`` with marker 0 that the mix passes through. Only where
+    the mix has such a label does the unfused path run: the mix's images,
+    each distinct one halved, and where two land on one half,
+    :class:`CollisionError` names the first such half in ``sort_key`` order
+    and its first two images, in that order, as :func:`apply_refine` would
+    on a state holding both. The check sees the mix's labels before
+    pruning, so an image whose every entry prunes still collides.
     """
 
     def image(fields):
-        counts, images, coeffs = mix(fields)
-        kind, b, lo, hi, _ = images
+        if unroute is not None:
+            fields = unroute(fields)
+        kind, b, lo, hi, _ = fields
         if ((kind == TEAM) & (b == 0) & (hi - lo == s // 2 - 1)).any():
-            _, ordered, lead = _group_columns(images)
-            labels = ordered[:, lead[:-1]]
+            _, ordered, lead = _group_columns(_mix_fields(fields, s)[1])
+            labels = ordered.take(lead[:-1], axis=1)
             order, halves, lead = _group_columns(_halving_fields(labels, s))
             if len(lead) - 1 < labels.shape[1]:
                 # The first half that two labels map to, and those two.
                 k = int(lead[np.argmax(lead[1:] - lead[:-1] > 1)])
-                prior, label = labels_of(labels[:, order[k : k + 2]])
+                prior, label = labels_of(labels.take(order[k : k + 2], axis=1))
                 [target] = labels_of(halves[:, [k]])
                 raise CollisionError(f"labels {prior} and {label} both map to {target}")
-        return counts, _halving_fields(images, s), coeffs
+        return _mix_halves_fields(fields, s)
 
     return image
 
@@ -356,7 +413,7 @@ def _refine_step(s: int) -> Callable[[SparseState], SparseState]:
 
 def _combine_step(s: int) -> Callable[[SparseState], SparseState]:
     run = lambda state: apply_combine(state, s)
-    return _step(run, _refined(partial(_mix_fields, s=s), s))
+    return _step(run, _refined(None, s))
 
 
 def _halvings(size: int) -> list[int]:
@@ -376,9 +433,9 @@ def _schedule(n: int, lengths, combine_sizes):
     opens, closes = [], []
     for length in lengths:
         open_query, close_query = _bitwrite_query(n, length)
-        open_fields, close_fields = _bitwrite_fields(n, length)
+        open_fields, _ = _bitwrite_fields(n, length)
         opens.append(_linear_step(open_query, open_fields))
-        closes.append(_linear_step(close_query, _refined(close_fields, length)))
+        closes.append(_linear_step(close_query, _refined(_unrouting(n, length), length)))
     rounds = []
     for j, (length, sizes) in enumerate(zip(lengths, combine_sizes)):
         steps = [closes[j], _refine_step(length)]
@@ -562,7 +619,7 @@ def _initial_ensemble(self, answers: range | None = None) -> Ensemble:
     # Distinct blocks in sort_key order, block lo .. hi held by answers
     # max(lo, low) .. min(hi, stop - 1): the entries go label by label.
     order = np.lexsort(fields[::-1])
-    fields = fields[:, order]
+    fields = fields.take(order, axis=1)
     first = np.maximum(fields[2], low)
     counts = np.minimum(fields[3] + 1, stop) - first
     shift = np.cumsum(counts) - counts - first

@@ -583,6 +583,37 @@ class TestOutputDiscipline:
         assert not record.bound_satisfied()
 
 
+class TestNonFiniteOutput:
+    """A command that would print a non-finite number prints nothing on
+    stdout, one line on stderr, and exits 1, the code of a violated
+    invariant."""
+
+    @staticmethod
+    def assert_refused(result, bad):
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"Error: cannot print the non-finite float {bad!r}\n"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_norms(self, runner, monkeypatch, bad):
+        monkeypatch.setattr(cli.lowerbound, "spectral_norm", lambda matrix: bad)
+        self.assert_refused(run(runner, "norms", "--size", "2"), bad)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_trajectory(self, runner, monkeypatch, fmt):
+        steps = [lb.StepRecord(0, 1.0, 1.0), lb.StepRecord(1, math.nan, None)]
+        record = lb.TrajectoryRecord(n=2, bound=2 * math.pi, steps=steps)
+        monkeypatch.setattr(cli.lowerbound, "run_trajectory", lambda *args: record)
+        result = run(runner, "trajectory", "--algo", "binary", "--n", "2", "--format", fmt)
+        self.assert_refused(result, math.nan)
+
+    def test_simulate(self, runner, monkeypatch):
+        found = [ts.SimulationResult(a, math.nan if a == 2 else 1.0, 2) for a in range(4)]
+        monkeypatch.setattr(cli.teamsearch, "run_ensemble", lambda *args: found)
+        result = run(runner, "simulate", "--algo", "binary", "--n", "4")
+        self.assert_refused(result, math.nan)
+
+
 class TestStrictJson:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_floats_are_refused(self, bad):

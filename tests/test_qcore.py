@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qordsearch import lowerbound as lb
 from qordsearch import qcore
 from qordsearch import teamsearch as ts
 from qordsearch.oracle import OrderedInstance, apply_query, enumerate_instances
@@ -658,6 +659,30 @@ def ensemble_passes(algorithm):
                 ensemble = apply_linear_ensemble(ensemble, step.image)
 
 
+def unfused_mixes(algorithm):
+    """Per pass with a refine riding on it, in the order of
+    :func:`ensemble_passes`: the size ``s`` of the pass and its mix alone,
+    the fields map of the close or combine step without the halving."""
+    team = isinstance(algorithm, ts.TeamCombineAlgorithm)
+    for j in range(algorithm.num_queries):
+        length = 2 * algorithm.r if team else algorithm.n >> j
+        yield length, ts._bitwrite_fields(algorithm.n, length)[1]
+        for s in ts._halvings(algorithm.r) if team else ():
+            yield s, lambda fields, s=s: ts._mix_fields(fields, s)
+
+
+def refine_passes(algorithm):
+    """Each pass of :func:`ensemble_passes` with a refine riding on it: the
+    ensemble entering it, its mix and refine steps, its size and its
+    unfused mix (:func:`unfused_mixes`)."""
+    passes = [(ensemble, steps) for ensemble, steps in ensemble_passes(algorithm)
+              if len(steps) == 2]
+    for (ensemble, steps), (s, unfused) in zip(
+        passes, unfused_mixes(algorithm), strict=True
+    ):
+        yield ensemble, steps, s, unfused
+
+
 RUNS = (
     [ts.BinarySearchAlgorithm(1 << k) for k in range(1, 13)]
     + [ts.TeamCombineAlgorithm(n) for n in (2, 4, 8, 32, 128, 512, 2048, 8192)]
@@ -723,17 +748,13 @@ class TestRelabelByRuns:
         assert got.amps.tolist() == ensemble.amps.tolist()
 
     @pytest.mark.parametrize("algorithm", RUNS, ids=run_id)
-    def test_every_refine_step_of_a_run(self, monkeypatch, algorithm):
-        # With the halving taken out, a pass is its mix on each answer's
-        # state; with it, the pass goes on to the refine riding on the mix.
+    def test_every_refine_step_of_a_run(self, algorithm):
+        # By the unfused mix map, a pass is its mix on each answer's state;
+        # by the step's own map, the pass goes on to the refine riding on
+        # the mix.
         refines = 0
-        for ensemble, steps in ensemble_passes(algorithm):
-            if len(steps) == 1:
-                continue
-            mix, refine = steps
-            with monkeypatch.context() as unrefined:
-                unrefined.setattr(ts, "_halving_fields", lambda fields, s: fields)
-                mixed = apply_linear_ensemble(ensemble, mix.image)
+        for ensemble, (mix, refine), _, unfused in refine_passes(algorithm):
+            mixed = apply_linear_ensemble(ensemble, unfused)
             assert ensemble_entries(mixed) == state_entries(map(mix, states_of(ensemble)))
             got = apply_linear_ensemble(ensemble, mix.image)
             assert ensemble_entries(got) == state_entries(map(refine, states_of(mixed)))
@@ -741,6 +762,48 @@ class TestRelabelByRuns:
         assert refines == sum(
             step.image is None for steps in algorithm._rounds for step in steps
         )
+
+    @pytest.mark.parametrize("algorithm", RUNS, ids=run_id)
+    def test_every_step_halves_as_it_mixes(self, algorithm):
+        # The map of each close and combine step writes, array for array,
+        # the unfused mix's terms with its images halved.
+        for ensemble, (mix, _), s, unfused in refine_passes(algorithm):
+            counts, images, coeffs = unfused(ensemble.fields)
+            got = mix.image(ensemble.fields)
+            expected = (counts, ts._halving_fields(images, s), coeffs)
+            for array, want in zip(got, expected, strict=True):
+                assert array.dtype == want.dtype
+                assert np.array_equal(array, want)
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [ts.BinarySearchAlgorithm(256), ts.TeamCombineAlgorithm(512),
+         ts.TeamCombineAlgorithm(32, r=2)],
+        ids=run_id,
+    )
+    def test_a_chain_verified_run_halves_in_the_mix_pass(self, monkeypatch, algorithm):
+        # No step of a run halves its images in a second pass over them, or
+        # sorts them for the collision check: that path runs only on a label
+        # a half could land on, which no algorithm's ensemble holds.
+        calls = {"_halving_fields": 0, "_group_columns": 0}
+        for name in calls:
+            counted = getattr(ts, name)
+
+            def counting(*args, name=name, counted=counted):
+                calls[name] += 1
+                return counted(*args)
+
+            monkeypatch.setattr(ts, name, counting)
+        n = algorithm.n
+        weights = lb.WeightSpec.inverse_distance(n)
+        record = lb.run_trajectory(algorithm, n, weights, verify_chain=True)
+        assert all(report.holds for report in record.chain_reports)
+        assert calls == {"_halving_fields": 0, "_group_columns": 0}
+        # The counters see the collision path when it runs.
+        colliding = label_fields([TeamLabel(0, 0, 3), TeamLabel(0, 2, 3)])
+        with pytest.raises(CollisionError):
+            ts._refined(None, 4)(colliding)
+        assert calls == {"_halving_fields": 1, "_group_columns": 2}
 
 
 def three_way(label):

@@ -942,6 +942,35 @@ class TestFieldMaps:
         halved = ts._halving_fields(label_fields(labels), s)
         assert qcore.labels_of(halved) == [ts._halving(label, s) for label in labels]
 
+    @pytest.mark.parametrize("s", [2, 4, 8, 16, 32])
+    def test_mix_with_its_halving(self, s):
+        # On label sets of lengths s, s/2 and s/4, and routed labels, a
+        # combine step's map writes the tuple mix's terms, each image
+        # halved; where two distinct images halve to one label, it raises
+        # CollisionError, and it runs its collision check, which finds none,
+        # on every other set holding a label of length s/2 with marker 0.
+        rng = random.Random(s)
+        pool = [label for label in self.labels() if label.length in (s, s // 2, s // 4)]
+        pool += [QueryLabel(1, 4, 7, 5), QueryLabel(1, 0, 1, 0)]
+        refined = ts._refined(None, s)
+        collided = checked = 0
+        for _ in range(100):
+            labels = rng.sample(pool, rng.randrange(1, 9))
+            labels.sort(key=lambda label: label.sort_key)
+            counts, images, coeffs = linear_images(lambda l: ts._mix(l, s), labels)
+            if len({ts._halving(image, s) for image in set(images)}) < len(set(images)):
+                with pytest.raises(qcore.CollisionError, match="both map to"):
+                    refined(label_fields(labels))
+                collided += 1
+                continue
+            halves = [ts._halving(image, s) for image in images]
+            assert field_images(refined, labels) == (counts, halves, coeffs)
+            checked += any(
+                isinstance(label, TeamLabel) and label.b == 0 and label.length == s // 2
+                for label in labels
+            )
+        assert collided > 0 and checked > 0
+
     @pytest.mark.parametrize("length", [2, 4, 8, 16, 32])
     def test_open_and_close(self, length):
         open_query, close_query = ts._bitwrite_query(self.N, length)
